@@ -20,7 +20,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .cutoffs import CutoffConfig, eta_jet
-from .eigen import EigenPair, basis_matrix
+from .eigen import XI_PER_THETA, EigenPair, basis_matrix
 from .geometry import Geometry, validate_parameter
 from .reference import RhsSpec
 from .sampling import QuadratureSet
@@ -39,7 +39,6 @@ __all__ = [
 ]
 
 RIDGE_REL = 1e-10
-XI_PER_THETA = 2.0 / np.pi
 
 from scipy.linalg.lapack import dpotrf as _dpotrf
 from scipy.linalg.lapack import dpotrs as _dpotrs

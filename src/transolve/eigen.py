@@ -10,10 +10,12 @@ u = xi - e,
 
 plus four C0 hat functions (1/4) max(0, 1-|xi-e|) that wrap periodically.
 Stiffness/mass assembly uses 5-point Gauss-Legendre per element, exact for
-the degree-8 integrands.  The generalized problem G rho = lambda B rho is
-reduced to a standard symmetric one through B^(-1/2) and solved by cyclic
-Jacobi rotations; singular exponents are the square roots of the
-generalized eigenvalues, selected in (0, 1).
+the degree-8 integrands.  Both matrices are linear in the four sector
+values, so they are contractions of the trace with per-sector unit blocks
+computed once at import.  The generalized problem G rho = lambda B rho is
+reduced through the Cholesky factor of B to a standard symmetric one and
+solved by LAPACK for a whole stack of traces at once; singular exponents are
+the square roots of the generalized eigenvalues, selected in (0, 1).
 
 A semi-analytic transfer-matrix oracle (piecewise trigonometric modes
 propagated sector to sector, periodicity enforced as a root problem) is
@@ -30,8 +32,8 @@ __all__ = [
     "EigenSystem",
     "EigenPair",
     "basis_matrix",
+    "sector_values",
     "assemble_eigensystem",
-    "jacobi_eigh",
     "solve_eigenpairs",
     "select_singular",
     "angular_eval",
@@ -42,11 +44,6 @@ N_ELEMENTS = 4
 N_BASIS = 16
 XI_PER_THETA = 2.0 / np.pi  # d xi / d theta
 SECTOR = np.pi / 2
-
-try:  # compiled rotation kernel; the numpy fallback is ~100x slower
-    import numba as _numba
-except ImportError:  # pragma: no cover
-    _numba = None
 
 
 def _bubble(u, k):
@@ -100,113 +97,66 @@ def basis_matrix(xi) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass
 class EigenSystem:
-    """Assembled 16x16 stiffness and mass matrices with their angular trace."""
+    """Assembled 16x16 stiffness and mass matrices with their angular trace.
+
+    A stack of traces of shape (..., 4) gives matrices of shape
+    (..., 16, 16).
+    """
 
     stiffness: np.ndarray
     mass: np.ndarray
-    trace: np.ndarray  # p per quarter sector, length 4
+    trace: np.ndarray  # p per quarter sector, last axis of length 4
 
 
-_GL5_NODES, _GL5_WEIGHTS = np.polynomial.legendre.leggauss(5)
+def _transpose(a: np.ndarray) -> np.ndarray:
+    return np.swapaxes(a, -1, -2)
 
 
-def assemble_eigensystem(angular_trace) -> EigenSystem:
-    """Stiffness/mass assembly from the 4-sector trace via 5-point Gauss.
+def _unit_blocks() -> tuple[np.ndarray, np.ndarray]:
+    """Per-sector stiffness and mass blocks for p = 1 on that sector only."""
+    nodes, weights = np.polynomial.legendre.leggauss(5)
+    w = 0.5 * weights
+    g = np.zeros((N_ELEMENTS, N_BASIS, N_BASIS))
+    b = np.zeros((N_ELEMENTS, N_BASIS, N_BASIS))
+    for e in range(N_ELEMENTS):
+        vals, ders = basis_matrix(e + 0.5 * (nodes + 1.0))
+        # measures: d theta = (pi/2) d xi;  d/d theta = (2/pi) d/d xi
+        b[e] = SECTOR * np.einsum("q,qi,qj->ij", w, vals, vals)
+        g[e] = (XI_PER_THETA**2) * SECTOR * np.einsum("q,qi,qj->ij", w, ders, ders)
+    return 0.5 * (g + _transpose(g)), 0.5 * (b + _transpose(b))
 
-    accepts either the sector list produced by geometry.angular_trace or a
-    plain length-4 array of p values.
+
+_UNIT_STIFFNESS, _UNIT_MASS = _unit_blocks()
+_MASS_CONSTANT_P = _UNIT_MASS.sum(axis=0)  # L2(0, 2pi) inner product of the basis
+
+
+def sector_values(angular_trace) -> np.ndarray:
+    """The sector values of a trace as a float array with last axis 4.
+
+    Accepts the sector list produced by geometry.angular_trace, or an array
+    of p values of shape (..., 4).
     """
     if isinstance(angular_trace, (list, tuple)) and angular_trace and isinstance(
         angular_trace[0], (tuple, list)
     ):
-        p_sector = np.array([s[2] for s in angular_trace], dtype=float)
-    else:
-        p_sector = np.asarray(angular_trace, dtype=float)
-    if p_sector.shape != (4,):
-        raise ValueError("angular trace must provide 4 sector values")
-    if np.any(p_sector <= 0):
-        raise ValueError("angular trace must be positive")
-
-    g = np.zeros((N_BASIS, N_BASIS))
-    b = np.zeros((N_BASIS, N_BASIS))
-    for e in range(N_ELEMENTS):
-        xi = e + 0.5 * (_GL5_NODES + 1.0)
-        w = 0.5 * _GL5_WEIGHTS
-        vals, ders = basis_matrix(xi)
-        # measures: d theta = (pi/2) d xi;  d/d theta = (2/pi) d/d xi
-        b += p_sector[e] * SECTOR * np.einsum("q,qi,qj->ij", w, vals, vals)
-        g += p_sector[e] * (XI_PER_THETA**2) * SECTOR * np.einsum("q,qi,qj->ij", w, ders, ders)
-    return EigenSystem(g, b, p_sector)
+        return np.array([s[2] for s in angular_trace], dtype=float)
+    return np.asarray(angular_trace, dtype=float)
 
 
-def _jacobi_sweeps(a, v, tol, max_sweeps, scale):
-    """Cyclic Jacobi rotations in place; returns True once converged."""
-    n = a.shape[0]
-    thresh = tol * scale / n
-    for _ in range(max_sweeps):
-        off = 0.0
-        for i in range(n - 1):
-            for j in range(i + 1, n):
-                off += 2.0 * a[i, j] * a[i, j]
-        if np.sqrt(off) <= tol * scale:
-            return True
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= thresh:
-                    continue
-                theta = 0.5 * (a[q, q] - a[p, p]) / apq
-                if theta == 0.0:
-                    t = 1.0
-                else:
-                    t = np.sign(theta) / (abs(theta) + np.sqrt(theta * theta + 1.0))
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                for k in range(n):
-                    akp = a[k, p]
-                    akq = a[k, q]
-                    a[k, p] = c * akp - s * akq
-                    a[k, q] = s * akp + c * akq
-                for k in range(n):
-                    apk = a[p, k]
-                    aqk = a[q, k]
-                    a[p, k] = c * apk - s * aqk
-                    a[q, k] = s * apk + c * aqk
-                for k in range(n):
-                    vkp = v[k, p]
-                    vkq = v[k, q]
-                    v[k, p] = c * vkp - s * vkq
-                    v[k, q] = s * vkp + c * vkq
-    off = 0.0
-    for i in range(n - 1):
-        for j in range(i + 1, n):
-            off += 2.0 * a[i, j] * a[i, j]
-    return np.sqrt(off) <= tol * scale
+def assemble_eigensystem(angular_trace) -> EigenSystem:
+    """Stiffness/mass matrices of one trace or of a stack of traces.
 
-
-if _numba is not None:
-    _jacobi_sweeps = _numba.njit(cache=True)(_jacobi_sweeps)
-
-
-def jacobi_eigh(matrix: np.ndarray, tol: float = 1e-14, max_sweeps: int = 50):
-    """Cyclic Jacobi diagonalization of a symmetric matrix.
-
-    Returns eigenvalues (ascending) and the orthogonal eigenvector matrix.
-    Raises if the off-diagonal Frobenius norm has not dropped below
-    tol * ||A||_F within the sweep budget.  The default tolerance is near
-    machine precision; the inverse-square-root sandwich needs it so that
-    B-orthonormality of the recovered eigenvectors survives to 1e-10.
+    ``angular_trace`` is anything `sector_values` accepts.
     """
-    a = np.array(matrix, dtype=float)
-    n = a.shape[0]
-    if a.shape != (n, n) or not np.allclose(a, a.T, atol=1e-12 * max(1.0, np.abs(a).max())):
-        raise ValueError("matrix must be square symmetric")
-    v = np.eye(n)
-    scale = max(np.linalg.norm(a), 1e-300)
-    if not _jacobi_sweeps(a, v, tol, max_sweeps, scale):
-        raise RuntimeError("Jacobi sweep budget exhausted before convergence")
-    order = np.argsort(np.diag(a))
-    return np.diag(a)[order], v[:, order]
+    p_sector = sector_values(angular_trace)
+    if p_sector.ndim < 1 or p_sector.shape[-1] != N_ELEMENTS:
+        raise ValueError("angular trace must provide 4 sector values")
+    if not np.all(np.isfinite(p_sector)) or np.any(p_sector <= 0):
+        raise ValueError("angular trace must be positive and finite")
+    shape = p_sector.shape[:-1] + (N_BASIS, N_BASIS)
+    g = (p_sector @ _UNIT_STIFFNESS.reshape(N_ELEMENTS, -1)).reshape(shape)
+    b = (p_sector @ _UNIT_MASS.reshape(N_ELEMENTS, -1)).reshape(shape)
+    return EigenSystem(g, b, p_sector)
 
 
 @dataclass
@@ -226,52 +176,55 @@ class EigenPair:
     residual: float
 
 
-_MASS_UNIT = None
-
-
-def _unit_mass() -> np.ndarray:
-    global _MASS_UNIT
-    if _MASS_UNIT is None:
-        _MASS_UNIT = assemble_eigensystem(np.ones(4)).mass
-    return _MASS_UNIT
-
-
-def solve_eigenpairs(system: EigenSystem) -> list[EigenPair]:
+def solve_eigenpairs(system: EigenSystem):
     """All eigenpairs of G rho = lambda B rho, sorted by exponent.
 
-    Reduction: eigendecompose B, form M = B^(-1/2) G B^(-1/2), Jacobi-solve
-    M, map eigenvectors back.  Exponents are sqrt(max(lambda, 0)).
+    Reduction (LAPACK dsygv): B = L L^T, then the symmetric eigenproblem
+    L^-1 G L^-T y = lambda y, and rho = L^-T y.  Exponents are
+    sqrt(max(lambda, 0)).  One system gives a list of 16 pairs; a stack of
+    shape (..., 16, 16) is solved in one batched call and gives nested lists
+    with the stack's leading shape, one list of pairs per system.
     """
-    g, b = system.stiffness, system.mass
-    beigs, bvecs = jacobi_eigh(b)
-    if np.min(beigs) <= 0:
-        raise ValueError("mass matrix is not positive definite")
-    b_inv_half = bvecs @ np.diag(beigs**-0.5) @ bvecs.T
-    m = b_inv_half @ g @ b_inv_half
-    m = 0.5 * (m + m.T)
-    lams, y = jacobi_eigh(m)
-    mass1 = _unit_mass()
-    pairs = []
-    gnorm = np.linalg.norm(g)
-    bnorm = np.linalg.norm(b)
-    for k in range(lams.size):
-        lam = float(lams[k])
-        rho = b_inv_half @ y[:, k]
-        res = np.linalg.norm(g @ rho - lam * (b @ rho))
-        res /= max(np.linalg.norm(g @ rho), abs(lam) * bnorm * np.linalg.norm(rho), gnorm * 1e-14)
-        lam = max(lam, 0.0)
-        mu_sq = float(rho @ mass1 @ rho)
-        pairs.append(
+    lead = system.stiffness.shape[:-2]
+    g = system.stiffness.reshape(-1, N_BASIS, N_BASIS)
+    b = system.mass.reshape(-1, N_BASIS, N_BASIS)
+    try:
+        chol = np.linalg.cholesky(b)
+    except np.linalg.LinAlgError as exc:
+        raise ValueError("mass matrix is not positive definite") from exc
+    reduced = np.linalg.solve(chol, _transpose(np.linalg.solve(chol, g)))
+    lams, y = np.linalg.eigh(reduced)
+    rho = np.linalg.solve(_transpose(chol), y)  # column k belongs to lams[:, k]
+
+    g_rho = g @ rho
+    res = np.linalg.norm(g_rho - (b @ rho) * lams[:, None, :], axis=1)
+    gnorm = np.linalg.norm(g, axis=(1, 2))[:, None]
+    bnorm = np.linalg.norm(b, axis=(1, 2))[:, None]
+    rho_norm = np.linalg.norm(rho, axis=1)
+    scale = np.maximum(np.linalg.norm(g_rho, axis=1), np.abs(lams) * bnorm * rho_norm)
+    res /= np.maximum(scale, gnorm * 1e-14)
+    lams = np.maximum(lams, 0.0)  # eigh's order is kept, so exponents ascend
+    mu_scale = np.einsum("nik,ij,njk->nk", rho, _MASS_CONSTANT_P, rho) ** -0.5
+    rho_rows = np.ascontiguousarray(_transpose(rho))
+
+    out = [
+        [
             EigenPair(
-                exponent=float(np.sqrt(lam)),
-                eigenvalue=lam,
-                rho=rho,
-                mu_scale=1.0 / np.sqrt(mu_sq),
-                residual=float(res),
+                exponent=float(np.sqrt(lams[n, k])),
+                eigenvalue=float(lams[n, k]),
+                rho=rho_rows[n, k],
+                mu_scale=float(mu_scale[n, k]),
+                residual=float(res[n, k]),
             )
-        )
-    pairs.sort(key=lambda pr: pr.exponent)
-    return pairs
+            for k in range(N_BASIS)
+        ]
+        for n in range(g.shape[0])
+    ]
+    if not lead:
+        return out[0]
+    for size in reversed(lead[1:]):  # regroup the flat stack by leading axes
+        out = [out[i:i + size] for i in range(0, len(out), size)]
+    return out
 
 
 def select_singular(pairs: list[EigenPair], n_cap: int, band: float = 1e-6) -> list[EigenPair]:
@@ -313,12 +266,7 @@ def semi_analytic_exponents(angular_trace, lam_max=2.0, step=1e-3, tol=1e-12):
     located by sign scanning plus bisection; tangential (double) roots,
     where f touches zero from below, are refined by ternary maximization.
     """
-    if isinstance(angular_trace, (list, tuple)) and angular_trace and isinstance(
-        angular_trace[0], (tuple, list)
-    ):
-        p_sector = np.array([s[2] for s in angular_trace], dtype=float)
-    else:
-        p_sector = np.asarray(angular_trace, dtype=float)
+    p_sector = sector_values(angular_trace)
 
     def f(lam):
         return np.trace(_transfer_matrix(lam, p_sector)) - 2.0

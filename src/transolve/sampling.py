@@ -110,28 +110,28 @@ def _jittered_interior(geometry: Geometry, n_per_axis: int, rng):
     raise RuntimeError("could not clear interior points off the interfaces")
 
 
-def _interface_samples(geometry: Geometry, n_per_interface: int, rng):
-    points, ids = [], []
+def _interface_samples(geometry: Geometry, n_per_interface: int, place):
+    """Interface points, weights and interface ids.
+
+    1D: the cut points with unit (counting-measure) weight.  2D: on every
+    segment, ``place(lo, hi, n)`` puts one point in each of n equal cells of
+    the span, and each point weighs the segment length over n.
+    """
     if not geometry.interfaces:
         return np.zeros((0, geometry.dimension)), np.zeros(0), np.zeros(0, dtype=int)
+    n_ifc = len(geometry.interfaces)
     if geometry.dimension == 1:
-        for k, ifc in enumerate(geometry.interfaces):
-            points.append([ifc.position])
-            ids.append(k)
-        weights = np.ones(len(points))
-        return np.array(points), weights, np.array(ids, dtype=int)
-    for k, ifc in enumerate(geometry.interfaces):
+        points = np.array([[ifc.position] for ifc in geometry.interfaces])
+        return points, np.ones(n_ifc), np.arange(n_ifc)
+    points, weights = [], []
+    for ifc in geometry.interfaces:
         lo, hi = ifc.span
-        edges = np.linspace(lo, hi, n_per_interface + 1)
-        t = rng.uniform(edges[:-1], edges[1:])
-        for tv in t:
-            points.append([ifc.position, tv] if ifc.axis == 0 else [tv, ifc.position])
-            ids.append(k)
-    points = np.array(points)
-    ids = np.array(ids, dtype=int)
-    total = geometry.interface_measure
-    weights = np.full(points.shape[0], total / points.shape[0])
-    return points, weights, ids
+        t = place(lo, hi, n_per_interface)
+        pos = np.full(n_per_interface, ifc.position)
+        points.append(np.stack([pos, t] if ifc.axis == 0 else [t, pos], axis=1))
+        weights.append(np.full(n_per_interface, (hi - lo) / n_per_interface))
+    ids = np.repeat(np.arange(n_ifc), n_per_interface)
+    return np.concatenate(points), np.concatenate(weights), ids
 
 
 def sample_collocation(
@@ -149,9 +149,13 @@ def sample_collocation(
         rng = np.random.default_rng(rng)
     interior, w = _jittered_interior(geometry, n_interior_per_axis, rng)
     sub = subdomain_index_many(geometry, interior)
-    ipts, iw, iid = _interface_samples(
-        geometry, n_per_interface, rng if rng_interface is None else rng_interface
-    )
+    rng_ifc = rng if rng_interface is None else rng_interface
+
+    def stratified(lo, hi, n):
+        edges = np.linspace(lo, hi, n + 1)
+        return rng_ifc.uniform(edges[:-1], edges[1:])
+
+    ipts, iw, iid = _interface_samples(geometry, n_per_interface, stratified)
     return QuadratureSet(interior, w, sub, ipts, iw, iid)
 
 
@@ -187,8 +191,7 @@ def midpoint_grid(geometry: Geometry, n_per_axis: int, n_per_interface: int) -> 
         interior = np.concatenate(pts)[:, None]
         w = np.concatenate(weights)
         sub = np.concatenate(subs)
-        ipts, iw, iid = _interface_samples(geometry, 1, None)
-        return QuadratureSet(interior, w, sub, ipts, iw, iid)
+        return QuadratureSet(interior, w, sub, *_interface_samples(geometry, 1, None))
 
     (a, b), (c, d) = geometry.bounds
     hx = (b - a) / n_per_axis
@@ -204,15 +207,10 @@ def midpoint_grid(geometry: Geometry, n_per_axis: int, n_per_interface: int) -> 
         )
     sub = subdomain_index_many(geometry, interior)
     w = np.full(interior.shape[0], hx * hy)
-    points, ids, weights = [], [], []
-    for k, ifc in enumerate(geometry.interfaces):
-        lo, hi = ifc.span
-        h = (hi - lo) / n_per_interface
-        centers = lo + h * (np.arange(n_per_interface) + 0.5)
-        for t in centers:
-            points.append([ifc.position, t] if ifc.axis == 0 else [t, ifc.position])
-            ids.append(k)
-            weights.append(h)
     return QuadratureSet(
-        interior, w, sub, np.array(points), np.array(weights), np.array(ids, dtype=int)
+        interior, w, sub, *_interface_samples(geometry, n_per_interface, _cell_centers)
     )
+
+
+def _cell_centers(lo: float, hi: float, n: int) -> np.ndarray:
+    return lo + (hi - lo) / n * (np.arange(n) + 0.5)

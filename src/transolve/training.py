@@ -13,8 +13,6 @@ rate closes the loop.
 from __future__ import annotations
 
 import pickle
-import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,9 +33,18 @@ from .cutoffs import (
     default_cutoff_config,
     interface_trace_factors,
 )
-from .eigen import assemble_eigensystem, select_singular, solve_eigenpairs
-from .geometry import Geometry, angular_trace
-from .nets import AdamState, MlpParams, NetConfig, adam_step, backward_jets, forward_jets, linear_lr
+from .eigen import assemble_eigensystem, sector_values, select_singular, solve_eigenpairs
+from .geometry import Geometry, angular_trace, validate_parameter
+from .nets import (
+    AdamState,
+    MlpParams,
+    NetConfig,
+    adam_step,
+    backward_jets,
+    forward_jets,
+    init_params,
+    linear_lr,
+)
 from .reference import RhsSpec
 from .sampling import QuadratureSet, midpoint_grid, sample_collocation, sample_parameters
 from .singular import SingularBasis, eval_s
@@ -91,8 +98,6 @@ class TrainConfig:
     n_singular: int = 1
     seeds: Seeds = field(default_factory=Seeds)
     val_every: int = 10
-    checkpoint_every: int = 0  # 0: only final
-    threads: int = 1
 
     def __post_init__(self):
         if self.iterations < 1:
@@ -139,7 +144,7 @@ class EpochData:
 
 
 def init_train_state(geometry: Geometry, net_config: NetConfig, config: TrainConfig) -> TrainState:
-    params = _init_net(net_config, config.seeds.init)
+    params = init_params(net_config, config.seeds.init)
     return TrainState(
         net_config=net_config,
         params=params,
@@ -151,34 +156,30 @@ def init_train_state(geometry: Geometry, net_config: NetConfig, config: TrainCon
     )
 
 
-def _init_net(net_config: NetConfig, seed: int) -> MlpParams:
-    from .nets import init_params
+def vertex_eigenpairs(geometry: Geometry, parameters, n_singular: int, epoch: int = -1):
+    """Selected singular eigenpairs per parameter and vertex, ``[k][vertex]``.
 
-    return init_params(net_config, seed)
-
-
-def solve_vertex_eigenpairs(
-    geometry: Geometry, parameter, n_singular: int, trace_cache: dict | None = None
-):
-    """Selected singular eigenpairs at every vertex for one parameter.
-
-    Identical angular traces within an epoch share one solve through the
-    optional cache dict.
+    The angular traces of all P parameters at all N_s vertices are stacked
+    into one (P*N_s, 4) array and solved in one batched eigensolve.  A
+    failure raises EpochError tagged with ``epoch`` and, where the trace of
+    one parameter is at fault, its index.
     """
-    pairs = []
-    for vid in range(geometry.n_singular):
-        sectors = angular_trace(geometry, parameter, vid)
-        key = tuple(round(s[2], 14) for s in sectors)
-        if trace_cache is not None and key in trace_cache:
-            pairs.append(trace_cache[key])
-            continue
-        solved = select_singular(
-            solve_eigenpairs(assemble_eigensystem(sectors)), n_singular
-        )
-        if trace_cache is not None:
-            trace_cache[key] = solved
-        pairs.append(solved)
-    return pairs
+    parameters = np.asarray(parameters, dtype=float)
+    n_p, n_v = parameters.shape[0], geometry.n_singular
+    if n_v == 0:
+        return [[] for _ in range(n_p)]
+    traces = np.empty((n_p, n_v, 4))
+    for k in range(n_p):
+        try:
+            for vid in range(n_v):
+                traces[k, vid] = sector_values(angular_trace(geometry, parameters[k], vid))
+        except ValueError as exc:
+            raise EpochError(epoch, k, f"eigen solve failed: {exc}") from exc
+    try:
+        pairs = solve_eigenpairs(assemble_eigensystem(traces))
+    except ValueError as exc:
+        raise EpochError(epoch, None, f"eigen solve failed: {exc}") from exc
+    return [[select_singular(per_vertex, n_singular) for per_vertex in per_p] for per_p in pairs]
 
 
 def prepare_epoch(
@@ -195,30 +196,8 @@ def prepare_epoch(
         geometry, config.n_interior, config.n_interface, state.rng_interior,
         rng_interface=state.rng_interface,
     )
-    pairs_per_p = _eigen_for_batch(geometry, parameters, config, state.iteration)
+    pairs_per_p = vertex_eigenpairs(geometry, parameters, config.n_singular, state.iteration)
     return EpochData(geometry, cutoff_config, rhs, quad, parameters, pairs_per_p, config.theta)
-
-
-def _eigen_for_batch(geometry, parameters, config: TrainConfig, epoch: int):
-    if geometry.n_singular == 0:
-        return [[] for _ in range(parameters.shape[0])]
-    trace_cache: dict = {}
-
-    def solve_one(k):
-        try:
-            return solve_vertex_eigenpairs(
-                geometry, parameters[k], config.n_singular, trace_cache
-            )
-        except Exception as exc:  # noqa: BLE001 - re-tagged with context
-            raise EpochError(epoch, k, f"eigen solve failed: {exc}") from exc
-
-    n_p = parameters.shape[0]
-    if config.threads > 1:
-        # thread-@safe: the per-trace cache is only an optimization, and the
-        # jacobi kernel releases no shared state
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            return list(pool.map(solve_one, range(n_p)))
-    return [solve_one(k) for k in range(n_p)]
 
 
 def _composed_cache(params: MlpParams, data: EpochData, need_tape: bool):
@@ -362,7 +341,7 @@ def make_validation_set(geometry: Geometry, config: TrainConfig) -> ValidationSe
     parameters = sample_parameters(
         rng_par, config.n_params, geometry.n_subdomains, config.p_min, config.p_max
     )
-    pairs = _eigen_for_batch(geometry, parameters, config, epoch=-1)
+    pairs = vertex_eigenpairs(geometry, parameters, config.n_singular)
     return ValidationSet(quad, parameters, pairs, config.theta)
 
 
@@ -425,7 +404,7 @@ def final_solve(
     values, gradients and fluxes.  The trained basis is discretization
     invariant, so the grid may be much finer than the training points.
     """
-    parameter = np.asarray(parameter, dtype=float)
+    parameter = validate_parameter(geometry, parameter)
     if n_per_interface is None:
         n_per_interface = n_per_axis
     quad = midpoint_grid(geometry, n_per_axis, n_per_interface)
@@ -451,7 +430,7 @@ def final_solve(
     cache = build_epoch_cache(
         geometry, cutoff_config, quad, lap, tr_minus, tr_plus, rhs, theta=theta
     )
-    pairs = solve_vertex_eigenpairs(geometry, parameter, n_singular) if geometry.n_singular else []
+    pairs = vertex_eigenpairs(geometry, parameter[None, :], n_singular)[0]
     sing_evals = singular_evals_from_cache(cache, pairs) if pairs else None
     system = assemble_system(cache, parameter, sing_evals, theta)
     y, res_sq = solve_normal_equations(system)

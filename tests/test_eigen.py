@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from transolve.eigen import (
     angular_eval,
     assemble_eigensystem,
     basis_matrix,
-    jacobi_eigh,
     select_singular,
     semi_analytic_exponents,
     solve_eigenpairs,
@@ -77,17 +78,6 @@ def test_quadrature_exactness_vs_10pt():
         g += p[e] * (2 / np.pi) ** 2 * (np.pi / 2) * np.einsum("q,qi,qj->ij", w, ders, ders)
     np.testing.assert_allclose(sys5.stiffness, g, atol=1e-14 * np.abs(g).max())
     np.testing.assert_allclose(sys5.mass, b, atol=1e-14 * np.abs(b).max())
-
-
-def test_jacobi_against_numpy():
-    rng = np.random.default_rng(0)
-    a = rng.normal(size=(16, 16))
-    a = a + a.T
-    vals, vecs = jacobi_eigh(a)
-    ref = np.linalg.eigvalsh(a)
-    np.testing.assert_allclose(vals, ref, atol=1e-10)
-    np.testing.assert_allclose(vecs.T @ vecs, np.eye(16), atol=1e-12)
-    np.testing.assert_allclose(vecs @ np.diag(vals) @ vecs.T, a, atol=1e-10)
 
 
 def test_constant_trace_modes():
@@ -211,3 +201,35 @@ def test_geometry_trace_feeds_eigensolver():
     trace = angular_trace(g, [1.0, 10.0, 10.0, 1.0], 0)
     pairs = solve_eigenpairs(assemble_eigensystem(trace))
     assert len(pairs) == 16
+
+
+P_SECTOR = st.lists(st.floats(0.1, 10.0), min_size=4, max_size=4)
+
+
+@settings(max_examples=30, deadline=None)
+@given(traces=st.lists(P_SECTOR, min_size=1, max_size=4))
+def test_batched_solve_properties(traces):
+    """Over p_sector in [0.1, 10]^4: orthonormality, residuals, the constant
+    mode, the oracle, and a stacked call agreeing with single calls."""
+    traces = np.array(traces)
+    stacked = solve_eigenpairs(assemble_eigensystem(traces))
+    assert len(stacked) == len(traces)
+    for trace, pairs in zip(traces, stacked):
+        system = assemble_eigensystem(trace)
+        rhos = np.array([p.rho for p in pairs])
+        np.testing.assert_allclose(rhos @ system.mass @ rhos.T, np.eye(16), atol=1e-12)
+        assert max(p.residual for p in pairs[1:]) <= 1e-10
+        assert pairs[0].exponent < 1e-6  # select_singular's band keeps it out
+
+        single = solve_eigenpairs(system)
+        np.testing.assert_allclose(
+            [p.eigenvalue for p in pairs], [p.eigenvalue for p in single], rtol=1e-12, atol=1e-12
+        )
+
+        selected = np.array([p.exponent for p in select_singular(pairs, 2)])
+        roots = np.array(semi_analytic_exponents(trace, lam_max=1.0))
+        inside = roots[(roots > 0) & (roots < 1)][:2]
+        n = min(selected.size, inside.size)
+        np.testing.assert_allclose(selected[:n], inside[:n], atol=1e-5)
+        # the counts may differ only by a root within FE error of the band edge at 1
+        assert np.all(np.abs(1 - np.concatenate([selected[n:], inside[n:]])) <= 1e-5)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from transolve.geometry import build_grid_geometry, subdomain_index_many
@@ -99,6 +101,27 @@ def test_collocation_interface_points_on_carriers():
         assert lo <= pt[1 - ifc.axis] <= hi
 
 
+@st.composite
+def layouts_2d(draw):
+    """Random boxes with up to three cuts per axis at distinct ninths."""
+    x0, y0 = draw(st.floats(-2.0, 1.0)), draw(st.floats(-2.0, 1.0))
+    x1, y1 = x0 + draw(st.floats(0.5, 3.0)), y0 + draw(st.floats(0.5, 3.0))
+    fractions = st.lists(st.integers(1, 8), max_size=3, unique=True)
+    cuts_x = [x0 + (x1 - x0) * k / 9 for k in sorted(draw(fractions))]
+    cuts_y = [y0 + (y1 - y0) * k / 9 for k in sorted(draw(fractions))]
+    return build_grid_geometry(2, cuts_x=cuts_x, cuts_y=cuts_y, bounds=[(x0, x1), (y0, y1)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(g=layouts_2d(), n=st.integers(1, 7), seed=st.integers(0, 2**16))
+def test_interface_weights_sum_to_segment_lengths(g, n, seed):
+    q = sample_collocation(g, 4, n, np.random.default_rng(seed))
+    sums = np.bincount(q.interface_ids, weights=q.interface_weights, minlength=len(g.interfaces))
+    lengths = np.array([ifc.length for ifc in g.interfaces])
+    np.testing.assert_allclose(sums, lengths, rtol=0, atol=1e-12)
+    assert q.interface_points.shape == (len(g.interfaces) * n, 2)
+
+
 def test_different_seeds_disjoint():
     g = geom_2x2()
     q1 = sample_collocation(g, 15, 10, np.random.default_rng(10))
@@ -163,6 +186,13 @@ def test_midpoint_rejects_centers_on_interfaces():
     g = geom_2x2()
     with pytest.raises(ValueError):
         midpoint_grid(g, 3, 2)  # odd count puts centers on the cut lines
+
+
+def test_midpoint_2d_without_cuts_has_empty_interface_arrays():
+    q = midpoint_grid(build_grid_geometry(2, bounds=[(-1, 1), (-1, 1)]), 4, 2)
+    assert q.interface_points.shape == (0, 2)
+    assert q.interface_weights.shape == (0,) and q.interface_weights.dtype.kind == "f"
+    assert q.interface_ids.shape == (0,) and q.interface_ids.dtype.kind == "i"
 
 
 def test_midpoint_1d_per_subdomain():

@@ -1,8 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from transolve.cutoffs import CutoffConfig, eta_jet
-from transolve.eigen import assemble_eigensystem, select_singular, solve_eigenpairs
+from transolve.eigen import angular_eval, assemble_eigensystem, select_singular, solve_eigenpairs
 from transolve.geometry import build_grid_geometry
 from transolve.singular import SingularBasis, eval_S_source, eval_s, singular_columns
 
@@ -15,12 +17,25 @@ def make_basis(trace=(1.0, 10.0, 1.0, 10.0), n_cap=2):
     return SingularBasis(g, CFG, [select_singular(pairs, n_cap)])
 
 
-def fourier_basis(exponent=1.0):
-    """Constant-p first mode: exact eigenpair via the FE solve."""
+def fourier_basis():
+    """Constant-p first mode: the cos(theta)-aligned member of its eigenspace.
+
+    Exponent 1 is a double eigenvalue for constant p, so a solver may return
+    any rotation of the pair.  The combination with mu(pi/2) = 0 and
+    mu(0) > 0 is the same whichever rotation comes back.
+    """
     g = build_grid_geometry(2, cuts_x=[0.0], cuts_y=[0.0], bounds=[(-1, 1), (-1, 1)])
     pairs = solve_eigenpairs(assemble_eigensystem(np.ones(4)))
-    mode = [p for p in pairs if abs(p.exponent - exponent) < 1e-3]
-    return SingularBasis(g, CFG, [mode[:1]])
+    a, b = [p for p in pairs if abs(p.exponent - 1.0) < 1e-3]
+    mu_a, _ = angular_eval(a, np.array([0.0, np.pi / 2]))
+    mu_b, _ = angular_eval(b, np.array([0.0, np.pi / 2]))
+    c = np.array([mu_b[1], -mu_a[1]]) / np.hypot(mu_a[1], mu_b[1])
+    if c[0] * mu_a[0] + c[1] * mu_b[0] < 0:
+        c = -c
+    # a and b are orthonormal in L2(0, 2pi), so the combination stays unit
+    rho = c[0] * a.mu_scale * a.rho + c[1] * b.mu_scale * b.rho
+    mode = dataclasses.replace(a, rho=rho, mu_scale=1.0)
+    return SingularBasis(g, CFG, [[mode]])
 
 
 def test_support_outside_delta2():
@@ -92,7 +107,7 @@ def test_gradient_matches_fd_on_annulus():
 
 def test_constant_p_mode_matches_x_eta_closed_form():
     """First Fourier mode: s is proportional to a rotated coordinate times eta."""
-    b = fourier_basis(1.0)
+    b = fourier_basis()
     rng = np.random.default_rng(2)
     pts = rng.uniform(-0.44, 0.44, size=(300, 2))
     val = eval_s(b, 0, 0, pts, gradient=False)
@@ -136,7 +151,7 @@ def test_radial_source_formula_matches_fd_laplacian_of_closed_form():
 
 def test_source_consistent_with_fd_laplacian_of_fe_mode():
     """eval_S_source tracks Lap(eval_s); the gap is the FE non-harmonicity."""
-    b = fourier_basis(1.0)
+    b = fourier_basis()
 
     def s_value(x):
         return eval_s(b, 0, 0, x[None, :], gradient=False)[0]

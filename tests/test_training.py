@@ -3,12 +3,14 @@ import pytest
 
 from transolve.assembly import build_epoch_cache, solve_parameter_batch
 from transolve.cutoffs import CutoffConfig, default_cutoff_config
-from transolve.geometry import build_grid_geometry
+from transolve.eigen import assemble_eigensystem, select_singular, solve_eigenpairs
+from transolve.geometry import angular_trace, build_grid_geometry
 from transolve.nets import MlpParams, NetConfig
 from transolve.reference import RhsSpec, exact_1d, relative_l2_errors
-from transolve.sampling import sample_collocation
+from transolve.sampling import sample_collocation, sample_parameters
 from transolve.training import (
     EpochData,
+    EpochError,
     Seeds,
     TrainConfig,
     final_solve,
@@ -20,6 +22,7 @@ from transolve.training import (
     run_epoch,
     save_checkpoint,
     train,
+    vertex_eigenpairs,
 )
 
 PI = np.pi
@@ -259,3 +262,26 @@ def test_validation_tracks_training():
     train_losses = {i: l for i, l, _ in history}
     for i, v in vals[len(vals) // 2 :]:
         assert v <= 10 * train_losses[i] + 1e-12
+
+
+def test_vertex_eigenpairs_batch_matches_per_vertex_solves():
+    g = build_grid_geometry(2, cuts_x=[-0.5, 0.25], cuts_y=[-0.25, 0.5], bounds=[(-1, 1), (-1, 1)])
+    params = sample_parameters(np.random.default_rng(0), 5, g.n_subdomains, 0.1, 10.0)
+    batch = vertex_eigenpairs(g, params, 2)
+    assert len(batch) == 5 and all(len(per_p) == g.n_singular for per_p in batch)
+    for k in range(5):
+        for vid in range(g.n_singular):
+            trace = angular_trace(g, params[k], vid)
+            ref = select_singular(solve_eigenpairs(assemble_eigensystem(trace)), 2)
+            np.testing.assert_allclose(
+                [p.exponent for p in batch[k][vid]], [p.exponent for p in ref], atol=1e-12
+            )
+
+
+def test_vertex_eigenpairs_failure_names_the_parameter():
+    g = build_grid_geometry(2, cuts_x=[0.0], cuts_y=[0.0], bounds=[(-1, 1), (-1, 1)])
+    params = np.ones((4, g.n_subdomains))
+    params[2, 1] = -1.0
+    with pytest.raises(EpochError) as err:
+        vertex_eigenpairs(g, params, 1, epoch=7)
+    assert (err.value.epoch, err.value.param_index) == (7, 2)
