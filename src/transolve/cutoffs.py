@@ -1,6 +1,6 @@
 """Cutoff fields that imprint the required regularity on raw network outputs.
 
-Four families, all with analytic value/gradient/Hessian:
+Four families, all with analytic value, gradient and Laplacian:
 
 * boundary cutoff B(x): normalized tensor-product parabola vanishing on the
   outer boundary;
@@ -13,10 +13,13 @@ Four families, all with analytic value/gradient/Hessian:
   inside delta1 and 0 outside delta2.
 
 Composed basis functions are w = B * (wbar ⊙ Phi1) and
-v = B * (vbar ⊙ Psi ⊙ Phi2); this module supplies the composite cutoff
-scalars c_n with their gradients and Laplacians so callers can apply the
-exact second-order product rule, plus one-sided trace coefficients at
-interface points where Psi kinks.
+v = B * (vbar ⊙ Psi ⊙ Phi2).  Output n is c_n * raw_n with a composite
+cutoff scalar c_n.  Only a few of the c_n are distinct, B * phi_v per vertex
+v and B * psi_a * phi_v per interface axis a and vertex v, so each is built
+once and gathered to the outputs with one index array.  `compose` applies
+the exact second-order product rule to raw network jets at interior
+points, and `compose_traces` gives the one-sided normal traces at
+interface points, where Psi kinks.
 """
 
 from __future__ import annotations
@@ -37,7 +40,8 @@ __all__ = [
     "exclusion_vectors_jet",
     "composition_factors",
     "interface_trace_factors",
-    "apply_cutoffs",
+    "compose",
+    "compose_traces",
     "interface_lines",
 ]
 
@@ -56,31 +60,25 @@ class CutoffConfig:
 
 @dataclass
 class ScalarJet:
-    """Value, gradient and (symmetric) Hessian of a scalar field at points."""
+    """Value, gradient and Laplacian of a scalar field at points."""
 
     value: np.ndarray  # (J,)
     gradient: np.ndarray  # (J, d)
-    hessian: np.ndarray  # (J, d, d)
-
-    @property
-    def laplacian(self) -> np.ndarray:
-        return np.trace(self.hessian, axis1=1, axis2=2)
+    laplacian: np.ndarray  # (J,)
 
     def __mul__(self, other: "ScalarJet") -> "ScalarJet":
         v = self.value * other.value
         g = self.value[:, None] * other.gradient + other.value[:, None] * self.gradient
-        cross = self.gradient[:, :, None] * other.gradient[:, None, :]
-        h = (
-            self.value[:, None, None] * other.hessian
-            + other.value[:, None, None] * self.hessian
-            + cross
-            + np.swapaxes(cross, 1, 2)
+        lap = (
+            self.value * other.laplacian
+            + other.value * self.laplacian
+            + 2.0 * np.sum(self.gradient * other.gradient, axis=1)
         )
-        return ScalarJet(v, g, h)
+        return ScalarJet(v, g, lap)
 
     @staticmethod
     def ones(n: int, d: int) -> "ScalarJet":
-        return ScalarJet(np.ones(n), np.zeros((n, d)), np.zeros((n, d, d)))
+        return ScalarJet(np.ones(n), np.zeros((n, d)), np.zeros(n))
 
 
 def default_cutoff_config(geometry: Geometry) -> CutoffConfig:
@@ -137,14 +135,12 @@ def boundary_cutoff_jet(points: np.ndarray, geometry: Geometry) -> ScalarJet:
         ddfacs.append(np.full(n, -2.0 / norm))
     value = np.prod(facs, axis=0)
     grad = np.empty((n, d))
-    hess = np.empty((n, d, d))
+    lap = np.zeros(n)
     for k in range(d):
         others = np.prod([facs[m] for m in range(d) if m != k], axis=0) if d > 1 else 1.0
         grad[:, k] = dfacs[k] * others
-        hess[:, k, k] = ddfacs[k] * others
-        for m in range(k + 1, d):
-            hess[:, k, m] = hess[:, m, k] = dfacs[k] * dfacs[m]
-    return ScalarJet(value, grad, hess)
+        lap += ddfacs[k] * others
+    return ScalarJet(value, grad, lap)
 
 
 def interface_lines(geometry: Geometry, axis=None) -> list[tuple[int, float]]:
@@ -174,21 +170,18 @@ def jump_adf_jet(points: np.ndarray, lines: list[tuple[int, float]]) -> ScalarJe
         raise ValueError("need at least one interface line")
     s = np.zeros(n)
     ds = np.zeros((n, d))
-    dds = np.zeros((n, d, d))
+    lap_s = np.zeros(n)
     for axis, pos in lines:
         h = points[:, axis] - pos
         if np.any(np.abs(h) < 1e-300):
             raise ValueError("point lies exactly on an interface line of the subset")
         s += h**-2
         ds[:, axis] += -2 * h**-3
-        dds[:, axis, axis] += 6 * h**-4
+        lap_s += 6 * h**-4
     value = s**-0.5
     grad = -0.5 * s[:, None] ** -1.5 * ds
-    hess = (
-        0.75 * s[:, None, None] ** -2.5 * ds[:, :, None] * ds[:, None, :]
-        - 0.5 * s[:, None, None] ** -1.5 * dds
-    )
-    return ScalarJet(value, grad, hess)
+    lap = 0.75 * s**-2.5 * np.sum(ds * ds, axis=1) - 0.5 * s**-1.5 * lap_s
+    return ScalarJet(value, grad, lap)
 
 
 def _phi_jets(points: np.ndarray, geometry: Geometry, config: CutoffConfig) -> list[ScalarJet]:
@@ -201,16 +194,14 @@ def _phi_jets(points: np.ndarray, geometry: Geometry, config: CutoffConfig) -> l
         r = np.linalg.norm(dx, axis=1)
         eta, deta, ddeta = eta_jet(r, config)
         safe_r = np.where(r > 1e-300, r, 1.0)
-        rhat = dx / safe_r[:, None]
-        grad = -deta[:, None] * rhat
-        outer = rhat[:, :, None] * rhat[:, None, :]
-        eye = np.eye(d)[None, :, :]
-        hess = -ddeta[:, None, None] * outer - (deta / safe_r)[:, None, None] * (eye - outer)
+        grad = -deta[:, None] * (dx / safe_r[:, None])
+        # radial Laplacian eta'' + (d - 1) eta' / r, with phi = 1 - eta
+        lap = -ddeta - (d - 1) * deta / safe_r
         # inside r <= delta1 eta is identically 1, all derivatives vanish
         flat = r <= config.delta1
         grad[flat] = 0.0
-        hess[flat] = 0.0
-        jets.append(ScalarJet(1.0 - eta, grad, hess))
+        lap[flat] = 0.0
+        jets.append(ScalarJet(1.0 - eta, grad, lap))
     return jets
 
 
@@ -224,6 +215,37 @@ def _block_sizes(n1: int, n2: int, n_singular: int) -> tuple[int, int]:
     return n1 // n_singular, n2 // (2 * n_singular)
 
 
+def _phi_list(points: np.ndarray, geometry: Geometry, config: CutoffConfig) -> list[ScalarJet]:
+    """The distinct exclusion factors: phi_v per vertex, or one all-ones jet
+    when there is no singular vertex (always in 1D)."""
+    if geometry.dimension == 1 or geometry.n_singular == 0:
+        return [ScalarJet.ones(*points.shape)]
+    return _phi_jets(points, geometry, config)
+
+
+def _column_vertices(geometry: Geometry, n1: int, n2: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index into `_phi_list` of the exclusion factor of each w and v column.
+
+    Phi1 repeats phi_v in blocks of n1/N_s; Phi2 is two copies of the
+    analogous n2/2 block vector.
+    """
+    if geometry.dimension == 1 or geometry.n_singular == 0:
+        return np.zeros(n1, dtype=int), np.zeros(n2, dtype=int)
+    b1, b2 = _block_sizes(n1, n2, geometry.n_singular)
+    return np.arange(n1) // b1, (np.arange(n2) % (n2 // 2)) // b2
+
+
+def _column_axes(geometry: Geometry, n2: int) -> np.ndarray:
+    """Interface axis whose lines the jump cutoff of each v column kinks on.
+
+    In 2D the first n2//2 columns kink on the vertical lines and the rest on
+    the horizontal ones; in 1D every column kinks on every interface point.
+    """
+    if geometry.dimension == 1:
+        return np.zeros(n2, dtype=int)
+    return (np.arange(n2) >= n2 // 2).astype(int)
+
+
 def exclusion_vectors_jet(points, geometry: Geometry, config: CutoffConfig, n1: int, n2: int):
     """Block-constant exclusion vectors Phi1 (length n1) and Phi2 (length n2).
 
@@ -232,15 +254,9 @@ def exclusion_vectors_jet(points, geometry: Geometry, config: CutoffConfig, n1: 
     Returns two lists of ScalarJet, one per output component.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    n, d = points.shape
-    if geometry.dimension == 1 or geometry.n_singular == 0:
-        one = ScalarJet.ones(n, d)
-        return [one] * n1, [one] * n2
-    b1, b2 = _block_sizes(n1, n2, geometry.n_singular)
-    phi = _phi_jets(points, geometry, config)
-    phi1 = [phi[k // b1] for k in range(n1)]
-    half = [phi[k // b2] for k in range(n2 // 2)]
-    return phi1, half + half
+    phi = _phi_list(points, geometry, config)
+    w_idx, v_idx = _column_vertices(geometry, n1, n2)
+    return [phi[i] for i in w_idx], [phi[i] for i in v_idx]
 
 
 @dataclass
@@ -257,40 +273,46 @@ class CompositionFactors:
     laplacian: np.ndarray  # (J, N)
 
 
+def _distinct_factors(points, geometry, config, psis, n1, n2):
+    """Every distinct cutoff factor, stacked, and the factor of each output.
+
+    The factors are B * phi_v per vertex v, then B * psi_a * phi_v per
+    interface axis a and vertex v, for the jump cutoffs ``psis`` (one per
+    axis).  Returns the stack as CompositionFactors of shape (J, F, ...)
+    and the (n1 + n2,) index of each output's factor in it.
+    """
+    bjet = boundary_cutoff_jet(points, geometry)
+    phis = _phi_list(points, geometry, config)
+    jets = [bjet * phi for phi in phis] + [bjet * psi * phi for psi in psis for phi in phis]
+    w_idx, v_idx = _column_vertices(geometry, n1, n2)
+    cols = np.concatenate([w_idx, len(phis) * (1 + _column_axes(geometry, n2)) + v_idx])
+    stack = CompositionFactors(
+        np.stack([j.value for j in jets], axis=1),
+        np.stack([j.gradient for j in jets], axis=1),
+        np.stack([j.laplacian for j in jets], axis=1),
+    )
+    return stack, cols
+
+
+def _axis_lines(geometry: Geometry) -> list[list[tuple[int, float]]]:
+    """Interface lines per axis: the vertical ones, then (2D) the horizontal."""
+    return [interface_lines(geometry, axis=a) for a in range(geometry.dimension)]
+
+
 def composition_factors(
     points, geometry: Geometry, config: CutoffConfig, n1: int, n2: int
 ) -> CompositionFactors:
     """Cutoff factors for all n1 + n2 outputs at interior points."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
     n, d = points.shape
-    bjet = boundary_cutoff_jet(points, geometry)
-    phi1, phi2 = exclusion_vectors_jet(points, geometry, config, n1, n2)
-
-    def psi_or_one(lines):
-        return jump_adf_jet(points, lines) if lines else ScalarJet.ones(n, d)
-
-    if geometry.dimension == 1:
-        psis = [psi_or_one(interface_lines(geometry))] * n2
-    else:
-        psi1 = psi_or_one(interface_lines(geometry, axis=0))
-        psi2 = psi_or_one(interface_lines(geometry, axis=1))
-        psis = [psi1] * (n2 // 2) + [psi2] * (n2 - n2 // 2)
-
-    total = n1 + n2
-    value = np.empty((n, total))
-    grad = np.empty((n, total, d))
-    lap = np.empty((n, total))
-    for k in range(n1):
-        jet = bjet * phi1[k]
-        value[:, k] = jet.value
-        grad[:, k] = jet.gradient
-        lap[:, k] = jet.laplacian
-    for m in range(n2):
-        jet = bjet * psis[m] * phi2[m]
-        value[:, n1 + m] = jet.value
-        grad[:, n1 + m] = jet.gradient
-        lap[:, n1 + m] = jet.laplacian
-    return CompositionFactors(value, grad, lap)
+    psis = [
+        jump_adf_jet(points, lines) if lines else ScalarJet.ones(n, d)
+        for lines in _axis_lines(geometry)
+    ]
+    stack, cols = _distinct_factors(points, geometry, config, psis, n1, n2)
+    return CompositionFactors(
+        stack.value[:, cols], stack.gradient[:, cols], stack.laplacian[:, cols]
+    )
 
 
 @dataclass
@@ -316,54 +338,27 @@ def interface_trace_factors(
     points = np.atleast_2d(np.asarray(points, dtype=float))
     interface_axes = np.asarray(interface_axes, dtype=int)
     n, d = points.shape
-    bjet = boundary_cutoff_jet(points, geometry)
-    phi1, phi2 = exclusion_vectors_jet(points, geometry, config, n1, n2)
-    total = n1 + n2
-    a_minus = np.zeros((n, total))
-    a_plus = np.zeros((n, total))
-    d_coef = np.zeros((n, total, d))
-
     normals = np.zeros((n, d))
-    if d == 1:
-        normals[:, 0] = 1.0
-    else:
-        normals[np.arange(n), interface_axes] = 1.0
+    normals[np.arange(n), interface_axes] = 1.0
 
-    # Smooth factor g = B * Phi (no psi): used by every column.
-    for k in range(n1):
-        jet = bjet * phi1[k]
-        a_minus[:, k] = a_plus[:, k] = np.einsum("jd,jd->j", jet.gradient, normals)
-        d_coef[:, k] = jet.value[:, None] * normals
-
-    if geometry.dimension == 1:
-        groups = [(list(range(n2)), None)]  # every v-column kinks on every interface
-    else:
-        groups = [
-            (list(range(n2 // 2)), 0),
-            (list(range(n2 // 2, n2)), 1),
-        ]
-    for cols, psi_axis in groups:
-        if psi_axis is not None:
-            lines = interface_lines(geometry, axis=psi_axis)
-            on_own = (interface_axes == psi_axis) if lines else np.zeros(n, dtype=bool)
-            psi = _safe_psi_jet(points, lines, on_own) if lines else ScalarJet.ones(n, d)
-        for m in cols:
-            g = bjet * phi2[m]
-            if geometry.dimension == 1:
-                # kink at every interface point: trace = +-g(x) * raw
-                a_plus[:, n1 + m] = g.value
-                a_minus[:, n1 + m] = -g.value
-            else:
-                smooth = ~on_own
-                # own-line points: +-(B*Phi2)(x) * raw, gradient term vanishes with psi=0
-                a_plus[on_own, n1 + m] = g.value[on_own]
-                a_minus[on_own, n1 + m] = -g.value[on_own]
-                if np.any(smooth):
-                    jet = g * psi
-                    gn = np.einsum("jd,jd->j", jet.gradient, normals)
-                    a_plus[smooth, n1 + m] = gn[smooth]
-                    a_minus[smooth, n1 + m] = gn[smooth]
-                    d_coef[smooth, n1 + m] = jet.value[smooth, None] * normals[smooth]
+    # A point on a line of psi_a's own set is where psi_a kinks.
+    on_own = np.stack([interface_axes == a for a in range(geometry.dimension)], axis=1)
+    psis = [
+        _safe_psi_jet(points, lines, on_own[:, a]) if lines else ScalarJet.ones(n, d)
+        for a, lines in enumerate(_axis_lines(geometry))
+    ]
+    stack, cols = _distinct_factors(points, geometry, config, psis, n1, n2)
+    # smooth outputs: trace = d(c raw)/dn = (dc/dn) raw + c (d raw/dn) on both sides
+    a_smooth = np.einsum("jfd,jd->jf", stack.gradient, normals)[:, cols]
+    d_coef = stack.value[:, cols, None] * normals[:, None, :]
+    # kinked outputs: psi = 0 with slope +-1, trace = +-(B * Phi2)(x) * raw;
+    # d_coef is already 0 there, as the masked psi is
+    w_idx, v_idx = _column_vertices(geometry, n1, n2)
+    kink = np.zeros((n, n1 + n2), dtype=bool)
+    kink[:, n1:] = on_own[:, _column_axes(geometry, n2)]
+    smooth_value = stack.value[:, np.concatenate([w_idx, v_idx])]
+    a_plus = np.where(kink, smooth_value, a_smooth)
+    a_minus = np.where(kink, -smooth_value, a_smooth)
     return InterfaceTraceFactors(a_minus, a_plus, d_coef)
 
 
@@ -375,26 +370,41 @@ def _safe_psi_jet(points, lines, on_own_mask) -> ScalarJet:
     jet = jump_adf_jet(pts, lines)
     jet.value[on_own_mask] = 0.0
     jet.gradient[on_own_mask] = 0.0
-    jet.hessian[on_own_mask] = 0.0
+    jet.laplacian[on_own_mask] = 0.0
     return jet
 
 
-def apply_cutoffs(raw_values, raw_grads, raw_hessians, points, geometry, config, n1, n2):
-    """Compose raw network jets with all cutoffs (interior points).
+def compose(factors: CompositionFactors, jets):
+    """Apply the cutoffs to raw network jets at the factors' (interior) points.
 
-    Inputs are (J, N), (J, N, d), (J, N, d, d); returns composed
-    (values, gradients, laplacians).  Boundary points yield exact zeros.
+    ``jets`` carries the raw ``value`` (J, N), ``gradient`` (J, N, d) and
+    ``laplacian`` (J, N), as `nets.RawJets` does.  Returns the composed
+    (values, gradients, laplacians) of c_n * raw_n by the product rule;
+    boundary points yield exact zeros.
     """
-    raw_values = np.asarray(raw_values, dtype=float)
-    if raw_values.shape[1] != n1 + n2:
-        raise ValueError("raw output count does not match n1 + n2")
-    fac = composition_factors(points, geometry, config, n1, n2)
-    raw_lap = np.trace(raw_hessians, axis1=2, axis2=3)
-    values = fac.value * raw_values
-    grads = fac.value[:, :, None] * raw_grads + raw_values[:, :, None] * fac.gradient
+    if jets.value.shape != factors.value.shape:
+        raise ValueError(
+            f"raw jets of shape {jets.value.shape} do not match the cutoff factors "
+            f"{factors.value.shape}"
+        )
+    c, raw = factors.value, jets.value
+    values = c * raw
+    grads = c[:, :, None] * jets.gradient + raw[:, :, None] * factors.gradient
     laps = (
-        fac.value * raw_lap
-        + 2.0 * np.einsum("jnd,jnd->jn", fac.gradient, raw_grads)
-        + raw_values * fac.laplacian
+        c * jets.laplacian
+        + 2.0 * np.einsum("jnd,jnd->jn", factors.gradient, jets.gradient)
+        + raw * factors.laplacian
     )
     return values, grads, laps
+
+
+def compose_traces(factors: InterfaceTraceFactors, jets):
+    """One-sided normal traces (minus, plus) of the composed basis from raw
+    network jets at the factors' interface points."""
+    if jets.value.shape != factors.a_plus.shape:
+        raise ValueError(
+            f"raw jets of shape {jets.value.shape} do not match the trace factors "
+            f"{factors.a_plus.shape}"
+        )
+    shared = np.einsum("jnd,jnd->jn", factors.d_coef, jets.gradient)
+    return factors.a_minus * jets.value + shared, factors.a_plus * jets.value + shared

@@ -15,7 +15,7 @@ right order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -78,6 +78,7 @@ class Geometry:
     subdomain_hi: np.ndarray  # (I, d) upper corners
     interfaces: tuple[Interface, ...]
     singular_vertices: np.ndarray  # (N_s, 2); empty in 1D
+    vertex_sectors: np.ndarray  # (N_s, 4) subdomain of each sector, see angular_trace
 
     @property
     def n_subdomains(self) -> int:
@@ -141,7 +142,9 @@ def build_grid_geometry(dimension, cuts_x=(), cuts_y=(), bounds=None) -> Geometr
             Interface(axis=0, position=c, span=(0.0, 0.0), minus=i, plus=i + 1)
             for i, c in enumerate(cx)
         )
-        return Geometry(1, bounds, cx, (), lo, hi, interfaces, np.empty((0, 2)))
+        return Geometry(
+            1, bounds, cx, (), lo, hi, interfaces, np.empty((0, 2)), np.empty((0, 4), dtype=int)
+        )
 
     (a, b), (c, d) = bounds
     cx = _check_cuts(cuts_x, a, b, "cuts_x")
@@ -189,9 +192,26 @@ def build_grid_geometry(dimension, cuts_x=(), cuts_y=(), bounds=None) -> Geometr
 
     # Interior crossings, top row of vertices first, left to right.
     vertices = [(xv, yv) for yv in reversed(cy) for xv in cx]
-    return Geometry(
-        2, bounds, cx, cy, lo, hi, tuple(interfaces), np.array(vertices).reshape(-1, 2)
+    geometry = Geometry(
+        2, bounds, cx, cy, lo, hi, tuple(interfaces), np.array(vertices).reshape(-1, 2),
+        np.empty((0, 4), dtype=int),
     )
+    return replace(geometry, vertex_sectors=_probe_vertex_sectors(geometry))
+
+
+def _probe_vertex_sectors(geometry: Geometry) -> np.ndarray:
+    """Subdomain of each quarter-plane sector around each singular vertex.
+
+    Sector k spans angles (k pi/2, (k+1) pi/2); it is located by a probe
+    point on its bisector, a quarter of the smallest cell width away.
+    """
+    eps = 0.25 * min(
+        float(np.min(geometry.subdomain_hi - geometry.subdomain_lo, initial=np.inf)), 1.0
+    )
+    angles = (np.pi / 4, 3 * np.pi / 4, 5 * np.pi / 4, 7 * np.pi / 4)
+    offsets = np.array([[eps * np.cos(ang), eps * np.sin(ang)] for ang in angles])
+    probes = geometry.singular_vertices[:, None, :] + offsets[None, :, :]
+    return subdomain_index_many(geometry, probes.reshape(-1, 2)).reshape(-1, 4)
 
 
 def subdomain_index(geometry: Geometry, x) -> int:
@@ -222,24 +242,18 @@ def angular_trace(geometry: Geometry, params, vertex_id: int) -> list[tuple[floa
     """Piecewise-constant p(theta) around a singular vertex.
 
     Returns the four quarter-plane sectors [(theta_lo, theta_hi, p), ...]
-    starting at theta = 0 (+x direction) and proceeding counter-clockwise.
+    starting at theta = 0 (+x direction) and proceeding counter-clockwise,
+    read from the geometry's static vertex-to-sector table.
     """
-    params = np.asarray(params, dtype=float)
     if geometry.dimension != 2:
         raise ValueError("angular traces exist only around 2D singular vertices")
     if not 0 <= vertex_id < geometry.n_singular:
         raise ValueError(f"vertex {vertex_id} is not in the singular set")
-    validate_parameter(geometry, params)
-    vx, vy = geometry.singular_vertices[vertex_id]
-    eps = 0.25 * min(
-        float(np.min(geometry.subdomain_hi - geometry.subdomain_lo, initial=np.inf)), 1.0
-    )
-    quarters = []
-    for k, ang in enumerate((np.pi / 4, 3 * np.pi / 4, 5 * np.pi / 4, 7 * np.pi / 4)):
-        probe = np.array([vx + eps * np.cos(ang), vy + eps * np.sin(ang)])
-        sub = subdomain_index(geometry, probe)
-        quarters.append((k * np.pi / 2, (k + 1) * np.pi / 2, float(params[sub])))
-    return quarters
+    params = validate_parameter(geometry, params)
+    return [
+        (k * np.pi / 2, (k + 1) * np.pi / 2, float(params[sub]))
+        for k, sub in enumerate(geometry.vertex_sectors[vertex_id])
+    ]
 
 
 def validate_parameter(geometry: Geometry, params, p_min=None, p_max=None) -> np.ndarray:

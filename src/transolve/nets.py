@@ -1,14 +1,17 @@
 """Multi-output tanh network with exact spatial jets and a hand reverse pass.
 
-The forward pass propagates (value, Jacobian, Hessian) triples through each
+The forward pass propagates (value, gradient, Laplacian) through each
 affine+tanh layer with the exact tanh chain rule, so every output carries an
 analytic spatial gradient and Laplacian.  The companion reverse pass
 back-propagates adjoint seeds placed on those jets to the weights and
 biases; together they support residual losses that involve Laplacians and
 one-sided interface traces without any autodiff framework.
 
-Spatial dimension is 1 or 2, so carrying full per-layer Hessians is cheap
-and keeps the product-rule algebra with the cutoff fields exact.
+The loss reads no mixed second derivative, so none is formed: the
+Laplacian of a layer's output needs only the Laplacian and the gradient of
+its input ("forward Laplacian", Li et al. 2023).  The jets of a layer are
+stacked into one (2 + d, J, m) array, so its affine map is a single matrix
+product.
 """
 
 from __future__ import annotations
@@ -96,31 +99,37 @@ def init_params(config: NetConfig, seed: int) -> MlpParams:
 
 @dataclass
 class RawJets:
-    """Values, gradients and Hessians of all outputs at a point batch."""
+    """Values, gradients and Laplacians of all outputs at a point batch."""
 
     value: np.ndarray  # (J, N)
     gradient: np.ndarray  # (J, N, d)
-    hessian: np.ndarray  # (J, N, d, d)
+    laplacian: np.ndarray  # (J, N)
 
-    @property
-    def laplacian(self) -> np.ndarray:
-        return np.trace(self.hessian, axis1=2, axis2=3)
+    def rows(self, index) -> "RawJets":
+        """The jets at a subset of the points (any numpy row index)."""
+        return RawJets(self.value[index], self.gradient[index], self.laplacian[index])
 
 
 @dataclass
 class Tape:
-    """Intermediates retained for the reverse pass."""
+    """Intermediates retained for the reverse pass, one entry per layer.
 
-    h_value: list = field(default_factory=list)  # inputs to each layer
-    h_grad: list = field(default_factory=list)
-    h_hess: list = field(default_factory=list)
-    z_grad: list = field(default_factory=list)  # pre-activation jets
-    z_hess: list = field(default_factory=list)
-    t: list = field(default_factory=list)  # tanh(z)
+    Jets are stacked along a leading axis of length 2 + d: the value, the d
+    gradient components, the Laplacian.
+    """
+
+    inputs: list = field(default_factory=list)  # (2+d, J, m_in) jets entering the layer
+    pre: list = field(default_factory=list)  # (2+d, J, m_out) pre-activation jets
+    t: list = field(default_factory=list)  # (J, m_out) tanh of the pre-activation
 
 
 def forward_jets(params: MlpParams, points: np.ndarray, need_tape: bool = False):
-    """Exact (value, gradient, Hessian) of every output at every point."""
+    """Exact (value, gradient, Laplacian) of every output at every point.
+
+    Per layer, the stacked jets X go through one product X @ A^T (the bias
+    enters the value row only), then through tanh:
+    value t, gradient t1 zg, Laplacian t2 |zg|^2 + t1 zl.
+    """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     d = params.config.input_dim
     if points.shape[1] != d:
@@ -129,30 +138,28 @@ def forward_jets(params: MlpParams, points: np.ndarray, need_tape: bool = False)
         if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
             raise ValueError("non-finite network parameters")
     n = points.shape[0]
-    h = points
-    hg = np.broadcast_to(np.eye(d)[None, :, :], (n, d, d)).copy()
-    hh = np.zeros((n, d, d, d))
+    x = np.zeros((2 + d, n, d))
+    x[0] = points
+    for k in range(d):
+        x[1 + k, :, k] = 1.0
     tape = Tape() if need_tape else None
     for a, b in params.layers:
-        zg = np.einsum("om,jmd->jod", a, hg)
-        zh = np.einsum("om,jmde->jode", a, hh)
-        z = h @ a.T + b
-        t = np.tanh(z)
+        z = x @ a.T
+        z[0] += b
+        t = np.tanh(z[0])
         t1 = 1.0 - t * t
         t2 = -2.0 * t * t1
+        zg = z[1 : 1 + d]
+        out = np.empty_like(z)
+        out[0] = t
+        out[1 : 1 + d] = t1 * zg
+        out[1 + d] = t2 * np.sum(zg * zg, axis=0) + t1 * z[1 + d]
         if need_tape:
-            tape.h_value.append(h)
-            tape.h_grad.append(hg)
-            tape.h_hess.append(hh)
-            tape.z_grad.append(zg)
-            tape.z_hess.append(zh)
+            tape.inputs.append(x)
+            tape.pre.append(z)
             tape.t.append(t)
-        h = t
-        hg = t1[:, :, None] * zg
-        hh = t2[:, :, None, None] * zg[:, :, :, None] * zg[:, :, None, :] + t1[
-            :, :, None, None
-        ] * zh
-    jets = RawJets(h, hg, hh)
+        x = out
+    jets = RawJets(x[0], np.moveaxis(x[1 : 1 + d], 0, -1), x[1 + d])
     return (jets, tape) if need_tape else jets
 
 
@@ -161,53 +168,44 @@ def backward_jets(
     tape: Tape,
     bar_value: np.ndarray,
     bar_grad: np.ndarray,
-    bar_hess: np.ndarray,
+    bar_lap: np.ndarray,
 ) -> np.ndarray:
     """Adjoint pass: gradient of sum(bar . output jets) w.r.t. flat parameters.
 
-    The seeds are the partial derivatives of a scalar objective with respect
-    to the output values, gradients and Hessians produced by forward_jets on
-    the same points.
+    The seeds, of shapes (J, N), (J, N, d) and (J, N), are the partial
+    derivatives of a scalar objective with respect to the output values,
+    gradients and Laplacians produced by forward_jets on the same points.
     """
-    yv, yg, yh = bar_value, bar_grad, bar_hess
+    d = params.config.input_dim
+    y = np.concatenate([bar_value[None], np.moveaxis(bar_grad, -1, 0), bar_lap[None]])
     grads = []
     for layer in range(len(params.layers) - 1, -1, -1):
         a, _ = params.layers[layer]
-        t = tape.t[layer]
-        zg = tape.z_grad[layer]
-        zh = tape.z_hess[layer]
+        t, z, x = tape.t[layer], tape.pre[layer], tape.inputs[layer]
         t1 = 1.0 - t * t
         t2 = -2.0 * t * t1
         t3 = -2.0 * (t1 * t1 + t * t2)
+        zg, zl = z[1 : 1 + d], z[1 + d]
+        yv, yg, yl = y[0], y[1 : 1 + d], y[1 + d]
 
-        # through the tanh: y = t, ygrad = t1*zg, yhess = t2*zg zg^T + t1*zh
-        zv_bar = (
+        # through the tanh: value t, gradient t1 zg, Laplacian t2 |zg|^2 + t1 zl
+        z_bar = np.empty_like(y)
+        z_bar[0] = (
             yv * t1
-            + np.einsum("jnd,jnd->jn", yg, zg) * t2
-            + np.einsum("jnde,jnd,jne->jn", yh, zg, zg) * t3
-            + np.einsum("jnde,jnde->jn", yh, zh) * t2
+            + np.sum(yg * zg, axis=0) * t2
+            + yl * (t3 * np.sum(zg * zg, axis=0) + t2 * zl)
         )
-        zg_bar = (
-            yg * t1[:, :, None]
-            + t2[:, :, None]
-            * (np.einsum("jnde,jne->jnd", yh, zg) + np.einsum("jned,jne->jnd", yh, zg))
-        )
-        zh_bar = yh * t1[:, :, None, None]
+        z_bar[1 : 1 + d] = yg * t1 + (2.0 * yl * t2) * zg
+        z_bar[1 + d] = yl * t1
 
-        # through the affine map: z = h A^T + b, zg = A hg, zh = A hh
-        h, hg, hh = tape.h_value[layer], tape.h_grad[layer], tape.h_hess[layer]
-        a_bar = (
-            zv_bar.T @ h
-            + np.einsum("jnd,jmd->nm", zg_bar, hg)
-            + np.einsum("jnde,jmde->nm", zh_bar, hh)
-        )
-        b_bar = zv_bar.sum(axis=0)
+        # through the affine map z = x A^T (+ b on the value row)
+        m_out, m_in = a.shape
+        a_bar = z_bar.reshape(-1, m_out).T @ x.reshape(-1, m_in)
+        b_bar = z_bar[0].sum(axis=0)
         grads.append(np.concatenate([a_bar.ravel(), b_bar]))
 
         if layer > 0:
-            yv = zv_bar @ a
-            yg = np.einsum("nm,jnd->jmd", a, zg_bar)
-            yh = np.einsum("nm,jnde->jmde", a, zh_bar)
+            y = z_bar @ a
     return np.concatenate(grads[::-1])
 
 

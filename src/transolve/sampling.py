@@ -21,12 +21,10 @@ __all__ = [
     "QuadratureSet",
     "sample_parameters",
     "sample_collocation",
-    "validation_set",
     "midpoint_grid",
 ]
 
 _INTERFACE_CLEARANCE = 1e-12
-VALIDATION_EXTRA = 3
 
 
 @dataclass(frozen=True)
@@ -157,18 +155,6 @@ def sample_collocation(
 
     ipts, iw, iid = _interface_samples(geometry, n_per_interface, stratified)
     return QuadratureSet(interior, w, sub, ipts, iw, iid)
-
-
-def validation_set(
-    geometry: Geometry, n_interior_per_axis: int, n_per_interface: int, seed: int
-) -> QuadratureSet:
-    """Frozen validation points: the training rule with counts + 3 per axis.
-
-    A pure function of the seed, so repeated calls return identical sets.
-    """
-    rng = np.random.default_rng(seed)
-    n_iface = n_per_interface + (VALIDATION_EXTRA if geometry.dimension == 2 else 0)
-    return sample_collocation(geometry, n_interior_per_axis + VALIDATION_EXTRA, n_iface, rng)
 
 
 def midpoint_grid(geometry: Geometry, n_per_axis: int, n_per_interface: int) -> QuadratureSet:

@@ -1,19 +1,26 @@
 """Training loop: sample, solve the per-parameter LS systems, step the net.
 
 Each epoch draws a parameter batch and fresh collocation points, solves the
-angular eigenproblems the batch needs (2D), evaluates the network jets once,
-assembles and Cholesky-solves every parameter's least-squares system through
-the cached Gram blocks, and back-propagates the mean squared residual to the
-network weights holding the solved coefficients fixed (the derivative of a
-minimum is the partial derivative at the minimizer, so the coefficients
-contribute no gradient term).  Adam with a linearly interpolated learning
-rate closes the loop.
+angular eigenproblems the batch needs (2D), and evaluates the network's
+value, gradient and Laplacian once at all interior and interface points.
+`cutoffs.compose` turns the interior jets into the Laplacians of the
+composed basis and `cutoffs.compose_traces` the interface jets into its
+one-sided normal traces.  Every parameter's least-squares system is then
+assembled and Cholesky-solved through the cached Gram blocks, and the mean
+squared residual is back-propagated to the network weights with the solved
+coefficients held fixed (the derivative of a minimum is the partial
+derivative at the minimizer, so the coefficients contribute no gradient
+term): the residual seeds the adjoints of the two compositions, which seed
+`nets.backward_jets`.  Adam with a linearly interpolated learning rate
+closes the loop.  `final_solve` composes the same way on a midpoint grid
+for one parameter.  Checkpoints are ``.npz`` arrays with a JSON header and
+load without unpickling anything.
 """
 
 from __future__ import annotations
 
-import pickle
-from dataclasses import dataclass, field
+import json
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -29,6 +36,8 @@ from .assembly import (
 )
 from .cutoffs import (
     CutoffConfig,
+    compose,
+    compose_traces,
     composition_factors,
     default_cutoff_config,
     interface_trace_factors,
@@ -65,7 +74,9 @@ __all__ = [
     "load_checkpoint",
 ]
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
+# extra points per axis (and, in 2D, per interface) of the validation set
+VALIDATION_EXTRA = 3
 
 
 @dataclass(frozen=True)
@@ -201,7 +212,12 @@ def prepare_epoch(
 
 
 def _composed_cache(params: MlpParams, data: EpochData, need_tape: bool):
-    """Network jets at all epoch points, composed with the cutoffs."""
+    """Network jets at all points of ``data``, composed with the cutoffs.
+
+    Returns the epoch cache, the interior and interface cutoff factors, the
+    composed interior (values, gradients) and the tape (None unless
+    ``need_tape``).
+    """
     cfg = params.config
     quad = data.quad
     n_int = quad.n_interior
@@ -214,25 +230,17 @@ def _composed_cache(params: MlpParams, data: EpochData, need_tape: bool):
     fac = composition_factors(
         quad.interior_points, data.geometry, data.cutoff_config, cfg.n1, cfg.n2
     )
-    lap_raw = jets.laplacian[:n_int]
-    lap = (
-        fac.value * lap_raw
-        + 2.0 * np.einsum("jnd,jnd->jn", fac.gradient, jets.gradient[:n_int])
-        + jets.value[:n_int] * fac.laplacian
-    )
+    values, grads, laps = compose(fac, jets.rows(slice(None, n_int)))
     ifc_axes = np.array([data.geometry.interfaces[k].axis for k in quad.interface_ids], dtype=int)
     tf = interface_trace_factors(
         quad.interface_points, ifc_axes, data.geometry, data.cutoff_config, cfg.n1, cfg.n2
     )
-    v_ifc = jets.value[n_int:]
-    g_ifc = jets.gradient[n_int:]
-    tr_minus = tf.a_minus * v_ifc + np.einsum("jnd,jnd->jn", tf.d_coef, g_ifc)
-    tr_plus = tf.a_plus * v_ifc + np.einsum("jnd,jnd->jn", tf.d_coef, g_ifc)
+    tr_minus, tr_plus = compose_traces(tf, jets.rows(slice(n_int, None)))
     cache = build_epoch_cache(
-        data.geometry, data.cutoff_config, quad, lap, tr_minus, tr_plus, data.rhs,
+        data.geometry, data.cutoff_config, quad, laps, tr_minus, tr_plus, data.rhs,
         theta=data.theta,
     )
-    return cache, fac, tf, jets, tape
+    return cache, fac, tf, (values, grads), tape
 
 
 def loss_and_param_gradient(params: MlpParams, data: EpochData, need_gradient: bool = True):
@@ -269,18 +277,18 @@ def loss_and_param_gradient(params: MlpParams, data: EpochData, need_gradient: b
     n_out = params.config.n_outputs
     d = params.config.input_dim
     n_pts = n_int + quad.n_interface
-    bar_value = np.zeros((n_pts, n_out))
-    bar_grad = np.zeros((n_pts, n_out, d))
-    bar_hess = np.zeros((n_pts, n_out, d, d))
-    # interior rows: lap(c*raw) = c lap_raw + 2 grad_c . grad_raw + raw lap_c
+    bar_value = np.empty((n_pts, n_out))
+    bar_grad = np.empty((n_pts, n_out, d))
+    bar_lap = np.zeros((n_pts, n_out))
+    # interior rows, the adjoint of compose: lap(c*raw) = c lap_raw
+    # + 2 grad_c . grad_raw + raw lap_c
     bar_value[:n_int] = w_lap * fac.laplacian
     bar_grad[:n_int] = 2.0 * w_lap[:, :, None] * fac.gradient
-    for k in range(d):
-        bar_hess[:n_int, :, k, k] = w_lap * fac.value
-    # jump rows: trace_pm = a_pm*raw + d_coef . grad_raw
+    bar_lap[:n_int] = w_lap * fac.value
+    # jump rows, the adjoint of compose_traces: trace_pm = a_pm*raw + d_coef . grad_raw
     bar_value[n_int:] = w_plus * tf.a_plus + w_minus * tf.a_minus
     bar_grad[n_int:] = (w_plus + w_minus)[:, :, None] * tf.d_coef
-    grad = backward_jets(params, tape, bar_value, bar_grad, bar_hess)
+    grad = backward_jets(params, tape, bar_value, bar_grad, bar_lap)
     return loss, grad
 
 
@@ -330,8 +338,13 @@ class ValidationSet:
 
 
 def make_validation_set(geometry: Geometry, config: TrainConfig) -> ValidationSet:
-    from .sampling import VALIDATION_EXTRA
+    """Frozen validation data: the training rule with VALIDATION_EXTRA more
+    points per axis and per 2D interface, and a parameter batch of the
+    training size with its eigenpairs.
 
+    A pure function of the configuration; its draws come from the
+    validation streams of ``config.seeds``, apart from every training draw.
+    """
     rng_pts = config.seeds.validation_stream("interior")
     n_ifc = config.n_interface + (VALIDATION_EXTRA if geometry.dimension == 2 else 0)
     quad = sample_collocation(
@@ -409,28 +422,9 @@ def final_solve(
         n_per_interface = n_per_axis
     quad = midpoint_grid(geometry, n_per_axis, n_per_interface)
     cfg = params.config
-    jets = forward_jets(params, quad.interior_points)
-    fac = composition_factors(
-        quad.interior_points, geometry, cutoff_config, cfg.n1, cfg.n2
-    )
-    lap = (
-        fac.value * jets.laplacian
-        + 2.0 * np.einsum("jnd,jnd->jn", fac.gradient, jets.gradient)
-        + jets.value * fac.laplacian
-    )
-    values = fac.value * jets.value
-    grads = fac.value[:, :, None] * jets.gradient + jets.value[:, :, None] * fac.gradient
-    ifc_axes = np.array([geometry.interfaces[k].axis for k in quad.interface_ids], dtype=int)
-    tf = interface_trace_factors(
-        quad.interface_points, ifc_axes, geometry, cutoff_config, cfg.n1, cfg.n2
-    )
-    ifc_jets = forward_jets(params, quad.interface_points)
-    tr_minus = tf.a_minus * ifc_jets.value + np.einsum("jnd,jnd->jn", tf.d_coef, ifc_jets.gradient)
-    tr_plus = tf.a_plus * ifc_jets.value + np.einsum("jnd,jnd->jn", tf.d_coef, ifc_jets.gradient)
-    cache = build_epoch_cache(
-        geometry, cutoff_config, quad, lap, tr_minus, tr_plus, rhs, theta=theta
-    )
     pairs = vertex_eigenpairs(geometry, parameter[None, :], n_singular)[0]
+    data = EpochData(geometry, cutoff_config, rhs, quad, parameter[None, :], [pairs], theta)
+    cache, _, _, (values, grads), _ = _composed_cache(params, data, need_tape=False)
     sing_evals = singular_evals_from_cache(cache, pairs) if pairs else None
     system = assemble_system(cache, parameter, sing_evals, theta)
     y, res_sq = solve_normal_equations(system)
@@ -460,8 +454,18 @@ def final_solve(
     return coeffs, fields
 
 
+_RNG_NAMES = ("rng_params", "rng_interior", "rng_interface")
+
+
 def save_checkpoint(path, state: TrainState, config: TrainConfig, extra: dict | None = None):
-    payload = {
+    """Write the training state to ``path`` as an ``.npz`` archive.
+
+    The parameter and Adam vectors are stored as arrays.  Everything else
+    (the version, both configurations, the Adam step, the iteration, the
+    RNG states, the best validation loss and ``extra``, which must be
+    JSON-serialisable) goes into one JSON header.
+    """
+    header = {
         "version": CHECKPOINT_VERSION,
         "net_config": {
             "input_dim": state.net_config.input_dim,
@@ -469,42 +473,54 @@ def save_checkpoint(path, state: TrainState, config: TrainConfig, extra: dict | 
             "n1": state.net_config.n1,
             "n2": state.net_config.n2,
         },
+        "train_config": asdict(config),
+        "adam_t": state.adam.t,
+        "iteration": state.iteration,
+        "rng": {name: getattr(state, name).bit_generator.state for name in _RNG_NAMES},
+        "best_val": None if state.best_val is None else [state.best_val[0], state.best_val[2]],
+        "extra": extra or {},
+    }
+    arrays = {
         "flat_params": state.params.to_flat(),
         "adam_m": state.adam.m,
         "adam_v": state.adam.v,
-        "adam_t": state.adam.t,
-        "iteration": state.iteration,
-        "rng_params": state.rng_params.bit_generator.state,
-        "rng_interior": state.rng_interior.bit_generator.state,
-        "rng_interface": state.rng_interface.bit_generator.state,
-        "best_val": state.best_val,
-        "train_config": config,
-        "extra": extra or {},
     }
+    if state.best_val is not None:
+        arrays["best_params"] = state.best_val[1]
     with open(path, "wb") as fh:
-        pickle.dump(payload, fh)
+        np.savez(fh, header=np.array(json.dumps(header)), **arrays)
 
 
 def load_checkpoint(path):
-    with open(path, "rb") as fh:
-        payload = pickle.load(fh)
-    if payload.get("version") != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {payload.get('version')}")
-    nc = payload["net_config"]
+    """Read a checkpoint written by save_checkpoint; returns (state, config, extra).
+
+    Nothing in the file is unpickled: a file that is not a version-2
+    archive raises ValueError.
+    """
+    with np.load(path, allow_pickle=False) as archive:
+        header = json.loads(str(archive["header"]))
+        arrays = {name: archive[name] for name in archive.files if name != "header"}
+    if header.get("version") != CHECKPOINT_VERSION:
+        raise ValueError(f"unsupported checkpoint version {header.get('version')}")
+    nc = header["net_config"]
     net_config = NetConfig(nc["input_dim"], tuple(nc["hidden"]), nc["n1"], nc["n2"])
-    params = MlpParams.from_flat(net_config, payload["flat_params"])
-    adam = AdamState(payload["adam_m"], payload["adam_v"], payload["adam_t"])
-    config: TrainConfig = payload["train_config"]
+    train_fields = dict(header["train_config"])
+    seeds = Seeds(**train_fields.pop("seeds"))
+    config = TrainConfig(**train_fields, seeds=seeds)
+    best_val = None
+    if header["best_val"] is not None:
+        loss, iteration = header["best_val"]
+        best_val = (loss, arrays["best_params"], iteration)
     state = TrainState(
         net_config=net_config,
-        params=params,
-        adam=adam,
-        iteration=payload["iteration"],
+        params=MlpParams.from_flat(net_config, arrays["flat_params"]),
+        adam=AdamState(arrays["adam_m"], arrays["adam_v"], header["adam_t"]),
+        iteration=header["iteration"],
         rng_params=config.seeds.stream("params"),
         rng_interior=config.seeds.stream("interior"),
         rng_interface=config.seeds.stream("interface"),
-        best_val=payload["best_val"],
+        best_val=best_val,
     )
-    for name in ("rng_params", "rng_interior", "rng_interface"):
-        getattr(state, name).bit_generator.state = payload[name]
-    return state, config, payload["extra"]
+    for name in _RNG_NAMES:
+        getattr(state, name).bit_generator.state = header["rng"][name]
+    return state, config, header["extra"]

@@ -3,8 +3,9 @@ import pytest
 
 from transolve.cutoffs import (
     CutoffConfig,
-    apply_cutoffs,
     boundary_cutoff_jet,
+    compose,
+    compose_traces,
     composition_factors,
     default_cutoff_config,
     eta_jet,
@@ -14,6 +15,7 @@ from transolve.cutoffs import (
     jump_adf_jet,
 )
 from transolve.geometry import build_grid_geometry
+from transolve.nets import RawJets
 
 PI = np.pi
 CFG = CutoffConfig(0.2, 0.5)
@@ -123,6 +125,7 @@ def test_boundary_cutoff_gradient_fd():
     for i, x in enumerate(pts):
         fd = fd_gradient(f, x)
         np.testing.assert_allclose(jet.gradient[i], fd, rtol=1e-8, atol=1e-10)
+        np.testing.assert_allclose(jet.laplacian[i], fd_laplacian(f, x), rtol=1e-4)
 
 
 # ----------------------------- psi ---------------------------------------
@@ -202,6 +205,17 @@ def test_exclusion_zero_at_vertex_one_far():
         assert jet.value[1] == pytest.approx(1.0)
 
 
+def test_exclusion_block_layout():
+    """Phi1 is phi_n in blocks of n1/N_s; Phi2 is two copies of the
+    n2/2-long block vector, one per interface axis."""
+    g = build_grid_geometry(2, cuts_x=[-0.3, 0.3], cuts_y=[0.0], bounds=[(-1, 1), (-1, 1)])
+    cfg = default_cutoff_config(g)
+    at_first_vertex = g.singular_vertices[:1]
+    phi1, phi2 = exclusion_vectors_jet(at_first_vertex, g, cfg, 4, 8)
+    np.testing.assert_allclose([j.value[0] for j in phi1], [0, 0, 1, 1], atol=1e-15)
+    np.testing.assert_allclose([j.value[0] for j in phi2], [0, 0, 1, 1] * 2, atol=1e-15)
+
+
 def test_exclusion_divisibility_enforced():
     g = geom_2x2()
     with pytest.raises(ValueError):
@@ -225,6 +239,7 @@ def test_exclusion_gradient_fd():
 
         jet = exclusion_vectors_jet(x[None, :], g, cfg, 1, 2)[0][0]
         np.testing.assert_allclose(jet.gradient[0], fd_gradient(f, x), rtol=1e-6)
+        np.testing.assert_allclose(jet.laplacian[0], fd_laplacian(f, x), rtol=1e-4)
 
 
 # ------------------------- composition ------------------------------------
@@ -239,10 +254,14 @@ def _random_raw(rng, n_pts, n_out, d):
         z = points @ freqs.T + phases[None, :]
         val = np.sin(z)
         grad = np.cos(z)[:, :, None] * freqs[None, :, :]
-        hess = -np.sin(z)[:, :, None, None] * freqs[None, :, :, None] * freqs[None, :, None, :]
-        return val, grad, hess
+        lap = -np.sin(z) * np.sum(freqs**2, axis=1)[None, :]
+        return RawJets(val, grad, lap)
 
     return jets
+
+
+def _composed(jets, points, g, cfg, n1, n2):
+    return compose(composition_factors(points, g, cfg, n1, n2), jets(points))
 
 
 def test_apply_cutoffs_zero_on_boundary():
@@ -251,7 +270,7 @@ def test_apply_cutoffs_zero_on_boundary():
     rng = np.random.default_rng(5)
     jets = _random_raw(rng, 3, 3, 2)
     pts = np.array([[-1.0, 0.2], [0.3, 1.0], [1.0, -0.7]])
-    val, grad, lap = apply_cutoffs(*jets(pts), pts, g, cfg, 1, 2)
+    val, grad, lap = _composed(jets, pts, g, cfg, 1, 2)
     np.testing.assert_allclose(val, 0.0, atol=1e-14)
 
 
@@ -262,7 +281,7 @@ def test_apply_cutoffs_laplacian_fd():
     jets = _random_raw(rng, 10, 3, 2)
 
     def composed_value(x, col):
-        v, _, _ = apply_cutoffs(*jets(x[None, :]), x[None, :], g, cfg, 1, 2)
+        v, _, _ = _composed(jets, x[None, :], g, cfg, 1, 2)
         return v[0, col]
 
     pts = []
@@ -271,7 +290,7 @@ def test_apply_cutoffs_laplacian_fd():
         if min(abs(x[0]), abs(x[1])) > 0.05:
             pts.append(x)
     for x in pts:
-        _, _, lap = apply_cutoffs(*jets(x[None, :]), x[None, :], g, cfg, 1, 2)
+        _, _, lap = _composed(jets, x[None, :], g, cfg, 1, 2)
         for col in range(3):
             fd = fd_laplacian(lambda y: composed_value(y, col), x, h=1e-4)
             assert lap[0, col] == pytest.approx(fd, rel=1e-4, abs=1e-6)
@@ -284,7 +303,7 @@ def test_apply_cutoffs_dimension_mismatch():
     jets = _random_raw(rng, 2, 4, 2)
     pts = np.array([[0.3, 0.4], [0.2, -0.6]])
     with pytest.raises(ValueError):
-        apply_cutoffs(*jets(pts), pts, g, cfg, 1, 2)
+        _composed(jets, pts, g, cfg, 1, 2)
 
 
 def test_interface_trace_one_sided_limit_identity():
@@ -295,18 +314,16 @@ def test_interface_trace_one_sided_limit_identity():
     jets = _random_raw(rng, 1, 3, 2)
     x = np.array([0.0, 0.62])  # on the vertical interface
     fac = interface_trace_factors(x[None, :], np.array([0]), g, cfg, 1, 2)
-    rv, rg, _ = jets(x[None, :])
-    tr_plus = fac.a_plus * rv + np.einsum("jnd,jnd->jn", fac.d_coef, rg)
-    tr_minus = fac.a_minus * rv + np.einsum("jnd,jnd->jn", fac.d_coef, rg)
+    tr_minus, tr_plus = compose_traces(fac, jets(x[None, :]))
 
     h = 1e-7
     for col, sided in ((1, True), (2, False)):  # col1: psi1 kinks here; col2 smooth
         vals = {}
         for s, side in ((+1, "p"), (-1, "m")):
             xp = x + np.array([s * h, 0.0])
-            v1, _, _ = apply_cutoffs(*jets(xp[None, :]), xp[None, :], g, cfg, 1, 2)
+            v1, _, _ = _composed(jets, xp[None, :], g, cfg, 1, 2)
             xp2 = x + np.array([2 * s * h, 0.0])
-            v2, _, _ = apply_cutoffs(*jets(xp2[None, :]), xp2[None, :], g, cfg, 1, 2)
+            v2, _, _ = _composed(jets, xp2[None, :], g, cfg, 1, 2)
             # one-sided derivative, first order from the interface value (v=0 on own line)
             vals[side] = (v1[0, col], v2[0, col])
         von = 0.0 if sided else None
@@ -327,27 +344,12 @@ def test_jump_bracket_scales_linearly_in_raw_value():
     x = np.array([[PI / 5]])
     fac = interface_trace_factors(x, np.array([0]), g, cfg, 2, 3)
     for scale in (0.0, 0.5, 2.0):
-        rv = np.full((1, 5), scale)
-        rg = np.zeros((1, 5, 1))
-        tp = fac.a_plus * rv + np.einsum("jnd,jnd->jn", fac.d_coef, rg)
-        tm = fac.a_minus * rv + np.einsum("jnd,jnd->jn", fac.d_coef, rg)
+        raw = RawJets(np.full((1, 5), scale), np.zeros((1, 5, 1)), np.zeros((1, 5)))
+        tm, tp = compose_traces(fac, raw)
         bracket = tp - tm
         # v columns (index >= 2): bracket = 2*B*phi*raw, zero iff raw zero, linear in raw
         expected = 2 * scale * boundary_cutoff_jet(x, g).value[0]
         np.testing.assert_allclose(bracket[0, 2:], expected, atol=1e-14)
-
-
-def test_hessian_symmetry_everywhere():
-    g = geom_2x2()
-    cfg = default_cutoff_config(g)
-    rng = np.random.default_rng(9)
-    pts = rng.uniform(-0.9, 0.9, size=(50, 2))
-    pts = pts[np.min(np.abs(pts), axis=1) > 1e-3]
-    for jet in (
-        boundary_cutoff_jet(pts, g),
-        jump_adf_jet(pts, interface_lines(g, axis=0)),
-    ):
-        np.testing.assert_allclose(jet.hessian, np.swapaxes(jet.hessian, 1, 2), atol=1e-12)
 
 
 def test_default_config_respects_containment():

@@ -93,17 +93,41 @@ def test_angular_trace_constant():
     assert all(s[2] == 7.0 for s in sectors)
 
 
-def test_angular_trace_4x4_matches_point_queries():
-    g = geom_4x4()
-    rng = np.random.default_rng(0)
-    p = rng.uniform(1, 10, size=16)
-    eps = 1e-6
+def _assert_trace_matches_point_queries(g, p, eps=1e-6):
     for vid in range(g.n_singular):
         vx, vy = g.singular_vertices[vid]
         for lo, hi, pval in angular_trace(g, p, vid):
             mid = 0.5 * (lo + hi)
             probe = (vx + eps * np.cos(mid), vy + eps * np.sin(mid))
             assert pval == p[subdomain_index(g, probe)]
+
+
+def test_angular_trace_4x4_matches_point_queries():
+    g = geom_4x4()
+    rng = np.random.default_rng(0)
+    _assert_trace_matches_point_queries(g, rng.uniform(1, 10, size=16))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    ncx=st.integers(1, 4),
+    ncy=st.integers(1, 4),
+    seed=st.integers(0, 10_000),
+)
+def test_angular_trace_random_layouts_match_point_queries(ncx, ncy, seed):
+    """The static vertex-to-sector table agrees with point location on
+    non-uniform layouts with non-square bounds."""
+    rng = np.random.default_rng(seed)
+    bounds = [(-1.0, 2.0), (-0.5, 0.5)]
+    cx = np.sort(rng.uniform(*bounds[0], size=ncx))
+    cy = np.sort(rng.uniform(*bounds[1], size=ncy))
+    edges_x = np.concatenate([[bounds[0][0]], cx, [bounds[0][1]]])
+    edges_y = np.concatenate([[bounds[1][0]], cy, [bounds[1][1]]])
+    if min(np.diff(edges_x).min(), np.diff(edges_y).min()) < 1e-4:
+        return
+    g = build_grid_geometry(2, cuts_x=cx, cuts_y=cy, bounds=bounds)
+    assert g.vertex_sectors.shape == (ncx * ncy, 4)
+    _assert_trace_matches_point_queries(g, rng.uniform(0.1, 10, size=g.n_subdomains))
 
 
 def test_angular_trace_requires_singular_vertex():

@@ -55,7 +55,7 @@ def test_single_layer_identity_jets():
     jets = forward_jets(p, np.array([[0.0]]))
     np.testing.assert_allclose(jets.value, 0.0)
     np.testing.assert_allclose(jets.gradient[:, :, 0], 1.0)
-    np.testing.assert_allclose(jets.hessian, 0.0, atol=1e-15)
+    np.testing.assert_allclose(jets.laplacian, 0.0, atol=1e-15)
 
 
 def test_zero_weights_give_zero_jets():
@@ -65,7 +65,7 @@ def test_zero_weights_give_zero_jets():
     jets = forward_jets(p, np.random.default_rng(0).uniform(-1, 1, (5, 2)))
     np.testing.assert_allclose(jets.value, 0.0)
     np.testing.assert_allclose(jets.gradient, 0.0)
-    np.testing.assert_allclose(jets.hessian, 0.0)
+    np.testing.assert_allclose(jets.laplacian, 0.0)
 
 
 def test_nonfinite_params_rejected():
@@ -108,8 +108,7 @@ def test_backward_matches_finite_difference():
     pts = rng.uniform(-1, 1, size=(6, 2))
     cv = rng.normal(size=(6, cfg.n_outputs))
     cg = rng.normal(size=(6, cfg.n_outputs, 2))
-    ch = rng.normal(size=(6, cfg.n_outputs, 2, 2))
-    ch = 0.5 * (ch + np.swapaxes(ch, 2, 3))
+    cl = rng.normal(size=(6, cfg.n_outputs))
 
     def objective(flat):
         q = MlpParams.from_flat(cfg, flat)
@@ -117,11 +116,11 @@ def test_backward_matches_finite_difference():
         return (
             np.sum(cv * jets.value)
             + np.sum(cg * jets.gradient)
-            + np.sum(ch * jets.hessian)
+            + np.sum(cl * jets.laplacian)
         )
 
     jets, tape = forward_jets(p, pts, need_tape=True)
-    grad = backward_jets(p, tape, cv, cg, ch)
+    grad = backward_jets(p, tape, cv, cg, cl)
     flat = p.to_flat()
     h = 1e-6
     idx = rng.choice(flat.size, size=25, replace=False)

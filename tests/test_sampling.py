@@ -5,12 +5,8 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from transolve.geometry import build_grid_geometry, subdomain_index_many
-from transolve.sampling import (
-    midpoint_grid,
-    sample_collocation,
-    sample_parameters,
-    validation_set,
-)
+from transolve.sampling import midpoint_grid, sample_collocation, sample_parameters
+from transolve.training import Seeds, TrainConfig, make_validation_set
 
 PI = np.pi
 
@@ -132,28 +128,37 @@ def test_different_seeds_disjoint():
     assert not common
 
 
+def _validation_config(n_interior, n_interface, seed):
+    return TrainConfig(
+        iterations=1, lr_start=1e-3, lr_end=1e-3, theta=1.0, n_params=2,
+        n_interior=n_interior, n_interface=n_interface, p_min=0.5, p_max=2.0,
+        seeds=Seeds(seed, seed, seed, seed),
+    )
+
+
 def test_validation_counts_and_freezing():
     g2 = geom_2x2()
-    v = validation_set(g2, 40, 40, seed=99)
+    v = make_validation_set(g2, _validation_config(40, 40, 99)).quad
     assert v.n_interior == 43 * 43
     assert v.n_interface == 4 * 43
-    v2 = validation_set(g2, 40, 40, seed=99)
+    v2 = make_validation_set(g2, _validation_config(40, 40, 99)).quad
     np.testing.assert_array_equal(v.interior_points, v2.interior_points)
     np.testing.assert_array_equal(v.interface_points, v2.interface_points)
     g1 = geom_1d()
-    v1 = validation_set(g1, 100, 1, seed=7)
+    v1 = make_validation_set(g1, _validation_config(100, 1, 7)).quad
     assert v1.n_interior == 103 * 5
 
 
 def test_validation_disjoint_from_training_stream():
     g = geom_1d()
-    rng = np.random.default_rng(0)
-    q = sample_collocation(g, 50, 1, rng)
-    v = validation_set(g, 50, 1, seed=0)
-    # same master seed but a dedicated stream: point sets must differ
-    assert q.interior_points.shape != v.interior_points.shape or not np.allclose(
-        q.interior_points, v.interior_points[: q.n_interior]
+    cfg = _validation_config(50, 1, 0)
+    q = sample_collocation(g, 50, 1, cfg.seeds.stream("interior"))
+    v = make_validation_set(g, cfg).quad
+    # same master seed but a dedicated stream: no point is shared
+    common = set(map(tuple, np.round(q.interior_points, 14))) & set(
+        map(tuple, np.round(v.interior_points, 14))
     )
+    assert not common
 
 
 # ------------------------- midpoint grids ---------------------------------
