@@ -5,25 +5,32 @@ the composed basis | singular sources) against the loss-side right-hand
 side, then J2 jump rows carrying sqrt(Theta * weight) times the signed
 flux-jump bracket of the basis traces (singular columns are zero there).
 
-Every entry is affine in the diffusivity vector p, so the normal-equation
-matrix B^T B is a quadratic polynomial in p with parameter-independent
-coefficient matrices.  Those Gram blocks are precomputed once per epoch,
-which makes the per-parameter work a small coefficient combination plus a
-Cholesky solve and keeps epoch cost nearly independent of the batch size.
+Every entry of the network columns is affine in the diffusivity vector p,
+so their block of the normal-equation matrix B^T B is a quadratic
+polynomial in p with parameter-independent coefficient matrices.  Those
+Gram blocks are precomputed once per epoch.  `solve_parameter_batch` is the
+one solve that training, validation and `final_solve` use: it combines the
+Gram blocks for the whole batch in one GEMM, borders every parameter's
+normal matrix with its singular columns in one batched step, and solves all
+of them with one ridge-escalating Cholesky call.  `assemble_system` and
+`solve_normal_equations` build and solve one parameter's explicit system;
+they are the reference the batched solve is checked against.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dpotrf as _dpotrf
+from scipy.linalg.lapack import dpotrs as _dpotrs
 
-from .cutoffs import CutoffConfig, eta_jet
-from .eigen import XI_PER_THETA, EigenPair, basis_matrix
-from .geometry import Geometry, validate_parameter
+from .cutoffs import CutoffConfig
+from .geometry import Geometry, validate_parameter, validate_parameter_batch
 from .reference import RhsSpec
 from .sampling import QuadratureSet
+from .singular import PolarCache, polar_cache
 
 __all__ = [
     "EpochCache",
@@ -32,7 +39,6 @@ __all__ = [
     "BatchSolveResult",
     "build_epoch_cache",
     "assemble_system",
-    "singular_evals_from_cache",
     "solve_normal_equations",
     "solve_parameter_batch",
     "evaluate_solution",
@@ -40,58 +46,22 @@ __all__ = [
 
 RIDGE_REL = 1e-10
 
-from scipy.linalg.lapack import dpotrf as _dpotrf
-from scipy.linalg.lapack import dpotrs as _dpotrs
-
-
-def _chol_solve_stack(a_stack, b_stack, y, ok):
-    """Cholesky-solve every stacked SPD system via raw LAPACK calls.
-
-    Writes solutions into ``y`` and success flags into ``ok``; failed
-    factorizations leave their slot untouched for the ridge retry.
-    """
-    for p in range(a_stack.shape[0]):
-        c, info = _dpotrf(a_stack[p], lower=1)
-        if info != 0:
-            ok[p] = False
-            continue
-        y[p], info = _dpotrs(c, b_stack[p], lower=1)
-        ok[p] = info == 0
-
-
-@dataclass
-class VertexGeo:
-    """Parameter-independent geometric factors of one vertex's annulus."""
-
-    index: np.ndarray  # interior-point indices with delta1 < r < delta2
-    r: np.ndarray
-    eta_p: np.ndarray
-    eta_pp: np.ndarray
-    angular_basis: np.ndarray  # (len, 16) FE basis values at theta
-
 
 @dataclass
 class GramBlocks:
-    """Stacked parameter-independent pieces of B^T B, B^T l and l^T l.
+    """Stacked parameter-independent pieces of B^T B and B^T l.
 
-    A(p) = sum_i p_i^2 sq[i] + sum_g p_minus(g) p_plus(g) cross[g], with
-    the theta jump weight already folded in; b(p) decomposes into per-
-    subdomain quadratic/linear vectors.
+    A(p) = coefficients(p) @ combined, the sum of p_i^2 times the squared
+    block of subdomain i and p_minus(g) p_plus(g) times the cross block of
+    interface pair g, with the theta jump weight already folded in; b(p)
+    decomposes into per-subdomain quadratic/linear vectors.
     """
 
     theta: float
-    sq: np.ndarray  # (I, N, N)
-    cross: np.ndarray  # (G, N, N)
+    combined: np.ndarray  # (I+G, N*N) squared blocks, then cross blocks
     cross_pairs: np.ndarray  # (G, 2) minus/plus subdomain ids
     b_sq: np.ndarray  # (I, N)
     b_lin: np.ndarray  # (I, N)
-    combined: np.ndarray = None  # (I+G, N*N) fused blocks for one-GEMM combination
-
-    def __post_init__(self):
-        if self.combined is None:
-            n = self.sq.shape[-1]
-            flat_cross = self.cross.reshape(len(self.cross), n * n)
-            self.combined = np.concatenate([self.sq.reshape(len(self.sq), -1), flat_cross])
 
     def coefficients(self, parameters: np.ndarray) -> np.ndarray:
         """(P, I+G) monomials [p_i^2 | p_minus p_plus] matching ``combined``."""
@@ -116,7 +86,7 @@ class EpochCache:
     rhs_fixed: np.ndarray  # (J1,)
     ifc_minus_sub: np.ndarray  # (J2,)
     ifc_plus_sub: np.ndarray  # (J2,)
-    vertex_geo: list[VertexGeo] = field(default_factory=list)
+    polar: PolarCache | None = None  # interior points around the singular vertices
     gram: GramBlocks | None = None
 
     @property
@@ -134,14 +104,10 @@ class EpochCache:
 
 @dataclass
 class LsSystem:
-    """One parameter's stacked system B y = l with its column split."""
+    """One parameter's stacked system B y = l."""
 
     matrix: np.ndarray  # (J1+J2, n_nn + n_sing)
     rhs: np.ndarray
-    n_interior: int
-    n_nn: int
-    n_sing: int
-    theta: float
 
 
 @dataclass
@@ -195,25 +161,9 @@ def build_epoch_cache(
         minus_sub,
         plus_sub,
     )
-    cache.vertex_geo = _vertex_geometry(geometry, cutoff_config, quad)
+    cache.polar = polar_cache(quad.interior_points, geometry, cutoff_config)
     cache.gram = _build_gram(cache, theta)
     return cache
-
-
-def _vertex_geometry(geometry, config, quad) -> list[VertexGeo]:
-    out = []
-    pts = quad.interior_points
-    for v in geometry.singular_vertices:
-        dx = pts[:, 0] - v[0]
-        dy = pts[:, 1] - v[1]
-        r = np.hypot(dx, dy)
-        idx = np.where((r > config.delta1) & (r < config.delta2))[0]
-        ra = r[idx]
-        _, ep, epp = eta_jet(ra, config)
-        theta = np.mod(np.arctan2(dy[idx], dx[idx]), 2 * np.pi)
-        vals, _ = basis_matrix(theta * XI_PER_THETA)
-        out.append(VertexGeo(idx, ra, ep, epp, vals))
-    return out
 
 
 def _build_gram(cache: EpochCache, theta: float) -> GramBlocks:
@@ -250,40 +200,17 @@ def _build_gram(cache: EpochCache, theta: float) -> GramBlocks:
         sq[im] += theta * tmg.T @ tmg
         cross.append(-theta * (tmg.T @ tpg + tpg.T @ tmg))
         cross_pairs.append((im, ip))
-    cross = np.array(cross) if cross else np.zeros((0, n, n))
+    combined = np.concatenate([sq.reshape(n_sub, n * n), np.reshape(cross, (len(cross), n * n))])
     cross_pairs = (
         np.array(cross_pairs, dtype=int) if cross_pairs else np.zeros((0, 2), dtype=int)
     )
-    return GramBlocks(theta, sq, cross, cross_pairs, b_sq, b_lin)
-
-
-def singular_evals_from_cache(cache: EpochCache, pairs_per_vertex: list[list[EigenPair]]):
-    """S-source columns at the cached interior points for one parameter.
-
-    Uses the cached annulus geometry, so only the angular combination and
-    the exponent-dependent radial profile are recomputed per parameter.
-    """
-    j1 = cache.quad.n_interior
-    cols = []
-    for geo, pairs in zip(cache.vertex_geo, pairs_per_vertex):
-        for pair in pairs:
-            col = np.zeros(j1)
-            lam = pair.exponent
-            mu = geo.angular_basis @ (pair.mu_scale * pair.rho)
-            radial = 2 * lam * geo.r ** (lam - 1) * geo.eta_p + geo.r**lam * (
-                geo.eta_pp + geo.eta_p / geo.r
-            )
-            col[geo.index] = mu * radial
-            cols.append(col)
-    if not cols:
-        return np.zeros((j1, 0))
-    return np.stack(cols, axis=1)
+    return GramBlocks(theta, combined, cross_pairs, b_sq, b_lin)
 
 
 def assemble_system(cache: EpochCache, parameter, singular_evals, theta: float) -> LsSystem:
     """Explicit stacked matrix for one parameter (cache-based assembly)."""
     parameter = validate_parameter(cache.geometry, parameter)
-    j1, n = cache.lap.shape
+    j1 = cache.quad.n_interior
     j2 = cache.quad.n_interface
     if singular_evals is None:
         singular_evals = np.zeros((j1, 0))
@@ -307,7 +234,7 @@ def assemble_system(cache: EpochCache, parameter, singular_evals, theta: float) 
     bottom = np.concatenate([jump, np.zeros((j2, n_sing))], axis=1)
     matrix = np.concatenate([top, bottom], axis=0)
     rhs = np.concatenate([rhs_top, np.zeros(j2)])
-    return LsSystem(matrix, rhs, j1, n, n_sing, theta)
+    return LsSystem(matrix, rhs)
 
 
 def solve_normal_equations(system, ridge: float | None = None):
@@ -357,27 +284,35 @@ class BatchSolveResult:
     p_minus: np.ndarray  # (J2, P)
 
 
-def _cholesky_solve_batch(a_stack: np.ndarray, b_stack: np.ndarray, ridge=None) -> np.ndarray:
-    """Batched SPD solve by Cholesky with ridge escalation."""
-    n = a_stack.shape[-1]
-    n_batch = a_stack.shape[0]
-    if ridge is None:
-        ridge = RIDGE_REL * np.trace(a_stack, axis1=-2, axis2=-1) / n
-    else:
-        ridge = np.full(n_batch, float(ridge))
-    y = np.empty((n_batch, n))
-    ok = np.zeros(n_batch, dtype=np.bool_)
+def _cholesky_solve(a: np.ndarray, b: np.ndarray, ridge: np.ndarray) -> np.ndarray:
+    """Solve every system (a[k] + ridge[k] I) y[k] = b[k] of an SPD stack.
+
+    A system whose Cholesky factorization fails is retried with its ridge
+    raised a hundredfold (to RIDGE_REL from zero), at most three times.
+    Each system is one LAPACK potrf/potrs pair: NumPy's batched Cholesky
+    does not say which system failed, and it has no batched triangular
+    solve.  ``a`` and ``ridge`` are overwritten.
+    """
+    n = a.shape[-1]
     diag = np.arange(n)
+    y = np.empty(b.shape)
+    a[:, diag, diag] += ridge[:, None]
+    todo = list(range(len(a)))
     for attempt in range(4):
-        work = a_stack.copy()
-        work[:, diag, diag] += ridge[:, None]
-        _chol_solve_stack(work, b_stack, y, ok)
-        if np.all(ok):
+        failed = []
+        for k in todo:
+            factor, info = _dpotrf(a[k], lower=1)
+            if info == 0:
+                y[k], info = _dpotrs(factor, b[k], lower=1)
+            if info != 0:
+                failed.append(k)
+        if not failed:
             return y
-        if attempt == 3:
-            raise RuntimeError("batched Cholesky failed after ridge escalation")
-        ridge = np.where(ok, ridge, np.where(ridge > 0, ridge * 100.0, RIDGE_REL))
-    raise AssertionError("unreachable")
+        todo = failed
+        raised = np.where(ridge[todo] > 0, ridge[todo] * 100.0, RIDGE_REL)
+        a[np.array(todo)[:, None], diag, diag] += (raised - ridge[todo])[:, None]
+        ridge[todo] = raised
+    raise RuntimeError(f"batched Cholesky failed after ridge escalation (systems {todo})")
 
 
 def solve_parameter_batch(
@@ -386,30 +321,29 @@ def solve_parameter_batch(
     singular_evals_per_p: list | None = None,
     ridge: float | None = None,
 ) -> BatchSolveResult:
-    """Assemble-and-solve for a whole parameter batch via the Gram blocks.
+    """Least-squares solve of every parameter of a batch through the Gram blocks.
 
-    Without singular columns everything is batched; singular borders are
-    added per parameter (cheap, and they depend on that parameter's
-    eigenpairs anyway).  Residuals are the rows of B y - l, so the loss of
-    parameter p is exactly ||r_int[:, p]||^2 + ||r_jump[:, p]||^2.
+    ``singular_evals_per_p`` holds one (J1, n_s) source block per parameter
+    (None for none); the counts n_s may differ.  Each normal matrix is the
+    Gram combination bordered by its parameter's singular columns, padded
+    to the batch's largest count with an identity block and a zero
+    right-hand side, which solve to zero.  The ridge of each system is
+    RIDGE_REL times the mean diagonal of its unpadded matrix, or ``ridge``.
+    Residuals are the rows of B y - l, so the loss of parameter k is exactly
+    ||r_int[:, k]||^2 + ||r_jump[:, k]||^2.
     """
     if cache.gram is None:
         raise ValueError("cache was built without Gram blocks")
     gram = cache.gram
-    theta = gram.theta
-    parameters = np.asarray(parameters, dtype=float)
-    if parameters.ndim == 1:
-        parameters = parameters[None, :]
+    parameters = validate_parameter_batch(cache.geometry, np.atleast_2d(parameters))
     n_p, n_sub = parameters.shape
-    if n_sub != cache.geometry.n_subdomains:
-        raise ValueError("parameter length does not match the subdomain count")
     n = cache.n_basis
+    j1 = cache.quad.n_interior
 
     # one GEMM: (P, K) monomial coefficients against the fused (K, N*N) blocks
     coef = gram.coefficients(parameters)
-    a_stack = (coef @ gram.combined).reshape(n_p, n, n)
-    psq = coef[:, :n_sub]
-    b_stack = psq @ gram.b_sq + parameters @ gram.b_lin
+    a_nn = (coef @ gram.combined).reshape(n_p, n, n)
+    b_nn = coef[:, :n_sub] @ gram.b_sq + parameters @ gram.b_lin
 
     sw_int = cache.sqrt_w_int
     c = sw_int[:, None] * cache.lap
@@ -418,64 +352,49 @@ def solve_parameter_batch(
     p_int = parameters[:, cache.quad.interior_subdomain].T  # (J1, P)
     p_plus = parameters[:, cache.ifc_plus_sub].T
     p_minus = parameters[:, cache.ifc_minus_sub].T
-    sw_j = np.sqrt(theta) * cache.sqrt_w_ifc
+    sw_j = np.sqrt(gram.theta) * cache.sqrt_w_ifc
 
-    have_sing = singular_evals_per_p is not None and any(
-        s is not None and s.shape[1] for s in singular_evals_per_p
-    )
-    y_sing: list = [np.zeros(0)] * n_p
-    if not have_sing:
-        # fast path: factor a_stack in place; rebuild only if a ridge bump
-        # is needed (near-singular early-training bases)
-        ridge_vec = (
-            RIDGE_REL * np.trace(a_stack, axis1=-2, axis2=-1) / n
-            if ridge is None
-            else np.full(n_p, float(ridge))
-        )
-        diag = np.arange(n)
-        a_stack[:, diag, diag] += ridge_vec[:, None]
-        y_nn = np.empty((n_p, n))
-        ok = np.zeros(n_p, dtype=np.bool_)
-        _chol_solve_stack(a_stack, b_stack, y_nn, ok)
-        if not np.all(ok):
-            a_stack = (coef @ gram.combined).reshape(n_p, n, n)
-            y_nn = _cholesky_solve_batch(a_stack, b_stack, ridge)
-        u = c @ y_nn.T  # (J1, P), reused as the residual buffer
-        u += f1[:, None]
-        u *= p_int
-        u += f0[:, None]
-        r_int = u
-        up = (sw_j[:, None] * cache.trace_plus) @ y_nn.T
-        um = (sw_j[:, None] * cache.trace_minus) @ y_nn.T
-        up *= p_plus
-        um *= p_minus
-        up -= um
-        r_jump = up
+    sing = singular_evals_per_p or [None] * n_p
+    if len(sing) != n_p:
+        raise ValueError("one singular block per parameter is needed")
+    counts = np.array([0 if s is None else s.shape[1] for s in sing])
+    m = int(counts.max(initial=0))
+    if m == 0:
+        a, rhs = a_nn, b_nn
     else:
-        y_nn = np.zeros((n_p, n))
-        r_int = np.zeros((cache.quad.n_interior, n_p))
-        r_jump = np.zeros((cache.quad.n_interface, n_p))
-        for k in range(n_p):
-            s = singular_evals_per_p[k]
-            s = np.zeros((cache.quad.n_interior, 0)) if s is None else s
-            pc = p_int[:, k]
-            us = (sw_int * pc)[:, None] * s  # weighted, p-scaled singular block
-            cp = pc[:, None] * c
-            n_s = s.shape[1]
-            a_full = np.empty((n + n_s, n + n_s))
-            a_full[:n, :n] = a_stack[k]
-            a_full[:n, n:] = cp.T @ us
-            a_full[n:, :n] = a_full[:n, n:].T
-            a_full[n:, n:] = us.T @ us
-            b_full = np.concatenate([b_stack[k], -us.T @ (pc * f1 + f0)])
-            y = _cholesky_solve_batch(a_full[None], b_full[None], ridge)[0]
-            y_nn[k] = y[:n]
-            y_sing[k] = y[n:]
-            r_int[:, k] = pc * (c @ y[:n] + f1) + f0 + us @ y[n:]
-            up = sw_j * (cache.trace_plus @ y[:n])
-            um = sw_j * (cache.trace_minus @ y[:n])
-            r_jump[:, k] = p_plus[:, k] * up - p_minus[:, k] * um
+        padded = np.zeros((n_p, j1, m))
+        for k in np.flatnonzero(counts):
+            padded[k, :, : counts[k]] = sing[k]
+        us = (sw_int * p_int.T)[:, :, None] * padded  # (P, J1, M) weighted, p-scaled
+        border = np.matmul(c.T, p_int.T[:, :, None] * us)  # (P, N, M)
+        a = np.empty((n_p, n + m, n + m))
+        a[:, :n, :n] = a_nn
+        a[:, :n, n:] = border
+        a[:, n:, :n] = border.transpose(0, 2, 1)
+        a[:, n:, n:] = us.transpose(0, 2, 1) @ us
+        l_int = p_int * f1[:, None] + f0[:, None]  # (J1, P)
+        rhs = np.concatenate([b_nn, -np.einsum("pjm,jp->pm", us, l_int)], axis=1)
+    if ridge is None:
+        ridge_vec = RIDGE_REL * np.trace(a, axis1=-2, axis2=-1) / (n + counts)
+    else:
+        ridge_vec = np.full(n_p, float(ridge))
+    if m:  # unit diagonal on the padded slots, after the trace was taken
+        pad = n + np.arange(m)
+        a[:, pad, pad] += np.arange(m) >= counts[:, None]
+    y = _cholesky_solve(a, rhs, ridge_vec)
+
+    y_nn = y[:, :n]
+    r_int = c @ y_nn.T  # (J1, P)
+    r_int += f1[:, None]
+    r_int *= p_int
+    r_int += f0[:, None]
+    if m:
+        r_int += np.einsum("pjm,pm->jp", us, y[:, n:])
+    r_jump = (sw_j[:, None] * cache.trace_plus) @ y_nn.T
+    r_jump *= p_plus
+    r_jump -= p_minus * ((sw_j[:, None] * cache.trace_minus) @ y_nn.T)
     losses = np.sum(r_int**2, axis=0) + np.sum(r_jump**2, axis=0)
+    y_sing = [y[k, n : n + c] for k, c in enumerate(counts.tolist())]
     return BatchSolveResult(y_nn, y_sing, losses, r_int, r_jump, p_int, p_plus, p_minus)
 
 

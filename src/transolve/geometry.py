@@ -27,6 +27,7 @@ __all__ = [
     "subdomain_index_many",
     "angular_trace",
     "validate_parameter",
+    "validate_parameter_batch",
 ]
 
 
@@ -269,4 +270,19 @@ def validate_parameter(geometry: Geometry, params, p_min=None, p_max=None) -> np
         raise ValueError("parameter below configured p_min")
     if p_max is not None and np.any(params > p_max + 1e-12):
         raise ValueError("parameter above configured p_max")
+    return params
+
+
+def validate_parameter_batch(geometry: Geometry, params) -> np.ndarray:
+    """Check every row of a (P, I) parameter batch as validate_parameter
+    checks one vector; the error names the first row at fault."""
+    params = np.asarray(params, dtype=float)
+    if params.ndim != 2 or params.shape[1] != geometry.n_subdomains:
+        raise ValueError(
+            f"parameter batch shape {params.shape} does not match "
+            f"{geometry.n_subdomains} subdomains"
+        )
+    bad = np.flatnonzero(np.any(params <= 0, axis=1) | ~np.all(np.isfinite(params), axis=1))
+    if bad.size:
+        raise ValueError(f"parameter row {bad[0]}: diffusivities must be positive and finite")
     return params

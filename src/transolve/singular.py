@@ -9,6 +9,13 @@ residual source produced by the radial cutoff,
 lives only on the transition annulus delta1 < r < delta2, so no Laplacian
 is ever evaluated near the vertex where r^(L-2) would blow up.  The s
 inside the printed source formula is the cutoff-free part r^L mu.
+
+`polar_cache` computes, once per point set, everything about those points
+that does not depend on the parameter: their polar coordinates about each
+vertex, the eta jet and the FE angular basis.  `singular_evals_from_cache`
+gives the sources of all columns (the least-squares rows) and `eval_s` the
+values and gradients of all columns (the solution fields) from it; per
+parameter only the exponents and angular coefficients enter.
 """
 
 from __future__ import annotations
@@ -18,94 +25,109 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cutoffs import CutoffConfig, eta_jet
-from .eigen import EigenPair, angular_eval
+from .eigen import XI_PER_THETA, EigenPair, basis_matrix
 from .geometry import Geometry
 
-__all__ = ["SingularBasis", "eval_s", "eval_S_source", "singular_columns"]
+__all__ = ["VertexGeo", "PolarCache", "polar_cache", "singular_evals_from_cache", "eval_s"]
 
 _GRAD_GUARD = 1e-12
 
 
 @dataclass
-class SingularBasis:
-    """Selected eigenpairs per vertex plus the shared radial cutoff config."""
+class VertexGeo:
+    """Parameter-independent factors at the points of one vertex's disk r < delta2."""
 
-    geometry: Geometry
-    config: CutoffConfig
-    pairs_per_vertex: list[list[EigenPair]]
-
-    @property
-    def n_columns(self) -> int:
-        return sum(len(p) for p in self.pairs_per_vertex)
-
-    def columns(self):
-        """Flat (vertex_id, pair_id) order: vertex-major, pairs sorted."""
-        for i, pairs in enumerate(self.pairs_per_vertex):
-            for j in range(len(pairs)):
-                yield i, j
+    index: np.ndarray  # indices into the point set
+    annulus: np.ndarray  # (len,) bool, delta1 < r: where the source lives
+    r: np.ndarray
+    theta: np.ndarray  # in [0, 2pi)
+    eta: np.ndarray
+    eta_p: np.ndarray
+    eta_pp: np.ndarray
+    ang_values: np.ndarray  # (len, 16) FE angular basis at theta
+    ang_derivs: np.ndarray  # (len, 16) their theta-derivatives
 
 
-def _polar(points: np.ndarray, vertex: np.ndarray):
-    dx = points - vertex[None, :]
-    r = np.hypot(dx[:, 0], dx[:, 1])
-    theta = np.mod(np.arctan2(dx[:, 1], dx[:, 0]), 2 * np.pi)
-    return r, theta
+@dataclass
+class PolarCache:
+    """Per-vertex polar factors of one point set, vertex order of the geometry."""
+
+    n_points: int
+    vertices: list[VertexGeo]
 
 
-def eval_s(basis: SingularBasis, vertex_id: int, pair_id: int, points, gradient=True):
-    """Value (and Cartesian gradient) of one singular trial function.
+def polar_cache(points, geometry: Geometry, config: CutoffConfig) -> PolarCache:
+    """Factors of every point of ``points`` inside a singular vertex's disk."""
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    vertices = []
+    for v in geometry.singular_vertices:
+        dx = points[:, 0] - v[0]
+        dy = points[:, 1] - v[1]
+        r = np.hypot(dx, dy)
+        idx = np.flatnonzero(r < config.delta2)
+        ra = r[idx]
+        eta, ep, epp = eta_jet(ra, config)
+        theta = np.mod(np.arctan2(dy[idx], dx[idx]), 2 * np.pi)
+        vals, ders = basis_matrix(theta * XI_PER_THETA)
+        vertices.append(
+            VertexGeo(idx, ra > config.delta1, ra, theta, eta, ep, epp, vals, ders * XI_PER_THETA)
+        )
+    return PolarCache(points.shape[0], vertices)
 
-    With exponent < 1 the gradient blows up at the vertex; evaluation there
-    is guarded at r >= 1e-12 when the gradient is requested.
+
+def _vertex_modes(cache: PolarCache, pairs_per_vertex: list[list[EigenPair]]):
+    """Per vertex with selected pairs: its factors, its column slice, the
+    exponents (m,) and the unit-L2 angular coefficient vectors (16, m)."""
+    start = 0
+    for geo, pairs in zip(cache.vertices, pairs_per_vertex):
+        if pairs:
+            lam = np.array([pair.exponent for pair in pairs])
+            coef = np.stack([pair.mu_scale * pair.rho for pair in pairs], axis=1)
+            yield geo, slice(start, start + len(pairs)), lam, coef
+        start += len(pairs)
+
+
+def singular_evals_from_cache(cache: PolarCache, pairs_per_vertex: list[list[EigenPair]]):
+    """Residual sources S of all singular columns at the cached points.
+
+    Returns (J, n_cols), columns vertex-major in pair order; zero off each
+    vertex's annulus.
     """
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    pair = basis.pairs_per_vertex[vertex_id][pair_id]
-    vertex = basis.geometry.singular_vertices[vertex_id]
-    r, theta = _polar(points, vertex)
-    lam = pair.exponent
-    if gradient and np.any((r < _GRAD_GUARD) & (r > 0)) or (gradient and lam < 1 and np.any(r == 0)):
-        raise ValueError("gradient requested inside the guard radius of the vertex")
-    eta, deta, _ = eta_jet(r, basis.config)
-    mu, dmu = angular_eval(pair, theta)
-    rl = np.where(r > 0, r**lam, 0.0)
-    value = rl * mu * eta
-    if not gradient:
-        return value
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ds_dr = lam * r ** (lam - 1) * mu * eta + rl * mu * deta
-        ds_dt_over_r = r ** (lam - 1) * dmu * eta
-    ds_dr = np.where(r > 0, ds_dr, 0.0)
-    ds_dt_over_r = np.where(r > 0, ds_dt_over_r, 0.0)
-    ct, st = np.cos(theta), np.sin(theta)
-    grad = np.stack([ds_dr * ct - ds_dt_over_r * st, ds_dr * st + ds_dt_over_r * ct], axis=1)
-    outside = r >= basis.config.delta2
-    value = np.where(outside, 0.0, value)
-    grad[outside] = 0.0
-    return value, grad
-
-
-def eval_S_source(basis: SingularBasis, vertex_id: int, pair_id: int, points):
-    """Residual source of one singular column; zero off the annulus."""
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    pair = basis.pairs_per_vertex[vertex_id][pair_id]
-    vertex = basis.geometry.singular_vertices[vertex_id]
-    r, theta = _polar(points, vertex)
-    out = np.zeros(points.shape[0])
-    ann = (r > basis.config.delta1) & (r < basis.config.delta2)
-    if not np.any(ann):
-        return out
-    ra = r[ann]
-    _, deta, ddeta = eta_jet(ra, basis.config)
-    mu, _ = angular_eval(pair, theta[ann])
-    lam = pair.exponent
-    out[ann] = 2 * lam * ra ** (lam - 1) * mu * deta + ra**lam * mu * (ddeta + deta / ra)
+    out = np.zeros((cache.n_points, sum(len(pairs) for pairs in pairs_per_vertex)))
+    for geo, cols, lam, coef in _vertex_modes(cache, pairs_per_vertex):
+        a = geo.annulus
+        r = geo.r[a, None]
+        eta_p = geo.eta_p[a, None]
+        mu = geo.ang_values[a] @ coef
+        radial = 2 * lam * r ** (lam - 1) * eta_p + r**lam * (geo.eta_pp[a, None] + eta_p / r)
+        out[geo.index[a], cols] = mu * radial
     return out
 
 
-def singular_columns(basis: SingularBasis, points) -> np.ndarray:
-    """Stacked residual-source columns at interior points, shape (J, n_cols)."""
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    cols = [eval_S_source(basis, i, j, points) for i, j in basis.columns()]
-    if not cols:
-        return np.zeros((points.shape[0], 0))
-    return np.stack(cols, axis=1)
+def eval_s(cache: PolarCache, pairs_per_vertex: list[list[EigenPair]]):
+    """Values (J, n_cols) and Cartesian gradients (J, n_cols, 2) of all
+    singular trial functions at the cached points, columns as in
+    `singular_evals_from_cache`.
+
+    With exponent < 1 the gradient blows up at the vertex, so a point
+    closer than 1e-12 to a vertex with selected pairs raises ValueError.
+    """
+    n_cols = sum(len(pairs) for pairs in pairs_per_vertex)
+    values = np.zeros((cache.n_points, n_cols))
+    grads = np.zeros((cache.n_points, n_cols, 2))
+    for geo, cols, lam, coef in _vertex_modes(cache, pairs_per_vertex):
+        if np.any(geo.r < _GRAD_GUARD):
+            raise ValueError("gradient requested inside the guard radius of the vertex")
+        r = geo.r[:, None]
+        eta = geo.eta[:, None]
+        mu = geo.ang_values @ coef
+        dmu = geo.ang_derivs @ coef
+        rl = r**lam
+        rl1 = r ** (lam - 1)
+        ds_dr = lam * rl1 * mu * eta + rl * mu * geo.eta_p[:, None]
+        ds_dt_over_r = rl1 * dmu * eta
+        ct, st = np.cos(geo.theta)[:, None], np.sin(geo.theta)[:, None]
+        values[geo.index, cols] = rl * mu * eta
+        grads[geo.index, cols, 0] = ds_dr * ct - ds_dt_over_r * st
+        grads[geo.index, cols, 1] = ds_dr * st + ds_dt_over_r * ct
+    return values, grads

@@ -6,21 +6,22 @@ from transolve.assembly import (
     assemble_system,
     build_epoch_cache,
     evaluate_solution,
-    singular_evals_from_cache,
     solve_normal_equations,
     solve_parameter_batch,
 )
 from transolve.cutoffs import (
     composition_factors,
     default_cutoff_config,
+    eta_jet,
     interface_trace_factors,
 )
-from transolve.eigen import assemble_eigensystem, select_singular, solve_eigenpairs
+from transolve.eigen import angular_eval, assemble_eigensystem, select_singular, solve_eigenpairs
 from transolve.geometry import angular_trace, build_grid_geometry
 from transolve.nets import NetConfig, forward_jets, init_params
 from transolve.reference import RhsSpec
 from transolve.sampling import sample_collocation
-from transolve.singular import SingularBasis, singular_columns
+from transolve.singular import singular_evals_from_cache
+from transolve.training import vertex_eigenpairs
 
 PI = np.pi
 
@@ -190,7 +191,7 @@ def test_batch_matches_explicit_solve_2d_with_singular():
     for p in params:
         pairs = solve_eigenpairs(assemble_eigensystem(angular_trace(g, p, 0)))
         sel = [select_singular(pairs, 1)]
-        sing_per_p.append(singular_evals_from_cache(cache, sel))
+        sing_per_p.append(singular_evals_from_cache(cache.polar, sel))
     batch = solve_parameter_batch(cache, params, singular_evals_per_p=sing_per_p)
     for k in range(4):
         sysk = assemble_system(cache, params[k], sing_per_p[k], 200.0)
@@ -201,16 +202,88 @@ def test_batch_matches_explicit_solve_2d_with_singular():
         assert batch.losses[k] == pytest.approx(res, rel=1e-6)
 
 
+def test_batch_mixes_singular_column_counts():
+    """Parameters with 0, 1, 2 and 4 singular columns share one batch; each
+    matches the explicit solve of its own system."""
+    g = build_grid_geometry(2, cuts_x=[-0.4, 0.3], cuts_y=[-0.3, 0.4], bounds=[(-1, 1), (-1, 1)])
+    cfg = NetConfig(2, (8,), 4, 8)
+    theta = 3.0
+    cache = make_cache(g, cfg, seed=18, n_int=8, n_ifc=4, theta=theta)
+    params = np.full((5, 9), 2.0)  # uniform: no exponent in (0, 1)
+    params[1, 0] = 20.0  # a corner cell touches one vertex
+    params[2, 1] = 20.0  # an edge cell touches two
+    params[3, 4] = 0.2  # the centre cell touches all four
+    params[4] = [1.0, 10.0, 1.0, 10.0, 1.0, 10.0, 1.0, 10.0, 1.0]
+    sing = [
+        singular_evals_from_cache(cache.polar, pairs)
+        for pairs in vertex_eigenpairs(g, params, 2)
+    ]
+    counts = [s.shape[1] for s in sing]
+    assert counts[:4] == [0, 1, 2, 4], counts
+    batch = solve_parameter_batch(cache, params, singular_evals_per_p=sing)
+    n = cache.n_basis
+    for k in range(len(params)):
+        y, res = solve_normal_equations(assemble_system(cache, params[k], sing[k], theta))
+        # tight enough to fail a ridge taken from the padded size (off by 1e-9 here)
+        tol = 1e-11 * np.abs(y).max()
+        assert batch.y_sing[k].shape == (counts[k],)
+        np.testing.assert_allclose(batch.y_nn[k], y[:n], rtol=0, atol=tol)
+        np.testing.assert_allclose(batch.y_sing[k], y[n:], rtol=0, atol=tol)
+        assert batch.losses[k] == pytest.approx(res, rel=1e-12)
+
+
+def test_batch_ridge_escalation_is_per_system():
+    """With ridge 0, a parameter whose singular column is dead fails its
+    Cholesky and is retried with a ridge; the others keep ridge 0."""
+    g = geom_1d()
+    cache = make_cache(g, NetConfig(1, (6,), 3, 5), seed=4, n_int=20)
+    params = np.random.default_rng(9).uniform(0.5, 10.0, size=(3, 5))
+    dead = np.zeros((cache.quad.n_interior, 1))
+    batch = solve_parameter_batch(cache, params, [None, dead, None], ridge=0.0)
+    alone = solve_parameter_batch(cache, params, ridge=0.0)
+    # cond(A) is about 2e8 here: padding moves y by 1e-8, a ridge of 1e-10 by 4e-5
+    for k in (0, 2):
+        tol = 1e-6 * np.abs(alone.y_nn[k]).max()
+        np.testing.assert_allclose(batch.y_nn[k], alone.y_nn[k], rtol=0, atol=tol)
+        assert batch.losses[k] == pytest.approx(alone.losses[k], rel=1e-12)
+    assert batch.y_sing[1].tolist() == [0.0]
+    assert batch.losses[1] == pytest.approx(alone.losses[1], rel=1e-6)
+
+
+@pytest.mark.parametrize("bad", [-3.0, 0.0, np.nan, np.inf])
+def test_batch_rejects_nonphysical_row(bad):
+    """A row that assemble_system would reject fails the whole batch, named."""
+    g = geom_1d()
+    cache = make_cache(g, NetConfig(1, (4,), 1, 2))
+    params = np.ones((4, 5))
+    params[2, 3] = bad
+    with pytest.raises(ValueError):
+        assemble_system(cache, params[2], None, 1.0)
+    with pytest.raises(ValueError, match="row 2"):
+        solve_parameter_batch(cache, params)
+
+
 def test_singular_evals_cache_matches_direct():
+    """The cached sources equal the source formula evaluated point by point."""
     g = geom_2x2()
     cfg = NetConfig(2, (5,), 1, 2)
     cache = make_cache(g, cfg, seed=13, n_int=16, n_ifc=4)
     p = np.array([1.0, 10.0, 10.0, 1.0])
     pairs = solve_eigenpairs(assemble_eigensystem(angular_trace(g, p, 0)))
     sel = [select_singular(pairs, 2)]
-    fast = singular_evals_from_cache(cache, sel)
-    basis = SingularBasis(g, cache.cutoff_config, sel)
-    direct = singular_columns(basis, cache.quad.interior_points)
+    fast = singular_evals_from_cache(cache.polar, sel)
+    cut = cache.cutoff_config
+    direct = np.zeros_like(fast)
+    for j, (x, y) in enumerate(cache.quad.interior_points - g.singular_vertices[0]):
+        r = np.hypot(x, y)
+        if not cut.delta1 < r < cut.delta2:
+            continue
+        _, deta, ddeta = eta_jet(r, cut)
+        for k, pair in enumerate(sel[0]):
+            lam = pair.exponent
+            mu, _ = angular_eval(pair, np.arctan2(y, x))
+            direct[j, k] = 2 * lam * r ** (lam - 1) * mu * deta + r**lam * mu * (ddeta + deta / r)
+    assert np.count_nonzero(direct) > 0
     np.testing.assert_allclose(fast, direct, rtol=1e-12, atol=1e-12)
 
 
@@ -220,7 +293,7 @@ def test_singular_columns_zero_on_jump_rows():
     cache = make_cache(g, cfg, seed=14, n_int=10, n_ifc=4)
     p = np.array([1.0, 8.0, 8.0, 1.0])
     pairs = solve_eigenpairs(assemble_eigensystem(angular_trace(g, p, 0)))
-    sing = singular_evals_from_cache(cache, [select_singular(pairs, 1)])
+    sing = singular_evals_from_cache(cache.polar, [select_singular(pairs, 1)])
     sysk = assemble_system(cache, p, sing, 5.0)
     np.testing.assert_array_equal(
         sysk.matrix[cache.quad.n_interior :, cache.n_basis :], 0.0

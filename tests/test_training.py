@@ -1,17 +1,24 @@
 import numpy as np
 import pytest
 
-from transolve.assembly import build_epoch_cache, solve_parameter_batch
+from transolve.assembly import (
+    assemble_system,
+    build_epoch_cache,
+    solve_normal_equations,
+    solve_parameter_batch,
+)
 from transolve.cutoffs import CutoffConfig, default_cutoff_config
 from transolve.eigen import assemble_eigensystem, select_singular, solve_eigenpairs
 from transolve.geometry import angular_trace, build_grid_geometry
 from transolve.nets import MlpParams, NetConfig, init_params
 from transolve.reference import RhsSpec, exact_1d, fem_solve_2d, relative_l2_errors
-from transolve.sampling import sample_collocation, sample_parameters
+from transolve.sampling import midpoint_grid, sample_collocation, sample_parameters
+from transolve.singular import singular_evals_from_cache
 from transolve.training import (
     EpochData,
     EpochError,
     Seeds,
+    _composed_cache,
     TrainConfig,
     final_solve,
     init_train_state,
@@ -98,9 +105,6 @@ def test_danskin_gradient_matches_total_loss_fd():
     loss0, grad = loss_and_param_gradient(params, data)
 
     # condition guard: skip if the normal matrix is pathological
-    from transolve.assembly import assemble_system
-    from transolve.training import _composed_cache
-
     cache, *_ = _composed_cache(params, data, need_tape=False)
     system = assemble_system(cache, params_batch[0], None, 1.0)
     cond = np.linalg.cond(system.matrix.T @ system.matrix)
@@ -275,6 +279,31 @@ def test_final_solve_deterministic_and_grid_stable():
         errs[n] = s
     hi, lo = max(errs.values()), min(errs.values())
     assert hi <= 2.0 * lo + 1e-12
+
+
+def test_final_solve_2d_matches_explicit_reference():
+    """final_solve with singular columns: coefficients and residual equal
+    those of assemble_system on the same grid, solved by
+    solve_normal_equations."""
+    g = build_grid_geometry(2, cuts_x=[0.0], cuts_y=[0.0], bounds=[(-1, 1), (-1, 1)])
+    rhs = RhsSpec.for_geometry("corner2d", g)
+    cut = default_cutoff_config(g)
+    net = NetConfig(2, (10, 10), 4, 8)
+    params = init_params(net, 5)
+    p = np.array([1.0, 10.0, 10.0, 1.0])
+    theta = 2.0
+    coeffs, fields = final_solve(params, g, p, rhs, cut, theta, 24, n_singular=2)
+
+    quad = midpoint_grid(g, 24, 24)
+    pairs = vertex_eigenpairs(g, p[None, :], 2)[0]
+    data = EpochData(g, cut, rhs, quad, p[None, :], [pairs], theta)
+    cache, *_ = _composed_cache(params, data, need_tape=False)
+    sing = singular_evals_from_cache(cache.polar, pairs)
+    assert sing.shape[1] > 0
+    y, res = solve_normal_equations(assemble_system(cache, p, sing, theta))
+    assert coeffs.c.shape == (sing.shape[1],)
+    np.testing.assert_allclose(coeffs.stacked, y, rtol=1e-6, atol=1e-8)
+    assert fields["residual_sq"] == pytest.approx(res, rel=1e-8)
 
 
 def test_validation_tracks_training():
