@@ -5,16 +5,24 @@ the composed basis | singular sources) against the loss-side right-hand
 side, then J2 jump rows carrying sqrt(Theta * weight) times the signed
 flux-jump bracket of the basis traces (singular columns are zero there).
 
+`build_epoch_cache` weights the parameter-free rows once: sqrt(w) times the
+basis Laplacians and the two right-hand-side factors, sqrt(Theta w) times
+the two traces.  Everything below reads only these weighted rows, and the
+row weights are known to this module alone.
+
 Every entry of the network columns is affine in the diffusivity vector p,
 so their block of the normal-equation matrix B^T B is a quadratic
 polynomial in p with parameter-independent coefficient matrices.  Those
 Gram blocks are precomputed once per epoch.  `solve_parameter_batch` is the
 one solve that training, validation and `final_solve` use: it combines the
 Gram blocks for the whole batch in one GEMM, borders every parameter's
-normal matrix with its singular columns in one batched step, and solves all
-of them with one ridge-escalating Cholesky call.  `assemble_system` and
-`solve_normal_equations` build and solve one parameter's explicit system;
-they are the reference the batched solve is checked against.
+normal matrix with its singular columns in one batched step, and solves
+each ridged system with one LAPACK dposv call; a system that is not
+positive definite raises.  It returns the adjoint seeds of the raw rows,
+so the gradient is three products with the coefficients.
+`assemble_system` and `solve_normal_equations` build and solve one
+parameter's explicit system; they are the reference the batched solve is
+checked against.
 """
 
 from __future__ import annotations
@@ -23,8 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
-from scipy.linalg.lapack import dpotrf as _dpotrf
-from scipy.linalg.lapack import dpotrs as _dpotrs
+from scipy.linalg.lapack import dposv as _dposv
 
 from .cutoffs import CutoffConfig
 from .geometry import Geometry, validate_parameter, validate_parameter_batch
@@ -74,16 +81,19 @@ class GramBlocks:
 
 @dataclass
 class EpochCache:
-    """Everything parameter-independent about one epoch's quadrature points."""
+    """Everything parameter-independent about one epoch's quadrature points,
+    with every row already weighted."""
 
     geometry: Geometry
     cutoff_config: CutoffConfig
     quad: QuadratureSet
-    lap: np.ndarray  # (J1, N) Laplacians of composed basis functions
-    trace_minus: np.ndarray  # (J2, N) one-sided normal traces
-    trace_plus: np.ndarray  # (J2, N)
-    rhs_p_factor: np.ndarray  # (J1,) strong-form source = p*factor + fixed
-    rhs_fixed: np.ndarray  # (J1,)
+    sqrt_w: np.ndarray  # (J1,) interior row weights sqrt(w)
+    sqrt_theta_w: np.ndarray  # (J2,) jump row weights sqrt(Theta w)
+    wlap: np.ndarray  # (J1, N) sqrt(w) * Laplacians of the composed basis
+    wrhs_p: np.ndarray  # (J1,) sqrt(w) * strong-form source = p*factor + fixed
+    wrhs_fixed: np.ndarray  # (J1,)
+    wtrace_minus: np.ndarray  # (J2, N) sqrt(Theta w) * one-sided normal traces
+    wtrace_plus: np.ndarray  # (J2, N)
     ifc_minus_sub: np.ndarray  # (J2,)
     ifc_plus_sub: np.ndarray  # (J2,)
     polar: PolarCache | None = None  # interior points around the singular vertices
@@ -91,15 +101,7 @@ class EpochCache:
 
     @property
     def n_basis(self) -> int:
-        return self.lap.shape[1]
-
-    @property
-    def sqrt_w_int(self) -> np.ndarray:
-        return np.sqrt(self.quad.interior_weights)
-
-    @property
-    def sqrt_w_ifc(self) -> np.ndarray:
-        return np.sqrt(self.quad.interface_weights)
+        return self.wlap.shape[1]
 
 
 @dataclass
@@ -137,27 +139,32 @@ def build_epoch_cache(
     rhs: RhsSpec,
     theta: float = 1.0,
 ) -> EpochCache:
-    """Cache composed Laplacians, traces, rhs factors and Gram blocks.
+    """Cache the weighted Laplacian, trace and rhs rows and the Gram blocks.
 
     ``lap`` and the traces must be evaluated at exactly the quadrature's
-    interior/interface points (shapes (J1, N) and (J2, N)).
+    interior/interface points (shapes (J1, N) and (J2, N)); only their
+    weighted copies are kept.
     """
     if lap.shape[0] != quad.n_interior:
         raise ValueError("Laplacian rows do not match the interior points")
     if trace_minus.shape != (quad.n_interface, lap.shape[1]) or trace_plus.shape != trace_minus.shape:
         raise ValueError("trace shapes do not match the interface points")
     pf, fixed = rhs.factors(quad.interior_points)
+    sw = np.sqrt(quad.interior_weights)
+    sj = np.sqrt(theta) * np.sqrt(quad.interface_weights)
     minus_sub = np.array([geometry.interfaces[k].minus for k in quad.interface_ids], dtype=int)
     plus_sub = np.array([geometry.interfaces[k].plus for k in quad.interface_ids], dtype=int)
     cache = EpochCache(
         geometry,
         cutoff_config,
         quad,
-        np.asarray(lap, dtype=float),
-        np.asarray(trace_minus, dtype=float),
-        np.asarray(trace_plus, dtype=float),
-        pf,
-        fixed,
+        sw,
+        sj,
+        sw[:, None] * lap,
+        sw * pf,
+        sw * fixed,
+        sj[:, None] * trace_minus,
+        sj[:, None] * trace_plus,
         minus_sub,
         plus_sub,
     )
@@ -170,9 +177,7 @@ def _build_gram(cache: EpochCache, theta: float) -> GramBlocks:
     geometry = cache.geometry
     n_sub = geometry.n_subdomains
     n = cache.n_basis
-    c = cache.sqrt_w_int[:, None] * cache.lap  # (J1, N)
-    f1 = cache.sqrt_w_int * cache.rhs_p_factor
-    f0 = cache.sqrt_w_int * cache.rhs_fixed
+    c, f1, f0 = cache.wlap, cache.wrhs_p, cache.wrhs_fixed
 
     sq = np.zeros((n_sub, n, n))
     b_sq = np.zeros((n_sub, n))
@@ -185,8 +190,7 @@ def _build_gram(cache: EpochCache, theta: float) -> GramBlocks:
         b_sq[i] = -ci.T @ f1[rows]
         b_lin[i] = -ci.T @ f0[rows]
 
-    tm = cache.sqrt_w_ifc[:, None] * cache.trace_minus
-    tp = cache.sqrt_w_ifc[:, None] * cache.trace_plus
+    tm, tp = cache.wtrace_minus, cache.wtrace_plus
     pairs_map: dict[tuple[int, int], list[int]] = {}
     for k in range(cache.quad.n_interface):
         key = (int(cache.ifc_minus_sub[k]), int(cache.ifc_plus_sub[k]))
@@ -196,9 +200,9 @@ def _build_gram(cache: EpochCache, theta: float) -> GramBlocks:
         rows = np.array(rows)
         tpg = tp[rows]
         tmg = tm[rows]
-        sq[ip] += theta * tpg.T @ tpg
-        sq[im] += theta * tmg.T @ tmg
-        cross.append(-theta * (tmg.T @ tpg + tpg.T @ tmg))
+        sq[ip] += tpg.T @ tpg
+        sq[im] += tmg.T @ tmg
+        cross.append(-(tmg.T @ tpg + tpg.T @ tmg))
         cross_pairs.append((im, ip))
     combined = np.concatenate([sq.reshape(n_sub, n * n), np.reshape(cross, (len(cross), n * n))])
     cross_pairs = (
@@ -208,8 +212,13 @@ def _build_gram(cache: EpochCache, theta: float) -> GramBlocks:
 
 
 def assemble_system(cache: EpochCache, parameter, singular_evals, theta: float) -> LsSystem:
-    """Explicit stacked matrix for one parameter (cache-based assembly)."""
+    """Explicit stacked matrix for one parameter (cache-based assembly).
+
+    The jump rows carry the cache's Theta, so ``theta`` must equal it.
+    """
     parameter = validate_parameter(cache.geometry, parameter)
+    if theta != cache.gram.theta:
+        raise ValueError(f"theta {theta} differs from the cache's {cache.gram.theta}")
     j1 = cache.quad.n_interior
     j2 = cache.quad.n_interface
     if singular_evals is None:
@@ -218,19 +227,15 @@ def assemble_system(cache: EpochCache, parameter, singular_evals, theta: float) 
         raise ValueError("singular evaluations do not match the interior points")
     n_sing = singular_evals.shape[1]
     p_int = parameter[cache.quad.interior_subdomain]
-    scale_int = cache.sqrt_w_int * p_int
     top = np.concatenate(
-        [scale_int[:, None] * cache.lap, scale_int[:, None] * singular_evals], axis=1
+        [p_int[:, None] * cache.wlap, (p_int * cache.sqrt_w)[:, None] * singular_evals], axis=1
     )
     # loss-side rhs: the residual p*Lap(u) - l must vanish at the solution
     # of -div(p grad u) = rhs, so l = -(p*factor + fixed) row-weighted
-    rhs_top = -cache.sqrt_w_int * (p_int * cache.rhs_p_factor + cache.rhs_fixed)
-    sw = np.sqrt(theta) * cache.sqrt_w_ifc
+    rhs_top = -(p_int * cache.wrhs_p + cache.wrhs_fixed)
     p_minus = parameter[cache.ifc_minus_sub]
     p_plus = parameter[cache.ifc_plus_sub]
-    jump = sw[:, None] * (
-        p_plus[:, None] * cache.trace_plus - p_minus[:, None] * cache.trace_minus
-    )
+    jump = p_plus[:, None] * cache.wtrace_plus - p_minus[:, None] * cache.wtrace_minus
     bottom = np.concatenate([jump, np.zeros((j2, n_sing))], axis=1)
     matrix = np.concatenate([top, bottom], axis=0)
     rhs = np.concatenate([rhs_top, np.zeros(j2)])
@@ -272,47 +277,40 @@ def solve_normal_equations(system, ridge: float | None = None):
 
 @dataclass
 class BatchSolveResult:
-    """Per-batch LS solutions with the residual fields the gradient needs."""
+    """Per-batch LS solutions with the adjoint seeds the gradient needs.
+
+    The seeds are the derivatives of the losses in the raw rows, halved:
+    d loss_k / d lap[j, n] = 2 seed_int[j, k] y_nn[k, n], and likewise
+    seed_plus (seed_minus) for the plus (minus) traces of the jump rows.
+    """
 
     y_nn: np.ndarray  # (P, N) network-column coefficients
     y_sing: list  # per-parameter singular coefficient vectors
     losses: np.ndarray  # (P,) residual norms squared
-    r_int: np.ndarray  # (J1, P) weighted interior residuals
-    r_jump: np.ndarray  # (J2, P) weighted jump residuals
-    p_int: np.ndarray  # (J1, P) local diffusivity per point and parameter
-    p_plus: np.ndarray  # (J2, P)
-    p_minus: np.ndarray  # (J2, P)
+    seed_int: np.ndarray  # (J1, P) sqrt(w) p r_int
+    seed_plus: np.ndarray  # (J2, P) sqrt(Theta w) p_plus r_jump
+    seed_minus: np.ndarray  # (J2, P) -sqrt(Theta w) p_minus r_jump
 
 
 def _cholesky_solve(a: np.ndarray, b: np.ndarray, ridge: np.ndarray) -> np.ndarray:
     """Solve every system (a[k] + ridge[k] I) y[k] = b[k] of an SPD stack.
 
-    A system whose Cholesky factorization fails is retried with its ridge
-    raised a hundredfold (to RIDGE_REL from zero), at most three times.
-    Each system is one LAPACK potrf/potrs pair: NumPy's batched Cholesky
-    does not say which system failed, and it has no batched triangular
-    solve.  ``a`` and ``ridge`` are overwritten.
+    Each system is one LAPACK dposv call: NumPy's batched Cholesky does not
+    say which system failed, and it has no batched triangular solve.  A
+    system that is not positive definite raises RuntimeError naming it.
+    ``a`` is overwritten.
     """
     n = a.shape[-1]
     diag = np.arange(n)
-    y = np.empty(b.shape)
     a[:, diag, diag] += ridge[:, None]
-    todo = list(range(len(a)))
-    for attempt in range(4):
-        failed = []
-        for k in todo:
-            factor, info = _dpotrf(a[k], lower=1)
-            if info == 0:
-                y[k], info = _dpotrs(factor, b[k], lower=1)
-            if info != 0:
-                failed.append(k)
-        if not failed:
-            return y
-        todo = failed
-        raised = np.where(ridge[todo] > 0, ridge[todo] * 100.0, RIDGE_REL)
-        a[np.array(todo)[:, None], diag, diag] += (raised - ridge[todo])[:, None]
-        ridge[todo] = raised
-    raise RuntimeError(f"batched Cholesky failed after ridge escalation (systems {todo})")
+    y = np.empty(b.shape)
+    for k in range(len(a)):
+        _, y[k], info = _dposv(a[k], b[k], lower=1)
+        if info:
+            raise RuntimeError(
+                f"least-squares system {k} is not positive definite (ridge {ridge[k]:.3g})"
+            )
+    return y
 
 
 def solve_parameter_batch(
@@ -328,9 +326,9 @@ def solve_parameter_batch(
     Gram combination bordered by its parameter's singular columns, padded
     to the batch's largest count with an identity block and a zero
     right-hand side, which solve to zero.  The ridge of each system is
-    RIDGE_REL times the mean diagonal of its unpadded matrix, or ``ridge``.
-    Residuals are the rows of B y - l, so the loss of parameter k is exactly
-    ||r_int[:, k]||^2 + ||r_jump[:, k]||^2.
+    RIDGE_REL times the mean diagonal of its unpadded matrix (RIDGE_REL
+    where that mean is 0), or ``ridge``.  The loss of parameter k is
+    ||B y - l||^2 over its interior and jump rows.
     """
     if cache.gram is None:
         raise ValueError("cache was built without Gram blocks")
@@ -345,14 +343,10 @@ def solve_parameter_batch(
     a_nn = (coef @ gram.combined).reshape(n_p, n, n)
     b_nn = coef[:, :n_sub] @ gram.b_sq + parameters @ gram.b_lin
 
-    sw_int = cache.sqrt_w_int
-    c = sw_int[:, None] * cache.lap
-    f1 = sw_int * cache.rhs_p_factor
-    f0 = sw_int * cache.rhs_fixed
+    c, f1, f0 = cache.wlap, cache.wrhs_p, cache.wrhs_fixed
     p_int = parameters[:, cache.quad.interior_subdomain].T  # (J1, P)
     p_plus = parameters[:, cache.ifc_plus_sub].T
     p_minus = parameters[:, cache.ifc_minus_sub].T
-    sw_j = np.sqrt(gram.theta) * cache.sqrt_w_ifc
 
     sing = singular_evals_per_p or [None] * n_p
     if len(sing) != n_p:
@@ -365,7 +359,7 @@ def solve_parameter_batch(
         padded = np.zeros((n_p, j1, m))
         for k in np.flatnonzero(counts):
             padded[k, :, : counts[k]] = sing[k]
-        us = (sw_int * p_int.T)[:, :, None] * padded  # (P, J1, M) weighted, p-scaled
+        us = (cache.sqrt_w * p_int.T)[:, :, None] * padded  # (P, J1, M) weighted, p-scaled
         border = np.matmul(c.T, p_int.T[:, :, None] * us)  # (P, N, M)
         a = np.empty((n_p, n + m, n + m))
         a[:, :n, :n] = a_nn
@@ -375,7 +369,8 @@ def solve_parameter_batch(
         l_int = p_int * f1[:, None] + f0[:, None]  # (J1, P)
         rhs = np.concatenate([b_nn, -np.einsum("pjm,jp->pm", us, l_int)], axis=1)
     if ridge is None:
-        ridge_vec = RIDGE_REL * np.trace(a, axis1=-2, axis2=-1) / (n + counts)
+        mean_diag = np.trace(a, axis1=-2, axis2=-1) / (n + counts)
+        ridge_vec = RIDGE_REL * np.where(mean_diag > 0, mean_diag, 1.0)
     else:
         ridge_vec = np.full(n_p, float(ridge))
     if m:  # unit diagonal on the padded slots, after the trace was taken
@@ -390,12 +385,15 @@ def solve_parameter_batch(
     r_int += f0[:, None]
     if m:
         r_int += np.einsum("pjm,pm->jp", us, y[:, n:])
-    r_jump = (sw_j[:, None] * cache.trace_plus) @ y_nn.T
+    r_jump = cache.wtrace_plus @ y_nn.T
     r_jump *= p_plus
-    r_jump -= p_minus * ((sw_j[:, None] * cache.trace_minus) @ y_nn.T)
+    r_jump -= p_minus * (cache.wtrace_minus @ y_nn.T)
     losses = np.sum(r_int**2, axis=0) + np.sum(r_jump**2, axis=0)
+    r_int *= p_int  # in place: the residuals become the seeds
+    r_int *= cache.sqrt_w[:, None]
+    r_jump *= cache.sqrt_theta_w[:, None]
     y_sing = [y[k, n : n + c] for k, c in enumerate(counts.tolist())]
-    return BatchSolveResult(y_nn, y_sing, losses, r_int, r_jump, p_int, p_plus, p_minus)
+    return BatchSolveResult(y_nn, y_sing, losses, r_int, p_plus * r_jump, -p_minus * r_jump)
 
 
 def evaluate_solution(coeffs, basis_values, basis_grads, sing_values=None, sing_grads=None):

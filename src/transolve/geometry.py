@@ -257,8 +257,8 @@ def angular_trace(geometry: Geometry, params, vertex_id: int) -> list[tuple[floa
     ]
 
 
-def validate_parameter(geometry: Geometry, params, p_min=None, p_max=None) -> np.ndarray:
-    """Check a diffusivity vector against the geometry and optional range."""
+def validate_parameter(geometry: Geometry, params) -> np.ndarray:
+    """Check a diffusivity vector against the geometry: positive and finite."""
     params = np.asarray(params, dtype=float)
     if params.shape != (geometry.n_subdomains,):
         raise ValueError(
@@ -266,10 +266,6 @@ def validate_parameter(geometry: Geometry, params, p_min=None, p_max=None) -> np
         )
     if np.any(params <= 0) or not np.all(np.isfinite(params)):
         raise ValueError("diffusivities must be positive and finite")
-    if p_min is not None and np.any(params < p_min - 1e-12):
-        raise ValueError("parameter below configured p_min")
-    if p_max is not None and np.any(params > p_max + 1e-12):
-        raise ValueError("parameter above configured p_max")
     return params
 
 

@@ -143,8 +143,6 @@ def sample_collocation(
     """
     if n_interior_per_axis < 1 or n_per_interface < 1:
         raise ValueError("counts must be >= 1")
-    if isinstance(rng, (int, np.integer)):
-        rng = np.random.default_rng(rng)
     interior, w = _jittered_interior(geometry, n_interior_per_axis, rng)
     sub = subdomain_index_many(geometry, interior)
     rng_ifc = rng if rng_interface is None else rng_interface
@@ -164,7 +162,7 @@ def midpoint_grid(geometry: Geometry, n_per_axis: int, n_per_interface: int) -> 
     n centers per subdomain.  Interface midpoints carry their segment
     length over the per-interface count (1D: unit weights at the cuts).
     """
-    if n_per_axis < 1:
+    if n_per_axis < 1 or n_per_interface < 1:
         raise ValueError("counts must be >= 1")
     if geometry.dimension == 1:
         pts, weights, subs = [], [], []

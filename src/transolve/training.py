@@ -10,14 +10,15 @@ every parameter's least-squares system, singular columns included, in one
 batched call through the cached Gram blocks, and the mean squared residual
 is back-propagated to the network weights with the solved coefficients
 held fixed (the derivative of a minimum is the partial derivative at the
-minimizer, so the coefficients contribute no gradient term): the residual
-seeds the adjoints of the two compositions, which seed
-`nets.backward_jets`.  Adam with a linearly interpolated learning rate
-closes the loop.  Validation runs the same path without the gradient, and
-`final_solve` runs it for one parameter on a midpoint grid, then evaluates
-the solution with `singular.eval_s` on the same polar cache.  Checkpoints
-are ``.npz`` arrays with a JSON header and load without unpickling
-anything.
+minimizer, so the coefficients contribute no gradient term): the solve
+returns the adjoint seeds of its raw rows, each seed times the
+coefficients gives the adjoint of one composition, and those seed
+`nets.backward_jets`.  The row weights stay inside `assembly`.  Adam with
+a linearly interpolated learning rate closes the loop.  Validation runs the
+same path without the gradient, and `final_solve` runs it for one parameter
+on a midpoint grid, then evaluates the solution with `singular.eval_s` on
+the same polar cache.  Checkpoints are ``.npz`` arrays with a JSON header
+and load without unpickling anything.
 """
 
 from __future__ import annotations
@@ -122,6 +123,10 @@ class TrainConfig:
             raise ValueError("learning-rate endpoints must satisfy lr_start >= lr_end > 0")
         if self.theta < 0:
             raise ValueError("theta must be nonnegative")
+        if not 0 < self.p_min <= self.p_max:
+            raise ValueError("the parameter range must satisfy 0 < p_min <= p_max")
+        if self.val_every < 1:
+            raise ValueError("val_every must be at least 1")
 
 
 @dataclass
@@ -252,8 +257,8 @@ def loss_and_param_gradient(params: MlpParams, data: EpochData, need_gradient: b
     """Mean squared LS residual over the batch and its gradient in the weights.
 
     The gradient treats every parameter's solved coefficient vector as a
-    constant and back-propagates the residual through the basis Laplacians
-    and one-sided traces only.
+    constant and back-propagates the solve's adjoint seeds through the
+    basis Laplacians and one-sided traces only.
     """
     if data.parameters.shape[0] < 1:
         raise ValueError("empty parameter batch")
@@ -271,11 +276,9 @@ def loss_and_param_gradient(params: MlpParams, data: EpochData, need_gradient: b
     quad = data.quad
     n_int = quad.n_interior
     scale = 2.0 / n_p
-    sw_int = cache.sqrt_w_int
-    sw_ifc = np.sqrt(data.theta) * cache.sqrt_w_ifc
-    w_lap = scale * sw_int[:, None] * ((batch.p_int * batch.r_int) @ batch.y_nn)
-    w_plus = scale * sw_ifc[:, None] * ((batch.p_plus * batch.r_jump) @ batch.y_nn)
-    w_minus = -scale * sw_ifc[:, None] * ((batch.p_minus * batch.r_jump) @ batch.y_nn)
+    w_lap = scale * (batch.seed_int @ batch.y_nn)
+    w_plus = scale * (batch.seed_plus @ batch.y_nn)
+    w_minus = scale * (batch.seed_minus @ batch.y_nn)
 
     n_out = params.config.n_outputs
     d = params.config.input_dim
@@ -411,21 +414,19 @@ def final_solve(
     cutoff_config: CutoffConfig,
     theta: float,
     n_per_axis: int,
-    n_per_interface: int | None = None,
     n_singular: int = 1,
 ):
     """Solve one parameter on a midpoint evaluation grid.
 
-    The grid's least-squares system is solved by `solve_parameter_batch`
-    with a batch of one, as in training.  Returns (coefficients, fields)
+    The grid has ``n_per_axis`` points per axis and per 2D interface.  Its
+    least-squares system is solved by `solve_parameter_batch` with a batch
+    of one, as in training.  Returns (coefficients, fields)
     where fields carries the grid, solution values, gradients and fluxes,
     and the squared residual.  The trained basis is discretization
     invariant, so the grid may be much finer than the training points.
     """
     parameter = validate_parameter(geometry, parameter)
-    if n_per_interface is None:
-        n_per_interface = n_per_axis
-    quad = midpoint_grid(geometry, n_per_axis, n_per_interface)
+    quad = midpoint_grid(geometry, n_per_axis, n_per_axis)
     cfg = params.config
     pairs = vertex_eigenpairs(geometry, parameter[None, :], n_singular)[0]
     data = EpochData(geometry, cutoff_config, rhs, quad, parameter[None, :], [pairs], theta)

@@ -34,10 +34,9 @@ def geom_2x2():
     return build_grid_geometry(2, cuts_x=[0.0], cuts_y=[0.0], bounds=[(-1, 1), (-1, 1)])
 
 
-def make_cache(geometry, net_cfg, seed=0, n_int=12, n_ifc=6, theta=1.0, rhs_tag=None):
+def raw_rows(geometry, net_cfg, seed=0, n_int=12, n_ifc=6):
+    """Cutoff config, quadrature, and the unweighted Laplacians and traces."""
     cfg = default_cutoff_config(geometry)
-    rhs_tag = rhs_tag or ("sin1d" if geometry.dimension == 1 else "corner2d")
-    rhs = RhsSpec.for_geometry(rhs_tag, geometry)
     quad = sample_collocation(geometry, n_int, n_ifc, np.random.default_rng(seed))
     params = init_params(net_cfg, seed + 1)
     jets = forward_jets(params, quad.interior_points)
@@ -54,16 +53,22 @@ def make_cache(geometry, net_cfg, seed=0, n_int=12, n_ifc=6, theta=1.0, rhs_tag=
     ifc_jets = forward_jets(params, quad.interface_points)
     tr_minus = tf.a_minus * ifc_jets.value + np.einsum("jnd,jnd->jn", tf.d_coef, ifc_jets.gradient)
     tr_plus = tf.a_plus * ifc_jets.value + np.einsum("jnd,jnd->jn", tf.d_coef, ifc_jets.gradient)
-    return build_epoch_cache(geometry, cfg, quad, lap, tr_minus, tr_plus, rhs, theta=theta)
+    return cfg, quad, lap, tr_minus, tr_plus
+
+
+def make_cache(geometry, net_cfg, seed=0, n_int=12, n_ifc=6, theta=1.0):
+    rhs = RhsSpec.for_geometry("sin1d" if geometry.dimension == 1 else "corner2d", geometry)
+    rows = raw_rows(geometry, net_cfg, seed, n_int, n_ifc)
+    return build_epoch_cache(geometry, *rows, rhs, theta=theta)
 
 
 def test_cache_shapes_toy():
     g = build_grid_geometry(1, cuts_x=[0.5], bounds=[(0, 1)])
     cfg = NetConfig(1, (3,), 1, 1)
     cache = make_cache(g, cfg, n_int=3, n_ifc=1)
-    assert cache.lap.shape == (6, 2)  # 3 per subdomain
-    assert cache.trace_minus.shape == (1, 2)
-    assert cache.trace_plus.shape == (1, 2)
+    assert cache.wlap.shape == (6, 2)  # 3 per subdomain
+    assert cache.wtrace_minus.shape == (1, 2)
+    assert cache.wtrace_plus.shape == (1, 2)
 
 
 def test_cache_deterministic():
@@ -71,32 +76,33 @@ def test_cache_deterministic():
     cfg = NetConfig(1, (4,), 2, 3)
     c1 = make_cache(g, cfg, seed=5)
     c2 = make_cache(g, cfg, seed=5)
-    np.testing.assert_array_equal(c1.lap, c2.lap)
-    np.testing.assert_array_equal(c1.trace_plus, c2.trace_plus)
+    np.testing.assert_array_equal(c1.wlap, c2.wlap)
+    np.testing.assert_array_equal(c1.wtrace_plus, c2.wtrace_plus)
 
 
 def test_direct_assembly_equals_cache_based():
     """The cache-based matrix equals a pointwise direct assembly bit-for-bit."""
     g = geom_1d()
     cfg = NetConfig(1, (5,), 2, 4)
-    cache = make_cache(g, cfg, seed=2)
+    rows = raw_rows(g, cfg, seed=2)
+    _, quad, lap, tr_minus, tr_plus = rows
+    theta = 1.0
+    cache = build_epoch_cache(g, *rows, RhsSpec.for_geometry("sin1d", g), theta=theta)
     rng = np.random.default_rng(3)
     p = rng.uniform(0.5, 5.0, size=5)
-    theta = 1.0
     sys_cache = assemble_system(cache, p, None, theta)
 
-    # direct oracle: recompute each entry from the cached jets without the
+    # direct oracle: recompute each entry from the raw jets without the
     # row-block structure
-    j1 = cache.quad.n_interior
+    j1 = quad.n_interior
     direct = np.zeros_like(sys_cache.matrix)
     for j in range(j1):
-        pj = p[cache.quad.interior_subdomain[j]]
-        direct[j] = np.sqrt(cache.quad.interior_weights[j]) * pj * cache.lap[j]
-    for k in range(cache.quad.n_interface):
-        pm = p[cache.ifc_minus_sub[k]]
-        pp = p[cache.ifc_plus_sub[k]]
-        direct[j1 + k] = np.sqrt(theta * cache.quad.interface_weights[k]) * (
-            pp * cache.trace_plus[k] - pm * cache.trace_minus[k]
+        pj = p[quad.interior_subdomain[j]]
+        direct[j] = np.sqrt(quad.interior_weights[j]) * pj * lap[j]
+    for k in range(quad.n_interface):
+        ifc = g.interfaces[quad.interface_ids[k]]
+        direct[j1 + k] = np.sqrt(theta * quad.interface_weights[k]) * (
+            p[ifc.plus] * tr_plus[k] - p[ifc.minus] * tr_minus[k]
         )
     scale = np.abs(direct) + np.finfo(float).tiny
     assert np.max(np.abs(direct - sys_cache.matrix) / scale) <= 4 * np.finfo(float).eps
@@ -105,7 +111,7 @@ def test_direct_assembly_equals_cache_based():
 def test_theta_zero_kills_jump_rows():
     g = geom_1d()
     cfg = NetConfig(1, (5,), 2, 4)
-    cache = make_cache(g, cfg)
+    cache = make_cache(g, cfg, theta=0.0)
     sys0 = assemble_system(cache, np.ones(5), None, 0.0)
     np.testing.assert_array_equal(sys0.matrix[cache.quad.n_interior :], 0.0)
     np.testing.assert_array_equal(sys0.rhs[cache.quad.n_interior :], 0.0)
@@ -232,15 +238,15 @@ def test_batch_mixes_singular_column_counts():
         assert batch.losses[k] == pytest.approx(res, rel=1e-12)
 
 
-def test_batch_ridge_escalation_is_per_system():
-    """With ridge 0, a parameter whose singular column is dead fails its
-    Cholesky and is retried with a ridge; the others keep ridge 0."""
+def test_batch_dead_singular_column_is_per_system():
+    """Under the default ridge a dead (all-zero) singular column solves to 0,
+    and the other parameters of the batch solve as they do alone."""
     g = geom_1d()
     cache = make_cache(g, NetConfig(1, (6,), 3, 5), seed=4, n_int=20)
     params = np.random.default_rng(9).uniform(0.5, 10.0, size=(3, 5))
     dead = np.zeros((cache.quad.n_interior, 1))
-    batch = solve_parameter_batch(cache, params, [None, dead, None], ridge=0.0)
-    alone = solve_parameter_batch(cache, params, ridge=0.0)
+    batch = solve_parameter_batch(cache, params, [None, dead, None])
+    alone = solve_parameter_batch(cache, params)
     # cond(A) is about 2e8 here: padding moves y by 1e-8, a ridge of 1e-10 by 4e-5
     for k in (0, 2):
         tol = 1e-6 * np.abs(alone.y_nn[k]).max()
@@ -248,6 +254,40 @@ def test_batch_ridge_escalation_is_per_system():
         assert batch.losses[k] == pytest.approx(alone.losses[k], rel=1e-12)
     assert batch.y_sing[1].tolist() == [0.0]
     assert batch.losses[1] == pytest.approx(alone.losses[1], rel=1e-6)
+
+
+def test_batch_zero_basis_solves_to_zero():
+    """A zero normal matrix has mean diagonal 0; its ridge is RIDGE_REL, so
+    the solve gives y = 0 and the loss of the zero candidate."""
+    g = geom_1d()
+    quad = sample_collocation(g, 6, 1, np.random.default_rng(0))
+    lap, trace = np.zeros((quad.n_interior, 3)), np.zeros((quad.n_interface, 3))
+    rhs = RhsSpec.for_geometry("sin1d", g)
+    cache = build_epoch_cache(g, default_cutoff_config(g), quad, lap, trace, trace, rhs)
+    params = np.random.default_rng(1).uniform(0.5, 10.0, size=(2, 5))
+    batch = solve_parameter_batch(cache, params)
+    assert batch.y_nn.tolist() == [[0.0] * 3] * 2
+    for k in range(2):
+        l = assemble_system(cache, params[k], None, 1.0).rhs
+        assert batch.losses[k] == pytest.approx(l @ l, rel=1e-14)
+
+
+def test_batch_singular_system_raises_named():
+    """With ridge 0 a dead singular column makes its system singular: the
+    solve raises and names that system, and no ridge is retried."""
+    g = geom_1d()
+    cache = make_cache(g, NetConfig(1, (6,), 3, 5), seed=4, n_int=20)
+    params = np.random.default_rng(9).uniform(0.5, 10.0, size=(3, 5))
+    dead = np.zeros((cache.quad.n_interior, 1))
+    with pytest.raises(RuntimeError, match="system 1 "):
+        solve_parameter_batch(cache, params, [None, dead, None], ridge=0.0)
+    solve_parameter_batch(cache, params, ridge=0.0)  # the live systems alone solve
+
+
+def test_assemble_system_rejects_another_theta():
+    cache = make_cache(geom_1d(), NetConfig(1, (4,), 1, 2), theta=2.0)
+    with pytest.raises(ValueError, match="theta"):
+        assemble_system(cache, np.ones(5), None, 1.0)
 
 
 @pytest.mark.parametrize("bad", [-3.0, 0.0, np.nan, np.inf])
@@ -290,7 +330,7 @@ def test_singular_evals_cache_matches_direct():
 def test_singular_columns_zero_on_jump_rows():
     g = geom_2x2()
     cfg = NetConfig(2, (5,), 1, 2)
-    cache = make_cache(g, cfg, seed=14, n_int=10, n_ifc=4)
+    cache = make_cache(g, cfg, seed=14, n_int=10, n_ifc=4, theta=5.0)
     p = np.array([1.0, 8.0, 8.0, 1.0])
     pairs = solve_eigenpairs(assemble_eigensystem(angular_trace(g, p, 0)))
     sing = singular_evals_from_cache(cache.polar, [select_singular(pairs, 1)])

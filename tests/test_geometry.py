@@ -191,8 +191,8 @@ def test_validate_parameter():
     with pytest.raises(ValueError):
         validate_parameter(g, [1, 2, -3, 4, 5])
     with pytest.raises(ValueError):
-        validate_parameter(g, np.ones(5) * 100, p_min=0.1, p_max=50)
-    validate_parameter(g, np.ones(5), p_min=0.5, p_max=2)
+        validate_parameter(g, [1, 2, np.inf, 4, 5])
+    np.testing.assert_array_equal(validate_parameter(g, [1, 2, 3, 4, 5]), [1, 2, 3, 4, 5])
 
 
 def test_subdomain_index_many_matches_scalar():

@@ -193,6 +193,11 @@ def test_midpoint_rejects_centers_on_interfaces():
         midpoint_grid(g, 3, 2)  # odd count puts centers on the cut lines
 
 
+def test_midpoint_rejects_zero_interface_count():
+    with pytest.raises(ValueError):
+        midpoint_grid(geom_2x2(), 4, 0)
+
+
 def test_midpoint_2d_without_cuts_has_empty_interface_arrays():
     q = midpoint_grid(build_grid_geometry(2, bounds=[(-1, 1), (-1, 1)]), 4, 2)
     assert q.interface_points.shape == (0, 2)

@@ -72,6 +72,33 @@ def test_loss_nonnegative_and_epoch_runs():
     assert state.best_val is not None  # val cadence 2 must have fired
 
 
+@pytest.mark.parametrize(
+    "bad", [dict(val_every=0), dict(p_min=5.0, p_max=1.0), dict(p_min=0.0)]
+)
+def test_config_rejects_bad_values_when_built(bad):
+    """Caught when the config is built: val_every=0 would divide by zero at
+    the first validation, and p_min > p_max would draw from [p_max, p_min]."""
+    with pytest.raises(ValueError):
+        small_config(**bad)
+
+
+def test_run_epoch_wraps_singular_solve_in_epoch_error(monkeypatch):
+    """A solve that raises (a zero basis under ridge 0) surfaces as
+    EpochError with the epoch and the failing system named."""
+    g = geom_1d()
+    cfg = small_config()
+    net = NetConfig(1, (4,), 2, 3)
+    state = init_train_state(g, net, cfg)
+    state.params = MlpParams.from_flat(net, np.zeros(state.params.n_params))
+    monkeypatch.setattr(
+        "transolve.training.solve_parameter_batch",
+        lambda *args, **kw: solve_parameter_batch(*args, **kw, ridge=0.0),
+    )
+    rhs = RhsSpec.for_geometry("sin1d", g)
+    with pytest.raises(EpochError, match="epoch 0: least-squares system 0 "):
+        run_epoch(state, cfg, g, rhs, default_cutoff_config(g), None)
+
+
 def test_empty_parameter_batch_rejected():
     g = geom_1d()
     net = NetConfig(1, (4,), 2, 3)
@@ -153,6 +180,33 @@ def test_danskin_gradient_fd_multi_subdomain():
         assert float(grad @ direction) == pytest.approx(fd, rel=2e-3, abs=1e-10)
 
 
+def test_danskin_gradient_fd_2d_with_singular_columns():
+    """2D: non-unit interface weights, Theta != 1 and singular columns all
+    enter the adjoint seeds."""
+    g = build_grid_geometry(2, cuts_x=[0.0], cuts_y=[0.0], bounds=[(-1, 1), (-1, 1)])
+    net = NetConfig(2, (6,), 2, 4)
+    rhs = RhsSpec.for_geometry("corner2d", g)
+    quad = sample_collocation(g, 10, 6, np.random.default_rng(7))
+    params_batch = np.array([[1.0, 8.0, 8.0, 1.0], [2.0, 0.5, 1.0, 3.0]])
+    pairs = vertex_eigenpairs(g, params_batch, 1)
+    assert any(pairs[0])
+    data = EpochData(g, default_cutoff_config(g), rhs, quad, params_batch, pairs, 4.0)
+    params = init_params(net, 41)
+    _, grad = loss_and_param_gradient(params, data)
+    rng = np.random.default_rng(8)
+    flat = params.to_flat()
+    h = 1e-5
+
+    def loss_at(v):
+        return loss_and_param_gradient(MlpParams.from_flat(net, v), data, need_gradient=False)[0]
+
+    for _ in range(3):
+        direction = rng.normal(size=grad.size)
+        direction /= np.linalg.norm(direction)
+        fd = (loss_at(flat + h * direction) - loss_at(flat - h * direction)) / (2 * h)
+        assert float(grad @ direction) == pytest.approx(fd, rel=2e-3, abs=1e-10)
+
+
 def test_determinism_bit_identical_losses():
     g = geom_1d()
     cfg = small_config(iterations=3)
@@ -201,7 +255,7 @@ def test_exact_solution_injection_drives_epoch_loss_to_zero():
     params = rng.uniform(0.01, 50.0, size=(64, 5))
     batch = solve_parameter_batch(cache, params, ridge=0.0)
     # problem scale: the loss of the zero candidate, mean ||l||^2 over the batch
-    f0 = cache.sqrt_w_int * cache.rhs_fixed
+    f0 = cache.wrhs_fixed
     scale = float(np.sum(f0**2))
     assert np.mean(batch.losses) <= 1e-16 * scale
 
