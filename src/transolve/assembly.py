@@ -44,6 +44,7 @@ __all__ = [
     "LsSystem",
     "CoefficientVector",
     "BatchSolveResult",
+    "SolveError",
     "build_epoch_cache",
     "assemble_system",
     "solve_normal_equations",
@@ -292,12 +293,21 @@ class BatchSolveResult:
     seed_minus: np.ndarray  # (J2, P) -sqrt(Theta w) p_minus r_jump
 
 
+class SolveError(RuntimeError):
+    """A system of a batch that is not positive definite; ``index`` is its
+    position in the batch."""
+
+    def __init__(self, index: int, message: str):
+        self.index = index
+        super().__init__(message)
+
+
 def _cholesky_solve(a: np.ndarray, b: np.ndarray, ridge: np.ndarray) -> np.ndarray:
     """Solve every system (a[k] + ridge[k] I) y[k] = b[k] of an SPD stack.
 
     Each system is one LAPACK dposv call: NumPy's batched Cholesky does not
     say which system failed, and it has no batched triangular solve.  A
-    system that is not positive definite raises RuntimeError naming it.
+    system that is not positive definite raises SolveError naming it.
     ``a`` is overwritten.
     """
     n = a.shape[-1]
@@ -307,8 +317,8 @@ def _cholesky_solve(a: np.ndarray, b: np.ndarray, ridge: np.ndarray) -> np.ndarr
     for k in range(len(a)):
         _, y[k], info = _dposv(a[k], b[k], lower=1)
         if info:
-            raise RuntimeError(
-                f"least-squares system {k} is not positive definite (ridge {ridge[k]:.3g})"
+            raise SolveError(
+                k, f"least-squares system {k} is not positive definite (ridge {ridge[k]:.3g})"
             )
     return y
 

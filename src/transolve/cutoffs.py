@@ -12,14 +12,16 @@ Four families, all with analytic value, gradient and Laplacian:
 * the radial transition eta itself, a C^2 quintic smoothstep equal to 1
   inside delta1 and 0 outside delta2.
 
-Composed basis functions are w = B * (wbar ⊙ Phi1) and
-v = B * (vbar ⊙ Psi ⊙ Phi2).  Output n is c_n * raw_n with a composite
-cutoff scalar c_n.  Only a few of the c_n are distinct, B * phi_v per vertex
-v and B * psi_a * phi_v per interface axis a and vertex v, so each is built
-once and gathered to the outputs with one index array.  `compose` applies
-the exact second-order product rule to raw network jets at interior
-points, and `compose_traces` gives the one-sided normal traces at
-interface points, where Psi kinks.
+Every field is a `nets.Jets`.  Composed basis functions are
+w = B * (wbar ⊙ Phi1) and v = B * (vbar ⊙ Psi ⊙ Phi2).  Output n is
+c_n * raw_n with a composite cutoff scalar c_n.  Only a few of the c_n are
+distinct, B * phi_v per vertex v and B * psi_a * phi_v per interface axis a
+and vertex v, so each is built once, by the `Jets` product, and gathered to
+the outputs with one index array.  `composition_factors` returns the
+(J, n1 + n2) jets of the c_n at interior points, and their product
+``factors * raw`` with the network jets is the composed basis there.
+`compose_traces` gives the one-sided normal traces at interface points,
+where Psi kinks and the product rule does not apply.
 """
 
 from __future__ import annotations
@@ -29,18 +31,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import Geometry
+from .nets import Jets
 
 __all__ = [
     "CutoffConfig",
-    "ScalarJet",
     "default_cutoff_config",
     "eta_jet",
     "boundary_cutoff_jet",
     "jump_adf_jet",
-    "exclusion_vectors_jet",
     "composition_factors",
     "interface_trace_factors",
-    "compose",
     "compose_traces",
     "interface_lines",
 ]
@@ -56,29 +56,6 @@ class CutoffConfig:
     def __post_init__(self):
         if not 0 < self.delta1 < self.delta2:
             raise ValueError("need 0 < delta1 < delta2")
-
-
-@dataclass
-class ScalarJet:
-    """Value, gradient and Laplacian of a scalar field at points."""
-
-    value: np.ndarray  # (J,)
-    gradient: np.ndarray  # (J, d)
-    laplacian: np.ndarray  # (J,)
-
-    def __mul__(self, other: "ScalarJet") -> "ScalarJet":
-        v = self.value * other.value
-        g = self.value[:, None] * other.gradient + other.value[:, None] * self.gradient
-        lap = (
-            self.value * other.laplacian
-            + other.value * self.laplacian
-            + 2.0 * np.sum(self.gradient * other.gradient, axis=1)
-        )
-        return ScalarJet(v, g, lap)
-
-    @staticmethod
-    def ones(n: int, d: int) -> "ScalarJet":
-        return ScalarJet(np.ones(n), np.zeros((n, d)), np.zeros(n))
 
 
 def default_cutoff_config(geometry: Geometry) -> CutoffConfig:
@@ -122,25 +99,19 @@ def eta_jet(r, config: CutoffConfig):
     return 1.0 - s, -ds, -dds
 
 
-def boundary_cutoff_jet(points: np.ndarray, geometry: Geometry) -> ScalarJet:
-    """Tensor-product parabola vanishing on the outer boundary, max 1."""
+def boundary_cutoff_jet(points: np.ndarray, geometry: Geometry) -> Jets:
+    """Tensor-product parabola vanishing on the outer boundary, max 1: the
+    product of one parabola per axis."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
     n, d = points.shape
-    facs, dfacs, ddfacs = [], [], []
+    jet = Jets.ones(n, d)
     for k, (a, b) in enumerate(geometry.bounds):
         x = points[:, k]
         norm = ((b - a) / 2) ** 2
-        facs.append((x - a) * (b - x) / norm)
-        dfacs.append((a + b - 2 * x) / norm)
-        ddfacs.append(np.full(n, -2.0 / norm))
-    value = np.prod(facs, axis=0)
-    grad = np.empty((n, d))
-    lap = np.zeros(n)
-    for k in range(d):
-        others = np.prod([facs[m] for m in range(d) if m != k], axis=0) if d > 1 else 1.0
-        grad[:, k] = dfacs[k] * others
-        lap += ddfacs[k] * others
-    return ScalarJet(value, grad, lap)
+        grad = np.zeros((n, d))
+        grad[:, k] = (a + b - 2 * x) / norm
+        jet = jet * Jets((x - a) * (b - x) / norm, grad, np.full(n, -2.0 / norm))
+    return jet
 
 
 def interface_lines(geometry: Geometry, axis=None) -> list[tuple[int, float]]:
@@ -157,7 +128,7 @@ def interface_lines(geometry: Geometry, axis=None) -> list[tuple[int, float]]:
     return seen
 
 
-def jump_adf_jet(points: np.ndarray, lines: list[tuple[int, float]]) -> ScalarJet:
+def jump_adf_jet(points: np.ndarray, lines: list[tuple[int, float]]) -> Jets:
     """Normalized approximate distance psi = (sum_g d_g^-2)^(-1/2).
 
     d_g is the perpendicular distance to interface line g.  psi vanishes on
@@ -181,10 +152,10 @@ def jump_adf_jet(points: np.ndarray, lines: list[tuple[int, float]]) -> ScalarJe
     value = s**-0.5
     grad = -0.5 * s[:, None] ** -1.5 * ds
     lap = 0.75 * s**-2.5 * np.sum(ds * ds, axis=1) - 0.5 * s**-1.5 * lap_s
-    return ScalarJet(value, grad, lap)
+    return Jets(value, grad, lap)
 
 
-def _phi_jets(points: np.ndarray, geometry: Geometry, config: CutoffConfig) -> list[ScalarJet]:
+def _phi_jets(points: np.ndarray, geometry: Geometry, config: CutoffConfig) -> list[Jets]:
     """phi_n = 1 - eta(|x - x_n|) for every singular vertex, full jets."""
     points = np.atleast_2d(points)
     n, d = points.shape
@@ -201,7 +172,7 @@ def _phi_jets(points: np.ndarray, geometry: Geometry, config: CutoffConfig) -> l
         flat = r <= config.delta1
         grad[flat] = 0.0
         lap[flat] = 0.0
-        jets.append(ScalarJet(1.0 - eta, grad, lap))
+        jets.append(Jets(1.0 - eta, grad, lap))
     return jets
 
 
@@ -215,11 +186,11 @@ def _block_sizes(n1: int, n2: int, n_singular: int) -> tuple[int, int]:
     return n1 // n_singular, n2 // (2 * n_singular)
 
 
-def _phi_list(points: np.ndarray, geometry: Geometry, config: CutoffConfig) -> list[ScalarJet]:
+def _phi_list(points: np.ndarray, geometry: Geometry, config: CutoffConfig) -> list[Jets]:
     """The distinct exclusion factors: phi_v per vertex, or one all-ones jet
     when there is no singular vertex (always in 1D)."""
     if geometry.dimension == 1 or geometry.n_singular == 0:
-        return [ScalarJet.ones(*points.shape)]
+        return [Jets.ones(*points.shape)]
     return _phi_jets(points, geometry, config)
 
 
@@ -246,47 +217,20 @@ def _column_axes(geometry: Geometry, n2: int) -> np.ndarray:
     return (np.arange(n2) >= n2 // 2).astype(int)
 
 
-def exclusion_vectors_jet(points, geometry: Geometry, config: CutoffConfig, n1: int, n2: int):
-    """Block-constant exclusion vectors Phi1 (length n1) and Phi2 (length n2).
-
-    Phi1 repeats phi_n in blocks of n1/N_s; Phi2 is two copies of the
-    analogous n2/2 block vector.  1D geometries return all-ones vectors.
-    Returns two lists of ScalarJet, one per output component.
-    """
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    phi = _phi_list(points, geometry, config)
-    w_idx, v_idx = _column_vertices(geometry, n1, n2)
-    return [phi[i] for i in w_idx], [phi[i] for i in v_idx]
-
-
-@dataclass
-class CompositionFactors:
-    """Composite cutoff scalar c_n per output with gradient and Laplacian.
-
-    For output n the composed basis is c_n * raw_n, so
-    grad = c grad_raw + raw grad_c and lap = c lap_raw + 2 grad_c.grad_raw
-    + raw lap_c.
-    """
-
-    value: np.ndarray  # (J, N)
-    gradient: np.ndarray  # (J, N, d)
-    laplacian: np.ndarray  # (J, N)
-
-
 def _distinct_factors(points, geometry, config, psis, n1, n2):
     """Every distinct cutoff factor, stacked, and the factor of each output.
 
     The factors are B * phi_v per vertex v, then B * psi_a * phi_v per
     interface axis a and vertex v, for the jump cutoffs ``psis`` (one per
-    axis).  Returns the stack as CompositionFactors of shape (J, F, ...)
-    and the (n1 + n2,) index of each output's factor in it.
+    axis).  Returns the stack as (J, F) Jets and the (n1 + n2,) index of
+    each output's factor in it.
     """
     bjet = boundary_cutoff_jet(points, geometry)
     phis = _phi_list(points, geometry, config)
     jets = [bjet * phi for phi in phis] + [bjet * psi * phi for psi in psis for phi in phis]
     w_idx, v_idx = _column_vertices(geometry, n1, n2)
     cols = np.concatenate([w_idx, len(phis) * (1 + _column_axes(geometry, n2)) + v_idx])
-    stack = CompositionFactors(
+    stack = Jets(
         np.stack([j.value for j in jets], axis=1),
         np.stack([j.gradient for j in jets], axis=1),
         np.stack([j.laplacian for j in jets], axis=1),
@@ -301,18 +245,20 @@ def _axis_lines(geometry: Geometry) -> list[list[tuple[int, float]]]:
 
 def composition_factors(
     points, geometry: Geometry, config: CutoffConfig, n1: int, n2: int
-) -> CompositionFactors:
-    """Cutoff factors for all n1 + n2 outputs at interior points."""
+) -> Jets:
+    """(J, n1 + n2) jets of the cutoff factors c_n at interior points.
+
+    The composed basis there is ``factors * raw`` for (J, n1 + n2) raw
+    network jets; boundary points give exact zeros.
+    """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     n, d = points.shape
     psis = [
-        jump_adf_jet(points, lines) if lines else ScalarJet.ones(n, d)
+        jump_adf_jet(points, lines) if lines else Jets.ones(n, d)
         for lines in _axis_lines(geometry)
     ]
     stack, cols = _distinct_factors(points, geometry, config, psis, n1, n2)
-    return CompositionFactors(
-        stack.value[:, cols], stack.gradient[:, cols], stack.laplacian[:, cols]
-    )
+    return Jets(stack.value[:, cols], stack.gradient[:, cols], stack.laplacian[:, cols])
 
 
 @dataclass
@@ -344,7 +290,7 @@ def interface_trace_factors(
     # A point on a line of psi_a's own set is where psi_a kinks.
     on_own = np.stack([interface_axes == a for a in range(geometry.dimension)], axis=1)
     psis = [
-        _safe_psi_jet(points, lines, on_own[:, a]) if lines else ScalarJet.ones(n, d)
+        _safe_psi_jet(points, lines, on_own[:, a]) if lines else Jets.ones(n, d)
         for a, lines in enumerate(_axis_lines(geometry))
     ]
     stack, cols = _distinct_factors(points, geometry, config, psis, n1, n2)
@@ -362,7 +308,7 @@ def interface_trace_factors(
     return InterfaceTraceFactors(a_minus, a_plus, d_coef)
 
 
-def _safe_psi_jet(points, lines, on_own_mask) -> ScalarJet:
+def _safe_psi_jet(points, lines, on_own_mask) -> Jets:
     """psi jet where own-line points (psi = 0, kink) are masked out."""
     pts = points.copy()
     if np.any(on_own_mask):
@@ -374,33 +320,9 @@ def _safe_psi_jet(points, lines, on_own_mask) -> ScalarJet:
     return jet
 
 
-def compose(factors: CompositionFactors, jets):
-    """Apply the cutoffs to raw network jets at the factors' (interior) points.
-
-    ``jets`` carries the raw ``value`` (J, N), ``gradient`` (J, N, d) and
-    ``laplacian`` (J, N), as `nets.RawJets` does.  Returns the composed
-    (values, gradients, laplacians) of c_n * raw_n by the product rule;
-    boundary points yield exact zeros.
-    """
-    if jets.value.shape != factors.value.shape:
-        raise ValueError(
-            f"raw jets of shape {jets.value.shape} do not match the cutoff factors "
-            f"{factors.value.shape}"
-        )
-    c, raw = factors.value, jets.value
-    values = c * raw
-    grads = c[:, :, None] * jets.gradient + raw[:, :, None] * factors.gradient
-    laps = (
-        c * jets.laplacian
-        + 2.0 * np.einsum("jnd,jnd->jn", factors.gradient, jets.gradient)
-        + raw * factors.laplacian
-    )
-    return values, grads, laps
-
-
-def compose_traces(factors: InterfaceTraceFactors, jets):
-    """One-sided normal traces (minus, plus) of the composed basis from raw
-    network jets at the factors' interface points."""
+def compose_traces(factors: InterfaceTraceFactors, jets: Jets):
+    """One-sided normal traces (minus, plus) of the composed basis from the
+    (J2, N) raw network jets at the factors' interface points."""
     if jets.value.shape != factors.a_plus.shape:
         raise ValueError(
             f"raw jets of shape {jets.value.shape} do not match the trace factors "

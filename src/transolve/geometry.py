@@ -257,6 +257,14 @@ def angular_trace(geometry: Geometry, params, vertex_id: int) -> list[tuple[floa
     ]
 
 
+class ParameterError(ValueError):
+    """A diffusivity row that is not positive and finite; ``index`` is its row."""
+
+    def __init__(self, index: int, message: str):
+        self.index = index
+        super().__init__(message)
+
+
 def validate_parameter(geometry: Geometry, params) -> np.ndarray:
     """Check a diffusivity vector against the geometry: positive and finite."""
     params = np.asarray(params, dtype=float)
@@ -264,14 +272,14 @@ def validate_parameter(geometry: Geometry, params) -> np.ndarray:
         raise ValueError(
             f"parameter length {params.shape} does not match {geometry.n_subdomains} subdomains"
         )
-    if np.any(params <= 0) or not np.all(np.isfinite(params)):
-        raise ValueError("diffusivities must be positive and finite")
-    return params
+    return validate_parameter_batch(geometry, params[None, :])[0]
 
 
 def validate_parameter_batch(geometry: Geometry, params) -> np.ndarray:
-    """Check every row of a (P, I) parameter batch as validate_parameter
-    checks one vector; the error names the first row at fault."""
+    """Check every row of a (P, I) parameter batch: positive and finite.
+
+    A row at fault raises ParameterError carrying the first such row.
+    """
     params = np.asarray(params, dtype=float)
     if params.ndim != 2 or params.shape[1] != geometry.n_subdomains:
         raise ValueError(
@@ -280,5 +288,7 @@ def validate_parameter_batch(geometry: Geometry, params) -> np.ndarray:
         )
     bad = np.flatnonzero(np.any(params <= 0, axis=1) | ~np.all(np.isfinite(params), axis=1))
     if bad.size:
-        raise ValueError(f"parameter row {bad[0]}: diffusivities must be positive and finite")
+        raise ParameterError(
+            int(bad[0]), f"parameter row {bad[0]}: diffusivities must be positive and finite"
+        )
     return params

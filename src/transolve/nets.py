@@ -12,6 +12,11 @@ Laplacian of a layer's output needs only the Laplacian and the gradient of
 its input ("forward Laplacian", Li et al. 2023).  The jets of a layer are
 stacked into one (2 + d, J, m) array, so its affine map is a single matrix
 product.
+
+`Jets` is the one (value, gradient, Laplacian) type of the package: the
+network returns its outputs as `Jets`, the cutoff fields are `Jets`, and
+`Jets.__mul__` is the one second-order product rule, which both builds the
+cutoff factors and applies them to the network outputs.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ import numpy as np
 __all__ = [
     "NetConfig",
     "MlpParams",
-    "RawJets",
+    "Jets",
     "AdamState",
     "init_params",
     "forward_jets",
@@ -98,16 +103,44 @@ def init_params(config: NetConfig, seed: int) -> MlpParams:
 
 
 @dataclass
-class RawJets:
-    """Values, gradients and Laplacians of all outputs at a point batch."""
+class Jets:
+    """Values, gradients and Laplacians of fields at a point batch.
 
-    value: np.ndarray  # (J, N)
-    gradient: np.ndarray  # (J, N, d)
-    laplacian: np.ndarray  # (J, N)
+    The leading shape (...) is any, points first: (J,) for one scalar
+    field, (J, N) for N fields.  The gradient adds a trailing axis of
+    length d.
+    """
 
-    def rows(self, index) -> "RawJets":
+    value: np.ndarray  # (...)
+    gradient: np.ndarray  # (..., d)
+    laplacian: np.ndarray  # (...)
+
+    def rows(self, index) -> "Jets":
         """The jets at a subset of the points (any numpy row index)."""
-        return RawJets(self.value[index], self.gradient[index], self.laplacian[index])
+        return Jets(self.value[index], self.gradient[index], self.laplacian[index])
+
+    @staticmethod
+    def ones(shape, d: int) -> "Jets":
+        """The constant field 1 on a leading shape, in d dimensions."""
+        value = np.ones(shape)
+        return Jets(value, np.zeros(value.shape + (d,)), np.zeros(value.shape))
+
+    def __mul__(self, other: "Jets") -> "Jets":
+        """Pointwise product by the second-order product rule:
+        grad(fg) = f grad g + g grad f, lap(fg) = f lap g + 2 grad f . grad g + g lap f.
+        """
+        if self.value.shape != other.value.shape:
+            raise ValueError(
+                f"jets of shape {self.value.shape} and {other.value.shape} do not match"
+            )
+        f, g = self.value, other.value
+        return Jets(
+            f * g,
+            f[..., None] * other.gradient + g[..., None] * self.gradient,
+            f * other.laplacian
+            + 2.0 * np.einsum("...d,...d->...", self.gradient, other.gradient)
+            + g * self.laplacian,
+        )
 
 
 @dataclass
@@ -159,7 +192,7 @@ def forward_jets(params: MlpParams, points: np.ndarray, need_tape: bool = False)
             tape.pre.append(z)
             tape.t.append(t)
         x = out
-    jets = RawJets(x[0], np.moveaxis(x[1 : 1 + d], 0, -1), x[1 + d])
+    jets = Jets(x[0], np.moveaxis(x[1 : 1 + d], 0, -1), x[1 + d])
     return (jets, tape) if need_tape else jets
 
 

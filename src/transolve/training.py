@@ -2,12 +2,14 @@
 
 Each epoch draws a parameter batch and fresh collocation points, solves the
 angular eigenproblems the batch needs (2D), and evaluates the network's
-value, gradient and Laplacian once at all interior and interface points.
-`cutoffs.compose` turns the interior jets into the Laplacians of the
-composed basis and `cutoffs.compose_traces` the interface jets into its
-one-sided normal traces.  `assembly.solve_parameter_batch` then solves
-every parameter's least-squares system, singular columns included, in one
-batched call through the cached Gram blocks, and the mean squared residual
+value, gradient and Laplacian once at all interior and interface points,
+as one `nets.Jets`.  The product ``fac * raw`` (`Jets.__mul__`, the one
+product rule) of the cutoff factors from `cutoffs.composition_factors` and
+the interior jets is the composed basis, and `cutoffs.compose_traces` turns
+the interface jets into its one-sided normal traces.
+`assembly.solve_parameter_batch` then solves every parameter's
+least-squares system, singular columns included, in one batched call
+through the cached Gram blocks, and the mean squared residual
 is back-propagated to the network weights with the solved coefficients
 held fixed (the derivative of a minimum is the partial derivative at the
 minimizer, so the coefficients contribute no gradient term): the solve
@@ -28,12 +30,14 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-# assemble_system and solve_normal_equations are the explicit reference and
-# are not called here; perfbench/spans.py looks up every layer it times,
-# these two included, on this module.
+# assemble_system and solve_normal_equations are the explicit reference, and
+# angular_trace the per-vertex form of the trace gather; none is called
+# here, but perfbench/spans.py looks up every layer it times, these three
+# included, on this module.
 from . import assembly
 from .assembly import (  # noqa: F401
     CoefficientVector,
+    SolveError,
     assemble_system,
     build_epoch_cache,
     evaluate_solution,
@@ -42,14 +46,19 @@ from .assembly import (  # noqa: F401
 )
 from .cutoffs import (
     CutoffConfig,
-    compose,
     compose_traces,
     composition_factors,
     default_cutoff_config,
     interface_trace_factors,
 )
-from .eigen import assemble_eigensystem, sector_values, select_singular, solve_eigenpairs
-from .geometry import Geometry, angular_trace, validate_parameter
+from .eigen import assemble_eigensystem, select_singular, solve_eigenpairs
+from .geometry import (  # noqa: F401
+    Geometry,
+    ParameterError,
+    angular_trace,
+    validate_parameter,
+    validate_parameter_batch,
+)
 from .nets import (
     AdamState,
     MlpParams,
@@ -180,22 +189,21 @@ def init_train_state(geometry: Geometry, net_config: NetConfig, config: TrainCon
 def vertex_eigenpairs(geometry: Geometry, parameters, n_singular: int, epoch: int = -1):
     """Selected singular eigenpairs per parameter and vertex, ``[k][vertex]``.
 
-    The angular traces of all P parameters at all N_s vertices are stacked
-    into one (P*N_s, 4) array and solved in one batched eigensolve.  A
-    failure raises EpochError tagged with ``epoch`` and, where the trace of
-    one parameter is at fault, its index.
+    The batch is validated once, and the angular traces of all P
+    parameters at all N_s vertices are one gather through the geometry's
+    vertex-to-sector table, a (P, N_s, 4) stack solved in one batched
+    eigensolve.  A failure raises EpochError tagged with ``epoch`` and,
+    where one parameter is at fault, its index.
     """
     parameters = np.asarray(parameters, dtype=float)
-    n_p, n_v = parameters.shape[0], geometry.n_singular
-    if n_v == 0:
+    n_p = parameters.shape[0]
+    if geometry.n_singular == 0:
         return [[] for _ in range(n_p)]
-    traces = np.empty((n_p, n_v, 4))
-    for k in range(n_p):
-        try:
-            for vid in range(n_v):
-                traces[k, vid] = sector_values(angular_trace(geometry, parameters[k], vid))
-        except ValueError as exc:
-            raise EpochError(epoch, k, f"eigen solve failed: {exc}") from exc
+    try:
+        parameters = validate_parameter_batch(geometry, parameters)
+    except ParameterError as exc:
+        raise EpochError(epoch, exc.index, f"eigen solve failed: {exc}") from exc
+    traces = parameters[:, geometry.vertex_sectors]
     try:
         pairs = solve_eigenpairs(assemble_eigensystem(traces))
     except ValueError as exc:
@@ -225,8 +233,7 @@ def _composed_cache(params: MlpParams, data: EpochData, need_tape: bool):
     """Network jets at all points of ``data``, composed with the cutoffs.
 
     Returns the epoch cache, the interior and interface cutoff factors, the
-    composed interior (values, gradients) and the tape (None unless
-    ``need_tape``).
+    composed interior `Jets` and the tape (None unless ``need_tape``).
     """
     cfg = params.config
     quad = data.quad
@@ -240,17 +247,17 @@ def _composed_cache(params: MlpParams, data: EpochData, need_tape: bool):
     fac = composition_factors(
         quad.interior_points, data.geometry, data.cutoff_config, cfg.n1, cfg.n2
     )
-    values, grads, laps = compose(fac, jets.rows(slice(None, n_int)))
+    composed = fac * jets.rows(slice(None, n_int))
     ifc_axes = np.array([data.geometry.interfaces[k].axis for k in quad.interface_ids], dtype=int)
     tf = interface_trace_factors(
         quad.interface_points, ifc_axes, data.geometry, data.cutoff_config, cfg.n1, cfg.n2
     )
     tr_minus, tr_plus = compose_traces(tf, jets.rows(slice(n_int, None)))
     cache = build_epoch_cache(
-        data.geometry, data.cutoff_config, quad, laps, tr_minus, tr_plus, data.rhs,
-        theta=data.theta,
+        data.geometry, data.cutoff_config, quad, composed.laplacian, tr_minus, tr_plus,
+        data.rhs, theta=data.theta,
     )
-    return cache, fac, tf, (values, grads), tape
+    return cache, fac, tf, composed, tape
 
 
 def loss_and_param_gradient(params: MlpParams, data: EpochData, need_gradient: bool = True):
@@ -262,7 +269,7 @@ def loss_and_param_gradient(params: MlpParams, data: EpochData, need_gradient: b
     """
     if data.parameters.shape[0] < 1:
         raise ValueError("empty parameter batch")
-    cache, fac, tf, jets, tape = _composed_cache(params, data, need_tape=need_gradient)
+    cache, fac, tf, _, tape = _composed_cache(params, data, need_tape=need_gradient)
     sing_per_p = [
         singular_evals_from_cache(cache.polar, pairs) if pairs else None
         for pairs in data.pairs_per_p
@@ -286,7 +293,7 @@ def loss_and_param_gradient(params: MlpParams, data: EpochData, need_gradient: b
     bar_value = np.empty((n_pts, n_out))
     bar_grad = np.empty((n_pts, n_out, d))
     bar_lap = np.zeros((n_pts, n_out))
-    # interior rows, the adjoint of compose: lap(c*raw) = c lap_raw
+    # interior rows, the adjoint of fac * raw: lap(c*raw) = c lap_raw
     # + 2 grad_c . grad_raw + raw lap_c
     bar_value[:n_int] = w_lap * fac.laplacian
     bar_grad[:n_int] = 2.0 * w_lap[:, :, None] * fac.gradient
@@ -314,10 +321,8 @@ def run_epoch(
     data = prepare_epoch(state, config, geometry, rhs, cutoff_config)
     try:
         loss, grad = loss_and_param_gradient(state.params, data)
-    except EpochError:
-        raise
-    except RuntimeError as exc:
-        raise EpochError(epoch, None, str(exc)) from exc
+    except SolveError as exc:
+        raise EpochError(epoch, exc.index, str(exc)) from exc
     lr = linear_lr(config.lr_start, config.lr_end, epoch, config.iterations)
     flat = adam_step(state.adam, state.params.to_flat(), grad, lr)
     state.params = MlpParams.from_flat(state.net_config, flat)
@@ -430,7 +435,7 @@ def final_solve(
     cfg = params.config
     pairs = vertex_eigenpairs(geometry, parameter[None, :], n_singular)[0]
     data = EpochData(geometry, cutoff_config, rhs, quad, parameter[None, :], [pairs], theta)
-    cache, _, _, (values, grads), _ = _composed_cache(params, data, need_tape=False)
+    cache, _, _, composed, _ = _composed_cache(params, data, need_tape=False)
     sing = singular_evals_from_cache(cache.polar, pairs) if pairs else None
     # called through its module: perfbench/run.py keeps every call made
     # through this module's name, cache included, until the next epoch,
@@ -441,7 +446,7 @@ def final_solve(
     sing_vals = sing_grads = None
     if batch.y_sing[0].size:
         sing_vals, sing_grads = eval_s(cache.polar, pairs)
-    u, grad_u = evaluate_solution(y, values, grads, sing_vals, sing_grads)
+    u, grad_u = evaluate_solution(y, composed.value, composed.gradient, sing_vals, sing_grads)
     p_local = parameter[quad.interior_subdomain]
     flux = p_local[:, None] * grad_u
     fields = {

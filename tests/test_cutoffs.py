@@ -3,19 +3,19 @@ import pytest
 
 from transolve.cutoffs import (
     CutoffConfig,
+    _column_vertices,
+    _phi_list,
     boundary_cutoff_jet,
-    compose,
     compose_traces,
     composition_factors,
     default_cutoff_config,
     eta_jet,
-    exclusion_vectors_jet,
     interface_lines,
     interface_trace_factors,
     jump_adf_jet,
 )
 from transolve.geometry import build_grid_geometry
-from transolve.nets import RawJets
+from transolve.nets import Jets
 
 PI = np.pi
 CFG = CutoffConfig(0.2, 0.5)
@@ -187,19 +187,34 @@ def test_psi_jets_match_fd():
 # ------------------------- exclusion vectors ------------------------------
 
 
+def exclusion_columns(points, g, cfg, n1, n2):
+    """The exclusion factor of every w and every v column, as two jet lists."""
+    phis = _phi_list(np.asarray(points, dtype=float), g, cfg)
+    w_idx, v_idx = _column_vertices(g, n1, n2)
+    return [phis[i] for i in w_idx], [phis[i] for i in v_idx]
+
+
 def test_exclusion_all_ones_in_1d():
+    """Phi1 and Phi2 are all ones in 1D: the w factors are B, the v factors B * psi."""
     g = geom_1d()
-    phi1, phi2 = exclusion_vectors_jet(np.array([[0.5], [1.5]]), g, CFG, 10, 40)
-    assert len(phi1) == 10 and len(phi2) == 40
-    np.testing.assert_allclose(phi1[0].value, 1.0)
-    np.testing.assert_allclose(phi2[-1].value, 1.0)
+    pts = np.array([[0.5], [1.5]])
+    fac = composition_factors(pts, g, CFG, 10, 40)
+    assert fac.value.shape == (2, 50)
+    bjet = boundary_cutoff_jet(pts, g)
+    bpsi = bjet * jump_adf_jet(pts, interface_lines(g))
+    for jet, cols in ((bjet, range(10)), (bpsi, range(10, 50))):
+        for n in cols:
+            np.testing.assert_allclose(fac.value[:, n], jet.value)
+            np.testing.assert_allclose(fac.gradient[:, n], jet.gradient)
+            np.testing.assert_allclose(fac.laplacian[:, n], jet.laplacian)
 
 
 def test_exclusion_zero_at_vertex_one_far():
     g = geom_2x2()
     cfg = default_cutoff_config(g)
     pts = np.array([[0.0, 0.0], [0.9, 0.9]])
-    phi1, phi2 = exclusion_vectors_jet(pts, g, cfg, 4, 6)
+    phi1, phi2 = exclusion_columns(pts, g, cfg, 4, 6)
+    assert len(phi1) == 4 and len(phi2) == 6
     for jet in phi1 + phi2:
         assert jet.value[0] == pytest.approx(0.0, abs=1e-15)
         assert jet.value[1] == pytest.approx(1.0)
@@ -211,7 +226,7 @@ def test_exclusion_block_layout():
     g = build_grid_geometry(2, cuts_x=[-0.3, 0.3], cuts_y=[0.0], bounds=[(-1, 1), (-1, 1)])
     cfg = default_cutoff_config(g)
     at_first_vertex = g.singular_vertices[:1]
-    phi1, phi2 = exclusion_vectors_jet(at_first_vertex, g, cfg, 4, 8)
+    phi1, phi2 = exclusion_columns(at_first_vertex, g, cfg, 4, 8)
     np.testing.assert_allclose([j.value[0] for j in phi1], [0, 0, 1, 1], atol=1e-15)
     np.testing.assert_allclose([j.value[0] for j in phi2], [0, 0, 1, 1] * 2, atol=1e-15)
 
@@ -219,12 +234,12 @@ def test_exclusion_block_layout():
 def test_exclusion_divisibility_enforced():
     g = geom_2x2()
     with pytest.raises(ValueError):
-        exclusion_vectors_jet(np.array([[0.1, 0.1]]), g, CFG, 4, 5)
+        composition_factors(np.array([[0.1, 0.1]]), g, CFG, 4, 5)
     g4 = build_grid_geometry(
         2, cuts_x=[-0.5, 0, 0.5], cuts_y=[-0.5, 0, 0.5], bounds=[(-1, 1), (-1, 1)]
     )
     with pytest.raises(ValueError):
-        exclusion_vectors_jet(np.array([[0.1, 0.1]]), g4, CutoffConfig(0.05, 0.1), 10, 36)
+        composition_factors(np.array([[0.1, 0.1]]), g4, CutoffConfig(0.05, 0.1), 10, 36)
 
 
 def test_exclusion_gradient_fd():
@@ -235,9 +250,9 @@ def test_exclusion_gradient_fd():
         x = np.array([r * np.cos(ang), r * np.sin(ang)])
 
         def f(y):
-            return exclusion_vectors_jet(y[None, :], g, cfg, 1, 2)[0][0].value[0]
+            return exclusion_columns(y[None, :], g, cfg, 1, 2)[0][0].value[0]
 
-        jet = exclusion_vectors_jet(x[None, :], g, cfg, 1, 2)[0][0]
+        jet = exclusion_columns(x[None, :], g, cfg, 1, 2)[0][0]
         np.testing.assert_allclose(jet.gradient[0], fd_gradient(f, x), rtol=1e-6)
         np.testing.assert_allclose(jet.laplacian[0], fd_laplacian(f, x), rtol=1e-4)
 
@@ -255,13 +270,13 @@ def _random_raw(rng, n_pts, n_out, d):
         val = np.sin(z)
         grad = np.cos(z)[:, :, None] * freqs[None, :, :]
         lap = -np.sin(z) * np.sum(freqs**2, axis=1)[None, :]
-        return RawJets(val, grad, lap)
+        return Jets(val, grad, lap)
 
     return jets
 
 
 def _composed(jets, points, g, cfg, n1, n2):
-    return compose(composition_factors(points, g, cfg, n1, n2), jets(points))
+    return composition_factors(points, g, cfg, n1, n2) * jets(points)
 
 
 def test_apply_cutoffs_zero_on_boundary():
@@ -270,8 +285,7 @@ def test_apply_cutoffs_zero_on_boundary():
     rng = np.random.default_rng(5)
     jets = _random_raw(rng, 3, 3, 2)
     pts = np.array([[-1.0, 0.2], [0.3, 1.0], [1.0, -0.7]])
-    val, grad, lap = _composed(jets, pts, g, cfg, 1, 2)
-    np.testing.assert_allclose(val, 0.0, atol=1e-14)
+    np.testing.assert_allclose(_composed(jets, pts, g, cfg, 1, 2).value, 0.0, atol=1e-14)
 
 
 def test_apply_cutoffs_laplacian_fd():
@@ -281,8 +295,7 @@ def test_apply_cutoffs_laplacian_fd():
     jets = _random_raw(rng, 10, 3, 2)
 
     def composed_value(x, col):
-        v, _, _ = _composed(jets, x[None, :], g, cfg, 1, 2)
-        return v[0, col]
+        return _composed(jets, x[None, :], g, cfg, 1, 2).value[0, col]
 
     pts = []
     while len(pts) < 10:
@@ -290,7 +303,7 @@ def test_apply_cutoffs_laplacian_fd():
         if min(abs(x[0]), abs(x[1])) > 0.05:
             pts.append(x)
     for x in pts:
-        _, _, lap = _composed(jets, x[None, :], g, cfg, 1, 2)
+        lap = _composed(jets, x[None, :], g, cfg, 1, 2).laplacian
         for col in range(3):
             fd = fd_laplacian(lambda y: composed_value(y, col), x, h=1e-4)
             assert lap[0, col] == pytest.approx(fd, rel=1e-4, abs=1e-6)
@@ -321,9 +334,9 @@ def test_interface_trace_one_sided_limit_identity():
         vals = {}
         for s, side in ((+1, "p"), (-1, "m")):
             xp = x + np.array([s * h, 0.0])
-            v1, _, _ = _composed(jets, xp[None, :], g, cfg, 1, 2)
+            v1 = _composed(jets, xp[None, :], g, cfg, 1, 2).value
             xp2 = x + np.array([2 * s * h, 0.0])
-            v2, _, _ = _composed(jets, xp2[None, :], g, cfg, 1, 2)
+            v2 = _composed(jets, xp2[None, :], g, cfg, 1, 2).value
             # one-sided derivative, first order from the interface value (v=0 on own line)
             vals[side] = (v1[0, col], v2[0, col])
         von = 0.0 if sided else None
@@ -344,7 +357,7 @@ def test_jump_bracket_scales_linearly_in_raw_value():
     x = np.array([[PI / 5]])
     fac = interface_trace_factors(x, np.array([0]), g, cfg, 2, 3)
     for scale in (0.0, 0.5, 2.0):
-        raw = RawJets(np.full((1, 5), scale), np.zeros((1, 5, 1)), np.zeros((1, 5)))
+        raw = Jets(np.full((1, 5), scale), np.zeros((1, 5, 1)), np.zeros((1, 5)))
         tm, tp = compose_traces(fac, raw)
         bracket = tp - tm
         # v columns (index >= 2): bracket = 2*B*phi*raw, zero iff raw zero, linear in raw

@@ -3,6 +3,7 @@ import pytest
 
 from transolve.nets import (
     AdamState,
+    Jets,
     MlpParams,
     NetConfig,
     adam_step,
@@ -46,6 +47,44 @@ def test_flat_roundtrip():
         np.testing.assert_array_equal(b1, b2)
     with pytest.raises(ValueError):
         MlpParams.from_flat(cfg, flat[:-1])
+
+
+def _plane_wave_jets(points, a, b):
+    """Jets of f = sin(a.x) and g = exp(b.x); a, b of shape (..., d) broadcast
+    against the points (J, 1, d) or (J, d)."""
+    za, zb = np.sum(points * a, axis=-1), np.sum(points * b, axis=-1)
+    f = Jets(np.sin(za), np.cos(za)[..., None] * a, -np.sin(za) * np.sum(a * a, axis=-1))
+    g = Jets(np.exp(zb), np.exp(zb)[..., None] * b, np.exp(zb) * np.sum(b * b, axis=-1))
+    return f, g, za, zb
+
+
+@pytest.mark.parametrize("n_fields", [None, 4])
+def test_jets_product_matches_closed_form(n_fields):
+    """sin(a.x) exp(b.x) has gradient (a cos + b sin) e and Laplacian
+    ((|b|^2 - |a|^2) sin + 2 a.b cos) e, at shapes (J,) and (J, N)."""
+    rng = np.random.default_rng(0)
+    points = rng.uniform(-1, 1, size=(6, 2))
+    if n_fields is None:
+        a, b = rng.normal(size=2), rng.normal(size=2)
+    else:
+        a, b = rng.normal(size=(n_fields, 2)), rng.normal(size=(n_fields, 2))
+        points = points[:, None, :]
+    f, g, za, zb = _plane_wave_jets(points, a, b)
+    prod = f * g
+    shape = (6,) if n_fields is None else (6, n_fields)
+    assert prod.value.shape == prod.laplacian.shape == shape
+    s, c, e = np.sin(za), np.cos(za), np.exp(zb)
+    np.testing.assert_allclose(prod.value, s * e, rtol=1e-14)
+    np.testing.assert_allclose(
+        prod.gradient, (a * c[..., None] + b * s[..., None]) * e[..., None], rtol=1e-13, atol=1e-15
+    )
+    a2, b2, ab = (np.sum(u * v, axis=-1) for u, v in ((a, a), (b, b), (a, b)))
+    lap = ((b2 - a2) * s + 2 * ab * c) * e
+    np.testing.assert_allclose(prod.laplacian, lap, rtol=1e-13, atol=1e-15)
+    ones = Jets.ones(shape, 2)
+    np.testing.assert_array_equal((ones * f).laplacian, f.laplacian)
+    with pytest.raises(ValueError):
+        f * g.rows(slice(None, 1))  # would broadcast without the check
 
 
 def test_single_layer_identity_jets():

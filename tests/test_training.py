@@ -95,8 +95,9 @@ def test_run_epoch_wraps_singular_solve_in_epoch_error(monkeypatch):
         lambda *args, **kw: solve_parameter_batch(*args, **kw, ridge=0.0),
     )
     rhs = RhsSpec.for_geometry("sin1d", g)
-    with pytest.raises(EpochError, match="epoch 0: least-squares system 0 "):
+    with pytest.raises(EpochError, match="epoch 0, parameter 0: least-squares system 0 ") as err:
         run_epoch(state, cfg, g, rhs, default_cutoff_config(g), None)
+    assert err.value.param_index == 0
 
 
 def test_empty_parameter_batch_rejected():
