@@ -406,16 +406,18 @@ def solve_parameter_batch(
     return BatchSolveResult(y_nn, y_sing, losses, r_int, p_plus * r_jump, -p_minus * r_jump)
 
 
-def evaluate_solution(coeffs, basis_values, basis_grads, sing_values=None, sing_grads=None):
-    """Field u = a.w + b.v (+ c.s) and its gradient at evaluation points."""
-    y = coeffs.stacked if isinstance(coeffs, CoefficientVector) else np.asarray(coeffs)
-    n_nn = basis_values.shape[1]
-    n_sing = 0 if sing_values is None else sing_values.shape[1]
-    if y.size != n_nn + n_sing:
+def evaluate_solution(y_nn, basis_values, basis_grads):
+    """Network part u = a.w + b.v of Q fields and its gradient, one GEMM each.
+
+    ``y_nn`` is (Q, N), one row of network coefficients per field;
+    ``basis_values`` is (J, N) and ``basis_grads`` (J, d, N), the direction
+    before the column, so that the J*d gradient rows are one matrix.
+    Returns the values (Q, J) and the gradients (Q, J, d).
+    """
+    y_nn = np.atleast_2d(y_nn)
+    j, d, n = basis_grads.shape
+    if basis_values.shape != (j, n) or y_nn.shape[1] != n:
         raise ValueError("coefficient length does not match the basis")
-    u = basis_values @ y[:n_nn]
-    grad = np.einsum("jnd,n->jd", basis_grads, y[:n_nn])
-    if n_sing:
-        u = u + sing_values @ y[n_nn:]
-        grad = grad + np.einsum("jnd,n->jd", sing_grads, y[n_nn:])
-    return u, grad
+    u = y_nn @ basis_values.T
+    grad = y_nn @ basis_grads.reshape(j * d, n).T
+    return u, grad.reshape(-1, j, d)

@@ -235,25 +235,32 @@ def relative_l2_errors(
 ):
     """Relative L2 errors in percent for the solution and flux fields.
 
-    Fields must be sampled on the quadrature's interior points.  With a
-    mask radius and a 2D geometry, points within that distance of any
-    singular vertex are excluded from both norms.
+    Fields must be sampled on the quadrature's J interior points: values of
+    shape (J,), fluxes both (J,) or both (J, d); any other shape raises
+    ValueError rather than broadcast.  With a mask radius and a 2D
+    geometry, points within that distance of any singular vertex are
+    excluded from both norms.
     """
+    n, d = quadrature.interior_points.shape
+    au = np.asarray(approx_values, dtype=float)
+    ru = np.asarray(ref_values, dtype=float)
+    if au.shape != (n,) or ru.shape != (n,):
+        raise ValueError(f"value fields of shapes {au.shape} and {ru.shape}, expected ({n},)")
+    af = np.asarray(approx_flux, dtype=float)
+    rf = np.asarray(ref_flux, dtype=float)
+    if af.shape != rf.shape or af.shape not in ((n,), (n, d)):
+        raise ValueError(
+            f"flux fields of shapes {af.shape} and {rf.shape}, expected both ({n},) or ({n}, {d})"
+        )
     w = quadrature.interior_weights.copy()
     if mask_radius > 0 and geometry is not None and geometry.n_singular:
         pts = quadrature.interior_points
         for v in geometry.singular_vertices:
             w[np.hypot(pts[:, 0] - v[0], pts[:, 1] - v[1]) < mask_radius] = 0.0
-    au = np.asarray(approx_values, dtype=float)
-    ru = np.asarray(ref_values, dtype=float)
     sol_ref = np.sum(w * ru**2)
     if sol_ref <= 0:
         raise ValueError("reference solution has zero norm on the quadrature")
     sol_err = np.sum(w * (au - ru) ** 2)
-    af = np.asarray(approx_flux, dtype=float)
-    rf = np.asarray(ref_flux, dtype=float)
-    if af.shape != rf.shape:
-        raise ValueError("flux field shapes disagree")
     if af.ndim == 1:  # scalar 1D flux
         af = af[:, None]
         rf = rf[:, None]

@@ -17,16 +17,28 @@ returns the adjoint seeds of its raw rows, each seed times the
 coefficients gives the adjoint of one composition, and those seed
 `nets.backward_jets`.  The row weights stay inside `assembly`.  Adam with
 a linearly interpolated learning rate closes the loop.  Validation runs the
-same path without the gradient, and `final_solve` runs it for one parameter
-on a midpoint grid, then evaluates the solution with `singular.eval_s` on
-the same polar cache.  Checkpoints are ``.npz`` arrays with a JSON header
-and load without unpickling anything.
+same path without the gradient.
+
+Queries are split into an offline and an online stage.  Offline,
+`QueryBasis.build` does everything about a midpoint grid that does not
+depend on the parameter, once per trained network: the quadrature, the
+network jets, the cutoff product, the weighted rows with their Gram blocks
+and polar cache, and the composed basis values and gradients.  Online,
+`QueryBasis.solve` takes a (Q, I) parameter batch through one eigensolve,
+one `solve_parameter_batch` and one GEMM per field, plus `singular.eval_s`
+for the queries with singular columns: the paper's low-dimensional
+least-squares problem per parameter.  `final_solve` is a batch of one
+against the basis `query_basis` holds; it keeps at most one, rebuilt when
+the weights, grid or problem change and dropped when the weights object is
+collected.  Checkpoints are ``.npz`` arrays with a JSON header and load
+without unpickling anything.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+import weakref
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -37,6 +49,7 @@ import numpy as np
 from . import assembly
 from .assembly import (  # noqa: F401
     CoefficientVector,
+    EpochCache,
     SolveError,
     assemble_system,
     build_epoch_cache,
@@ -84,6 +97,8 @@ __all__ = [
     "loss_and_param_gradient",
     "run_epoch",
     "train",
+    "QueryBasis",
+    "query_basis",
     "final_solve",
     "save_checkpoint",
     "load_checkpoint",
@@ -411,6 +426,148 @@ def train(
     return state, history
 
 
+@dataclass(frozen=True, eq=False)
+class QueryBasis:
+    """The parameter-free half of a query: one trained network on one grid.
+
+    Holds only what `solve` reads, every array read-only: the cache (the
+    midpoint quadrature, the weighted rows, the Gram blocks and the polar
+    cache) and the composed basis values and gradients.  The composed
+    Laplacian lives on only weighted, in ``cache.wlap``.  ``flat_params``
+    is a copy of the weights it was built from, and the geometry, rhs and
+    cutoff config are the objects themselves, for `serves`.
+    """
+
+    net_config: NetConfig
+    flat_params: np.ndarray
+    geometry: Geometry
+    rhs: RhsSpec
+    cutoff_config: CutoffConfig
+    theta: float
+    n_per_axis: int
+    cache: EpochCache
+    values: np.ndarray  # (J1, N) composed basis values
+    gradients: np.ndarray  # (J1, d, N) composed basis gradients, see evaluate_solution
+
+    @classmethod
+    def build(
+        cls, params: MlpParams, geometry: Geometry, rhs: RhsSpec, cutoff_config: CutoffConfig,
+        theta: float, n_per_axis: int,
+    ) -> "QueryBasis":
+        """The basis on the midpoint grid of ``n_per_axis`` points per axis
+        and per 2D interface."""
+        quad = midpoint_grid(geometry, n_per_axis, n_per_axis)
+        no_batch = np.empty((0, geometry.n_subdomains))
+        data = EpochData(geometry, cutoff_config, rhs, quad, no_batch, [], theta)
+        cache, _, _, composed, _ = _composed_cache(params, data, need_tape=False)
+        basis = cls(
+            params.config, params.to_flat(), geometry, rhs, cutoff_config, float(theta),
+            n_per_axis, cache, composed.value,
+            np.ascontiguousarray(composed.gradient.transpose(0, 2, 1)),
+        )
+        for holder in (basis, cache, quad, cache.gram, *cache.polar.vertices):
+            for f in fields(holder):
+                value = getattr(holder, f.name)
+                if isinstance(value, np.ndarray):
+                    value.flags.writeable = False
+        return basis
+
+    def serves(
+        self, params: MlpParams, geometry: Geometry, rhs: RhsSpec, cutoff_config: CutoffConfig,
+        theta: float, n_per_axis: int,
+    ) -> bool:
+        """Whether `build` with these inputs would make this basis.
+
+        The weights are compared by content, so an in-place edit shows; the
+        geometry, rhs and cutoff config by identity, as this basis holds them.
+        """
+        return (
+            geometry is self.geometry
+            and rhs is self.rhs
+            and cutoff_config is self.cutoff_config
+            and theta == self.theta
+            and n_per_axis == self.n_per_axis
+            and params.config == self.net_config
+            and np.array_equal(params.to_flat(), self.flat_params)
+        )
+
+    def solve(self, parameters, n_singular: int = 1) -> list:
+        """Solve every row of a (Q, I) parameter batch on this basis.
+
+        Returns one (coefficients, fields) pair per row, as `final_solve`.
+        """
+        cache = self.cache
+        quad = cache.quad
+        parameters = validate_parameter_batch(self.geometry, np.atleast_2d(parameters))
+        pairs_per_q = vertex_eigenpairs(self.geometry, parameters, n_singular)
+        sing = [
+            singular_evals_from_cache(cache.polar, pairs) if pairs else None
+            for pairs in pairs_per_q
+        ]
+        # called through its module: perfbench/run.py keeps every call made
+        # through this module's name, cache included, until the next epoch,
+        # which would keep every query's arrays and a replaced basis alive
+        batch = assembly.solve_parameter_batch(cache, parameters, sing)
+        values, gradients = evaluate_solution(batch.y_nn, self.values, self.gradients)
+        p_int = parameters[:, quad.interior_subdomain]
+        # the interior right-hand side l; the jump rows' is zero
+        l_sq = np.sum((p_int * cache.wrhs_p + cache.wrhs_fixed) ** 2, axis=1)
+        out = []
+        for k, pairs in enumerate(pairs_per_q):
+            u, grad_u, y_sing = values[k], gradients[k], batch.y_sing[k]
+            if y_sing.size:
+                sing_vals, sing_grads = eval_s(cache.polar, pairs)
+                u += sing_vals @ y_sing
+                grad_u += np.tensordot(sing_grads, y_sing, axes=(1, 0))
+            y = np.concatenate([batch.y_nn[k], y_sing])
+            residual_sq = float(batch.losses[k])
+            out.append((
+                CoefficientVector.split(y, self.net_config.n1, self.net_config.n2),
+                {
+                    "quad": quad,
+                    "values": u,
+                    "gradients": grad_u,
+                    "flux": p_int[k][:, None] * grad_u,
+                    "residual_sq": residual_sq,
+                    "rel_residual": float(np.sqrt(residual_sq / l_sq[k])),
+                },
+            ))
+        return out
+
+
+# The basis query_basis holds, and the finalizer that drops it when the
+# weights object it was built from is collected.
+_held: dict = {}
+
+
+def _release_basis() -> None:
+    finalizer = _held.pop("finalizer", None)
+    if finalizer is not None:
+        finalizer.detach()
+    _held.pop("basis", None)
+
+
+def query_basis(
+    params: MlpParams, geometry: Geometry, rhs: RhsSpec, cutoff_config: CutoffConfig,
+    theta: float, n_per_axis: int,
+) -> QueryBasis:
+    """The held basis if it serves these inputs, else a new one that replaces it.
+
+    At most one basis is held, and only while ``params`` lives: training
+    replaces its weights object every epoch, so a basis is not carried
+    through it.  A basis never changes once built, so concurrent callers
+    still get correct results; a race can only cost a rebuild.
+    """
+    basis = _held.get("basis")
+    if basis is not None and basis.serves(params, geometry, rhs, cutoff_config, theta, n_per_axis):
+        return basis
+    _release_basis()  # before the build, so that two bases never coexist
+    basis = QueryBasis.build(params, geometry, rhs, cutoff_config, theta, n_per_axis)
+    _held["basis"] = basis
+    _held["finalizer"] = weakref.finalize(params, _release_basis)
+    return basis
+
+
 def final_solve(
     params: MlpParams,
     geometry: Geometry,
@@ -423,40 +580,21 @@ def final_solve(
 ):
     """Solve one parameter on a midpoint evaluation grid.
 
-    The grid has ``n_per_axis`` points per axis and per 2D interface.  Its
-    least-squares system is solved by `solve_parameter_batch` with a batch
-    of one, as in training.  Returns (coefficients, fields)
-    where fields carries the grid, solution values, gradients and fluxes,
-    and the squared residual.  The trained basis is discretization
-    invariant, so the grid may be much finer than the training points.
+    The grid has ``n_per_axis`` points per axis and per 2D interface.  The
+    parameter is solved as a batch of one against `query_basis`, which
+    reuses the last basis while the weights (by content), the grid count,
+    theta, the network configuration and the geometry, rhs and cutoff
+    config objects are unchanged; the first query of a network pays for
+    the basis and the others for their own least-squares solve only.
+    Returns (coefficients, fields) where fields carries the grid, solution
+    values, gradients and fluxes, the squared residual and the relative
+    residual sqrt(residual_sq / |l|^2), an error estimate.  The trained
+    basis is discretization invariant, so the grid may be much finer than
+    the training points.
     """
     parameter = validate_parameter(geometry, parameter)
-    quad = midpoint_grid(geometry, n_per_axis, n_per_axis)
-    cfg = params.config
-    pairs = vertex_eigenpairs(geometry, parameter[None, :], n_singular)[0]
-    data = EpochData(geometry, cutoff_config, rhs, quad, parameter[None, :], [pairs], theta)
-    cache, _, _, composed, _ = _composed_cache(params, data, need_tape=False)
-    sing = singular_evals_from_cache(cache.polar, pairs) if pairs else None
-    # called through its module: perfbench/run.py keeps every call made
-    # through this module's name, cache included, until the next epoch,
-    # which would keep every query's grid-sized cache alive
-    batch = assembly.solve_parameter_batch(cache, parameter[None, :], [sing])
-    y = np.concatenate([batch.y_nn[0], batch.y_sing[0]])
-    coeffs = CoefficientVector.split(y, cfg.n1, cfg.n2)
-    sing_vals = sing_grads = None
-    if batch.y_sing[0].size:
-        sing_vals, sing_grads = eval_s(cache.polar, pairs)
-    u, grad_u = evaluate_solution(y, composed.value, composed.gradient, sing_vals, sing_grads)
-    p_local = parameter[quad.interior_subdomain]
-    flux = p_local[:, None] * grad_u
-    fields = {
-        "quad": quad,
-        "values": u,
-        "gradients": grad_u,
-        "flux": flux,
-        "residual_sq": float(batch.losses[0]),
-    }
-    return coeffs, fields
+    basis = query_basis(params, geometry, rhs, cutoff_config, theta, n_per_axis)
+    return basis.solve(parameter[None, :], n_singular)[0]
 
 
 _RNG_NAMES = ("rng_params", "rng_interior", "rng_interface")

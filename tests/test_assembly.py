@@ -374,11 +374,13 @@ def test_manufactured_exact_recovery_1d():
 def test_evaluate_solution_and_exact_recovery():
     rng = np.random.default_rng(16)
     vals = rng.normal(size=(20, 6))
-    grads = rng.normal(size=(20, 6, 2))
-    y = rng.normal(size=6)
+    grads = rng.normal(size=(20, 2, 6))
+    y = rng.normal(size=(3, 6))
     u, gu = evaluate_solution(y, vals, grads)
-    np.testing.assert_allclose(u, vals @ y)
-    np.testing.assert_allclose(gu, np.einsum("jnd,n->jd", grads, y))
+    assert u.shape == (3, 20) and gu.shape == (3, 20, 2)
+    for k in range(3):
+        np.testing.assert_allclose(u[k], vals @ y[k])
+        np.testing.assert_allclose(gu[k], np.einsum("jdn,n->jd", grads, y[k]))
     u0, g0 = evaluate_solution(np.zeros(6), vals, grads)
     np.testing.assert_array_equal(u0, 0)
     with pytest.raises(ValueError):

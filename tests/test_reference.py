@@ -160,6 +160,30 @@ def test_relative_errors_basic():
     assert s2 == pytest.approx(1.0)
 
 
+def test_relative_errors_reject_shapes_that_broadcast():
+    """A (J, 1) reference against (J,) values would broadcast to (J, J) and
+    read a large error for identical fields; every such shape raises."""
+    g = build_grid_geometry(1, cuts_x=[], bounds=[(0, PI)])
+    q = midpoint_grid(g, 8, 1)
+    x = q.interior_points[:, 0]
+    u, flux = np.sin(x), np.cos(x)
+    with pytest.raises(ValueError):
+        relative_l2_errors(u, flux, u[:, None], flux, q)
+    with pytest.raises(ValueError):
+        relative_l2_errors(u[:, None], flux, u, flux, q)
+    with pytest.raises(ValueError):
+        relative_l2_errors(u[:4], flux, u[:4], flux, q)
+    with pytest.raises(ValueError):  # flux shapes disagree
+        relative_l2_errors(u, flux, u, flux[:, None], q)
+    with pytest.raises(ValueError):  # flux of the wrong length or width
+        relative_l2_errors(u, flux[:4], u, flux[:4], q)
+    with pytest.raises(ValueError):
+        relative_l2_errors(u, np.stack([flux, flux], 1), u, np.stack([flux, flux], 1), q)
+    # both accepted flux layouts give the identical fields zero error
+    assert relative_l2_errors(u, flux, u, flux, q) == (0.0, 0.0)
+    assert relative_l2_errors(u, flux[:, None], u, flux[:, None], q) == (0.0, 0.0)
+
+
 def test_relative_errors_mask():
     g = geom_2x2()
     q = midpoint_grid(g, 20, 4)

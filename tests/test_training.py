@@ -355,10 +355,15 @@ def test_final_solve_2d_matches_explicit_reference():
     cache, *_ = _composed_cache(params, data, need_tape=False)
     sing = singular_evals_from_cache(cache.polar, pairs)
     assert sing.shape[1] > 0
-    y, res = solve_normal_equations(assemble_system(cache, p, sing, theta))
+    system = assemble_system(cache, p, sing, theta)
+    y, res = solve_normal_equations(system)
     assert coeffs.c.shape == (sing.shape[1],)
     np.testing.assert_allclose(coeffs.stacked, y, rtol=1e-6, atol=1e-8)
     assert fields["residual_sq"] == pytest.approx(res, rel=1e-8)
+    # the error estimate: the residual relative to the system's right-hand side
+    assert np.isfinite(fields["rel_residual"])
+    expected = np.sqrt(fields["residual_sq"] / np.sum(system.rhs**2))
+    assert fields["rel_residual"] == pytest.approx(expected, rel=1e-12)
 
 
 def test_validation_tracks_training():
