@@ -97,8 +97,8 @@ class EpochCache:
     wtrace_plus: np.ndarray  # (J2, N)
     ifc_minus_sub: np.ndarray  # (J2,)
     ifc_plus_sub: np.ndarray  # (J2,)
-    polar: PolarCache | None = None  # interior points around the singular vertices
-    gram: GramBlocks | None = None
+    polar: PolarCache  # interior points around the singular vertices
+    gram: GramBlocks
 
     @property
     def n_basis(self) -> int:
@@ -155,35 +155,27 @@ def build_epoch_cache(
     sj = np.sqrt(theta) * np.sqrt(quad.interface_weights)
     minus_sub = np.array([geometry.interfaces[k].minus for k in quad.interface_ids], dtype=int)
     plus_sub = np.array([geometry.interfaces[k].plus for k in quad.interface_ids], dtype=int)
-    cache = EpochCache(
-        geometry,
-        cutoff_config,
-        quad,
-        sw,
-        sj,
-        sw[:, None] * lap,
-        sw * pf,
-        sw * fixed,
-        sj[:, None] * trace_minus,
-        sj[:, None] * trace_plus,
-        minus_sub,
-        plus_sub,
+    wlap, wrhs_p, wrhs_fixed = sw[:, None] * lap, sw * pf, sw * fixed
+    wtrace_minus, wtrace_plus = sj[:, None] * trace_minus, sj[:, None] * trace_plus
+    polar = polar_cache(quad.interior_points, geometry, cutoff_config)
+    gram = _build_gram(
+        geometry.n_subdomains, quad, wlap, wrhs_p, wrhs_fixed, wtrace_minus, wtrace_plus,
+        minus_sub, plus_sub, theta,
     )
-    cache.polar = polar_cache(quad.interior_points, geometry, cutoff_config)
-    cache.gram = _build_gram(cache, theta)
-    return cache
+    return EpochCache(
+        geometry, cutoff_config, quad, sw, sj, wlap, wrhs_p, wrhs_fixed, wtrace_minus,
+        wtrace_plus, minus_sub, plus_sub, polar, gram,
+    )
 
 
-def _build_gram(cache: EpochCache, theta: float) -> GramBlocks:
-    geometry = cache.geometry
-    n_sub = geometry.n_subdomains
-    n = cache.n_basis
-    c, f1, f0 = cache.wlap, cache.wrhs_p, cache.wrhs_fixed
-
+def _build_gram(n_sub, quad, c, f1, f0, tm, tp, minus_sub, plus_sub, theta) -> GramBlocks:
+    """The Gram blocks of the weighted rows: Laplacians c, rhs factors f1
+    and f0, traces tm and tp with their subdomain pairs."""
+    n = c.shape[1]
     sq = np.zeros((n_sub, n, n))
     b_sq = np.zeros((n_sub, n))
     b_lin = np.zeros((n_sub, n))
-    sub = cache.quad.interior_subdomain
+    sub = quad.interior_subdomain
     for i in range(n_sub):
         rows = sub == i
         ci = c[rows]
@@ -191,10 +183,9 @@ def _build_gram(cache: EpochCache, theta: float) -> GramBlocks:
         b_sq[i] = -ci.T @ f1[rows]
         b_lin[i] = -ci.T @ f0[rows]
 
-    tm, tp = cache.wtrace_minus, cache.wtrace_plus
     pairs_map: dict[tuple[int, int], list[int]] = {}
-    for k in range(cache.quad.n_interface):
-        key = (int(cache.ifc_minus_sub[k]), int(cache.ifc_plus_sub[k]))
+    for k in range(quad.n_interface):
+        key = (int(minus_sub[k]), int(plus_sub[k]))
         pairs_map.setdefault(key, []).append(k)
     cross, cross_pairs = [], []
     for (im, ip), rows in pairs_map.items():
@@ -340,8 +331,6 @@ def solve_parameter_batch(
     where that mean is 0), or ``ridge``.  The loss of parameter k is
     ||B y - l||^2 over its interior and jump rows.
     """
-    if cache.gram is None:
-        raise ValueError("cache was built without Gram blocks")
     gram = cache.gram
     parameters = validate_parameter_batch(cache.geometry, np.atleast_2d(parameters))
     n_p, n_sub = parameters.shape

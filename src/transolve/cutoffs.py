@@ -20,8 +20,10 @@ and vertex v, so each is built once, by the `Jets` product, and gathered to
 the outputs with one index array.  `composition_factors` returns the
 (J, n1 + n2) jets of the c_n at interior points, and their product
 ``factors * raw`` with the network jets is the composed basis there.
-`compose_traces` gives the one-sided normal traces at interface points,
-where Psi kinks and the product rule does not apply.
+At interface points, where Psi kinks, `interface_trace_factors` feeds the
+same product the one-sided jets of psi on its own line and returns the
+minus and plus factors; n . (F_pm * raw).gradient is the one-sided normal
+trace.
 """
 
 from __future__ import annotations
@@ -41,7 +43,6 @@ __all__ = [
     "jump_adf_jet",
     "composition_factors",
     "interface_trace_factors",
-    "compose_traces",
     "interface_lines",
 ]
 
@@ -133,7 +134,8 @@ def jump_adf_jet(points: np.ndarray, lines: list[tuple[int, float]]) -> Jets:
 
     d_g is the perpendicular distance to interface line g.  psi vanishes on
     every line of the set with one-sided normal slopes +-1; evaluation
-    exactly on a line is rejected (use the trace identities instead).
+    exactly on a line is rejected (`interface_trace_factors` takes the
+    one-sided limits there).
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     n, d = points.shape
@@ -258,75 +260,37 @@ def composition_factors(
         for lines in _axis_lines(geometry)
     ]
     stack, cols = _distinct_factors(points, geometry, config, psis, n1, n2)
-    return Jets(stack.value[:, cols], stack.gradient[:, cols], stack.laplacian[:, cols])
-
-
-@dataclass
-class InterfaceTraceFactors:
-    """Affine sensitivities of one-sided normal traces at interface points.
-
-    trace_pm[k, n] = a_pm[k, n] * raw_value[k, n] + d_coef[k, n, :] . raw_grad[k, n, :]
-
-    For outputs whose jump cutoff kinks on the interface the trace is
-    +-(B * Phi2)(x) * raw, so a_plus = -a_minus and d_coef = 0; smooth
-    outputs share both coefficients across sides.
-    """
-
-    a_minus: np.ndarray  # (J2, N)
-    a_plus: np.ndarray  # (J2, N)
-    d_coef: np.ndarray  # (J2, N, d)
+    return stack.rows((slice(None), cols))
 
 
 def interface_trace_factors(
     points, interface_axes, geometry: Geometry, config: CutoffConfig, n1: int, n2: int
-) -> InterfaceTraceFactors:
-    """Trace coefficients at points lying on interfaces with the given axes."""
+) -> tuple[Jets, Jets]:
+    """One-sided (minus, plus) cutoff factors at points on interfaces with
+    the given axes, each (J, n1 + n2) jets.
+
+    On its own line psi_a = |h| kinks: it has value 0 and one-sided
+    gradient -n (minus side) or +n (plus side), with n the unit normal
+    e_a, and one-sided Laplacian 0.  Fed those jets, the product rule gives
+    the one-sided factors F_pm, and the one-sided normal trace of the
+    composed basis is ``n . (F_pm * raw).gradient``.
+    """
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    interface_axes = np.asarray(interface_axes, dtype=int)
     n, d = points.shape
-    normals = np.zeros((n, d))
-    normals[np.arange(n), interface_axes] = 1.0
-
-    # A point on a line of psi_a's own set is where psi_a kinks.
-    on_own = np.stack([interface_axes == a for a in range(geometry.dimension)], axis=1)
-    psis = [
-        _safe_psi_jet(points, lines, on_own[:, a]) if lines else Jets.ones(n, d)
-        for a, lines in enumerate(_axis_lines(geometry))
-    ]
-    stack, cols = _distinct_factors(points, geometry, config, psis, n1, n2)
-    # smooth outputs: trace = d(c raw)/dn = (dc/dn) raw + c (d raw/dn) on both sides
-    a_smooth = np.einsum("jfd,jd->jf", stack.gradient, normals)[:, cols]
-    d_coef = stack.value[:, cols, None] * normals[:, None, :]
-    # kinked outputs: psi = 0 with slope +-1, trace = +-(B * Phi2)(x) * raw;
-    # d_coef is already 0 there, as the masked psi is
-    w_idx, v_idx = _column_vertices(geometry, n1, n2)
-    kink = np.zeros((n, n1 + n2), dtype=bool)
-    kink[:, n1:] = on_own[:, _column_axes(geometry, n2)]
-    smooth_value = stack.value[:, np.concatenate([w_idx, v_idx])]
-    a_plus = np.where(kink, smooth_value, a_smooth)
-    a_minus = np.where(kink, -smooth_value, a_smooth)
-    return InterfaceTraceFactors(a_minus, a_plus, d_coef)
-
-
-def _safe_psi_jet(points, lines, on_own_mask) -> Jets:
-    """psi jet where own-line points (psi = 0, kink) are masked out."""
-    pts = points.copy()
-    if np.any(on_own_mask):
-        pts[on_own_mask] += 1.0e6  # push off the line; entries unused downstream
-    jet = jump_adf_jet(pts, lines)
-    jet.value[on_own_mask] = 0.0
-    jet.gradient[on_own_mask] = 0.0
-    jet.laplacian[on_own_mask] = 0.0
-    return jet
-
-
-def compose_traces(factors: InterfaceTraceFactors, jets: Jets):
-    """One-sided normal traces (minus, plus) of the composed basis from the
-    (J2, N) raw network jets at the factors' interface points."""
-    if jets.value.shape != factors.a_plus.shape:
-        raise ValueError(
-            f"raw jets of shape {jets.value.shape} do not match the trace factors "
-            f"{factors.a_plus.shape}"
-        )
-    shared = np.einsum("jnd,jnd->jn", factors.d_coef, jets.gradient)
-    return factors.a_minus * jets.value + shared, factors.a_plus * jets.value + shared
+    # every point twice: the minus side, then the plus side
+    both = np.concatenate([points, points])
+    axes = np.tile(np.asarray(interface_axes, dtype=int), 2)
+    side = np.repeat([-1.0, 1.0], n)
+    psis = []
+    for a, lines in enumerate(_axis_lines(geometry)):
+        psi = Jets.ones(2 * n, d)
+        on = axes == a
+        if lines and not np.all(on):
+            off = jump_adf_jet(both[~on], lines)
+            for name in ("value", "gradient", "laplacian"):
+                getattr(psi, name)[~on] = getattr(off, name)
+        psi.value[on] = 0.0
+        psi.gradient[on, a] = side[on]
+        psis.append(psi)
+    stack, cols = _distinct_factors(both, geometry, config, psis, n1, n2)
+    return stack.rows((slice(None, n), cols)), stack.rows((slice(n, None), cols))

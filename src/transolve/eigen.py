@@ -232,7 +232,10 @@ def select_singular(pairs: list[EigenPair], n_cap: int, band: float = 1e-6) -> l
 
     Guard bands keep out the constant mode (exponent ~ 0 up to FE noise)
     and the regular modes whose exponent is 1 up to discretization error.
+    A negative cap raises ValueError.
     """
+    if n_cap < 0:
+        raise ValueError(f"the singular cap must be nonnegative, got {n_cap}")
     picked = [p for p in pairs if band < p.exponent < 1.0 - band]
     return picked[:n_cap]
 

@@ -49,14 +49,6 @@ class Interface:
     plus: int
 
     @property
-    def normal(self) -> np.ndarray:
-        n = np.zeros(2 if self.span[0] != self.span[1] else 1)
-        if n.size == 1:
-            return np.array([1.0])
-        n[self.axis] = 1.0
-        return n
-
-    @property
     def length(self) -> float:
         return self.span[1] - self.span[0] if self.span[1] > self.span[0] else 1.0
 

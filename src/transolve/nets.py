@@ -16,7 +16,9 @@ product.
 `Jets` is the one (value, gradient, Laplacian) type of the package: the
 network returns its outputs as `Jets`, the cutoff fields are `Jets`, and
 `Jets.__mul__` is the one second-order product rule, which both builds the
-cutoff factors and applies them to the network outputs.
+cutoff factors and applies them to the network outputs, interior and
+one-sided interface factors alike; `Jets.adjoint` is its transpose, which
+carries every loss row's seeds back to the network outputs.
 """
 
 from __future__ import annotations
@@ -116,7 +118,8 @@ class Jets:
     laplacian: np.ndarray  # (...)
 
     def rows(self, index) -> "Jets":
-        """The jets at a subset of the points (any numpy row index)."""
+        """The jets at a subset of the points, or of the fields (any numpy
+        index into the leading axes)."""
         return Jets(self.value[index], self.gradient[index], self.laplacian[index])
 
     @staticmethod
@@ -141,6 +144,24 @@ class Jets:
             + 2.0 * np.einsum("...d,...d->...", self.gradient, other.gradient)
             + g * self.laplacian,
         )
+
+    def adjoint(self, bar: "Jets") -> "Jets":
+        """Transpose of the product's derivative in its second factor.
+
+        For seeds ``bar`` on the value, gradient and Laplacian of
+        ``self * g``, the seeds on g's: the g-derivative of
+        sum(bar.value * fg) + sum(bar.gradient . grad(fg)) + sum(bar.laplacian * lap(fg)).
+        A gradient seed of None is zero and costs no pass over the
+        (..., d) arrays: interior loss rows seed the Laplacian only.
+        """
+        f = self.value
+        value = bar.value * f
+        value += bar.laplacian * self.laplacian
+        gradient = 2.0 * bar.laplacian[..., None] * self.gradient
+        if bar.gradient is not None:
+            value += np.einsum("...d,...d->...", bar.gradient, self.gradient)
+            gradient += f[..., None] * bar.gradient
+        return Jets(value, gradient, bar.laplacian * f)
 
 
 @dataclass

@@ -5,8 +5,9 @@ angular eigenproblems the batch needs (2D), and evaluates the network's
 value, gradient and Laplacian once at all interior and interface points,
 as one `nets.Jets`.  The product ``fac * raw`` (`Jets.__mul__`, the one
 product rule) of the cutoff factors from `cutoffs.composition_factors` and
-the interior jets is the composed basis, and `cutoffs.compose_traces` turns
-the interface jets into its one-sided normal traces.
+the interior jets is the composed basis; the same product of the one-sided
+factors from `cutoffs.interface_trace_factors` and the interface jets gives
+the one-sided normal traces, n . (F_pm * raw).gradient.
 `assembly.solve_parameter_batch` then solves every parameter's
 least-squares system, singular columns included, in one batched call
 through the cached Gram blocks, and the mean squared residual
@@ -14,10 +15,11 @@ is back-propagated to the network weights with the solved coefficients
 held fixed (the derivative of a minimum is the partial derivative at the
 minimizer, so the coefficients contribute no gradient term): the solve
 returns the adjoint seeds of its raw rows, each seed times the
-coefficients gives the adjoint of one composition, and those seed
-`nets.backward_jets`.  The row weights stay inside `assembly`.  Adam with
-a linearly interpolated learning rate closes the loop.  Validation runs the
-same path without the gradient.
+coefficients is a seed on one composed Laplacian or trace, `Jets.adjoint`
+(the product's transpose) carries all of them to the network outputs, and
+those seed `nets.backward_jets`.  The row weights stay inside `assembly`.
+Adam with a linearly interpolated learning rate closes the loop.
+Validation runs the same path without the gradient.
 
 Queries are split into an offline and an online stage.  Offline,
 `QueryBasis.build` does everything about a midpoint grid that does not
@@ -59,7 +61,6 @@ from .assembly import (  # noqa: F401
 )
 from .cutoffs import (
     CutoffConfig,
-    compose_traces,
     composition_factors,
     default_cutoff_config,
     interface_trace_factors,
@@ -74,6 +75,7 @@ from .geometry import (  # noqa: F401
 )
 from .nets import (
     AdamState,
+    Jets,
     MlpParams,
     NetConfig,
     adam_step,
@@ -151,6 +153,8 @@ class TrainConfig:
             raise ValueError("the parameter range must satisfy 0 < p_min <= p_max")
         if self.val_every < 1:
             raise ValueError("val_every must be at least 1")
+        if self.n_singular < 0:
+            raise ValueError("n_singular must be nonnegative")
 
 
 @dataclass
@@ -247,8 +251,10 @@ def prepare_epoch(
 def _composed_cache(params: MlpParams, data: EpochData, need_tape: bool):
     """Network jets at all points of ``data``, composed with the cutoffs.
 
-    Returns the epoch cache, the interior and interface cutoff factors, the
-    composed interior `Jets` and the tape (None unless ``need_tape``).
+    Returns the epoch cache, the interior cutoff factors, the one-sided
+    (minus, plus) interface factors, the (J2, d) unit normals at the
+    interface points, the composed interior `Jets` and the tape (None
+    unless ``need_tape``).
     """
     cfg = params.config
     quad = data.quad
@@ -264,15 +270,17 @@ def _composed_cache(params: MlpParams, data: EpochData, need_tape: bool):
     )
     composed = fac * jets.rows(slice(None, n_int))
     ifc_axes = np.array([data.geometry.interfaces[k].axis for k in quad.interface_ids], dtype=int)
-    tf = interface_trace_factors(
+    normals = np.eye(cfg.input_dim)[ifc_axes]
+    sides = interface_trace_factors(
         quad.interface_points, ifc_axes, data.geometry, data.cutoff_config, cfg.n1, cfg.n2
     )
-    tr_minus, tr_plus = compose_traces(tf, jets.rows(slice(n_int, None)))
+    ifc = jets.rows(slice(n_int, None))
+    tr_minus, tr_plus = (np.einsum("jnd,jd->jn", (f * ifc).gradient, normals) for f in sides)
     cache = build_epoch_cache(
         data.geometry, data.cutoff_config, quad, composed.laplacian, tr_minus, tr_plus,
         data.rhs, theta=data.theta,
     )
-    return cache, fac, tf, composed, tape
+    return cache, fac, sides, normals, composed, tape
 
 
 def loss_and_param_gradient(params: MlpParams, data: EpochData, need_gradient: bool = True):
@@ -284,40 +292,37 @@ def loss_and_param_gradient(params: MlpParams, data: EpochData, need_gradient: b
     """
     if data.parameters.shape[0] < 1:
         raise ValueError("empty parameter batch")
-    cache, fac, tf, _, tape = _composed_cache(params, data, need_tape=need_gradient)
+    cache, fac, sides, normals, composed, tape = _composed_cache(
+        params, data, need_tape=need_gradient
+    )
+    del composed  # training reads only its weighted Laplacians, in the cache
     sing_per_p = [
         singular_evals_from_cache(cache.polar, pairs) if pairs else None
         for pairs in data.pairs_per_p
     ]
     batch = solve_parameter_batch(cache, data.parameters, singular_evals_per_p=sing_per_p)
-    n_p = data.parameters.shape[0]
     loss = float(np.mean(batch.losses))
     if not need_gradient:
         return loss, None
 
-    quad = data.quad
-    n_int = quad.n_interior
-    scale = 2.0 / n_p
-    w_lap = scale * (batch.seed_int @ batch.y_nn)
-    w_plus = scale * (batch.seed_plus @ batch.y_nn)
-    w_minus = scale * (batch.seed_minus @ batch.y_nn)
-
-    n_out = params.config.n_outputs
-    d = params.config.input_dim
-    n_pts = n_int + quad.n_interface
-    bar_value = np.empty((n_pts, n_out))
-    bar_grad = np.empty((n_pts, n_out, d))
-    bar_lap = np.zeros((n_pts, n_out))
-    # interior rows, the adjoint of fac * raw: lap(c*raw) = c lap_raw
-    # + 2 grad_c . grad_raw + raw lap_c
-    bar_value[:n_int] = w_lap * fac.laplacian
-    bar_grad[:n_int] = 2.0 * w_lap[:, :, None] * fac.gradient
-    bar_lap[:n_int] = w_lap * fac.value
-    # jump rows, the adjoint of compose_traces: trace_pm = a_pm*raw + d_coef . grad_raw
-    bar_value[n_int:] = w_plus * tf.a_plus + w_minus * tf.a_minus
-    bar_grad[n_int:] = (w_plus + w_minus)[:, :, None] * tf.d_coef
-    grad = backward_jets(params, tape, bar_value, bar_grad, bar_lap)
-    return loss, grad
+    # seeds on the composed rows: the interior Laplacians and the normal
+    # component of each side's gradient; the product's adjoint takes them
+    # to the network outputs
+    scale = 2.0 / data.parameters.shape[0]
+    w_lap, w_minus, w_plus = (
+        scale * (seed @ batch.y_nn) for seed in (batch.seed_int, batch.seed_minus, batch.seed_plus)
+    )
+    inner = fac.adjoint(Jets(np.zeros_like(w_lap), None, w_lap))
+    minus, plus = (
+        f.adjoint(Jets(np.zeros_like(w), w[:, :, None] * normals[:, None, :], np.zeros_like(w)))
+        for f, w in zip(sides, (w_minus, w_plus))
+    )
+    bar = [
+        np.concatenate([getattr(inner, k), getattr(minus, k) + getattr(plus, k)])
+        for k in ("value", "gradient", "laplacian")
+    ]
+    del inner, minus, plus  # only the stacked seeds live through the backward pass
+    return loss, backward_jets(params, tape, *bar)
 
 
 def run_epoch(
@@ -459,7 +464,7 @@ class QueryBasis:
         quad = midpoint_grid(geometry, n_per_axis, n_per_axis)
         no_batch = np.empty((0, geometry.n_subdomains))
         data = EpochData(geometry, cutoff_config, rhs, quad, no_batch, [], theta)
-        cache, _, _, composed, _ = _composed_cache(params, data, need_tape=False)
+        cache, *_, composed, _ = _composed_cache(params, data, need_tape=False)
         basis = cls(
             params.config, params.to_flat(), geometry, rhs, cutoff_config, float(theta),
             n_per_axis, cache, composed.value,
@@ -554,9 +559,10 @@ def query_basis(
     """The held basis if it serves these inputs, else a new one that replaces it.
 
     At most one basis is held, and only while ``params`` lives: training
-    replaces its weights object every epoch, so a basis is not carried
-    through it.  A basis never changes once built, so concurrent callers
-    still get correct results; a race can only cost a rebuild.
+    replaces its weights object at the end of every epoch, so a basis
+    built before an epoch lives through it and no further.  A basis never
+    changes once built, so concurrent callers still get correct results; a
+    race can only cost a rebuild.
     """
     basis = _held.get("basis")
     if basis is not None and basis.serves(params, geometry, rhs, cutoff_config, theta, n_per_axis):

@@ -39,20 +39,16 @@ def raw_rows(geometry, net_cfg, seed=0, n_int=12, n_ifc=6):
     cfg = default_cutoff_config(geometry)
     quad = sample_collocation(geometry, n_int, n_ifc, np.random.default_rng(seed))
     params = init_params(net_cfg, seed + 1)
-    jets = forward_jets(params, quad.interior_points)
     fac = composition_factors(quad.interior_points, geometry, cfg, net_cfg.n1, net_cfg.n2)
-    lap = (
-        fac.value * jets.laplacian
-        + 2 * np.einsum("jnd,jnd->jn", fac.gradient, jets.gradient)
-        + jets.value * fac.laplacian
-    )
+    lap = (fac * forward_jets(params, quad.interior_points)).laplacian
     ifc_axes = np.array([geometry.interfaces[k].axis for k in quad.interface_ids])
-    tf = interface_trace_factors(
+    sides = interface_trace_factors(
         quad.interface_points, ifc_axes, geometry, cfg, net_cfg.n1, net_cfg.n2
     )
     ifc_jets = forward_jets(params, quad.interface_points)
-    tr_minus = tf.a_minus * ifc_jets.value + np.einsum("jnd,jnd->jn", tf.d_coef, ifc_jets.gradient)
-    tr_plus = tf.a_plus * ifc_jets.value + np.einsum("jnd,jnd->jn", tf.d_coef, ifc_jets.gradient)
+    # the normal component of each side's gradient
+    rows = np.arange(quad.n_interface)
+    tr_minus, tr_plus = ((f * ifc_jets).gradient[rows, :, ifc_axes] for f in sides)
     return cfg, quad, lap, tr_minus, tr_plus
 
 

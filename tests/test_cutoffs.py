@@ -6,7 +6,6 @@ from transolve.cutoffs import (
     _column_vertices,
     _phi_list,
     boundary_cutoff_jet,
-    compose_traces,
     composition_factors,
     default_cutoff_config,
     eta_jet,
@@ -319,6 +318,13 @@ def test_apply_cutoffs_dimension_mismatch():
         _composed(jets, pts, g, cfg, 1, 2)
 
 
+def _traces(points, axes, raw, g, cfg, n1, n2):
+    """One-sided normal traces (minus, plus): n . (F_pm * raw).gradient."""
+    sides = interface_trace_factors(points, axes, g, cfg, n1, n2)
+    rows = np.arange(len(axes))
+    return tuple((f * raw).gradient[rows, :, axes] for f in sides)
+
+
 def test_interface_trace_one_sided_limit_identity():
     """One-sided normal derivative of v_n tends to +-B*vbar*Phi2 on the interface."""
     g = geom_2x2()
@@ -326,8 +332,7 @@ def test_interface_trace_one_sided_limit_identity():
     rng = np.random.default_rng(8)
     jets = _random_raw(rng, 1, 3, 2)
     x = np.array([0.0, 0.62])  # on the vertical interface
-    fac = interface_trace_factors(x[None, :], np.array([0]), g, cfg, 1, 2)
-    tr_minus, tr_plus = compose_traces(fac, jets(x[None, :]))
+    tr_minus, tr_plus = _traces(x[None, :], np.array([0]), jets(x[None, :]), g, cfg, 1, 2)
 
     h = 1e-7
     for col, sided in ((1, True), (2, False)):  # col1: psi1 kinks here; col2 smooth
@@ -355,10 +360,9 @@ def test_jump_bracket_scales_linearly_in_raw_value():
     g = geom_1d()
     cfg = default_cutoff_config(g)
     x = np.array([[PI / 5]])
-    fac = interface_trace_factors(x, np.array([0]), g, cfg, 2, 3)
     for scale in (0.0, 0.5, 2.0):
         raw = Jets(np.full((1, 5), scale), np.zeros((1, 5, 1)), np.zeros((1, 5)))
-        tm, tp = compose_traces(fac, raw)
+        tm, tp = _traces(x, np.array([0]), raw, g, cfg, 2, 3)
         bracket = tp - tm
         # v columns (index >= 2): bracket = 2*B*phi*raw, zero iff raw zero, linear in raw
         expected = 2 * scale * boundary_cutoff_jet(x, g).value[0]

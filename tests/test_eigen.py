@@ -147,6 +147,8 @@ def test_select_singular():
     pairs = solve_eigenpairs(assemble_eigensystem(CHECKERBOARD))
     sel = select_singular(pairs, 3)
     assert sel and all(0 < p.exponent < 1 for p in sel)
+    with pytest.raises(ValueError):
+        select_singular(pairs, -1)  # picked[:-1] would drop the last pair
     # exponent within 1e-9 of 1 is excluded by the strict band
     fake = [type(pairs[0])(1.0 - 5e-10, 1.0, pairs[0].rho, 1.0, 0.0)]
     assert select_singular(fake, 3) == []

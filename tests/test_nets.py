@@ -87,6 +87,32 @@ def test_jets_product_matches_closed_form(n_fields):
         f * g.rows(slice(None, 1))  # would broadcast without the check
 
 
+def _dot(a, b):
+    return sum(np.sum(getattr(a, k) * getattr(b, k)) for k in ("value", "gradient", "laplacian"))
+
+
+@pytest.mark.parametrize("seed_on", ["value", "gradient", "laplacian"])
+@pytest.mark.parametrize("shape", [(6,), (6, 4)])
+def test_jets_adjoint_is_the_products_transpose(shape, seed_on):
+    """<bar, f * dg> = <f.adjoint(bar), dg>: the product is linear in g."""
+    rng = np.random.default_rng(1)
+
+    def random_jets():
+        return Jets(rng.normal(size=shape), rng.normal(size=shape + (2,)), rng.normal(size=shape))
+
+    f, dg, bar = random_jets(), random_jets(), random_jets()
+    for k in ("value", "gradient", "laplacian"):
+        if k != seed_on:
+            getattr(bar, k)[...] = 0.0
+    back = f.adjoint(bar)
+    assert back.value.shape == back.laplacian.shape == shape
+    assert back.gradient.shape == shape + (2,)
+    assert _dot(bar, f * dg) == pytest.approx(_dot(back, dg), rel=1e-12)
+    if seed_on != "gradient":  # None stands for the zero gradient seed
+        no_grad = f.adjoint(Jets(bar.value, None, bar.laplacian))
+        assert _dot(no_grad, dg) == _dot(back, dg)
+
+
 def test_single_layer_identity_jets():
     cfg = NetConfig(1, (), 1, 1)
     # one affine+tanh layer with A rows [1], [1], b = 0

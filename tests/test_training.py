@@ -73,11 +73,13 @@ def test_loss_nonnegative_and_epoch_runs():
 
 
 @pytest.mark.parametrize(
-    "bad", [dict(val_every=0), dict(p_min=5.0, p_max=1.0), dict(p_min=0.0)]
+    "bad",
+    [dict(val_every=0), dict(p_min=5.0, p_max=1.0), dict(p_min=0.0), dict(n_singular=-1)],
 )
 def test_config_rejects_bad_values_when_built(bad):
     """Caught when the config is built: val_every=0 would divide by zero at
-    the first validation, and p_min > p_max would draw from [p_max, p_min]."""
+    the first validation, p_min > p_max would draw from [p_max, p_min], and
+    n_singular=-1 would keep every eligible exponent but the last."""
     with pytest.raises(ValueError):
         small_config(**bad)
 
