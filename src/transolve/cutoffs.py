@@ -260,7 +260,7 @@ def composition_factors(
         for lines in _axis_lines(geometry)
     ]
     stack, cols = _distinct_factors(points, geometry, config, psis, n1, n2)
-    return stack.rows((slice(None), cols))
+    return stack.columns(cols)
 
 
 def interface_trace_factors(
@@ -293,4 +293,4 @@ def interface_trace_factors(
         psi.gradient[on, a] = side[on]
         psis.append(psi)
     stack, cols = _distinct_factors(both, geometry, config, psis, n1, n2)
-    return stack.rows((slice(None, n), cols)), stack.rows((slice(n, None), cols))
+    return stack.rows(slice(None, n)).columns(cols), stack.rows(slice(n, None)).columns(cols)

@@ -9,21 +9,34 @@ one-sided interface traces without any autodiff framework.
 
 The loss reads no mixed second derivative, so none is formed: the
 Laplacian of a layer's output needs only the Laplacian and the gradient of
-its input ("forward Laplacian", Li et al. 2023).  The jets of a layer are
-stacked into one (2 + d, J, m) array, so its affine map is a single matrix
-product.
+its input ("forward Laplacian", Li et al. 2023).  Both passes walk the
+points in tiles of `TILE` points.  In a tile the jets of a layer are
+stacked into one (2 + d, T, m) array, so its affine map is a single matrix
+product, and every buffer of the tile stays in cache.  The first layer is
+done analytically: the points' own gradient rows are the unit vectors and
+their Laplacian is 0, so its pre-activation gradient is the columns of A1
+and one (T, d) x (d, m) product gives its value row.
+
+Nothing is kept from `forward_jets` for the reverse pass: `backward_jets`
+takes the points themselves, recomputes each tile's forward (keeping t,
+t1, t2 and |zg|^2 of every layer for the tile), back-propagates it at once
+and sums the weight gradients over the tiles ("Training Deep Nets with
+Sublinear Memory Cost", Chen et al. 2016).  Its memory is a tile's, not a
+tape of every layer at every point.
 
 `Jets` is the one (value, gradient, Laplacian) type of the package: the
 network returns its outputs as `Jets`, the cutoff fields are `Jets`, and
 `Jets.__mul__` is the one second-order product rule, which both builds the
 cutoff factors and applies them to the network outputs, interior and
-one-sided interface factors alike; `Jets.adjoint` is its transpose, which
-carries every loss row's seeds back to the network outputs.
+one-sided interface factors alike.  Its Laplacian is `product_laplacian`,
+which a caller that reads only the Laplacian calls alone; `Jets.adjoint` is
+the product's transpose, which carries every loss row's seeds back to the
+network outputs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,6 +51,11 @@ __all__ = [
     "adam_step",
     "linear_lr",
 ]
+
+# Points per tile of the jet passes, so that a tile's per-layer buffers stay
+# in cache: with the 2D benchmark's network 128 and 256 ran alike and 512
+# was slower.
+TILE = 256
 
 
 @dataclass(frozen=True)
@@ -110,7 +128,10 @@ class Jets:
 
     The leading shape (...) is any, points first: (J,) for one scalar
     field, (J, N) for N fields.  The gradient adds a trailing axis of
-    length d.
+    length d.  Where many fields are made at once (the network's outputs,
+    the gathered cutoff factors) the gradient is component-major, a view
+    of a (d, ...) array, so that its products with (...)-shaped arrays run
+    over contiguous planes; the numbers do not depend on the layout.
     """
 
     value: np.ndarray  # (...)
@@ -122,6 +143,16 @@ class Jets:
         index into the leading axes)."""
         return Jets(self.value[index], self.gradient[index], self.laplacian[index])
 
+    def columns(self, index: np.ndarray) -> "Jets":
+        """A copy of the fields at the integer positions ``index`` of the
+        last leading axis, with a component-major gradient."""
+        components = np.moveaxis(self.gradient, -1, 0)
+        return Jets(
+            np.take(self.value, index, axis=-1),
+            np.moveaxis(np.take(components, index, axis=-1), 0, -1),
+            np.take(self.laplacian, index, axis=-1),
+        )
+
     @staticmethod
     def ones(shape, d: int) -> "Jets":
         """The constant field 1 on a leading shape, in d dimensions."""
@@ -130,20 +161,25 @@ class Jets:
 
     def __mul__(self, other: "Jets") -> "Jets":
         """Pointwise product by the second-order product rule:
-        grad(fg) = f grad g + g grad f, lap(fg) = f lap g + 2 grad f . grad g + g lap f.
+        grad(fg) = f grad g + g grad f, lap(fg) as `product_laplacian`.
         """
+        lap = self.product_laplacian(other)
+        f, g = self.value, other.value
+        return Jets(f * g, f[..., None] * other.gradient + g[..., None] * self.gradient, lap)
+
+    def product_laplacian(self, other: "Jets") -> np.ndarray:
+        """The Laplacian of the pointwise product alone,
+        lap(fg) = f lap g + 2 grad f . grad g + g lap f."""
         if self.value.shape != other.value.shape:
             raise ValueError(
                 f"jets of shape {self.value.shape} and {other.value.shape} do not match"
             )
-        f, g = self.value, other.value
-        return Jets(
-            f * g,
-            f[..., None] * other.gradient + g[..., None] * self.gradient,
-            f * other.laplacian
-            + 2.0 * np.einsum("...d,...d->...", self.gradient, other.gradient)
-            + g * self.laplacian,
-        )
+        lap = self.value * other.laplacian
+        cross = _dot(self.gradient, other.gradient)
+        cross *= 2.0
+        lap += cross
+        lap += np.multiply(other.value, self.laplacian, out=cross)
+        return lap
 
     def adjoint(self, bar: "Jets") -> "Jets":
         """Transpose of the product's derivative in its second factor.
@@ -151,39 +187,33 @@ class Jets:
         For seeds ``bar`` on the value, gradient and Laplacian of
         ``self * g``, the seeds on g's: the g-derivative of
         sum(bar.value * fg) + sum(bar.gradient . grad(fg)) + sum(bar.laplacian * lap(fg)).
-        A gradient seed of None is zero and costs no pass over the
-        (..., d) arrays: interior loss rows seed the Laplacian only.
+        A value or gradient seed of None is zero and costs no pass over
+        its arrays: interior loss rows seed the Laplacian only, interface
+        rows the gradient and no value.
         """
         f = self.value
-        value = bar.value * f
-        value += bar.laplacian * self.laplacian
+        value = bar.laplacian * self.laplacian
+        if bar.value is not None:
+            value += bar.value * f
         gradient = 2.0 * bar.laplacian[..., None] * self.gradient
         if bar.gradient is not None:
-            value += np.einsum("...d,...d->...", bar.gradient, self.gradient)
+            value += _dot(bar.gradient, self.gradient)
             gradient += f[..., None] * bar.gradient
         return Jets(value, gradient, bar.laplacian * f)
 
 
-@dataclass
-class Tape:
-    """Intermediates retained for the reverse pass, one entry per layer.
-
-    Jets are stacked along a leading axis of length 2 + d: the value, the d
-    gradient components, the Laplacian.
-    """
-
-    inputs: list = field(default_factory=list)  # (2+d, J, m_in) jets entering the layer
-    pre: list = field(default_factory=list)  # (2+d, J, m_out) pre-activation jets
-    t: list = field(default_factory=list)  # (J, m_out) tanh of the pre-activation
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Sum over the last (gradient) axis of a * b, one component plane at a
+    time: the planes of a component-major gradient are contiguous, where an
+    einsum would loop over the d components innermost."""
+    out = a[..., 0] * b[..., 0]
+    for k in range(1, a.shape[-1]):
+        out += a[..., k] * b[..., k]
+    return out
 
 
-def forward_jets(params: MlpParams, points: np.ndarray, need_tape: bool = False):
-    """Exact (value, gradient, Laplacian) of every output at every point.
-
-    Per layer, the stacked jets X go through one product X @ A^T (the bias
-    enters the value row only), then through tanh:
-    value t, gradient t1 zg, Laplacian t2 |zg|^2 + t1 zl.
-    """
+def _checked_points(params: MlpParams, points) -> np.ndarray:
+    """The points as a (J, d) float array, once the weights are finite."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
     d = params.config.input_dim
     if points.shape[1] != d:
@@ -191,35 +221,71 @@ def forward_jets(params: MlpParams, points: np.ndarray, need_tape: bool = False)
     for a, b in params.layers:
         if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
             raise ValueError("non-finite network parameters")
-    n = points.shape[0]
-    x = np.zeros((2 + d, n, d))
-    x[0] = points
-    for k in range(d):
-        x[1 + k, :, k] = 1.0
-    tape = Tape() if need_tape else None
-    for a, b in params.layers:
-        z = x @ a.T
-        z[0] += b
-        t = np.tanh(z[0])
-        t1 = 1.0 - t * t
-        t2 = -2.0 * t * t1
-        zg = z[1 : 1 + d]
-        out = np.empty_like(z)
-        out[0] = t
-        out[1 : 1 + d] = t1 * zg
-        out[1 + d] = t2 * np.sum(zg * zg, axis=0) + t1 * z[1 + d]
-        if need_tape:
-            tape.inputs.append(x)
-            tape.pre.append(z)
-            tape.t.append(t)
+    return points
+
+
+def _tile_layers(params: MlpParams, points: np.ndarray):
+    """The forward pass of one tile of T points, layer by layer.
+
+    Yields per layer what the reverse pass reads, (x, zg, zl, t, t1, t2, q):
+    the layer's input, the gradient and Laplacian rows zg and zl of its
+    pre-activation, and t, t1, t2 and |zg|^2; and with it the layer's
+    stacked (2 + d, T, m) output jets.  The first layer's input is the
+    (T, d) points themselves: their gradient rows are the unit vectors and
+    their Laplacian 0, so its zg is the constant columns of A1, as
+    (d, 1, m), and its zl is None.  A caller that keeps no record holds
+    one layer at a time.
+    """
+    d = points.shape[1]
+    x = points
+    for layer, (a, b) in enumerate(params.layers):
+        if layer == 0:
+            z0 = points @ a.T
+            zg, zl = a.T[:, None, :], None
+        else:
+            z = (x.reshape(-1, a.shape[1]) @ a.T).reshape(2 + d, -1, a.shape[0])
+            z0, zg, zl = z[0], z[1 : 1 + d], z[1 + d]
+        z0 += b
+        out = np.empty((2 + d,) + z0.shape)
+        t = np.tanh(z0, out=out[0])
+        t1 = np.multiply(t, t)
+        np.subtract(1.0, t1, out=t1)
+        t2 = np.multiply(t, -2.0)
+        t2 *= t1
+        q = zg[0] * zg[0]
+        for k in range(1, d):
+            q += zg[k] * zg[k]
+        np.multiply(t1, zg, out=out[1 : 1 + d])
+        lap = np.multiply(t2, q, out=out[1 + d])
+        if zl is not None:
+            lap += t1 * zl
+        yield (x, zg, zl, t, t1, t2, q), out
         x = out
-    jets = Jets(x[0], np.moveaxis(x[1 : 1 + d], 0, -1), x[1 + d])
-    return (jets, tape) if need_tape else jets
+
+
+def forward_jets(params: MlpParams, points: np.ndarray) -> Jets:
+    """Exact (value, gradient, Laplacian) of every output at every point.
+
+    Per layer and tile, the stacked jets X go through one product X @ A^T
+    (the bias enters the value row only), then through tanh:
+    value t, gradient t1 zg, Laplacian t2 |zg|^2 + t1 zl.
+    """
+    points = _checked_points(params, points)
+    n, d = points.shape
+    shape = (n, params.config.n_outputs)
+    value, components, laplacian = np.empty(shape), np.empty((d,) + shape), np.empty(shape)
+    for s in range(0, n, TILE):
+        for _, x in _tile_layers(params, points[s : s + TILE]):
+            pass  # each layer's arrays are dropped as the next one is made
+        value[s : s + TILE] = x[0]
+        components[:, s : s + TILE] = x[1 : 1 + d]
+        laplacian[s : s + TILE] = x[1 + d]
+    return Jets(value, np.moveaxis(components, 0, -1), laplacian)
 
 
 def backward_jets(
     params: MlpParams,
-    tape: Tape,
+    points: np.ndarray,
     bar_value: np.ndarray,
     bar_grad: np.ndarray,
     bar_lap: np.ndarray,
@@ -228,39 +294,65 @@ def backward_jets(
 
     The seeds, of shapes (J, N), (J, N, d) and (J, N), are the partial
     derivatives of a scalar objective with respect to the output values,
-    gradients and Laplacians produced by forward_jets on the same points.
+    gradients and Laplacians that forward_jets gives at the J points.  Each
+    tile's forward is recomputed and back-propagated at once, and the
+    weight gradients are summed over the tiles.
     """
-    d = params.config.input_dim
-    y = np.concatenate([bar_value[None], np.moveaxis(bar_grad, -1, 0), bar_lap[None]])
-    grads = []
-    for layer in range(len(params.layers) - 1, -1, -1):
-        a, _ = params.layers[layer]
-        t, z, x = tape.t[layer], tape.pre[layer], tape.inputs[layer]
-        t1 = 1.0 - t * t
-        t2 = -2.0 * t * t1
-        t3 = -2.0 * (t1 * t1 + t * t2)
-        zg, zl = z[1 : 1 + d], z[1 + d]
-        yv, yg, yl = y[0], y[1 : 1 + d], y[1 + d]
-
-        # through the tanh: value t, gradient t1 zg, Laplacian t2 |zg|^2 + t1 zl
-        z_bar = np.empty_like(y)
-        z_bar[0] = (
-            yv * t1
-            + np.sum(yg * zg, axis=0) * t2
-            + yl * (t3 * np.sum(zg * zg, axis=0) + t2 * zl)
+    points = _checked_points(params, points)
+    n, d = points.shape
+    shape = (n, params.config.n_outputs)
+    if bar_value.shape != shape or bar_grad.shape != shape + (d,) or bar_lap.shape != shape:
+        raise ValueError(
+            f"seeds of shapes {bar_value.shape}, {bar_grad.shape} and {bar_lap.shape} "
+            f"do not match {shape}, {shape + (d,)} and {shape}"
         )
-        z_bar[1 : 1 + d] = yg * t1 + (2.0 * yl * t2) * zg
-        z_bar[1 + d] = yl * t1
+    grads = [(np.zeros_like(a), np.zeros_like(b)) for a, b in params.layers]
+    for s in range(0, n, TILE):
+        pts = points[s : s + TILE]
+        saved = [record for record, _ in _tile_layers(params, pts)]
+        y = np.empty((2 + d, len(pts), shape[1]))
+        y[0] = bar_value[s : s + TILE]
+        y[1 : 1 + d] = np.moveaxis(bar_grad[s : s + TILE], -1, 0)
+        y[1 + d] = bar_lap[s : s + TILE]
+        for layer in range(len(params.layers) - 1, -1, -1):
+            a = params.layers[layer][0]
+            a_bar, b_bar = grads[layer]
+            x, zg, zl, t, t1, t2, q = saved[layer]
+            yv, yg, yl = y[0], y[1 : 1 + d], y[1 + d]
 
-        # through the affine map z = x A^T (+ b on the value row)
-        m_out, m_in = a.shape
-        a_bar = z_bar.reshape(-1, m_out).T @ x.reshape(-1, m_in)
-        b_bar = z_bar[0].sum(axis=0)
-        grads.append(np.concatenate([a_bar.ravel(), b_bar]))
+            # through the tanh: value t, gradient t1 zg, Laplacian t2 |zg|^2 + t1 zl
+            z_bar = np.empty_like(y)
+            zv_bar = np.multiply(yv, t1, out=z_bar[0])
+            tmp = yg[0] * zg[0]
+            for k in range(1, d):
+                tmp += yg[k] * zg[k]
+            tmp *= t2
+            zv_bar += tmp  # + t2 (yg . zg)
+            np.multiply(t1, t1, out=tmp)
+            tmp += t * t2
+            tmp *= -2.0  # t3, the derivative of t2: -2 (t1^2 + t t2)
+            tmp *= q
+            if zl is not None:
+                tmp += t2 * zl
+            tmp *= yl
+            zv_bar += tmp  # + yl (t3 |zg|^2 + t2 zl)
+            zg_bar = np.multiply(yg, t1, out=z_bar[1 : 1 + d])
+            np.multiply(yl, t2, out=tmp)
+            tmp *= 2.0
+            zg_bar += tmp * zg  # + 2 yl t2 zg
 
-        if layer > 0:
-            y = z_bar @ a
-    return np.concatenate(grads[::-1])
+            # through the affine map z = x A^T (+ b on the value row)
+            b_bar += zv_bar.sum(axis=0)
+            if layer == 0:
+                # the points' own jets: value rows x, gradient rows e_k, Laplacian 0
+                a_bar += zv_bar.T @ pts
+                a_bar += z_bar[1 : 1 + d].sum(axis=1).T
+                continue
+            np.multiply(yl, t1, out=z_bar[1 + d])
+            m_out, m_in = a.shape
+            a_bar += z_bar.reshape(-1, m_out).T @ x.reshape(-1, m_in)
+            y = (z_bar.reshape(-1, m_out) @ a).reshape(2 + d, -1, m_in)
+    return np.concatenate([np.concatenate([a_bar.ravel(), b_bar]) for a_bar, b_bar in grads])
 
 
 @dataclass

@@ -3,11 +3,13 @@
 Each epoch draws a parameter batch and fresh collocation points, solves the
 angular eigenproblems the batch needs (2D), and evaluates the network's
 value, gradient and Laplacian once at all interior and interface points,
-as one `nets.Jets`.  The product ``fac * raw`` (`Jets.__mul__`, the one
-product rule) of the cutoff factors from `cutoffs.composition_factors` and
-the interior jets is the composed basis; the same product of the one-sided
-factors from `cutoffs.interface_trace_factors` and the interface jets gives
-the one-sided normal traces, n . (F_pm * raw).gradient.
+as one `nets.Jets`.  Only what the loss reads is composed with the cutoff
+factors: at the interior points the Laplacian of the product ``fac * raw``
+(`Jets.product_laplacian`, the product rule's Laplacian) of the factors
+from `cutoffs.composition_factors` and the network jets, and at the
+interface points the one-sided normal traces n . (F_pm * raw).gradient,
+from the product (`Jets.__mul__`) of the one-sided factors of
+`cutoffs.interface_trace_factors` and the network jets.
 `assembly.solve_parameter_batch` then solves every parameter's
 least-squares system, singular columns included, in one batched call
 through the cached Gram blocks, and the mean squared residual
@@ -17,15 +19,19 @@ minimizer, so the coefficients contribute no gradient term): the solve
 returns the adjoint seeds of its raw rows, each seed times the
 coefficients is a seed on one composed Laplacian or trace, `Jets.adjoint`
 (the product's transpose) carries all of them to the network outputs, and
-those seed `nets.backward_jets`.  The row weights stay inside `assembly`.
+those seed `nets.backward_jets`.  No network intermediate outlives the
+forward pass: the backward pass recomputes the network tile by tile from
+the points, once for the interior rows and once for the interface rows,
+and the two gradients add up.  The row weights stay inside `assembly`.
 Adam with a linearly interpolated learning rate closes the loop.
 Validation runs the same path without the gradient.
 
 Queries are split into an offline and an online stage.  Offline,
 `QueryBasis.build` does everything about a midpoint grid that does not
 depend on the parameter, once per trained network: the quadrature, the
-network jets, the cutoff product, the weighted rows with their Gram blocks
-and polar cache, and the composed basis values and gradients.  Online,
+network jets, the weighted rows with their Gram blocks and polar cache,
+and the composed basis values and gradients, from the full product
+``fac * raw``.  Online,
 `QueryBasis.solve` takes a (Q, I) parameter batch through one eigensolve,
 one `solve_parameter_batch` and one GEMM per field, plus `singular.eval_s`
 for the queries with singular columns: the paper's low-dimensional
@@ -248,39 +254,47 @@ def prepare_epoch(
     return EpochData(geometry, cutoff_config, rhs, quad, parameters, pairs_per_p, config.theta)
 
 
-def _composed_cache(params: MlpParams, data: EpochData, need_tape: bool):
-    """Network jets at all points of ``data``, composed with the cutoffs.
+def _network_rows(params: MlpParams, data: EpochData):
+    """The network's jets at the interior points of ``data`` with their
+    cutoff factors, and the one-sided normal traces at its interface points.
 
-    Returns the epoch cache, the interior cutoff factors, the one-sided
-    (minus, plus) interface factors, the (J2, d) unit normals at the
-    interface points, the composed interior `Jets` and the tape (None
-    unless ``need_tape``).
+    The network is evaluated once, at all points.  Of the interface
+    products only the normal component of each side's gradient is kept.
+    Returns the interior jets, their factors, the one-sided (minus, plus)
+    interface factors, the (J2, d) unit normals at the interface points and
+    the (minus, plus) traces, each (J2, N).
     """
     cfg = params.config
     quad = data.quad
     n_int = quad.n_interior
-    pts = np.concatenate([quad.interior_points, quad.interface_points], axis=0)
-    if need_tape:
-        jets, tape = forward_jets(params, pts, need_tape=True)
-    else:
-        jets = forward_jets(params, pts)
-        tape = None
+    jets = forward_jets(params, np.concatenate([quad.interior_points, quad.interface_points]))
     fac = composition_factors(
         quad.interior_points, data.geometry, data.cutoff_config, cfg.n1, cfg.n2
     )
-    composed = fac * jets.rows(slice(None, n_int))
     ifc_axes = np.array([data.geometry.interfaces[k].axis for k in quad.interface_ids], dtype=int)
     normals = np.eye(cfg.input_dim)[ifc_axes]
     sides = interface_trace_factors(
         quad.interface_points, ifc_axes, data.geometry, data.cutoff_config, cfg.n1, cfg.n2
     )
     ifc = jets.rows(slice(n_int, None))
-    tr_minus, tr_plus = (np.einsum("jnd,jd->jn", (f * ifc).gradient, normals) for f in sides)
+    traces = [np.einsum("jnd,jd->jn", (f * ifc).gradient, normals) for f in sides]
+    return jets.rows(slice(None, n_int)), fac, sides, normals, traces
+
+
+def _composed_cache(params: MlpParams, data: EpochData):
+    """The epoch cache of ``data``, with the interior Laplacians of the
+    composed basis formed alone (`Jets.product_laplacian`).
+
+    Returns the cache, the interior cutoff factors, the one-sided (minus,
+    plus) interface factors and the (J2, d) unit normals at the interface
+    points: what the loss's adjoint reads.
+    """
+    raw, fac, sides, normals, traces = _network_rows(params, data)
     cache = build_epoch_cache(
-        data.geometry, data.cutoff_config, quad, composed.laplacian, tr_minus, tr_plus,
+        data.geometry, data.cutoff_config, data.quad, fac.product_laplacian(raw), *traces,
         data.rhs, theta=data.theta,
     )
-    return cache, fac, sides, normals, composed, tape
+    return cache, fac, sides, normals
 
 
 def loss_and_param_gradient(params: MlpParams, data: EpochData, need_gradient: bool = True):
@@ -292,10 +306,7 @@ def loss_and_param_gradient(params: MlpParams, data: EpochData, need_gradient: b
     """
     if data.parameters.shape[0] < 1:
         raise ValueError("empty parameter batch")
-    cache, fac, sides, normals, composed, tape = _composed_cache(
-        params, data, need_tape=need_gradient
-    )
-    del composed  # training reads only its weighted Laplacians, in the cache
+    cache, fac, sides, normals = _composed_cache(params, data)
     sing_per_p = [
         singular_evals_from_cache(cache.polar, pairs) if pairs else None
         for pairs in data.pairs_per_p
@@ -312,17 +323,20 @@ def loss_and_param_gradient(params: MlpParams, data: EpochData, need_gradient: b
     w_lap, w_minus, w_plus = (
         scale * (seed @ batch.y_nn) for seed in (batch.seed_int, batch.seed_minus, batch.seed_plus)
     )
-    inner = fac.adjoint(Jets(np.zeros_like(w_lap), None, w_lap))
+    inner = fac.adjoint(Jets(None, None, w_lap))
     minus, plus = (
-        f.adjoint(Jets(np.zeros_like(w), w[:, :, None] * normals[:, None, :], np.zeros_like(w)))
+        f.adjoint(Jets(None, w[:, :, None] * normals[:, None, :], np.zeros_like(w)))
         for f, w in zip(sides, (w_minus, w_plus))
     )
-    bar = [
-        np.concatenate([getattr(inner, k), getattr(minus, k) + getattr(plus, k)])
-        for k in ("value", "gradient", "laplacian")
-    ]
-    del inner, minus, plus  # only the stacked seeds live through the backward pass
-    return loss, backward_jets(params, tape, *bar)
+    ifc = Jets(*(getattr(minus, k) + getattr(plus, k) for k in ("value", "gradient", "laplacian")))
+    del minus, plus
+    # the backward pass is linear in its seeds: the interior and the
+    # interface rows go through it apart, and no stacked copy of the seeds
+    # of all points is made
+    quad = data.quad
+    grad = backward_jets(params, quad.interior_points, inner.value, inner.gradient, inner.laplacian)
+    grad += backward_jets(params, quad.interface_points, ifc.value, ifc.gradient, ifc.laplacian)
+    return loss, grad
 
 
 def run_epoch(
@@ -464,7 +478,11 @@ class QueryBasis:
         quad = midpoint_grid(geometry, n_per_axis, n_per_axis)
         no_batch = np.empty((0, geometry.n_subdomains))
         data = EpochData(geometry, cutoff_config, rhs, quad, no_batch, [], theta)
-        cache, *_, composed, _ = _composed_cache(params, data, need_tape=False)
+        raw, fac, *_, traces = _network_rows(params, data)
+        composed = fac * raw  # in full: queries read the values and gradients
+        cache = build_epoch_cache(
+            geometry, cutoff_config, quad, composed.laplacian, *traces, rhs, theta=theta
+        )
         basis = cls(
             params.config, params.to_flat(), geometry, rhs, cutoff_config, float(theta),
             n_per_axis, cache, composed.value,

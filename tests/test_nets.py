@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from transolve import nets
 from transolve.nets import (
     AdamState,
     Jets,
@@ -81,6 +82,7 @@ def test_jets_product_matches_closed_form(n_fields):
     a2, b2, ab = (np.sum(u * v, axis=-1) for u, v in ((a, a), (b, b), (a, b)))
     lap = ((b2 - a2) * s + 2 * ab * c) * e
     np.testing.assert_allclose(prod.laplacian, lap, rtol=1e-13, atol=1e-15)
+    np.testing.assert_array_equal(f.product_laplacian(g), prod.laplacian)
     ones = Jets.ones(shape, 2)
     np.testing.assert_array_equal((ones * f).laplacian, f.laplacian)
     with pytest.raises(ValueError):
@@ -111,6 +113,20 @@ def test_jets_adjoint_is_the_products_transpose(shape, seed_on):
     if seed_on != "gradient":  # None stands for the zero gradient seed
         no_grad = f.adjoint(Jets(bar.value, None, bar.laplacian))
         assert _dot(no_grad, dg) == _dot(back, dg)
+    if seed_on != "value":  # and for the zero value seed
+        no_value = f.adjoint(Jets(None, bar.gradient, bar.laplacian))
+        assert _dot(no_value, dg) == _dot(back, dg)
+
+
+def test_jets_columns_gathers_fields_component_major():
+    rng = np.random.default_rng(3)
+    jets = Jets(rng.normal(size=(5, 4)), rng.normal(size=(5, 4, 2)), rng.normal(size=(5, 4)))
+    cols = np.array([3, 0, 0, 2, 1, 3])
+    out = jets.columns(cols)
+    expected = jets.rows((slice(None), cols))
+    for k in ("value", "gradient", "laplacian"):
+        np.testing.assert_array_equal(getattr(out, k), getattr(expected, k))
+    assert np.moveaxis(out.gradient, -1, 0).flags.c_contiguous
 
 
 def test_single_layer_identity_jets():
@@ -165,8 +181,10 @@ def test_jets_match_finite_differences(dim):
         np.testing.assert_allclose(jets.laplacian[j], lap_fd, rtol=1e-4, atol=1e-6)
 
 
-def test_backward_matches_finite_difference():
-    """Adjoint gradient of a random linear functional of the jets."""
+def test_backward_matches_finite_difference(monkeypatch):
+    """Adjoint gradient of a random linear functional of the jets, over
+    tiles of 4 of the 6 points."""
+    monkeypatch.setattr(nets, "TILE", 4)
     cfg = NetConfig(2, (5, 4), 2, 3)
     p = init_params(cfg, 11)
     rng = np.random.default_rng(2)
@@ -184,8 +202,7 @@ def test_backward_matches_finite_difference():
             + np.sum(cl * jets.laplacian)
         )
 
-    jets, tape = forward_jets(p, pts, need_tape=True)
-    grad = backward_jets(p, tape, cv, cg, cl)
+    grad = backward_jets(p, pts, cv, cg, cl)
     flat = p.to_flat()
     h = 1e-6
     idx = rng.choice(flat.size, size=25, replace=False)
@@ -194,6 +211,49 @@ def test_backward_matches_finite_difference():
         e[i] = h
         fd = (objective(flat + e) - objective(flat - e)) / (2 * h)
         assert grad[i] == pytest.approx(fd, rel=2e-5, abs=1e-8)
+
+
+def _random_seeds(rng, n_points, cfg):
+    shape = (n_points, cfg.n_outputs)
+    return rng.normal(size=shape), rng.normal(size=shape + (cfg.input_dim,)), rng.normal(size=shape)
+
+
+def test_tiling_does_not_change_the_jets_or_the_gradient(monkeypatch):
+    """Ragged tiles of 7 and one tile of all 45 points give the same jets
+    and weight gradient, up to the order of the tile sums."""
+    cfg = NetConfig(2, (6, 5), 3, 4)
+    p = init_params(cfg, 5)
+    rng = np.random.default_rng(9)
+    pts = rng.uniform(-1, 1, size=(45, 2))
+    seeds = _random_seeds(rng, 45, cfg)
+    results = []
+    for tile in (7, 10**9):
+        monkeypatch.setattr(nets, "TILE", tile)
+        results.append((forward_jets(p, pts), backward_jets(p, pts, *seeds)))
+    (jets7, grad7), (jets1, grad1) = results
+    for k in ("value", "gradient", "laplacian"):
+        a, b = getattr(jets7, k), getattr(jets1, k)
+        np.testing.assert_allclose(a, b, rtol=1e-14, atol=1e-14 * np.max(np.abs(b)))
+    np.testing.assert_allclose(grad7, grad1, rtol=1e-13, atol=1e-13 * np.max(np.abs(grad1)))
+
+
+@pytest.mark.parametrize("bad", ["extra_row", "wrong_outputs"])
+def test_backward_rejects_seeds_of_another_shape(bad):
+    """Each tile slices the seeds by point, so a seed row beyond the points
+    would be dropped without the check."""
+    cfg = NetConfig(2, (4,), 2, 3)
+    p = init_params(cfg, 0)
+    rng = np.random.default_rng(10)
+    pts = rng.uniform(-1, 1, size=(5, 2))
+    if bad == "extra_row":
+        seeds = _random_seeds(rng, 6, cfg)
+    else:
+        seeds = _random_seeds(rng, 5, NetConfig(2, (4,), 2, 4))
+    for k in range(3):
+        mixed = list(_random_seeds(rng, 5, cfg))
+        mixed[k] = seeds[k]
+        with pytest.raises(ValueError, match="seeds of shapes"):
+            backward_jets(p, pts, *mixed)
 
 
 def test_adam_zero_gradient_no_move():

@@ -21,7 +21,12 @@ from transolve.nets import NetConfig, init_params
 from transolve.reference import RhsSpec
 from transolve.sampling import sample_collocation, sample_parameters
 from transolve.singular import singular_evals_from_cache
-from transolve.training import EpochData, _composed_cache, vertex_eigenpairs
+from transolve.training import (
+    EpochData,
+    _composed_cache,
+    loss_and_param_gradient,
+    vertex_eigenpairs,
+)
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -45,6 +50,30 @@ def test_every_traced_name_is_bound_on_training(perfbench_module):
     assert not missing
 
 
+def test_tracer_counts_each_forward_point_once(perfbench_module):
+    """`nets.forward_points` sums the points of the traced `forward_jets`
+    calls; the backward pass recomputes its tiles' forward without that
+    name, so one gradient evaluation counts J1 + J2 points, once."""
+    spans = perfbench_module("spans")
+    g = build_grid_geometry(2, cuts_x=[0.0], cuts_y=[0.0], bounds=[(-1, 1), (-1, 1)])
+    rhs = RhsSpec.for_geometry("corner2d", g)
+    quad = sample_collocation(g, 12, 6, np.random.default_rng(0))
+    parameters = sample_parameters(np.random.default_rng(1), 4, g.n_subdomains, 0.1, 10.0)
+    data = EpochData(g, default_cutoff_config(g), rhs, quad, parameters,
+                     vertex_eigenpairs(g, parameters, 2), 5.0)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        _, grad = loss_and_param_gradient(init_params(NetConfig(2, (8,), 2, 4), 2), data)
+    finally:
+        tracer.uninstall()
+    assert grad is not None
+    forward = [span for span in tracer.spans if span[2] == "forward_jets"]
+    assert len(forward) == 1
+    assert forward[0][5] == {"points": quad.n_interior + quad.n_interface}
+    assert any(span[2] == "backward_jets" for span in tracer.spans)
+
+
 def test_ls_check_accepts_the_batched_solve_in_2d(perfbench_module):
     checks = perfbench_module("checks")
     g = build_grid_geometry(2, cuts_x=[0.0], cuts_y=[0.0], bounds=[(-1, 1), (-1, 1)])
@@ -54,7 +83,7 @@ def test_ls_check_accepts_the_batched_solve_in_2d(perfbench_module):
     parameters = sample_parameters(np.random.default_rng(1), 4, g.n_subdomains, 0.1, 10.0)
     pairs_per_p = vertex_eigenpairs(g, parameters, 2)
     data = EpochData(g, cut, rhs, quad, parameters, pairs_per_p, 5.0)
-    cache, *_ = _composed_cache(init_params(NetConfig(2, (8,), 2, 4), 2), data, need_tape=False)
+    cache, *_ = _composed_cache(init_params(NetConfig(2, (8,), 2, 4), 2), data)
     sing = [singular_evals_from_cache(cache.polar, pairs) for pairs in pairs_per_p]
     assert all(s.shape[1] > 0 for s in sing)
     batch = solve_parameter_batch(cache, parameters, sing)

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from transolve import nets
 from transolve.assembly import (
     assemble_system,
     build_epoch_cache,
@@ -135,7 +138,7 @@ def test_danskin_gradient_matches_total_loss_fd():
     loss0, grad = loss_and_param_gradient(params, data)
 
     # condition guard: skip if the normal matrix is pathological
-    cache, *_ = _composed_cache(params, data, need_tape=False)
+    cache, *_ = _composed_cache(params, data)
     system = assemble_system(cache, params_batch[0], None, 1.0)
     cond = np.linalg.cond(system.matrix.T @ system.matrix)
     if cond > 1e10:
@@ -208,6 +211,32 @@ def test_danskin_gradient_fd_2d_with_singular_columns():
         direction /= np.linalg.norm(direction)
         fd = (loss_at(flat + h * direction) - loss_at(flat - h * direction)) / (2 * h)
         assert float(grad @ direction) == pytest.approx(fd, rel=2e-3, abs=1e-10)
+
+
+def _peak_bytes(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_gradient_keeps_no_whole_batch_tape():
+    """The backward pass recomputes the network tile by tile, so asking for
+    the gradient costs a bounded share of the loss-only peak.  A tape of
+    every layer's jets at all points made it 3x on this batch."""
+    g = build_grid_geometry(2, cuts_x=[-0.5, 0.25], cuts_y=[-0.25, 0.5], bounds=[(-1, 1), (-1, 1)])
+    rhs = RhsSpec.for_geometry("corner2d", g)
+    quad = sample_collocation(g, 60, 20, np.random.default_rng(12))
+    assert quad.n_interior + quad.n_interface >= 8 * nets.TILE
+    parameters = sample_parameters(np.random.default_rng(13), 8, g.n_subdomains, 0.1, 10.0)
+    data = EpochData(g, default_cutoff_config(g), rhs, quad, parameters,
+                     vertex_eigenpairs(g, parameters, 2), 1.0)
+    params = init_params(NetConfig(2, (30, 30, 30), 16, 32), 7)
+    loss_only = _peak_bytes(lambda: loss_and_param_gradient(params, data, need_gradient=False))
+    with_gradient = _peak_bytes(lambda: loss_and_param_gradient(params, data))
+    assert with_gradient <= 1.6 * loss_only
 
 
 def test_determinism_bit_identical_losses():
@@ -354,7 +383,7 @@ def test_final_solve_2d_matches_explicit_reference():
     quad = midpoint_grid(g, 24, 24)
     pairs = vertex_eigenpairs(g, p[None, :], 2)[0]
     data = EpochData(g, cut, rhs, quad, p[None, :], [pairs], theta)
-    cache, *_ = _composed_cache(params, data, need_tape=False)
+    cache, *_ = _composed_cache(params, data)
     sing = singular_evals_from_cache(cache.polar, pairs)
     assert sing.shape[1] > 0
     system = assemble_system(cache, p, sing, theta)
