@@ -61,13 +61,13 @@ class GramBlocks:
 
     A(p) = coefficients(p) @ combined, the sum of p_i^2 times the squared
     block of subdomain i and p_minus(g) p_plus(g) times the cross block of
-    interface pair g, with the theta jump weight already folded in; b(p)
+    interface g, with the theta jump weight already folded in; b(p)
     decomposes into per-subdomain quadratic/linear vectors.
     """
 
     theta: float
     combined: np.ndarray  # (I+G, N*N) squared blocks, then cross blocks
-    cross_pairs: np.ndarray  # (G, 2) minus/plus subdomain ids
+    cross_pairs: np.ndarray  # (G, 2) minus/plus subdomain ids per interface
     b_sq: np.ndarray  # (I, N)
     b_lin: np.ndarray  # (I, N)
 
@@ -158,20 +158,17 @@ def build_epoch_cache(
     wlap, wrhs_p, wrhs_fixed = sw[:, None] * lap, sw * pf, sw * fixed
     wtrace_minus, wtrace_plus = sj[:, None] * trace_minus, sj[:, None] * trace_plus
     polar = polar_cache(quad.interior_points, geometry, cutoff_config)
-    gram = _build_gram(
-        geometry.n_subdomains, quad, wlap, wrhs_p, wrhs_fixed, wtrace_minus, wtrace_plus,
-        minus_sub, plus_sub, theta,
-    )
+    gram = _build_gram(geometry, quad, wlap, wrhs_p, wrhs_fixed, wtrace_minus, wtrace_plus, theta)
     return EpochCache(
         geometry, cutoff_config, quad, sw, sj, wlap, wrhs_p, wrhs_fixed, wtrace_minus,
         wtrace_plus, minus_sub, plus_sub, polar, gram,
     )
 
 
-def _build_gram(n_sub, quad, c, f1, f0, tm, tp, minus_sub, plus_sub, theta) -> GramBlocks:
+def _build_gram(geometry, quad, c, f1, f0, tm, tp, theta) -> GramBlocks:
     """The Gram blocks of the weighted rows: Laplacians c, rhs factors f1
-    and f0, traces tm and tp with their subdomain pairs."""
-    n = c.shape[1]
+    and f0, and traces tm and tp, one cross block per interface."""
+    n_sub, n = geometry.n_subdomains, c.shape[1]
     sq = np.zeros((n_sub, n, n))
     b_sq = np.zeros((n_sub, n))
     b_lin = np.zeros((n_sub, n))
@@ -183,24 +180,16 @@ def _build_gram(n_sub, quad, c, f1, f0, tm, tp, minus_sub, plus_sub, theta) -> G
         b_sq[i] = -ci.T @ f1[rows]
         b_lin[i] = -ci.T @ f0[rows]
 
-    pairs_map: dict[tuple[int, int], list[int]] = {}
-    for k in range(quad.n_interface):
-        key = (int(minus_sub[k]), int(plus_sub[k]))
-        pairs_map.setdefault(key, []).append(k)
-    cross, cross_pairs = [], []
-    for (im, ip), rows in pairs_map.items():
-        rows = np.array(rows)
-        tpg = tp[rows]
-        tmg = tm[rows]
-        sq[ip] += tpg.T @ tpg
-        sq[im] += tmg.T @ tmg
-        cross.append(-(tmg.T @ tpg + tpg.T @ tmg))
-        cross_pairs.append((im, ip))
-    combined = np.concatenate([sq.reshape(n_sub, n * n), np.reshape(cross, (len(cross), n * n))])
-    cross_pairs = (
-        np.array(cross_pairs, dtype=int) if cross_pairs else np.zeros((0, 2), dtype=int)
-    )
-    return GramBlocks(theta, combined, cross_pairs, b_sq, b_lin)
+    cross = np.empty((len(geometry.interfaces), n, n))
+    for k, ifc in enumerate(geometry.interfaces):
+        rows = quad.interface_ids == k
+        tpg, tmg = tp[rows], tm[rows]
+        sq[ifc.plus] += tpg.T @ tpg
+        sq[ifc.minus] += tmg.T @ tmg
+        cross[k] = -(tmg.T @ tpg + tpg.T @ tmg)
+    combined = np.concatenate([sq.reshape(n_sub, n * n), cross.reshape(-1, n * n)])
+    cross_pairs = np.array([(g.minus, g.plus) for g in geometry.interfaces], dtype=int)
+    return GramBlocks(theta, combined, cross_pairs.reshape(-1, 2), b_sq, b_lin)
 
 
 def assemble_system(cache: EpochCache, parameter, singular_evals, theta: float) -> LsSystem:
@@ -350,6 +339,8 @@ def solve_parameter_batch(
     sing = singular_evals_per_p or [None] * n_p
     if len(sing) != n_p:
         raise ValueError("one singular block per parameter is needed")
+    if any(s is not None and s.shape[0] != j1 for s in sing):
+        raise ValueError("singular evaluations do not match the interior points")
     counts = np.array([0 if s is None else s.shape[1] for s in sing])
     m = int(counts.max(initial=0))
     if m == 0:

@@ -5,20 +5,22 @@ Four families, all with analytic value, gradient and Laplacian:
 * boundary cutoff B(x): normalized tensor-product parabola vanishing on the
   outer boundary;
 * gradient-jump cutoffs psi: normalized approximate-distance compositions
-  (sum d^-2)^(-1/2) over a set of interface lines, zero on each line with
-  one-sided normal slopes of exactly +-1 in the limit;
+  (sum d^-2)^(-1/2) over the interface lines of one axis, zero on each line
+  with one-sided normal slopes of exactly +-1 in the limit.  The lines are
+  the cuts themselves, ``geometry.cuts_x`` (and in 2D ``cuts_y``);
 * singularity-exclusion vectors Phi1/Phi2 built from 1 - eta(|x - x_n|),
   block-constant so each output group is tied to one vertex;
 * the radial transition eta itself, a C^2 quintic smoothstep equal to 1
-  inside delta1 and 0 outside delta2.
+  inside delta1 and 0 outside delta2.  Its default radii come from the
+  smallest cell width of the tensor grid.
 
 Every field is a `nets.Jets`.  Composed basis functions are
 w = B * (wbar ⊙ Phi1) and v = B * (vbar ⊙ Psi ⊙ Phi2).  Output n is
 c_n * raw_n with a composite cutoff scalar c_n.  Only a few of the c_n are
 distinct, B * phi_v per vertex v and B * psi_a * phi_v per interface axis a
 and vertex v, so each is built once, by the `Jets` product, and gathered to
-the outputs with one index array.  `composition_factors` returns the
-(J, n1 + n2) jets of the c_n at interior points, and their product
+the outputs with one index array, `_factor_index`.  `composition_factors`
+returns the (J, n1 + n2) jets of the c_n at interior points, and their product
 ``factors * raw`` with the network jets is the composed basis there.
 At interface points, where Psi kinks, `interface_trace_factors` feeds the
 same product the one-sided jets of psi on its own line and returns the
@@ -43,7 +45,6 @@ __all__ = [
     "jump_adf_jet",
     "composition_factors",
     "interface_trace_factors",
-    "interface_lines",
 ]
 
 
@@ -60,24 +61,16 @@ class CutoffConfig:
 
 
 def default_cutoff_config(geometry: Geometry) -> CutoffConfig:
-    """delta2 = 0.45 * (closest other vertex or outer boundary), delta1 = delta2/2.
+    """delta2 = 0.45 * (smallest cell width), delta1 = delta2/2.
 
-    Keeps every transition ball strictly inside the subdomains touching its
-    vertex and disjoint from all other balls, for any grid layout.
+    On a tensor grid a crossing's nearest other crossing or outer boundary
+    lies along its row or column, one cell width away, so every transition
+    ball stays strictly inside the cells touching its vertex and disjoint
+    from all other balls.
     """
-    if geometry.dimension == 1 or geometry.n_singular == 0:
-        return CutoffConfig(0.25, 0.5)  # unused in 1D; placeholder radii
-    verts = geometry.singular_vertices
-    dmin = np.inf
-    for i, (vx, vy) in enumerate(verts):
-        for a, b in [geometry.bounds[0]]:
-            dmin = min(dmin, vx - a, b - vx)
-        for a, b in [geometry.bounds[1]]:
-            dmin = min(dmin, vy - a, b - vy)
-        for j, (ux, uy) in enumerate(verts):
-            if j != i:
-                dmin = min(dmin, float(np.hypot(ux - vx, uy - vy)))
-    d2 = 0.45 * dmin
+    if geometry.n_singular == 0:
+        return CutoffConfig(0.25, 0.5)  # unused without vertices; placeholder radii
+    d2 = 0.45 * float(np.min(geometry.subdomain_hi - geometry.subdomain_lo))
     return CutoffConfig(d2 / 2, d2)
 
 
@@ -115,20 +108,6 @@ def boundary_cutoff_jet(points: np.ndarray, geometry: Geometry) -> Jets:
     return jet
 
 
-def interface_lines(geometry: Geometry, axis=None) -> list[tuple[int, float]]:
-    """Distinct interface carrier lines as (axis, position) pairs.
-
-    ``axis=0`` selects vertical lines, ``axis=1`` horizontal ones, ``None``
-    all of them (the 1D case, where every interface is a point on axis 0).
-    """
-    seen = []
-    for ifc in geometry.interfaces:
-        key = (ifc.axis, ifc.position)
-        if (axis is None or ifc.axis == axis) and key not in seen:
-            seen.append(key)
-    return seen
-
-
 def jump_adf_jet(points: np.ndarray, lines: list[tuple[int, float]]) -> Jets:
     """Normalized approximate distance psi = (sum_g d_g^-2)^(-1/2).
 
@@ -157,10 +136,13 @@ def jump_adf_jet(points: np.ndarray, lines: list[tuple[int, float]]) -> Jets:
     return Jets(value, grad, lap)
 
 
-def _phi_jets(points: np.ndarray, geometry: Geometry, config: CutoffConfig) -> list[Jets]:
-    """phi_n = 1 - eta(|x - x_n|) for every singular vertex, full jets."""
-    points = np.atleast_2d(points)
+def _phi_list(points: np.ndarray, geometry: Geometry, config: CutoffConfig) -> list[Jets]:
+    """The distinct exclusion factors: phi_v = 1 - eta(|x - x_v|) per
+    singular vertex v, full jets, or one all-ones jet when there is no
+    singular vertex (always in 1D)."""
     n, d = points.shape
+    if geometry.n_singular == 0:
+        return [Jets.ones(n, d)]
     jets = []
     for vx in geometry.singular_vertices:
         dx = points - vx[None, :]
@@ -178,45 +160,27 @@ def _phi_jets(points: np.ndarray, geometry: Geometry, config: CutoffConfig) -> l
     return jets
 
 
-def _block_sizes(n1: int, n2: int, n_singular: int) -> tuple[int, int]:
-    if n_singular == 0:
-        return 0, 0
-    if n1 % n_singular:
-        raise ValueError(f"N1={n1} must be divisible by the {n_singular} singular vertices")
-    if n2 % (2 * n_singular):
-        raise ValueError(f"N2={n2} must be divisible by 2*{n_singular}")
-    return n1 // n_singular, n2 // (2 * n_singular)
+def _factor_index(geometry: Geometry, n1: int, n2: int) -> np.ndarray:
+    """Index of each of the n1 + n2 outputs' factor in `_distinct_factors`.
 
-
-def _phi_list(points: np.ndarray, geometry: Geometry, config: CutoffConfig) -> list[Jets]:
-    """The distinct exclusion factors: phi_v per vertex, or one all-ones jet
-    when there is no singular vertex (always in 1D)."""
-    if geometry.dimension == 1 or geometry.n_singular == 0:
-        return [Jets.ones(*points.shape)]
-    return _phi_jets(points, geometry, config)
-
-
-def _column_vertices(geometry: Geometry, n1: int, n2: int) -> tuple[np.ndarray, np.ndarray]:
-    """Index into `_phi_list` of the exclusion factor of each w and v column.
-
-    Phi1 repeats phi_v in blocks of n1/N_s; Phi2 is two copies of the
-    analogous n2/2 block vector.
+    With F = max(N_s, 1) exclusion factors, factor v < F is B * phi_v and
+    factor F (1 + a) + v is B * psi_a * phi_v.  Phi1 repeats phi_v in
+    blocks of n1/N_s; Phi2 is two copies of the analogous n2/2 block
+    vector.  In 2D the first n2//2 v columns kink on the vertical lines
+    (a = 0) and the rest on the horizontal ones (a = 1); in 1D every v
+    column kinks on every cut point.
     """
-    if geometry.dimension == 1 or geometry.n_singular == 0:
-        return np.zeros(n1, dtype=int), np.zeros(n2, dtype=int)
-    b1, b2 = _block_sizes(n1, n2, geometry.n_singular)
-    return np.arange(n1) // b1, (np.arange(n2) % (n2 // 2)) // b2
-
-
-def _column_axes(geometry: Geometry, n2: int) -> np.ndarray:
-    """Interface axis whose lines the jump cutoff of each v column kinks on.
-
-    In 2D the first n2//2 columns kink on the vertical lines and the rest on
-    the horizontal ones; in 1D every column kinks on every interface point.
-    """
-    if geometry.dimension == 1:
-        return np.zeros(n2, dtype=int)
-    return (np.arange(n2) >= n2 // 2).astype(int)
+    n_s = geometry.n_singular
+    w, v = np.zeros(n1, dtype=int), np.zeros(n2, dtype=int)
+    if n_s:
+        if n1 % n_s:
+            raise ValueError(f"N1={n1} must be divisible by the {n_s} singular vertices")
+        if n2 % (2 * n_s):
+            raise ValueError(f"N2={n2} must be divisible by 2*{n_s}")
+        w = np.arange(n1) // (n1 // n_s)
+        v = (np.arange(n2) % (n2 // 2)) // (n2 // (2 * n_s))
+    axes = np.arange(n2) >= n2 // 2 if geometry.dimension == 2 else 0
+    return np.concatenate([w, max(n_s, 1) * (1 + axes) + v])
 
 
 def _distinct_factors(points, geometry, config, psis, n1, n2):
@@ -230,19 +194,19 @@ def _distinct_factors(points, geometry, config, psis, n1, n2):
     bjet = boundary_cutoff_jet(points, geometry)
     phis = _phi_list(points, geometry, config)
     jets = [bjet * phi for phi in phis] + [bjet * psi * phi for psi in psis for phi in phis]
-    w_idx, v_idx = _column_vertices(geometry, n1, n2)
-    cols = np.concatenate([w_idx, len(phis) * (1 + _column_axes(geometry, n2)) + v_idx])
     stack = Jets(
         np.stack([j.value for j in jets], axis=1),
         np.stack([j.gradient for j in jets], axis=1),
         np.stack([j.laplacian for j in jets], axis=1),
     )
-    return stack, cols
+    return stack, _factor_index(geometry, n1, n2)
 
 
 def _axis_lines(geometry: Geometry) -> list[list[tuple[int, float]]]:
-    """Interface lines per axis: the vertical ones, then (2D) the horizontal."""
-    return [interface_lines(geometry, axis=a) for a in range(geometry.dimension)]
+    """Interface lines per axis, as (axis, position) pairs: the cuts, the
+    vertical ones, then (2D) the horizontal."""
+    cuts = (geometry.cuts_x, geometry.cuts_y)[: geometry.dimension]
+    return [[(a, c) for c in positions] for a, positions in enumerate(cuts)]
 
 
 def composition_factors(

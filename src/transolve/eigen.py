@@ -32,7 +32,6 @@ __all__ = [
     "EigenSystem",
     "EigenPair",
     "basis_matrix",
-    "sector_values",
     "assemble_eigensystem",
     "solve_eigenpairs",
     "select_singular",
@@ -130,25 +129,12 @@ _UNIT_STIFFNESS, _UNIT_MASS = _unit_blocks()
 _MASS_CONSTANT_P = _UNIT_MASS.sum(axis=0)  # L2(0, 2pi) inner product of the basis
 
 
-def sector_values(angular_trace) -> np.ndarray:
-    """The sector values of a trace as a float array with last axis 4.
-
-    Accepts the sector list produced by geometry.angular_trace, or an array
-    of p values of shape (..., 4).
-    """
-    if isinstance(angular_trace, (list, tuple)) and angular_trace and isinstance(
-        angular_trace[0], (tuple, list)
-    ):
-        return np.array([s[2] for s in angular_trace], dtype=float)
-    return np.asarray(angular_trace, dtype=float)
-
-
-def assemble_eigensystem(angular_trace) -> EigenSystem:
+def assemble_eigensystem(p_sector) -> EigenSystem:
     """Stiffness/mass matrices of one trace or of a stack of traces.
 
-    ``angular_trace`` is anything `sector_values` accepts.
+    ``p_sector`` holds the p values of the four sectors, shape (..., 4).
     """
-    p_sector = sector_values(angular_trace)
+    p_sector = np.asarray(p_sector, dtype=float)
     if p_sector.ndim < 1 or p_sector.shape[-1] != N_ELEMENTS:
         raise ValueError("angular trace must provide 4 sector values")
     if not np.all(np.isfinite(p_sector)) or np.any(p_sector <= 0):
@@ -260,8 +246,9 @@ def _transfer_matrix(lam: float, p_sector: np.ndarray) -> np.ndarray:
     return t
 
 
-def semi_analytic_exponents(angular_trace, lam_max=2.0, step=1e-3, tol=1e-12):
-    """Exponents of the sector problem by transfer-matrix root finding.
+def semi_analytic_exponents(p_sector, lam_max=2.0, step=1e-3, tol=1e-12):
+    """Exponents of the sector problem with sector values ``p_sector`` (4,)
+    by transfer-matrix root finding.
 
     On each constant sector modes are A cos(lam theta) + B sin(lam theta);
     periodicity of (mu, p mu') requires det(T(lam) - I) = 0, i.e.
@@ -269,7 +256,7 @@ def semi_analytic_exponents(angular_trace, lam_max=2.0, step=1e-3, tol=1e-12):
     located by sign scanning plus bisection; tangential (double) roots,
     where f touches zero from below, are refined by ternary maximization.
     """
-    p_sector = sector_values(angular_trace)
+    p_sector = np.asarray(p_sector, dtype=float)
 
     def f(lam):
         return np.trace(_transfer_matrix(lam, p_sector)) - 2.0

@@ -5,7 +5,8 @@ tensor grid of cut positions.  Material interfaces carry a fixed normal
 orientation (+x for vertical interfaces, +y for horizontal ones) so that
 jump brackets are signed differences across that normal: the minus side
 lies at x - t*n for small t > 0.  Interior grid crossings are the singular
-vertices of the 2D problem.
+vertices of the 2D problem, and the four cells around each crossing (its
+sectors) are read from the cut indices while the crossings are listed.
 
 Conventions: subdomains are numbered row-major with rows from top to
 bottom and columns left to right (so the top-left cell of a 2x2 layout is
@@ -15,7 +16,7 @@ right order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -183,28 +184,20 @@ def build_grid_geometry(dimension, cuts_x=(), cuts_y=(), bounds=None) -> Geometr
                 )
             )
 
-    # Interior crossings, top row of vertices first, left to right.
-    vertices = [(xv, yv) for yv in reversed(cy) for xv in cx]
-    geometry = Geometry(
+    # Interior crossings, top row of vertices first, left to right; the cut
+    # at cy[iy] has the row nrow-1-iy below it and nrow-2-iy above it, the
+    # cut at cx[ix] the column ix left of it and ix+1 right of it.
+    vertices, sectors = [], []
+    for iy in reversed(range(len(cy))):
+        above, below = nrow - 2 - iy, nrow - 1 - iy
+        for ix, xv in enumerate(cx):
+            vertices.append((xv, cy[iy]))
+            # sectors counter-clockwise from +x: NE, NW, SW, SE
+            sectors.append([sub(above, ix + 1), sub(above, ix), sub(below, ix), sub(below, ix + 1)])
+    return Geometry(
         2, bounds, cx, cy, lo, hi, tuple(interfaces), np.array(vertices).reshape(-1, 2),
-        np.empty((0, 4), dtype=int),
+        np.array(sectors, dtype=int).reshape(-1, 4),
     )
-    return replace(geometry, vertex_sectors=_probe_vertex_sectors(geometry))
-
-
-def _probe_vertex_sectors(geometry: Geometry) -> np.ndarray:
-    """Subdomain of each quarter-plane sector around each singular vertex.
-
-    Sector k spans angles (k pi/2, (k+1) pi/2); it is located by a probe
-    point on its bisector, a quarter of the smallest cell width away.
-    """
-    eps = 0.25 * min(
-        float(np.min(geometry.subdomain_hi - geometry.subdomain_lo, initial=np.inf)), 1.0
-    )
-    angles = (np.pi / 4, 3 * np.pi / 4, 5 * np.pi / 4, 7 * np.pi / 4)
-    offsets = np.array([[eps * np.cos(ang), eps * np.sin(ang)] for ang in angles])
-    probes = geometry.singular_vertices[:, None, :] + offsets[None, :, :]
-    return subdomain_index_many(geometry, probes.reshape(-1, 2)).reshape(-1, 4)
 
 
 def subdomain_index(geometry: Geometry, x) -> int:

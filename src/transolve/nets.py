@@ -387,6 +387,7 @@ def adam_step(
 
 
 def linear_lr(lr_start: float, lr_end: float, iteration: int, total: int) -> float:
-    """Linear interpolation over the iteration count (0-based iteration)."""
-    frac = iteration / total if total > 0 else 1.0
+    """Linear interpolation over the iteration count (0-based iteration),
+    held at lr_end past the schedule."""
+    frac = min(max(iteration / total, 0.0), 1.0) if total > 0 else 1.0
     return lr_start + (lr_end - lr_start) * frac

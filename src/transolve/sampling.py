@@ -2,11 +2,14 @@
 
 Diffusivities follow the cosine-pushforward rule p = mid + cos(z)*half with
 z ~ U[0, pi], which concentrates samples near both range endpoints (the
-arcsine distribution).  Training points are grid-jittered: one uniform draw
-per cell of a regular partition, which keeps the Monte Carlo weights of the
-plain uniform rule while reducing variance.  Interface points are
-stratified per interface; in 1D the interfaces are the cut points
-themselves and carry unit (counting-measure) weight.
+arcsine distribution).  Interior points come from one cell grid, `_cells`:
+n cells per subdomain in 1D, the global n x n grid in 2D.  Training points
+are grid-jittered, one uniform draw per cell, which keeps the Monte Carlo
+weights of the plain uniform rule while reducing variance; the evaluation
+grid takes the cell centers.  Training draws on a cut line are moved off
+it, and a midpoint grid with a center on one is rejected.
+Interface points are stratified per interface; in 1D the interfaces are the
+cut points themselves and carry unit (counting-measure) weight.
 """
 
 from __future__ import annotations
@@ -60,45 +63,40 @@ def sample_parameters(rng, n: int, n_subdomains: int, p_min: float, p_max: float
 
 
 def _min_interface_distance(geometry: Geometry, points: np.ndarray) -> np.ndarray:
+    """Distance of each point to the nearest cut line; every cut line is an
+    interface from bound to bound."""
     dist = np.full(points.shape[0], np.inf)
-    for ifc in geometry.interfaces:
-        d = np.abs(points[:, ifc.axis] - ifc.position)
-        if geometry.dimension == 2:
-            lo, hi = ifc.span
-            other = points[:, 1 - ifc.axis]
-            on_span = (other >= lo) & (other <= hi)
-            d = np.where(on_span, d, np.inf)
-        dist = np.minimum(dist, d)
+    for axis, cuts in enumerate((geometry.cuts_x, geometry.cuts_y)):
+        for c in cuts:
+            dist = np.minimum(dist, np.abs(points[:, axis] - c))
     return dist
 
 
-def _jittered_interior(geometry: Geometry, n_per_axis: int, rng):
-    """One uniform draw per cell; draws touching an interface are retried.
+def _cells(geometry: Geometry, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Lower corners and widths, each (J, d), of the interior cell grid.
 
-    1D places n_per_axis cells in every subdomain; 2D uses a global
-    n x n cell grid.  Weights are the cell measures (equal to Vol/J1 for
-    the uniform layouts of interest).
+    1D: n equal cells in every subdomain.  2D: the global n x n grid of
+    equal cells, x-major.
     """
     if geometry.dimension == 1:
-        cells = []
-        for lo, hi in zip(geometry.subdomain_lo[:, 0], geometry.subdomain_hi[:, 0]):
-            edges = np.linspace(lo, hi, n_per_axis + 1)
-            cells.append(np.stack([edges[:-1], edges[1:]], axis=1))
-        cells = np.concatenate(cells, axis=0)
-        pts = rng.uniform(cells[:, 0], cells[:, 1])[:, None]
-        weights = cells[:, 1] - cells[:, 0]
-    else:
-        (a, b), (c, d) = geometry.bounds
-        ex = np.linspace(a, b, n_per_axis + 1)
-        ey = np.linspace(c, d, n_per_axis + 1)
-        gx0, gy0 = np.meshgrid(ex[:-1], ey[:-1], indexing="ij")
-        wx = (b - a) / n_per_axis
-        wy = (d - c) / n_per_axis
-        u = rng.uniform(0, 1, size=(n_per_axis, n_per_axis, 2))
-        pts = np.stack(
-            [gx0 + u[:, :, 0] * wx, gy0 + u[:, :, 1] * wy], axis=2
-        ).reshape(-1, 2)
-        weights = np.full(pts.shape[0], wx * wy)
+        spans = zip(geometry.subdomain_lo[:, 0], geometry.subdomain_hi[:, 0])
+        edges = [np.linspace(lo, hi, n + 1) for lo, hi in spans]
+        corner = np.concatenate([e[:-1] for e in edges])
+        width = np.concatenate([np.diff(e) for e in edges])
+        return corner[:, None], width[:, None]
+    (a, b), (c, d) = geometry.bounds
+    hx, hy = (b - a) / n, (d - c) / n
+    gx, gy = np.meshgrid(a + hx * np.arange(n), c + hy * np.arange(n), indexing="ij")
+    corners = np.stack([gx.ravel(), gy.ravel()], axis=1)
+    return corners, np.broadcast_to([hx, hy], corners.shape)
+
+
+def _jittered_interior(geometry: Geometry, n_per_axis: int, rng):
+    """One uniform draw per cell of `_cells`; draws touching an interface
+    are retried.  Weights are the cell measures."""
+    corners, widths = _cells(geometry, n_per_axis)
+    pts = corners + rng.uniform(0, 1, size=corners.shape) * widths
+    weights = np.prod(widths, axis=1)
     for _ in range(100):
         bad = _min_interface_distance(geometry, pts) <= _INTERFACE_CLEARANCE
         if not np.any(bad):
@@ -158,39 +156,21 @@ def sample_collocation(
 def midpoint_grid(geometry: Geometry, n_per_axis: int, n_per_interface: int) -> QuadratureSet:
     """Deterministic cell-center quadrature for evaluation and reporting.
 
-    2D: centers of the uniform n x n partition, weight |cell| each; 1D:
-    n centers per subdomain.  Interface midpoints carry their segment
-    length over the per-interface count (1D: unit weights at the cuts).
+    The centers of the `_cells` grid, weight |cell| each.  Interface
+    midpoints carry their segment length over the per-interface count (1D:
+    unit weights at the cuts).
     """
     if n_per_axis < 1 or n_per_interface < 1:
         raise ValueError("counts must be >= 1")
-    if geometry.dimension == 1:
-        pts, weights, subs = [], [], []
-        for i, (lo, hi) in enumerate(zip(geometry.subdomain_lo[:, 0], geometry.subdomain_hi[:, 0])):
-            h = (hi - lo) / n_per_axis
-            centers = lo + h * (np.arange(n_per_axis) + 0.5)
-            pts.append(centers)
-            weights.append(np.full(n_per_axis, h))
-            subs.append(np.full(n_per_axis, i, dtype=int))
-        interior = np.concatenate(pts)[:, None]
-        w = np.concatenate(weights)
-        sub = np.concatenate(subs)
-        return QuadratureSet(interior, w, sub, *_interface_samples(geometry, 1, None))
-
-    (a, b), (c, d) = geometry.bounds
-    hx = (b - a) / n_per_axis
-    hy = (d - c) / n_per_axis
-    cx = a + hx * (np.arange(n_per_axis) + 0.5)
-    cy = c + hy * (np.arange(n_per_axis) + 0.5)
-    gx, gy = np.meshgrid(cx, cy, indexing="ij")
-    interior = np.stack([gx.ravel(), gy.ravel()], axis=1)
+    corners, widths = _cells(geometry, n_per_axis)
+    interior = corners + widths / 2
     if np.any(_min_interface_distance(geometry, interior) <= _INTERFACE_CLEARANCE):
         raise ValueError(
             "midpoint grid centers fall on an interface; choose a count that "
             "keeps cell centers clear (e.g. an even count for centered cuts)"
         )
     sub = subdomain_index_many(geometry, interior)
-    w = np.full(interior.shape[0], hx * hy)
+    w = np.prod(widths, axis=1)
     return QuadratureSet(
         interior, w, sub, *_interface_samples(geometry, n_per_interface, _cell_centers)
     )

@@ -153,10 +153,12 @@ class TrainConfig:
             raise ValueError("need at least one iteration")
         if not (self.lr_start >= self.lr_end > 0):
             raise ValueError("learning-rate endpoints must satisfy lr_start >= lr_end > 0")
-        if self.theta < 0:
-            raise ValueError("theta must be nonnegative")
-        if not 0 < self.p_min <= self.p_max:
-            raise ValueError("the parameter range must satisfy 0 < p_min <= p_max")
+        if not (np.isfinite(self.theta) and self.theta >= 0):
+            raise ValueError("theta must be finite and nonnegative")
+        if min(self.n_params, self.n_interior, self.n_interface) < 1:
+            raise ValueError("n_params, n_interior and n_interface must be at least 1")
+        if not 0 < self.p_min <= self.p_max < np.inf:
+            raise ValueError("the parameter range must satisfy 0 < p_min <= p_max < inf")
         if self.val_every < 1:
             raise ValueError("val_every must be at least 1")
         if self.n_singular < 0:
@@ -241,8 +243,6 @@ def prepare_epoch(
     cutoff_config: CutoffConfig,
 ) -> EpochData:
     """Sample the batch and fresh points; solve the eigenproblems it needs."""
-    if config.n_params < 1:
-        raise ValueError("empty parameter batch")
     parameters = sample_parameters(
         state.rng_params, config.n_params, geometry.n_subdomains, config.p_min, config.p_max
     )

@@ -191,7 +191,7 @@ def test_batch_matches_explicit_solve_2d_with_singular():
     params = rng.uniform(1.0, 10.0, size=(4, 4))
     sing_per_p = []
     for p in params:
-        pairs = solve_eigenpairs(assemble_eigensystem(angular_trace(g, p, 0)))
+        pairs = solve_eigenpairs(assemble_eigensystem([s[2] for s in angular_trace(g, p, 0)]))
         sel = [select_singular(pairs, 1)]
         sing_per_p.append(singular_evals_from_cache(cache.polar, sel))
     batch = solve_parameter_batch(cache, params, singular_evals_per_p=sing_per_p)
@@ -280,6 +280,21 @@ def test_batch_singular_system_raises_named():
     solve_parameter_batch(cache, params, ridge=0.0)  # the live systems alone solve
 
 
+def test_batch_rejects_singular_block_of_another_length():
+    """A singular block must have one row per interior point; one of shape
+    (1, m) is not broadcast over the J1 rows."""
+    g = geom_2x2()
+    cache = make_cache(g, NetConfig(2, (6,), 1, 2), seed=3, n_int=6, n_ifc=3)
+    params = np.random.default_rng(5).uniform(0.5, 10.0, size=(2, 4))
+    s = np.random.default_rng(6).normal(size=(cache.quad.n_interior, 2))
+    solve_parameter_batch(cache, params, [s, None])
+    for bad in (s[:1], s[:-1], np.concatenate([s, s])):
+        with pytest.raises(ValueError, match="interior points"):
+            solve_parameter_batch(cache, params, [bad, None])
+        with pytest.raises(ValueError, match="interior points"):
+            assemble_system(cache, params[0], bad, 1.0)
+
+
 def test_assemble_system_rejects_another_theta():
     cache = make_cache(geom_1d(), NetConfig(1, (4,), 1, 2), theta=2.0)
     with pytest.raises(ValueError, match="theta"):
@@ -305,7 +320,7 @@ def test_singular_evals_cache_matches_direct():
     cfg = NetConfig(2, (5,), 1, 2)
     cache = make_cache(g, cfg, seed=13, n_int=16, n_ifc=4)
     p = np.array([1.0, 10.0, 10.0, 1.0])
-    pairs = solve_eigenpairs(assemble_eigensystem(angular_trace(g, p, 0)))
+    pairs = solve_eigenpairs(assemble_eigensystem([s[2] for s in angular_trace(g, p, 0)]))
     sel = [select_singular(pairs, 2)]
     fast = singular_evals_from_cache(cache.polar, sel)
     cut = cache.cutoff_config
@@ -328,7 +343,7 @@ def test_singular_columns_zero_on_jump_rows():
     cfg = NetConfig(2, (5,), 1, 2)
     cache = make_cache(g, cfg, seed=14, n_int=10, n_ifc=4, theta=5.0)
     p = np.array([1.0, 8.0, 8.0, 1.0])
-    pairs = solve_eigenpairs(assemble_eigensystem(angular_trace(g, p, 0)))
+    pairs = solve_eigenpairs(assemble_eigensystem([s[2] for s in angular_trace(g, p, 0)]))
     sing = singular_evals_from_cache(cache.polar, [select_singular(pairs, 1)])
     sysk = assemble_system(cache, p, sing, 5.0)
     np.testing.assert_array_equal(

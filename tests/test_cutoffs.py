@@ -3,13 +3,13 @@ import pytest
 
 from transolve.cutoffs import (
     CutoffConfig,
-    _column_vertices,
+    _axis_lines,
+    _factor_index,
     _phi_list,
     boundary_cutoff_jet,
     composition_factors,
     default_cutoff_config,
     eta_jet,
-    interface_lines,
     interface_trace_factors,
     jump_adf_jet,
 )
@@ -142,7 +142,7 @@ def test_psi_2d_single_line_abs_x():
 
 def test_psi_one_sided_slopes():
     g = geom_1d()
-    lines = interface_lines(g)
+    lines = _axis_lines(g)[0]
     gamma = PI / 5
     h = 1e-6
     vp = jump_adf_jet(np.array([[gamma + h]]), lines).value[0]
@@ -154,7 +154,7 @@ def test_psi_one_sided_slopes():
 
 def test_psi_vanishes_on_interfaces():
     g = geom_1d()
-    lines = interface_lines(g)
+    lines = _axis_lines(g)[0]
     for _, gamma in lines:
         for h in (1e-5, 1e-6):
             v = jump_adf_jet(np.array([[gamma + h]]), lines).value[0]
@@ -168,7 +168,7 @@ def test_psi_on_line_rejected():
 
 def test_psi_jets_match_fd():
     g = geom_1d()
-    lines = interface_lines(g)
+    lines = _axis_lines(g)[0]
     rng = np.random.default_rng(2)
     pts = rng.uniform(0.05, PI - 0.05, size=(30, 1))
     pts = pts[np.min(np.abs(pts - np.array([l[1] for l in lines])[None, :]), axis=1) > 0.05]
@@ -189,8 +189,8 @@ def test_psi_jets_match_fd():
 def exclusion_columns(points, g, cfg, n1, n2):
     """The exclusion factor of every w and every v column, as two jet lists."""
     phis = _phi_list(np.asarray(points, dtype=float), g, cfg)
-    w_idx, v_idx = _column_vertices(g, n1, n2)
-    return [phis[i] for i in w_idx], [phis[i] for i in v_idx]
+    idx = _factor_index(g, n1, n2) % len(phis)
+    return [phis[i] for i in idx[:n1]], [phis[i] for i in idx[n1:]]
 
 
 def test_exclusion_all_ones_in_1d():
@@ -200,7 +200,7 @@ def test_exclusion_all_ones_in_1d():
     fac = composition_factors(pts, g, CFG, 10, 40)
     assert fac.value.shape == (2, 50)
     bjet = boundary_cutoff_jet(pts, g)
-    bpsi = bjet * jump_adf_jet(pts, interface_lines(g))
+    bpsi = bjet * jump_adf_jet(pts, _axis_lines(g)[0])
     for jet, cols in ((bjet, range(10)), (bpsi, range(10, 50))):
         for n in cols:
             np.testing.assert_allclose(fac.value[:, n], jet.value)
@@ -239,6 +239,27 @@ def test_exclusion_divisibility_enforced():
     )
     with pytest.raises(ValueError):
         composition_factors(np.array([[0.1, 0.1]]), g4, CutoffConfig(0.05, 0.1), 10, 36)
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+def test_one_axis_cuts_odd_n2_column_plan(axis):
+    """2D cuts on one axis only: no vertex, so every exclusion factor is 1.
+    The first n2//2 v columns take the vertical-line psi and the rest the
+    horizontal-line psi; the axis without cuts gives psi = 1, for odd n2 too."""
+    cuts = dict(cuts_x=[0.2]) if axis == 0 else dict(cuts_y=[-0.3])
+    g = build_grid_geometry(2, bounds=[(-1, 1), (-1, 1)], **cuts)
+    pts = np.array([[0.5, 0.4], [-0.7, 0.1], [0.0, -0.8]])
+    n1, n2 = 2, 5
+    fac = composition_factors(pts, g, CFG, n1, n2)
+    bjet = boundary_cutoff_jet(pts, g)
+    bpsi = bjet * jump_adf_jet(pts, _axis_lines(g)[axis])
+    kinked = [n1 + c for c in range(n2) if (c >= n2 // 2) == axis]
+    assert len(kinked) == (2 if axis == 0 else 3)
+    for n in range(n1 + n2):
+        jet = bpsi if n in kinked else bjet
+        np.testing.assert_array_equal(fac.value[:, n], jet.value)
+        np.testing.assert_array_equal(fac.gradient[:, n], jet.gradient)
+        np.testing.assert_array_equal(fac.laplacian[:, n], jet.laplacian)
 
 
 def test_exclusion_gradient_fd():

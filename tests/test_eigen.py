@@ -200,7 +200,7 @@ def test_angular_eval_derivative_fd():
 
 def test_geometry_trace_feeds_eigensolver():
     g = build_grid_geometry(2, cuts_x=[0.0], cuts_y=[0.0], bounds=[(-1, 1), (-1, 1)])
-    trace = angular_trace(g, [1.0, 10.0, 10.0, 1.0], 0)
+    trace = [s[2] for s in angular_trace(g, [1.0, 10.0, 10.0, 1.0], 0)]
     pairs = solve_eigenpairs(assemble_eigensystem(trace))
     assert len(pairs) == 16
 

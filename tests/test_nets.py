@@ -279,3 +279,6 @@ def test_linear_lr_midpoint():
     assert linear_lr(1e-2, 1e-4, 500, 1000) == pytest.approx(0.00505)
     assert linear_lr(1e-2, 1e-4, 0, 1000) == pytest.approx(1e-2)
     assert linear_lr(1e-2, 1e-4, 1000, 1000) == pytest.approx(1e-4)
+    # past the schedule (a resumed run) the rate stays at its end, never below
+    assert linear_lr(2e-3, 1e-3, 30, 10) == pytest.approx(1e-3)
+    assert linear_lr(1e-2, 1e-4, 1001, 1000) == pytest.approx(1e-4)

@@ -77,12 +77,19 @@ def test_loss_nonnegative_and_epoch_runs():
 
 @pytest.mark.parametrize(
     "bad",
-    [dict(val_every=0), dict(p_min=5.0, p_max=1.0), dict(p_min=0.0), dict(n_singular=-1)],
+    [
+        dict(val_every=0), dict(p_min=5.0, p_max=1.0), dict(p_min=0.0), dict(n_singular=-1),
+        dict(theta=np.nan), dict(theta=np.inf), dict(theta=-1.0),
+        dict(n_params=0), dict(n_interior=0), dict(n_interface=0), dict(p_max=np.inf),
+    ],
 )
 def test_config_rejects_bad_values_when_built(bad):
     """Caught when the config is built: val_every=0 would divide by zero at
-    the first validation, p_min > p_max would draw from [p_max, p_min], and
-    n_singular=-1 would keep every eligible exponent but the last."""
+    the first validation, p_min > p_max would draw from [p_max, p_min],
+    n_singular=-1 would keep every eligible exponent but the last, a NaN or
+    infinite theta would show only as NaN losses, a zero count would fail
+    only at the first epoch, and p_max=inf would draw inf and NaN
+    diffusivities."""
     with pytest.raises(ValueError):
         small_config(**bad)
 
@@ -417,7 +424,7 @@ def test_vertex_eigenpairs_batch_matches_per_vertex_solves():
     assert len(batch) == 5 and all(len(per_p) == g.n_singular for per_p in batch)
     for k in range(5):
         for vid in range(g.n_singular):
-            trace = angular_trace(g, params[k], vid)
+            trace = [s[2] for s in angular_trace(g, params[k], vid)]
             ref = select_singular(solve_eigenpairs(assemble_eigensystem(trace)), 2)
             np.testing.assert_allclose(
                 [p.exponent for p in batch[k][vid]], [p.exponent for p in ref], atol=1e-12
