@@ -18,11 +18,15 @@ one solve that training, validation and `final_solve` use: it combines the
 Gram blocks for the whole batch in one GEMM, borders every parameter's
 normal matrix with its singular columns in one batched step, and solves
 each ridged system with one LAPACK dposv call; a system that is not
-positive definite raises.  It returns the adjoint seeds of the raw rows,
-so the gradient is three products with the coefficients.
-`assemble_system` and `solve_normal_equations` build and solve one
-parameter's explicit system; they are the reference the batched solve is
-checked against.
+positive definite raises.  A singular column's source is zero off its
+vertex's annulus, so each singular block holds the cache's annulus rows
+only (`singular.PolarCache.annulus_rows`), and the border reads just those
+rows of the Laplacians, right-hand side and residual.  It returns the
+adjoint seeds of the raw rows, so the gradient is three products with the
+coefficients.  `assemble_system` and `solve_normal_equations` build and
+solve one parameter's explicit system; they are the reference the batched
+solve is checked against, and `assemble_system` is the one place a
+singular block is scattered to all J1 interior rows.
 """
 
 from __future__ import annotations
@@ -195,21 +199,28 @@ def _build_gram(geometry, quad, c, f1, f0, tm, tp, theta) -> GramBlocks:
 def assemble_system(cache: EpochCache, parameter, singular_evals, theta: float) -> LsSystem:
     """Explicit stacked matrix for one parameter (cache-based assembly).
 
-    The jump rows carry the cache's Theta, so ``theta`` must equal it.
+    ``singular_evals`` is the (R, n_s) source block on the cache's annulus
+    rows, as `singular.singular_evals_from_cache` gives it, or None.  This
+    reference scatters it into a dense (J1, n_s) block, the only place one
+    is made.  The jump rows carry the cache's Theta, so ``theta`` must
+    equal it.
     """
     parameter = validate_parameter(cache.geometry, parameter)
     if theta != cache.gram.theta:
         raise ValueError(f"theta {theta} differs from the cache's {cache.gram.theta}")
     j1 = cache.quad.n_interior
     j2 = cache.quad.n_interface
+    rows = cache.polar.annulus_rows
     if singular_evals is None:
-        singular_evals = np.zeros((j1, 0))
-    if singular_evals.shape[0] != j1:
-        raise ValueError("singular evaluations do not match the interior points")
+        singular_evals = np.zeros((rows.size, 0))
+    if singular_evals.shape[0] != rows.size:
+        raise ValueError("singular evaluations do not match the annulus rows")
     n_sing = singular_evals.shape[1]
+    dense = np.zeros((j1, n_sing))
+    dense[rows] = singular_evals
     p_int = parameter[cache.quad.interior_subdomain]
     top = np.concatenate(
-        [p_int[:, None] * cache.wlap, (p_int * cache.sqrt_w)[:, None] * singular_evals], axis=1
+        [p_int[:, None] * cache.wlap, (p_int * cache.sqrt_w)[:, None] * dense], axis=1
     )
     # loss-side rhs: the residual p*Lap(u) - l must vanish at the solution
     # of -div(p grad u) = rhs, so l = -(p*factor + fixed) row-weighted
@@ -311,20 +322,22 @@ def solve_parameter_batch(
 ) -> BatchSolveResult:
     """Least-squares solve of every parameter of a batch through the Gram blocks.
 
-    ``singular_evals_per_p`` holds one (J1, n_s) source block per parameter
-    (None for none); the counts n_s may differ.  Each normal matrix is the
-    Gram combination bordered by its parameter's singular columns, padded
-    to the batch's largest count with an identity block and a zero
-    right-hand side, which solve to zero.  The ridge of each system is
-    RIDGE_REL times the mean diagonal of its unpadded matrix (RIDGE_REL
-    where that mean is 0), or ``ridge``.  The loss of parameter k is
-    ||B y - l||^2 over its interior and jump rows.
+    ``singular_evals_per_p`` holds one (R, n_s) source block per parameter
+    on the cache's annulus rows (None for none); the counts n_s may differ.
+    Each normal matrix is the Gram combination bordered by its parameter's
+    singular columns, padded to the batch's largest count with an identity
+    block and a zero right-hand side, which solve to zero.  The border
+    reads the Laplacian, right-hand-side and residual rows of the annulus
+    alone, so no singular array spans the J1 interior rows.  The ridge of
+    each system is RIDGE_REL times the mean diagonal of its unpadded matrix
+    (RIDGE_REL where that mean is 0), or ``ridge``.  The loss of parameter
+    k is ||B y - l||^2 over its interior and jump rows.
     """
     gram = cache.gram
     parameters = validate_parameter_batch(cache.geometry, np.atleast_2d(parameters))
     n_p, n_sub = parameters.shape
     n = cache.n_basis
-    j1 = cache.quad.n_interior
+    rows = cache.polar.annulus_rows
 
     # one GEMM: (P, K) monomial coefficients against the fused (K, N*N) blocks
     coef = gram.coefficients(parameters)
@@ -339,25 +352,26 @@ def solve_parameter_batch(
     sing = singular_evals_per_p or [None] * n_p
     if len(sing) != n_p:
         raise ValueError("one singular block per parameter is needed")
-    if any(s is not None and s.shape[0] != j1 for s in sing):
-        raise ValueError("singular evaluations do not match the interior points")
+    if any(s is not None and s.shape[0] != rows.size for s in sing):
+        raise ValueError("singular evaluations do not match the annulus rows")
     counts = np.array([0 if s is None else s.shape[1] for s in sing])
     m = int(counts.max(initial=0))
     if m == 0:
         a, rhs = a_nn, b_nn
     else:
-        padded = np.zeros((n_p, j1, m))
+        padded = np.zeros((n_p, rows.size, m))
         for k in np.flatnonzero(counts):
             padded[k, :, : counts[k]] = sing[k]
-        us = (cache.sqrt_w * p_int.T)[:, :, None] * padded  # (P, J1, M) weighted, p-scaled
-        border = np.matmul(c.T, p_int.T[:, :, None] * us)  # (P, N, M)
+        p_rows = parameters[:, cache.quad.interior_subdomain[rows]]  # (P, R)
+        us = (cache.sqrt_w[rows] * p_rows)[:, :, None] * padded  # (P, R, M) weighted, p-scaled
+        border = np.matmul(c[rows].T, p_rows[:, :, None] * us)  # (P, N, M)
         a = np.empty((n_p, n + m, n + m))
         a[:, :n, :n] = a_nn
         a[:, :n, n:] = border
         a[:, n:, :n] = border.transpose(0, 2, 1)
         a[:, n:, n:] = us.transpose(0, 2, 1) @ us
-        l_int = p_int * f1[:, None] + f0[:, None]  # (J1, P)
-        rhs = np.concatenate([b_nn, -np.einsum("pjm,jp->pm", us, l_int)], axis=1)
+        l_rows = p_rows * f1[rows] + f0[rows]  # (P, R)
+        rhs = np.concatenate([b_nn, -(l_rows[:, None, :] @ us)[:, 0]], axis=1)
     if ridge is None:
         mean_diag = np.trace(a, axis1=-2, axis2=-1) / (n + counts)
         ridge_vec = RIDGE_REL * np.where(mean_diag > 0, mean_diag, 1.0)
@@ -374,7 +388,7 @@ def solve_parameter_batch(
     r_int *= p_int
     r_int += f0[:, None]
     if m:
-        r_int += np.einsum("pjm,pm->jp", us, y[:, n:])
+        r_int[rows] += (us @ y[:, n:, None])[:, :, 0].T
     r_jump = cache.wtrace_plus @ y_nn.T
     r_jump *= p_plus
     r_jump -= p_minus * (cache.wtrace_minus @ y_nn.T)

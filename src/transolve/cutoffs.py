@@ -87,9 +87,10 @@ def eta_jet(r, config: CutoffConfig):
     d1, d2 = config.delta1, config.delta2
     width = d2 - d1
     t = np.clip((r - d1) / width, 0.0, 1.0)
-    s = 10 * t**3 - 15 * t**4 + 6 * t**5
-    ds = (30 * t**2 - 60 * t**3 + 30 * t**4) / width
-    dds = (60 * t - 180 * t**2 + 120 * t**3) / width**2
+    t2 = t * t
+    s = t2 * t * (10 + t * (6 * t - 15))
+    ds = t2 * (30 + t * (30 * t - 60)) / width
+    dds = t * (60 + t * (120 * t - 180)) / (width * width)
     return 1.0 - s, -ds, -dds
 
 
@@ -127,12 +128,15 @@ def jump_adf_jet(points: np.ndarray, lines: list[tuple[int, float]]) -> Jets:
         h = points[:, axis] - pos
         if np.any(np.abs(h) < 1e-300):
             raise ValueError("point lies exactly on an interface line of the subset")
-        s += h**-2
-        ds[:, axis] += -2 * h**-3
-        lap_s += 6 * h**-4
-    value = s**-0.5
-    grad = -0.5 * s[:, None] ** -1.5 * ds
-    lap = 0.75 * s**-2.5 * np.sum(ds * ds, axis=1) - 0.5 * s**-1.5 * lap_s
+        inv = 1.0 / h
+        inv2 = inv * inv
+        s += inv2
+        ds[:, axis] -= 2 * inv2 * inv
+        lap_s += 6 * inv2 * inv2
+    value = 1.0 / np.sqrt(s)  # s^-1/2; then s^-3/2 and s^-5/2 by division
+    v3 = value / s
+    grad = -0.5 * v3[:, None] * ds
+    lap = 0.75 * (v3 / s) * np.sum(ds * ds, axis=1) - 0.5 * v3 * lap_s
     return Jets(value, grad, lap)
 
 

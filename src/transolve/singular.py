@@ -12,10 +12,13 @@ inside the printed source formula is the cutoff-free part r^L mu.
 
 `polar_cache` computes, once per point set, everything about those points
 that does not depend on the parameter: their polar coordinates about each
-vertex, the eta jet and the FE angular basis.  `singular_evals_from_cache`
-gives the sources of all columns (the least-squares rows) and `eval_s` the
-values and gradients of all columns (the solution fields) from it; per
-parameter only the exponents and angular coefficients enter.
+vertex, the eta jet and the FE angular basis, and the support rows, the
+point indices of the disks and of the annuli.  Every singular block lives
+on its support rows only: `singular_evals_from_cache` gives the sources of
+all columns on the annulus rows (the least-squares rows) and `eval_s` the
+values and gradients of all columns on the disk rows (the solution
+fields), so their size follows the annuli and disks and not the point
+set.  Per parameter only the exponents and angular coefficients enter.
 """
 
 from __future__ import annotations
@@ -35,12 +38,13 @@ _GRAD_GUARD = 1e-12
 
 @dataclass
 class VertexGeo:
-    """Parameter-independent factors at the points of one vertex's disk r < delta2."""
+    """Parameter-independent factors at the points of one vertex's disk
+    r < delta2, its annulus points (delta1 < r) first."""
 
-    index: np.ndarray  # indices into the point set
-    annulus: np.ndarray  # (len,) bool, delta1 < r: where the source lives
+    n_annulus: int  # the first n_annulus points lie on the annulus, where the source lives
     r: np.ndarray
-    theta: np.ndarray  # in [0, 2pi)
+    cos_t: np.ndarray  # cos and sin of the polar angle
+    sin_t: np.ndarray
     eta: np.ndarray
     eta_p: np.ndarray
     eta_pp: np.ndarray
@@ -50,84 +54,114 @@ class VertexGeo:
 
 @dataclass
 class PolarCache:
-    """Per-vertex polar factors of one point set, vertex order of the geometry."""
+    """Per-vertex polar factors of one point set, vertex order of the geometry.
+
+    The support rows are point indices, vertex-major in the same order as
+    ``vertices``: ``disk_rows`` lists every vertex's disk points, its
+    annulus points first, and ``annulus_rows`` the annulus points alone.
+    The disks are disjoint, so neither lists a point twice.
+    """
 
     n_points: int
     vertices: list[VertexGeo]
+    disk_rows: np.ndarray  # (D,) where the singular functions live
+    annulus_rows: np.ndarray  # (R,) where their sources live, a subset of disk_rows
 
 
 def polar_cache(points, geometry: Geometry, config: CutoffConfig) -> PolarCache:
-    """Factors of every point of ``points`` inside a singular vertex's disk."""
+    """Factors of every point of ``points`` inside a singular vertex's disk.
+
+    A point inside two vertices' disks raises ValueError: the default radii
+    (`cutoffs.default_cutoff_config`) keep the disks apart.
+    """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     vertices = []
+    disks, annuli = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)]
     for v in geometry.singular_vertices:
         dx = points[:, 0] - v[0]
         dy = points[:, 1] - v[1]
         r = np.hypot(dx, dy)
-        idx = np.flatnonzero(r < config.delta2)
+        inside = r < config.delta2
+        annulus = inside & (r > config.delta1)
+        ann = np.flatnonzero(annulus)
+        idx = np.concatenate([ann, np.flatnonzero(inside & ~annulus)])
         ra = r[idx]
         eta, ep, epp = eta_jet(ra, config)
         theta = np.mod(np.arctan2(dy[idx], dx[idx]), 2 * np.pi)
         vals, ders = basis_matrix(theta * XI_PER_THETA)
-        vertices.append(
-            VertexGeo(idx, ra > config.delta1, ra, theta, eta, ep, epp, vals, ders * XI_PER_THETA)
-        )
-    return PolarCache(points.shape[0], vertices)
+        vertices.append(VertexGeo(
+            ann.size, ra, np.cos(theta), np.sin(theta), eta, ep, epp, vals, ders * XI_PER_THETA
+        ))
+        disks.append(idx)
+        annuli.append(ann)
+    disk_rows = np.concatenate(disks)
+    if np.unique(disk_rows).size != disk_rows.size:
+        raise ValueError("a point lies inside the cutoff disks of two singular vertices")
+    return PolarCache(points.shape[0], vertices, disk_rows, np.concatenate(annuli))
 
 
 def _vertex_modes(cache: PolarCache, pairs_per_vertex: list[list[EigenPair]]):
-    """Per vertex with selected pairs: its factors, its column slice, the
-    exponents (m,) and the unit-L2 angular coefficient vectors (16, m)."""
-    start = 0
+    """Per vertex with selected pairs: its factors, its slices of the disk
+    rows, of the annulus rows and of the columns, the exponents (m,) and the
+    unit-L2 angular coefficient vectors (16, m)."""
+    disk = annulus = col = 0
     for geo, pairs in zip(cache.vertices, pairs_per_vertex):
+        n_disk = geo.r.size
         if pairs:
             lam = np.array([pair.exponent for pair in pairs])
             coef = np.stack([pair.mu_scale * pair.rho for pair in pairs], axis=1)
-            yield geo, slice(start, start + len(pairs)), lam, coef
-        start += len(pairs)
+            yield (
+                geo, slice(disk, disk + n_disk), slice(annulus, annulus + geo.n_annulus),
+                slice(col, col + len(pairs)), lam, coef,
+            )
+        disk += n_disk
+        annulus += geo.n_annulus
+        col += len(pairs)
 
 
 def singular_evals_from_cache(cache: PolarCache, pairs_per_vertex: list[list[EigenPair]]):
-    """Residual sources S of all singular columns at the cached points.
+    """Residual sources S of all singular columns on the annulus rows.
 
-    Returns (J, n_cols), columns vertex-major in pair order; zero off each
-    vertex's annulus.
+    Returns (R, n_cols) for the R points of ``cache.annulus_rows``, columns
+    vertex-major in pair order; S is zero at every other point.
     """
-    out = np.zeros((cache.n_points, sum(len(pairs) for pairs in pairs_per_vertex)))
-    for geo, cols, lam, coef in _vertex_modes(cache, pairs_per_vertex):
-        a = geo.annulus
+    out = np.zeros((cache.annulus_rows.size, sum(len(pairs) for pairs in pairs_per_vertex)))
+    for geo, _, rows, cols, lam, coef in _vertex_modes(cache, pairs_per_vertex):
+        a = slice(geo.n_annulus)
         r = geo.r[a, None]
         eta_p = geo.eta_p[a, None]
-        mu = geo.ang_values[a] @ coef
-        radial = 2 * lam * r ** (lam - 1) * eta_p + r**lam * (geo.eta_pp[a, None] + eta_p / r)
-        out[geo.index[a], cols] = mu * radial
+        # 2 L r^(L-1) eta' + r^L (eta'' + eta'/r), with r^(L-1) taken out
+        radial = (2 * lam + 1) * eta_p + r * geo.eta_pp[a, None]
+        out[rows, cols] = (geo.ang_values[a] @ coef) * r ** (lam - 1) * radial
     return out
 
 
 def eval_s(cache: PolarCache, pairs_per_vertex: list[list[EigenPair]]):
-    """Values (J, n_cols) and Cartesian gradients (J, n_cols, 2) of all
-    singular trial functions at the cached points, columns as in
-    `singular_evals_from_cache`.
+    """Values (D, n_cols) and Cartesian gradients (D, 2, n_cols) of all
+    singular trial functions on the disk rows, columns as in
+    `singular_evals_from_cache`; the direction comes before the column, as
+    in `assembly.evaluate_solution`.
 
-    With exponent < 1 the gradient blows up at the vertex, so a point
-    closer than 1e-12 to a vertex with selected pairs raises ValueError.
+    The D points are those of ``cache.disk_rows``; every function is zero
+    at every other point.  With exponent < 1 the gradient blows up at the
+    vertex, so a point closer than 1e-12 to a vertex with selected pairs
+    raises ValueError.
     """
     n_cols = sum(len(pairs) for pairs in pairs_per_vertex)
-    values = np.zeros((cache.n_points, n_cols))
-    grads = np.zeros((cache.n_points, n_cols, 2))
-    for geo, cols, lam, coef in _vertex_modes(cache, pairs_per_vertex):
+    values = np.zeros((cache.disk_rows.size, n_cols))
+    grads = np.zeros((cache.disk_rows.size, 2, n_cols))
+    for geo, rows, _, cols, lam, coef in _vertex_modes(cache, pairs_per_vertex):
         if np.any(geo.r < _GRAD_GUARD):
             raise ValueError("gradient requested inside the guard radius of the vertex")
         r = geo.r[:, None]
-        eta = geo.eta[:, None]
-        mu = geo.ang_values @ coef
-        dmu = geo.ang_derivs @ coef
-        rl = r**lam
         rl1 = r ** (lam - 1)
-        ds_dr = lam * rl1 * mu * eta + rl * mu * geo.eta_p[:, None]
-        ds_dt_over_r = rl1 * dmu * eta
-        ct, st = np.cos(geo.theta)[:, None], np.sin(geo.theta)[:, None]
-        values[geo.index, cols] = rl * mu * eta
-        grads[geo.index, cols, 0] = ds_dr * ct - ds_dt_over_r * st
-        grads[geo.index, cols, 1] = ds_dr * st + ds_dt_over_r * ct
+        mu = geo.ang_values @ coef
+        mu_eta = mu * geo.eta[:, None]
+        # with s = r^L mu eta: r^(1-L) ds/dr and r^(1-L) (1/r) ds/dtheta
+        ds_dr = lam * mu_eta + r * mu * geo.eta_p[:, None]
+        ds_dt_over_r = (geo.ang_derivs @ coef) * geo.eta[:, None]
+        ct, st = geo.cos_t[:, None], geo.sin_t[:, None]
+        values[rows, cols] = r * rl1 * mu_eta
+        grads[rows, 0, cols] = rl1 * (ds_dr * ct - ds_dt_over_r * st)
+        grads[rows, 1, cols] = rl1 * (ds_dr * st + ds_dt_over_r * ct)
     return values, grads

@@ -35,11 +35,15 @@ and the composed basis values and gradients, from the full product
 `QueryBasis.solve` takes a (Q, I) parameter batch through one eigensolve,
 one `solve_parameter_batch` and one GEMM per field, plus `singular.eval_s`
 for the queries with singular columns: the paper's low-dimensional
-least-squares problem per parameter.  `final_solve` is a batch of one
-against the basis `query_basis` holds; it keeps at most one, rebuilt when
-the weights, grid or problem change and dropped when the weights object is
-collected.  Checkpoints are ``.npz`` arrays with a JSON header and load
-without unpickling anything.
+least-squares problem per parameter.  The singular columns stay on their
+support rows throughout: their sources on the annulus rows of the polar
+cache, in training and in queries alike, and their values and gradients
+on its disk rows, added there into the fields.  So the singular work of a
+query grows with the junction annuli and disks, not with the grid.
+`final_solve` is a batch of one against the basis `query_basis` holds; it
+keeps at most one, rebuilt when the weights, grid or problem change and
+dropped when the weights object is collected.  Checkpoints are ``.npz``
+arrays with a JSON header and load without unpickling anything.
 """
 
 from __future__ import annotations
@@ -488,7 +492,7 @@ class QueryBasis:
             n_per_axis, cache, composed.value,
             np.ascontiguousarray(composed.gradient.transpose(0, 2, 1)),
         )
-        for holder in (basis, cache, quad, cache.gram, *cache.polar.vertices):
+        for holder in (basis, cache, quad, cache.gram, cache.polar, *cache.polar.vertices):
             for f in fields(holder):
                 value = getattr(holder, f.name)
                 if isinstance(value, np.ndarray):
@@ -538,12 +542,17 @@ class QueryBasis:
         out = []
         for k, pairs in enumerate(pairs_per_q):
             u, grad_u, y_sing = values[k], gradients[k], batch.y_sing[k]
-            if y_sing.size:
+            if y_sing.size:  # the singular fields live on the disk rows only
                 sing_vals, sing_grads = eval_s(cache.polar, pairs)
-                u += sing_vals @ y_sing
-                grad_u += np.tensordot(sing_grads, y_sing, axes=(1, 0))
+                disk = cache.polar.disk_rows
+                u[disk] += sing_vals @ y_sing
+                step = (sing_grads.reshape(-1, y_sing.size) @ y_sing).reshape(disk.size, -1)
+                for axis in range(step.shape[1]):  # 1-D scatters: a row scatter is slower
+                    grad_u[disk, axis] += step[:, axis]
             y = np.concatenate([batch.y_nn[k], y_sing])
             residual_sq = float(batch.losses[k])
+            # a zero right-hand side solves to y = 0 with residual 0
+            rel_residual = float(np.sqrt(residual_sq / l_sq[k])) if l_sq[k] > 0 else 0.0
             out.append((
                 CoefficientVector.split(y, self.net_config.n1, self.net_config.n2),
                 {
@@ -552,7 +561,7 @@ class QueryBasis:
                     "gradients": grad_u,
                     "flux": p_int[k][:, None] * grad_u,
                     "residual_sq": residual_sq,
-                    "rel_residual": float(np.sqrt(residual_sq / l_sq[k])),
+                    "rel_residual": rel_residual,
                 },
             ))
         return out
@@ -612,9 +621,9 @@ def final_solve(
     the basis and the others for their own least-squares solve only.
     Returns (coefficients, fields) where fields carries the grid, solution
     values, gradients and fluxes, the squared residual and the relative
-    residual sqrt(residual_sq / |l|^2), an error estimate.  The trained
-    basis is discretization invariant, so the grid may be much finer than
-    the training points.
+    residual sqrt(residual_sq / |l|^2), an error estimate (0 when l = 0).
+    The trained basis is discretization invariant, so the grid may be much
+    finer than the training points.
     """
     parameter = validate_parameter(geometry, parameter)
     basis = query_basis(params, geometry, rhs, cutoff_config, theta, n_per_axis)

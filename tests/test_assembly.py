@@ -234,13 +234,50 @@ def test_batch_mixes_singular_column_counts():
         assert batch.losses[k] == pytest.approx(res, rel=1e-12)
 
 
+def test_batch_support_rows_match_the_scattered_dense_system():
+    """Blocks of 0, 2 and 4 singular columns on the annulus rows: scattered
+    to all J1 interior rows they give assemble_system's singular columns,
+    and at the batch's coefficients that dense system has the batch's loss
+    and interior seeds."""
+    g = build_grid_geometry(2, cuts_x=[-0.4, 0.3], cuts_y=[-0.3, 0.4], bounds=[(-1, 1), (-1, 1)])
+    cfg = NetConfig(2, (8,), 4, 8)
+    theta = 3.0
+    cache = make_cache(g, cfg, seed=19, n_int=10, n_ifc=4, theta=theta)
+    params = np.full((3, 9), 2.0)  # uniform: no exponent in (0, 1)
+    params[1, 1] = 20.0  # an edge cell touches two vertices
+    params[2, 4] = 0.2  # the centre cell touches all four
+    sing = [
+        singular_evals_from_cache(cache.polar, pairs)
+        for pairs in vertex_eigenpairs(g, params, 1)
+    ]
+    assert [s.shape[1] for s in sing] == [0, 2, 4]
+    rows = cache.polar.annulus_rows
+    assert 0 < rows.size < cache.quad.n_interior
+    batch = solve_parameter_batch(cache, params, singular_evals_per_p=sing)
+    j1, n = cache.quad.n_interior, cache.n_basis
+    for k, p in enumerate(params):
+        dense = np.zeros((j1, sing[k].shape[1]))
+        dense[rows] = sing[k]
+        system = assemble_system(cache, p, sing[k], theta)
+        p_int = p[cache.quad.interior_subdomain]
+        np.testing.assert_array_equal(
+            system.matrix[:j1, n:], (p_int * cache.sqrt_w)[:, None] * dense
+        )
+        r = system.matrix @ np.concatenate([batch.y_nn[k], batch.y_sing[k]]) - system.rhs
+        assert batch.losses[k] == pytest.approx(r @ r, rel=1e-12)
+        np.testing.assert_allclose(
+            batch.seed_int[:, k], cache.sqrt_w * p_int * r[:j1],
+            rtol=0, atol=1e-12 * np.abs(r).max(),
+        )
+
+
 def test_batch_dead_singular_column_is_per_system():
     """Under the default ridge a dead (all-zero) singular column solves to 0,
     and the other parameters of the batch solve as they do alone."""
     g = geom_1d()
     cache = make_cache(g, NetConfig(1, (6,), 3, 5), seed=4, n_int=20)
     params = np.random.default_rng(9).uniform(0.5, 10.0, size=(3, 5))
-    dead = np.zeros((cache.quad.n_interior, 1))
+    dead = np.zeros((cache.polar.annulus_rows.size, 1))
     batch = solve_parameter_batch(cache, params, [None, dead, None])
     alone = solve_parameter_batch(cache, params)
     # cond(A) is about 2e8 here: padding moves y by 1e-8, a ridge of 1e-10 by 4e-5
@@ -274,24 +311,27 @@ def test_batch_singular_system_raises_named():
     g = geom_1d()
     cache = make_cache(g, NetConfig(1, (6,), 3, 5), seed=4, n_int=20)
     params = np.random.default_rng(9).uniform(0.5, 10.0, size=(3, 5))
-    dead = np.zeros((cache.quad.n_interior, 1))
+    dead = np.zeros((cache.polar.annulus_rows.size, 1))
     with pytest.raises(RuntimeError, match="system 1 "):
         solve_parameter_batch(cache, params, [None, dead, None], ridge=0.0)
     solve_parameter_batch(cache, params, ridge=0.0)  # the live systems alone solve
 
 
 def test_batch_rejects_singular_block_of_another_length():
-    """A singular block must have one row per interior point; one of shape
-    (1, m) is not broadcast over the J1 rows."""
+    """A singular block must have one row per annulus point; one of shape
+    (1, m) is not broadcast over the R rows, and one of J1 rows is not
+    read as dense."""
     g = geom_2x2()
     cache = make_cache(g, NetConfig(2, (6,), 1, 2), seed=3, n_int=6, n_ifc=3)
     params = np.random.default_rng(5).uniform(0.5, 10.0, size=(2, 4))
-    s = np.random.default_rng(6).normal(size=(cache.quad.n_interior, 2))
+    assert cache.polar.annulus_rows.size > 1
+    s = np.random.default_rng(6).normal(size=(cache.polar.annulus_rows.size, 2))
     solve_parameter_batch(cache, params, [s, None])
-    for bad in (s[:1], s[:-1], np.concatenate([s, s])):
-        with pytest.raises(ValueError, match="interior points"):
+    dense = np.zeros((cache.quad.n_interior, 2))
+    for bad in (s[:1], s[:-1], np.concatenate([s, s]), dense):
+        with pytest.raises(ValueError, match="annulus rows"):
             solve_parameter_batch(cache, params, [bad, None])
-        with pytest.raises(ValueError, match="interior points"):
+        with pytest.raises(ValueError, match="annulus rows"):
             assemble_system(cache, params[0], bad, 1.0)
 
 
@@ -324,7 +364,7 @@ def test_singular_evals_cache_matches_direct():
     sel = [select_singular(pairs, 2)]
     fast = singular_evals_from_cache(cache.polar, sel)
     cut = cache.cutoff_config
-    direct = np.zeros_like(fast)
+    direct = np.zeros((cache.quad.n_interior, len(sel[0])))
     for j, (x, y) in enumerate(cache.quad.interior_points - g.singular_vertices[0]):
         r = np.hypot(x, y)
         if not cut.delta1 < r < cut.delta2:
@@ -335,7 +375,10 @@ def test_singular_evals_cache_matches_direct():
             mu, _ = angular_eval(pair, np.arctan2(y, x))
             direct[j, k] = 2 * lam * r ** (lam - 1) * mu * deta + r**lam * mu * (ddeta + deta / r)
     assert np.count_nonzero(direct) > 0
-    np.testing.assert_allclose(fast, direct, rtol=1e-12, atol=1e-12)
+    assert fast.shape == (cache.polar.annulus_rows.size, len(sel[0]))
+    dense = np.zeros_like(direct)
+    dense[cache.polar.annulus_rows] = fast
+    np.testing.assert_allclose(dense, direct, rtol=1e-12, atol=1e-12)
 
 
 def test_singular_columns_zero_on_jump_rows():

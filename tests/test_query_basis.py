@@ -7,12 +7,15 @@ import weakref
 import numpy as np
 import pytest
 
-from transolve.cutoffs import CutoffConfig, default_cutoff_config
+from transolve.assembly import evaluate_solution
+from transolve.cutoffs import CutoffConfig, default_cutoff_config, eta_jet
+from transolve.eigen import angular_eval
 from transolve.geometry import build_grid_geometry
 from transolve.nets import NetConfig, init_params
 from transolve.reference import RhsSpec
 from transolve.sampling import sample_parameters
-from transolve.training import QueryBasis, final_solve, query_basis
+from transolve.singular import eval_s
+from transolve.training import QueryBasis, final_solve, query_basis, vertex_eigenpairs
 
 RTOL = 1e-12
 # The coefficients solve normal equations whose condition number is about
@@ -65,6 +68,35 @@ def test_batch_solve_matches_single_solves_on_fresh_bases():
         single = basis.solve(parameters[k : k + 1], N_SINGULAR)
         assert len(single) == 1
         assert_same_query(batch[k], single[0])
+
+
+def test_query_fields_equal_the_dense_singular_sum():
+    """The singular fields, added on the disk rows, equal the network fields
+    plus a dense S y_sing: S holds r^L mu(theta) eta(r) at every grid point,
+    and the gradients are eval_s scattered to the grid."""
+    g, rhs, cut, params = problem()
+    p = np.array([1.0, 10.0, 10.0, 1.0])
+    basis = QueryBasis.build(params, g, rhs, cut, 2.0, GRID)
+    coeffs, fields = basis.solve(p[None, :], N_SINGULAR)[0]
+    pairs = vertex_eigenpairs(g, p[None, :], N_SINGULAR)[0]
+    assert coeffs.c.size == len(pairs[0]) > 0
+    polar = basis.cache.polar
+    points = basis.cache.quad.interior_points
+    rel = points - g.singular_vertices[0]
+    r = np.hypot(rel[:, 0], rel[:, 1])
+    assert polar.annulus_rows.size < polar.disk_rows.size < len(points)
+    dense = np.stack(
+        [r**pair.exponent * angular_eval(pair, np.arctan2(rel[:, 1], rel[:, 0]))[0]
+         for pair in pairs[0]], axis=1,
+    ) * eta_jet(r, cut)[0][:, None]
+    dense_grads = np.zeros((len(points), 2, coeffs.c.size))
+    dense_grads[polar.disk_rows] = eval_s(polar, pairs)[1]
+    y_nn = np.concatenate([coeffs.a, coeffs.b])
+    u, grad_u = evaluate_solution(y_nn, basis.values, basis.gradients)
+    assert_close(fields["values"], u[0] + dense @ coeffs.c, "values")
+    assert_close(
+        fields["gradients"], grad_u[0] + dense_grads @ coeffs.c, "gradients"
+    )
 
 
 def test_reused_final_solve_is_bit_identical_to_a_rebuild():
@@ -137,3 +169,17 @@ def test_writing_into_returned_fields_cannot_change_a_later_query():
     for key, value in kept.items():
         np.testing.assert_array_equal(fields[key], value)
     np.testing.assert_array_equal(coeffs.stacked, kept_y)
+
+
+def test_zero_right_hand_side_reads_zero_relative_residual():
+    """A layered medium has no crossing, so the corner source is zero there.
+    The solve gives y = 0 with residual 0, and the relative residual reads
+    0, not 0/0."""
+    g = build_grid_geometry(2, cuts_x=[0.0], cuts_y=[], bounds=[(-1, 1), (-1, 1)])
+    rhs = RhsSpec.for_geometry("corner2d", g)
+    params = init_params(NetConfig(2, (8,), 4, 4), 0)
+    cut = default_cutoff_config(g)
+    coeffs, fields = final_solve(params, g, np.array([1.0, 2.0]), rhs, cut, 1.0, 16)
+    np.testing.assert_array_equal(coeffs.stacked, 0.0)
+    assert fields["residual_sq"] == 0.0
+    assert fields["rel_residual"] == 0.0

@@ -2,8 +2,10 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from transolve.cutoffs import CutoffConfig, eta_jet
+from transolve.cutoffs import CutoffConfig, default_cutoff_config, eta_jet
 from transolve.eigen import angular_eval, assemble_eigensystem, select_singular, solve_eigenpairs
 from transolve.geometry import angular_trace, build_grid_geometry
 from transolve.singular import eval_s, polar_cache, singular_evals_from_cache
@@ -18,17 +20,27 @@ def make_basis(trace=(1.0, 10.0, 1.0, 10.0), n_cap=2):
     return [select_singular(pairs, n_cap)]
 
 
+def on_points(rows, block, n_points):
+    """A support-row block scattered to all ``n_points`` points, zero elsewhere."""
+    out = np.zeros((n_points,) + block.shape[1:])
+    out[rows] = block
+    return out
+
+
 def values(pairs, pts, col=0):
     """Values of one singular column at ``pts``."""
-    return eval_s(polar_cache(pts, G, CFG), pairs)[0][:, col]
+    polar = polar_cache(pts, G, CFG)
+    return on_points(polar.disk_rows, eval_s(polar, pairs)[0], len(pts))[:, col]
 
 
 def gradients(pairs, pts, col=0):
-    return eval_s(polar_cache(pts, G, CFG), pairs)[1][:, col]
+    polar = polar_cache(pts, G, CFG)
+    return on_points(polar.disk_rows, eval_s(polar, pairs)[1], len(pts))[:, :, col]
 
 
 def sources(pairs, pts, col=0):
-    return singular_evals_from_cache(polar_cache(pts, G, CFG), pairs)[:, col]
+    polar = polar_cache(pts, G, CFG)
+    return on_points(polar.annulus_rows, singular_evals_from_cache(polar, pairs), len(pts))[:, col]
 
 
 def fourier_basis():
@@ -199,8 +211,10 @@ def test_singular_columns_stacking():
     polar = polar_cache(pts, g, cfg)
     src = singular_evals_from_cache(polar, pairs)
     val, grad = eval_s(polar, pairs)
-    assert src.shape == val.shape == (400, sum(map(len, pairs)))
-    assert grad.shape == val.shape + (2,)
+    n_cols = sum(map(len, pairs))
+    assert src.shape == (polar.annulus_rows.size, n_cols)
+    assert val.shape == (polar.disk_rows.size, n_cols)
+    assert grad.shape == (polar.disk_rows.size, 2, n_cols)
     start = 0
     for vid, sel in enumerate(pairs):
         alone = [sel if k == vid else [] for k in range(g.n_singular)]
@@ -208,7 +222,7 @@ def test_singular_columns_stacking():
         np.testing.assert_array_equal(src[:, cols], singular_evals_from_cache(polar, alone))
         v, gr = eval_s(polar, alone)
         np.testing.assert_array_equal(val[:, cols], v)
-        np.testing.assert_array_equal(grad[:, cols], gr)
+        np.testing.assert_array_equal(grad[:, :, cols], gr)
         start += len(sel)
 
 
@@ -216,7 +230,63 @@ def test_empty_singular_block():
     pairs = solve_eigenpairs(assemble_eigensystem(np.ones(4)))
     b = [select_singular(pairs, 3)]
     assert b == [[]]
-    polar = polar_cache(np.array([[0.1, 0.1]]), G, CFG)
-    assert singular_evals_from_cache(polar, b).shape == (1, 0)
+    polar = polar_cache(np.array([[0.1, 0.1]]), G, CFG)  # inside delta1: disk, not annulus
+    assert singular_evals_from_cache(polar, b).shape == (0, 0)
     val, grad = eval_s(polar, b)
-    assert val.shape == (1, 0) and grad.shape == (1, 0, 2)
+    assert val.shape == (1, 0) and grad.shape == (1, 2, 0)
+
+
+@settings(max_examples=25, deadline=None)
+@given(ncx=st.integers(1, 4), ncy=st.integers(1, 4), seed=st.integers(0, 10_000))
+def test_support_rows_on_random_layouts(ncx, ncy, seed):
+    """On non-uniform layouts with the default radii, each vertex's block of
+    the disk rows is exactly its disk points, annulus points first, and its
+    block of the annulus rows exactly its annulus points; so the annulus
+    rows lie inside the disk rows and no row belongs to two vertices."""
+    rng = np.random.default_rng(seed)
+    bounds = [(-1.0, 2.0), (-0.5, 0.5)]
+    cx = np.sort(rng.uniform(*bounds[0], size=ncx))
+    cy = np.sort(rng.uniform(*bounds[1], size=ncy))
+    edges_x = np.concatenate([[bounds[0][0]], cx, [bounds[0][1]]])
+    edges_y = np.concatenate([[bounds[1][0]], cy, [bounds[1][1]]])
+    if min(np.diff(edges_x).min(), np.diff(edges_y).min()) < 1e-3:
+        return
+    g = build_grid_geometry(2, cuts_x=cx, cuts_y=cy, bounds=bounds)
+    cfg = default_cutoff_config(g)
+    # uniform points, and points on rings around the vertices so that every
+    # disk and annulus holds some
+    radii = rng.uniform(0, 1.2 * cfg.delta2, size=(g.n_singular, 40))
+    angles = rng.uniform(0, 2 * np.pi, size=radii.shape)
+    rings = g.singular_vertices[:, None, :] + radii[..., None] * np.stack(
+        [np.cos(angles), np.sin(angles)], axis=-1
+    )
+    pts = np.concatenate([
+        rng.uniform([b[0] for b in bounds], [b[1] for b in bounds], size=(300, 2)),
+        rings.reshape(-1, 2),
+    ])
+    polar = polar_cache(pts, g, cfg)
+    assert np.isin(polar.annulus_rows, polar.disk_rows).all()
+    assert np.unique(polar.disk_rows).size == polar.disk_rows.size
+    disk = annulus = 0
+    for v, geo in zip(g.singular_vertices, polar.vertices):
+        r = np.hypot(*(pts - v).T)
+        in_disk = np.flatnonzero(r < cfg.delta2)
+        in_annulus = np.flatnonzero((cfg.delta1 < r) & (r < cfg.delta2))
+        assert in_annulus.size > 0 and in_disk.size > in_annulus.size
+        block = polar.disk_rows[disk : disk + geo.r.size]
+        np.testing.assert_array_equal(np.sort(block), in_disk)
+        np.testing.assert_array_equal(block[: geo.n_annulus], in_annulus)
+        np.testing.assert_array_equal(
+            polar.annulus_rows[annulus : annulus + geo.n_annulus], in_annulus
+        )
+        np.testing.assert_array_equal(geo.r, r[block])
+        disk += geo.r.size
+        annulus += geo.n_annulus
+    assert (disk, annulus) == (polar.disk_rows.size, polar.annulus_rows.size)
+
+
+def test_overlapping_disks_raise():
+    g = build_grid_geometry(2, cuts_x=[-0.1, 0.1], cuts_y=[0.0], bounds=[(-1, 1), (-1, 1)])
+    with pytest.raises(ValueError, match="two singular vertices"):
+        polar_cache(np.array([[0.0, 0.01]]), g, CutoffConfig(0.05, 0.15))
+    polar_cache(np.array([[0.0, 0.01]]), g, default_cutoff_config(g))
