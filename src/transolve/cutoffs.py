@@ -20,8 +20,12 @@ c_n * raw_n with a composite cutoff scalar c_n.  Only a few of the c_n are
 distinct, B * phi_v per vertex v and B * psi_a * phi_v per interface axis a
 and vertex v, so each is built once, by the `Jets` product, and gathered to
 the outputs with one index array, `_factor_index`.  `composition_factors`
-returns the (J, n1 + n2) jets of the c_n at interior points, and their product
-``factors * raw`` with the network jets is the composed basis there.
+returns the (J, F) stack of the F distinct factors at interior points and
+that index; ``stack.columns(index)`` is the (J, n1 + n2) jets of the c_n,
+and their product ``factors * raw`` with the network jets is the composed
+basis there.  A caller that composes a few points at a time gathers only
+those rows, ``stack.rows(tile).columns(index)``, so the (J, n1 + n2)
+factors of every point need never exist at once.
 At interface points, where Psi kinks, `interface_trace_factors` feeds the
 same product the one-sided jets of psi on its own line and returns the
 minus and plus factors; n . (F_pm * raw).gradient is the one-sided normal
@@ -215,11 +219,14 @@ def _axis_lines(geometry: Geometry) -> list[list[tuple[int, float]]]:
 
 def composition_factors(
     points, geometry: Geometry, config: CutoffConfig, n1: int, n2: int
-) -> Jets:
-    """(J, n1 + n2) jets of the cutoff factors c_n at interior points.
+) -> tuple[Jets, np.ndarray]:
+    """The distinct cutoff factors at interior points, as (J, F) jets, and
+    the (n1 + n2,) index of each output's factor c_n among them.
 
-    The composed basis there is ``factors * raw`` for (J, n1 + n2) raw
-    network jets; boundary points give exact zeros.
+    The composed basis there is ``stack.columns(index) * raw`` for
+    (J, n1 + n2) raw network jets, and on a subset of the points
+    ``stack.rows(subset).columns(index) * raw_subset``; boundary points give
+    exact zeros.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     n, d = points.shape
@@ -227,8 +234,7 @@ def composition_factors(
         jump_adf_jet(points, lines) if lines else Jets.ones(n, d)
         for lines in _axis_lines(geometry)
     ]
-    stack, cols = _distinct_factors(points, geometry, config, psis, n1, n2)
-    return stack.columns(cols)
+    return _distinct_factors(points, geometry, config, psis, n1, n2)
 
 
 def interface_trace_factors(

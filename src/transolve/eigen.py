@@ -193,14 +193,17 @@ def solve_eigenpairs(system: EigenSystem):
     mu_scale = np.einsum("nik,ij,njk->nk", rho, _MASS_CONSTANT_P, rho) ** -0.5
     rho_rows = np.ascontiguousarray(_transpose(rho))
 
+    # plain-float lists: one conversion per array, not one numpy scalar per
+    # field and mode
+    exps, eigs, mus, resids = (a.tolist() for a in (np.sqrt(lams), lams, mu_scale, res))
     out = [
         [
             EigenPair(
-                exponent=float(np.sqrt(lams[n, k])),
-                eigenvalue=float(lams[n, k]),
+                exponent=exps[n][k],
+                eigenvalue=eigs[n][k],
                 rho=rho_rows[n, k],
-                mu_scale=float(mu_scale[n, k]),
-                residual=float(res[n, k]),
+                mu_scale=mus[n][k],
+                residual=resids[n][k],
             )
             for k in range(N_BASIS)
         ]

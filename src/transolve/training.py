@@ -5,10 +5,11 @@ angular eigenproblems the batch needs (2D), and evaluates the network's
 value, gradient and Laplacian once at all interior and interface points,
 as one `nets.Jets`.  Only what the loss reads is composed with the cutoff
 factors: at the interior points the Laplacian of the product ``fac * raw``
-(`Jets.product_laplacian`, the product rule's Laplacian) of the factors
-from `cutoffs.composition_factors` and the network jets, and at the
-interface points the one-sided normal traces n . (F_pm * raw).gradient,
-from the product (`Jets.__mul__`) of the one-sided factors of
+(`Jets.product_laplacian`, the product rule's Laplacian) of the network
+jets and the factors ``stack.columns(index)`` gathered from the distinct
+stack of `cutoffs.composition_factors`, and at the interface points the
+one-sided normal traces n . (F_pm * raw).gradient, from the product
+(`Jets.__mul__`) of the one-sided factors of
 `cutoffs.interface_trace_factors` and the network jets.
 `assembly.solve_parameter_batch` then solves every parameter's
 least-squares system, singular columns included, in one batched call
@@ -29,21 +30,27 @@ Validation runs the same path without the gradient.
 Queries are split into an offline and an online stage.  Offline,
 `QueryBasis.build` does everything about a midpoint grid that does not
 depend on the parameter, once per trained network: the quadrature, the
-network jets, the weighted rows with their Gram blocks and polar cache,
-and the composed basis values and gradients, from the full product
-``fac * raw``.  Online,
-`QueryBasis.solve` takes a (Q, I) parameter batch through one eigensolve,
-one `solve_parameter_batch` and one GEMM per field, plus `singular.eval_s`
-for the queries with singular columns: the paper's low-dimensional
-least-squares problem per parameter.  The singular columns stay on their
-support rows throughout: their sources on the annulus rows of the polar
-cache, in training and in queries alike, and their values and gradients
-on its disk rows, added there into the fields.  So the singular work of a
-query grows with the junction annuli and disks, not with the grid.
-`final_solve` is a batch of one against the basis `query_basis` holds; it
-keeps at most one, rebuilt when the weights, grid or problem change and
-dropped when the weights object is collected.  Checkpoints are ``.npz``
-arrays with a JSON header and load without unpickling anything.
+network jets, the weighted rows with their Gram blocks and polar cache, and
+the composed basis values and gradients, from the full product
+``fac * raw``.  The grid may be much finer than the training points, so the
+build composes one tile of `nets.TILE` points at a time, the factors gathered
+from the distinct stack for that tile only, and writes each tile's values,
+gradients and Laplacian into arrays made once; beyond the kept basis it
+holds the distinct factors while it composes and the Laplacian until the
+cache is built.  The interface traces come from the same `_interface_rows`
+as in training.  Online, `QueryBasis.solve` takes a (Q, I) parameter batch
+through one eigensolve, one `solve_parameter_batch` and one GEMM per field,
+plus `singular.eval_s` for the queries with singular columns: the paper's
+low-dimensional least-squares problem per parameter.  The singular columns
+stay on their support rows throughout: their sources on the annulus rows of
+the polar cache, in training and in queries alike, and their values and
+gradients on its disk rows, added there into the fields.  So the singular
+work of a query grows with the junction annuli and disks, not with the
+grid.  `final_solve` is a batch of one against the basis `query_basis`
+holds; it keeps at most one, rebuilt when the weights, grid or problem
+change and dropped when the weights object is collected or an epoch starts.
+Checkpoints are ``.npz`` arrays with a JSON header and load without
+unpickling anything.
 """
 
 from __future__ import annotations
@@ -84,6 +91,7 @@ from .geometry import (  # noqa: F401
     validate_parameter_batch,
 )
 from .nets import (
+    TILE,
     AdamState,
     Jets,
     MlpParams,
@@ -258,45 +266,51 @@ def prepare_epoch(
     return EpochData(geometry, cutoff_config, rhs, quad, parameters, pairs_per_p, config.theta)
 
 
-def _network_rows(params: MlpParams, data: EpochData):
-    """The network's jets at the interior points of ``data`` with their
-    cutoff factors, and the one-sided normal traces at its interface points.
+def _interface_rows(
+    ifc: Jets, quad: QuadratureSet, geometry: Geometry, cutoff_config: CutoffConfig,
+    config: NetConfig,
+):
+    """The one-sided normal traces of the composed basis at the interface
+    points of ``quad``, from the network's jets ``ifc`` there.
 
-    The network is evaluated once, at all points.  Of the interface
-    products only the normal component of each side's gradient is kept.
-    Returns the interior jets, their factors, the one-sided (minus, plus)
-    interface factors, the (J2, d) unit normals at the interface points and
-    the (minus, plus) traces, each (J2, N).
+    Of each side's product with the network jets only the normal component
+    of the gradient is kept.  Returns the one-sided (minus, plus) interface
+    factors, the (J2, d) unit normals at the interface points and the
+    (minus, plus) traces, each (J2, N).
     """
-    cfg = params.config
-    quad = data.quad
-    n_int = quad.n_interior
-    jets = forward_jets(params, np.concatenate([quad.interior_points, quad.interface_points]))
-    fac = composition_factors(
-        quad.interior_points, data.geometry, data.cutoff_config, cfg.n1, cfg.n2
-    )
-    ifc_axes = np.array([data.geometry.interfaces[k].axis for k in quad.interface_ids], dtype=int)
-    normals = np.eye(cfg.input_dim)[ifc_axes]
+    ifc_axes = np.array([geometry.interfaces[k].axis for k in quad.interface_ids], dtype=int)
+    normals = np.eye(config.input_dim)[ifc_axes]
     sides = interface_trace_factors(
-        quad.interface_points, ifc_axes, data.geometry, data.cutoff_config, cfg.n1, cfg.n2
+        quad.interface_points, ifc_axes, geometry, cutoff_config, config.n1, config.n2
     )
-    ifc = jets.rows(slice(n_int, None))
     traces = [np.einsum("jnd,jd->jn", (f * ifc).gradient, normals) for f in sides]
-    return jets.rows(slice(None, n_int)), fac, sides, normals, traces
+    return sides, normals, traces
 
 
 def _composed_cache(params: MlpParams, data: EpochData):
     """The epoch cache of ``data``, with the interior Laplacians of the
     composed basis formed alone (`Jets.product_laplacian`).
 
-    Returns the cache, the interior cutoff factors, the one-sided (minus,
-    plus) interface factors and the (J2, d) unit normals at the interface
-    points: what the loss's adjoint reads.
+    The network is evaluated once, at all points, and the cutoff factors
+    of every interior point are gathered to the outputs at once.  Returns
+    the cache, the interior cutoff factors, the one-sided (minus, plus)
+    interface factors and the (J2, d) unit normals at the interface points:
+    what the loss's adjoint reads.
     """
-    raw, fac, sides, normals, traces = _network_rows(params, data)
+    cfg = params.config
+    quad = data.quad
+    n_int = quad.n_interior
+    jets = forward_jets(params, np.concatenate([quad.interior_points, quad.interface_points]))
+    stack, cols = composition_factors(
+        quad.interior_points, data.geometry, data.cutoff_config, cfg.n1, cfg.n2
+    )
+    fac = stack.columns(cols)
+    lap = fac.product_laplacian(jets.rows(slice(None, n_int)))
+    sides, normals, traces = _interface_rows(
+        jets.rows(slice(n_int, None)), quad, data.geometry, data.cutoff_config, cfg
+    )
     cache = build_epoch_cache(
-        data.geometry, data.cutoff_config, data.quad, fac.product_laplacian(raw), *traces,
-        data.rhs, theta=data.theta,
+        data.geometry, data.cutoff_config, quad, lap, *traces, data.rhs, theta=data.theta
     )
     return cache, fac, sides, normals
 
@@ -356,6 +370,9 @@ def run_epoch(
     Returns (train_loss, val_loss or None); the state advances in place.
     """
     epoch = state.iteration
+    # the epoch replaces the weights the held basis was built from: drop it
+    # now, so that it does not add to the epoch's peak
+    _release_basis()
     data = prepare_epoch(state, config, geometry, rhs, cutoff_config)
     try:
         loss, grad = loss_and_param_gradient(state.params, data)
@@ -455,8 +472,9 @@ class QueryBasis:
 
     Holds only what `solve` reads, every array read-only: the cache (the
     midpoint quadrature, the weighted rows, the Gram blocks and the polar
-    cache) and the composed basis values and gradients.  The composed
-    Laplacian lives on only weighted, in ``cache.wlap``.  ``flat_params``
+    cache) and the composed basis values and gradients, each written tile
+    by tile by `build` into an array made once.  The composed Laplacian
+    lives on only weighted, in ``cache.wlap``.  ``flat_params``
     is a copy of the weights it was built from, and the geometry, rhs and
     cutoff config are the objects themselves, for `serves`.
     """
@@ -478,19 +496,38 @@ class QueryBasis:
         theta: float, n_per_axis: int,
     ) -> "QueryBasis":
         """The basis on the midpoint grid of ``n_per_axis`` points per axis
-        and per 2D interface."""
+        and per 2D interface.
+
+        The distinct cutoff factors are made once on the grid.  The network
+        jets and their product with the gathered factors are made one tile
+        of `TILE` points at a time and written into the kept arrays, so the
+        (J, n1 + n2) network jets, factors and products of the whole grid
+        never exist.  The composed Laplacian goes to `build_epoch_cache`
+        and is not kept.
+        """
+        cfg = params.config
         quad = midpoint_grid(geometry, n_per_axis, n_per_axis)
-        no_batch = np.empty((0, geometry.n_subdomains))
-        data = EpochData(geometry, cutoff_config, rhs, quad, no_batch, [], theta)
-        raw, fac, *_, traces = _network_rows(params, data)
-        composed = fac * raw  # in full: queries read the values and gradients
+        points = quad.interior_points
+        stack, cols = composition_factors(points, geometry, cutoff_config, cfg.n1, cfg.n2)
+        n, d = points.shape
+        values, laplacian = np.empty((n, cfg.n_outputs)), np.empty((n, cfg.n_outputs))
+        gradients = np.empty((n, d, cfg.n_outputs))
+        for s in range(0, n, TILE):
+            t = slice(s, s + TILE)
+            part = stack.rows(t).columns(cols) * forward_jets(params, points[t])
+            values[t] = part.value
+            gradients[t] = np.moveaxis(part.gradient, -1, 1)
+            laplacian[t] = part.laplacian
+        del stack  # not kept: freed before the cache is built
+        traces = _interface_rows(
+            forward_jets(params, quad.interface_points), quad, geometry, cutoff_config, cfg
+        )[2]
         cache = build_epoch_cache(
-            geometry, cutoff_config, quad, composed.laplacian, *traces, rhs, theta=theta
+            geometry, cutoff_config, quad, laplacian, *traces, rhs, theta=theta
         )
         basis = cls(
-            params.config, params.to_flat(), geometry, rhs, cutoff_config, float(theta),
-            n_per_axis, cache, composed.value,
-            np.ascontiguousarray(composed.gradient.transpose(0, 2, 1)),
+            cfg, params.to_flat(), geometry, rhs, cutoff_config, float(theta),
+            n_per_axis, cache, values, gradients,
         )
         for holder in (basis, cache, quad, cache.gram, cache.polar, *cache.polar.vertices):
             for f in fields(holder):
@@ -585,11 +622,11 @@ def query_basis(
 ) -> QueryBasis:
     """The held basis if it serves these inputs, else a new one that replaces it.
 
-    At most one basis is held, and only while ``params`` lives: training
-    replaces its weights object at the end of every epoch, so a basis
-    built before an epoch lives through it and no further.  A basis never
-    changes once built, so concurrent callers still get correct results; a
-    race can only cost a rebuild.
+    At most one basis is held, and only while ``params`` lives, and
+    `run_epoch` drops it before it samples: the epoch replaces the weights
+    it was built from, so a basis built before an epoch does not live
+    through it.  A basis never changes once built, so concurrent callers
+    still get correct results; a race can only cost a rebuild.
     """
     basis = _held.get("basis")
     if basis is not None and basis.serves(params, geometry, rhs, cutoff_config, theta, n_per_axis):

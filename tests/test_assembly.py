@@ -39,8 +39,8 @@ def raw_rows(geometry, net_cfg, seed=0, n_int=12, n_ifc=6):
     cfg = default_cutoff_config(geometry)
     quad = sample_collocation(geometry, n_int, n_ifc, np.random.default_rng(seed))
     params = init_params(net_cfg, seed + 1)
-    fac = composition_factors(quad.interior_points, geometry, cfg, net_cfg.n1, net_cfg.n2)
-    lap = (fac * forward_jets(params, quad.interior_points)).laplacian
+    stack, cols = composition_factors(quad.interior_points, geometry, cfg, net_cfg.n1, net_cfg.n2)
+    lap = (stack.columns(cols) * forward_jets(params, quad.interior_points)).laplacian
     ifc_axes = np.array([geometry.interfaces[k].axis for k in quad.interface_ids])
     sides = interface_trace_factors(
         quad.interface_points, ifc_axes, geometry, cfg, net_cfg.n1, net_cfg.n2

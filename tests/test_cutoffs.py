@@ -197,7 +197,8 @@ def test_exclusion_all_ones_in_1d():
     """Phi1 and Phi2 are all ones in 1D: the w factors are B, the v factors B * psi."""
     g = geom_1d()
     pts = np.array([[0.5], [1.5]])
-    fac = composition_factors(pts, g, CFG, 10, 40)
+    stack, cols = composition_factors(pts, g, CFG, 10, 40)
+    fac = stack.columns(cols)
     assert fac.value.shape == (2, 50)
     bjet = boundary_cutoff_jet(pts, g)
     bpsi = bjet * jump_adf_jet(pts, _axis_lines(g)[0])
@@ -230,6 +231,21 @@ def test_exclusion_block_layout():
     np.testing.assert_allclose([j.value[0] for j in phi2], [0, 0, 1, 1] * 2, atol=1e-15)
 
 
+def test_composition_factors_are_the_distinct_stack_and_its_index():
+    """F = (1 + d) * N_s distinct factors and the index of every output's;
+    gathering a subset of the points before the outputs gives the same
+    factors as after."""
+    g = build_grid_geometry(2, cuts_x=[-0.5, 0.25], cuts_y=[-0.25, 0.5], bounds=[(-1, 1), (-1, 1)])
+    pts = np.random.default_rng(4).uniform(-1, 1, size=(20, 2))
+    stack, cols = composition_factors(pts, g, default_cutoff_config(g), 16, 32)
+    assert stack.value.shape == (20, 3 * 4)
+    assert cols.shape == (48,) and set(cols) == set(range(12))
+    tile = slice(5, 13)
+    gathered, whole = stack.rows(tile).columns(cols), stack.columns(cols).rows(tile)
+    for name in ("value", "gradient", "laplacian"):
+        np.testing.assert_array_equal(getattr(gathered, name), getattr(whole, name))
+
+
 def test_exclusion_divisibility_enforced():
     g = geom_2x2()
     with pytest.raises(ValueError):
@@ -250,7 +266,8 @@ def test_one_axis_cuts_odd_n2_column_plan(axis):
     g = build_grid_geometry(2, bounds=[(-1, 1), (-1, 1)], **cuts)
     pts = np.array([[0.5, 0.4], [-0.7, 0.1], [0.0, -0.8]])
     n1, n2 = 2, 5
-    fac = composition_factors(pts, g, CFG, n1, n2)
+    stack, cols = composition_factors(pts, g, CFG, n1, n2)
+    fac = stack.columns(cols)
     bjet = boundary_cutoff_jet(pts, g)
     bpsi = bjet * jump_adf_jet(pts, _axis_lines(g)[axis])
     kinked = [n1 + c for c in range(n2) if (c >= n2 // 2) == axis]
@@ -296,7 +313,8 @@ def _random_raw(rng, n_pts, n_out, d):
 
 
 def _composed(jets, points, g, cfg, n1, n2):
-    return composition_factors(points, g, cfg, n1, n2) * jets(points)
+    stack, cols = composition_factors(points, g, cfg, n1, n2)
+    return stack.columns(cols) * jets(points)
 
 
 def test_apply_cutoffs_zero_on_boundary():

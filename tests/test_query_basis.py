@@ -2,20 +2,36 @@
 `final_solve` holds between calls."""
 
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 
-from transolve.assembly import evaluate_solution
-from transolve.cutoffs import CutoffConfig, default_cutoff_config, eta_jet
+from transolve import training
+from transolve.assembly import build_epoch_cache, evaluate_solution
+from transolve.cutoffs import (
+    CutoffConfig,
+    composition_factors,
+    default_cutoff_config,
+    eta_jet,
+    interface_trace_factors,
+)
 from transolve.eigen import angular_eval
 from transolve.geometry import build_grid_geometry
-from transolve.nets import NetConfig, init_params
+from transolve.nets import TILE, NetConfig, forward_jets, init_params
 from transolve.reference import RhsSpec
 from transolve.sampling import sample_parameters
 from transolve.singular import eval_s
-from transolve.training import QueryBasis, final_solve, query_basis, vertex_eigenpairs
+from transolve.training import (
+    QueryBasis,
+    TrainConfig,
+    final_solve,
+    init_train_state,
+    query_basis,
+    run_epoch,
+    vertex_eigenpairs,
+)
 
 RTOL = 1e-12
 # The coefficients solve normal equations whose condition number is about
@@ -154,6 +170,30 @@ def test_the_held_basis_dies_with_its_weights():
     assert held() is None
 
 
+def test_an_epoch_drops_the_held_basis_before_it_samples(monkeypatch):
+    """The epoch replaces the weights the held basis was built from, so
+    `run_epoch` drops it before `prepare_epoch`, though the old weights
+    object is still alive here."""
+    g, rhs, cut, _ = problem()
+    config = TrainConfig(iterations=2, lr_start=1e-3, lr_end=1e-3, theta=1.0, n_params=2,
+                         n_interior=8, n_interface=4, p_min=0.5, p_max=5.0)
+    state = init_train_state(g, NetConfig(2, (10, 10), 4, 8), config)
+    old_params = state.params
+    held = weakref.ref(query_basis(old_params, g, rhs, cut, 1.0, GRID))
+    prepare = training.prepare_epoch
+    alive_at_prepare = []
+
+    def prepare_epoch(*args, **kwargs):
+        alive_at_prepare.append(held() is not None)
+        return prepare(*args, **kwargs)
+
+    monkeypatch.setattr(training, "prepare_epoch", prepare_epoch)
+    run_epoch(state, config, g, rhs, cut)
+    assert alive_at_prepare == [False]
+    assert held() is None
+    assert state.params is not old_params
+
+
 def test_writing_into_returned_fields_cannot_change_a_later_query():
     g, rhs, cut, params = problem()
     p = np.array([1.0, 10.0, 10.0, 1.0])
@@ -183,3 +223,59 @@ def test_zero_right_hand_side_reads_zero_relative_residual():
     np.testing.assert_array_equal(coeffs.stacked, 0.0)
     assert fields["residual_sq"] == 0.0
     assert fields["rel_residual"] == 0.0
+
+
+def _untiled_basis(params, g, rhs, cut, theta, quad):
+    """The basis arrays from one composition over all points at once: the
+    factors of every point, the network at every point and their product."""
+    cfg = params.config
+    stack, cols = composition_factors(quad.interior_points, g, cut, cfg.n1, cfg.n2)
+    composed = stack.columns(cols) * forward_jets(params, quad.interior_points)
+    axes = np.array([g.interfaces[k].axis for k in quad.interface_ids], dtype=int)
+    sides = interface_trace_factors(quad.interface_points, axes, g, cut, cfg.n1, cfg.n2)
+    ifc = forward_jets(params, quad.interface_points)
+    rows = np.arange(quad.n_interface)
+    traces = [(f * ifc).gradient[rows, :, axes] for f in sides]
+    cache = build_epoch_cache(g, cut, quad, composed.laplacian, *traces, rhs, theta=theta)
+    return composed.value, np.moveaxis(composed.gradient, -1, 1), cache
+
+
+def problem_1d():
+    g = build_grid_geometry(1, cuts_x=[np.pi * k / 5 for k in range(1, 5)], bounds=[(0, np.pi)])
+    rhs = RhsSpec.for_geometry("sin1d", g)
+    return g, rhs, default_cutoff_config(g), init_params(NetConfig(1, (10, 10), 4, 8), 5)
+
+
+# 2D: 40^2 = 6 * 256 + 64 interior points; 1D: 5 subdomains of 60, 256 + 44
+@pytest.mark.parametrize("make, grid", [(problem, 40), (problem_1d, 60)], ids=["2d", "1d"])
+def test_tiled_build_is_bit_identical_to_one_composition(make, grid):
+    """The build composes one tile of TILE points at a time, the last one
+    ragged; every basis array equals the composition over all points at
+    once, bit for bit."""
+    g, rhs, cut, params = make()
+    basis = QueryBasis.build(params, g, rhs, cut, 2.0, grid)
+    quad = basis.cache.quad
+    assert quad.n_interior > TILE and quad.n_interior % TILE
+    values, gradients, cache = _untiled_basis(params, g, rhs, cut, 2.0, quad)
+    np.testing.assert_array_equal(basis.values, values)
+    np.testing.assert_array_equal(basis.gradients, gradients)
+    for name in ("wlap", "wtrace_minus", "wtrace_plus"):
+        np.testing.assert_array_equal(getattr(basis.cache, name), getattr(cache, name), name)
+
+
+def test_build_holds_little_beyond_the_basis_it_keeps():
+    """The tracemalloc peak of a 96^2 build at the benchmark's network stays
+    within 2.5x the arrays it keeps.  Composing the whole grid at once, with
+    grid-sized raw, factor and product jets, read 4.4x."""
+    g = build_grid_geometry(2, cuts_x=[-0.5, 0.25], cuts_y=[-0.25, 0.5], bounds=[(-1, 1), (-1, 1)])
+    rhs = RhsSpec.for_geometry("corner2d", g)
+    cut = default_cutoff_config(g)
+    params = init_params(NetConfig(2, (30, 30, 30), 16, 32), 7)
+    tracemalloc.start()
+    try:
+        basis = QueryBasis.build(params, g, rhs, cut, 1.0, 96)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    kept = basis.values.nbytes + basis.gradients.nbytes + basis.cache.wlap.nbytes
+    assert peak <= 2.5 * kept
