@@ -5,28 +5,24 @@ the composed basis | singular sources) against the loss-side right-hand
 side, then J2 jump rows carrying sqrt(Theta * weight) times the signed
 flux-jump bracket of the basis traces (singular columns are zero there).
 
-`build_epoch_cache` weights the parameter-free rows once: sqrt(w) times the
-basis Laplacians and the two right-hand-side factors, sqrt(Theta w) times
-the two traces.  Everything below reads only these weighted rows, and the
-row weights are known to this module alone.
-
-Every entry of the network columns is affine in the diffusivity vector p,
-so their block of the normal-equation matrix B^T B is a quadratic
-polynomial in p with parameter-independent coefficient matrices.  Those
-Gram blocks are precomputed once per epoch.  `solve_parameter_batch` is the
-one solve that training, validation and `final_solve` use: it combines the
-Gram blocks for the whole batch in one GEMM, borders every parameter's
-normal matrix with its singular columns in one batched step, and solves
-each ridged system with one LAPACK dposv call; a system that is not
-positive definite raises.  A singular column's source is zero off its
-vertex's annulus, so each singular block holds the cache's annulus rows
-only (`singular.PolarCache.annulus_rows`), and the border reads just those
-rows of the Laplacians, right-hand side and residual.  It returns the
-adjoint seeds of the raw rows, so the gradient is three products with the
-coefficients.  `assemble_system` and `solve_normal_equations` build and
-solve one parameter's explicit system; they are the reference the batched
-solve is checked against, and `assemble_system` is the one place a
-singular block is scattered to all J1 interior rows.
+`build_epoch_cache` weights the parameter-free rows once, the Laplacians in
+place; the row weights are known to this module alone.  Every entry of the
+network columns is affine in the diffusivity vector p, so their block of
+B^T B is a quadratic polynomial in p whose coefficient matrices, the Gram
+blocks, the cache holds.  `solve_parameter_batch`, the one solve of
+training, validation and `final_solve`, walks the batch in blocks of BLOCK
+parameters.  Per block, one GEMM combines the Gram blocks, the singular
+columns border each normal matrix from the annulus rows alone
+(`singular.PolarCache.annulus_rows`: a source is zero off its vertex's
+annulus), one LAPACK dposv call solves each ridged system and raises if it
+is not positive definite, and the residuals give the losses and, if asked
+for, the row seeds times the coefficients, added into the (J1, N) and
+(J2, N) row adjoints that the gradient reads.  No array spans the batch
+times the rows, nor holds the normal matrices of the whole batch.
+`assemble_system` and `solve_normal_equations` build and solve one
+parameter's explicit system, the reference the batched solve is checked
+against; `assemble_system` is the one place a singular block is scattered
+to all J1 interior rows.
 """
 
 from __future__ import annotations
@@ -57,6 +53,10 @@ __all__ = [
 ]
 
 RIDGE_REL = 1e-10
+# Parameters per block of `solve_parameter_batch`.  Blocks of 32 and 64 ran
+# alike in time on the 1D benchmark (P = 256, N = 50, J1 = 1000); 32 kept the
+# solve's tracemalloc peak at 2.5 MB, where the whole batch at once took 11.5 MB.
+BLOCK = 32
 
 
 @dataclass
@@ -147,8 +147,9 @@ def build_epoch_cache(
     """Cache the weighted Laplacian, trace and rhs rows and the Gram blocks.
 
     ``lap`` and the traces must be evaluated at exactly the quadrature's
-    interior/interface points (shapes (J1, N) and (J2, N)); only their
-    weighted copies are kept.
+    interior/interface points (shapes (J1, N) and (J2, N)).  The cache owns
+    ``lap``: it is weighted in place and kept, so a caller that still needs
+    the raw Laplacians passes a copy.  The traces are weighted copies.
     """
     if lap.shape[0] != quad.n_interior:
         raise ValueError("Laplacian rows do not match the interior points")
@@ -159,12 +160,13 @@ def build_epoch_cache(
     sj = np.sqrt(theta) * np.sqrt(quad.interface_weights)
     minus_sub = np.array([geometry.interfaces[k].minus for k in quad.interface_ids], dtype=int)
     plus_sub = np.array([geometry.interfaces[k].plus for k in quad.interface_ids], dtype=int)
-    wlap, wrhs_p, wrhs_fixed = sw[:, None] * lap, sw * pf, sw * fixed
+    lap *= sw[:, None]  # in place: no second (J1, N) array
+    wrhs_p, wrhs_fixed = sw * pf, sw * fixed
     wtrace_minus, wtrace_plus = sj[:, None] * trace_minus, sj[:, None] * trace_plus
     polar = polar_cache(quad.interior_points, geometry, cutoff_config)
-    gram = _build_gram(geometry, quad, wlap, wrhs_p, wrhs_fixed, wtrace_minus, wtrace_plus, theta)
+    gram = _build_gram(geometry, quad, lap, wrhs_p, wrhs_fixed, wtrace_minus, wtrace_plus, theta)
     return EpochCache(
-        geometry, cutoff_config, quad, sw, sj, wlap, wrhs_p, wrhs_fixed, wtrace_minus,
+        geometry, cutoff_config, quad, sw, sj, lap, wrhs_p, wrhs_fixed, wtrace_minus,
         wtrace_plus, minus_sub, plus_sub, polar, gram,
     )
 
@@ -269,19 +271,19 @@ def solve_normal_equations(system, ridge: float | None = None):
 
 @dataclass
 class BatchSolveResult:
-    """Per-batch LS solutions with the adjoint seeds the gradient needs.
+    """Per-batch LS solutions and, if asked for, the row adjoints.
 
-    The seeds are the derivatives of the losses in the raw rows, halved:
-    d loss_k / d lap[j, n] = 2 seed_int[j, k] y_nn[k, n], and likewise
-    seed_plus (seed_minus) for the plus (minus) traces of the jump rows.
+    Each adjoint is the halved derivative of the summed losses in one set
+    of raw rows: d(sum_k loss_k) / d lap[j, n] = 2 bar_lap[j, n], and
+    likewise bar_minus (bar_plus) for the minus (plus) traces.
     """
 
     y_nn: np.ndarray  # (P, N) network-column coefficients
     y_sing: list  # per-parameter singular coefficient vectors
     losses: np.ndarray  # (P,) residual norms squared
-    seed_int: np.ndarray  # (J1, P) sqrt(w) p r_int
-    seed_plus: np.ndarray  # (J2, P) sqrt(Theta w) p_plus r_jump
-    seed_minus: np.ndarray  # (J2, P) -sqrt(Theta w) p_minus r_jump
+    bar_lap: np.ndarray | None = None  # (J1, N)
+    bar_minus: np.ndarray | None = None  # (J2, N)
+    bar_plus: np.ndarray | None = None  # (J2, N)
 
 
 class SolveError(RuntimeError):
@@ -293,13 +295,13 @@ class SolveError(RuntimeError):
         super().__init__(message)
 
 
-def _cholesky_solve(a: np.ndarray, b: np.ndarray, ridge: np.ndarray) -> np.ndarray:
+def _cholesky_solve(a: np.ndarray, b: np.ndarray, ridge: np.ndarray, first: int) -> np.ndarray:
     """Solve every system (a[k] + ridge[k] I) y[k] = b[k] of an SPD stack.
 
     Each system is one LAPACK dposv call: NumPy's batched Cholesky does not
     say which system failed, and it has no batched triangular solve.  A
-    system that is not positive definite raises SolveError naming it.
-    ``a`` is overwritten.
+    system that is not positive definite raises SolveError naming it by its
+    index in the whole batch, ``first + k``; ``a`` is overwritten.
     """
     n = a.shape[-1]
     diag = np.arange(n)
@@ -308,9 +310,8 @@ def _cholesky_solve(a: np.ndarray, b: np.ndarray, ridge: np.ndarray) -> np.ndarr
     for k in range(len(a)):
         _, y[k], info = _dposv(a[k], b[k], lower=1)
         if info:
-            raise SolveError(
-                k, f"least-squares system {k} is not positive definite (ridge {ridge[k]:.3g})"
-            )
+            raise SolveError(first + k, f"least-squares system {first + k} is not positive "
+                                        f"definite (ridge {ridge[k]:.3g})")
     return y
 
 
@@ -319,85 +320,95 @@ def solve_parameter_batch(
     parameters: np.ndarray,
     singular_evals_per_p: list | None = None,
     ridge: float | None = None,
+    adjoint: bool = False,
 ) -> BatchSolveResult:
     """Least-squares solve of every parameter of a batch through the Gram blocks.
 
     ``singular_evals_per_p`` holds one (R, n_s) source block per parameter
     on the cache's annulus rows (None for none); the counts n_s may differ.
     Each normal matrix is the Gram combination bordered by its parameter's
-    singular columns, padded to the batch's largest count with an identity
+    singular columns, padded to its block's largest count with an identity
     block and a zero right-hand side, which solve to zero.  The border
-    reads the Laplacian, right-hand-side and residual rows of the annulus
-    alone, so no singular array spans the J1 interior rows.  The ridge of
-    each system is RIDGE_REL times the mean diagonal of its unpadded matrix
-    (RIDGE_REL where that mean is 0), or ``ridge``.  The loss of parameter
-    k is ||B y - l||^2 over its interior and jump rows.
+    reads the annulus rows alone, so no singular array spans the J1
+    interior rows.  The ridge of each system is RIDGE_REL times the mean
+    diagonal of its unpadded matrix (RIDGE_REL where that mean is 0), or
+    ``ridge``.  The loss of parameter k is ||B y - l||^2 over its interior
+    and jump rows.  The row adjoints are summed only under ``adjoint``.
     """
     gram = cache.gram
     parameters = validate_parameter_batch(cache.geometry, np.atleast_2d(parameters))
     n_p, n_sub = parameters.shape
     n = cache.n_basis
     rows = cache.polar.annulus_rows
-
-    # one GEMM: (P, K) monomial coefficients against the fused (K, N*N) blocks
-    coef = gram.coefficients(parameters)
-    a_nn = (coef @ gram.combined).reshape(n_p, n, n)
-    b_nn = coef[:, :n_sub] @ gram.b_sq + parameters @ gram.b_lin
-
     c, f1, f0 = cache.wlap, cache.wrhs_p, cache.wrhs_fixed
-    p_int = parameters[:, cache.quad.interior_subdomain].T  # (J1, P)
-    p_plus = parameters[:, cache.ifc_plus_sub].T
-    p_minus = parameters[:, cache.ifc_minus_sub].T
-
     sing = singular_evals_per_p or [None] * n_p
     if len(sing) != n_p:
         raise ValueError("one singular block per parameter is needed")
     if any(s is not None and s.shape[0] != rows.size for s in sing):
         raise ValueError("singular evaluations do not match the annulus rows")
-    counts = np.array([0 if s is None else s.shape[1] for s in sing])
-    m = int(counts.max(initial=0))
-    if m == 0:
-        a, rhs = a_nn, b_nn
-    else:
-        padded = np.zeros((n_p, rows.size, m))
-        for k in np.flatnonzero(counts):
-            padded[k, :, : counts[k]] = sing[k]
-        p_rows = parameters[:, cache.quad.interior_subdomain[rows]]  # (P, R)
-        us = (cache.sqrt_w[rows] * p_rows)[:, :, None] * padded  # (P, R, M) weighted, p-scaled
-        border = np.matmul(c[rows].T, p_rows[:, :, None] * us)  # (P, N, M)
-        a = np.empty((n_p, n + m, n + m))
-        a[:, :n, :n] = a_nn
-        a[:, :n, n:] = border
-        a[:, n:, :n] = border.transpose(0, 2, 1)
-        a[:, n:, n:] = us.transpose(0, 2, 1) @ us
-        l_rows = p_rows * f1[rows] + f0[rows]  # (P, R)
-        rhs = np.concatenate([b_nn, -(l_rows[:, None, :] @ us)[:, 0]], axis=1)
-    if ridge is None:
-        mean_diag = np.trace(a, axis1=-2, axis2=-1) / (n + counts)
-        ridge_vec = RIDGE_REL * np.where(mean_diag > 0, mean_diag, 1.0)
-    else:
-        ridge_vec = np.full(n_p, float(ridge))
-    if m:  # unit diagonal on the padded slots, after the trace was taken
-        pad = n + np.arange(m)
-        a[:, pad, pad] += np.arange(m) >= counts[:, None]
-    y = _cholesky_solve(a, rhs, ridge_vec)
-
-    y_nn = y[:, :n]
-    r_int = c @ y_nn.T  # (J1, P)
-    r_int += f1[:, None]
-    r_int *= p_int
-    r_int += f0[:, None]
-    if m:
-        r_int[rows] += (us @ y[:, n:, None])[:, :, 0].T
-    r_jump = cache.wtrace_plus @ y_nn.T
-    r_jump *= p_plus
-    r_jump -= p_minus * (cache.wtrace_minus @ y_nn.T)
-    losses = np.sum(r_int**2, axis=0) + np.sum(r_jump**2, axis=0)
-    r_int *= p_int  # in place: the residuals become the seeds
-    r_int *= cache.sqrt_w[:, None]
-    r_jump *= cache.sqrt_theta_w[:, None]
-    y_sing = [y[k, n : n + c] for k, c in enumerate(counts.tolist())]
-    return BatchSolveResult(y_nn, y_sing, losses, r_int, p_plus * r_jump, -p_minus * r_jump)
+    all_counts = [0 if s is None else s.shape[1] for s in sing]
+    y_nn, losses, y_sing = np.empty((n_p, n)), np.empty(n_p), []
+    bar_lap, bar_minus, bar_plus = (
+        np.zeros(a.shape) if adjoint else None for a in (c, cache.wtrace_minus, cache.wtrace_plus)
+    )
+    for s in range(0, n_p, BLOCK):
+        p = parameters[s : s + BLOCK]
+        # one GEMM: (P, K) monomial coefficients against the fused (K, N*N) blocks
+        coef = gram.coefficients(p)
+        a_nn = (coef @ gram.combined).reshape(-1, n, n)
+        b_nn = coef[:, :n_sub] @ gram.b_sq + p @ gram.b_lin
+        counts = np.array(all_counts[s : s + BLOCK])
+        m = int(counts.max())
+        if m == 0:
+            a, rhs = a_nn, b_nn
+        else:
+            padded = np.zeros((len(p), rows.size, m))
+            for k in np.flatnonzero(counts):
+                padded[k, :, : counts[k]] = sing[s + k]
+            p_rows = p[:, cache.quad.interior_subdomain[rows]]  # (P, R)
+            us = (cache.sqrt_w[rows] * p_rows)[:, :, None] * padded  # (P, R, M) weighted, p-scaled
+            border = np.matmul(c[rows].T, p_rows[:, :, None] * us)  # (P, N, M)
+            a = np.empty((len(p), n + m, n + m))
+            a[:, :n, :n] = a_nn
+            a[:, :n, n:] = border
+            a[:, n:, :n] = border.transpose(0, 2, 1)
+            a[:, n:, n:] = us.transpose(0, 2, 1) @ us
+            l_rows = p_rows * f1[rows] + f0[rows]  # (P, R)
+            rhs = np.concatenate([b_nn, -(l_rows[:, None, :] @ us)[:, 0]], axis=1)
+        if ridge is None:
+            mean_diag = np.trace(a, axis1=-2, axis2=-1) / (n + counts)
+            ridge_vec = RIDGE_REL * np.where(mean_diag > 0, mean_diag, 1.0)
+        else:
+            ridge_vec = np.full(len(p), float(ridge))
+        if m:  # unit diagonal on the padded slots, after the trace was taken
+            pad = n + np.arange(m)
+            a[:, pad, pad] += np.arange(m) >= counts[:, None]
+        y = _cholesky_solve(a, rhs, ridge_vec, s)
+        y_nn[s : s + BLOCK] = y_b = y[:, :n]
+        y_sing += [y[k, n : n + count] for k, count in enumerate(counts.tolist())]
+        # the block's residuals, one column per parameter
+        p_int = p.T[cache.quad.interior_subdomain]  # (J1, P)
+        p_plus, p_minus = p.T[cache.ifc_plus_sub], p.T[cache.ifc_minus_sub]
+        r_int = c @ y_b.T
+        r_int += f1[:, None]
+        r_int *= p_int
+        r_int += f0[:, None]
+        if m:
+            r_int[rows] += (us @ y[:, n:, None])[:, :, 0].T
+        r_jump = cache.wtrace_plus @ y_b.T
+        r_jump *= p_plus
+        r_jump -= p_minus * (cache.wtrace_minus @ y_b.T)
+        losses[s : s + BLOCK] = np.einsum("jk,jk->k", r_int, r_int)
+        losses[s : s + BLOCK] += np.einsum("jk,jk->k", r_jump, r_jump)
+        if adjoint:  # in place, the residuals become the seeds, times y into the adjoints
+            r_int *= p_int
+            r_int *= cache.sqrt_w[:, None]
+            bar_lap += r_int @ y_b
+            r_jump *= cache.sqrt_theta_w[:, None]
+            bar_plus += (p_plus * r_jump) @ y_b
+            r_jump *= p_minus
+            bar_minus -= r_jump @ y_b
+    return BatchSolveResult(y_nn, y_sing, losses, bar_lap, bar_minus, bar_plus)
 
 
 def evaluate_solution(y_nn, basis_values, basis_grads):

@@ -2,51 +2,38 @@
 
 Each epoch draws a parameter batch and fresh collocation points, solves the
 angular eigenproblems the batch needs (2D), and evaluates the network's
-value, gradient and Laplacian once at all interior and interface points,
-as one `nets.Jets`.  Only what the loss reads is composed with the cutoff
-factors: at the interior points the Laplacian of the product ``fac * raw``
-(`Jets.product_laplacian`, the product rule's Laplacian) of the network
-jets and the factors ``stack.columns(index)`` gathered from the distinct
-stack of `cutoffs.composition_factors`, and at the interface points the
-one-sided normal traces n . (F_pm * raw).gradient, from the product
-(`Jets.__mul__`) of the one-sided factors of
-`cutoffs.interface_trace_factors` and the network jets.
-`assembly.solve_parameter_batch` then solves every parameter's
-least-squares system, singular columns included, in one batched call
-through the cached Gram blocks, and the mean squared residual
-is back-propagated to the network weights with the solved coefficients
-held fixed (the derivative of a minimum is the partial derivative at the
-minimizer, so the coefficients contribute no gradient term): the solve
-returns the adjoint seeds of its raw rows, each seed times the
-coefficients is a seed on one composed Laplacian or trace, `Jets.adjoint`
-(the product's transpose) carries all of them to the network outputs, and
-those seed `nets.backward_jets`.  No network intermediate outlives the
-forward pass: the backward pass recomputes the network tile by tile from
-the points, once for the interior rows and once for the interface rows,
-and the two gradients add up.  The row weights stay inside `assembly`.
-Adam with a linearly interpolated learning rate closes the loop.
-Validation runs the same path without the gradient.
+jets (`nets.Jets`) once at all interior and interface points.  Only what
+the loss reads is composed with the cutoff factors: the interior
+Laplacians of the product ``fac * raw`` (`Jets.product_laplacian`), the
+factors gathered from the distinct stack of `cutoffs.composition_factors`,
+and the one-sided interface traces n . (F_pm * raw).gradient, the factors
+from `cutoffs.interface_trace_factors`.  `assembly.solve_parameter_batch`
+solves every parameter's least-squares system block by block and sums each
+block's row seeds times its coefficients into the row adjoints: (J1, N) for
+the Laplacians and (J2, N) per trace side.  The mean squared residual is
+back-propagated with the solved coefficients held fixed (the derivative of
+a minimum is the partial derivative at the minimizer): scaled in place,
+the adjoints go through `Jets.adjoint` (the product's transpose) to the
+network outputs and seed `nets.backward_jets`, which recomputes the network
+tile by tile, once for the interior and once for the interface rows.  Adam
+with a linearly interpolated learning rate closes the loop.  Validation
+runs the same path without the adjoints.
 
 Queries are split into an offline and an online stage.  Offline,
 `QueryBasis.build` does everything about a midpoint grid that does not
 depend on the parameter, once per trained network: the quadrature, the
-network jets, the weighted rows with their Gram blocks and polar cache, and
-the composed basis values and gradients, from the full product
-``fac * raw``.  The grid may be much finer than the training points, so the
-build composes one tile of `nets.TILE` points at a time, the factors gathered
-from the distinct stack for that tile only, and writes each tile's values,
-gradients and Laplacian into arrays made once; beyond the kept basis it
-holds the distinct factors while it composes and the Laplacian until the
-cache is built.  The interface traces come from the same `_interface_rows`
-as in training.  Online, `QueryBasis.solve` takes a (Q, I) parameter batch
+weighted rows with their Gram blocks and polar cache, and the composed
+basis values and gradients.  The grid may be much finer than the training
+points, so the build composes one tile of `nets.TILE` points at a time
+into arrays made once, and hands its Laplacian to the cache, which weights
+it in place.  Online, `QueryBasis.solve` takes a (Q, I) parameter batch
 through one eigensolve, one `solve_parameter_batch` and one GEMM per field,
 plus `singular.eval_s` for the queries with singular columns: the paper's
 low-dimensional least-squares problem per parameter.  The singular columns
 stay on their support rows throughout: their sources on the annulus rows of
-the polar cache, in training and in queries alike, and their values and
-gradients on its disk rows, added there into the fields.  So the singular
-work of a query grows with the junction annuli and disks, not with the
-grid.  `final_solve` is a batch of one against the basis `query_basis`
+the polar cache, and their values and gradients on its disk rows, so the
+singular work of a query grows with the junction annuli and disks, not with
+the grid.  `final_solve` is a batch of one against the basis `query_basis`
 holds; it keeps at most one, rebuilt when the weights, grid or problem
 change and dropped when the weights object is collected or an epoch starts.
 Checkpoints are ``.npz`` arrays with a JSON header and load without
@@ -319,8 +306,9 @@ def loss_and_param_gradient(params: MlpParams, data: EpochData, need_gradient: b
     """Mean squared LS residual over the batch and its gradient in the weights.
 
     The gradient treats every parameter's solved coefficient vector as a
-    constant and back-propagates the solve's adjoint seeds through the
-    basis Laplacians and one-sided traces only.
+    constant.  The blocked solve returns the row adjoints of the basis
+    Laplacians and one-sided traces, summed over the batch, and only those
+    are back-propagated; without ``need_gradient`` none is formed.
     """
     if data.parameters.shape[0] < 1:
         raise ValueError("empty parameter batch")
@@ -329,22 +317,22 @@ def loss_and_param_gradient(params: MlpParams, data: EpochData, need_gradient: b
         singular_evals_from_cache(cache.polar, pairs) if pairs else None
         for pairs in data.pairs_per_p
     ]
-    batch = solve_parameter_batch(cache, data.parameters, singular_evals_per_p=sing_per_p)
+    batch = solve_parameter_batch(
+        cache, data.parameters, singular_evals_per_p=sing_per_p, adjoint=need_gradient
+    )
     loss = float(np.mean(batch.losses))
     if not need_gradient:
         return loss, None
 
-    # seeds on the composed rows: the interior Laplacians and the normal
-    # component of each side's gradient; the product's adjoint takes them
-    # to the network outputs
-    scale = 2.0 / data.parameters.shape[0]
-    w_lap, w_minus, w_plus = (
-        scale * (seed @ batch.y_nn) for seed in (batch.seed_int, batch.seed_minus, batch.seed_plus)
-    )
-    inner = fac.adjoint(Jets(None, None, w_lap))
+    # the row adjoints, scaled in place to the mean loss, seed the composed
+    # rows: the interior Laplacians and the normal component of each side's
+    # gradient; the product's adjoint takes them to the network outputs
+    for w in (batch.bar_lap, batch.bar_minus, batch.bar_plus):
+        w *= 2.0 / data.parameters.shape[0]
+    inner = fac.adjoint(Jets(None, None, batch.bar_lap))
     minus, plus = (
         f.adjoint(Jets(None, w[:, :, None] * normals[:, None, :], np.zeros_like(w)))
-        for f, w in zip(sides, (w_minus, w_plus))
+        for f, w in zip(sides, (batch.bar_minus, batch.bar_plus))
     )
     ifc = Jets(*(getattr(minus, k) + getattr(plus, k) for k in ("value", "gradient", "laplacian")))
     del minus, plus
@@ -502,8 +490,8 @@ class QueryBasis:
         jets and their product with the gathered factors are made one tile
         of `TILE` points at a time and written into the kept arrays, so the
         (J, n1 + n2) network jets, factors and products of the whole grid
-        never exist.  The composed Laplacian goes to `build_epoch_cache`
-        and is not kept.
+        never exist.  The composed Laplacian goes to `build_epoch_cache`,
+        which weights it in place and keeps it as ``cache.wlap``.
         """
         cfg = params.config
         quad = midpoint_grid(geometry, n_per_axis, n_per_axis)

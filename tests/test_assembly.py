@@ -1,8 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from transolve.assembly import (
+    BLOCK,
     CoefficientVector,
+    SolveError,
     assemble_system,
     build_epoch_cache,
     evaluate_solution,
@@ -81,9 +85,12 @@ def test_direct_assembly_equals_cache_based():
     g = geom_1d()
     cfg = NetConfig(1, (5,), 2, 4)
     rows = raw_rows(g, cfg, seed=2)
-    _, quad, lap, tr_minus, tr_plus = rows
+    cut, quad, lap, tr_minus, tr_plus = rows
     theta = 1.0
-    cache = build_epoch_cache(g, *rows, RhsSpec.for_geometry("sin1d", g), theta=theta)
+    # the cache weights its Laplacian in place: the oracle below reads the raw one
+    cache = build_epoch_cache(
+        g, cut, quad, lap.copy(), tr_minus, tr_plus, RhsSpec.for_geometry("sin1d", g), theta=theta
+    )
     rng = np.random.default_rng(3)
     p = rng.uniform(0.5, 5.0, size=5)
     sys_cache = assemble_system(cache, p, None, theta)
@@ -237,8 +244,8 @@ def test_batch_mixes_singular_column_counts():
 def test_batch_support_rows_match_the_scattered_dense_system():
     """Blocks of 0, 2 and 4 singular columns on the annulus rows: scattered
     to all J1 interior rows they give assemble_system's singular columns,
-    and at the batch's coefficients that dense system has the batch's loss
-    and interior seeds."""
+    and at the batch's coefficients that dense system has the batch's
+    losses, and its residuals give the batch's row adjoints."""
     g = build_grid_geometry(2, cuts_x=[-0.4, 0.3], cuts_y=[-0.3, 0.4], bounds=[(-1, 1), (-1, 1)])
     cfg = NetConfig(2, (8,), 4, 8)
     theta = 3.0
@@ -253,8 +260,11 @@ def test_batch_support_rows_match_the_scattered_dense_system():
     assert [s.shape[1] for s in sing] == [0, 2, 4]
     rows = cache.polar.annulus_rows
     assert 0 < rows.size < cache.quad.n_interior
-    batch = solve_parameter_batch(cache, params, singular_evals_per_p=sing)
+    batch = solve_parameter_batch(cache, params, singular_evals_per_p=sing, adjoint=True)
     j1, n = cache.quad.n_interior, cache.n_basis
+    expected = [np.zeros_like(cache.wlap), np.zeros_like(cache.wtrace_minus)]
+    expected.append(np.zeros_like(cache.wtrace_plus))
+    atol = 0.0
     for k, p in enumerate(params):
         dense = np.zeros((j1, sing[k].shape[1]))
         dense[rows] = sing[k]
@@ -265,10 +275,78 @@ def test_batch_support_rows_match_the_scattered_dense_system():
         )
         r = system.matrix @ np.concatenate([batch.y_nn[k], batch.y_sing[k]]) - system.rhs
         assert batch.losses[k] == pytest.approx(r @ r, rel=1e-12)
-        np.testing.assert_allclose(
-            batch.seed_int[:, k], cache.sqrt_w * p_int * r[:j1],
-            rtol=0, atol=1e-12 * np.abs(r).max(),
+        # the seeds of parameter k: the halved derivatives of its loss in the raw rows
+        r_jump = cache.sqrt_theta_w * r[j1:]
+        seeds = (
+            cache.sqrt_w * p_int * r[:j1],
+            -p[cache.ifc_minus_sub] * r_jump,
+            p[cache.ifc_plus_sub] * r_jump,
         )
+        for total, seed in zip(expected, seeds):
+            total += np.outer(seed, batch.y_nn[k])
+        # each seed to 1e-12 of its largest residual, carried through y_k
+        atol += 1e-12 * np.abs(r).max() * np.abs(batch.y_nn[k]).max()
+    for name, total in zip(("bar_lap", "bar_minus", "bar_plus"), expected):
+        np.testing.assert_allclose(getattr(batch, name), total, rtol=0, atol=atol, err_msg=name)
+    plain = solve_parameter_batch(cache, params, singular_evals_per_p=sing)
+    assert (plain.bar_lap, plain.bar_minus, plain.bar_plus) == (None, None, None)
+    np.testing.assert_array_equal(plain.losses, batch.losses)
+
+
+def test_blocked_batch_matches_each_parameter_solved_alone():
+    """A batch of 2 BLOCK + 3 parameters runs in three blocks whose largest
+    singular counts differ (4, 4 and 1), with mixed counts on both sides of
+    each block edge: every parameter's coefficients and loss match its
+    own batch of one."""
+    g = build_grid_geometry(2, cuts_x=[-0.4, 0.3], cuts_y=[-0.3, 0.4], bounds=[(-1, 1), (-1, 1)])
+    cfg = NetConfig(2, (8,), 4, 8)
+    theta = 3.0
+    cache = make_cache(g, cfg, seed=18, n_int=8, n_ifc=4, theta=theta)
+    templates = np.full((5, 9), 2.0)  # uniform: no exponent in (0, 1)
+    templates[1, 0] = 20.0  # a corner cell touches one vertex
+    templates[2, 1] = 20.0  # an edge cell touches two
+    templates[3, 4] = 0.2  # the centre cell touches all four
+    templates[4] = [1.0, 10.0, 1.0, 10.0, 1.0, 10.0, 1.0, 10.0, 1.0]
+    rng = np.random.default_rng(20)
+    kinds = rng.integers(0, 5, size=2 * BLOCK + 3)
+    kinds[[BLOCK - 1, BLOCK, 2 * BLOCK - 1]] = [3, 0, 2]
+    kinds[2 * BLOCK :] = [1, 0, 1]
+    # a common factor per parameter leaves its exponents, and so its count, as they are
+    params = templates[kinds] * rng.uniform(0.5, 2.0, size=(kinds.size, 1))
+    sing = [
+        singular_evals_from_cache(cache.polar, pairs)
+        for pairs in vertex_eigenpairs(g, params, 2)
+    ]
+    counts = np.array([s.shape[1] for s in sing])
+    assert counts[BLOCK - 1] != counts[BLOCK] and counts[2 * BLOCK - 1] != counts[2 * BLOCK]
+    assert [counts[s : s + BLOCK].max() for s in range(0, kinds.size, BLOCK)] == [4, 4, 1]
+    batch = solve_parameter_batch(cache, params, singular_evals_per_p=sing)
+    for k in range(kinds.size):
+        alone = solve_parameter_batch(cache, params[k : k + 1], singular_evals_per_p=[sing[k]])
+        y = np.concatenate([alone.y_nn[0], alone.y_sing[0]])
+        tol = 1e-11 * np.abs(y).max()
+        assert batch.y_sing[k].shape == (counts[k],)
+        np.testing.assert_allclose(batch.y_nn[k], alone.y_nn[0], rtol=0, atol=tol)
+        np.testing.assert_allclose(batch.y_sing[k], alone.y_sing[0], rtol=0, atol=tol)
+        assert batch.losses[k] == pytest.approx(alone.losses[0], rel=1e-12)
+
+
+def test_batch_solve_holds_no_normal_matrix_stack():
+    """The tracemalloc peak of a solve of 8 BLOCK parameters with the row
+    adjoints stays below half the (P, N, N) normal-matrix stack alone: the
+    batch is solved one block at a time.  Solving it whole read above 1x."""
+    g = geom_1d()
+    cache = make_cache(g, NetConfig(1, (8,), 10, 40), seed=4, n_int=20)
+    n_p, n = 8 * BLOCK, cache.n_basis
+    params = np.random.default_rng(9).uniform(0.5, 10.0, size=(n_p, 5))
+    tracemalloc.start()
+    try:
+        batch = solve_parameter_batch(cache, params, adjoint=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert batch.bar_lap.shape == (cache.quad.n_interior, n)
+    assert peak < 0.5 * n_p * n * n * 8
 
 
 def test_batch_dead_singular_column_is_per_system():
@@ -307,14 +385,18 @@ def test_batch_zero_basis_solves_to_zero():
 
 def test_batch_singular_system_raises_named():
     """With ridge 0 a dead singular column makes its system singular: the
-    solve raises and names that system, and no ridge is retried."""
+    solve raises and names that system by its index in the whole batch,
+    in the first block or a later one, and no ridge is retried."""
     g = geom_1d()
     cache = make_cache(g, NetConfig(1, (6,), 3, 5), seed=4, n_int=20)
-    params = np.random.default_rng(9).uniform(0.5, 10.0, size=(3, 5))
-    dead = np.zeros((cache.polar.annulus_rows.size, 1))
-    with pytest.raises(RuntimeError, match="system 1 "):
-        solve_parameter_batch(cache, params, [None, dead, None], ridge=0.0)
-    solve_parameter_batch(cache, params, ridge=0.0)  # the live systems alone solve
+    for n_p, bad in ((3, 1), (2 * BLOCK + 3, BLOCK + 5)):
+        params = np.random.default_rng(9).uniform(0.5, 10.0, size=(n_p, 5))
+        sing = [None] * n_p
+        sing[bad] = np.zeros((cache.polar.annulus_rows.size, 1))
+        with pytest.raises(SolveError, match=f"system {bad} ") as err:
+            solve_parameter_batch(cache, params, sing, ridge=0.0)
+        assert err.value.index == bad
+        solve_parameter_batch(cache, params, ridge=0.0)  # the live systems alone solve
 
 
 def test_batch_rejects_singular_block_of_another_length():
