@@ -11,7 +11,9 @@ sectors) are read from the cut indices while the crossings are listed.
 Conventions: subdomains are numbered row-major with rows from top to
 bottom and columns left to right (so the top-left cell of a 2x2 layout is
 subdomain 0); singular vertices follow the same top-to-bottom, left-to-
-right order.
+right order.  Point location reads the same numbering off the cuts: one
+sorted search per axis gives a point's column and row, so its cost does
+not grow with the number of subdomains.
 """
 
 from __future__ import annotations
@@ -207,21 +209,35 @@ def subdomain_index(geometry: Geometry, x) -> int:
 
 
 def subdomain_index_many(geometry: Geometry, points: np.ndarray) -> np.ndarray:
-    """Vectorized subdomain_index for an (n, d) point batch."""
+    """Vectorized subdomain_index for an (n, d) point batch.
+
+    One `np.searchsorted` per axis on the cell edges (the bounds with the
+    cuts between them) gives each point's column and row; the row-major,
+    top-to-bottom numbering of `build_grid_geometry` turns them into the
+    index.  A point on a cut or a bound, outside the bounds or NaN raises
+    ValueError.
+    """
     points = np.asarray(points, dtype=float)
     if points.ndim == 1:
         points = points[:, None] if geometry.dimension == 1 else points[None, :]
-    n = points.shape[0]
-    out = np.full(n, -1, dtype=int)
-    for i in range(geometry.n_subdomains):
-        inside = np.all(points > geometry.subdomain_lo[i], axis=1) & np.all(
-            points < geometry.subdomain_hi[i], axis=1
-        )
-        out[inside] = i
-    if np.any(out < 0):
-        bad = points[out < 0][0]
+    cells, ok = [], np.ones(points.shape[0], dtype=bool)
+    for axis, cuts in enumerate((geometry.cuts_x, geometry.cuts_y)[: geometry.dimension]):
+        edges = np.array((geometry.bounds[axis][0], *cuts, geometry.bounds[axis][1]))
+        x = points[:, axis]
+        # edges[i] <= x < edges[i + 1]; a NaN sorts past the last edge
+        i = np.searchsorted(edges, x, side="right") - 1
+        inside = (i >= 0) & (i < len(cuts) + 1)
+        i[~inside] = 0
+        ok &= inside & (x > edges[i])
+        cells.append(i)
+    if not np.all(ok):
+        bad = points[~ok][0]
         raise ValueError(f"point {bad} lies on an interface or outside the bounds")
-    return out
+    if geometry.dimension == 1:
+        return cells[0]
+    col, row_up = cells
+    n_rows = len(geometry.cuts_y) + 1
+    return (n_rows - 1 - row_up) * (len(geometry.cuts_x) + 1) + col
 
 
 def angular_trace(geometry: Geometry, params, vertex_id: int) -> list[tuple[float, float, float]]:

@@ -9,7 +9,11 @@ weights of the plain uniform rule while reducing variance; the evaluation
 grid takes the cell centers.  Training draws on a cut line are moved off
 it, and a midpoint grid with a center on one is rejected.
 Interface points are stratified per interface; in 1D the interfaces are the
-cut points themselves and carry unit (counting-measure) weight.
+cut points themselves and carry unit (counting-measure) weight.  The 2D
+segments are placed in one call: the cell edges of every segment are one
+`np.linspace` with array endpoints and the stratified draws one uniform
+call over them, which takes the same numbers from the generator, in the
+same order, as one call per segment would.
 """
 
 from __future__ import annotations
@@ -79,11 +83,8 @@ def _cells(geometry: Geometry, n: int) -> tuple[np.ndarray, np.ndarray]:
     equal cells, x-major.
     """
     if geometry.dimension == 1:
-        spans = zip(geometry.subdomain_lo[:, 0], geometry.subdomain_hi[:, 0])
-        edges = [np.linspace(lo, hi, n + 1) for lo, hi in spans]
-        corner = np.concatenate([e[:-1] for e in edges])
-        width = np.concatenate([np.diff(e) for e in edges])
-        return corner[:, None], width[:, None]
+        edges = np.linspace(geometry.subdomain_lo[:, 0], geometry.subdomain_hi[:, 0], n + 1, axis=1)
+        return edges[:, :-1].reshape(-1, 1), np.diff(edges, axis=1).reshape(-1, 1)
     (a, b), (c, d) = geometry.bounds
     hx, hy = (b - a) / n, (d - c) / n
     gx, gy = np.meshgrid(a + hx * np.arange(n), c + hy * np.arange(n), indexing="ij")
@@ -109,9 +110,10 @@ def _jittered_interior(geometry: Geometry, n_per_axis: int, rng):
 def _interface_samples(geometry: Geometry, n_per_interface: int, place):
     """Interface points, weights and interface ids.
 
-    1D: the cut points with unit (counting-measure) weight.  2D: on every
-    segment, ``place(lo, hi, n)`` puts one point in each of n equal cells of
-    the span, and each point weighs the segment length over n.
+    1D: the cut points with unit (counting-measure) weight.  2D:
+    ``place(lo, hi, n)`` takes the (K,) span ends of all K segments and
+    puts one point in each of n equal cells of every span, (K, n) in one
+    call; each point weighs its segment length over n.
     """
     if not geometry.interfaces:
         return np.zeros((0, geometry.dimension)), np.zeros(0), np.zeros(0, dtype=int)
@@ -119,15 +121,16 @@ def _interface_samples(geometry: Geometry, n_per_interface: int, place):
     if geometry.dimension == 1:
         points = np.array([[ifc.position] for ifc in geometry.interfaces])
         return points, np.ones(n_ifc), np.arange(n_ifc)
-    points, weights = [], []
-    for ifc in geometry.interfaces:
-        lo, hi = ifc.span
-        t = place(lo, hi, n_per_interface)
-        pos = np.full(n_per_interface, ifc.position)
-        points.append(np.stack([pos, t] if ifc.axis == 0 else [t, pos], axis=1))
-        weights.append(np.full(n_per_interface, (hi - lo) / n_per_interface))
+    axis = np.array([ifc.axis for ifc in geometry.interfaces])
+    pos = np.array([ifc.position for ifc in geometry.interfaces])
+    lo, hi = np.array([ifc.span for ifc in geometry.interfaces]).T
+    t = place(lo, hi, n_per_interface)
+    pos = np.broadcast_to(pos[:, None], t.shape)
+    vertical = (axis == 0)[:, None]
+    points = np.stack([np.where(vertical, pos, t), np.where(vertical, t, pos)], axis=-1)
+    weights = np.repeat((hi - lo) / n_per_interface, n_per_interface)
     ids = np.repeat(np.arange(n_ifc), n_per_interface)
-    return np.concatenate(points), np.concatenate(weights), ids
+    return points.reshape(-1, 2), weights, ids
 
 
 def sample_collocation(
@@ -146,8 +149,8 @@ def sample_collocation(
     rng_ifc = rng if rng_interface is None else rng_interface
 
     def stratified(lo, hi, n):
-        edges = np.linspace(lo, hi, n + 1)
-        return rng_ifc.uniform(edges[:-1], edges[1:])
+        edges = np.linspace(lo, hi, n + 1, axis=1)
+        return rng_ifc.uniform(edges[:, :-1], edges[:, 1:])
 
     ipts, iw, iid = _interface_samples(geometry, n_per_interface, stratified)
     return QuadratureSet(interior, w, sub, ipts, iw, iid)
@@ -176,5 +179,5 @@ def midpoint_grid(geometry: Geometry, n_per_axis: int, n_per_interface: int) -> 
     )
 
 
-def _cell_centers(lo: float, hi: float, n: int) -> np.ndarray:
-    return lo + (hi - lo) / n * (np.arange(n) + 0.5)
+def _cell_centers(lo: np.ndarray, hi: np.ndarray, n: int) -> np.ndarray:
+    return lo[:, None] + ((hi - lo) / n)[:, None] * (np.arange(n) + 0.5)

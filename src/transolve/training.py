@@ -6,8 +6,9 @@ jets (`nets.Jets`) once at all interior and interface points.  Only what
 the loss reads is composed with the cutoff factors: the interior
 Laplacians of the product ``fac * raw`` (`Jets.product_laplacian`), the
 factors gathered from the distinct stack of `cutoffs.composition_factors`,
-and the one-sided interface traces n . (F_pm * raw).gradient, the factors
-from `cutoffs.interface_trace_factors`.  `assembly.solve_parameter_batch`
+and the one-sided interface traces n . grad(F_pm * raw) alone
+(`Jets.product_derivative`), the factors from
+`cutoffs.interface_trace_factors`.  `assembly.solve_parameter_batch`
 solves every parameter's least-squares system block by block and sums each
 block's row seeds times its coefficients into the row adjoints: (J1, N) for
 the Laplacians and (J2, N) per trace side.  The mean squared residual is
@@ -260,17 +261,17 @@ def _interface_rows(
     """The one-sided normal traces of the composed basis at the interface
     points of ``quad``, from the network's jets ``ifc`` there.
 
-    Of each side's product with the network jets only the normal component
-    of the gradient is kept.  Returns the one-sided (minus, plus) interface
-    factors, the (J2, d) unit normals at the interface points and the
-    (minus, plus) traces, each (J2, N).
+    Of each side's product with the network jets only the normal
+    derivative is formed (`Jets.product_derivative`).  Returns the
+    one-sided (minus, plus) interface factors, the (J2, d) unit normals at
+    the interface points and the (minus, plus) traces, each (J2, N).
     """
     ifc_axes = np.array([geometry.interfaces[k].axis for k in quad.interface_ids], dtype=int)
     normals = np.eye(config.input_dim)[ifc_axes]
     sides = interface_trace_factors(
         quad.interface_points, ifc_axes, geometry, cutoff_config, config.n1, config.n2
     )
-    traces = [np.einsum("jnd,jd->jn", (f * ifc).gradient, normals) for f in sides]
+    traces = [f.product_derivative(ifc, normals) for f in sides]
     return sides, normals, traces
 
 
@@ -646,7 +647,9 @@ def final_solve(
     the basis and the others for their own least-squares solve only.
     Returns (coefficients, fields) where fields carries the grid, solution
     values, gradients and fluxes, the squared residual and the relative
-    residual sqrt(residual_sq / |l|^2), an error estimate (0 when l = 0).
+    least-squares residual sqrt(residual_sq / |l|^2) (0 when l = 0).  It
+    measures how well the basis fits the equations, not the error: it can
+    read well below the energy error against a reference.
     The trained basis is discretization invariant, so the grid may be much
     finer than the training points.
     """

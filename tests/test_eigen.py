@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -235,3 +236,43 @@ def test_batched_solve_properties(traces):
         np.testing.assert_allclose(selected[:n], inside[:n], atol=1e-5)
         # the counts may differ only by a root within FE error of the band edge at 1
         assert np.all(np.abs(1 - np.concatenate([selected[n:], inside[n:]])) <= 1e-5)
+
+
+def test_eigenvalues_match_scipy_generalized_eigh():
+    traces = np.vstack([CHECKERBOARD, np.random.default_rng(4).uniform(0.1, 10.0, size=(31, 4))])
+    system = assemble_eigensystem(traces)
+    stacked = solve_eigenpairs(system)
+    for g, b, pairs in zip(system.stiffness, system.mass, stacked):
+        want = np.maximum(scipy.linalg.eigh(g, b, eigvals_only=True), 0.0)
+        got = np.array([p.eigenvalue for p in pairs])
+        np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10 * want.max())
+
+
+def _basis_at(x):
+    """Reference: the 16 basis values and xi-derivatives at one point."""
+    x = x % 4.0
+    e = min(int(x), 3)
+    u = x - e
+    w, dw = u * (1 - u), 1 - 2 * u
+    vals, ders = np.zeros(16), np.zeros(16)
+    vals[3 * e : 3 * e + 3] = w, 5 * w * (u - 0.5), 20 * w * (u - 0.5) ** 2
+    ders[3 * e : 3 * e + 3] = (
+        dw, 5 * (dw * (u - 0.5) + w), 20 * (dw * (u - 0.5) ** 2 + 2 * w * (u - 0.5))
+    )
+    for node in range(4):
+        dist = min(abs(x - node), 4.0 - abs(x - node))
+        if dist < 1.0:
+            vals[12 + node] = 0.25 * (1.0 - dist)
+            ders[12 + node] = -0.25 * np.sign((x - node + 2.0) % 4.0 - 2.0)
+    return vals, ders
+
+
+def test_basis_matrix_matches_per_point_reference():
+    xi = np.concatenate([
+        np.random.default_rng(6).uniform(-2.0, 6.0, 500),
+        [0.0, 0.5, 1.0, 2.0, 3.0, 3.999, 4.0, -0.25, 7.5],
+    ])
+    vals, ders = basis_matrix(xi)
+    want = [_basis_at(x) for x in xi]
+    np.testing.assert_allclose(vals, [v for v, _ in want], rtol=0, atol=1e-15)
+    np.testing.assert_allclose(ders, [d for _, d in want], rtol=0, atol=1e-15)

@@ -204,3 +204,64 @@ def test_subdomain_index_many_matches_scalar():
     many = subdomain_index_many(g, pts)
     for x, idx in zip(pts, many):
         assert subdomain_index(g, x) == idx
+
+
+def geom_bench_2d():
+    return build_grid_geometry(
+        2, cuts_x=[-0.5, 0.25], cuts_y=[-0.25, 0.5], bounds=[(-1, 1), (-1, 1)]
+    )
+
+
+def geom_2x3():
+    """Two rows of three columns, no cut centered or evenly spaced."""
+    return build_grid_geometry(2, cuts_x=[-0.7, 0.1], cuts_y=[0.35], bounds=[(-1, 1.5), (0, 2)])
+
+
+LOOKUP_LAYOUTS = [geom_bench_2d, geom_1d, geom_2x3]
+
+
+def _box_lookup(g, pts):
+    """The subdomain whose open box holds each point, by testing every box."""
+    inside = np.all(pts[:, None, :] > g.subdomain_lo, axis=2) & np.all(
+        pts[:, None, :] < g.subdomain_hi, axis=2
+    )
+    assert np.all(inside.sum(axis=1) == 1)
+    return np.argmax(inside, axis=1)
+
+
+@pytest.mark.parametrize("layout", LOOKUP_LAYOUTS)
+def test_subdomain_index_many_matches_box_test(layout):
+    g = layout()
+    lo, hi = np.array(g.bounds).T
+    pts = np.random.default_rng(5).uniform(lo, hi, size=(10_000, g.dimension))
+    np.testing.assert_array_equal(subdomain_index_many(g, pts), _box_lookup(g, pts))
+
+
+@pytest.mark.parametrize("layout", LOOKUP_LAYOUTS)
+def test_subdomain_index_many_rejects_cuts_bounds_outside_and_nan(layout):
+    g = layout()
+    cuts = (g.cuts_x, g.cuts_y)
+    # inside the first cell of every axis, so clear of every cut
+    clear = np.array([0.5 * (lo + cuts[k][0]) for k, (lo, _) in enumerate(g.bounds)])
+    subdomain_index_many(g, clear[None, :])
+    for axis, (lo, hi) in enumerate(g.bounds):
+        for bad in (cuts[axis][0], cuts[axis][-1], lo, hi, hi + 0.1, lo - 1.0, np.nan):
+            pts = np.stack([clear, clear])
+            pts[1, axis] = bad
+            with pytest.raises(ValueError, match="interface or outside"):
+                subdomain_index_many(g, pts)
+
+
+def test_subdomain_index_single_point_forms():
+    g1, g2 = geom_1d(), geom_2x3()
+    assert subdomain_index(g1, PI / 10) == 0
+    assert subdomain_index(g1, [0.9 * PI]) == 4
+    assert subdomain_index(g1, np.array([[0.5 * PI]])) == 2
+    np.testing.assert_array_equal(subdomain_index_many(g1, np.array([0.1, 3.0])), [0, 4])
+    # top row first: the top-right cell is 2, the bottom-left one 3
+    assert subdomain_index(g2, (1.0, 1.5)) == 2
+    assert subdomain_index(g2, [-0.9, 0.1]) == 3
+    assert subdomain_index(g2, np.array([[0.0, 1.0]])) == 1
+    np.testing.assert_array_equal(subdomain_index_many(g2, np.array([0.0, 0.1])), [4])
+    with pytest.raises(ValueError):
+        subdomain_index(g2, (0.1, 1.0))

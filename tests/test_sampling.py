@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from transolve.geometry import build_grid_geometry, subdomain_index_many
-from transolve.sampling import midpoint_grid, sample_collocation, sample_parameters
+from transolve.sampling import QuadratureSet, midpoint_grid, sample_collocation, sample_parameters
 from transolve.training import Seeds, TrainConfig, make_validation_set
 
 PI = np.pi
@@ -233,3 +233,110 @@ def test_stratified_mc_rate_at_least_sqrt():
         rms.append(np.sqrt(np.mean(np.square(errs))))
     slope = np.polyfit(np.log([n * n for n in sizes]), np.log(rms), 1)[0]
     assert slope <= -0.5 + 0.15
+
+
+# ------------------ one-call draws against the per-segment loop -----------
+
+
+def _loop_cells(g, n):
+    """Reference: the interior cell grid, one linspace per 1D subdomain."""
+    if g.dimension == 1:
+        spans = zip(g.subdomain_lo[:, 0], g.subdomain_hi[:, 0])
+        edges = [np.linspace(lo, hi, n + 1) for lo, hi in spans]
+        corner = np.concatenate([e[:-1] for e in edges])
+        return corner[:, None], np.concatenate([np.diff(e) for e in edges])[:, None]
+    (a, b), (c, d) = g.bounds
+    hx, hy = (b - a) / n, (d - c) / n
+    gx, gy = np.meshgrid(a + hx * np.arange(n), c + hy * np.arange(n), indexing="ij")
+    corners = np.stack([gx.ravel(), gy.ravel()], axis=1)
+    return corners, np.broadcast_to([hx, hy], corners.shape)
+
+
+def _loop_interfaces(g, n, place):
+    """Reference: interface points, weights and ids, one segment at a time."""
+    if g.dimension == 1:
+        k = len(g.interfaces)
+        return np.array([[i.position] for i in g.interfaces]), np.ones(k), np.arange(k)
+    points, weights = [], []
+    for ifc in g.interfaces:
+        lo, hi = ifc.span
+        t = place(lo, hi, n)
+        pos = np.full(n, ifc.position)
+        points.append(np.stack([pos, t] if ifc.axis == 0 else [t, pos], axis=1))
+        weights.append(np.full(n, (hi - lo) / n))
+    ids = np.repeat(np.arange(len(g.interfaces)), n)
+    return np.concatenate(points), np.concatenate(weights), ids
+
+
+def _loop_collocation(g, n_int, n_ifc, rng, rng_ifc):
+    corners, widths = _loop_cells(g, n_int)
+    pts = corners + rng.uniform(0, 1, size=corners.shape) * widths
+    cuts = [(axis, c) for axis, cs in enumerate((g.cuts_x, g.cuts_y)) for c in cs]
+    for _ in range(100):
+        dist = np.min([np.abs(pts[:, axis] - c) for axis, c in cuts], axis=0)
+        bad = dist <= 1e-12
+        if not np.any(bad):
+            break
+        pts[bad] += rng.uniform(-1e-9, 1e-9, size=(int(bad.sum()), pts.shape[1]))
+
+    def stratified(lo, hi, n):
+        edges = np.linspace(lo, hi, n + 1)
+        return rng_ifc.uniform(edges[:-1], edges[1:])
+
+    return (pts, np.prod(widths, axis=1), *_loop_interfaces(g, n_ifc, stratified))
+
+
+def _loop_midpoints(g, n, n_ifc):
+    corners, widths = _loop_cells(g, n)
+
+    def centers(lo, hi, n):
+        return lo + (hi - lo) / n * (np.arange(n) + 0.5)
+
+    return (corners + widths / 2, np.prod(widths, axis=1), *_loop_interfaces(g, n_ifc, centers))
+
+
+DRAW_LAYOUTS = {
+    "1d": geom_1d,
+    "2x2": geom_2x2,
+    "benchmark-2d": lambda: build_grid_geometry(
+        2, cuts_x=[-0.5, 0.25], cuts_y=[-0.25, 0.5], bounds=[(-1, 1), (-1, 1)]
+    ),
+    "2x3": lambda: build_grid_geometry(
+        2, cuts_x=[-0.7, 0.1], cuts_y=[0.35], bounds=[(-1, 1.5), (0, 2)]
+    ),
+}
+
+
+def _assert_bits(got: QuadratureSet, want):
+    fields = (
+        "interior_points", "interior_weights", "interface_points", "interface_weights",
+        "interface_ids",
+    )
+    for name, ref in zip(fields, want):
+        value = getattr(got, name)
+        assert value.shape == ref.shape and value.tobytes() == ref.tobytes(), name
+
+
+@pytest.mark.parametrize("layout", DRAW_LAYOUTS)
+@pytest.mark.parametrize("seed", [0, 7])
+def test_collocation_bits_equal_the_per_segment_loop(layout, seed):
+    g = DRAW_LAYOUTS[layout]()
+    for shared in (True, False):
+        rng = np.random.default_rng(seed)
+        rng_ifc = rng if shared else np.random.default_rng(seed + 1)
+        want = _loop_collocation(g, 17, 9, rng, rng_ifc)
+        rng = np.random.default_rng(seed)
+        got = sample_collocation(
+            g, 17, 9, rng, rng_interface=None if shared else np.random.default_rng(seed + 1)
+        )
+        _assert_bits(got, want)
+
+
+@pytest.mark.parametrize("layout", DRAW_LAYOUTS)
+def test_midpoint_bits_equal_the_per_segment_loop(layout):
+    g = DRAW_LAYOUTS[layout]()
+    q = midpoint_grid(g, 16, 6)
+    _assert_bits(q, _loop_midpoints(g, 16, 6))
+    if g.dimension == 2:
+        sums = np.bincount(q.interface_ids, weights=q.interface_weights)
+        np.testing.assert_allclose(sums, [i.length for i in g.interfaces], rtol=0, atol=1e-12)
