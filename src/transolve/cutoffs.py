@@ -28,8 +28,9 @@ those rows, ``stack.rows(tile).columns(index)``, so the (J, n1 + n2)
 factors of every point need never exist at once.
 At interface points, where Psi kinks, `interface_trace_factors` feeds the
 same product the one-sided jets of psi on its own line and returns the
-minus and plus factors; n . (F_pm * raw).gradient is the one-sided normal
-trace.
+minus and plus sides' distinct factors with the same index;
+n . (F_pm * raw).gradient is the one-sided normal trace, with
+F_pm = ``side.columns(index)`` gathered one side at a time.
 """
 
 from __future__ import annotations
@@ -239,15 +240,16 @@ def composition_factors(
 
 def interface_trace_factors(
     points, interface_axes, geometry: Geometry, config: CutoffConfig, n1: int, n2: int
-) -> tuple[Jets, Jets]:
-    """One-sided (minus, plus) cutoff factors at points on interfaces with
-    the given axes, each (J, n1 + n2) jets.
+) -> tuple[tuple[Jets, Jets], np.ndarray]:
+    """One-sided (minus, plus) distinct cutoff factors at points on
+    interfaces with the given axes, each (J, F) jets, and the (n1 + n2,)
+    index of each output's factor among them, as `composition_factors`.
 
     On its own line psi_a = |h| kinks: it has value 0 and one-sided
     gradient -n (minus side) or +n (plus side), with n the unit normal
     e_a, and one-sided Laplacian 0.  Fed those jets, the product rule gives
-    the one-sided factors F_pm, and the one-sided normal trace of the
-    composed basis is ``n . (F_pm * raw).gradient``.
+    the one-sided factors F_pm = ``side.columns(index)``, and the one-sided
+    normal trace of the composed basis is ``n . (F_pm * raw).gradient``.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     n, d = points.shape
@@ -267,4 +269,4 @@ def interface_trace_factors(
         psi.gradient[on, a] = side[on]
         psis.append(psi)
     stack, cols = _distinct_factors(both, geometry, config, psis, n1, n2)
-    return stack.rows(slice(None, n)).columns(cols), stack.rows(slice(n, None)).columns(cols)
+    return (stack.rows(slice(None, n)), stack.rows(slice(n, None))), cols

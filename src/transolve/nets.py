@@ -17,12 +17,14 @@ done analytically: the points' own gradient rows are the unit vectors and
 their Laplacian is 0, so its pre-activation gradient is the columns of A1
 and one (T, d) x (d, m) product gives its value row.
 
-Nothing is kept from `forward_jets` for the reverse pass: `backward_jets`
-takes the points themselves, recomputes each tile's forward (keeping t,
-t1, t2 and |zg|^2 of every layer for the tile), back-propagates it at once
-and sums the weight gradients over the tiles ("Training Deep Nets with
-Sublinear Memory Cost", Chen et al. 2016).  Its memory is a tile's, not a
-tape of every layer at every point.
+The reverse pass reads only what the forward produces: the step back
+through a tanh layer needs the layer's output jets and t1 = 1 - t^2, no
+pre-activation record (see `backward_jets`).  The output layer's jets are
+the ones `forward_jets` returned, which the caller holds for its loss, so
+`backward_jets` takes them and recomputes only the hidden layers of each
+tile, back-propagates the tile at once and sums the weight gradients over
+the tiles ("Training Deep Nets with Sublinear Memory Cost", Chen et al.
+2016).  Its memory is a tile's, not a tape of every layer at every point.
 
 `Jets` is the one (value, gradient, Laplacian) type of the package: the
 network returns its outputs as `Jets`, the cutoff fields are `Jets`, and
@@ -160,6 +162,13 @@ class Jets:
         value = np.ones(shape)
         return Jets(value, np.zeros(value.shape + (d,)), np.zeros(value.shape))
 
+    @staticmethod
+    def zeros(shape, d: int) -> "Jets":
+        """The zero field on a leading shape, in d dimensions, with a
+        component-major gradient."""
+        components = np.zeros((d,) + tuple(shape))
+        return Jets(np.zeros(shape), np.moveaxis(components, 0, -1), np.zeros(shape))
+
     def __mul__(self, other: "Jets") -> "Jets":
         """Pointwise product by the second-order product rule:
         grad(fg) = f grad g + g grad f, lap(fg) as `product_laplacian`.
@@ -199,25 +208,35 @@ class Jets:
         out += other.value * _dot(self.gradient, n)
         return out
 
-    def adjoint(self, bar: "Jets") -> "Jets":
+    def adjoint(self, bar: "Jets", out: "Jets | None" = None) -> "Jets":
         """Transpose of the product's derivative in its second factor.
 
         For seeds ``bar`` on the value, gradient and Laplacian of
         ``self * g``, the seeds on g's: the g-derivative of
         sum(bar.value * fg) + sum(bar.gradient . grad(fg)) + sum(bar.laplacian * lap(fg)).
-        A value or gradient seed of None is zero and costs no pass over
-        its arrays: interior loss rows seed the Laplacian only, interface
-        rows the gradient and no value.
+        A seed of None is zero and costs no pass over its arrays: interior
+        loss rows seed the Laplacian only, interface rows the gradient only.
+        The seeds are added into ``out``, which is returned; without it they
+        go into new zero arrays.  So several products' seeds sum into row
+        blocks of one seed set, with no copy of their own.
         """
         f = self.value
-        value = bar.laplacian * self.laplacian
+        d = self.gradient.shape[-1]
+        if out is None:
+            out = Jets.zeros(f.shape, d)
         if bar.value is not None:
-            value += bar.value * f
-        gradient = 2.0 * bar.laplacian[..., None] * self.gradient
+            out.value += bar.value * f
         if bar.gradient is not None:
-            value += _dot(bar.gradient, self.gradient)
-            gradient += f[..., None] * bar.gradient
-        return Jets(value, gradient, bar.laplacian * f)
+            out.value += _dot(bar.gradient, self.gradient)
+            for k in range(d):  # one plane at a time, as `_dot`
+                out.gradient[..., k] += f * bar.gradient[..., k]
+        if bar.laplacian is not None:
+            out.value += bar.laplacian * self.laplacian
+            out.laplacian += bar.laplacian * f
+            twice = 2.0 * bar.laplacian
+            for k in range(d):
+                out.gradient[..., k] += twice * self.gradient[..., k]
+        return out
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -242,21 +261,19 @@ def _checked_points(params: MlpParams, points) -> np.ndarray:
     return points
 
 
-def _tile_layers(params: MlpParams, points: np.ndarray):
-    """The forward pass of one tile of T points, layer by layer.
+def _tile_layers(layers, points: np.ndarray):
+    """The forward pass of ``layers`` on one tile of T points.
 
-    Yields per layer what the reverse pass reads, (x, zg, zl, t, t1, t2, q):
-    the layer's input, the gradient and Laplacian rows zg and zl of its
-    pre-activation, and t, t1, t2 and |zg|^2; and with it the layer's
-    stacked (2 + d, T, m) output jets.  The first layer's input is the
+    Yields per layer its stacked (2 + d, T, m) output jets and t1 = 1 - t^2,
+    what the reverse pass reads of it.  The first layer's input is the
     (T, d) points themselves: their gradient rows are the unit vectors and
-    their Laplacian 0, so its zg is the constant columns of A1, as
-    (d, 1, m), and its zl is None.  A caller that keeps no record holds
-    one layer at a time.
+    their Laplacian 0, so its pre-activation gradient zg is the constant
+    columns of A1, as (d, 1, m), and its zl is 0.  A caller that keeps no
+    output holds one layer at a time.
     """
     d = points.shape[1]
     x = points
-    for layer, (a, b) in enumerate(params.layers):
+    for layer, (a, b) in enumerate(layers):
         if layer == 0:
             z0 = points @ a.T
             zg, zl = a.T[:, None, :], None
@@ -268,16 +285,17 @@ def _tile_layers(params: MlpParams, points: np.ndarray):
         t = np.tanh(z0, out=out[0])
         t1 = np.multiply(t, t)
         np.subtract(1.0, t1, out=t1)
-        t2 = np.multiply(t, -2.0)
-        t2 *= t1
         q = zg[0] * zg[0]
         for k in range(1, d):
             q += zg[k] * zg[k]
-        np.multiply(t1, zg, out=out[1 : 1 + d])
-        lap = np.multiply(t2, q, out=out[1 + d])
+        # t2 |zg|^2 + t1 zl with t2 = -2 t t1, as t1 (zl - 2 t |zg|^2)
+        lap = np.multiply(t, q, out=out[1 + d])
+        lap *= -2.0
         if zl is not None:
-            lap += t1 * zl
-        yield (x, zg, zl, t, t1, t2, q), out
+            lap += zl
+        lap *= t1
+        np.multiply(t1, zg, out=out[1 : 1 + d])
+        yield out, t1
         x = out
 
 
@@ -286,14 +304,15 @@ def forward_jets(params: MlpParams, points: np.ndarray) -> Jets:
 
     Per layer and tile, the stacked jets X go through one product X @ A^T
     (the bias enters the value row only), then through tanh:
-    value t, gradient t1 zg, Laplacian t2 |zg|^2 + t1 zl.
+    value t, gradient t1 zg, Laplacian t2 |zg|^2 + t1 zl, with
+    t1 = 1 - t^2 and t2 = -2 t t1.
     """
     points = _checked_points(params, points)
     n, d = points.shape
     shape = (n, params.config.n_outputs)
     value, components, laplacian = np.empty(shape), np.empty((d,) + shape), np.empty(shape)
     for s in range(0, n, TILE):
-        for _, x in _tile_layers(params, points[s : s + TILE]):
+        for x, _ in _tile_layers(params.layers, points[s : s + TILE]):
             pass  # each layer's arrays are dropped as the next one is made
         value[s : s + TILE] = x[0]
         components[:, s : s + TILE] = x[1 : 1 + d]
@@ -301,73 +320,112 @@ def forward_jets(params: MlpParams, points: np.ndarray) -> Jets:
     return Jets(value, np.moveaxis(components, 0, -1), laplacian)
 
 
+def _tanh_adjoint(y: np.ndarray, t, g, lap, t1) -> np.ndarray:
+    """The seeds on a tanh layer's stacked (2 + d, T, m) pre-activation
+    jets, from the seeds ``y`` on its output jets: value ``t``, gradient
+    rows ``g`` (d, T, m) and Laplacian ``lap``, with t1 = 1 - t^2.  See
+    `backward_jets` for the formulas."""
+    d = g.shape[0]
+    yv, yg, yl = y[0], y[1 : 1 + d], y[1 + d]
+    z_bar = np.empty_like(y)
+    # value row: yv t1 - 2 t (yg . g) - 2 yl (|g|^2 + t l)
+    dot = yg[0] * g[0]
+    sq = g[0] * g[0]
+    for k in range(1, d):
+        dot += yg[k] * g[k]
+        sq += g[k] * g[k]
+    dot *= t
+    sq += t * lap
+    sq *= yl
+    dot += sq
+    dot *= -2.0
+    zv_bar = np.multiply(yv, t1, out=z_bar[0])
+    zv_bar += dot
+    # gradient rows: yg t1 - 4 t yl g
+    np.multiply(t, yl, out=dot)
+    dot *= 4.0
+    zg_bar = np.multiply(yg, t1, out=z_bar[1 : 1 + d])
+    zg_bar -= dot * g
+    # Laplacian row: yl t1
+    np.multiply(yl, t1, out=z_bar[1 + d])
+    return z_bar
+
+
 def backward_jets(
     params: MlpParams,
     points: np.ndarray,
+    outputs: Jets,
     bar_value: np.ndarray,
     bar_grad: np.ndarray,
     bar_lap: np.ndarray,
 ) -> np.ndarray:
     """Adjoint pass: gradient of sum(bar . output jets) w.r.t. flat parameters.
 
-    The seeds, of shapes (J, N), (J, N, d) and (J, N), are the partial
-    derivatives of a scalar objective with respect to the output values,
-    gradients and Laplacians that forward_jets gives at the J points.  Each
-    tile's forward is recomputed and back-propagated at once, and the
-    weight gradients are summed over the tiles.
+    ``outputs`` are the jets `forward_jets` gave at the J points, and the
+    seeds, of shapes (J, N), (J, N, d) and (J, N), are the partial
+    derivatives of a scalar objective with respect to them.  Each tile's
+    hidden layers are recomputed, the output layer's jets read from
+    ``outputs``, the tile back-propagated at once, and the weight gradients
+    summed over the tiles.
+
+    A layer's output is t = tanh z, g = t1 zg and l = t2 |zg|^2 + t1 zl,
+    with t1 = 1 - t^2, t2 = -2 t t1 and t3 = t2' = -2 (t1^2 + t t2).  The
+    chain rule gives the pre-activation seeds
+    z_v = y_v t1 + t2 (y_g . zg) + y_l (t3 |zg|^2 + t2 zl),
+    z_g = y_g t1 + 2 y_l t2 zg and z_l = y_l t1.  In the output jets,
+    t2 zg = -2 t g, and t3 |zg|^2 + t2 zl = -2 |g|^2 - 2 t l: the terms in
+    1/t1 that zg = g / t1 would bring cancel exactly.  So
+        z_v = y_v t1 - 2 t (y_g . g) - 2 y_l (|g|^2 + t l),
+        z_g = y_g t1 - 4 t y_l g,
+        z_l = y_l t1,
+    which read a layer's output jets and t1 alone, saturated units
+    (t1 = 0) included.
     """
     points = _checked_points(params, points)
     n, d = points.shape
     shape = (n, params.config.n_outputs)
-    if bar_value.shape != shape or bar_grad.shape != shape + (d,) or bar_lap.shape != shape:
-        raise ValueError(
-            f"seeds of shapes {bar_value.shape}, {bar_grad.shape} and {bar_lap.shape} "
-            f"do not match {shape}, {shape + (d,)} and {shape}"
-        )
-    grads = [(np.zeros_like(a), np.zeros_like(b)) for a, b in params.layers]
+    for name, (v, g, lap) in (
+        ("outputs", (outputs.value, outputs.gradient, outputs.laplacian)),
+        ("seeds", (bar_value, bar_grad, bar_lap)),
+    ):
+        if v.shape != shape or g.shape != shape + (d,) or lap.shape != shape:
+            raise ValueError(
+                f"{name} of shapes {v.shape}, {g.shape} and {lap.shape} "
+                f"do not match {shape}, {shape + (d,)} and {shape}"
+            )
+    layers = params.layers
+    top = len(layers) - 1
+    components = np.moveaxis(outputs.gradient, -1, 0)
+    grads = [(np.zeros_like(a), np.zeros_like(b)) for a, b in layers]
     for s in range(0, n, TILE):
-        pts = points[s : s + TILE]
-        saved = [record for record, _ in _tile_layers(params, pts)]
+        rows = slice(s, s + TILE)
+        pts = points[rows]
+        saved = list(_tile_layers(layers[:top], pts))
         y = np.empty((2 + d, len(pts), shape[1]))
-        y[0] = bar_value[s : s + TILE]
-        y[1 : 1 + d] = np.moveaxis(bar_grad[s : s + TILE], -1, 0)
-        y[1 + d] = bar_lap[s : s + TILE]
-        for layer in range(len(params.layers) - 1, -1, -1):
-            a = params.layers[layer][0]
+        y[0] = bar_value[rows]
+        y[1 : 1 + d] = np.moveaxis(bar_grad[rows], -1, 0)
+        y[1 + d] = bar_lap[rows]
+        for layer in range(top, -1, -1):
+            a = layers[layer][0]
             a_bar, b_bar = grads[layer]
-            x, zg, zl, t, t1, t2, q = saved[layer]
-            yv, yg, yl = y[0], y[1 : 1 + d], y[1 + d]
-
-            # through the tanh: value t, gradient t1 zg, Laplacian t2 |zg|^2 + t1 zl
-            z_bar = np.empty_like(y)
-            zv_bar = np.multiply(yv, t1, out=z_bar[0])
-            tmp = yg[0] * zg[0]
-            for k in range(1, d):
-                tmp += yg[k] * zg[k]
-            tmp *= t2
-            zv_bar += tmp  # + t2 (yg . zg)
-            np.multiply(t1, t1, out=tmp)
-            tmp += t * t2
-            tmp *= -2.0  # t3, the derivative of t2: -2 (t1^2 + t t2)
-            tmp *= q
-            if zl is not None:
-                tmp += t2 * zl
-            tmp *= yl
-            zv_bar += tmp  # + yl (t3 |zg|^2 + t2 zl)
-            zg_bar = np.multiply(yg, t1, out=z_bar[1 : 1 + d])
-            np.multiply(yl, t2, out=tmp)
-            tmp *= 2.0
-            zg_bar += tmp * zg  # + 2 yl t2 zg
+            if layer == top:
+                t = outputs.value[rows]
+                z_bar = _tanh_adjoint(
+                    y, t, components[:, rows], outputs.laplacian[rows], 1.0 - t * t
+                )
+            else:
+                out, t1 = saved[layer]
+                z_bar = _tanh_adjoint(y, out[0], out[1 : 1 + d], out[1 + d], t1)
 
             # through the affine map z = x A^T (+ b on the value row)
-            b_bar += zv_bar.sum(axis=0)
+            b_bar += z_bar[0].sum(axis=0)
             if layer == 0:
                 # the points' own jets: value rows x, gradient rows e_k, Laplacian 0
-                a_bar += zv_bar.T @ pts
+                a_bar += z_bar[0].T @ pts
                 a_bar += z_bar[1 : 1 + d].sum(axis=1).T
                 continue
-            np.multiply(yl, t1, out=z_bar[1 + d])
             m_out, m_in = a.shape
+            x = saved[layer - 1][0]
             a_bar += z_bar.reshape(-1, m_out).T @ x.reshape(-1, m_in)
             y = (z_bar.reshape(-1, m_out) @ a).reshape(2 + d, -1, m_in)
     return np.concatenate([np.concatenate([a_bar.ravel(), b_bar]) for a_bar, b_bar in grads])

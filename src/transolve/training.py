@@ -14,10 +14,12 @@ block's row seeds times its coefficients into the row adjoints: (J1, N) for
 the Laplacians and (J2, N) per trace side.  The mean squared residual is
 back-propagated with the solved coefficients held fixed (the derivative of
 a minimum is the partial derivative at the minimizer): scaled in place,
-the adjoints go through `Jets.adjoint` (the product's transpose) to the
-network outputs and seed `nets.backward_jets`, which recomputes the network
-tile by tile, once for the interior and once for the interface rows.  Adam
-with a linearly interpolated learning rate closes the loop.  Validation
+the adjoints go through `Jets.adjoint` (the product's transpose), which
+adds them into the row blocks of one seed set on the network outputs at all
+points.  One `nets.backward_jets` pass takes that set over every point in
+the order `forward_jets` saw them, reading the output jets the forward gave
+and recomputing only the hidden layers, tile by tile.  Adam with a
+linearly interpolated learning rate closes the loop.  Validation
 runs the same path without the adjoints.
 
 Queries are split into an offline and an online stage.  Offline,
@@ -254,6 +256,12 @@ def prepare_epoch(
     return EpochData(geometry, cutoff_config, rhs, quad, parameters, pairs_per_p, config.theta)
 
 
+def _tiles(n: int) -> list[slice]:
+    """The row slices of `TILE` points that cover n points, the last one
+    ragged."""
+    return [slice(s, min(s + TILE, n)) for s in range(0, n, TILE)]
+
+
 def _interface_rows(
     ifc: Jets, quad: QuadratureSet, geometry: Geometry, cutoff_config: CutoffConfig,
     config: NetConfig,
@@ -261,29 +269,37 @@ def _interface_rows(
     """The one-sided normal traces of the composed basis at the interface
     points of ``quad``, from the network's jets ``ifc`` there.
 
-    Of each side's product with the network jets only the normal
-    derivative is formed (`Jets.product_derivative`).  Returns the
-    one-sided (minus, plus) interface factors, the (J2, d) unit normals at
-    the interface points and the (minus, plus) traces, each (J2, N).
+    Each side's (J2, N) factors are gathered from its distinct stack, used
+    and dropped in turn, so the two sides' factors never coexist, and of
+    their product with the network jets only the normal derivative is
+    formed (`Jets.product_derivative`).  Returns the (minus, plus)
+    distinct factor stacks and their column index
+    (`cutoffs.interface_trace_factors`), the (J2, d) unit normals at the
+    interface points and the (minus, plus) traces, each (J2, N).
     """
     ifc_axes = np.array([geometry.interfaces[k].axis for k in quad.interface_ids], dtype=int)
     normals = np.eye(config.input_dim)[ifc_axes]
-    sides = interface_trace_factors(
+    stacks, cols = interface_trace_factors(
         quad.interface_points, ifc_axes, geometry, cutoff_config, config.n1, config.n2
     )
-    traces = [f.product_derivative(ifc, normals) for f in sides]
-    return sides, normals, traces
+    traces = [side.columns(cols).product_derivative(ifc, normals) for side in stacks]
+    return stacks, cols, normals, traces
 
 
 def _composed_cache(params: MlpParams, data: EpochData):
     """The epoch cache of ``data``, with the interior Laplacians of the
     composed basis formed alone (`Jets.product_laplacian`).
 
-    The network is evaluated once, at all points, and the cutoff factors
-    of every interior point are gathered to the outputs at once.  Returns
-    the cache, the interior cutoff factors, the one-sided (minus, plus)
-    interface factors and the (J2, d) unit normals at the interface points:
-    what the loss's adjoint reads.
+    The network is evaluated once, at all J1 + J2 points, the interior
+    ones first.  The cutoff factors of the interior points are gathered to
+    the outputs one tile of `TILE` points at a time, each tile's Laplacians
+    written into an array made once.  Returns the cache and what the
+    loss's adjoint reads: the network's jets at all the points, the
+    interior factor stack with its column index
+    (`cutoffs.composition_factors`), and the one-sided (minus, plus)
+    interface factor stacks with their column index and the (J2, d) unit
+    normals at the interface points.  The gathered (J1, N) factors are
+    not kept.
     """
     cfg = params.config
     quad = data.quad
@@ -292,15 +308,16 @@ def _composed_cache(params: MlpParams, data: EpochData):
     stack, cols = composition_factors(
         quad.interior_points, data.geometry, data.cutoff_config, cfg.n1, cfg.n2
     )
-    fac = stack.columns(cols)
-    lap = fac.product_laplacian(jets.rows(slice(None, n_int)))
-    sides, normals, traces = _interface_rows(
+    lap = np.empty((n_int, cfg.n_outputs))
+    for rows in _tiles(n_int):
+        lap[rows] = stack.rows(rows).columns(cols).product_laplacian(jets.rows(rows))
+    stacks, ifc_cols, normals, traces = _interface_rows(
         jets.rows(slice(n_int, None)), quad, data.geometry, data.cutoff_config, cfg
     )
     cache = build_epoch_cache(
         data.geometry, data.cutoff_config, quad, lap, *traces, data.rhs, theta=data.theta
     )
-    return cache, fac, sides, normals
+    return cache, jets, (stack, cols), (stacks, ifc_cols, normals)
 
 
 def loss_and_param_gradient(params: MlpParams, data: EpochData, need_gradient: bool = True):
@@ -309,11 +326,14 @@ def loss_and_param_gradient(params: MlpParams, data: EpochData, need_gradient: b
     The gradient treats every parameter's solved coefficient vector as a
     constant.  The blocked solve returns the row adjoints of the basis
     Laplacians and one-sided traces, summed over the batch, and only those
-    are back-propagated; without ``need_gradient`` none is formed.
+    are back-propagated, in one backward pass over all the points; without
+    ``need_gradient`` none is formed.
     """
     if data.parameters.shape[0] < 1:
         raise ValueError("empty parameter batch")
-    cache, fac, sides, normals = _composed_cache(params, data)
+    cache, jets, (stack, cols), (stacks, ifc_cols, normals) = _composed_cache(params, data)
+    if not need_gradient:  # read by the adjoint alone: not held through the solve
+        jets = stack = stacks = None
     sing_per_p = [
         singular_evals_from_cache(cache.polar, pairs) if pairs else None
         for pairs in data.pairs_per_p
@@ -324,25 +344,30 @@ def loss_and_param_gradient(params: MlpParams, data: EpochData, need_gradient: b
     loss = float(np.mean(batch.losses))
     if not need_gradient:
         return loss, None
+    del cache, sing_per_p  # the adjoint reads neither: freed before the seeds are made
 
     # the row adjoints, scaled in place to the mean loss, seed the composed
     # rows: the interior Laplacians and the normal component of each side's
-    # gradient; the product's adjoint takes them to the network outputs
+    # gradient.  The product's adjoint adds them into the row blocks of one
+    # seed set on the network outputs, interior rows first as `forward_jets`
+    # saw them, with the factors gathered a tile or a side at a time
     for w in (batch.bar_lap, batch.bar_minus, batch.bar_plus):
         w *= 2.0 / data.parameters.shape[0]
-    inner = fac.adjoint(Jets(None, None, batch.bar_lap))
-    minus, plus = (
-        f.adjoint(Jets(None, w[:, :, None] * normals[:, None, :], np.zeros_like(w)))
-        for f, w in zip(sides, (batch.bar_minus, batch.bar_plus))
-    )
-    ifc = Jets(*(getattr(minus, k) + getattr(plus, k) for k in ("value", "gradient", "laplacian")))
-    del minus, plus
-    # the backward pass is linear in its seeds: the interior and the
-    # interface rows go through it apart, and no stacked copy of the seeds
-    # of all points is made
     quad = data.quad
-    grad = backward_jets(params, quad.interior_points, inner.value, inner.gradient, inner.laplacian)
-    grad += backward_jets(params, quad.interface_points, ifc.value, ifc.gradient, ifc.laplacian)
+    n_int = quad.n_interior
+    seeds = Jets.zeros(jets.value.shape, quad.interior_points.shape[1])
+    for rows in _tiles(n_int):
+        stack.rows(rows).columns(cols).adjoint(
+            Jets(None, None, batch.bar_lap[rows]), out=seeds.rows(rows)
+        )
+    ifc = seeds.rows(slice(n_int, None))
+    for side, w in zip(stacks, (batch.bar_minus, batch.bar_plus)):
+        side.columns(ifc_cols).adjoint(
+            Jets(None, w[:, :, None] * normals[:, None, :], None), out=ifc
+        )
+    del batch  # its row adjoints are in the seeds now
+    points = np.concatenate([quad.interior_points, quad.interface_points])
+    grad = backward_jets(params, points, jets, seeds.value, seeds.gradient, seeds.laplacian)
     return loss, grad
 
 
@@ -501,16 +526,15 @@ class QueryBasis:
         n, d = points.shape
         values, laplacian = np.empty((n, cfg.n_outputs)), np.empty((n, cfg.n_outputs))
         gradients = np.empty((n, d, cfg.n_outputs))
-        for s in range(0, n, TILE):
-            t = slice(s, s + TILE)
+        for t in _tiles(n):
             part = stack.rows(t).columns(cols) * forward_jets(params, points[t])
             values[t] = part.value
             gradients[t] = np.moveaxis(part.gradient, -1, 1)
             laplacian[t] = part.laplacian
         del stack  # not kept: freed before the cache is built
-        traces = _interface_rows(
+        *_, traces = _interface_rows(
             forward_jets(params, quad.interface_points), quad, geometry, cutoff_config, cfg
-        )[2]
+        )
         cache = build_epoch_cache(
             geometry, cutoff_config, quad, laplacian, *traces, rhs, theta=theta
         )

@@ -46,9 +46,10 @@ def raw_rows(geometry, net_cfg, seed=0, n_int=12, n_ifc=6):
     stack, cols = composition_factors(quad.interior_points, geometry, cfg, net_cfg.n1, net_cfg.n2)
     lap = (stack.columns(cols) * forward_jets(params, quad.interior_points)).laplacian
     ifc_axes = np.array([geometry.interfaces[k].axis for k in quad.interface_ids])
-    sides = interface_trace_factors(
+    stacks, ifc_cols = interface_trace_factors(
         quad.interface_points, ifc_axes, geometry, cfg, net_cfg.n1, net_cfg.n2
     )
+    sides = [side.columns(ifc_cols) for side in stacks]
     ifc_jets = forward_jets(params, quad.interface_points)
     # the normal component of each side's gradient
     rows = np.arange(quad.n_interface)

@@ -359,9 +359,9 @@ def test_apply_cutoffs_dimension_mismatch():
 
 def _traces(points, axes, raw, g, cfg, n1, n2):
     """One-sided normal traces (minus, plus): n . (F_pm * raw).gradient."""
-    sides = interface_trace_factors(points, axes, g, cfg, n1, n2)
+    stacks, cols = interface_trace_factors(points, axes, g, cfg, n1, n2)
     rows = np.arange(len(axes))
-    return tuple((f * raw).gradient[rows, :, axes] for f in sides)
+    return tuple((side.columns(cols) * raw).gradient[rows, :, axes] for side in stacks)
 
 
 def test_interface_trace_one_sided_limit_identity():

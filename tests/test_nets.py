@@ -136,6 +136,31 @@ def test_jets_adjoint_is_the_products_transpose(shape, seed_on):
     if seed_on != "value":  # and for the zero value seed
         no_value = f.adjoint(Jets(None, bar.gradient, bar.laplacian))
         assert _dot(no_value, dg) == _dot(back, dg)
+    if seed_on != "laplacian":  # and for the zero Laplacian seed
+        no_lap = f.adjoint(Jets(bar.value, bar.gradient, None))
+        assert _dot(no_lap, dg) == _dot(back, dg)
+
+
+def test_jets_adjoint_adds_into_out():
+    """With ``out`` the seeds are added into row blocks of a larger set in
+    place: each block reads its old entries plus the product's adjoint."""
+    rng = np.random.default_rng(4)
+
+    def random_jets(n):
+        return Jets(rng.normal(size=(n, 3)), rng.normal(size=(n, 3, 2)), rng.normal(size=(n, 3)))
+
+    f, bar, start = random_jets(4), random_jets(4), random_jets(7)
+    seeds = Jets.zeros((7, 3), 2)
+    for k in ("value", "gradient", "laplacian"):
+        getattr(seeds, k)[...] = getattr(start, k)
+    block = seeds.rows(slice(2, 6))
+    assert f.adjoint(bar, out=block) is block
+    alone = f.adjoint(bar)
+    for k in ("value", "gradient", "laplacian"):
+        want = getattr(start, k).copy()
+        want[2:6] += getattr(alone, k)
+        # the same sums, added in another order
+        np.testing.assert_allclose(getattr(seeds, k), want, rtol=1e-14, atol=1e-14)
 
 
 def test_jets_columns_gathers_fields_component_major():
@@ -222,7 +247,7 @@ def test_backward_matches_finite_difference(monkeypatch):
             + np.sum(cl * jets.laplacian)
         )
 
-    grad = backward_jets(p, pts, cv, cg, cl)
+    grad = backward_jets(p, pts, forward_jets(p, pts), cv, cg, cl)
     flat = p.to_flat()
     h = 1e-6
     idx = rng.choice(flat.size, size=25, replace=False)
@@ -249,7 +274,8 @@ def test_tiling_does_not_change_the_jets_or_the_gradient(monkeypatch):
     results = []
     for tile in (7, 10**9):
         monkeypatch.setattr(nets, "TILE", tile)
-        results.append((forward_jets(p, pts), backward_jets(p, pts, *seeds)))
+        jets = forward_jets(p, pts)
+        results.append((jets, backward_jets(p, pts, jets, *seeds)))
     (jets7, grad7), (jets1, grad1) = results
     for k in ("value", "gradient", "laplacian"):
         a, b = getattr(jets7, k), getattr(jets1, k)
@@ -273,7 +299,107 @@ def test_backward_rejects_seeds_of_another_shape(bad):
         mixed = list(_random_seeds(rng, 5, cfg))
         mixed[k] = seeds[k]
         with pytest.raises(ValueError, match="seeds of shapes"):
-            backward_jets(p, pts, *mixed)
+            backward_jets(p, pts, forward_jets(p, pts), *mixed)
+
+
+@pytest.mark.parametrize("bad", ["extra_row", "wrong_outputs", "flat_gradient"])
+def test_backward_rejects_outputs_of_another_shape(bad):
+    """The output layer's jets are read tile by tile from the outputs
+    passed in, so outputs of other points or of another network fail."""
+    cfg = NetConfig(2, (4,), 2, 3)
+    p = init_params(cfg, 0)
+    rng = np.random.default_rng(11)
+    pts = rng.uniform(-1, 1, size=(5, 2))
+    seeds = _random_seeds(rng, 5, cfg)
+    if bad == "extra_row":
+        outputs = forward_jets(p, rng.uniform(-1, 1, size=(6, 2)))
+    elif bad == "wrong_outputs":
+        outputs = forward_jets(init_params(NetConfig(2, (4,), 2, 4), 0), pts)
+    else:
+        jets = forward_jets(p, pts)
+        outputs = Jets(jets.value, jets.gradient[..., 0], jets.laplacian)
+    with pytest.raises(ValueError, match="outputs of shapes"):
+        backward_jets(p, pts, outputs, *seeds)
+
+
+def _record_layers(params, points):
+    """The forward of one tile as the reverse pass once recorded it: per
+    layer (x, zg, zl, t, t1, t2, |zg|^2) and the stacked output jets."""
+    d = points.shape[1]
+    x = points
+    for layer, (a, b) in enumerate(params.layers):
+        if layer == 0:
+            z0 = points @ a.T
+            zg, zl = a.T[:, None, :], None
+        else:
+            z = (x.reshape(-1, a.shape[1]) @ a.T).reshape(2 + d, -1, a.shape[0])
+            z0, zg, zl = z[0], z[1 : 1 + d], z[1 + d]
+        z0 = z0 + b
+        t = np.tanh(z0)
+        t1 = 1.0 - t * t
+        t2 = -2.0 * t * t1
+        q = np.sum(zg * zg, axis=0)
+        out = np.empty((2 + d,) + z0.shape)
+        out[0] = t
+        out[1 : 1 + d] = t1 * zg
+        out[1 + d] = t2 * q + (0.0 if zl is None else t1 * zl)
+        yield (x, zg, zl, t, t1, t2, q), out
+        x = out
+
+
+def _record_backward(params, points, bar_value, bar_grad, bar_lap):
+    """The reverse pass through the pre-activation records, with the
+    chain rule in zg, zl, t2 and t3 = -2 (t1^2 + t t2): the reference."""
+    n, d = points.shape
+    grads = [(np.zeros_like(a), np.zeros_like(b)) for a, b in params.layers]
+    saved = [record for record, _ in _record_layers(params, points)]
+    y = np.concatenate(
+        [bar_value[None], np.moveaxis(bar_grad, -1, 0), bar_lap[None]], axis=0
+    )
+    for layer in range(len(params.layers) - 1, -1, -1):
+        a = params.layers[layer][0]
+        a_bar, b_bar = grads[layer]
+        x, zg, zl, t, t1, t2, q = saved[layer]
+        yv, yg, yl = y[0], y[1 : 1 + d], y[1 + d]
+        t3 = -2.0 * (t1 * t1 + t * t2)
+        z_bar = np.empty_like(y)
+        z_bar[0] = yv * t1 + t2 * np.sum(yg * zg, axis=0) + yl * (
+            t3 * q + (0.0 if zl is None else t2 * zl)
+        )
+        z_bar[1 : 1 + d] = yg * t1 + 2.0 * yl * t2 * zg
+        z_bar[1 + d] = yl * t1
+        b_bar += z_bar[0].sum(axis=0)
+        if layer == 0:
+            a_bar += z_bar[0].T @ points
+            a_bar += z_bar[1 : 1 + d].sum(axis=1).T
+            continue
+        m_out, m_in = a.shape
+        a_bar += z_bar.reshape(-1, m_out).T @ x.reshape(-1, m_in)
+        y = (z_bar.reshape(-1, m_out) @ a).reshape(2 + d, -1, m_in)
+    return np.concatenate([np.concatenate([a_bar.ravel(), b_bar]) for a_bar, b_bar in grads])
+
+
+@pytest.mark.parametrize("saturated", [False, True])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_backward_matches_the_record_reverse_pass(dim, saturated, monkeypatch):
+    """The reverse pass from the output jets and t1 alone equals the one
+    through the pre-activation records, over ragged tiles, and with units
+    held saturated by biases of +-20 (t1 below 1e-15 there)."""
+    monkeypatch.setattr(nets, "TILE", 16)
+    cfg = NetConfig(dim, (7, 6, 5), 3, 4)
+    p = init_params(cfg, 17 + dim)
+    rng = np.random.default_rng(30 + dim)
+    if saturated:
+        for _, b in p.layers:
+            b[::2] = 20.0 * rng.choice([-1.0, 1.0], size=b[::2].shape)
+    pts = rng.uniform(-1, 1, size=(45, dim))
+    seeds = _random_seeds(rng, 45, cfg)
+    if saturated:
+        for record, _ in _record_layers(p, pts):
+            assert np.all(record[4][:, ::2] < 1e-15)
+    want = _record_backward(p, pts, *seeds)
+    got = backward_jets(p, pts, forward_jets(p, pts), *seeds)
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13 * np.max(np.abs(want)))
 
 
 def test_adam_zero_gradient_no_move():

@@ -232,10 +232,12 @@ def _untiled_basis(params, g, rhs, cut, theta, quad):
     stack, cols = composition_factors(quad.interior_points, g, cut, cfg.n1, cfg.n2)
     composed = stack.columns(cols) * forward_jets(params, quad.interior_points)
     axes = np.array([g.interfaces[k].axis for k in quad.interface_ids], dtype=int)
-    sides = interface_trace_factors(quad.interface_points, axes, g, cut, cfg.n1, cfg.n2)
+    stacks, ifc_cols = interface_trace_factors(
+        quad.interface_points, axes, g, cut, cfg.n1, cfg.n2
+    )
     ifc = forward_jets(params, quad.interface_points)
     rows = np.arange(quad.n_interface)
-    traces = [(f * ifc).gradient[rows, :, axes] for f in sides]
+    traces = [(side.columns(ifc_cols) * ifc).gradient[rows, :, axes] for side in stacks]
     cache = build_epoch_cache(g, cut, quad, composed.laplacian, *traces, rhs, theta=theta)
     return composed.value, np.moveaxis(composed.gradient, -1, 1), cache
 
@@ -290,9 +292,12 @@ def test_queries_match_traces_of_the_full_product(monkeypatch):
     rows = training._interface_rows
 
     def full_product_rows(ifc, quad, *args):
-        sides, normals, _ = rows(ifc, quad, *args)
-        traces = [np.einsum("jnd,jd->jn", (f * ifc).gradient, normals) for f in sides]
-        return sides, normals, traces
+        stacks, cols, normals, _ = rows(ifc, quad, *args)
+        traces = [
+            np.einsum("jnd,jd->jn", (side.columns(cols) * ifc).gradient, normals)
+            for side in stacks
+        ]
+        return stacks, cols, normals, traces
 
     monkeypatch.setattr(training, "_interface_rows", full_product_rows)
     got = QueryBasis.build(params, g, rhs, cut, 2.0, GRID).solve(parameters, N_SINGULAR)

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from transolve import nets
+from transolve import nets, training
 from transolve.assembly import (
     assemble_system,
     build_epoch_cache,
@@ -218,6 +218,82 @@ def test_danskin_gradient_fd_2d_with_singular_columns():
         direction /= np.linalg.norm(direction)
         fd = (loss_at(flat + h * direction) - loss_at(flat - h * direction)) / (2 * h)
         assert float(grad @ direction) == pytest.approx(fd, rel=2e-3, abs=1e-10)
+
+
+def _corner_epoch_data(n_interior=10, n_interface=6):
+    g = build_grid_geometry(2, cuts_x=[0.0], cuts_y=[0.0], bounds=[(-1, 1), (-1, 1)])
+    rhs = RhsSpec.for_geometry("corner2d", g)
+    quad = sample_collocation(g, n_interior, n_interface, np.random.default_rng(7))
+    parameters = np.array([[1.0, 8.0, 8.0, 1.0], [2.0, 0.5, 1.0, 3.0]])
+    pairs = vertex_eigenpairs(g, parameters, 1)
+    return EpochData(g, default_cutoff_config(g), rhs, quad, parameters, pairs, 4.0)
+
+
+def _recording(monkeypatch, name, calls):
+    fn = getattr(training, name)
+
+    def wrapper(*args):
+        calls.append((args, fn(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(training, name, wrapper)
+
+
+def test_one_forward_and_one_backward_pass_per_gradient(monkeypatch):
+    """One gradient evaluation runs the network forward once and backward
+    once, each over all J1 + J2 points, the interior ones first."""
+    data = _corner_epoch_data()
+    quad = data.quad
+    points = np.concatenate([quad.interior_points, quad.interface_points])
+    calls = {"forward_jets": [], "backward_jets": []}
+    for name, record in calls.items():
+        _recording(monkeypatch, name, record)
+    params = init_params(NetConfig(2, (6,), 2, 4), 41)
+    _, grad = loss_and_param_gradient(params, data)
+    assert [len(c) for c in calls.values()] == [1, 1]
+    (forward_args, jets), = calls["forward_jets"]
+    (backward_args, result), = calls["backward_jets"]
+    np.testing.assert_array_equal(forward_args[1], points)
+    np.testing.assert_array_equal(backward_args[1], points)
+    assert backward_args[2] is jets
+    assert result is grad
+
+
+def test_one_backward_pass_equals_the_interior_and_interface_passes(monkeypatch):
+    """With a tile that straddles the last interior and the first interface
+    point, the one pass over all points gives the sum of a pass over the
+    interior rows and one over the interface rows."""
+    data = _corner_epoch_data()
+    n_int = data.quad.n_interior
+    monkeypatch.setattr(nets, "TILE", 7)
+    assert n_int % nets.TILE != 0
+    calls = []
+    _recording(monkeypatch, "backward_jets", calls)
+    params = init_params(NetConfig(2, (6, 5), 2, 4), 43)
+    _, grad = loss_and_param_gradient(params, data)
+    (params_, points, jets, *seeds), one = calls[0]
+    apart = sum(
+        nets.backward_jets(
+            params_, points[rows], jets.rows(rows), *(seed[rows] for seed in seeds)
+        )
+        for rows in (slice(None, n_int), slice(n_int, None))
+    )
+    np.testing.assert_allclose(one, apart, rtol=1e-13, atol=1e-13 * np.max(np.abs(apart)))
+
+
+def test_tiles_of_the_composition_do_not_change_the_gradient(monkeypatch):
+    """The interior factors are gathered, composed and taken back through
+    the product's adjoint a tile at a time: ragged tiles of 7 points give
+    the loss and gradient of one tile of all points."""
+    data = _corner_epoch_data()
+    params = init_params(NetConfig(2, (6, 5), 2, 4), 47)
+    results = []
+    for tile in (7, 10**9):
+        monkeypatch.setattr(training, "TILE", tile)
+        results.append(loss_and_param_gradient(params, data))
+    (loss7, grad7), (loss1, grad1) = results
+    assert loss7 == pytest.approx(loss1, rel=1e-13)
+    np.testing.assert_allclose(grad7, grad1, rtol=1e-13, atol=1e-13 * np.max(np.abs(grad1)))
 
 
 def _peak_bytes(fn) -> int:
