@@ -47,6 +47,8 @@ N_ELEMENTS = 4
 N_BASIS = 16
 XI_PER_THETA = 2.0 / np.pi  # d xi / d theta
 SECTOR = np.pi / 2
+# guard band of select_singular: exponents within it of 0 or 1 are not singular
+SELECT_BAND = 1e-6
 
 
 def _bubble(u, k):
@@ -224,16 +226,17 @@ def solve_eigenpairs(system: EigenSystem):
     return out
 
 
-def select_singular(pairs: list[EigenPair], n_cap: int, band: float = 1e-6) -> list[EigenPair]:
+def select_singular(pairs: list[EigenPair], n_cap: int) -> list[EigenPair]:
     """At most n_cap smallest-exponent pairs with exponent strictly in (0, 1).
 
-    Guard bands keep out the constant mode (exponent ~ 0 up to FE noise)
-    and the regular modes whose exponent is 1 up to discretization error.
+    Guard bands of `SELECT_BAND` keep out the constant mode (exponent ~ 0
+    up to FE noise) and the regular modes whose exponent is 1 up to
+    discretization error.
     A negative cap raises ValueError.
     """
     if n_cap < 0:
         raise ValueError(f"the singular cap must be nonnegative, got {n_cap}")
-    picked = [p for p in pairs if band < p.exponent < 1.0 - band]
+    picked = [p for p in pairs if SELECT_BAND < p.exponent < 1.0 - SELECT_BAND]
     return picked[:n_cap]
 
 

@@ -444,22 +444,18 @@ class AdamState:
         return cls(np.zeros(n_params), np.zeros(n_params), 0)
 
 
-def adam_step(
-    state: AdamState,
-    flat_params: np.ndarray,
-    grad: np.ndarray,
-    lr: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-) -> np.ndarray:
+# Adam's moment decay rates and denominator guard (Kingma & Ba's defaults)
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
+def adam_step(state: AdamState, flat_params: np.ndarray, grad: np.ndarray, lr: float) -> np.ndarray:
     """One Adam update with bias correction; mutates the state, returns params."""
     state.t += 1
-    state.m = beta1 * state.m + (1 - beta1) * grad
-    state.v = beta2 * state.v + (1 - beta2) * grad * grad
-    m_hat = state.m / (1 - beta1**state.t)
-    v_hat = state.v / (1 - beta2**state.t)
-    return flat_params - lr * m_hat / (np.sqrt(v_hat) + eps)
+    state.m = ADAM_BETA1 * state.m + (1 - ADAM_BETA1) * grad
+    state.v = ADAM_BETA2 * state.v + (1 - ADAM_BETA2) * grad * grad
+    m_hat = state.m / (1 - ADAM_BETA1**state.t)
+    v_hat = state.v / (1 - ADAM_BETA2**state.t)
+    return flat_params - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 def linear_lr(lr_start: float, lr_end: float, iteration: int, total: int) -> float:

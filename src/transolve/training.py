@@ -36,9 +36,9 @@ low-dimensional least-squares problem per parameter.  The singular columns
 stay on their support rows throughout: their sources on the annulus rows of
 the polar cache, and their values and gradients on its disk rows, so the
 singular work of a query grows with the junction annuli and disks, not with
-the grid.  `final_solve` is a batch of one against the basis `query_basis`
-holds; it keeps at most one, rebuilt when the weights, grid or problem
-change and dropped when the weights object is collected or an epoch starts.
+the grid.  `final_solve` is a batch of one against the one basis it holds
+between calls, rebuilt when the weights, grid or problem change and
+dropped when an epoch starts.
 Checkpoints are ``.npz`` arrays with a JSON header and load without
 unpickling anything.
 """
@@ -46,7 +46,6 @@ unpickling anything.
 from __future__ import annotations
 
 import json
-import weakref
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -108,7 +107,6 @@ __all__ = [
     "run_epoch",
     "train",
     "QueryBasis",
-    "query_basis",
     "final_solve",
     "save_checkpoint",
     "load_checkpoint",
@@ -386,7 +384,8 @@ def run_epoch(
     epoch = state.iteration
     # the epoch replaces the weights the held basis was built from: drop it
     # now, so that it does not add to the epoch's peak
-    _release_basis()
+    global _held
+    _held = None
     data = prepare_epoch(state, config, geometry, rhs, cutoff_config)
     try:
         loss, grad = loss_and_param_gradient(state.params, data)
@@ -488,18 +487,11 @@ class QueryBasis:
     midpoint quadrature, the weighted rows, the Gram blocks and the polar
     cache) and the composed basis values and gradients, each written tile
     by tile by `build` into an array made once.  The composed Laplacian
-    lives on only weighted, in ``cache.wlap``.  ``flat_params``
-    is a copy of the weights it was built from, and the geometry, rhs and
-    cutoff config are the objects themselves, for `serves`.
+    lives on only weighted, in ``cache.wlap``.  `final_solve` holds one
+    between calls, beside the inputs it was built from.
     """
 
     net_config: NetConfig
-    flat_params: np.ndarray
-    geometry: Geometry
-    rhs: RhsSpec
-    cutoff_config: CutoffConfig
-    theta: float
-    n_per_axis: int
     cache: EpochCache
     values: np.ndarray  # (J1, N) composed basis values
     gradients: np.ndarray  # (J1, d, N) composed basis gradients, see evaluate_solution
@@ -538,35 +530,13 @@ class QueryBasis:
         cache = build_epoch_cache(
             geometry, cutoff_config, quad, laplacian, *traces, rhs, theta=theta
         )
-        basis = cls(
-            cfg, params.to_flat(), geometry, rhs, cutoff_config, float(theta),
-            n_per_axis, cache, values, gradients,
-        )
+        basis = cls(cfg, cache, values, gradients)
         for holder in (basis, cache, quad, cache.gram, cache.polar, *cache.polar.vertices):
             for f in fields(holder):
                 value = getattr(holder, f.name)
                 if isinstance(value, np.ndarray):
                     value.flags.writeable = False
         return basis
-
-    def serves(
-        self, params: MlpParams, geometry: Geometry, rhs: RhsSpec, cutoff_config: CutoffConfig,
-        theta: float, n_per_axis: int,
-    ) -> bool:
-        """Whether `build` with these inputs would make this basis.
-
-        The weights are compared by content, so an in-place edit shows; the
-        geometry, rhs and cutoff config by identity, as this basis holds them.
-        """
-        return (
-            geometry is self.geometry
-            and rhs is self.rhs
-            and cutoff_config is self.cutoff_config
-            and theta == self.theta
-            and n_per_axis == self.n_per_axis
-            and params.config == self.net_config
-            and np.array_equal(params.to_flat(), self.flat_params)
-        )
 
     def solve(self, parameters, n_singular: int = 1) -> list:
         """Solve every row of a (Q, I) parameter batch on this basis.
@@ -575,8 +545,8 @@ class QueryBasis:
         """
         cache = self.cache
         quad = cache.quad
-        parameters = validate_parameter_batch(self.geometry, np.atleast_2d(parameters))
-        pairs_per_q = vertex_eigenpairs(self.geometry, parameters, n_singular)
+        parameters = validate_parameter_batch(cache.geometry, np.atleast_2d(parameters))
+        pairs_per_q = vertex_eigenpairs(cache.geometry, parameters, n_singular)
         sing = [
             singular_evals_from_cache(cache.polar, pairs) if pairs else None
             for pairs in pairs_per_q
@@ -617,38 +587,10 @@ class QueryBasis:
         return out
 
 
-# The basis query_basis holds, and the finalizer that drops it when the
-# weights object it was built from is collected.
-_held: dict = {}
-
-
-def _release_basis() -> None:
-    finalizer = _held.pop("finalizer", None)
-    if finalizer is not None:
-        finalizer.detach()
-    _held.pop("basis", None)
-
-
-def query_basis(
-    params: MlpParams, geometry: Geometry, rhs: RhsSpec, cutoff_config: CutoffConfig,
-    theta: float, n_per_axis: int,
-) -> QueryBasis:
-    """The held basis if it serves these inputs, else a new one that replaces it.
-
-    At most one basis is held, and only while ``params`` lives, and
-    `run_epoch` drops it before it samples: the epoch replaces the weights
-    it was built from, so a basis built before an epoch does not live
-    through it.  A basis never changes once built, so concurrent callers
-    still get correct results; a race can only cost a rebuild.
-    """
-    basis = _held.get("basis")
-    if basis is not None and basis.serves(params, geometry, rhs, cutoff_config, theta, n_per_axis):
-        return basis
-    _release_basis()  # before the build, so that two bases never coexist
-    basis = QueryBasis.build(params, geometry, rhs, cutoff_config, theta, n_per_axis)
-    _held["basis"] = basis
-    _held["finalizer"] = weakref.finalize(params, _release_basis)
-    return basis
+# The basis final_solve holds, or None: (the geometry, rhs and cutoff config
+# objects, (theta, grid count, network configuration), a copy of the
+# weights, the basis built from them)
+_held = None
 
 
 def final_solve(
@@ -664,11 +606,13 @@ def final_solve(
     """Solve one parameter on a midpoint evaluation grid.
 
     The grid has ``n_per_axis`` points per axis and per 2D interface.  The
-    parameter is solved as a batch of one against `query_basis`, which
-    reuses the last basis while the weights (by content), the grid count,
-    theta, the network configuration and the geometry, rhs and cutoff
-    config objects are unchanged; the first query of a network pays for
-    the basis and the others for their own least-squares solve only.
+    parameter is solved as a batch of one against the one `QueryBasis`
+    held between calls.  It is reused while the geometry, rhs and cutoff
+    config objects (by identity), theta, the grid count and the network
+    configuration (by value) and the weights (by content, so an in-place
+    edit shows) are unchanged, and rebuilt otherwise; the first query of a
+    network pays for the basis and the others for their own least-squares
+    solve only.  `run_epoch` drops it, as the epoch replaces the weights.
     Returns (coefficients, fields) where fields carries the grid, solution
     values, gradients and fluxes, the squared residual and the relative
     least-squares residual sqrt(residual_sq / |l|^2) (0 when l = 0).  It
@@ -677,9 +621,19 @@ def final_solve(
     The trained basis is discretization invariant, so the grid may be much
     finer than the training points.
     """
+    global _held
     parameter = validate_parameter(geometry, parameter)
-    basis = query_basis(params, geometry, rhs, cutoff_config, theta, n_per_axis)
-    return basis.solve(parameter[None, :], n_singular)[0]
+    objects, values = (geometry, rhs, cutoff_config), (theta, n_per_axis, params.config)
+    held = _held
+    if held is None or not (
+        all(a is b for a, b in zip(held[0], objects))
+        and held[1] == values
+        and np.array_equal(held[2], params.to_flat())
+    ):
+        held = _held = None  # before the build, so that two bases never coexist
+        basis = QueryBasis.build(params, geometry, rhs, cutoff_config, theta, n_per_axis)
+        held = _held = (objects, values, params.to_flat(), basis)
+    return held[3].solve(parameter[None, :], n_singular)[0]
 
 
 _RNG_NAMES = ("rng_params", "rng_interior", "rng_interface")
@@ -725,30 +679,33 @@ def load_checkpoint(path):
     Nothing in the file is unpickled: a file that is not a version-2
     archive raises ValueError.
     """
-    with np.load(path, allow_pickle=False) as archive:
-        header = json.loads(str(archive["header"]))
-        arrays = {name: archive[name] for name in archive.files if name != "header"}
-    if header.get("version") != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {header.get('version')}")
-    nc = header["net_config"]
-    net_config = NetConfig(nc["input_dim"], tuple(nc["hidden"]), nc["n1"], nc["n2"])
-    train_fields = dict(header["train_config"])
-    seeds = Seeds(**train_fields.pop("seeds"))
-    config = TrainConfig(**train_fields, seeds=seeds)
-    best_val = None
-    if header["best_val"] is not None:
-        loss, iteration = header["best_val"]
-        best_val = (loss, arrays["best_params"], iteration)
-    state = TrainState(
-        net_config=net_config,
-        params=MlpParams.from_flat(net_config, arrays["flat_params"]),
-        adam=AdamState(arrays["adam_m"], arrays["adam_v"], header["adam_t"]),
-        iteration=header["iteration"],
-        rng_params=config.seeds.stream("params"),
-        rng_interior=config.seeds.stream("interior"),
-        rng_interface=config.seeds.stream("interface"),
-        best_val=best_val,
-    )
-    for name in _RNG_NAMES:
-        getattr(state, name).bit_generator.state = header["rng"][name]
-    return state, config, header["extra"]
+    try:
+        with np.load(path, allow_pickle=False) as archive:
+            header = json.loads(str(archive["header"]))
+            arrays = {name: archive[name] for name in archive.files if name != "header"}
+        if not isinstance(header, dict) or header.get("version") != CHECKPOINT_VERSION:
+            raise ValueError(f"not a version-{CHECKPOINT_VERSION} checkpoint header")
+        nc = header["net_config"]
+        net_config = NetConfig(nc["input_dim"], tuple(nc["hidden"]), nc["n1"], nc["n2"])
+        train_fields = dict(header["train_config"])
+        seeds = Seeds(**train_fields.pop("seeds"))
+        config = TrainConfig(**train_fields, seeds=seeds)
+        best_val = None
+        if header["best_val"] is not None:
+            loss, iteration = header["best_val"]
+            best_val = (loss, arrays["best_params"], iteration)
+        state = TrainState(
+            net_config=net_config,
+            params=MlpParams.from_flat(net_config, arrays["flat_params"]),
+            adam=AdamState(arrays["adam_m"], arrays["adam_v"], header["adam_t"]),
+            iteration=header["iteration"],
+            rng_params=config.seeds.stream("params"),
+            rng_interior=config.seeds.stream("interior"),
+            rng_interface=config.seeds.stream("interface"),
+            best_val=best_val,
+        )
+        for name in _RNG_NAMES:
+            getattr(state, name).bit_generator.state = header["rng"][name]
+        return state, config, header["extra"]
+    except (KeyError, TypeError) as exc:  # a missing or mistyped field or array
+        raise ValueError(f"malformed checkpoint: {exc!r}") from exc

@@ -1,7 +1,6 @@
 """The offline/online split of queries: `QueryBasis` and the basis
 `final_solve` holds between calls."""
 
-import gc
 import tracemalloc
 import weakref
 
@@ -28,7 +27,6 @@ from transolve.training import (
     TrainConfig,
     final_solve,
     init_train_state,
-    query_basis,
     run_epoch,
     vertex_eigenpairs,
 )
@@ -70,6 +68,32 @@ def assert_identical_query(got, want):
     np.testing.assert_array_equal(c_got.stacked, c_want.stacked)
     for key in ("residual_sq", "rel_residual"):
         assert f_got[key] == f_want[key], key
+
+
+class Builds(list):
+    """Weak references to the bases `QueryBasis.build` made, in order, and
+    for each build whether a basis an earlier one made was still alive when
+    it started."""
+
+    def __init__(self):
+        super().__init__()
+        self.overlapped = []
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """Observes every `QueryBasis.build` call through a counting wrapper."""
+    build = QueryBasis.build.__func__
+    made = Builds()
+
+    def counting_build(cls, *args, **kwargs):
+        made.overlapped.append(any(ref() is not None for ref in made))
+        basis = build(cls, *args, **kwargs)
+        made.append(weakref.ref(basis))
+        return basis
+
+    monkeypatch.setattr(QueryBasis, "build", classmethod(counting_build))
+    return made
 
 
 def test_batch_solve_matches_single_solves_on_fresh_bases():
@@ -115,13 +139,20 @@ def test_query_fields_equal_the_dense_singular_sum():
     )
 
 
-def test_reused_final_solve_is_bit_identical_to_a_rebuild():
+def test_repeated_final_solves_build_once(builds):
+    g, rhs, cut, params = problem()
+    for p in ([1.0, 10.0, 10.0, 1.0], [2.0, 1.0, 3.0, 1.0], [1.0, 10.0, 10.0, 1.0]):
+        final_solve(params, g, np.array(p), rhs, cut, 1.0, GRID, n_singular=N_SINGULAR)
+    assert builds.overlapped == [False]
+    assert builds[0]() is not None
+
+
+def test_reused_final_solve_is_bit_identical_to_a_rebuild(builds):
     g, rhs, cut, params = problem()
     p = np.array([1.0, 10.0, 10.0, 1.0])
     first = final_solve(params, g, p, rhs, cut, 1.0, GRID, n_singular=N_SINGULAR)
-    held = query_basis(params, g, rhs, cut, 1.0, GRID)
     again = final_solve(params, g, p, rhs, cut, 1.0, GRID, n_singular=N_SINGULAR)
-    assert query_basis(params, g, rhs, cut, 1.0, GRID) is held
+    assert len(builds) == 1
     fresh = QueryBasis.build(params, g, rhs, cut, 1.0, GRID).solve(p[None, :], N_SINGULAR)[0]
     assert fresh[0].c.size > 0
     assert_identical_query(first, fresh)
@@ -145,32 +176,23 @@ CHANGES = {
 
 
 @pytest.mark.parametrize("change", sorted(CHANGES))
-def test_a_changed_input_rebuilds_the_basis(change):
+def test_a_changed_input_rebuilds_the_basis(change, builds):
+    """A changed input rebuilds the basis, and the old one is dropped
+    before the build, so that two bases never coexist."""
     g, rhs, cut, params = problem()
     p = np.array([1.0, 10.0, 10.0, 1.0])
     before = final_solve(params, g, p, rhs, cut, 1.0, GRID, n_singular=N_SINGULAR)
-    old = weakref.ref(query_basis(params, g, rhs, cut, 1.0, GRID))
     args = CHANGES[change](g, rhs, cut, params)
     params_, g_, rhs_, cut_, theta, grid = args
     after = final_solve(params_, g_, p, rhs_, cut_, theta, grid, n_singular=N_SINGULAR)
-    assert query_basis(*args) is not old()
+    assert builds.overlapped == [False, False]
     fresh = QueryBasis.build(*args).solve(p[None, :], N_SINGULAR)[0]
     assert_same_query(after, fresh)
     if grid == GRID:
         assert not np.allclose(after[1]["values"], before[1]["values"], rtol=1e-6, atol=0)
 
 
-def test_the_held_basis_dies_with_its_weights():
-    g, rhs, cut, params = problem()
-    final_solve(params, g, np.ones(g.n_subdomains), rhs, cut, 1.0, GRID)
-    held = weakref.ref(query_basis(params, g, rhs, cut, 1.0, GRID))
-    assert held() is not None
-    del params
-    gc.collect()
-    assert held() is None
-
-
-def test_an_epoch_drops_the_held_basis_before_it_samples(monkeypatch):
+def test_an_epoch_drops_the_held_basis_before_it_samples(monkeypatch, builds):
     """The epoch replaces the weights the held basis was built from, so
     `run_epoch` drops it before `prepare_epoch`, though the old weights
     object is still alive here."""
@@ -179,7 +201,10 @@ def test_an_epoch_drops_the_held_basis_before_it_samples(monkeypatch):
                          n_interior=8, n_interface=4, p_min=0.5, p_max=5.0)
     state = init_train_state(g, NetConfig(2, (10, 10), 4, 8), config)
     old_params = state.params
-    held = weakref.ref(query_basis(old_params, g, rhs, cut, 1.0, GRID))
+    final_solve(old_params, g, np.ones(g.n_subdomains), rhs, cut, 1.0, GRID)
+    assert len(builds) == 1
+    held = builds[0]
+    assert held() is not None
     prepare = training.prepare_epoch
     alive_at_prepare = []
 

@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 
 import numpy as np
@@ -421,6 +422,57 @@ def test_checkpoint_load_rejects_pickle_without_unpickling(tmp_path):
     with pytest.raises(ValueError):
         load_checkpoint(path)
     assert not marker.exists()
+
+
+# each edit changes the arrays in place and returns the header to write
+def _drop_header_field(*path):
+    def edit(header, arrays):
+        *outer, last = path
+        inner = header
+        for key in outer:
+            inner = inner[key]
+        del inner[last]
+        return header
+    return edit
+
+
+def _drop_array(name):
+    def edit(header, arrays):
+        del arrays[name]
+        return header
+    return edit
+
+
+MALFORMED = {
+    "no net_config": _drop_header_field("net_config"),
+    "no seeds": _drop_header_field("train_config", "seeds"),
+    "no rng state": _drop_header_field("rng", "rng_interior"),
+    "no flat_params": _drop_array("flat_params"),
+    "no best_params": _drop_array("best_params"),
+    "header a list": lambda header, arrays: [1, 2],
+    "header a number": lambda header, arrays: 2,
+}
+
+
+@pytest.mark.parametrize("fault", sorted(MALFORMED))
+def test_checkpoint_load_rejects_a_malformed_archive(tmp_path, fault):
+    """A version-2 archive with a field or array missing, or a header that
+    is not a JSON object, raises ValueError and nothing else."""
+    g = geom_1d()
+    cfg = small_config(iterations=2, val_every=1)
+    state = init_train_state(g, NetConfig(1, (5,), 2, 4), cfg)
+    state.best_val = (1.0, state.params.to_flat().copy(), 1)
+    path = tmp_path / "ck.npz"
+    save_checkpoint(path, state, cfg)
+    load_checkpoint(path)
+    with np.load(path) as archive:
+        header = json.loads(str(archive["header"]))
+        arrays = {name: archive[name] for name in archive.files if name != "header"}
+    header = MALFORMED[fault](header, arrays)
+    with open(path, "wb") as fh:
+        np.savez(fh, header=np.array(json.dumps(header)), **arrays)
+    with pytest.raises(ValueError):
+        load_checkpoint(path)
 
 
 def test_final_solve_deterministic_and_grid_stable():
