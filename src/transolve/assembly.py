@@ -21,8 +21,9 @@ for, the row seeds times the coefficients, added into the (J1, N) and
 times the rows, nor holds the normal matrices of the whole batch.
 `assemble_system` and `solve_normal_equations` build and solve one
 parameter's explicit system, the reference the batched solve is checked
-against; `assemble_system` is the one place a singular block is scattered
-to all J1 interior rows.
+against, with the same ridge (`_ridge`) and one Cholesky factorization.
+`assemble_system` is the one place a singular block is scattered to all
+J1 interior rows.
 """
 
 from __future__ import annotations
@@ -236,35 +237,24 @@ def assemble_system(cache: EpochCache, parameter, singular_evals, theta: float) 
     return LsSystem(matrix, rhs)
 
 
-def solve_normal_equations(system, ridge: float | None = None):
-    """Solve min ||B y - l|| through the ridged normal equations.
+def _ridge(trace, size):
+    """The one ridge rule of both solves: RIDGE_REL times the mean diagonal
+    ``trace / size`` of a normal matrix, RIDGE_REL where that mean is 0."""
+    mean_diag = trace / size
+    return RIDGE_REL * np.where(mean_diag > 0, mean_diag, 1.0)
 
-    Default ridge is 1e-10 * trace(B^T B)/ncols; a failed Cholesky
-    factorization escalates the ridge a hundredfold, up to three times.
-    Returns (y, residual norm squared), the residual formed explicitly.
-    """
-    if isinstance(system, LsSystem):
-        b, l = system.matrix, system.rhs
-    else:
-        b, l = system
+
+def solve_normal_equations(system: LsSystem):
+    """Solve min ||B y - l|| by one Cholesky factorization of the normal
+    equations, ridged as in `solve_parameter_batch`; raises LinAlgError if
+    that matrix is not positive definite.  Returns (y, residual norm
+    squared), the residual formed explicitly."""
+    b, l = system.matrix, system.rhs
     if not (np.all(np.isfinite(b)) and np.all(np.isfinite(l))):
         raise ValueError("non-finite system")
     a = b.T @ b
-    rhs = b.T @ l
-    ncols = a.shape[0]
-    lam = RIDGE_REL * np.trace(a) / ncols if ridge is None else ridge
-    for attempt in range(4):
-        try:
-            factor = cho_factor(a + lam * np.eye(ncols), lower=True)
-            y = cho_solve(factor, rhs)
-            break
-        except np.linalg.LinAlgError:
-            if attempt == 3:
-                raise RuntimeError(
-                    f"normal-equation Cholesky failed; trace={np.trace(a):.3e}, "
-                    f"last ridge={lam:.3e}"
-                )
-            lam = lam * 100.0 if lam > 0 else RIDGE_REL * max(np.trace(a), 1.0) / ncols
+    a[np.diag_indices_from(a)] += _ridge(np.trace(a), a.shape[0])
+    y = cho_solve(cho_factor(a, lower=True), b.T @ l)
     residual = b @ y - l
     return y, float(residual @ residual)
 
@@ -319,7 +309,6 @@ def solve_parameter_batch(
     cache: EpochCache,
     parameters: np.ndarray,
     singular_evals_per_p: list | None = None,
-    ridge: float | None = None,
     adjoint: bool = False,
 ) -> BatchSolveResult:
     """Least-squares solve of every parameter of a batch through the Gram blocks.
@@ -331,9 +320,9 @@ def solve_parameter_batch(
     block and a zero right-hand side, which solve to zero.  The border
     reads the annulus rows alone, so no singular array spans the J1
     interior rows.  The ridge of each system is RIDGE_REL times the mean
-    diagonal of its unpadded matrix (RIDGE_REL where that mean is 0), or
-    ``ridge``.  The loss of parameter k is ||B y - l||^2 over its interior
-    and jump rows.  The row adjoints are summed only under ``adjoint``.
+    diagonal of its unpadded matrix (RIDGE_REL where that mean is 0).  The
+    loss of parameter k is ||B y - l||^2 over its interior and jump rows.
+    The row adjoints are summed only under ``adjoint``.
     """
     gram = cache.gram
     parameters = validate_parameter_batch(cache.geometry, np.atleast_2d(parameters))
@@ -375,15 +364,11 @@ def solve_parameter_batch(
             a[:, n:, n:] = us.transpose(0, 2, 1) @ us
             l_rows = p_rows * f1[rows] + f0[rows]  # (P, R)
             rhs = np.concatenate([b_nn, -(l_rows[:, None, :] @ us)[:, 0]], axis=1)
-        if ridge is None:
-            mean_diag = np.trace(a, axis1=-2, axis2=-1) / (n + counts)
-            ridge_vec = RIDGE_REL * np.where(mean_diag > 0, mean_diag, 1.0)
-        else:
-            ridge_vec = np.full(len(p), float(ridge))
+        ridge = _ridge(np.trace(a, axis1=-2, axis2=-1), n + counts)
         if m:  # unit diagonal on the padded slots, after the trace was taken
             pad = n + np.arange(m)
             a[:, pad, pad] += np.arange(m) >= counts[:, None]
-        y = _cholesky_solve(a, rhs, ridge_vec, s)
+        y = _cholesky_solve(a, rhs, ridge, s)
         y_nn[s : s + BLOCK] = y_b = y[:, :n]
         y_sing += [y[k, n : n + count] for k, count in enumerate(counts.tolist())]
         # the block's residuals, one column per parameter

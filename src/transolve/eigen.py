@@ -100,7 +100,7 @@ def basis_matrix(xi) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass
 class EigenSystem:
-    """Assembled 16x16 stiffness and mass matrices with their angular trace.
+    """Assembled 16x16 stiffness and mass matrices of an angular trace.
 
     A stack of traces of shape (..., 4) gives matrices of shape
     (..., 16, 16).
@@ -108,7 +108,6 @@ class EigenSystem:
 
     stiffness: np.ndarray
     mass: np.ndarray
-    trace: np.ndarray  # p per quarter sector, last axis of length 4
 
 
 def _transpose(a: np.ndarray) -> np.ndarray:
@@ -146,7 +145,7 @@ def assemble_eigensystem(p_sector) -> EigenSystem:
     shape = p_sector.shape[:-1] + (N_BASIS, N_BASIS)
     g = (p_sector @ _UNIT_STIFFNESS.reshape(N_ELEMENTS, -1)).reshape(shape)
     b = (p_sector @ _UNIT_MASS.reshape(N_ELEMENTS, -1)).reshape(shape)
-    return EigenSystem(g, b, p_sector)
+    return EigenSystem(g, b)
 
 
 @dataclass

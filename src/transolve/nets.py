@@ -31,10 +31,10 @@ network returns its outputs as `Jets`, the cutoff fields are `Jets`, and
 `Jets.__mul__` is the one second-order product rule, which both builds the
 cutoff factors and applies them to the network outputs, interior and
 one-sided interface factors alike.  Its Laplacian is `product_laplacian`,
-which a caller that reads only the Laplacian calls alone, and its derivative
-along one direction per point is `product_derivative`, which the interface
-traces read alone; `Jets.adjoint` is the product's transpose, which carries
-every loss row's seeds back to the network outputs.
+which a caller that reads only the Laplacian calls alone; the one-sided
+interface traces are the normal component of its gradient.  `Jets.adjoint`
+is the product's transpose, which carries every loss row's seeds back to the
+network outputs.
 """
 
 from __future__ import annotations
@@ -193,20 +193,6 @@ class Jets:
         lap += cross
         lap += np.multiply(other.value, self.laplacian, out=cross)
         return lap
-
-    def product_derivative(self, other: "Jets", direction: np.ndarray) -> np.ndarray:
-        """The derivative of the pointwise product along one direction per
-        point alone, n . grad(fg) = f (n . grad g) + g (n . grad f), with
-        ``direction`` n of shape (J, d), points first: the one-sided
-        interface traces read no other part of the product."""
-        self._check_match(other)
-        direction = np.asarray(direction)
-        n = direction.reshape(
-            direction.shape[:1] + (1,) * (self.value.ndim - 1) + direction.shape[-1:]
-        )
-        out = self.value * _dot(other.gradient, n)
-        out += other.value * _dot(self.gradient, n)
-        return out
 
     def adjoint(self, bar: "Jets", out: "Jets | None" = None) -> "Jets":
         """Transpose of the product's derivative in its second factor.

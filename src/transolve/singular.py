@@ -62,7 +62,6 @@ class PolarCache:
     The disks are disjoint, so neither lists a point twice.
     """
 
-    n_points: int
     vertices: list[VertexGeo]
     disk_rows: np.ndarray  # (D,) where the singular functions live
     annulus_rows: np.ndarray  # (R,) where their sources live, a subset of disk_rows
@@ -97,7 +96,7 @@ def polar_cache(points, geometry: Geometry, config: CutoffConfig) -> PolarCache:
     disk_rows = np.concatenate(disks)
     if np.unique(disk_rows).size != disk_rows.size:
         raise ValueError("a point lies inside the cutoff disks of two singular vertices")
-    return PolarCache(points.shape[0], vertices, disk_rows, np.concatenate(annuli))
+    return PolarCache(vertices, disk_rows, np.concatenate(annuli))
 
 
 def _vertex_modes(cache: PolarCache, pairs_per_vertex: list[list[EigenPair]]):

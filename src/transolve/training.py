@@ -6,8 +6,8 @@ jets (`nets.Jets`) once at all interior and interface points.  Only what
 the loss reads is composed with the cutoff factors: the interior
 Laplacians of the product ``fac * raw`` (`Jets.product_laplacian`), the
 factors gathered from the distinct stack of `cutoffs.composition_factors`,
-and the one-sided interface traces n . grad(F_pm * raw) alone
-(`Jets.product_derivative`), the factors from
+and the one-sided interface traces n . grad(F_pm * raw), the normal
+component of the product `Jets.__mul__` with the factors from
 `cutoffs.interface_trace_factors`.  `assembly.solve_parameter_batch`
 solves every parameter's least-squares system block by block and sums each
 block's row seeds times its coefficients into the row adjoints: (J1, N) for
@@ -151,8 +151,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.iterations < 1:
             raise ValueError("need at least one iteration")
-        if not (self.lr_start >= self.lr_end > 0):
-            raise ValueError("learning-rate endpoints must satisfy lr_start >= lr_end > 0")
+        if not (np.isfinite(self.lr_start) and self.lr_start >= self.lr_end > 0):
+            raise ValueError("learning rates must be finite with lr_start >= lr_end > 0")
         if not (np.isfinite(self.theta) and self.theta >= 0):
             raise ValueError("theta must be finite and nonnegative")
         if min(self.n_params, self.n_interior, self.n_interface) < 1:
@@ -267,11 +267,11 @@ def _interface_rows(
     """The one-sided normal traces of the composed basis at the interface
     points of ``quad``, from the network's jets ``ifc`` there.
 
-    Each side's (J2, N) factors are gathered from its distinct stack, used
-    and dropped in turn, so the two sides' factors never coexist, and of
-    their product with the network jets only the normal derivative is
-    formed (`Jets.product_derivative`).  Returns the (minus, plus)
-    distinct factor stacks and their column index
+    Each side's (J2, N) factors are gathered from its distinct stack,
+    multiplied with the network jets (`Jets.__mul__`) and dropped in turn,
+    so the two sides' factors never coexist; a trace is the component of
+    the product's gradient along its interface's axis, the unit normal.
+    Returns the (minus, plus) distinct factor stacks and their column index
     (`cutoffs.interface_trace_factors`), the (J2, d) unit normals at the
     interface points and the (minus, plus) traces, each (J2, N).
     """
@@ -280,7 +280,8 @@ def _interface_rows(
     stacks, cols = interface_trace_factors(
         quad.interface_points, ifc_axes, geometry, cutoff_config, config.n1, config.n2
     )
-    traces = [side.columns(cols).product_derivative(ifc, normals) for side in stacks]
+    rows = np.arange(len(ifc_axes))
+    traces = [(side.columns(cols) * ifc).gradient[rows, :, ifc_axes] for side in stacks]
     return stacks, cols, normals, traces
 
 

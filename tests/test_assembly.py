@@ -3,9 +3,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from transolve import assembly
 from transolve.assembly import (
     BLOCK,
     CoefficientVector,
+    LsSystem,
     SolveError,
     assemble_system,
     build_epoch_cache,
@@ -140,10 +142,11 @@ def test_parameter_length_validated():
         assemble_system(cache, np.ones(4), None, 1.0)
 
 
-def test_solve_identity_system():
+def test_solve_identity_system(monkeypatch):
+    monkeypatch.setattr(assembly, "RIDGE_REL", 0.0)
     b = np.eye(2)
     l = np.array([3.0, 4.0])
-    y, res = solve_normal_equations((b, l), ridge=0.0)
+    y, res = solve_normal_equations(LsSystem(b, l))
     np.testing.assert_allclose(y, [3.0, 4.0])
     assert res == pytest.approx(0.0, abs=1e-28)
 
@@ -152,25 +155,38 @@ def test_solve_matches_svd_oracle():
     rng = np.random.default_rng(7)
     b = rng.normal(size=(50, 10))
     l = rng.normal(size=50)
-    y, res = solve_normal_equations((b, l))
+    y, res = solve_normal_equations(LsSystem(b, l))
     y_svd, *_ = np.linalg.lstsq(b, l, rcond=None)
     np.testing.assert_allclose(y, y_svd, rtol=1e-8)
     assert res == pytest.approx(np.sum((b @ y_svd - l) ** 2), rel=1e-10)
 
 
 def test_solve_zero_matrix_ridge_fixpoint():
+    """A zero normal matrix has mean diagonal 0; its ridge is RIDGE_REL, as
+    in the batch, so the solve gives y = 0 and the loss of the zero
+    candidate."""
     b = np.zeros((4, 3))
     l = np.array([1.0, 2.0, 3.0, 4.0])
-    y, res = solve_normal_equations((b, l), ridge=1e-8)
+    y, res = solve_normal_equations(LsSystem(b, l))
     np.testing.assert_allclose(y, 0.0)
     assert res == pytest.approx(np.sum(l**2))
 
 
-def test_residual_optimality():
+def test_solve_raises_on_a_singular_system_without_retry(monkeypatch):
+    """Under ridge 0 a zero matrix is not positive definite: the one
+    Cholesky factorization raises, and no larger ridge is tried."""
+    monkeypatch.setattr(assembly, "RIDGE_REL", 0.0)
+    b = np.zeros((4, 3))
+    with pytest.raises(np.linalg.LinAlgError):
+        solve_normal_equations(LsSystem(b, np.ones(4)))
+
+
+def test_residual_optimality(monkeypatch):
+    monkeypatch.setattr(assembly, "RIDGE_REL", 0.0)
     rng = np.random.default_rng(8)
     b = rng.normal(size=(40, 8))
     l = rng.normal(size=40)
-    y, res = solve_normal_equations((b, l), ridge=0.0)
+    y, res = solve_normal_equations(LsSystem(b, l))
     base = np.linalg.norm(b @ y - l)
     for _ in range(100):
         delta = rng.normal(size=8) * 0.1
@@ -384,10 +400,11 @@ def test_batch_zero_basis_solves_to_zero():
         assert batch.losses[k] == pytest.approx(l @ l, rel=1e-14)
 
 
-def test_batch_singular_system_raises_named():
+def test_batch_singular_system_raises_named(monkeypatch):
     """With ridge 0 a dead singular column makes its system singular: the
     solve raises and names that system by its index in the whole batch,
     in the first block or a later one, and no ridge is retried."""
+    monkeypatch.setattr(assembly, "RIDGE_REL", 0.0)
     g = geom_1d()
     cache = make_cache(g, NetConfig(1, (6,), 3, 5), seed=4, n_int=20)
     for n_p, bad in ((3, 1), (2 * BLOCK + 3, BLOCK + 5)):
@@ -395,9 +412,9 @@ def test_batch_singular_system_raises_named():
         sing = [None] * n_p
         sing[bad] = np.zeros((cache.polar.annulus_rows.size, 1))
         with pytest.raises(SolveError, match=f"system {bad} ") as err:
-            solve_parameter_batch(cache, params, sing, ridge=0.0)
+            solve_parameter_batch(cache, params, sing)
         assert err.value.index == bad
-        solve_parameter_batch(cache, params, ridge=0.0)  # the live systems alone solve
+        solve_parameter_batch(cache, params)  # the live systems alone solve
 
 
 def test_batch_rejects_singular_block_of_another_length():
@@ -477,8 +494,9 @@ def test_singular_columns_zero_on_jump_rows():
     )
 
 
-def test_manufactured_exact_recovery_1d():
+def test_manufactured_exact_recovery_1d(monkeypatch):
     """Inject per-subdomain sin(5x) indicators: LS recovers 1/p_i exactly."""
+    monkeypatch.setattr(assembly, "RIDGE_REL", 0.0)
     g = geom_1d()
     rhs = RhsSpec.for_geometry("sin1d", g)
     quad = sample_collocation(g, 30, 1, np.random.default_rng(15))
@@ -502,7 +520,7 @@ def test_manufactured_exact_recovery_1d():
     )
     p = np.array([1.0, 4.0, 0.2, 30.0, 49.0])
     sysk = assemble_system(cache, p, None, 1.0)
-    y, res = solve_normal_equations(sysk, ridge=0.0)
+    y, res = solve_normal_equations(sysk)
     np.testing.assert_allclose(y, 1.0 / p, rtol=1e-10)
     scale = np.sum(sysk.rhs**2)
     assert res <= 1e-16 * scale
@@ -524,12 +542,13 @@ def test_evaluate_solution_and_exact_recovery():
         evaluate_solution(np.zeros(5), vals, grads)
 
 
-def test_consistent_system_exact_recovery():
+def test_consistent_system_exact_recovery(monkeypatch):
+    monkeypatch.setattr(assembly, "RIDGE_REL", 0.0)
     rng = np.random.default_rng(17)
     b = rng.normal(size=(30, 6))
     y_star = rng.normal(size=6)
     l = b @ y_star
-    y, res = solve_normal_equations((b, l), ridge=0.0)
+    y, res = solve_normal_equations(LsSystem(b, l))
     np.testing.assert_allclose(y, y_star, rtol=1e-9)
     assert res <= 1e-18 * np.sum(l**2)
 

@@ -89,26 +89,6 @@ def test_jets_product_matches_closed_form(n_fields):
         f * g.rows(slice(None, 1))  # would broadcast without the check
 
 
-@pytest.mark.parametrize("shape", [(7,), (7, 5)])
-def test_product_derivative_is_the_products_normal_gradient(shape):
-    """f (n . grad g) + g (n . grad f) is n . grad(fg), on random jets and
-    random unit directions, one per point."""
-    rng = np.random.default_rng(2)
-
-    def random_jets():
-        return Jets(rng.normal(size=shape), rng.normal(size=shape + (2,)), rng.normal(size=shape))
-
-    f, g = random_jets(), random_jets()
-    n = rng.normal(size=(shape[0], 2))
-    n /= np.linalg.norm(n, axis=1, keepdims=True)
-    want = np.sum((f * g).gradient * n.reshape(shape[:1] + (1,) * (len(shape) - 1) + (2,)), axis=-1)
-    got = f.product_derivative(g, n)
-    assert got.shape == shape
-    np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13 * np.abs(want).max())
-    with pytest.raises(ValueError):
-        f.product_derivative(g.rows(slice(None, 1)), n)
-
-
 def _dot(a, b):
     return sum(np.sum(getattr(a, k) * getattr(b, k)) for k in ("value", "gradient", "laplacian"))
 

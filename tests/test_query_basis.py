@@ -306,25 +306,3 @@ def test_build_holds_little_beyond_the_basis_it_keeps():
         tracemalloc.stop()
     kept = basis.values.nbytes + basis.gradients.nbytes + basis.cache.wlap.nbytes
     assert peak <= 2.5 * kept
-
-
-def test_queries_match_traces_of_the_full_product(monkeypatch):
-    """Traces read from the normal derivative alone give the queries that
-    the normal component of the full product's gradient gave."""
-    g, rhs, cut, params = problem()
-    parameters = sample_parameters(np.random.default_rng(8), 3, g.n_subdomains, 0.1, 10.0)
-    want = QueryBasis.build(params, g, rhs, cut, 2.0, GRID).solve(parameters, N_SINGULAR)
-    rows = training._interface_rows
-
-    def full_product_rows(ifc, quad, *args):
-        stacks, cols, normals, _ = rows(ifc, quad, *args)
-        traces = [
-            np.einsum("jnd,jd->jn", (side.columns(cols) * ifc).gradient, normals)
-            for side in stacks
-        ]
-        return stacks, cols, normals, traces
-
-    monkeypatch.setattr(training, "_interface_rows", full_product_rows)
-    got = QueryBasis.build(params, g, rhs, cut, 2.0, GRID).solve(parameters, N_SINGULAR)
-    for a, b in zip(got, want):
-        assert_same_query(a, b)

@@ -4,17 +4,17 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from transolve import nets, training
+from transolve import assembly, nets, training
 from transolve.assembly import (
     assemble_system,
     build_epoch_cache,
     solve_normal_equations,
     solve_parameter_batch,
 )
-from transolve.cutoffs import CutoffConfig, default_cutoff_config
+from transolve.cutoffs import CutoffConfig, composition_factors, default_cutoff_config
 from transolve.eigen import assemble_eigensystem, select_singular, solve_eigenpairs
 from transolve.geometry import angular_trace, build_grid_geometry
-from transolve.nets import MlpParams, NetConfig, init_params
+from transolve.nets import MlpParams, NetConfig, forward_jets, init_params
 from transolve.reference import RhsSpec, exact_1d, fem_solve_2d, relative_l2_errors
 from transolve.sampling import midpoint_grid, sample_collocation, sample_parameters
 from transolve.singular import singular_evals_from_cache
@@ -82,6 +82,7 @@ def test_loss_nonnegative_and_epoch_runs():
         dict(val_every=0), dict(p_min=5.0, p_max=1.0), dict(p_min=0.0), dict(n_singular=-1),
         dict(theta=np.nan), dict(theta=np.inf), dict(theta=-1.0),
         dict(n_params=0), dict(n_interior=0), dict(n_interface=0), dict(p_max=np.inf),
+        dict(lr_start=np.inf),
     ],
 )
 def test_config_rejects_bad_values_when_built(bad):
@@ -89,8 +90,9 @@ def test_config_rejects_bad_values_when_built(bad):
     the first validation, p_min > p_max would draw from [p_max, p_min],
     n_singular=-1 would keep every eligible exponent but the last, a NaN or
     infinite theta would show only as NaN losses, a zero count would fail
-    only at the first epoch, and p_max=inf would draw inf and NaN
-    diffusivities."""
+    only at the first epoch, p_max=inf would draw inf and NaN
+    diffusivities, and lr_start=inf would make Adam's weights non-finite,
+    failing only at the next forward pass."""
     with pytest.raises(ValueError):
         small_config(**bad)
 
@@ -103,10 +105,7 @@ def test_run_epoch_wraps_singular_solve_in_epoch_error(monkeypatch):
     net = NetConfig(1, (4,), 2, 3)
     state = init_train_state(g, net, cfg)
     state.params = MlpParams.from_flat(net, np.zeros(state.params.n_params))
-    monkeypatch.setattr(
-        "transolve.training.solve_parameter_batch",
-        lambda *args, **kw: solve_parameter_batch(*args, **kw, ridge=0.0),
-    )
+    monkeypatch.setattr(assembly, "RIDGE_REL", 0.0)
     rhs = RhsSpec.for_geometry("sin1d", g)
     with pytest.raises(EpochError, match="epoch 0, parameter 0: least-squares system 0 ") as err:
         run_epoch(state, cfg, g, rhs, default_cutoff_config(g), None)
@@ -297,6 +296,63 @@ def test_tiles_of_the_composition_do_not_change_the_gradient(monkeypatch):
     np.testing.assert_allclose(grad7, grad1, rtol=1e-13, atol=1e-13 * np.max(np.abs(grad1)))
 
 
+def _off_line_points(g, cut, quad, margin=0.05):
+    """The interface points at least ``margin`` away from every line of
+    the other axis and from every vertex disk, with their axes."""
+    pts = quad.interface_points
+    axes = np.array([g.interfaces[k].axis for k in quad.interface_ids], dtype=int)
+    keep = np.ones(len(pts), dtype=bool)
+    if pts.shape[1] == 2:
+        lines = [np.asarray(g.cuts_y), np.asarray(g.cuts_x)]  # crossing an x-line, a y-line
+        for a in (0, 1):
+            along = pts[axes == a, 1 - a]
+            keep[axes == a] &= np.abs(along[:, None] - lines[a]).min(axis=1) > margin
+        r = np.linalg.norm(pts[:, None, :] - g.singular_vertices, axis=2).min(axis=1)
+        keep &= r > cut.delta2 + margin
+    return keep, axes
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_cache_traces_are_one_sided_differences_of_the_composed_basis(dim):
+    """The cache's minus and plus traces, unweighted, are the one-sided
+    normal derivatives of the composed basis fac * raw, here from
+    second-order differences of its values at 1, 2 and 3 steps h off the
+    line on each side, h = 1e-4 (the truncation error reads 4e-7
+    relative).  The points keep away from the other axis's lines and from
+    the vertex disks, where the basis kinks or steepens."""
+    if dim == 1:
+        g, net, rhs_name = geom_1d(), NetConfig(1, (6, 6), 3, 6), "sin1d"
+    else:
+        bounds = [(-1, 1), (-1, 1)]
+        g = build_grid_geometry(2, cuts_x=[-0.5, 0.25], cuts_y=[-0.25, 0.5], bounds=bounds)
+        net, rhs_name = NetConfig(2, (8, 8), 4, 8), "corner2d"
+    cut = default_cutoff_config(g)
+    params = init_params(net, 3)
+    quad = sample_collocation(g, 6, 12, np.random.default_rng(5))
+    data = EpochData(
+        g, cut, RhsSpec.for_geometry(rhs_name, g), quad, np.ones((1, g.n_subdomains)), [[]], 1.0
+    )
+    cache, *_ = _composed_cache(params, data)
+    keep, axes = _off_line_points(g, cut, quad)
+    assert keep.sum() >= 4
+    weight = cache.sqrt_theta_w[keep, None]
+    minus, plus = cache.wtrace_minus[keep] / weight, cache.wtrace_plus[keep] / weight
+    pts, normals = quad.interface_points[keep], np.eye(dim)[axes[keep]]
+
+    def composed(x):
+        stack, cols = composition_factors(x, g, cut, net.n1, net.n2)
+        return (stack.columns(cols) * forward_jets(params, x)).value
+
+    h = 1e-4
+    f = {t: composed(pts + t * h * normals) for t in (-3, -2, -1, 1, 2, 3)}
+    want_minus = (1.5 * f[-3] - 4.0 * f[-2] + 2.5 * f[-1]) / h
+    want_plus = (-2.5 * f[1] + 4.0 * f[2] - 1.5 * f[3]) / h
+    scale = np.abs(want_minus).max()
+    assert np.abs(want_plus - want_minus).max() > 0.5 * scale  # the sides differ
+    np.testing.assert_allclose(minus, want_minus, rtol=0, atol=1e-5 * scale)
+    np.testing.assert_allclose(plus, want_plus, rtol=0, atol=1e-5 * scale)
+
+
 def _peak_bytes(fn) -> int:
     tracemalloc.start()
     try:
@@ -349,8 +405,9 @@ def test_lr_schedule_applied():
     assert np.max(np.abs(after - before)) <= 1e-2 * 1.01
 
 
-def test_exact_solution_injection_drives_epoch_loss_to_zero():
+def test_exact_solution_injection_drives_epoch_loss_to_zero(monkeypatch):
     """Subdomain indicators of sin(5x) span the exact solution for every p."""
+    monkeypatch.setattr(assembly, "RIDGE_REL", 0.0)
     g = geom_1d()
     rhs = RhsSpec.for_geometry("sin1d", g)
     quad = sample_collocation(g, 40, 1, np.random.default_rng(7))
@@ -369,7 +426,7 @@ def test_exact_solution_injection_drives_epoch_loss_to_zero():
     )
     rng = np.random.default_rng(8)
     params = rng.uniform(0.01, 50.0, size=(64, 5))
-    batch = solve_parameter_batch(cache, params, ridge=0.0)
+    batch = solve_parameter_batch(cache, params)
     # problem scale: the loss of the zero candidate, mean ||l||^2 over the batch
     f0 = cache.wrhs_fixed
     scale = float(np.sum(f0**2))
