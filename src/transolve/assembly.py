@@ -21,7 +21,7 @@ for, the row seeds times the coefficients, added into the (J1, N) and
 times the rows, nor holds the normal matrices of the whole batch.
 `assemble_system` and `solve_normal_equations` build and solve one
 parameter's explicit system, the reference the batched solve is checked
-against, with the same ridge (`_ridge`) and one Cholesky factorization.
+against, with the same ridge (`_ridge`) and dposv solve (`_cholesky_solve`).
 `assemble_system` is the one place a singular block is scattered to all
 J1 interior rows.
 """
@@ -31,7 +31,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 from scipy.linalg.lapack import dposv as _dposv
 
 from .cutoffs import CutoffConfig
@@ -91,7 +90,6 @@ class EpochCache:
     with every row already weighted."""
 
     geometry: Geometry
-    cutoff_config: CutoffConfig
     quad: QuadratureSet
     sqrt_w: np.ndarray  # (J1,) interior row weights sqrt(w)
     sqrt_theta_w: np.ndarray  # (J2,) jump row weights sqrt(Theta w)
@@ -167,7 +165,7 @@ def build_epoch_cache(
     polar = polar_cache(quad.interior_points, geometry, cutoff_config)
     gram = _build_gram(geometry, quad, lap, wrhs_p, wrhs_fixed, wtrace_minus, wtrace_plus, theta)
     return EpochCache(
-        geometry, cutoff_config, quad, sw, sj, lap, wrhs_p, wrhs_fixed, wtrace_minus,
+        geometry, quad, sw, sj, lap, wrhs_p, wrhs_fixed, wtrace_minus,
         wtrace_plus, minus_sub, plus_sub, polar, gram,
     )
 
@@ -245,16 +243,16 @@ def _ridge(trace, size):
 
 
 def solve_normal_equations(system: LsSystem):
-    """Solve min ||B y - l|| by one Cholesky factorization of the normal
-    equations, ridged as in `solve_parameter_batch`; raises LinAlgError if
-    that matrix is not positive definite.  Returns (y, residual norm
-    squared), the residual formed explicitly."""
+    """Solve min ||B y - l|| through the normal equations, ridged and
+    Cholesky-solved by `_cholesky_solve` as in `solve_parameter_batch`;
+    raises SolveError (index 0) if that matrix is not positive definite.
+    Returns (y, residual norm squared), the residual formed explicitly."""
     b, l = system.matrix, system.rhs
     if not (np.all(np.isfinite(b)) and np.all(np.isfinite(l))):
         raise ValueError("non-finite system")
-    a = b.T @ b
-    a[np.diag_indices_from(a)] += _ridge(np.trace(a), a.shape[0])
-    y = cho_solve(cho_factor(a, lower=True), b.T @ l)
+    a = (b.T @ b)[None]
+    ridge = _ridge(np.trace(a, axis1=-2, axis2=-1), a.shape[-1])
+    y = _cholesky_solve(a, (b.T @ l)[None], ridge, 0)[0]
     residual = b @ y - l
     return y, float(residual @ residual)
 

@@ -26,7 +26,6 @@ __all__ = [
     "Geometry",
     "Interface",
     "build_grid_geometry",
-    "subdomain_index",
     "subdomain_index_many",
     "angular_trace",
     "validate_parameter",
@@ -55,12 +54,6 @@ class Interface:
     def length(self) -> float:
         return self.span[1] - self.span[0] if self.span[1] > self.span[0] else 1.0
 
-    def midpoint(self) -> np.ndarray:
-        if self.span[0] == self.span[1]:
-            return np.array([self.position])
-        mid = 0.5 * (self.span[0] + self.span[1])
-        return np.array([self.position, mid] if self.axis == 0 else [mid, self.position])
-
 
 @dataclass(frozen=True)
 class Geometry:
@@ -83,21 +76,6 @@ class Geometry:
     @property
     def n_singular(self) -> int:
         return self.singular_vertices.shape[0]
-
-    @property
-    def volume(self) -> float:
-        widths = [b - a for a, b in self.bounds]
-        return float(np.prod(widths))
-
-    @property
-    def interface_measure(self) -> float:
-        """Total interface measure: segment length in 2D, point count in 1D."""
-        if self.dimension == 1:
-            return float(len(self.interfaces))
-        return float(sum(g.length for g in self.interfaces))
-
-    def subdomain_measures(self) -> np.ndarray:
-        return np.prod(self.subdomain_hi - self.subdomain_lo, axis=1)
 
 
 def _check_cuts(cuts, lo, hi, label):
@@ -123,6 +101,8 @@ def build_grid_geometry(dimension, cuts_x=(), cuts_y=(), bounds=None) -> Geometr
     bounds = tuple((float(a), float(b)) for a, b in bounds)
     if len(bounds) != dimension:
         raise ValueError(f"expected {dimension} bound pairs, got {len(bounds)}")
+    if not np.all(np.isfinite(bounds)):
+        raise ValueError("bounds must be finite")
     if any(b <= a for a, b in bounds):
         raise ValueError("empty bounds")
 
@@ -202,14 +182,8 @@ def build_grid_geometry(dimension, cuts_x=(), cuts_y=(), bounds=None) -> Geometr
     )
 
 
-def subdomain_index(geometry: Geometry, x) -> int:
-    """Index of the subdomain strictly containing x; interfaces are rejected."""
-    idx = subdomain_index_many(geometry, np.atleast_2d(np.asarray(x, dtype=float)))
-    return int(idx[0])
-
-
 def subdomain_index_many(geometry: Geometry, points: np.ndarray) -> np.ndarray:
-    """Vectorized subdomain_index for an (n, d) point batch.
+    """Index of the subdomain strictly containing each point of an (n, d) batch.
 
     One `np.searchsorted` per axis on the cell edges (the bounds with the
     cuts between them) gives each point's column and row; the row-major,

@@ -73,10 +73,17 @@ class RhsSpec:
 
 
 def exact_1d(geometry: Geometry, parameter, x):
-    """Closed-form solution sin(5x)/p_i and its derivative on (0, pi)."""
+    """Closed-form solution sin(5x)/p_i and its derivative.
+
+    It is continuous across a cut, and zero on the bounds, only where
+    sin(5x) = 0, so a layout with a cut or bound elsewhere (to within
+    1e-12) raises ValueError.
+    """
     parameter = np.asarray(parameter, dtype=float)
     x = np.atleast_1d(np.asarray(x, dtype=float))
     (a, b), = geometry.bounds
+    if np.any(np.abs(np.sin(5 * np.array((a, *geometry.cuts_x, b)))) > 1e-12):
+        raise ValueError("sin(5x)/p_i needs sin(5x) = 0 at every cut and bound")
     if np.any(x < a) or np.any(x > b):
         raise ValueError("point outside the domain")
     sub = subdomain_index_many(geometry, x[:, None])
@@ -90,8 +97,6 @@ class FemSolution:
 
     geometry: Geometry
     n: int
-    nodes_x: np.ndarray
-    nodes_y: np.ndarray
     values: np.ndarray  # (n+1, n+1) nodal values, [ix, iy]
     element_p: np.ndarray  # (n, n)
 
@@ -156,8 +161,6 @@ def fem_solve_2d(geometry: Geometry, parameter, rhs: RhsSpec, n_per_axis: int) -
         if abs(round((cut - c) / hy) * hy + c - cut) > 1e-9:
             raise ValueError(f"cut y={cut} does not align with the {n}x{n} grid")
 
-    xs = a + hx * np.arange(n + 1)
-    ys = c + hy * np.arange(n + 1)
     centers_x = a + hx * (np.arange(n) + 0.5)
     centers_y = c + hy * (np.arange(n) + 0.5)
     gx, gy = np.meshgrid(centers_x, centers_y, indexing="ij")
@@ -221,7 +224,7 @@ def fem_solve_2d(geometry: Geometry, parameter, rhs: RhsSpec, n_per_axis: int) -
 
     u = np.zeros(ndof)
     u[idx] = u_i
-    return FemSolution(geometry, n, xs, ys, u.reshape(n + 1, n + 1), elem_p)
+    return FemSolution(geometry, n, u.reshape(n + 1, n + 1), elem_p)
 
 
 def relative_l2_errors(

@@ -58,8 +58,8 @@ def sample_parameters(rng, n: int, n_subdomains: int, p_min: float, p_max: float
     """(n, I) parameter draws, i.i.d. cosine-weighted per component."""
     if n < 1:
         raise ValueError("need at least one sample")
-    if p_min <= 0:
-        raise ValueError("p_min must be positive")
+    if not 0 < p_min <= p_max < np.inf:
+        raise ValueError("the parameter range must satisfy 0 < p_min <= p_max < inf")
     z = rng.uniform(0.0, np.pi, size=(n, n_subdomains))
     mid = 0.5 * (p_min + p_max)
     half = 0.5 * (p_max - p_min)

@@ -29,16 +29,16 @@ weighted rows with their Gram blocks and polar cache, and the composed
 basis values and gradients.  The grid may be much finer than the training
 points, so the build composes one tile of `nets.TILE` points at a time
 into arrays made once, and hands its Laplacian to the cache, which weights
-it in place.  Online, `QueryBasis.solve` takes a (Q, I) parameter batch
-through one eigensolve, one `solve_parameter_batch` and one GEMM per field,
-plus `singular.eval_s` for the queries with singular columns: the paper's
+it in place.  Online, `QueryBasis.solve` takes one parameter through one
+eigensolve, one `solve_parameter_batch` and one GEMM per field, plus
+`singular.eval_s` when it has singular columns: the paper's
 low-dimensional least-squares problem per parameter.  The singular columns
 stay on their support rows throughout: their sources on the annulus rows of
 the polar cache, and their values and gradients on its disk rows, so the
 singular work of a query grows with the junction annuli and disks, not with
-the grid.  `final_solve` is a batch of one against the one basis it holds
-between calls, rebuilt when the weights, grid or problem change and
-dropped when an epoch starts.
+the grid.  `final_solve` solves against the one basis it holds between
+calls, rebuilt when the weights, grid or problem change and dropped when
+an epoch starts.
 Checkpoints are ``.npz`` arrays with a JSON header and load without
 unpickling anything.
 """
@@ -74,7 +74,6 @@ from .cutoffs import (
 from .eigen import assemble_eigensystem, select_singular, solve_eigenpairs
 from .geometry import (  # noqa: F401
     Geometry,
-    ParameterError,
     angular_trace,
     validate_parameter,
     validate_parameter_batch,
@@ -213,28 +212,21 @@ def init_train_state(geometry: Geometry, net_config: NetConfig, config: TrainCon
     )
 
 
-def vertex_eigenpairs(geometry: Geometry, parameters, n_singular: int, epoch: int = -1):
+def vertex_eigenpairs(geometry: Geometry, parameters, n_singular: int):
     """Selected singular eigenpairs per parameter and vertex, ``[k][vertex]``.
 
     The batch is validated once, and the angular traces of all P
     parameters at all N_s vertices are one gather through the geometry's
     vertex-to-sector table, a (P, N_s, 4) stack solved in one batched
-    eigensolve.  A failure raises EpochError tagged with ``epoch`` and,
-    where one parameter is at fault, its index.
+    eigensolve.  A parameter row at fault raises ParameterError naming it,
+    a failed eigensolve ValueError.
     """
     parameters = np.asarray(parameters, dtype=float)
     n_p = parameters.shape[0]
     if geometry.n_singular == 0:
         return [[] for _ in range(n_p)]
-    try:
-        parameters = validate_parameter_batch(geometry, parameters)
-    except ParameterError as exc:
-        raise EpochError(epoch, exc.index, f"eigen solve failed: {exc}") from exc
-    traces = parameters[:, geometry.vertex_sectors]
-    try:
-        pairs = solve_eigenpairs(assemble_eigensystem(traces))
-    except ValueError as exc:
-        raise EpochError(epoch, None, f"eigen solve failed: {exc}") from exc
+    parameters = validate_parameter_batch(geometry, parameters)
+    pairs = solve_eigenpairs(assemble_eigensystem(parameters[:, geometry.vertex_sectors]))
     return [[select_singular(per_vertex, n_singular) for per_vertex in per_p] for per_p in pairs]
 
 
@@ -250,7 +242,7 @@ def prepare_epoch(
         geometry, config.n_interior, config.n_interface, state.rng_interior,
         rng_interface=state.rng_interface,
     )
-    pairs_per_p = vertex_eigenpairs(geometry, parameters, config.n_singular, state.iteration)
+    pairs_per_p = vertex_eigenpairs(geometry, parameters, config.n_singular)
     return EpochData(geometry, cutoff_config, rhs, quad, parameters, pairs_per_p, config.theta)
 
 
@@ -381,17 +373,20 @@ def run_epoch(
     """One Algorithm-step: sample, solve, differentiate, update.
 
     Returns (train_loss, val_loss or None); the state advances in place.
+    A ValueError or SolveError of the sampling, eigen or least-squares
+    work raises EpochError naming the epoch and, where one parameter row
+    is at fault, its index.
     """
     epoch = state.iteration
     # the epoch replaces the weights the held basis was built from: drop it
     # now, so that it does not add to the epoch's peak
     global _held
     _held = None
-    data = prepare_epoch(state, config, geometry, rhs, cutoff_config)
     try:
+        data = prepare_epoch(state, config, geometry, rhs, cutoff_config)
         loss, grad = loss_and_param_gradient(state.params, data)
-    except SolveError as exc:
-        raise EpochError(epoch, exc.index, str(exc)) from exc
+    except (ValueError, SolveError) as exc:
+        raise EpochError(epoch, getattr(exc, "index", None), str(exc)) from exc
     lr = linear_lr(config.lr_start, config.lr_end, epoch, config.iterations)
     flat = adam_step(state.adam, state.params.to_flat(), grad, lr)
     state.params = MlpParams.from_flat(state.net_config, flat)
@@ -488,8 +483,9 @@ class QueryBasis:
     midpoint quadrature, the weighted rows, the Gram blocks and the polar
     cache) and the composed basis values and gradients, each written tile
     by tile by `build` into an array made once.  The composed Laplacian
-    lives on only weighted, in ``cache.wlap``.  `final_solve` holds one
-    between calls, beside the inputs it was built from.
+    lives on only weighted, in ``cache.wlap``.  `solve` answers one
+    parameter per call.  `final_solve` holds one basis between calls,
+    beside the inputs it was built from.
     """
 
     net_config: NetConfig
@@ -539,53 +535,42 @@ class QueryBasis:
                     value.flags.writeable = False
         return basis
 
-    def solve(self, parameters, n_singular: int = 1) -> list:
-        """Solve every row of a (Q, I) parameter batch on this basis.
-
-        Returns one (coefficients, fields) pair per row, as `final_solve`.
-        """
+    def solve(self, parameter, n_singular: int = 1):
+        """Solve one (I,) parameter on this basis; returns (coefficients,
+        fields) as `final_solve`."""
         cache = self.cache
         quad = cache.quad
-        parameters = validate_parameter_batch(cache.geometry, np.atleast_2d(parameters))
-        pairs_per_q = vertex_eigenpairs(cache.geometry, parameters, n_singular)
-        sing = [
-            singular_evals_from_cache(cache.polar, pairs) if pairs else None
-            for pairs in pairs_per_q
-        ]
+        parameter = validate_parameter(cache.geometry, parameter)
+        pairs = vertex_eigenpairs(cache.geometry, parameter[None, :], n_singular)[0]
+        sing = singular_evals_from_cache(cache.polar, pairs) if pairs else None
         # called through its module: perfbench/run.py keeps every call made
         # through this module's name, cache included, until the next epoch,
         # which would keep every query's arrays and a replaced basis alive
-        batch = assembly.solve_parameter_batch(cache, parameters, sing)
-        values, gradients = evaluate_solution(batch.y_nn, self.values, self.gradients)
-        p_int = parameters[:, quad.interior_subdomain]
+        batch = assembly.solve_parameter_batch(cache, parameter[None, :], [sing])
+        (u,), (grad_u,) = evaluate_solution(batch.y_nn, self.values, self.gradients)
+        y_sing = batch.y_sing[0]
+        if y_sing.size:  # the singular fields live on the disk rows only
+            sing_vals, sing_grads = eval_s(cache.polar, pairs)
+            disk = cache.polar.disk_rows
+            u[disk] += sing_vals @ y_sing
+            step = (sing_grads.reshape(-1, y_sing.size) @ y_sing).reshape(disk.size, -1)
+            for axis in range(step.shape[1]):  # 1-D scatters: a row scatter is slower
+                grad_u[disk, axis] += step[:, axis]
+        p_int = parameter[quad.interior_subdomain]
         # the interior right-hand side l; the jump rows' is zero
-        l_sq = np.sum((p_int * cache.wrhs_p + cache.wrhs_fixed) ** 2, axis=1)
-        out = []
-        for k, pairs in enumerate(pairs_per_q):
-            u, grad_u, y_sing = values[k], gradients[k], batch.y_sing[k]
-            if y_sing.size:  # the singular fields live on the disk rows only
-                sing_vals, sing_grads = eval_s(cache.polar, pairs)
-                disk = cache.polar.disk_rows
-                u[disk] += sing_vals @ y_sing
-                step = (sing_grads.reshape(-1, y_sing.size) @ y_sing).reshape(disk.size, -1)
-                for axis in range(step.shape[1]):  # 1-D scatters: a row scatter is slower
-                    grad_u[disk, axis] += step[:, axis]
-            y = np.concatenate([batch.y_nn[k], y_sing])
-            residual_sq = float(batch.losses[k])
-            # a zero right-hand side solves to y = 0 with residual 0
-            rel_residual = float(np.sqrt(residual_sq / l_sq[k])) if l_sq[k] > 0 else 0.0
-            out.append((
-                CoefficientVector.split(y, self.net_config.n1, self.net_config.n2),
-                {
-                    "quad": quad,
-                    "values": u,
-                    "gradients": grad_u,
-                    "flux": p_int[k][:, None] * grad_u,
-                    "residual_sq": residual_sq,
-                    "rel_residual": rel_residual,
-                },
-            ))
-        return out
+        l_sq = np.sum((p_int * cache.wrhs_p + cache.wrhs_fixed) ** 2)
+        residual_sq = float(batch.losses[0])
+        # a zero right-hand side solves to y = 0 with residual 0
+        rel_residual = float(np.sqrt(residual_sq / l_sq)) if l_sq > 0 else 0.0
+        y = np.concatenate([batch.y_nn[0], y_sing])
+        return CoefficientVector.split(y, self.net_config.n1, self.net_config.n2), {
+            "quad": quad,
+            "values": u,
+            "gradients": grad_u,
+            "flux": p_int[:, None] * grad_u,
+            "residual_sq": residual_sq,
+            "rel_residual": rel_residual,
+        }
 
 
 # The basis final_solve holds, or None: (the geometry, rhs and cutoff config
@@ -607,8 +592,8 @@ def final_solve(
     """Solve one parameter on a midpoint evaluation grid.
 
     The grid has ``n_per_axis`` points per axis and per 2D interface.  The
-    parameter is solved as a batch of one against the one `QueryBasis`
-    held between calls.  It is reused while the geometry, rhs and cutoff
+    parameter is solved by `QueryBasis.solve` on the one basis held
+    between calls.  It is reused while the geometry, rhs and cutoff
     config objects (by identity), theta, the grid count and the network
     configuration (by value) and the weights (by content, so an in-place
     edit shows) are unchanged, and rebuilt otherwise; the first query of a
@@ -634,7 +619,7 @@ def final_solve(
         held = _held = None  # before the build, so that two bases never coexist
         basis = QueryBasis.build(params, geometry, rhs, cutoff_config, theta, n_per_axis)
         held = _held = (objects, values, params.to_flat(), basis)
-    return held[3].solve(parameter[None, :], n_singular)[0]
+    return held[3].solve(parameter, n_singular)
 
 
 _RNG_NAMES = ("rng_params", "rng_interior", "rng_interface")

@@ -174,10 +174,10 @@ def test_solve_zero_matrix_ridge_fixpoint():
 
 def test_solve_raises_on_a_singular_system_without_retry(monkeypatch):
     """Under ridge 0 a zero matrix is not positive definite: the one
-    Cholesky factorization raises, and no larger ridge is tried."""
+    Cholesky solve raises SolveError, and no larger ridge is tried."""
     monkeypatch.setattr(assembly, "RIDGE_REL", 0.0)
     b = np.zeros((4, 3))
-    with pytest.raises(np.linalg.LinAlgError):
+    with pytest.raises(SolveError, match="system 0 is not positive definite"):
         solve_normal_equations(LsSystem(b, np.ones(4)))
 
 
@@ -463,7 +463,7 @@ def test_singular_evals_cache_matches_direct():
     pairs = solve_eigenpairs(assemble_eigensystem([s[2] for s in angular_trace(g, p, 0)]))
     sel = [select_singular(pairs, 2)]
     fast = singular_evals_from_cache(cache.polar, sel)
-    cut = cache.cutoff_config
+    cut = default_cutoff_config(g)
     direct = np.zeros((cache.quad.n_interior, len(sel[0])))
     for j, (x, y) in enumerate(cache.quad.interior_points - g.singular_vertices[0]):
         r = np.hypot(x, y)

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from transolve.geometry import (
     angular_trace,
     build_grid_geometry,
-    subdomain_index,
     subdomain_index_many,
     validate_parameter,
 )
@@ -50,22 +49,19 @@ def test_4x4_layout_counts():
 
 
 def test_subdomain_index_top_left_is_first():
-    g = geom_2x2()
-    assert subdomain_index(g, (-0.5, 0.5)) == 0
-    assert subdomain_index(g, (0.5, 0.5)) == 1
-    assert subdomain_index(g, (-0.5, -0.5)) == 2
-    assert subdomain_index(g, (0.5, -0.5)) == 3
+    pts = np.array([(-0.5, 0.5), (0.5, 0.5), (-0.5, -0.5), (0.5, -0.5)])
+    np.testing.assert_array_equal(subdomain_index_many(geom_2x2(), pts), [0, 1, 2, 3])
 
 
 def test_subdomain_index_1d_first_interval():
-    assert subdomain_index(geom_1d(), PI / 10) == 0
+    np.testing.assert_array_equal(subdomain_index_many(geom_1d(), [PI / 10]), [0])
 
 
 def test_point_on_interface_rejected():
     with pytest.raises(ValueError):
-        subdomain_index(geom_2x2(), (0.0, 0.3))
+        subdomain_index_many(geom_2x2(), (0.0, 0.3))
     with pytest.raises(ValueError):
-        subdomain_index(geom_2x2(), (1.5, 0.3))
+        subdomain_index_many(geom_2x2(), (1.5, 0.3))
 
 
 def test_bad_cuts_rejected():
@@ -75,6 +71,9 @@ def test_bad_cuts_rejected():
         build_grid_geometry(1, cuts_x=[0.5], bounds=[(1, 1)])
     with pytest.raises(ValueError):
         build_grid_geometry(2, cuts_x=[5.0], cuts_y=[0.0], bounds=[(-1, 1), (-1, 1)])
+    for bounds in ([(0, np.inf)], [(np.nan, 1.0)]):
+        with pytest.raises(ValueError, match="finite"):
+            build_grid_geometry(1, bounds=bounds)
 
 
 def test_angular_trace_quadrants_2x2():
@@ -99,7 +98,7 @@ def _assert_trace_matches_point_queries(g, p, eps=1e-6):
         for lo, hi, pval in angular_trace(g, p, vid):
             mid = 0.5 * (lo + hi)
             probe = (vx + eps * np.cos(mid), vy + eps * np.sin(mid))
-            assert pval == p[subdomain_index(g, probe)]
+            assert pval == p[subdomain_index_many(g, probe)[0]]
 
 
 def test_angular_trace_4x4_matches_point_queries():
@@ -158,7 +157,8 @@ def test_tiling_and_vertex_count(ncx, ncy, seed):
     if len(np.unique(np.round(cx, 12))) < ncx or len(np.unique(np.round(cy, 12))) < ncy:
         return
     g = build_grid_geometry(2, cuts_x=cx, cuts_y=cy, bounds=[(-1, 1), (-1, 1)])
-    assert abs(g.subdomain_measures().sum() - g.volume) <= 1e-12 * g.volume
+    areas = np.prod(g.subdomain_hi - g.subdomain_lo, axis=1)
+    assert abs(areas.sum() - 4.0) <= 1e-12 * 4.0
     assert g.n_singular == ncx * ncy
     # every interior crossing appears exactly once
     crossings = {(round(x, 12), round(y, 12)) for x in cx for y in cy}
@@ -169,12 +169,12 @@ def test_tiling_and_vertex_count(ncx, ncy, seed):
 def test_interface_sides_match_normal_orientation():
     g = geom_4x4()
     for ifc in g.interfaces:
-        mid = ifc.midpoint()
-        step = 1e-6
         n = np.zeros(2)
         n[ifc.axis] = 1.0
-        assert subdomain_index(g, mid + step * n) == ifc.plus
-        assert subdomain_index(g, mid - step * n) == ifc.minus
+        mid = ifc.position * n + 0.5 * sum(ifc.span) * (1.0 - n)
+        step = 1e-6
+        assert subdomain_index_many(g, mid + step * n) == ifc.plus
+        assert subdomain_index_many(g, mid - step * n) == ifc.minus
 
 
 def test_interface_pairs_unique_and_shared():
@@ -203,7 +203,7 @@ def test_subdomain_index_many_matches_scalar():
     pts = pts[keep]
     many = subdomain_index_many(g, pts)
     for x, idx in zip(pts, many):
-        assert subdomain_index(g, x) == idx
+        assert subdomain_index_many(g, x[None, :]) == [idx]
 
 
 def geom_bench_2d():
@@ -254,14 +254,14 @@ def test_subdomain_index_many_rejects_cuts_bounds_outside_and_nan(layout):
 
 def test_subdomain_index_single_point_forms():
     g1, g2 = geom_1d(), geom_2x3()
-    assert subdomain_index(g1, PI / 10) == 0
-    assert subdomain_index(g1, [0.9 * PI]) == 4
-    assert subdomain_index(g1, np.array([[0.5 * PI]])) == 2
+    assert subdomain_index_many(g1, [PI / 10]) == [0]
+    assert subdomain_index_many(g1, [0.9 * PI]) == [4]
+    assert subdomain_index_many(g1, np.array([[0.5 * PI]])) == [2]
     np.testing.assert_array_equal(subdomain_index_many(g1, np.array([0.1, 3.0])), [0, 4])
     # top row first: the top-right cell is 2, the bottom-left one 3
-    assert subdomain_index(g2, (1.0, 1.5)) == 2
-    assert subdomain_index(g2, [-0.9, 0.1]) == 3
-    assert subdomain_index(g2, np.array([[0.0, 1.0]])) == 1
+    assert subdomain_index_many(g2, (1.0, 1.5)) == [2]
+    assert subdomain_index_many(g2, [-0.9, 0.1]) == [3]
+    assert subdomain_index_many(g2, np.array([[0.0, 1.0]])) == [1]
     np.testing.assert_array_equal(subdomain_index_many(g2, np.array([0.0, 0.1])), [4])
     with pytest.raises(ValueError):
-        subdomain_index(g2, (0.1, 1.0))
+        subdomain_index_many(g2, (0.1, 1.0))

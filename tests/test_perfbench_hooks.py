@@ -7,6 +7,7 @@ benchmark run.  perfbench/ is only read.
 """
 
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -48,6 +49,26 @@ def test_every_traced_name_is_bound_on_training(perfbench_module):
     spans = perfbench_module("spans")
     missing = [name for name in spans.LAYER_OF if not callable(getattr(training, name, None))]
     assert not missing
+
+
+def test_the_benchmark_script_imports_and_names_the_declared_workloads(monkeypatch):
+    """Loading perfbench/run.py runs its imports of the program, so a name
+    it uses that the program no longer has fails here.  Its modules leave
+    sys.modules and sys.path afterwards."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))  # run.py imports its siblings by name
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    before = set(sys.modules)
+    spec = importlib.util.spec_from_file_location("perfbench_run", PERFBENCH / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = run  # its dataclasses look their module up there
+    try:
+        spec.loader.exec_module(run)
+    finally:
+        for name in set(sys.modules) - before:
+            if str(getattr(sys.modules[name], "__file__", None) or "").startswith(str(PERFBENCH)):
+                del sys.modules[name]
+    declared = json.loads((PERFBENCH.parent / "BENCHMARK.json").read_text())["workloads"]
+    assert sorted(run.WORKLOADS) == sorted(w["name"] for w in declared)
 
 
 def test_tracer_counts_each_forward_point_once(perfbench_module):

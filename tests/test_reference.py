@@ -25,6 +25,14 @@ def test_exact_1d_values():
         exact_1d(g, p, -0.1)
 
 
+def test_exact_1d_rejects_a_cut_where_sin_5x_is_not_zero():
+    """With a cut at x = 1.0, sin(5x)/p_i jumps there: -0.959 on one side,
+    -0.320 on the other for p = (1, 3)."""
+    g = build_grid_geometry(1, cuts_x=[1.0], bounds=[(0, PI)])
+    with pytest.raises(ValueError, match="every cut and bound"):
+        exact_1d(g, np.array([1.0, 3.0]), 0.5)
+
+
 def test_exact_1d_interface_continuity():
     g = geom_1d()
     p = np.array([1.0, 4.0, 0.2, 30.0, 49.0])

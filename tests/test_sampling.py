@@ -19,6 +19,15 @@ def geom_2x2():
     return build_grid_geometry(2, cuts_x=[0.0], cuts_y=[0.0], bounds=[(-1, 1), (-1, 1)])
 
 
+def volume(g):
+    return float(np.prod([b - a for a, b in g.bounds]))
+
+
+def interface_measure(g):
+    """Segment length in 2D, point count in 1D (`Interface.length` is 1)."""
+    return float(sum(ifc.length for ifc in g.interfaces))
+
+
 # ------------------------- parameter sampling ------------------------------
 
 
@@ -45,6 +54,9 @@ def test_parameter_range_and_validity():
         sample_parameters(rng, 0, 5, 0.01, 50.0)
     with pytest.raises(ValueError):
         sample_parameters(rng, 5, 5, 0.0, 50.0)
+    for p_min, p_max in ((5.0, 1.0), (1.0, np.inf), (np.nan, 1.0)):
+        with pytest.raises(ValueError, match="parameter range"):
+            sample_parameters(rng, 5, 5, p_min, p_max)
 
 
 def test_parameter_arcsine_cdf_ks():
@@ -68,8 +80,8 @@ def test_collocation_counts_2d():
     q = sample_collocation(g, 40, 40, np.random.default_rng(0))
     assert q.n_interior == 1600
     assert q.n_interface == 4 * 40
-    np.testing.assert_allclose(q.interior_weights, g.volume / 1600)
-    np.testing.assert_allclose(q.interface_weights, g.interface_measure / q.n_interface)
+    np.testing.assert_allclose(q.interior_weights, volume(g) / 1600)
+    np.testing.assert_allclose(q.interface_weights, interface_measure(g) / q.n_interface)
 
 
 def test_collocation_counts_1d():
@@ -78,7 +90,7 @@ def test_collocation_counts_1d():
     assert q.n_interior == 500
     assert q.n_interface == 4
     np.testing.assert_allclose(q.interface_weights, 1.0)
-    np.testing.assert_allclose(q.interior_weights.sum(), g.volume)
+    np.testing.assert_allclose(q.interior_weights.sum(), volume(g))
 
 
 def test_collocation_subdomain_ids_consistent():
@@ -176,8 +188,8 @@ def test_midpoint_2x2_n2():
 def test_midpoint_integrates_constants_exactly():
     g = geom_2x2()
     q = midpoint_grid(g, 10, 5)
-    assert q.interior_weights.sum() == pytest.approx(g.volume)
-    assert q.interface_weights.sum() == pytest.approx(g.interface_measure)
+    assert q.interior_weights.sum() == pytest.approx(volume(g))
+    assert q.interface_weights.sum() == pytest.approx(interface_measure(g))
 
 
 def test_midpoint_odd_symmetry():

@@ -13,7 +13,7 @@ from transolve.assembly import (
 )
 from transolve.cutoffs import CutoffConfig, composition_factors, default_cutoff_config
 from transolve.eigen import assemble_eigensystem, select_singular, solve_eigenpairs
-from transolve.geometry import angular_trace, build_grid_geometry
+from transolve.geometry import ParameterError, angular_trace, build_grid_geometry
 from transolve.nets import MlpParams, NetConfig, forward_jets, init_params
 from transolve.reference import RhsSpec, exact_1d, fem_solve_2d, relative_l2_errors
 from transolve.sampling import midpoint_grid, sample_collocation, sample_parameters
@@ -620,9 +620,31 @@ def test_vertex_eigenpairs_failure_names_the_parameter():
     g = build_grid_geometry(2, cuts_x=[0.0], cuts_y=[0.0], bounds=[(-1, 1), (-1, 1)])
     params = np.ones((4, g.n_subdomains))
     params[2, 1] = -1.0
-    with pytest.raises(EpochError) as err:
-        vertex_eigenpairs(g, params, 1, epoch=7)
-    assert (err.value.epoch, err.value.param_index) == (7, 2)
+    with pytest.raises(ParameterError) as err:
+        vertex_eigenpairs(g, params, 1)
+    assert err.value.index == 2
+
+
+def test_run_epoch_names_the_epoch_and_the_bad_parameter_row(monkeypatch):
+    """A bad row of the sampled batch fails in the eigen work, which names
+    the row; `run_epoch` adds the epoch."""
+    g = build_grid_geometry(2, cuts_x=[0.0], cuts_y=[0.0], bounds=[(-1, 1), (-1, 1)])
+    cfg = small_config(n_params=4, n_interface=2)
+    state = init_train_state(g, NetConfig(2, (4,), 2, 4), cfg)
+    rhs = RhsSpec.for_geometry("corner2d", g)
+    cut = default_cutoff_config(g)
+    run_epoch(state, cfg, g, rhs, cut)
+    sample = training.sample_parameters
+
+    def with_bad_row(*args):
+        parameters = sample(*args)
+        parameters[3, 0] = np.nan
+        return parameters
+
+    monkeypatch.setattr(training, "sample_parameters", with_bad_row)
+    with pytest.raises(EpochError, match="epoch 1, parameter 3: parameter row 3") as err:
+        run_epoch(state, cfg, g, rhs, cut)
+    assert (err.value.epoch, err.value.param_index) == (1, 3)
 
 
 def _final_errors(params, g, p, rhs, cut, n_per_axis, reference, mask_radius=0.0):
