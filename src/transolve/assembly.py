@@ -14,16 +14,17 @@ training, validation and `final_solve`, walks the batch in blocks of BLOCK
 parameters.  Per block, one GEMM combines the Gram blocks, the singular
 columns border each normal matrix from the annulus rows alone
 (`singular.PolarCache.annulus_rows`: a source is zero off its vertex's
-annulus), one LAPACK dposv call solves each ridged system and raises if it
-is not positive definite, and the residuals give the losses and, if asked
-for, the row seeds times the coefficients, added into the (J1, N) and
-(J2, N) row adjoints that the gradient reads.  No array spans the batch
-times the rows, nor holds the normal matrices of the whole batch.
-`assemble_system` and `solve_normal_equations` build and solve one
-parameter's explicit system, the reference the batched solve is checked
-against, with the same ridge (`_ridge`) and dposv solve (`_cholesky_solve`).
-`assemble_system` is the one place a singular block is scattered to all
-J1 interior rows.
+annulus), `_cholesky_solve` ridges each system and solves it with one
+LAPACK dposv call, raising if it is not positive definite, and the
+residuals give the losses and, if asked for, the row seeds times the
+coefficients, added into the (J1, N) and (J2, N) row adjoints that the
+gradient reads.  No array spans the batch times the rows, nor holds the
+normal matrices of the whole batch.  `assemble_system` and
+`solve_normal_equations` build and solve one parameter's explicit system,
+the reference the batched solve is checked against, through the same
+`_cholesky_solve`, which alone holds the ridge rule and the padding of
+unused singular slots.  `assemble_system` is the one place a singular
+block is scattered to all J1 interior rows.
 """
 
 from __future__ import annotations
@@ -149,7 +150,10 @@ def build_epoch_cache(
     interior/interface points (shapes (J1, N) and (J2, N)).  The cache owns
     ``lap``: it is weighted in place and kept, so a caller that still needs
     the raw Laplacians passes a copy.  The traces are weighted copies.
+    The jump weight ``theta`` must be finite and nonnegative (ValueError).
     """
+    if not (np.isfinite(theta) and theta >= 0):
+        raise ValueError(f"theta must be finite and nonnegative, got {theta}")
     if lap.shape[0] != quad.n_interior:
         raise ValueError("Laplacian rows do not match the interior points")
     if trace_minus.shape != (quad.n_interface, lap.shape[1]) or trace_plus.shape != trace_minus.shape:
@@ -235,24 +239,16 @@ def assemble_system(cache: EpochCache, parameter, singular_evals, theta: float) 
     return LsSystem(matrix, rhs)
 
 
-def _ridge(trace, size):
-    """The one ridge rule of both solves: RIDGE_REL times the mean diagonal
-    ``trace / size`` of a normal matrix, RIDGE_REL where that mean is 0."""
-    mean_diag = trace / size
-    return RIDGE_REL * np.where(mean_diag > 0, mean_diag, 1.0)
-
-
 def solve_normal_equations(system: LsSystem):
     """Solve min ||B y - l|| through the normal equations, ridged and
-    Cholesky-solved by `_cholesky_solve` as in `solve_parameter_batch`;
-    raises SolveError (index 0) if that matrix is not positive definite.
-    Returns (y, residual norm squared), the residual formed explicitly."""
+    Cholesky-solved by `_cholesky_solve`, the ridge rule of
+    `solve_parameter_batch`; raises SolveError (index 0) if that matrix is
+    not positive definite.  Returns (y, residual norm squared), the
+    residual formed explicitly."""
     b, l = system.matrix, system.rhs
     if not (np.all(np.isfinite(b)) and np.all(np.isfinite(l))):
         raise ValueError("non-finite system")
-    a = (b.T @ b)[None]
-    ridge = _ridge(np.trace(a, axis1=-2, axis2=-1), a.shape[-1])
-    y = _cholesky_solve(a, (b.T @ l)[None], ridge, 0)[0]
+    y = _cholesky_solve((b.T @ b)[None], (b.T @ l)[None], np.array([b.shape[1]]), 0)[0]
     residual = b @ y - l
     return y, float(residual @ residual)
 
@@ -283,17 +279,24 @@ class SolveError(RuntimeError):
         super().__init__(message)
 
 
-def _cholesky_solve(a: np.ndarray, b: np.ndarray, ridge: np.ndarray, first: int) -> np.ndarray:
-    """Solve every system (a[k] + ridge[k] I) y[k] = b[k] of an SPD stack.
+def _cholesky_solve(a: np.ndarray, b: np.ndarray, sizes: np.ndarray, first: int) -> np.ndarray:
+    """Solve every ridged system of a stack of normal equations a[k] y = b[k].
 
-    Each system is one LAPACK dposv call: NumPy's batched Cholesky does not
-    say which system failed, and it has no batched triangular solve.  A
-    system that is not positive definite raises SolveError naming it by its
-    index in the whole batch, ``first + k``; ``a`` is overwritten.
+    System k is the leading ``sizes[k]`` block of a[k]; the slots past it
+    must be zero in a[k] and b[k].  The one ridge rule of both solves adds
+    RIDGE_REL times the mean diagonal of that block (RIDGE_REL where the
+    mean is 0) to the whole diagonal, and each padded slot gets a unit
+    diagonal, added after the trace is taken, so it solves to zero.  Each
+    system is one LAPACK dposv call: NumPy's batched Cholesky does not say
+    which system failed, and it has no batched triangular solve.  A system
+    that is not positive definite raises SolveError naming it by its index
+    in the whole batch, ``first + k``; ``a`` is overwritten.
     """
     n = a.shape[-1]
     diag = np.arange(n)
-    a[:, diag, diag] += ridge[:, None]
+    mean_diag = np.trace(a, axis1=-2, axis2=-1) / sizes
+    ridge = RIDGE_REL * np.where(mean_diag > 0, mean_diag, 1.0)
+    a[:, diag, diag] += (diag >= sizes[:, None]) + ridge[:, None]
     y = np.empty(b.shape)
     for k in range(len(a)):
         _, y[k], info = _dposv(a[k], b[k], lower=1)
@@ -314,12 +317,11 @@ def solve_parameter_batch(
     ``singular_evals_per_p`` holds one (R, n_s) source block per parameter
     on the cache's annulus rows (None for none); the counts n_s may differ.
     Each normal matrix is the Gram combination bordered by its parameter's
-    singular columns, padded to its block's largest count with an identity
-    block and a zero right-hand side, which solve to zero.  The border
-    reads the annulus rows alone, so no singular array spans the J1
-    interior rows.  The ridge of each system is RIDGE_REL times the mean
-    diagonal of its unpadded matrix (RIDGE_REL where that mean is 0).  The
-    loss of parameter k is ||B y - l||^2 over its interior and jump rows.
+    singular columns, padded with zeros to its block's largest count; the
+    border reads the annulus rows alone, so no singular array spans the J1
+    interior rows.  `_cholesky_solve` ridges each system from its unpadded
+    size and solves the padded slots to zero.  The loss of parameter k is
+    ||B y - l||^2 over its interior and jump rows.
     The row adjoints are summed only under ``adjoint``.
     """
     gram = cache.gram
@@ -362,11 +364,7 @@ def solve_parameter_batch(
             a[:, n:, n:] = us.transpose(0, 2, 1) @ us
             l_rows = p_rows * f1[rows] + f0[rows]  # (P, R)
             rhs = np.concatenate([b_nn, -(l_rows[:, None, :] @ us)[:, 0]], axis=1)
-        ridge = _ridge(np.trace(a, axis1=-2, axis2=-1), n + counts)
-        if m:  # unit diagonal on the padded slots, after the trace was taken
-            pad = n + np.arange(m)
-            a[:, pad, pad] += np.arange(m) >= counts[:, None]
-        y = _cholesky_solve(a, rhs, ridge, s)
+        y = _cholesky_solve(a, rhs, n + counts, s)
         y_nn[s : s + BLOCK] = y_b = y[:, :n]
         y_sing += [y[k, n : n + count] for k, count in enumerate(counts.tolist())]
         # the block's residuals, one column per parameter

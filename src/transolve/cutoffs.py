@@ -19,16 +19,16 @@ w = B * (wbar ⊙ Phi1) and v = B * (vbar ⊙ Psi ⊙ Phi2).  Output n is
 c_n * raw_n with a composite cutoff scalar c_n.  Only a few of the c_n are
 distinct, B * phi_v per vertex v and B * psi_a * phi_v per interface axis a
 and vertex v, so each is built once, by the `Jets` product, and gathered to
-the outputs with one index array, `_factor_index`.  `composition_factors`
-returns the (J, F) stack of the F distinct factors at interior points and
-that index; ``stack.columns(index)`` is the (J, n1 + n2) jets of the c_n,
-and their product ``factors * raw`` with the network jets is the composed
-basis there.  A caller that composes a few points at a time gathers only
-those rows, ``stack.rows(tile).columns(index)``, so the (J, n1 + n2)
-factors of every point need never exist at once.
+the outputs with one index array, `factor_index`, the one place that maps
+outputs to factors.  `composition_factors` returns the (J, F) stack of the
+F distinct factors at interior points; ``stack.columns(index)`` is the
+(J, n1 + n2) jets of the c_n, and their product ``factors * raw`` with the
+network jets is the composed basis there.  A caller that composes a few
+points at a time gathers only those rows, ``stack.rows(tile).columns(index)``,
+so the (J, n1 + n2) factors of every point need never exist at once.
 At interface points, where Psi kinks, `interface_trace_factors` feeds the
 same product the one-sided jets of psi on its own line and returns the
-minus and plus sides' distinct factors with the same index;
+minus and plus sides' distinct factors, gathered with the same index;
 n . (F_pm * raw).gradient is the one-sided normal trace, with
 F_pm = ``side.columns(index)`` gathered one side at a time.
 """
@@ -48,6 +48,7 @@ __all__ = [
     "eta_jet",
     "boundary_cutoff_jet",
     "jump_adf_jet",
+    "factor_index",
     "composition_factors",
     "interface_trace_factors",
 ]
@@ -169,15 +170,16 @@ def _phi_list(points: np.ndarray, geometry: Geometry, config: CutoffConfig) -> l
     return jets
 
 
-def _factor_index(geometry: Geometry, n1: int, n2: int) -> np.ndarray:
-    """Index of each of the n1 + n2 outputs' factor in `_distinct_factors`.
+def factor_index(geometry: Geometry, n1: int, n2: int) -> np.ndarray:
+    """Index of each of the n1 + n2 outputs' factor in the distinct stack.
 
     With F = max(N_s, 1) exclusion factors, factor v < F is B * phi_v and
     factor F (1 + a) + v is B * psi_a * phi_v.  Phi1 repeats phi_v in
     blocks of n1/N_s; Phi2 is two copies of the analogous n2/2 block
     vector.  In 2D the first n2//2 v columns kink on the vertical lines
     (a = 0) and the rest on the horizontal ones (a = 1); in 1D every v
-    column kinks on every cut point.
+    column kinks on every cut point.  Raises ValueError when n1 is not
+    divisible by N_s or n2 by 2 N_s.
     """
     n_s = geometry.n_singular
     w, v = np.zeros(n1, dtype=int), np.zeros(n2, dtype=int)
@@ -192,23 +194,20 @@ def _factor_index(geometry: Geometry, n1: int, n2: int) -> np.ndarray:
     return np.concatenate([w, max(n_s, 1) * (1 + axes) + v])
 
 
-def _distinct_factors(points, geometry, config, psis, n1, n2):
-    """Every distinct cutoff factor, stacked, and the factor of each output.
-
-    The factors are B * phi_v per vertex v, then B * psi_a * phi_v per
-    interface axis a and vertex v, for the jump cutoffs ``psis`` (one per
-    axis).  Returns the stack as (J, F) Jets and the (n1 + n2,) index of
-    each output's factor in it.
+def _distinct_factors(points, geometry, config, psis) -> Jets:
+    """Every distinct cutoff factor, stacked as (J, F) Jets: B * phi_v per
+    vertex v, then B * psi_a * phi_v per interface axis a and vertex v, for
+    the jump cutoffs ``psis`` (one per axis), in the order of
+    `factor_index`.
     """
     bjet = boundary_cutoff_jet(points, geometry)
     phis = _phi_list(points, geometry, config)
     jets = [bjet * phi for phi in phis] + [bjet * psi * phi for psi in psis for phi in phis]
-    stack = Jets(
+    return Jets(
         np.stack([j.value for j in jets], axis=1),
         np.stack([j.gradient for j in jets], axis=1),
         np.stack([j.laplacian for j in jets], axis=1),
     )
-    return stack, _factor_index(geometry, n1, n2)
 
 
 def _axis_lines(geometry: Geometry) -> list[list[tuple[int, float]]]:
@@ -218,16 +217,13 @@ def _axis_lines(geometry: Geometry) -> list[list[tuple[int, float]]]:
     return [[(a, c) for c in positions] for a, positions in enumerate(cuts)]
 
 
-def composition_factors(
-    points, geometry: Geometry, config: CutoffConfig, n1: int, n2: int
-) -> tuple[Jets, np.ndarray]:
-    """The distinct cutoff factors at interior points, as (J, F) jets, and
-    the (n1 + n2,) index of each output's factor c_n among them.
+def composition_factors(points, geometry: Geometry, config: CutoffConfig) -> Jets:
+    """The distinct cutoff factors at interior points, as (J, F) jets.
 
     The composed basis there is ``stack.columns(index) * raw`` for
-    (J, n1 + n2) raw network jets, and on a subset of the points
-    ``stack.rows(subset).columns(index) * raw_subset``; boundary points give
-    exact zeros.
+    (J, n1 + n2) raw network jets and the `factor_index` of the outputs,
+    and on a subset of the points ``stack.rows(subset).columns(index) *
+    raw_subset``; boundary points give exact zeros.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     n, d = points.shape
@@ -235,15 +231,15 @@ def composition_factors(
         jump_adf_jet(points, lines) if lines else Jets.ones(n, d)
         for lines in _axis_lines(geometry)
     ]
-    return _distinct_factors(points, geometry, config, psis, n1, n2)
+    return _distinct_factors(points, geometry, config, psis)
 
 
 def interface_trace_factors(
-    points, interface_axes, geometry: Geometry, config: CutoffConfig, n1: int, n2: int
-) -> tuple[tuple[Jets, Jets], np.ndarray]:
+    points, interface_axes, geometry: Geometry, config: CutoffConfig
+) -> tuple[Jets, Jets]:
     """One-sided (minus, plus) distinct cutoff factors at points on
-    interfaces with the given axes, each (J, F) jets, and the (n1 + n2,)
-    index of each output's factor among them, as `composition_factors`.
+    interfaces with the given axes, each (J, F) jets in the order of
+    `factor_index`, as `composition_factors`.
 
     On its own line psi_a = |h| kinks: it has value 0 and one-sided
     gradient -n (minus side) or +n (plus side), with n the unit normal
@@ -268,5 +264,5 @@ def interface_trace_factors(
         psi.value[on] = 0.0
         psi.gradient[on, a] = side[on]
         psis.append(psi)
-    stack, cols = _distinct_factors(both, geometry, config, psis, n1, n2)
-    return (stack.rows(slice(None, n)), stack.rows(slice(n, None))), cols
+    stack = _distinct_factors(both, geometry, config, psis)
+    return stack.rows(slice(None, n)), stack.rows(slice(n, None))

@@ -2,13 +2,15 @@
 
 Each epoch draws a parameter batch and fresh collocation points, solves the
 angular eigenproblems the batch needs (2D), and evaluates the network's
-jets (`nets.Jets`) once at all interior and interface points.  Only what
-the loss reads is composed with the cutoff factors: the interior
+jets (`nets.Jets`) once at all interior and interface points; the
+validation set is the same draw (`_draw`) from streams of its own.  Only
+what the loss reads is composed with the cutoff factors: the interior
 Laplacians of the product ``fac * raw`` (`Jets.product_laplacian`), the
 factors gathered from the distinct stack of `cutoffs.composition_factors`,
 and the one-sided interface traces n . grad(F_pm * raw), the normal
 component of the product `Jets.__mul__` with the factors from
-`cutoffs.interface_trace_factors`.  `assembly.solve_parameter_batch`
+`cutoffs.interface_trace_factors`, both gathered with one
+`cutoffs.factor_index` per composition.  `assembly.solve_parameter_batch`
 solves every parameter's least-squares system block by block and sums each
 block's row seeds times its coefficients into the row adjoints: (J1, N) for
 the Laplacians and (J2, N) per trace side.  The mean squared residual is
@@ -69,6 +71,7 @@ from .cutoffs import (
     CutoffConfig,
     composition_factors,
     default_cutoff_config,
+    factor_index,
     interface_trace_factors,
 )
 from .eigen import assemble_eigensystem, select_singular, solve_eigenpairs
@@ -166,7 +169,6 @@ class TrainConfig:
 
 @dataclass
 class TrainState:
-    net_config: NetConfig
     params: MlpParams
     adam: AdamState
     iteration: int
@@ -200,9 +202,11 @@ class EpochData:
 
 
 def init_train_state(geometry: Geometry, net_config: NetConfig, config: TrainConfig) -> TrainState:
+    """A fresh state; raises ValueError when the layout cannot compose
+    ``net_config``'s outputs (`factor_index`)."""
+    factor_index(geometry, net_config.n1, net_config.n2)
     params = init_params(net_config, config.seeds.init)
     return TrainState(
-        net_config=net_config,
         params=params,
         adam=AdamState.zeros(params.n_params),
         iteration=0,
@@ -230,19 +234,28 @@ def vertex_eigenpairs(geometry: Geometry, parameters, n_singular: int):
     return [[select_singular(per_vertex, n_singular) for per_vertex in per_p] for per_p in pairs]
 
 
+def _draw(geometry, config: TrainConfig, rng_params, rng_interior, rng_interface, extra: int):
+    """(quad, parameters, pairs_per_p): the configured parameter batch with
+    its eigenpairs, and points ``extra`` more per axis and per interface
+    than configured (a 1D interface is its cut, whatever the count)."""
+    parameters = sample_parameters(
+        rng_params, config.n_params, geometry.n_subdomains, config.p_min, config.p_max
+    )
+    quad = sample_collocation(
+        geometry, config.n_interior + extra, config.n_interface + extra, rng_interior,
+        rng_interface=rng_interface,
+    )
+    return quad, parameters, vertex_eigenpairs(geometry, parameters, config.n_singular)
+
+
 def prepare_epoch(
     state: TrainState, config: TrainConfig, geometry: Geometry, rhs: RhsSpec,
     cutoff_config: CutoffConfig,
 ) -> EpochData:
     """Sample the batch and fresh points; solve the eigenproblems it needs."""
-    parameters = sample_parameters(
-        state.rng_params, config.n_params, geometry.n_subdomains, config.p_min, config.p_max
+    quad, parameters, pairs_per_p = _draw(
+        geometry, config, state.rng_params, state.rng_interior, state.rng_interface, 0
     )
-    quad = sample_collocation(
-        geometry, config.n_interior, config.n_interface, state.rng_interior,
-        rng_interface=state.rng_interface,
-    )
-    pairs_per_p = vertex_eigenpairs(geometry, parameters, config.n_singular)
     return EpochData(geometry, cutoff_config, rhs, quad, parameters, pairs_per_p, config.theta)
 
 
@@ -254,27 +267,26 @@ def _tiles(n: int) -> list[slice]:
 
 def _interface_rows(
     ifc: Jets, quad: QuadratureSet, geometry: Geometry, cutoff_config: CutoffConfig,
-    config: NetConfig,
+    cols: np.ndarray,
 ):
     """The one-sided normal traces of the composed basis at the interface
-    points of ``quad``, from the network's jets ``ifc`` there.
+    points of ``quad``, from the network's jets ``ifc`` there and the
+    outputs' `factor_index` ``cols``.
 
     Each side's (J2, N) factors are gathered from its distinct stack,
     multiplied with the network jets (`Jets.__mul__`) and dropped in turn,
     so the two sides' factors never coexist; a trace is the component of
     the product's gradient along its interface's axis, the unit normal.
-    Returns the (minus, plus) distinct factor stacks and their column index
+    Returns the (minus, plus) distinct factor stacks
     (`cutoffs.interface_trace_factors`), the (J2, d) unit normals at the
     interface points and the (minus, plus) traces, each (J2, N).
     """
     ifc_axes = np.array([geometry.interfaces[k].axis for k in quad.interface_ids], dtype=int)
-    normals = np.eye(config.input_dim)[ifc_axes]
-    stacks, cols = interface_trace_factors(
-        quad.interface_points, ifc_axes, geometry, cutoff_config, config.n1, config.n2
-    )
+    normals = np.eye(geometry.dimension)[ifc_axes]
+    stacks = interface_trace_factors(quad.interface_points, ifc_axes, geometry, cutoff_config)
     rows = np.arange(len(ifc_axes))
     traces = [(side.columns(cols) * ifc).gradient[rows, :, ifc_axes] for side in stacks]
-    return stacks, cols, normals, traces
+    return stacks, normals, traces
 
 
 def _composed_cache(params: MlpParams, data: EpochData):
@@ -286,29 +298,27 @@ def _composed_cache(params: MlpParams, data: EpochData):
     the outputs one tile of `TILE` points at a time, each tile's Laplacians
     written into an array made once.  Returns the cache and what the
     loss's adjoint reads: the network's jets at all the points, the
-    interior factor stack with its column index
+    outputs' `factor_index`, the interior factor stack
     (`cutoffs.composition_factors`), and the one-sided (minus, plus)
-    interface factor stacks with their column index and the (J2, d) unit
-    normals at the interface points.  The gathered (J1, N) factors are
-    not kept.
+    interface factor stacks with the (J2, d) unit normals at the interface
+    points.  The gathered (J1, N) factors are not kept.
     """
     cfg = params.config
     quad = data.quad
     n_int = quad.n_interior
+    cols = factor_index(data.geometry, cfg.n1, cfg.n2)
     jets = forward_jets(params, np.concatenate([quad.interior_points, quad.interface_points]))
-    stack, cols = composition_factors(
-        quad.interior_points, data.geometry, data.cutoff_config, cfg.n1, cfg.n2
-    )
+    stack = composition_factors(quad.interior_points, data.geometry, data.cutoff_config)
     lap = np.empty((n_int, cfg.n_outputs))
     for rows in _tiles(n_int):
         lap[rows] = stack.rows(rows).columns(cols).product_laplacian(jets.rows(rows))
-    stacks, ifc_cols, normals, traces = _interface_rows(
-        jets.rows(slice(n_int, None)), quad, data.geometry, data.cutoff_config, cfg
+    stacks, normals, traces = _interface_rows(
+        jets.rows(slice(n_int, None)), quad, data.geometry, data.cutoff_config, cols
     )
     cache = build_epoch_cache(
         data.geometry, data.cutoff_config, quad, lap, *traces, data.rhs, theta=data.theta
     )
-    return cache, jets, (stack, cols), (stacks, ifc_cols, normals)
+    return cache, jets, cols, stack, (stacks, normals)
 
 
 def loss_and_param_gradient(params: MlpParams, data: EpochData, need_gradient: bool = True):
@@ -322,7 +332,7 @@ def loss_and_param_gradient(params: MlpParams, data: EpochData, need_gradient: b
     """
     if data.parameters.shape[0] < 1:
         raise ValueError("empty parameter batch")
-    cache, jets, (stack, cols), (stacks, ifc_cols, normals) = _composed_cache(params, data)
+    cache, jets, cols, stack, (stacks, normals) = _composed_cache(params, data)
     if not need_gradient:  # read by the adjoint alone: not held through the solve
         jets = stack = stacks = None
     sing_per_p = [
@@ -353,7 +363,7 @@ def loss_and_param_gradient(params: MlpParams, data: EpochData, need_gradient: b
         )
     ifc = seeds.rows(slice(n_int, None))
     for side, w in zip(stacks, (batch.bar_minus, batch.bar_plus)):
-        side.columns(ifc_cols).adjoint(
+        side.columns(cols).adjoint(
             Jets(None, w[:, :, None] * normals[:, None, :], None), out=ifc
         )
     del batch  # its row adjoints are in the seeds now
@@ -389,7 +399,7 @@ def run_epoch(
         raise EpochError(epoch, getattr(exc, "index", None), str(exc)) from exc
     lr = linear_lr(config.lr_start, config.lr_end, epoch, config.iterations)
     flat = adam_step(state.adam, state.params.to_flat(), grad, lr)
-    state.params = MlpParams.from_flat(state.net_config, flat)
+    state.params = MlpParams.from_flat(state.params.config, flat)
     state.iteration += 1
 
     val_loss = None
@@ -418,18 +428,14 @@ def make_validation_set(geometry: Geometry, config: TrainConfig) -> ValidationSe
     training size with its eigenpairs.
 
     A pure function of the configuration; its draws come from the
-    validation streams of ``config.seeds``, apart from every training draw.
+    validation streams of ``config.seeds``, apart from every training draw,
+    one generator for the interior and the interface points.
     """
     rng_pts = config.seeds.validation_stream("interior")
-    n_ifc = config.n_interface + (VALIDATION_EXTRA if geometry.dimension == 2 else 0)
-    quad = sample_collocation(
-        geometry, config.n_interior + VALIDATION_EXTRA, n_ifc, rng_pts
+    quad, parameters, pairs = _draw(
+        geometry, config, config.seeds.validation_stream("params"), rng_pts, rng_pts,
+        VALIDATION_EXTRA,
     )
-    rng_par = config.seeds.validation_stream("params")
-    parameters = sample_parameters(
-        rng_par, config.n_params, geometry.n_subdomains, config.p_min, config.p_max
-    )
-    pairs = vertex_eigenpairs(geometry, parameters, config.n_singular)
     return ValidationSet(quad, parameters, pairs, config.theta)
 
 
@@ -511,7 +517,8 @@ class QueryBasis:
         cfg = params.config
         quad = midpoint_grid(geometry, n_per_axis, n_per_axis)
         points = quad.interior_points
-        stack, cols = composition_factors(points, geometry, cutoff_config, cfg.n1, cfg.n2)
+        cols = factor_index(geometry, cfg.n1, cfg.n2)
+        stack = composition_factors(points, geometry, cutoff_config)
         n, d = points.shape
         values, laplacian = np.empty((n, cfg.n_outputs)), np.empty((n, cfg.n_outputs))
         gradients = np.empty((n, d, cfg.n_outputs))
@@ -522,7 +529,7 @@ class QueryBasis:
             laplacian[t] = part.laplacian
         del stack  # not kept: freed before the cache is built
         *_, traces = _interface_rows(
-            forward_jets(params, quad.interface_points), quad, geometry, cutoff_config, cfg
+            forward_jets(params, quad.interface_points), quad, geometry, cutoff_config, cols
         )
         cache = build_epoch_cache(
             geometry, cutoff_config, quad, laplacian, *traces, rhs, theta=theta
@@ -635,12 +642,7 @@ def save_checkpoint(path, state: TrainState, config: TrainConfig, extra: dict | 
     """
     header = {
         "version": CHECKPOINT_VERSION,
-        "net_config": {
-            "input_dim": state.net_config.input_dim,
-            "hidden": list(state.net_config.hidden),
-            "n1": state.net_config.n1,
-            "n2": state.net_config.n2,
-        },
+        "net_config": asdict(state.params.config),
         "train_config": asdict(config),
         "adam_t": state.adam.t,
         "iteration": state.iteration,
@@ -681,7 +683,6 @@ def load_checkpoint(path):
             loss, iteration = header["best_val"]
             best_val = (loss, arrays["best_params"], iteration)
         state = TrainState(
-            net_config=net_config,
             params=MlpParams.from_flat(net_config, arrays["flat_params"]),
             adam=AdamState(arrays["adam_m"], arrays["adam_v"], header["adam_t"]),
             iteration=header["iteration"],

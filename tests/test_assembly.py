@@ -19,6 +19,7 @@ from transolve.cutoffs import (
     composition_factors,
     default_cutoff_config,
     eta_jet,
+    factor_index,
     interface_trace_factors,
 )
 from transolve.eigen import angular_eval, assemble_eigensystem, select_singular, solve_eigenpairs
@@ -45,13 +46,12 @@ def raw_rows(geometry, net_cfg, seed=0, n_int=12, n_ifc=6):
     cfg = default_cutoff_config(geometry)
     quad = sample_collocation(geometry, n_int, n_ifc, np.random.default_rng(seed))
     params = init_params(net_cfg, seed + 1)
-    stack, cols = composition_factors(quad.interior_points, geometry, cfg, net_cfg.n1, net_cfg.n2)
+    cols = factor_index(geometry, net_cfg.n1, net_cfg.n2)
+    stack = composition_factors(quad.interior_points, geometry, cfg)
     lap = (stack.columns(cols) * forward_jets(params, quad.interior_points)).laplacian
     ifc_axes = np.array([geometry.interfaces[k].axis for k in quad.interface_ids])
-    stacks, ifc_cols = interface_trace_factors(
-        quad.interface_points, ifc_axes, geometry, cfg, net_cfg.n1, net_cfg.n2
-    )
-    sides = [side.columns(ifc_cols) for side in stacks]
+    stacks = interface_trace_factors(quad.interface_points, ifc_axes, geometry, cfg)
+    sides = [side.columns(cols) for side in stacks]
     ifc_jets = forward_jets(params, quad.interface_points)
     # the normal component of each side's gradient
     rows = np.arange(quad.n_interface)

@@ -4,12 +4,12 @@ import pytest
 from transolve.cutoffs import (
     CutoffConfig,
     _axis_lines,
-    _factor_index,
     _phi_list,
     boundary_cutoff_jet,
     composition_factors,
     default_cutoff_config,
     eta_jet,
+    factor_index,
     interface_trace_factors,
     jump_adf_jet,
 )
@@ -189,7 +189,7 @@ def test_psi_jets_match_fd():
 def exclusion_columns(points, g, cfg, n1, n2):
     """The exclusion factor of every w and every v column, as two jet lists."""
     phis = _phi_list(np.asarray(points, dtype=float), g, cfg)
-    idx = _factor_index(g, n1, n2) % len(phis)
+    idx = factor_index(g, n1, n2) % len(phis)
     return [phis[i] for i in idx[:n1]], [phis[i] for i in idx[n1:]]
 
 
@@ -197,8 +197,7 @@ def test_exclusion_all_ones_in_1d():
     """Phi1 and Phi2 are all ones in 1D: the w factors are B, the v factors B * psi."""
     g = geom_1d()
     pts = np.array([[0.5], [1.5]])
-    stack, cols = composition_factors(pts, g, CFG, 10, 40)
-    fac = stack.columns(cols)
+    fac = composition_factors(pts, g, CFG).columns(factor_index(g, 10, 40))
     assert fac.value.shape == (2, 50)
     bjet = boundary_cutoff_jet(pts, g)
     bpsi = bjet * jump_adf_jet(pts, _axis_lines(g)[0])
@@ -237,7 +236,8 @@ def test_composition_factors_are_the_distinct_stack_and_its_index():
     factors as after."""
     g = build_grid_geometry(2, cuts_x=[-0.5, 0.25], cuts_y=[-0.25, 0.5], bounds=[(-1, 1), (-1, 1)])
     pts = np.random.default_rng(4).uniform(-1, 1, size=(20, 2))
-    stack, cols = composition_factors(pts, g, default_cutoff_config(g), 16, 32)
+    stack = composition_factors(pts, g, default_cutoff_config(g))
+    cols = factor_index(g, 16, 32)
     assert stack.value.shape == (20, 3 * 4)
     assert cols.shape == (48,) and set(cols) == set(range(12))
     tile = slice(5, 13)
@@ -248,13 +248,13 @@ def test_composition_factors_are_the_distinct_stack_and_its_index():
 
 def test_exclusion_divisibility_enforced():
     g = geom_2x2()
-    with pytest.raises(ValueError):
-        composition_factors(np.array([[0.1, 0.1]]), g, CFG, 4, 5)
+    with pytest.raises(ValueError, match=r"N2=5 must be divisible by 2\*1"):
+        factor_index(g, 4, 5)
     g4 = build_grid_geometry(
         2, cuts_x=[-0.5, 0, 0.5], cuts_y=[-0.5, 0, 0.5], bounds=[(-1, 1), (-1, 1)]
     )
-    with pytest.raises(ValueError):
-        composition_factors(np.array([[0.1, 0.1]]), g4, CutoffConfig(0.05, 0.1), 10, 36)
+    with pytest.raises(ValueError, match="N1=10 must be divisible by the 9 singular vertices"):
+        factor_index(g4, 10, 36)
 
 
 @pytest.mark.parametrize("axis", [0, 1])
@@ -266,8 +266,7 @@ def test_one_axis_cuts_odd_n2_column_plan(axis):
     g = build_grid_geometry(2, bounds=[(-1, 1), (-1, 1)], **cuts)
     pts = np.array([[0.5, 0.4], [-0.7, 0.1], [0.0, -0.8]])
     n1, n2 = 2, 5
-    stack, cols = composition_factors(pts, g, CFG, n1, n2)
-    fac = stack.columns(cols)
+    fac = composition_factors(pts, g, CFG).columns(factor_index(g, n1, n2))
     bjet = boundary_cutoff_jet(pts, g)
     bpsi = bjet * jump_adf_jet(pts, _axis_lines(g)[axis])
     kinked = [n1 + c for c in range(n2) if (c >= n2 // 2) == axis]
@@ -313,8 +312,7 @@ def _random_raw(rng, n_pts, n_out, d):
 
 
 def _composed(jets, points, g, cfg, n1, n2):
-    stack, cols = composition_factors(points, g, cfg, n1, n2)
-    return stack.columns(cols) * jets(points)
+    return composition_factors(points, g, cfg).columns(factor_index(g, n1, n2)) * jets(points)
 
 
 def test_apply_cutoffs_zero_on_boundary():
@@ -359,7 +357,7 @@ def test_apply_cutoffs_dimension_mismatch():
 
 def _traces(points, axes, raw, g, cfg, n1, n2):
     """One-sided normal traces (minus, plus): n . (F_pm * raw).gradient."""
-    stacks, cols = interface_trace_factors(points, axes, g, cfg, n1, n2)
+    stacks, cols = interface_trace_factors(points, axes, g, cfg), factor_index(g, n1, n2)
     rows = np.arange(len(axes))
     return tuple((side.columns(cols) * raw).gradient[rows, :, axes] for side in stacks)
 

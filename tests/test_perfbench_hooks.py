@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from transolve import training
+from transolve import eigen, training
 from transolve.assembly import solve_parameter_batch
 from transolve.cutoffs import default_cutoff_config
 from transolve.geometry import build_grid_geometry
@@ -49,6 +49,13 @@ def test_every_traced_name_is_bound_on_training(perfbench_module):
     spans = perfbench_module("spans")
     missing = [name for name in spans.LAYER_OF if not callable(getattr(training, name, None))]
     assert not missing
+
+
+def test_the_benchmark_checks_use_the_programs_selection_band(perfbench_module):
+    """perfbench/checks.py keeps its own copy of the guard band that
+    `select_singular` applies; the exponent checks are only right while the
+    two agree."""
+    assert perfbench_module("checks").SELECT_BAND == eigen.SELECT_BAND
 
 
 def test_the_benchmark_script_imports_and_names_the_declared_workloads(monkeypatch):

@@ -14,6 +14,7 @@ from transolve.cutoffs import (
     composition_factors,
     default_cutoff_config,
     eta_jet,
+    factor_index,
     interface_trace_factors,
 )
 from transolve.eigen import angular_eval
@@ -178,6 +179,22 @@ def test_a_changed_input_rebuilds_the_basis(change, builds):
         assert not np.allclose(after[1]["values"], before[1]["values"], rtol=1e-6, atol=0)
 
 
+@pytest.mark.parametrize("theta", [-1.0, np.nan, np.inf])
+def test_a_bad_jump_weight_raises_and_leaves_no_basis_held(monkeypatch, theta):
+    """A negative or non-finite theta raises ValueError in the build, not
+    NaN fields, and the basis held before it is gone; theta = 0 solves."""
+    monkeypatch.setattr(training, "_held", None)
+    g, rhs, cut, params = problem()
+    p = np.array([1.0, 10.0, 10.0, 1.0])
+    final_solve(params, g, p, rhs, cut, 1.0, 16)
+    assert training._held is not None
+    with pytest.raises(ValueError, match="theta"):
+        final_solve(params, g, p, rhs, cut, theta, 16)
+    assert training._held is None
+    _, fields = final_solve(params, g, p, rhs, cut, 0.0, 16)
+    assert np.all(np.isfinite(fields["values"]))
+
+
 def test_an_epoch_drops_the_held_basis_before_it_samples(monkeypatch, builds):
     """The epoch replaces the weights the held basis was built from, so
     `run_epoch` drops it before `prepare_epoch`, though the old weights
@@ -240,15 +257,14 @@ def _untiled_basis(params, g, rhs, cut, theta, quad):
     """The basis arrays from one composition over all points at once: the
     factors of every point, the network at every point and their product."""
     cfg = params.config
-    stack, cols = composition_factors(quad.interior_points, g, cut, cfg.n1, cfg.n2)
+    cols = factor_index(g, cfg.n1, cfg.n2)
+    stack = composition_factors(quad.interior_points, g, cut)
     composed = stack.columns(cols) * forward_jets(params, quad.interior_points)
     axes = np.array([g.interfaces[k].axis for k in quad.interface_ids], dtype=int)
-    stacks, ifc_cols = interface_trace_factors(
-        quad.interface_points, axes, g, cut, cfg.n1, cfg.n2
-    )
+    stacks = interface_trace_factors(quad.interface_points, axes, g, cut)
     ifc = forward_jets(params, quad.interface_points)
     rows = np.arange(quad.n_interface)
-    traces = [(side.columns(ifc_cols) * ifc).gradient[rows, :, axes] for side in stacks]
+    traces = [(side.columns(cols) * ifc).gradient[rows, :, axes] for side in stacks]
     cache = build_epoch_cache(g, cut, quad, composed.laplacian, *traces, rhs, theta=theta)
     return composed.value, np.moveaxis(composed.gradient, -1, 1), cache
 

@@ -11,7 +11,12 @@ from transolve.assembly import (
     solve_normal_equations,
     solve_parameter_batch,
 )
-from transolve.cutoffs import CutoffConfig, composition_factors, default_cutoff_config
+from transolve.cutoffs import (
+    CutoffConfig,
+    composition_factors,
+    default_cutoff_config,
+    factor_index,
+)
 from transolve.eigen import assemble_eigensystem, select_singular, solve_eigenpairs
 from transolve.geometry import ParameterError, angular_trace, build_grid_geometry
 from transolve.nets import MlpParams, NetConfig, forward_jets, init_params
@@ -95,6 +100,23 @@ def test_config_rejects_bad_values_when_built(bad):
     failing only at the next forward pass."""
     with pytest.raises(ValueError):
         small_config(**bad)
+
+
+@pytest.mark.parametrize(
+    "cuts, net",
+    [
+        (dict(cuts_x=[-0.5, 0.25], cuts_y=[-0.25, 0.5]), NetConfig(2, (4,), 6, 8)),
+        (dict(cuts_x=[0.0], cuts_y=[0.0]), NetConfig(2, (4,), 2, 3)),
+    ],
+    ids=["3x3-n1", "2x2-n2"],
+)
+def test_init_train_state_rejects_outputs_the_layout_cannot_compose(cuts, net):
+    """n1 must be divisible by the N_s singular vertices and n2 by 2 N_s:
+    n1 = 6 over the 4 vertices of the 3x3 layout, n2 = 3 over 2 * 1 on the
+    2x2 one.  Caught where the state is built, not in the first epoch."""
+    g = build_grid_geometry(2, bounds=[(-1, 1), (-1, 1)], **cuts)
+    with pytest.raises(ValueError, match="must be divisible"):
+        init_train_state(g, net, small_config())
 
 
 def test_run_epoch_wraps_singular_solve_in_epoch_error(monkeypatch):
@@ -340,8 +362,8 @@ def test_cache_traces_are_one_sided_differences_of_the_composed_basis(dim):
     pts, normals = quad.interface_points[keep], np.eye(dim)[axes[keep]]
 
     def composed(x):
-        stack, cols = composition_factors(x, g, cut, net.n1, net.n2)
-        return (stack.columns(cols) * forward_jets(params, x)).value
+        factors = composition_factors(x, g, cut).columns(factor_index(g, net.n1, net.n2))
+        return (factors * forward_jets(params, x)).value
 
     h = 1e-4
     f = {t: composed(pts + t * h * normals) for t in (-3, -2, -1, 1, 2, 3)}
