@@ -18,7 +18,8 @@ annulus), `_cholesky_solve` ridges each system and solves it with one
 LAPACK dposv call, raising if it is not positive definite, and the
 residuals give the losses and, if asked for, the row seeds times the
 coefficients, added into the (J1, N) and (J2, N) row adjoints that the
-gradient reads.  No array spans the batch times the rows, nor holds the
+gradient reads, which the caller may keep between batches (``out``).  No
+array spans the batch times the rows, nor holds the
 normal matrices of the whole batch.  `assemble_system` and
 `solve_normal_equations` build and solve one parameter's explicit system,
 the reference the batched solve is checked against, through the same
@@ -311,6 +312,7 @@ def solve_parameter_batch(
     parameters: np.ndarray,
     singular_evals_per_p: list | None = None,
     adjoint: bool = False,
+    out: tuple | None = None,
 ) -> BatchSolveResult:
     """Least-squares solve of every parameter of a batch through the Gram blocks.
 
@@ -322,7 +324,11 @@ def solve_parameter_batch(
     interior rows.  `_cholesky_solve` ridges each system from its unpadded
     size and solves the padded slots to zero.  The loss of parameter k is
     ||B y - l||^2 over its interior and jump rows.
-    The row adjoints are summed only under ``adjoint``.
+    The row adjoints are summed only under ``adjoint``: into ``out``, the
+    (bar_lap, bar_minus, bar_plus) arrays of the (J1, N) and (J2, N) row
+    shapes, which are zeroed first, or without it into new arrays.  A
+    caller that solves batches of one shape again and again keeps its
+    adjoint arrays so.
     """
     gram = cache.gram
     parameters = validate_parameter_batch(cache.geometry, np.atleast_2d(parameters))
@@ -337,9 +343,17 @@ def solve_parameter_batch(
         raise ValueError("singular evaluations do not match the annulus rows")
     all_counts = [0 if s is None else s.shape[1] for s in sing]
     y_nn, losses, y_sing = np.empty((n_p, n)), np.empty(n_p), []
-    bar_lap, bar_minus, bar_plus = (
-        np.zeros(a.shape) if adjoint else None for a in (c, cache.wtrace_minus, cache.wtrace_plus)
-    )
+    bar_lap = bar_minus = bar_plus = None
+    if adjoint:
+        shapes = [a.shape for a in (c, cache.wtrace_minus, cache.wtrace_plus)]
+        if out is None:
+            out = tuple(np.empty(shape) for shape in shapes)
+        if [a.shape for a in out] != shapes:
+            raise ValueError(f"adjoint arrays of shapes {[a.shape for a in out]} "
+                             f"do not match the rows' {shapes}")
+        for a in out:
+            a.fill(0.0)
+        bar_lap, bar_minus, bar_plus = out
     for s in range(0, n_p, BLOCK):
         p = parameters[s : s + BLOCK]
         # one GEMM: (P, K) monomial coefficients against the fused (K, N*N) blocks

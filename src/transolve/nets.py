@@ -25,6 +25,11 @@ the ones `forward_jets` returned, which the caller holds for its loss, so
 tile, back-propagates the tile at once and sums the weight gradients over
 the tiles ("Training Deep Nets with Sublinear Memory Cost", Chen et al.
 2016).  Its memory is a tile's, not a tape of every layer at every point.
+The seeds come a tile at a time too: the caller adds each tile's rows of
+them into one tile-sized stack, which the pass zeroes per tile and reads
+as its input, so no seed set of all the points is made.  `forward_jets`
+writes into the caller's arrays when given them, so a caller that
+evaluates points of one count again and again keeps its output arrays.
 
 `Jets` is the one (value, gradient, Laplacian) type of the package: the
 network returns its outputs as `Jets`, the cutoff fields are `Jets`, and
@@ -34,7 +39,7 @@ one-sided interface factors alike.  Its Laplacian is `product_laplacian`,
 which a caller that reads only the Laplacian calls alone; the one-sided
 interface traces are the normal component of its gradient.  `Jets.adjoint`
 is the product's transpose, which carries every loss row's seeds back to the
-network outputs.
+network outputs, adding them into row blocks of a backward tile's seeds.
 """
 
 from __future__ import annotations
@@ -163,11 +168,12 @@ class Jets:
         return Jets(value, np.zeros(value.shape + (d,)), np.zeros(value.shape))
 
     @staticmethod
-    def zeros(shape, d: int) -> "Jets":
-        """The zero field on a leading shape, in d dimensions, with a
-        component-major gradient."""
-        components = np.zeros((d,) + tuple(shape))
-        return Jets(np.zeros(shape), np.moveaxis(components, 0, -1), np.zeros(shape))
+    def empty(shape, d: int) -> "Jets":
+        """Uninitialised arrays for fields on a leading shape, in d
+        dimensions, with a component-major gradient: what `forward_jets`
+        writes into."""
+        components = np.empty((d,) + tuple(shape))
+        return Jets(np.empty(shape), np.moveaxis(components, 0, -1), np.empty(shape))
 
     def __mul__(self, other: "Jets") -> "Jets":
         """Pointwise product by the second-order product rule:
@@ -194,7 +200,7 @@ class Jets:
         lap += np.multiply(other.value, self.laplacian, out=cross)
         return lap
 
-    def adjoint(self, bar: "Jets", out: "Jets | None" = None) -> "Jets":
+    def adjoint(self, bar: "Jets", out: "Jets") -> "Jets":
         """Transpose of the product's derivative in its second factor.
 
         For seeds ``bar`` on the value, gradient and Laplacian of
@@ -202,14 +208,12 @@ class Jets:
         sum(bar.value * fg) + sum(bar.gradient . grad(fg)) + sum(bar.laplacian * lap(fg)).
         A seed of None is zero and costs no pass over its arrays: interior
         loss rows seed the Laplacian only, interface rows the gradient only.
-        The seeds are added into ``out``, which is returned; without it they
-        go into new zero arrays.  So several products' seeds sum into row
-        blocks of one seed set, with no copy of their own.
+        The seeds are added into ``out``, which is returned.  So several
+        products' seeds sum into row blocks of one tile's seed stack, with
+        no copy of their own.
         """
         f = self.value
         d = self.gradient.shape[-1]
-        if out is None:
-            out = Jets.zeros(f.shape, d)
         if bar.value is not None:
             out.value += bar.value * f
         if bar.gradient is not None:
@@ -285,25 +289,42 @@ def _tile_layers(layers, points: np.ndarray):
         x = out
 
 
-def forward_jets(params: MlpParams, points: np.ndarray) -> Jets:
+def _check_jets(name: str, jets: Jets, shape: tuple, d: int) -> None:
+    """ValueError unless ``jets`` are of the (J, N) leading ``shape`` in d
+    dimensions."""
+    v, g, lap = jets.value.shape, jets.gradient.shape, jets.laplacian.shape
+    if v != shape or g != shape + (d,) or lap != shape:
+        raise ValueError(
+            f"{name} of shapes {v}, {g} and {lap} "
+            f"do not match {shape}, {shape + (d,)} and {shape}"
+        )
+
+
+def forward_jets(params: MlpParams, points: np.ndarray, out: Jets | None = None) -> Jets:
     """Exact (value, gradient, Laplacian) of every output at every point.
 
     Per layer and tile, the stacked jets X go through one product X @ A^T
     (the bias enters the value row only), then through tanh:
     value t, gradient t1 zg, Laplacian t2 |zg|^2 + t1 zl, with
-    t1 = 1 - t^2 and t2 = -2 t t1.
+    t1 = 1 - t^2 and t2 = -2 t t1.  The jets are written into ``out``, of
+    the (J, N) outputs' shape, which is returned; without it into new
+    arrays (`Jets.empty`).  A caller that evaluates points of one count
+    again and again keeps its arrays so.
     """
     points = _checked_points(params, points)
     n, d = points.shape
     shape = (n, params.config.n_outputs)
-    value, components, laplacian = np.empty(shape), np.empty((d,) + shape), np.empty(shape)
+    if out is None:
+        out = Jets.empty(shape, d)
+    _check_jets("out", out, shape, d)
+    components = np.moveaxis(out.gradient, -1, 0)
     for s in range(0, n, TILE):
         for x, _ in _tile_layers(params.layers, points[s : s + TILE]):
             pass  # each layer's arrays are dropped as the next one is made
-        value[s : s + TILE] = x[0]
+        out.value[s : s + TILE] = x[0]
         components[:, s : s + TILE] = x[1 : 1 + d]
-        laplacian[s : s + TILE] = x[1 + d]
-    return Jets(value, np.moveaxis(components, 0, -1), laplacian)
+        out.laplacian[s : s + TILE] = x[1 + d]
+    return out
 
 
 def _tanh_adjoint(y: np.ndarray, t, g, lap, t1) -> np.ndarray:
@@ -337,19 +358,17 @@ def _tanh_adjoint(y: np.ndarray, t, g, lap, t1) -> np.ndarray:
     return z_bar
 
 
-def backward_jets(
-    params: MlpParams,
-    points: np.ndarray,
-    outputs: Jets,
-    bar_value: np.ndarray,
-    bar_grad: np.ndarray,
-    bar_lap: np.ndarray,
-) -> np.ndarray:
-    """Adjoint pass: gradient of sum(bar . output jets) w.r.t. flat parameters.
+def backward_jets(params: MlpParams, points: np.ndarray, outputs: Jets, seeds) -> np.ndarray:
+    """Adjoint pass: gradient of sum(seeds . output jets) w.r.t. flat parameters.
 
-    ``outputs`` are the jets `forward_jets` gave at the J points, and the
-    seeds, of shapes (J, N), (J, N, d) and (J, N), are the partial
-    derivatives of a scalar objective with respect to them.  Each tile's
+    ``outputs`` are the jets `forward_jets` gave at the J points.  The
+    seeds, the partial derivatives of a scalar objective with respect to
+    them, are served a tile at a time: ``seeds.shape`` is the (J, N) they
+    cover, and ``seeds.add(rows, out)`` adds those of the points ``rows``
+    (a slice) into ``out``, a `Jets` view with a component-major gradient
+    of the tile's (2 + d, T, N) seed stack, zeroed before the call.  That
+    stack is made once and is the reverse pass's input, so no seed array
+    spans the J points and none is copied into the tile.  Each tile's
     hidden layers are recomputed, the output layer's jets read from
     ``outputs``, the tile back-propagated at once, and the weight gradients
     summed over the tiles.
@@ -370,27 +389,21 @@ def backward_jets(
     points = _checked_points(params, points)
     n, d = points.shape
     shape = (n, params.config.n_outputs)
-    for name, (v, g, lap) in (
-        ("outputs", (outputs.value, outputs.gradient, outputs.laplacian)),
-        ("seeds", (bar_value, bar_grad, bar_lap)),
-    ):
-        if v.shape != shape or g.shape != shape + (d,) or lap.shape != shape:
-            raise ValueError(
-                f"{name} of shapes {v.shape}, {g.shape} and {lap.shape} "
-                f"do not match {shape}, {shape + (d,)} and {shape}"
-            )
+    _check_jets("outputs", outputs, shape, d)
+    if tuple(seeds.shape) != shape:
+        raise ValueError(f"seeds of shape {tuple(seeds.shape)} do not match {shape}")
     layers = params.layers
     top = len(layers) - 1
     components = np.moveaxis(outputs.gradient, -1, 0)
     grads = [(np.zeros_like(a), np.zeros_like(b)) for a, b in layers]
+    tile_seeds = np.empty((2 + d, min(TILE, n), shape[1]))
     for s in range(0, n, TILE):
-        rows = slice(s, s + TILE)
+        rows = slice(s, min(s + TILE, n))
         pts = points[rows]
         saved = list(_tile_layers(layers[:top], pts))
-        y = np.empty((2 + d, len(pts), shape[1]))
-        y[0] = bar_value[rows]
-        y[1 : 1 + d] = np.moveaxis(bar_grad[rows], -1, 0)
-        y[1 + d] = bar_lap[rows]
+        y = tile_seeds[:, : len(pts)]
+        y.fill(0.0)
+        seeds.add(rows, Jets(y[0], np.moveaxis(y[1 : 1 + d], 0, -1), y[1 + d]))
         for layer in range(top, -1, -1):
             a = layers[layer][0]
             a_bar, b_bar = grads[layer]

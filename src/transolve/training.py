@@ -15,14 +15,24 @@ solves every parameter's least-squares system block by block and sums each
 block's row seeds times its coefficients into the row adjoints: (J1, N) for
 the Laplacians and (J2, N) per trace side.  The mean squared residual is
 back-propagated with the solved coefficients held fixed (the derivative of
-a minimum is the partial derivative at the minimizer): scaled in place,
-the adjoints go through `Jets.adjoint` (the product's transpose), which
-adds them into the row blocks of one seed set on the network outputs at all
-points.  One `nets.backward_jets` pass takes that set over every point in
-the order `forward_jets` saw them, reading the output jets the forward gave
-and recomputing only the hidden layers, tile by tile.  Adam with a
-linearly interpolated learning rate closes the loop.  Validation
-runs the same path without the adjoints.
+a minimum is the partial derivative at the minimizer).  One
+`nets.backward_jets` pass goes over every point in the order
+`forward_jets` saw them, tile by tile, reading the output jets the forward
+gave and recomputing only the hidden layers.  It asks `_ComposedSeeds` for
+each tile's seeds, which takes the tile's rows of the scaled adjoints
+through `Jets.adjoint` (the product's transpose) into the tile's seed
+stack, so no seed set of the whole batch is made.  Adam with a linearly
+interpolated learning rate closes the loop.  Validation runs the same
+path without the adjoints.
+
+The arrays whose shapes the configuration fixes, the network's output
+jets, the composed Laplacian that the cache weights in place and the three
+row adjoints, are written by `forward_jets`, the composition and
+`solve_parameter_batch` into arrays that `run_epoch` keeps from one epoch
+to the next in one holder (`_kept`), so that an epoch reuses memory the
+last one touched rather than making, freeing and faulting it in again.
+Validation and direct callers of `loss_and_param_gradient` get fresh
+arrays.
 
 Queries are split into an offline and an online stage.  Offline,
 `QueryBasis.build` does everything about a midpoint grid that does not
@@ -39,8 +49,9 @@ stay on their support rows throughout: their sources on the annulus rows of
 the polar cache, and their values and gradients on its disk rows, so the
 singular work of a query grows with the junction annuli and disks, not with
 the grid.  `final_solve` solves against the one basis it holds between
-calls, rebuilt when the weights, grid or problem change and dropped when
-an epoch starts.
+calls (`_held`), rebuilt when the weights, grid or problem change and
+dropped when an epoch starts; a build first empties the epoch holder, so
+the basis and an epoch's kept arrays are never alive together.
 Checkpoints are ``.npz`` arrays with a JSON header and load without
 unpickling anything.
 """
@@ -289,14 +300,28 @@ def _interface_rows(
     return stacks, normals, traces
 
 
-def _composed_cache(params: MlpParams, data: EpochData):
+def _keep(kept: dict | None, name: str, shape: tuple, make):
+    """The arrays ``kept`` holds as ``name`` if they were made for
+    ``shape``; else ``make(shape)``, held there in their place.  Without a
+    holder, ``make(shape)`` alone."""
+    if kept is None:
+        return make(shape)
+    held = kept.get(name)
+    if held is None or held[0] != shape:
+        held = kept[name] = (shape, make(shape))
+    return held[1]
+
+
+def _composed_cache(params: MlpParams, data: EpochData, kept: dict | None = None):
     """The epoch cache of ``data``, with the interior Laplacians of the
     composed basis formed alone (`Jets.product_laplacian`).
 
     The network is evaluated once, at all J1 + J2 points, the interior
     ones first.  The cutoff factors of the interior points are gathered to
     the outputs one tile of `TILE` points at a time, each tile's Laplacians
-    written into an array made once.  Returns the cache and what the
+    written into one (J1, N) array, which the cache weights in place.  The
+    network's jets and that array are taken from the holder ``kept``
+    (`_keep`), or made new without one.  Returns the cache and what the
     loss's adjoint reads: the network's jets at all the points, the
     outputs' `factor_index`, the interior factor stack
     (`cutoffs.composition_factors`), and the one-sided (minus, plus)
@@ -307,9 +332,13 @@ def _composed_cache(params: MlpParams, data: EpochData):
     quad = data.quad
     n_int = quad.n_interior
     cols = factor_index(data.geometry, cfg.n1, cfg.n2)
-    jets = forward_jets(params, np.concatenate([quad.interior_points, quad.interface_points]))
+    points = np.concatenate([quad.interior_points, quad.interface_points])
+    d = points.shape[1]
+    jets = forward_jets(params, points, out=_keep(
+        kept, "jets", (len(points), cfg.n_outputs), lambda shape: Jets.empty(shape, d)
+    ))
     stack = composition_factors(quad.interior_points, data.geometry, data.cutoff_config)
-    lap = np.empty((n_int, cfg.n_outputs))
+    lap = _keep(kept, "lap", (n_int, cfg.n_outputs), np.empty)
     for rows in _tiles(n_int):
         lap[rows] = stack.rows(rows).columns(cols).product_laplacian(jets.rows(rows))
     stacks, normals, traces = _interface_rows(
@@ -321,54 +350,95 @@ def _composed_cache(params: MlpParams, data: EpochData):
     return cache, jets, cols, stack, (stacks, normals)
 
 
-def loss_and_param_gradient(params: MlpParams, data: EpochData, need_gradient: bool = True):
+@dataclass(frozen=True)
+class _ComposedSeeds:
+    """The loss's seeds on the network outputs at the J1 + J2 points,
+    interior rows first, served a tile at a time to `backward_jets`.
+
+    A tile's rows take the product's adjoint (`Jets.adjoint`) of their
+    scaled row adjoints: the interior rows seed the Laplacian of fac * raw,
+    the interface rows the normal component of each side's gradient, minus
+    side then plus side, with the factors gathered for the tile's rows
+    alone.  So the seeds of the whole batch never exist at once.
+    """
+
+    cols: np.ndarray  # (N,) factor_index of the outputs
+    stack: Jets  # (J1, F) interior factor stack
+    sides: tuple  # (minus, plus) (J2, F) one-sided factor stacks
+    normals: np.ndarray  # (J2, d) unit normals at the interface points
+    bar_lap: np.ndarray  # (J1, N) adjoint of the interior Laplacians
+    bar_sides: tuple  # (minus, plus) (J2, N) adjoints of the traces
+
+    @property
+    def shape(self) -> tuple:
+        return (len(self.bar_lap) + len(self.normals), len(self.cols))
+
+    def add(self, rows: slice, out: Jets) -> None:
+        n_int = len(self.bar_lap)
+        inner = slice(rows.start, min(rows.stop, n_int))
+        k = max(inner.stop - inner.start, 0)
+        if k:
+            self.stack.rows(inner).columns(self.cols).adjoint(
+                Jets(None, None, self.bar_lap[inner]), out=out.rows(slice(None, k))
+            )
+        outer = slice(max(rows.start, n_int) - n_int, rows.stop - n_int)
+        if outer.start < outer.stop:
+            block = out.rows(slice(k, None))
+            normals = self.normals[outer, None, :]
+            for side, bar in zip(self.sides, self.bar_sides):
+                side.rows(outer).columns(self.cols).adjoint(
+                    Jets(None, bar[outer, :, None] * normals, None), out=block
+                )
+
+
+def loss_and_param_gradient(
+    params: MlpParams, data: EpochData, need_gradient: bool = True, kept: dict | None = None
+):
     """Mean squared LS residual over the batch and its gradient in the weights.
 
     The gradient treats every parameter's solved coefficient vector as a
     constant.  The blocked solve returns the row adjoints of the basis
     Laplacians and one-sided traces, summed over the batch, and only those
-    are back-propagated, in one backward pass over all the points; without
-    ``need_gradient`` none is formed.
+    are back-propagated, in one backward pass over all the points that
+    composes each tile's seeds from them (`_ComposedSeeds`); without
+    ``need_gradient`` none is formed.  The arrays whose shapes the batch
+    fixes (the network's jets, the composed Laplacian, the row adjoints)
+    come from the holder ``kept``, which `run_epoch` keeps between epochs;
+    without it (validation, direct callers) they are made new.
     """
     if data.parameters.shape[0] < 1:
         raise ValueError("empty parameter batch")
-    cache, jets, cols, stack, (stacks, normals) = _composed_cache(params, data)
+    cache, jets, cols, stack, (stacks, normals) = _composed_cache(params, data, kept)
     if not need_gradient:  # read by the adjoint alone: not held through the solve
         jets = stack = stacks = None
     sing_per_p = [
         singular_evals_from_cache(cache.polar, pairs) if pairs else None
         for pairs in data.pairs_per_p
     ]
+    adjoints = None
+    if need_gradient:  # each of the shape of the rows it seeds
+        rows = (cache.wlap, cache.wtrace_minus, cache.wtrace_plus)
+        names = ("bar_lap", "bar_minus", "bar_plus")
+        adjoints = tuple(_keep(kept, name, a.shape, np.empty) for name, a in zip(names, rows))
     batch = solve_parameter_batch(
-        cache, data.parameters, singular_evals_per_p=sing_per_p, adjoint=need_gradient
+        cache, data.parameters, singular_evals_per_p=sing_per_p, adjoint=need_gradient,
+        out=adjoints,
     )
     loss = float(np.mean(batch.losses))
     if not need_gradient:
         return loss, None
-    del cache, sing_per_p  # the adjoint reads neither: freed before the seeds are made
+    del cache, sing_per_p, batch  # the backward pass reads none of them
 
     # the row adjoints, scaled in place to the mean loss, seed the composed
     # rows: the interior Laplacians and the normal component of each side's
-    # gradient.  The product's adjoint adds them into the row blocks of one
-    # seed set on the network outputs, interior rows first as `forward_jets`
-    # saw them, with the factors gathered a tile or a side at a time
-    for w in (batch.bar_lap, batch.bar_minus, batch.bar_plus):
+    # gradient.  The backward pass composes them tile by tile through the
+    # product's adjoint, in the order `forward_jets` saw the points
+    for w in adjoints:
         w *= 2.0 / data.parameters.shape[0]
+    seeds = _ComposedSeeds(cols, stack, stacks, normals, adjoints[0], adjoints[1:])
     quad = data.quad
-    n_int = quad.n_interior
-    seeds = Jets.zeros(jets.value.shape, quad.interior_points.shape[1])
-    for rows in _tiles(n_int):
-        stack.rows(rows).columns(cols).adjoint(
-            Jets(None, None, batch.bar_lap[rows]), out=seeds.rows(rows)
-        )
-    ifc = seeds.rows(slice(n_int, None))
-    for side, w in zip(stacks, (batch.bar_minus, batch.bar_plus)):
-        side.columns(cols).adjoint(
-            Jets(None, w[:, :, None] * normals[:, None, :], None), out=ifc
-        )
-    del batch  # its row adjoints are in the seeds now
     points = np.concatenate([quad.interior_points, quad.interface_points])
-    grad = backward_jets(params, points, jets, seeds.value, seeds.gradient, seeds.laplacian)
+    grad = backward_jets(params, points, jets, seeds)
     return loss, grad
 
 
@@ -386,6 +456,17 @@ def run_epoch(
     A ValueError or SolveError of the sampling, eigen or least-squares
     work raises EpochError naming the epoch and, where one parameter row
     is at fault, its index.
+
+    The arrays whose shapes the configuration fixes (the network's output
+    jets, the composed Laplacian that the cache weights in place, the
+    three row adjoints) live from one epoch to the next in the module's
+    holder `_kept`, so that an epoch writes into memory the last one
+    touched instead of making and freeing it.  Each tile's seeds are
+    composed inside the backward pass, so no seed set of the batch is
+    made.  The holder is the counterpart of the basis `final_solve` holds
+    (`_held`): an epoch drops that basis, and `final_solve` empties the
+    holder before it builds one, so the two never coexist.  Validation
+    makes fresh arrays.
     """
     epoch = state.iteration
     # the epoch replaces the weights the held basis was built from: drop it
@@ -394,7 +475,7 @@ def run_epoch(
     _held = None
     try:
         data = prepare_epoch(state, config, geometry, rhs, cutoff_config)
-        loss, grad = loss_and_param_gradient(state.params, data)
+        loss, grad = loss_and_param_gradient(state.params, data, kept=_kept)
     except (ValueError, SolveError) as exc:
         raise EpochError(epoch, getattr(exc, "index", None), str(exc)) from exc
     lr = linear_lr(config.lr_start, config.lr_end, epoch, config.iterations)
@@ -584,6 +665,9 @@ class QueryBasis:
 # objects, (theta, grid count, network configuration), a copy of the
 # weights, the basis built from them)
 _held = None
+# The arrays run_epoch keeps between epochs, by name: (shape, arrays), see
+# `_keep`.  Emptied by final_solve before it builds a basis.
+_kept: dict = {}
 
 
 def final_solve(
@@ -605,7 +689,9 @@ def final_solve(
     configuration (by value) and the weights (by content, so an in-place
     edit shows) are unchanged, and rebuilt otherwise; the first query of a
     network pays for the basis and the others for their own least-squares
-    solve only.  `run_epoch` drops it, as the epoch replaces the weights.
+    solve only.  `run_epoch` drops it, as the epoch replaces the weights,
+    and a build first empties the arrays `run_epoch` keeps between epochs
+    (`_kept`), so that they do not add to the build's peak.
     Returns (coefficients, fields) where fields carries the grid, solution
     values, gradients and fluxes, the squared residual and the relative
     least-squares residual sqrt(residual_sq / |l|^2) (0 when l = 0).  It
@@ -624,6 +710,7 @@ def final_solve(
         and np.array_equal(held[2], params.to_flat())
     ):
         held = _held = None  # before the build, so that two bases never coexist
+        _kept.clear()  # nor a basis and the epoch's arrays
         basis = QueryBasis.build(params, geometry, rhs, cutoff_config, theta, n_per_axis)
         held = _held = (objects, values, params.to_flat(), basis)
     return held[3].solve(parameter, n_singular)

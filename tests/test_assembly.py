@@ -262,7 +262,8 @@ def test_batch_support_rows_match_the_scattered_dense_system():
     """Blocks of 0, 2 and 4 singular columns on the annulus rows: scattered
     to all J1 interior rows they give assemble_system's singular columns,
     and at the batch's coefficients that dense system has the batch's
-    losses, and its residuals give the batch's row adjoints."""
+    losses, and its residuals give the batch's row adjoints, the same when
+    written into arrays the caller hands in."""
     g = build_grid_geometry(2, cuts_x=[-0.4, 0.3], cuts_y=[-0.3, 0.4], bounds=[(-1, 1), (-1, 1)])
     cfg = NetConfig(2, (8,), 4, 8)
     theta = 3.0
@@ -308,6 +309,14 @@ def test_batch_support_rows_match_the_scattered_dense_system():
     plain = solve_parameter_batch(cache, params, singular_evals_per_p=sing)
     assert (plain.bar_lap, plain.bar_minus, plain.bar_plus) == (None, None, None)
     np.testing.assert_array_equal(plain.losses, batch.losses)
+    # adjoint arrays handed in are zeroed and written, whatever they held
+    out = tuple(np.full(a.shape, np.nan) for a in (cache.wlap, cache.wtrace_minus, cache.wtrace_plus))
+    into = solve_parameter_batch(cache, params, singular_evals_per_p=sing, adjoint=True, out=out)
+    for name, array in zip(("bar_lap", "bar_minus", "bar_plus"), out):
+        assert getattr(into, name) is array
+        np.testing.assert_array_equal(array, getattr(batch, name))
+    with pytest.raises(ValueError, match="adjoint arrays of shapes"):
+        solve_parameter_batch(cache, params, sing, adjoint=True, out=(out[0], out[0], out[1]))
 
 
 def test_blocked_batch_matches_each_parameter_solved_alone():

@@ -93,6 +93,10 @@ def _dot(a, b):
     return sum(np.sum(getattr(a, k) * getattr(b, k)) for k in ("value", "gradient", "laplacian"))
 
 
+def _zeros(shape, d=2):
+    return Jets(np.zeros(shape), np.zeros(shape + (d,)), np.zeros(shape))
+
+
 @pytest.mark.parametrize("seed_on", ["value", "gradient", "laplacian"])
 @pytest.mark.parametrize("shape", [(6,), (6, 4)])
 def test_jets_adjoint_is_the_products_transpose(shape, seed_on):
@@ -106,36 +110,34 @@ def test_jets_adjoint_is_the_products_transpose(shape, seed_on):
     for k in ("value", "gradient", "laplacian"):
         if k != seed_on:
             getattr(bar, k)[...] = 0.0
-    back = f.adjoint(bar)
-    assert back.value.shape == back.laplacian.shape == shape
-    assert back.gradient.shape == shape + (2,)
+    back = f.adjoint(bar, out=_zeros(shape))
     assert _dot(bar, f * dg) == pytest.approx(_dot(back, dg), rel=1e-12)
     if seed_on != "gradient":  # None stands for the zero gradient seed
-        no_grad = f.adjoint(Jets(bar.value, None, bar.laplacian))
+        no_grad = f.adjoint(Jets(bar.value, None, bar.laplacian), out=_zeros(shape))
         assert _dot(no_grad, dg) == _dot(back, dg)
     if seed_on != "value":  # and for the zero value seed
-        no_value = f.adjoint(Jets(None, bar.gradient, bar.laplacian))
+        no_value = f.adjoint(Jets(None, bar.gradient, bar.laplacian), out=_zeros(shape))
         assert _dot(no_value, dg) == _dot(back, dg)
     if seed_on != "laplacian":  # and for the zero Laplacian seed
-        no_lap = f.adjoint(Jets(bar.value, bar.gradient, None))
+        no_lap = f.adjoint(Jets(bar.value, bar.gradient, None), out=_zeros(shape))
         assert _dot(no_lap, dg) == _dot(back, dg)
 
 
 def test_jets_adjoint_adds_into_out():
-    """With ``out`` the seeds are added into row blocks of a larger set in
-    place: each block reads its old entries plus the product's adjoint."""
+    """The seeds are added into row blocks of a larger set in place: each
+    block reads its old entries plus the product's adjoint."""
     rng = np.random.default_rng(4)
 
     def random_jets(n):
         return Jets(rng.normal(size=(n, 3)), rng.normal(size=(n, 3, 2)), rng.normal(size=(n, 3)))
 
     f, bar, start = random_jets(4), random_jets(4), random_jets(7)
-    seeds = Jets.zeros((7, 3), 2)
+    seeds = _zeros((7, 3))
     for k in ("value", "gradient", "laplacian"):
         getattr(seeds, k)[...] = getattr(start, k)
     block = seeds.rows(slice(2, 6))
     assert f.adjoint(bar, out=block) is block
-    alone = f.adjoint(bar)
+    alone = f.adjoint(bar, out=_zeros((4, 3)))
     for k in ("value", "gradient", "laplacian"):
         want = getattr(start, k).copy()
         want[2:6] += getattr(alone, k)
@@ -227,7 +229,7 @@ def test_backward_matches_finite_difference(monkeypatch):
             + np.sum(cl * jets.laplacian)
         )
 
-    grad = backward_jets(p, pts, forward_jets(p, pts), cv, cg, cl)
+    grad = backward_jets(p, pts, forward_jets(p, pts), _Served(cv, cg, cl))
     flat = p.to_flat()
     h = 1e-6
     idx = rng.choice(flat.size, size=25, replace=False)
@@ -243,6 +245,21 @@ def _random_seeds(rng, n_points, cfg):
     return rng.normal(size=shape), rng.normal(size=shape + (cfg.input_dim,)), rng.normal(size=shape)
 
 
+class _Served:
+    """Seeds for `backward_jets` that serve rows of (J, N) value and
+    Laplacian and (J, N, d) gradient arrays."""
+
+    def __init__(self, value, gradient, laplacian):
+        assert gradient.shape[:-1] == value.shape == laplacian.shape
+        self.arrays = (value, gradient, laplacian)
+        self.shape = value.shape
+
+    def add(self, rows, out):
+        for k, array in zip(("value", "gradient", "laplacian"), self.arrays):
+            target = getattr(out, k)
+            target += array[rows]
+
+
 def test_tiling_does_not_change_the_jets_or_the_gradient(monkeypatch):
     """Ragged tiles of 7 and one tile of all 45 points give the same jets
     and weight gradient, up to the order of the tile sums."""
@@ -255,7 +272,7 @@ def test_tiling_does_not_change_the_jets_or_the_gradient(monkeypatch):
     for tile in (7, 10**9):
         monkeypatch.setattr(nets, "TILE", tile)
         jets = forward_jets(p, pts)
-        results.append((jets, backward_jets(p, pts, jets, *seeds)))
+        results.append((jets, backward_jets(p, pts, jets, _Served(*seeds))))
     (jets7, grad7), (jets1, grad1) = results
     for k in ("value", "gradient", "laplacian"):
         a, b = getattr(jets7, k), getattr(jets1, k)
@@ -263,10 +280,29 @@ def test_tiling_does_not_change_the_jets_or_the_gradient(monkeypatch):
     np.testing.assert_allclose(grad7, grad1, rtol=1e-13, atol=1e-13 * np.max(np.abs(grad1)))
 
 
+def test_forward_writes_into_out(monkeypatch):
+    """With ``out`` the jets go into the caller's arrays, which come back
+    with the numbers of new ones, whatever they held; arrays of another
+    shape are refused."""
+    monkeypatch.setattr(nets, "TILE", 4)
+    cfg = NetConfig(2, (5, 4), 2, 3)
+    p = init_params(cfg, 12)
+    pts = np.random.default_rng(6).uniform(-1, 1, size=(10, 2))
+    fresh = forward_jets(p, pts)
+    out = Jets.empty((10, cfg.n_outputs), 2)
+    for k in ("value", "gradient", "laplacian"):
+        getattr(out, k)[...] = np.nan
+    assert forward_jets(p, pts, out=out) is out
+    for k in ("value", "gradient", "laplacian"):
+        np.testing.assert_array_equal(getattr(out, k), getattr(fresh, k))
+    with pytest.raises(ValueError, match="out of shapes"):
+        forward_jets(p, pts[:9], out=out)
+
+
 @pytest.mark.parametrize("bad", ["extra_row", "wrong_outputs"])
 def test_backward_rejects_seeds_of_another_shape(bad):
-    """Each tile slices the seeds by point, so a seed row beyond the points
-    would be dropped without the check."""
+    """Each tile asks the seeds for its points' rows, so a seed row beyond
+    the points would be dropped without the check."""
     cfg = NetConfig(2, (4,), 2, 3)
     p = init_params(cfg, 0)
     rng = np.random.default_rng(10)
@@ -275,11 +311,8 @@ def test_backward_rejects_seeds_of_another_shape(bad):
         seeds = _random_seeds(rng, 6, cfg)
     else:
         seeds = _random_seeds(rng, 5, NetConfig(2, (4,), 2, 4))
-    for k in range(3):
-        mixed = list(_random_seeds(rng, 5, cfg))
-        mixed[k] = seeds[k]
-        with pytest.raises(ValueError, match="seeds of shapes"):
-            backward_jets(p, pts, forward_jets(p, pts), *mixed)
+    with pytest.raises(ValueError, match="seeds of shape"):
+        backward_jets(p, pts, forward_jets(p, pts), _Served(*seeds))
 
 
 @pytest.mark.parametrize("bad", ["extra_row", "wrong_outputs", "flat_gradient"])
@@ -299,7 +332,7 @@ def test_backward_rejects_outputs_of_another_shape(bad):
         jets = forward_jets(p, pts)
         outputs = Jets(jets.value, jets.gradient[..., 0], jets.laplacian)
     with pytest.raises(ValueError, match="outputs of shapes"):
-        backward_jets(p, pts, outputs, *seeds)
+        backward_jets(p, pts, outputs, _Served(*seeds))
 
 
 def _record_layers(params, points):
@@ -378,7 +411,7 @@ def test_backward_matches_the_record_reverse_pass(dim, saturated, monkeypatch):
         for record, _ in _record_layers(p, pts):
             assert np.all(record[4][:, ::2] < 1e-15)
     want = _record_backward(p, pts, *seeds)
-    got = backward_jets(p, pts, forward_jets(p, pts), *seeds)
+    got = backward_jets(p, pts, forward_jets(p, pts), _Served(*seeds))
     np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13 * np.max(np.abs(want)))
 
 

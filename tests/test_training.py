@@ -19,7 +19,7 @@ from transolve.cutoffs import (
 )
 from transolve.eigen import assemble_eigensystem, select_singular, solve_eigenpairs
 from transolve.geometry import ParameterError, angular_trace, build_grid_geometry
-from transolve.nets import MlpParams, NetConfig, forward_jets, init_params
+from transolve.nets import Jets, MlpParams, NetConfig, forward_jets, init_params
 from transolve.reference import RhsSpec, exact_1d, fem_solve_2d, relative_l2_errors
 from transolve.sampling import midpoint_grid, sample_collocation, sample_parameters
 from transolve.singular import singular_evals_from_cache
@@ -254,11 +254,34 @@ def _corner_epoch_data(n_interior=10, n_interface=6):
 def _recording(monkeypatch, name, calls):
     fn = getattr(training, name)
 
-    def wrapper(*args):
-        calls.append((args, fn(*args)))
+    def wrapper(*args, **kwargs):
+        calls.append((args, fn(*args, **kwargs)))
         return calls[-1][1]
 
     monkeypatch.setattr(training, name, wrapper)
+
+
+class _Served:
+    """Seeds for `backward_jets` that serve rows of a (J, N) `Jets` set."""
+
+    def __init__(self, jets):
+        self.jets, self.shape = jets, jets.value.shape
+
+    def add(self, rows, out):
+        for k in ("value", "gradient", "laplacian"):
+            target = getattr(out, k)
+            target += getattr(self.jets, k)[rows]
+
+
+class _Part:
+    """The rows start:stop of seeds for `backward_jets`, served as seeds
+    of their own."""
+
+    def __init__(self, seeds, start, stop):
+        self.seeds, self.start, self.shape = seeds, start, (stop - start, seeds.shape[1])
+
+    def add(self, rows, out):
+        self.seeds.add(slice(rows.start + self.start, rows.stop + self.start), out)
 
 
 def test_one_forward_and_one_backward_pass_per_gradient(monkeypatch):
@@ -293,14 +316,67 @@ def test_one_backward_pass_equals_the_interior_and_interface_passes(monkeypatch)
     _recording(monkeypatch, "backward_jets", calls)
     params = init_params(NetConfig(2, (6, 5), 2, 4), 43)
     _, grad = loss_and_param_gradient(params, data)
-    (params_, points, jets, *seeds), one = calls[0]
+    (params_, points, jets, seeds), one = calls[0]
+    n = len(points)
     apart = sum(
         nets.backward_jets(
-            params_, points[rows], jets.rows(rows), *(seed[rows] for seed in seeds)
+            params_, points[start:stop], jets.rows(slice(start, stop)),
+            _Part(seeds, start, stop),
         )
-        for rows in (slice(None, n_int), slice(n_int, None))
+        for start, stop in ((0, n_int), (n_int, n))
     )
     np.testing.assert_allclose(one, apart, rtol=1e-13, atol=1e-13 * np.max(np.abs(apart)))
+
+
+def _whole_batch_seeds(params, data):
+    """The mean loss, the network's jets and the loss's seeds on them as
+    one (J, N) set: the product's adjoint of the row adjoints over the
+    whole interior and each whole interface side at once."""
+    cache, jets, cols, stack, (sides, normals) = _composed_cache(params, data)
+    sing = [singular_evals_from_cache(cache.polar, pairs) if pairs else None
+            for pairs in data.pairs_per_p]
+    batch = solve_parameter_batch(cache, data.parameters, sing, adjoint=True)
+    for w in (batch.bar_lap, batch.bar_minus, batch.bar_plus):
+        w *= 2.0 / len(data.parameters)
+    shape, n_int = jets.value.shape, data.quad.n_interior
+    seeds = Jets(np.zeros(shape), np.zeros(shape + (normals.shape[1],)), np.zeros(shape))
+    interior = seeds.rows(slice(None, n_int))
+    stack.columns(cols).adjoint(Jets(None, None, batch.bar_lap), out=interior)
+    interface = seeds.rows(slice(n_int, None))
+    for side, w in zip(sides, (batch.bar_minus, batch.bar_plus)):
+        side.columns(cols).adjoint(Jets(None, w[:, :, None] * normals[:, None, :], None),
+                                   out=interface)
+    return float(np.mean(batch.losses)), jets, seeds
+
+
+def _layout_epoch_data(layout):
+    if layout == "2x2":
+        return _corner_epoch_data(), NetConfig(2, (6, 5), 2, 4)
+    g = geom_1d()
+    quad = sample_collocation(g, 12, 1, np.random.default_rng(3))
+    parameters = sample_parameters(np.random.default_rng(4), 3, g.n_subdomains, 0.5, 5.0)
+    data = EpochData(g, default_cutoff_config(g), RhsSpec.for_geometry("sin1d", g), quad,
+                     parameters, [[]] * 3, 2.0)
+    return data, NetConfig(1, (6, 5), 3, 6)
+
+
+@pytest.mark.parametrize("tile", [7, nets.TILE])
+@pytest.mark.parametrize("layout", ["1d", "2x2"])
+def test_tile_seeds_equal_the_whole_batch_seeds(layout, tile, monkeypatch):
+    """The seeds each backward tile composes give the loss and gradient,
+    to the bit, of one (J, N) seed set built from the same row adjoints,
+    also where a tile of 7 straddles the interior and the interface rows."""
+    data, net = _layout_epoch_data(layout)
+    assert tile != 7 or data.quad.n_interior % tile
+    monkeypatch.setattr(nets, "TILE", tile)
+    monkeypatch.setattr(training, "TILE", tile)
+    params = init_params(net, 53)
+    loss, grad = loss_and_param_gradient(params, data)
+    want_loss, jets, seeds = _whole_batch_seeds(params, data)
+    points = np.concatenate([data.quad.interior_points, data.quad.interface_points])
+    want = nets.backward_jets(params, points, jets, _Served(seeds))
+    assert loss == want_loss
+    assert np.array_equal(grad, want)
 
 
 def test_tiles_of_the_composition_do_not_change_the_gradient(monkeypatch):
@@ -316,6 +392,42 @@ def test_tiles_of_the_composition_do_not_change_the_gradient(monkeypatch):
     (loss7, grad7), (loss1, grad1) = results
     assert loss7 == pytest.approx(loss1, rel=1e-13)
     np.testing.assert_allclose(grad7, grad1, rtol=1e-13, atol=1e-13 * np.max(np.abs(grad1)))
+
+
+def test_epochs_keep_their_arrays_and_a_query_build_empties_them(monkeypatch):
+    """`run_epoch` keeps its fixed-shape arrays in `training._kept` from one
+    epoch to the next, validation epochs included, and drops the basis
+    `final_solve` holds; a basis build empties the holder.  Epochs on kept
+    arrays step the weights to the bit as epochs whose holder is emptied
+    before each one."""
+    monkeypatch.setattr(training, "_kept", {})
+    monkeypatch.setattr(training, "_held", None)
+    g = geom_1d()
+    cfg = small_config(val_every=1)
+    net = NetConfig(1, (6, 6), 3, 6)
+    rhs = RhsSpec.for_geometry("sin1d", g)
+    cut = default_cutoff_config(g)
+    val = make_validation_set(g, cfg)
+    weights = []
+    for empty in (False, True):
+        state = init_train_state(g, net, cfg)
+        final_solve(state.params, g, np.ones(g.n_subdomains), rhs, cut, 1.0, 8)
+        assert training._held is not None and not training._kept
+        held = None
+        for _ in range(3):
+            if empty:
+                training._kept.clear()
+            run_epoch(state, cfg, g, rhs, cut, val)
+            assert training._held is None
+            kept = {name: arrays for name, (_, arrays) in training._kept.items()}
+            assert sorted(kept) == ["bar_lap", "bar_minus", "bar_plus", "jets", "lap"]
+            if held is not None and not empty:
+                assert all(kept[name] is arrays for name, arrays in held.items())
+            held = kept
+        weights.append(state.params.to_flat())
+        final_solve(state.params, g, np.ones(g.n_subdomains), rhs, cut, 1.0, 8)
+        assert training._held is not None and not training._kept
+    assert np.array_equal(*weights)
 
 
 def _off_line_points(g, cut, quad, margin=0.05):
@@ -385,9 +497,10 @@ def _peak_bytes(fn) -> int:
 
 
 def test_gradient_keeps_no_whole_batch_tape():
-    """The backward pass recomputes the network tile by tile, so asking for
-    the gradient costs a bounded share of the loss-only peak.  A tape of
-    every layer's jets at all points made it 3x on this batch."""
+    """The backward pass recomputes the network and composes the seeds tile
+    by tile, so asking for the gradient costs a bounded share of the
+    loss-only peak: 1.32x on this batch.  A tape of every layer's jets at
+    all points made it 3x, and a (J, N) seed set 1.55x."""
     g = build_grid_geometry(2, cuts_x=[-0.5, 0.25], cuts_y=[-0.25, 0.5], bounds=[(-1, 1), (-1, 1)])
     rhs = RhsSpec.for_geometry("corner2d", g)
     quad = sample_collocation(g, 60, 20, np.random.default_rng(12))
@@ -398,7 +511,7 @@ def test_gradient_keeps_no_whole_batch_tape():
     params = init_params(NetConfig(2, (30, 30, 30), 16, 32), 7)
     loss_only = _peak_bytes(lambda: loss_and_param_gradient(params, data, need_gradient=False))
     with_gradient = _peak_bytes(lambda: loss_and_param_gradient(params, data))
-    assert with_gradient <= 1.6 * loss_only
+    assert with_gradient <= 1.4 * loss_only
 
 
 def test_determinism_bit_identical_losses():
