@@ -16,10 +16,12 @@ computed once at import.  The generalized problem G rho = lambda B rho is
 reduced through the Cholesky factor L of B to a standard symmetric one and
 solved by LAPACK for a whole stack of traces at once: L is inverted once per
 system (one batched call), and the reduction L^-1 G L^-T and the
-back-transform rho = L^-T y are matrix products.  Singular exponents are the
-square roots of the generalized eigenvalues, selected in (0, 1).  The basis
-table at a batch of points is built with array operations, with no loop
-over the elements.
+back-transform rho = L^-T y are matrix products.  Exponents are the square
+roots of the generalized eigenvalues.  The modes stay in arrays, one
+`EigenModes` per system, and `select_singular` keeps those with exponent in
+(0, 1) by one mask over the exponents, so an `EigenPair` is made only for a
+kept mode or when a caller indexes one.  The basis table at a batch of
+points is built with array operations, with no loop over the elements.
 
 A semi-analytic transfer-matrix oracle (piecewise trigonometric modes
 propagated sector to sector, periodicity enforced as a root problem) is
@@ -35,6 +37,7 @@ import numpy as np
 __all__ = [
     "EigenSystem",
     "EigenPair",
+    "EigenModes",
     "basis_matrix",
     "assemble_eigensystem",
     "solve_eigenpairs",
@@ -165,16 +168,52 @@ class EigenPair:
     residual: float
 
 
+@dataclass(eq=False)
+class EigenModes:
+    """The modes of one system as arrays, one row per mode, exponents ascending.
+
+    ``len``, indexing and iteration give `EigenPair`s, made on demand, so
+    a caller that reads every mode sees a list of pairs; a slice gives the
+    modes of those rows.  `select_singular` reads the exponent array and
+    makes pairs only for the modes it keeps.
+    """
+
+    exponent: np.ndarray  # (M,)
+    eigenvalue: np.ndarray  # (M,)
+    rho: np.ndarray  # (M, 16), row k the coefficients of mode k
+    mu_scale: np.ndarray  # (M,)
+    residual: np.ndarray  # (M,)
+
+    def __len__(self) -> int:
+        return len(self.exponent)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return EigenModes(self.exponent[k], self.eigenvalue[k], self.rho[k],
+                              self.mu_scale[k], self.residual[k])
+        return EigenPair(
+            exponent=self.exponent.item(k),
+            eigenvalue=self.eigenvalue.item(k),
+            rho=self.rho[k],
+            mu_scale=self.mu_scale.item(k),
+            residual=self.residual.item(k),
+        )
+
+    def __iter__(self):
+        return (self[k] for k in range(len(self)))
+
+
 def solve_eigenpairs(system: EigenSystem):
-    """All eigenpairs of G rho = lambda B rho, sorted by exponent.
+    """All modes of G rho = lambda B rho, sorted by exponent.
 
     Reduction (Golub & Van Loan, Matrix Computations, 8.7): B = L L^T, then
     the symmetric eigenproblem L^-1 G L^-T y = lambda y, and rho = L^-T y,
     with L^-1 formed once per system by a batched inverse so that the
     reduction and the back-substitution are matrix products.  Exponents are
-    sqrt(max(lambda, 0)).  One system gives a list of 16 pairs; a stack of
-    shape (..., 16, 16) is solved in one batched call and gives nested lists
-    with the stack's leading shape, one list of pairs per system.
+    sqrt(max(lambda, 0)).  One system gives one `EigenModes` of 16 rows; a
+    stack of shape (..., 16, 16) is solved in one batched call and gives
+    nested lists with the stack's leading shape, one `EigenModes` per
+    system, whose rows are views of the stack's arrays.
     """
     lead = system.stiffness.shape[:-2]
     g = system.stiffness.reshape(-1, N_BASIS, N_BASIS)
@@ -202,22 +241,8 @@ def solve_eigenpairs(system: EigenSystem):
     mu_scale = np.einsum("nik,nik->nk", rho, _MASS_CONSTANT_P @ rho) ** -0.5
     rho_rows = np.ascontiguousarray(_transpose(rho))
 
-    # plain-float lists: one conversion per array, not one numpy scalar per
-    # field and mode
-    exps, eigs, mus, resids = (a.tolist() for a in (np.sqrt(lams), lams, mu_scale, res))
-    out = [
-        [
-            EigenPair(
-                exponent=exps[n][k],
-                eigenvalue=eigs[n][k],
-                rho=rho_rows[n, k],
-                mu_scale=mus[n][k],
-                residual=resids[n][k],
-            )
-            for k in range(N_BASIS)
-        ]
-        for n in range(g.shape[0])
-    ]
+    # no object per mode: the pairs a caller keeps are made when it asks
+    out = [EigenModes(*rows) for rows in zip(np.sqrt(lams), lams, rho_rows, mu_scale, res)]
     if not lead:
         return out[0]
     for size in reversed(lead[1:]):  # regroup the flat stack by leading axes
@@ -225,18 +250,20 @@ def solve_eigenpairs(system: EigenSystem):
     return out
 
 
-def select_singular(pairs: list[EigenPair], n_cap: int) -> list[EigenPair]:
+def select_singular(modes: EigenModes, n_cap: int) -> list[EigenPair]:
     """At most n_cap smallest-exponent pairs with exponent strictly in (0, 1).
 
     Guard bands of `SELECT_BAND` keep out the constant mode (exponent ~ 0
     up to FE noise) and the regular modes whose exponent is 1 up to
-    discretization error.
-    A negative cap raises ValueError.
+    discretization error.  One mask over the exponent array picks the
+    modes, in their ascending order; only the kept ones become
+    `EigenPair`s.  A negative cap raises ValueError.
     """
     if n_cap < 0:
         raise ValueError(f"the singular cap must be nonnegative, got {n_cap}")
-    picked = [p for p in pairs if SELECT_BAND < p.exponent < 1.0 - SELECT_BAND]
-    return picked[:n_cap]
+    e = modes.exponent
+    picked = ((e > SELECT_BAND) & (e < 1.0 - SELECT_BAND)).nonzero()[0][:n_cap]
+    return [modes[k] for k in picked.tolist()]
 
 
 def angular_eval(pair: EigenPair, theta):

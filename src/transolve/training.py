@@ -1,9 +1,11 @@
 """Training loop: sample, solve the per-parameter LS systems, step the net.
 
 Each epoch draws a parameter batch and fresh collocation points, solves the
-angular eigenproblems the batch needs (2D), and evaluates the network's
-jets (`nets.Jets`) once at all interior and interface points; the
-validation set is the same draw (`_draw`) from streams of its own.  Only
+angular eigenproblems the batch needs (2D) in one batched call whose modes
+stay in arrays until `select_singular` keeps the singular ones as
+`EigenPair`s, and evaluates the network's jets (`nets.Jets`) once at all
+interior and interface points; the validation set is the same draw
+(`_draw`) from streams of its own.  Only
 what the loss reads is composed with the cutoff factors: the interior
 Laplacians of the product ``fac * raw`` (`Jets.product_laplacian`), the
 factors gathered from the distinct stack of `cutoffs.composition_factors`,
@@ -233,8 +235,11 @@ def vertex_eigenpairs(geometry: Geometry, parameters, n_singular: int):
     The batch is validated once, and the angular traces of all P
     parameters at all N_s vertices are one gather through the geometry's
     vertex-to-sector table, a (P, N_s, 4) stack solved in one batched
-    eigensolve.  A parameter row at fault raises ParameterError naming it,
-    a failed eigensolve ValueError.
+    eigensolve that keeps every system's modes in arrays.  One
+    `select_singular` per parameter and vertex masks the exponents and
+    makes `EigenPair`s for the kept modes only, at most ``n_singular``.
+    A parameter row at fault raises ParameterError naming it, a failed
+    eigensolve ValueError.
     """
     parameters = np.asarray(parameters, dtype=float)
     n_p = parameters.shape[0]

@@ -5,6 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from transolve.eigen import (
+    SELECT_BAND,
+    EigenModes,
     angular_eval,
     assemble_eigensystem,
     basis_matrix,
@@ -150,9 +152,36 @@ def test_select_singular():
     assert sel and all(0 < p.exponent < 1 for p in sel)
     with pytest.raises(ValueError):
         select_singular(pairs, -1)  # picked[:-1] would drop the last pair
-    # exponent within 1e-9 of 1 is excluded by the strict band
-    fake = [type(pairs[0])(1.0 - 5e-10, 1.0, pairs[0].rho, 1.0, 0.0)]
-    assert select_singular(fake, 3) == []
+    # made-up exponents: within 1e-9 of 1 or 1e-6 of 0 is outside the strict
+    # band; the kept modes come in ascending order up to the cap (an FE trace
+    # of four sectors has one mode in the band, so only made-up modes test
+    # the order and a cap above 1)
+    exps = np.array([0.0, 5e-7, 0.3, 0.5, 0.9, 1.0 - 5e-10, 1.0, 1.5])
+    fake = EigenModes(exps, exps**2, pairs.rho[:8], np.ones(8), np.zeros(8))
+    assert select_singular(fake[5:], 3) == []
+    assert [p.exponent for p in select_singular(fake, 2)] == [0.3, 0.5]
+    assert [p.exponent for p in select_singular(fake, 8)] == [0.3, 0.5, 0.9]
+
+
+def test_selection_equals_the_band_filter_over_every_mode():
+    """The mask over the exponent array keeps the pairs, fields and order
+    that filtering all 16 modes one by one through the band keeps."""
+    traces = np.vstack([np.ones(4), np.random.default_rng(8).uniform(0.1, 10.0, size=(64, 4))])
+    stacked = solve_eigenpairs(assemble_eigensystem(traces))
+    n_selected = 0
+    for modes in stacked:
+        assert isinstance(modes, EigenModes) and len(modes) == 16
+        for n_cap in range(4):
+            want = [p for p in modes if SELECT_BAND < p.exponent < 1.0 - SELECT_BAND][:n_cap]
+            got = select_singular(modes, n_cap)
+            assert len(got) == len(want)
+            n_selected += len(got)
+            for a, b in zip(got, want):
+                assert (a.exponent, a.eigenvalue, a.mu_scale, a.residual) == (
+                    b.exponent, b.eigenvalue, b.mu_scale, b.residual)
+                assert np.array_equal(a.rho, b.rho)
+    assert select_singular(stacked[0], 3) == []  # the uniform trace has no singular mode
+    assert n_selected > 0
 
 
 def test_angular_eval_unit_l2():

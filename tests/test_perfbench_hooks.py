@@ -102,6 +102,26 @@ def test_tracer_counts_each_forward_point_once(perfbench_module):
     assert any(span[2] == "backward_jets" for span in tracer.spans)
 
 
+def test_tracer_sees_one_eigensolve_and_one_selection_per_vertex(perfbench_module):
+    """`eigen.solves` counts the traced `solve_eigenpairs` calls and
+    `eigen.max_residual` reads the notes of the traced `select_singular`
+    calls: a batch is one solve and one selection per parameter and
+    vertex, each noting the largest residual of the pairs it kept."""
+    spans = perfbench_module("spans")
+    g = build_grid_geometry(2, cuts_x=[-0.5, 0.25], cuts_y=[-0.25, 0.5], bounds=[(-1, 1), (-1, 1)])
+    parameters = sample_parameters(np.random.default_rng(3), 8, g.n_subdomains, 0.1, 10.0)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        training.vertex_eigenpairs(g, parameters, 2)
+    finally:
+        tracer.uninstall()
+    assert [span[2] for span in tracer.spans].count("solve_eigenpairs") == 1
+    selections = [span for span in tracer.spans if span[2] == "select_singular"]
+    assert len(selections) == len(parameters) * g.n_singular
+    assert all(span[5]["max_residual"] > 0 for span in selections)
+
+
 def test_ls_check_accepts_the_batched_solve_in_2d(perfbench_module):
     checks = perfbench_module("checks")
     g = build_grid_geometry(2, cuts_x=[0.0], cuts_y=[0.0], bounds=[(-1, 1), (-1, 1)])

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from transolve import assembly, nets, training
+from transolve import assembly, eigen, nets, training
 from transolve.assembly import (
     assemble_system,
     build_epoch_cache,
@@ -749,6 +749,22 @@ def test_vertex_eigenpairs_batch_matches_per_vertex_solves():
             np.testing.assert_allclose(
                 [p.exponent for p in batch[k][vid]], [p.exponent for p in ref], atol=1e-12
             )
+
+
+def test_vertex_eigenpairs_makes_pairs_only_for_the_selected_modes(monkeypatch):
+    g = build_grid_geometry(2, cuts_x=[-0.5, 0.25], cuts_y=[-0.25, 0.5], bounds=[(-1, 1), (-1, 1)])
+    params = sample_parameters(np.random.default_rng(2), 8, g.n_subdomains, 0.1, 10.0)
+    made, make = [], eigen.EigenPair
+
+    def counted(*args, **kwargs):
+        made.append(make(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(eigen, "EigenPair", counted)
+    batch = vertex_eigenpairs(g, params, 2)
+    per_vertex = [len(pairs) for per_p in batch for pairs in per_p]
+    assert len(per_vertex) == 8 * g.n_singular and max(per_vertex) <= 2
+    assert len(made) == sum(per_vertex) > 0
 
 
 def test_vertex_eigenpairs_failure_names_the_parameter():
