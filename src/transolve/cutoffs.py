@@ -27,10 +27,13 @@ network jets is the composed basis there.  A caller that composes a few
 points at a time gathers only those rows, ``stack.rows(tile).columns(index)``,
 so the (J, n1 + n2) factors of every point need never exist at once.
 At interface points, where Psi kinks, `interface_trace_factors` feeds the
-same product the one-sided jets of psi on its own line and returns the
-minus and plus sides' distinct factors, gathered with the same index;
-n . (F_pm * raw).gradient is the one-sided normal trace, with
-F_pm = ``side.columns(index)`` gathered one side at a time.
+same product the plus-side jets of psi on its own line and returns the
+plus side's distinct factors, gathered with the same index;
+n . (F * raw).gradient is the plus-side normal trace.  The factors that
+hold the psi of the point's own axis vanish on its line, so their jets,
+and the traces through them, flip sign across it: the minus side is the
+plus side times -1 on those factors, which it returns as a mask.  Interior
+and interface points take psi from one builder, `_psi_jets`.
 """
 
 from __future__ import annotations
@@ -121,7 +124,7 @@ def jump_adf_jet(points: np.ndarray, lines: list[tuple[int, float]]) -> Jets:
     d_g is the perpendicular distance to interface line g.  psi vanishes on
     every line of the set with one-sided normal slopes +-1; evaluation
     exactly on a line is rejected (`interface_trace_factors` takes the
-    one-sided limits there).
+    plus-side limit there).
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     n, d = points.shape
@@ -217,6 +220,30 @@ def _axis_lines(geometry: Geometry) -> list[list[tuple[int, float]]]:
     return [[(a, c) for c in positions] for a, positions in enumerate(cuts)]
 
 
+def _psi_jets(points: np.ndarray, axes: np.ndarray, geometry: Geometry):
+    """Yields the jump cutoff psi_a of each interface axis a, as (J,) jets.
+
+    Off its lines psi_a is `jump_adf_jet` over them, and the constant 1
+    where axis a has no line.  At a point whose ``axes`` entry is a, on a
+    line of axis a where psi_a = |h| kinks, it is the plus-side limit:
+    value 0, gradient +e_a, Laplacian 0.  Interior points pass an axis of
+    -1, on no line; a point said to lie on a line of an axis without one
+    raises ValueError (`jump_adf_jet`).
+    """
+    n, d = points.shape
+    for a, lines in enumerate(_axis_lines(geometry)):
+        on = axes == a
+        if not on.any():  # no point on a line of axis a: no masked copies
+            yield jump_adf_jet(points, lines) if lines else Jets.ones(n, d)
+            continue
+        psi, off = Jets.ones(n, d), jump_adf_jet(points[~on], lines)
+        for name in ("value", "gradient", "laplacian"):
+            getattr(psi, name)[~on] = getattr(off, name)
+        psi.value[on] = 0.0
+        psi.gradient[on, a] = 1.0
+        yield psi
+
+
 def composition_factors(points, geometry: Geometry, config: CutoffConfig) -> Jets:
     """The distinct cutoff factors at interior points, as (J, F) jets.
 
@@ -226,43 +253,30 @@ def composition_factors(points, geometry: Geometry, config: CutoffConfig) -> Jet
     raw_subset``; boundary points give exact zeros.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    n, d = points.shape
-    psis = [
-        jump_adf_jet(points, lines) if lines else Jets.ones(n, d)
-        for lines in _axis_lines(geometry)
-    ]
+    psis = _psi_jets(points, np.full(len(points), -1), geometry)
     return _distinct_factors(points, geometry, config, psis)
 
 
 def interface_trace_factors(
     points, interface_axes, geometry: Geometry, config: CutoffConfig
-) -> tuple[Jets, Jets]:
-    """One-sided (minus, plus) distinct cutoff factors at points on
-    interfaces with the given axes, each (J, F) jets in the order of
-    `factor_index`, as `composition_factors`.
+) -> tuple[Jets, np.ndarray]:
+    """The plus-side distinct cutoff factors at points on interfaces with
+    the given axes, as (J, F) jets in the order of `factor_index`, and the
+    (J, F) mask of the factors that hold the psi of the point's own axis.
 
-    On its own line psi_a = |h| kinks: it has value 0 and one-sided
-    gradient -n (minus side) or +n (plus side), with n the unit normal
-    e_a, and one-sided Laplacian 0.  Fed those jets, the product rule gives
-    the one-sided factors F_pm = ``side.columns(index)``, and the one-sided
-    normal trace of the composed basis is ``n . (F_pm * raw).gradient``.
+    On its own line psi_a = |h| kinks: it has value 0, one-sided gradient
+    +n on the plus side and -n on the minus side, with n the unit normal
+    e_a, and one-sided Laplacian 0.  Fed the plus side's jets, the product
+    rule gives the plus-side factors F = ``stack.columns(index)``, and the
+    plus-side normal trace of the composed basis is
+    ``n . (F * raw).gradient``.  A masked factor is 0 on the line, so
+    there n . grad(F * raw) = raw (n . grad F), and its jets flip sign
+    across the line: the minus-side factors and traces are the plus
+    side's times -1 on the masked columns, +1 elsewhere.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    n, d = points.shape
-    # every point twice: the minus side, then the plus side
-    both = np.concatenate([points, points])
-    axes = np.tile(np.asarray(interface_axes, dtype=int), 2)
-    side = np.repeat([-1.0, 1.0], n)
-    psis = []
-    for a, lines in enumerate(_axis_lines(geometry)):
-        psi = Jets.ones(2 * n, d)
-        on = axes == a
-        if lines and not np.all(on):
-            off = jump_adf_jet(both[~on], lines)
-            for name in ("value", "gradient", "laplacian"):
-                getattr(psi, name)[~on] = getattr(off, name)
-        psi.value[on] = 0.0
-        psi.gradient[on, a] = side[on]
-        psis.append(psi)
-    stack = _distinct_factors(both, geometry, config, psis)
-    return stack.rows(slice(None, n)), stack.rows(slice(n, None))
+    axes = np.asarray(interface_axes, dtype=int)
+    stack = _distinct_factors(points, geometry, config, _psi_jets(points, axes, geometry))
+    # factor k is B * psi_a * phi_v for a = k // max(N_s, 1) - 1 (a = -1: B * phi_v)
+    axis_of = np.arange(stack.value.shape[1]) // max(geometry.n_singular, 1) - 1
+    return stack, axis_of[None, :] == axes[:, None]

@@ -35,9 +35,10 @@ evaluates points of one count again and again keeps its output arrays.
 network returns its outputs as `Jets`, the cutoff fields are `Jets`, and
 `Jets.__mul__` is the one second-order product rule, which both builds the
 cutoff factors and applies them to the network outputs, interior and
-one-sided interface factors alike.  Its Laplacian is `product_laplacian`,
-which a caller that reads only the Laplacian calls alone; the one-sided
-interface traces are the normal component of its gradient.  `Jets.adjoint`
+plus-side interface factors alike.  Its Laplacian is `product_laplacian`,
+which a caller that reads only the Laplacian calls alone; the plus-side
+interface traces are the normal component of its gradient, and the minus
+side's are those times a sign (see `cutoffs`).  `Jets.adjoint`
 is the product's transpose, which carries every loss row's seeds back to the
 network outputs, adding them into row blocks of a backward tile's seeds.
 """

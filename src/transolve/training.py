@@ -9,15 +9,19 @@ interior and interface points; the validation set is the same draw
 what the loss reads is composed with the cutoff factors: the interior
 Laplacians of the product ``fac * raw`` (`Jets.product_laplacian`), the
 factors gathered from the distinct stack of `cutoffs.composition_factors`,
-and the one-sided interface traces n . grad(F_pm * raw), the normal
-component of the product `Jets.__mul__` with the factors from
+and the plus-side interface traces n . grad(F * raw), the normal component
+of the product `Jets.__mul__` with the factors from
 `cutoffs.interface_trace_factors`, both gathered with one
-`cutoffs.factor_index` per composition.  `assembly.solve_parameter_batch`
-solves every parameter's least-squares system block by block and sums each
-block's row seeds times its coefficients into the row adjoints: (J1, N) for
-the Laplacians and (J2, N) per trace side.  The mean squared residual is
-back-propagated with the solved coefficients held fixed (the derivative of
-a minimum is the partial derivative at the minimizer).  One
+`cutoffs.factor_index` per composition.  The minus-side traces are the
+plus side's times a sign, -1 where the factor vanishes on the point's own
+line and +1 elsewhere, so one product and one trace serve both sides.
+`assembly.solve_parameter_batch` solves every parameter's least-squares
+system block by block and sums each block's row seeds times its
+coefficients into the row adjoints: (J1, N) for the Laplacians and (J2, N)
+per trace side, the minus side's folded into the plus side's through the
+same sign.  The mean squared residual is back-propagated with the solved
+coefficients held fixed (the derivative of a minimum is the partial
+derivative at the minimizer).  One
 `nets.backward_jets` pass goes over every point in the order
 `forward_jets` saw them, tile by tile, reading the output jets the forward
 gave and recomputing only the hidden layers.  It asks `_ComposedSeeds` for
@@ -289,20 +293,23 @@ def _interface_rows(
     points of ``quad``, from the network's jets ``ifc`` there and the
     outputs' `factor_index` ``cols``.
 
-    Each side's (J2, N) factors are gathered from its distinct stack,
-    multiplied with the network jets (`Jets.__mul__`) and dropped in turn,
-    so the two sides' factors never coexist; a trace is the component of
-    the product's gradient along its interface's axis, the unit normal.
-    Returns the (minus, plus) distinct factor stacks
-    (`cutoffs.interface_trace_factors`), the (J2, d) unit normals at the
+    The plus side's (J2, N) factors are gathered from its distinct stack
+    (`cutoffs.interface_trace_factors`) and multiplied with the network
+    jets once (`Jets.__mul__`); the plus trace is the component of the
+    product's gradient along its interface's axis, the unit normal.  The
+    minus trace is that trace times ``sign``, -1 on the outputs whose
+    factor holds the psi of the point's own axis and +1 elsewhere: such a
+    factor F is 0 on the line, so n . grad(F * raw) = raw (n . grad F),
+    and n . grad F flips sign across it.  Returns the plus side's distinct
+    factor stack, the (J2, N) ``sign``, the (J2, d) unit normals at the
     interface points and the (minus, plus) traces, each (J2, N).
     """
     ifc_axes = np.array([geometry.interfaces[k].axis for k in quad.interface_ids], dtype=int)
     normals = np.eye(geometry.dimension)[ifc_axes]
-    stacks = interface_trace_factors(quad.interface_points, ifc_axes, geometry, cutoff_config)
-    rows = np.arange(len(ifc_axes))
-    traces = [(side.columns(cols) * ifc).gradient[rows, :, ifc_axes] for side in stacks]
-    return stacks, normals, traces
+    stack, mask = interface_trace_factors(quad.interface_points, ifc_axes, geometry, cutoff_config)
+    sign = np.where(mask[:, cols], -1.0, 1.0)
+    plus = (stack.columns(cols) * ifc).gradient[np.arange(len(ifc_axes)), :, ifc_axes]
+    return stack, sign, normals, (sign * plus, plus)
 
 
 def _keep(kept: dict | None, name: str, shape: tuple, make):
@@ -329,9 +336,10 @@ def _composed_cache(params: MlpParams, data: EpochData, kept: dict | None = None
     (`_keep`), or made new without one.  Returns the cache and what the
     loss's adjoint reads: the network's jets at all the points, the
     outputs' `factor_index`, the interior factor stack
-    (`cutoffs.composition_factors`), and the one-sided (minus, plus)
-    interface factor stacks with the (J2, d) unit normals at the interface
-    points.  The gathered (J1, N) factors are not kept.
+    (`cutoffs.composition_factors`), and the plus-side interface factor
+    stack with the (J2, N) minus-side sign and the (J2, d) unit normals at
+    the interface points (`_interface_rows`).  The gathered (J1, N) factors
+    are not kept.
     """
     cfg = params.config
     quad = data.quad
@@ -346,13 +354,13 @@ def _composed_cache(params: MlpParams, data: EpochData, kept: dict | None = None
     lap = _keep(kept, "lap", (n_int, cfg.n_outputs), np.empty)
     for rows in _tiles(n_int):
         lap[rows] = stack.rows(rows).columns(cols).product_laplacian(jets.rows(rows))
-    stacks, normals, traces = _interface_rows(
+    *interface, traces = _interface_rows(
         jets.rows(slice(n_int, None)), quad, data.geometry, data.cutoff_config, cols
     )
     cache = build_epoch_cache(
         data.geometry, data.cutoff_config, quad, lap, *traces, data.rhs, theta=data.theta
     )
-    return cache, jets, cols, stack, (stacks, normals)
+    return cache, jets, cols, stack, interface
 
 
 @dataclass(frozen=True)
@@ -362,17 +370,18 @@ class _ComposedSeeds:
 
     A tile's rows take the product's adjoint (`Jets.adjoint`) of their
     scaled row adjoints: the interior rows seed the Laplacian of fac * raw,
-    the interface rows the normal component of each side's gradient, minus
-    side then plus side, with the factors gathered for the tile's rows
-    alone.  So the seeds of the whole batch never exist at once.
+    the interface rows the normal component of the plus side's gradient,
+    whose adjoint holds the minus side's too, with the factors gathered for
+    the tile's rows alone.  So the seeds of the whole batch never exist at
+    once.
     """
 
     cols: np.ndarray  # (N,) factor_index of the outputs
     stack: Jets  # (J1, F) interior factor stack
-    sides: tuple  # (minus, plus) (J2, F) one-sided factor stacks
+    ifc_stack: Jets  # (J2, F) plus-side interface factor stack
     normals: np.ndarray  # (J2, d) unit normals at the interface points
     bar_lap: np.ndarray  # (J1, N) adjoint of the interior Laplacians
-    bar_sides: tuple  # (minus, plus) (J2, N) adjoints of the traces
+    bar_trace: np.ndarray  # (J2, N) adjoint of the plus traces, minus side folded in
 
     @property
     def shape(self) -> tuple:
@@ -388,12 +397,8 @@ class _ComposedSeeds:
             )
         outer = slice(max(rows.start, n_int) - n_int, rows.stop - n_int)
         if outer.start < outer.stop:
-            block = out.rows(slice(k, None))
-            normals = self.normals[outer, None, :]
-            for side, bar in zip(self.sides, self.bar_sides):
-                side.rows(outer).columns(self.cols).adjoint(
-                    Jets(None, bar[outer, :, None] * normals, None), out=block
-                )
+            bar = Jets(None, self.bar_trace[outer, :, None] * self.normals[outer, None, :], None)
+            self.ifc_stack.rows(outer).columns(self.cols).adjoint(bar, out=out.rows(slice(k, None)))
 
 
 def loss_and_param_gradient(
@@ -413,9 +418,9 @@ def loss_and_param_gradient(
     """
     if data.parameters.shape[0] < 1:
         raise ValueError("empty parameter batch")
-    cache, jets, cols, stack, (stacks, normals) = _composed_cache(params, data, kept)
+    cache, jets, cols, stack, (ifc_stack, sign, normals) = _composed_cache(params, data, kept)
     if not need_gradient:  # read by the adjoint alone: not held through the solve
-        jets = stack = stacks = None
+        jets = stack = ifc_stack = None
     sing_per_p = [
         singular_evals_from_cache(cache.polar, pairs) if pairs else None
         for pairs in data.pairs_per_p
@@ -434,13 +439,17 @@ def loss_and_param_gradient(
         return loss, None
     del cache, sing_per_p, batch  # the backward pass reads none of them
 
-    # the row adjoints, scaled in place to the mean loss, seed the composed
-    # rows: the interior Laplacians and the normal component of each side's
-    # gradient.  The backward pass composes them tile by tile through the
-    # product's adjoint, in the order `forward_jets` saw the points
-    for w in adjoints:
+    # the minus traces are sign times the plus traces, so their adjoint
+    # joins the plus side's.  The row adjoints, scaled in place to the mean
+    # loss, seed the composed rows: the interior Laplacians and the normal
+    # component of the plus side's gradient.  The backward pass composes
+    # them tile by tile through the product's adjoint, in the order
+    # `forward_jets` saw the points
+    bar_lap, bar_minus, bar_plus = adjoints
+    bar_plus += sign * bar_minus
+    for w in (bar_lap, bar_plus):
         w *= 2.0 / data.parameters.shape[0]
-    seeds = _ComposedSeeds(cols, stack, stacks, normals, adjoints[0], adjoints[1:])
+    seeds = _ComposedSeeds(cols, stack, ifc_stack, normals, bar_lap, bar_plus)
     quad = data.quad
     points = np.concatenate([quad.interior_points, quad.interface_points])
     grad = backward_jets(params, points, jets, seeds)
@@ -757,7 +766,9 @@ def load_checkpoint(path):
     """Read a checkpoint written by save_checkpoint; returns (state, config, extra).
 
     Nothing in the file is unpickled: a file that is not a version-2
-    archive raises ValueError.
+    archive raises ValueError, and so does one whose Adam moments or best
+    weights are not vectors of the network's parameter count, or whose
+    iteration or Adam step is not a nonnegative integer.
     """
     try:
         with np.load(path, allow_pickle=False) as archive:
@@ -770,12 +781,19 @@ def load_checkpoint(path):
         train_fields = dict(header["train_config"])
         seeds = Seeds(**train_fields.pop("seeds"))
         config = TrainConfig(**train_fields, seeds=seeds)
+        params = MlpParams.from_flat(net_config, arrays["flat_params"])
+        # every array is a vector of the weights: the weights, the two Adam
+        # moments and the best weights
+        if any(a.shape != (params.n_params,) for a in arrays.values()):
+            raise ValueError("malformed checkpoint: an array is not a weight vector")
+        if not all(type(header[k]) is int and header[k] >= 0 for k in ("iteration", "adam_t")):
+            raise ValueError("malformed checkpoint: a counter is not a nonnegative integer")
         best_val = None
         if header["best_val"] is not None:
             loss, iteration = header["best_val"]
             best_val = (loss, arrays["best_params"], iteration)
         state = TrainState(
-            params=MlpParams.from_flat(net_config, arrays["flat_params"]),
+            params=params,
             adam=AdamState(arrays["adam_m"], arrays["adam_v"], header["adam_t"]),
             iteration=header["iteration"],
             rng_params=config.seeds.stream("params"),

@@ -50,12 +50,13 @@ def raw_rows(geometry, net_cfg, seed=0, n_int=12, n_ifc=6):
     stack = composition_factors(quad.interior_points, geometry, cfg)
     lap = (stack.columns(cols) * forward_jets(params, quad.interior_points)).laplacian
     ifc_axes = np.array([geometry.interfaces[k].axis for k in quad.interface_ids])
-    stacks = interface_trace_factors(quad.interface_points, ifc_axes, geometry, cfg)
-    sides = [side.columns(cols) for side in stacks]
+    ifc_stack, mask = interface_trace_factors(quad.interface_points, ifc_axes, geometry, cfg)
     ifc_jets = forward_jets(params, quad.interface_points)
-    # the normal component of each side's gradient
+    # the normal component of the plus side's gradient; the minus side
+    # flips the sign of the outputs whose factor vanishes on the line
     rows = np.arange(quad.n_interface)
-    tr_minus, tr_plus = ((f * ifc_jets).gradient[rows, :, ifc_axes] for f in sides)
+    tr_plus = (ifc_stack.columns(cols) * ifc_jets).gradient[rows, :, ifc_axes]
+    tr_minus = np.where(mask[:, cols], -tr_plus, tr_plus)
     return cfg, quad, lap, tr_minus, tr_plus
 
 

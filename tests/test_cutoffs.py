@@ -28,6 +28,13 @@ def geom_2x2():
     return build_grid_geometry(2, cuts_x=[0.0], cuts_y=[0.0], bounds=[(-1, 1), (-1, 1)])
 
 
+def geom_3x3():
+    """The non-uniform layout of the 2D benchmark, with 4 singular vertices."""
+    return build_grid_geometry(
+        2, cuts_x=[-0.5, 0.25], cuts_y=[-0.25, 0.5], bounds=[(-1, 1), (-1, 1)]
+    )
+
+
 def fd_gradient(f, x, h=1e-6):
     x = np.asarray(x, dtype=float)
     g = np.zeros_like(x)
@@ -356,41 +363,42 @@ def test_apply_cutoffs_dimension_mismatch():
 
 
 def _traces(points, axes, raw, g, cfg, n1, n2):
-    """One-sided normal traces (minus, plus): n . (F_pm * raw).gradient."""
-    stacks, cols = interface_trace_factors(points, axes, g, cfg), factor_index(g, n1, n2)
-    rows = np.arange(len(axes))
-    return tuple((side.columns(cols) * raw).gradient[rows, :, axes] for side in stacks)
+    """One-sided normal traces (minus, plus): the plus side's
+    n . (F * raw).gradient, and its negative on the masked outputs."""
+    (stack, mask), cols = interface_trace_factors(points, axes, g, cfg), factor_index(g, n1, n2)
+    plus = (stack.columns(cols) * raw).gradient[np.arange(len(axes)), :, axes]
+    return np.where(mask[:, cols], -plus, plus), plus
 
 
 def test_interface_trace_one_sided_limit_identity():
-    """One-sided normal derivative of v_n tends to +-B*vbar*Phi2 on the interface."""
-    g = geom_2x2()
-    cfg = default_cutoff_config(g)
-    rng = np.random.default_rng(8)
-    jets = _random_raw(rng, 1, 3, 2)
-    x = np.array([0.0, 0.62])  # on the vertical interface
-    tr_minus, tr_plus = _traces(x[None, :], np.array([0]), jets(x[None, :]), g, cfg, 1, 2)
+    """One-sided normal derivative of every output tends to its trace on
+    that side: +-B*vbar*Phi2 where psi kinks on the line, the same value
+    on both sides elsewhere.  Each side is checked against a second-order
+    one-sided difference from three points off the line, at points on a
+    vertical (axis 0) and a horizontal (axis 1) interface of the 2x2 and
+    the 3x3 layout; on the 3x3 one both lie in the transition annulus of a
+    vertex."""
+    cases = [("2x2", (0.0, 0.62), 0), ("2x2", (0.55, 0.0), 1), ("3x3", (-0.5, -0.1), 0),
+             ("3x3", (0.1, 0.5), 1)]
+    for layout, point, axis in cases:
+        g, (n1, n2) = (geom_2x2(), (1, 2)) if layout == "2x2" else (geom_3x3(), (4, 8))
+        cfg = default_cutoff_config(g)
+        jets = _random_raw(np.random.default_rng(8), 1, n1 + n2, 2)
+        x, normal = np.array(point), np.eye(2)[axis]
+        tr_minus, tr_plus = _traces(x[None, :], np.array([axis]), jets(x[None, :]), g, cfg, n1, n2)
+        kinks = factor_index(g, n1, n2) // max(g.n_singular, 1) == 1 + axis
+        assert kinks.any() and not kinks.all()
+        np.testing.assert_array_equal(tr_minus[0, ~kinks], tr_plus[0, ~kinks])
 
-    h = 1e-7
-    for col, sided in ((1, True), (2, False)):  # col1: psi1 kinks here; col2 smooth
-        vals = {}
-        for s, side in ((+1, "p"), (-1, "m")):
-            xp = x + np.array([s * h, 0.0])
-            v1 = _composed(jets, xp[None, :], g, cfg, 1, 2).value
-            xp2 = x + np.array([2 * s * h, 0.0])
-            v2 = _composed(jets, xp2[None, :], g, cfg, 1, 2).value
-            # one-sided derivative, first order from the interface value (v=0 on own line)
-            vals[side] = (v1[0, col], v2[0, col])
-        von = 0.0 if sided else None
-        if sided:
-            dp = (4 * vals["p"][0] - vals["p"][1]) / (2 * h)  # 2nd-order one-sided
-            dm = (-4 * vals["m"][0] + vals["m"][1]) / (2 * h)
-            assert dp == pytest.approx(tr_plus[0, col], abs=1e-3)
-            assert dm == pytest.approx(tr_minus[0, col], abs=1e-3)
-        else:
-            dp = (vals["p"][0] - vals["m"][0]) / (2 * h)
-            assert dp == pytest.approx(tr_plus[0, col], abs=1e-3)
-            assert tr_plus[0, col] == pytest.approx(tr_minus[0, col])
+        h = 1e-6
+        for s, trace in ((+1, tr_plus), (-1, tr_minus)):
+            v1, v2, v3 = (
+                _composed(jets, (x + k * s * h * normal)[None, :], g, cfg, n1, n2).value[0]
+                for k in (1, 2, 3)
+            )
+            # d/dn from the side s, exact to second order without the value on the line
+            fd = s * (-2.5 * v1 + 4 * v2 - 1.5 * v3) / h
+            np.testing.assert_allclose(trace[0], fd, rtol=0, atol=1e-3, err_msg=f"{layout} {point}")
 
 
 def test_jump_bracket_scales_linearly_in_raw_value():

@@ -261,11 +261,11 @@ def _untiled_basis(params, g, rhs, cut, theta, quad):
     stack = composition_factors(quad.interior_points, g, cut)
     composed = stack.columns(cols) * forward_jets(params, quad.interior_points)
     axes = np.array([g.interfaces[k].axis for k in quad.interface_ids], dtype=int)
-    stacks = interface_trace_factors(quad.interface_points, axes, g, cut)
+    ifc_stack, mask = interface_trace_factors(quad.interface_points, axes, g, cut)
     ifc = forward_jets(params, quad.interface_points)
-    rows = np.arange(quad.n_interface)
-    traces = [(side.columns(cols) * ifc).gradient[rows, :, axes] for side in stacks]
-    cache = build_epoch_cache(g, cut, quad, composed.laplacian, *traces, rhs, theta=theta)
+    plus = (ifc_stack.columns(cols) * ifc).gradient[np.arange(quad.n_interface), :, axes]
+    minus = np.where(mask[:, cols], -plus, plus)
+    cache = build_epoch_cache(g, cut, quad, composed.laplacian, minus, plus, rhs, theta=theta)
     return composed.value, np.moveaxis(composed.gradient, -1, 1), cache
 
 

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from transolve import assembly, eigen, nets, training
+from transolve import assembly, cutoffs, eigen, nets, training
 from transolve.assembly import (
     assemble_system,
     build_epoch_cache,
@@ -331,21 +331,23 @@ def test_one_backward_pass_equals_the_interior_and_interface_passes(monkeypatch)
 def _whole_batch_seeds(params, data):
     """The mean loss, the network's jets and the loss's seeds on them as
     one (J, N) set: the product's adjoint of the row adjoints over the
-    whole interior and each whole interface side at once."""
-    cache, jets, cols, stack, (sides, normals) = _composed_cache(params, data)
+    whole interior and the whole interface at once, the minus traces'
+    adjoint folded into the plus traces' through their sign."""
+    cache, jets, cols, stack, (ifc_stack, sign, normals) = _composed_cache(params, data)
     sing = [singular_evals_from_cache(cache.polar, pairs) if pairs else None
             for pairs in data.pairs_per_p]
     batch = solve_parameter_batch(cache, data.parameters, sing, adjoint=True)
-    for w in (batch.bar_lap, batch.bar_minus, batch.bar_plus):
+    batch.bar_plus += sign * batch.bar_minus
+    for w in (batch.bar_lap, batch.bar_plus):
         w *= 2.0 / len(data.parameters)
     shape, n_int = jets.value.shape, data.quad.n_interior
     seeds = Jets(np.zeros(shape), np.zeros(shape + (normals.shape[1],)), np.zeros(shape))
     interior = seeds.rows(slice(None, n_int))
     stack.columns(cols).adjoint(Jets(None, None, batch.bar_lap), out=interior)
-    interface = seeds.rows(slice(n_int, None))
-    for side, w in zip(sides, (batch.bar_minus, batch.bar_plus)):
-        side.columns(cols).adjoint(Jets(None, w[:, :, None] * normals[:, None, :], None),
-                                   out=interface)
+    ifc_stack.columns(cols).adjoint(
+        Jets(None, batch.bar_plus[:, :, None] * normals[:, None, :], None),
+        out=seeds.rows(slice(n_int, None)),
+    )
     return float(np.mean(batch.losses)), jets, seeds
 
 
@@ -358,6 +360,100 @@ def _layout_epoch_data(layout):
     data = EpochData(g, default_cutoff_config(g), RhsSpec.for_geometry("sin1d", g), quad,
                      parameters, [[]] * 3, 2.0)
     return data, NetConfig(1, (6, 5), 3, 6)
+
+
+def _interface_axes(geometry, quad):
+    return np.array([geometry.interfaces[k].axis for k in quad.interface_ids], dtype=int)
+
+
+def _minus_side_factors(points, axes, geometry, cut):
+    """The minus side's distinct factors, built point by point: at a point
+    on a line of axis a, psi_a is the minus-side limit of |h| (value 0,
+    gradient -e_a, Laplacian 0); elsewhere it is `jump_adf_jet` over the
+    lines of axis a, or 1 where that axis has none."""
+    d = points.shape[1]
+    psis = []
+    for a, lines in enumerate(cutoffs._axis_lines(geometry)):
+        rows = [
+            Jets(np.zeros(1), -np.eye(d)[None, a], np.zeros(1)) if axis == a
+            else cutoffs.jump_adf_jet(x[None, :], lines) if lines else Jets.ones(1, d)
+            for x, axis in zip(points, axes)
+        ]
+        psis.append(Jets(*(np.concatenate([getattr(r, k) for r in rows])
+                           for k in ("value", "gradient", "laplacian"))))
+    return cutoffs._distinct_factors(points, geometry, cut, psis)
+
+
+_TRACE_LAYOUTS = {
+    "1d": (geom_1d, 0),
+    "2x2": (lambda: build_grid_geometry(2, cuts_x=[0.0], cuts_y=[0.0],
+                                        bounds=[(-1, 1), (-1, 1)]), 1),
+    "3x3": (lambda: build_grid_geometry(2, cuts_x=[-0.5, 0.25], cuts_y=[-0.25, 0.5],
+                                        bounds=[(-1, 1), (-1, 1)]), 4),
+    "x-cuts only": (lambda: build_grid_geometry(2, cuts_x=[-0.3, 0.4], cuts_y=[],
+                                                bounds=[(-1, 1), (-1, 1)]), 0),
+}
+
+
+@pytest.mark.parametrize("layout", sorted(_TRACE_LAYOUTS))
+def test_minus_side_equals_an_explicit_minus_side_product(layout):
+    """The minus-side traces, the plus side's times ``sign``, equal bit for
+    bit the traces of an explicit minus-side product: factors whose own-axis
+    psi has gradient -e_a, times the network jets.  So do the factors: the
+    minus side's are the plus side's times -1 on the masked factors."""
+    make, n_s = _TRACE_LAYOUTS[layout]
+    g = make()
+    assert g.n_singular == n_s
+    cut = default_cutoff_config(g)
+    quad = sample_collocation(g, 3, 5, np.random.default_rng(11))
+    net = NetConfig(g.dimension, (6,), 2 * max(n_s, 1), 4 * max(n_s, 1))
+    cols = factor_index(g, net.n1, net.n2)
+    ifc = forward_jets(init_params(net, 13), quad.interface_points)
+    plus, sign, _, (minus, plus_trace) = training._interface_rows(ifc, quad, g, cut, cols)
+    axes = _interface_axes(g, quad)
+    explicit = _minus_side_factors(quad.interface_points, axes, g, cut)
+    want = (explicit.columns(cols) * ifc).gradient[np.arange(len(axes)), :, axes]
+    assert np.any(sign < 0) and np.any(sign > 0) and not np.array_equal(minus, plus_trace)
+    assert np.array_equal(minus, sign * plus_trace)
+    assert np.array_equal(minus, want)
+    _, mask = cutoffs.interface_trace_factors(quad.interface_points, axes, g, cut)
+    flip = np.where(mask, -1.0, 1.0)
+    assert np.array_equal(flip * plus.value, explicit.value)
+    assert np.array_equal(flip[:, :, None] * plus.gradient, explicit.gradient)
+    assert np.array_equal(flip * plus.laplacian, explicit.laplacian)
+
+
+@pytest.mark.parametrize("layout", ["1d", "2x2"])
+def test_the_folded_trace_adjoint_equals_the_two_sides_apart(layout):
+    """`loss_and_param_gradient` folds the minus traces' adjoint into the
+    plus traces' through their sign.  A reference that takes each side's
+    adjoint through its own factors, the minus side's built by hand, gives
+    the same loss and the gradient to rtol 1e-12 of its largest entry."""
+    data, net = _layout_epoch_data(layout)
+    params = init_params(net, 59)
+    loss, grad = loss_and_param_gradient(params, data)
+
+    cache, jets, cols, stack, (plus, _, normals) = _composed_cache(params, data)
+    sing = [singular_evals_from_cache(cache.polar, pairs) if pairs else None
+            for pairs in data.pairs_per_p]
+    batch = solve_parameter_batch(cache, data.parameters, sing, adjoint=True)
+    scale = 2.0 / len(data.parameters)
+    quad, n_int = data.quad, data.quad.n_interior
+    minus = _minus_side_factors(quad.interface_points, _interface_axes(data.geometry, quad),
+                                data.geometry, data.cutoff_config)
+    shape = jets.value.shape
+    seeds = Jets(np.zeros(shape), np.zeros(shape + (normals.shape[1],)), np.zeros(shape))
+    stack.columns(cols).adjoint(Jets(None, None, scale * batch.bar_lap),
+                                out=seeds.rows(slice(None, n_int)))
+    for side, bar in ((minus, batch.bar_minus), (plus, batch.bar_plus)):
+        side.columns(cols).adjoint(Jets(None, scale * bar[:, :, None] * normals[:, None, :], None),
+                                   out=seeds.rows(slice(n_int, None)))
+    points = np.concatenate([quad.interior_points, quad.interface_points])
+    want = nets.backward_jets(params, points, jets, _Served(seeds))
+    assert loss == float(np.mean(batch.losses))
+    # the 1D gradient spans four decades, and entries far below its largest
+    # carry the rounding of the large ones: the bound is relative to it too
+    np.testing.assert_allclose(grad, want, rtol=1e-12, atol=1e-12 * np.max(np.abs(want)))
 
 
 @pytest.mark.parametrize("tile", [7, nets.TILE])
@@ -635,6 +731,20 @@ def _drop_array(name):
     return edit
 
 
+def _replace_array(name, make):
+    def edit(header, arrays):
+        arrays[name] = make(arrays[name])
+        return header
+    return edit
+
+
+def _set_counter(name, value):
+    def edit(header, arrays):
+        header[name] = value
+        return header
+    return edit
+
+
 MALFORMED = {
     "no net_config": _drop_header_field("net_config"),
     "no seeds": _drop_header_field("train_config", "seeds"),
@@ -643,13 +753,25 @@ MALFORMED = {
     "no best_params": _drop_array("best_params"),
     "header a list": lambda header, arrays: [1, 2],
     "header a number": lambda header, arrays: 2,
+    # each of these loaded and trained silently: (1,) moments broadcast to
+    # every weight, and a fractional iteration went on counting from 1.5
+    "adam_m of shape (1,)": _replace_array("adam_m", lambda a: a[:1]),
+    "adam_v of shape (1,)": _replace_array("adam_v", lambda a: a[:1]),
+    "best_params one short": _replace_array("best_params", lambda a: a[:-1]),
+    "adam_m a column": _replace_array("adam_m", lambda a: a[:, None]),
+    "iteration 1.5": _set_counter("iteration", 1.5),
+    "adam_t 0.5": _set_counter("adam_t", 0.5),
+    "iteration negative": _set_counter("iteration", -1),
+    "adam_t a boolean": _set_counter("adam_t", True),
 }
 
 
 @pytest.mark.parametrize("fault", sorted(MALFORMED))
 def test_checkpoint_load_rejects_a_malformed_archive(tmp_path, fault):
-    """A version-2 archive with a field or array missing, or a header that
-    is not a JSON object, raises ValueError and nothing else."""
+    """A version-2 archive with a field or array missing, an Adam or
+    best-weight array that is not a vector of the weights, an iteration
+    or Adam step that is not a nonnegative integer, or a header that is not
+    a JSON object, raises ValueError and nothing else."""
     g = geom_1d()
     cfg = small_config(iterations=2, val_every=1)
     state = init_train_state(g, NetConfig(1, (5,), 2, 4), cfg)
