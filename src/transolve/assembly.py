@@ -16,15 +16,15 @@ columns border each normal matrix from the annulus rows alone
 (`singular.PolarCache.annulus_rows`: a source is zero off its vertex's
 annulus), `_cholesky_solve` ridges each system and solves it with one
 LAPACK dposv call, raising if it is not positive definite, and the
-residuals give the losses and, if asked for, the row seeds times the
-coefficients, added into the (J1, N) and (J2, N) row adjoints that the
-gradient reads, which the caller may keep between batches (``out``).  No
-array spans the batch times the rows, nor holds the
-normal matrices of the whole batch.  `assemble_system` and
-`solve_normal_equations` build and solve one parameter's explicit system,
-the reference the batched solve is checked against, through the same
-`_cholesky_solve`, which alone holds the ridge rule and the padding of
-unused singular slots.  `assemble_system` is the one place a singular
+residuals give the losses.  A caller that hands in the (J1, N) and (J2, N)
+row adjoints the gradient reads (``out``, which it may keep between
+batches) asks for them: the residuals also give the row seeds, whose
+products with the coefficients are added into them.  No array spans the
+batch times the rows, nor holds the normal matrices of the whole batch.
+`assemble_system` and `solve_normal_equations` build and solve one
+parameter's explicit system, the reference the batched solve is checked
+against, through the same `_cholesky_solve`, which alone holds the ridge
+rule and the padding of unused singular slots.  `assemble_system` is the one place a singular
 block is scattered to all J1 interior rows.
 """
 
@@ -261,7 +261,7 @@ def solve_normal_equations(system: LsSystem):
 
 @dataclass
 class BatchSolveResult:
-    """Per-batch LS solutions and, if asked for, the row adjoints.
+    """Per-batch LS solutions and, if ``out`` asked for them, the row adjoints.
 
     Each adjoint is the halved derivative of the summed losses in one set
     of raw rows: d(sum_k loss_k) / d lap[j, n] = 2 bar_lap[j, n], and
@@ -325,7 +325,6 @@ def solve_parameter_batch(
     cache: EpochCache,
     parameters: np.ndarray,
     singular_evals_per_p: list | None = None,
-    adjoint: bool = False,
     out: tuple | None = None,
 ) -> BatchSolveResult:
     """Least-squares solve of every parameter of a batch through the Gram blocks.
@@ -339,9 +338,9 @@ def solve_parameter_batch(
     interior rows.  `_cholesky_solve` ridges each system from its unpadded
     size and solves the padded slots to zero.  The loss of parameter k is
     ||B y - l||^2 over its interior and jump rows.
-    The row adjoints are summed only under ``adjoint``: into ``out``, the
+    Handing in ``out`` asks for the row adjoints: they are summed into its
     (bar_lap, bar_minus, bar_plus) arrays of the (J1, N) and (J2, N) row
-    shapes, which are zeroed first, or without it into new arrays.  A
+    shapes, which are zeroed first; without ``out`` none is formed.  A
     caller that solves batches of one shape again and again keeps its
     adjoint arrays so.
     """
@@ -359,10 +358,8 @@ def solve_parameter_batch(
     all_counts = [0 if s is None else s.shape[1] for s in sing]
     y_nn, losses, y_sing = np.empty((n_p, n)), np.empty(n_p), []
     bar_lap = bar_minus = bar_plus = None
-    if adjoint:
+    if out is not None:
         shapes = [a.shape for a in (c, cache.wtrace_minus, cache.wtrace_plus)]
-        if out is None:
-            out = tuple(np.empty(shape) for shape in shapes)
         if [a.shape for a in out] != shapes:
             raise ValueError(f"adjoint arrays of shapes {[a.shape for a in out]} "
                              f"do not match the rows' {shapes}")
@@ -410,7 +407,7 @@ def solve_parameter_batch(
         r_jump -= p_minus * (cache.wtrace_minus @ y_b.T)
         losses[s : s + BLOCK] = np.einsum("jk,jk->k", r_int, r_int)
         losses[s : s + BLOCK] += np.einsum("jk,jk->k", r_jump, r_jump)
-        if adjoint:  # in place, the residuals become the seeds, times y into the adjoints
+        if out is not None:  # in place, the residuals become the seeds, times y into out
             r_int *= p_int
             r_int *= cache.sqrt_w[:, None]
             bar_lap += r_int @ y_b

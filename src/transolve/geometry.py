@@ -7,6 +7,8 @@ jump brackets are signed differences across that normal: the minus side
 lies at x - t*n for small t > 0.  Interior grid crossings are the singular
 vertices of the 2D problem, and the four cells around each crossing (its
 sectors) are read from the cut indices while the crossings are listed.
+One builder serves both dimensions: a 1D layout is the one-row case of
+the 2D grid, over the degenerate y-range (0, 0).
 
 Conventions: subdomains are numbered row-major with rows from top to
 bottom and columns left to right (so the top-left cell of a 2x2 layout is
@@ -93,6 +95,10 @@ def build_grid_geometry(dimension, cuts_x=(), cuts_y=(), bounds=None) -> Geometr
     1D: ``bounds=((a, b),)`` and ``cuts_x`` are the interface points.
     2D: ``bounds=((a, b), (c, d))``; interfaces are the segments of the
     cut lines between adjacent cells, vertices the interior crossings.
+    A 1D layout is the one row of the 2D grid over the degenerate y-range
+    (0, 0): its corners keep the x column alone, its interfaces are the
+    vertical ones with span (0, 0) (`Interface.length` 1), and it has no
+    crossings.
     """
     if dimension not in (1, 2):
         raise ValueError("dimension must be 1 or 2")
@@ -106,24 +112,10 @@ def build_grid_geometry(dimension, cuts_x=(), cuts_y=(), bounds=None) -> Geometr
     if any(b <= a for a, b in bounds):
         raise ValueError("empty bounds")
 
-    if dimension == 1:
-        (a, b), = bounds
-        cx = _check_cuts(cuts_x, a, b, "cuts_x")
-        if cuts_y:
-            raise ValueError("cuts_y is meaningless in 1D")
-        edges = (a,) + cx + (b,)
-        lo = np.array([[e] for e in edges[:-1]])
-        hi = np.array([[e] for e in edges[1:]])
-        interfaces = tuple(
-            Interface(axis=0, position=c, span=(0.0, 0.0), minus=i, plus=i + 1)
-            for i, c in enumerate(cx)
-        )
-        return Geometry(
-            1, bounds, cx, (), lo, hi, interfaces, np.empty((0, 2)), np.empty((0, 4), dtype=int)
-        )
-
-    (a, b), (c, d) = bounds
+    (a, b), (c, d) = bounds + ((0.0, 0.0),) * (2 - dimension)
     cx = _check_cuts(cuts_x, a, b, "cuts_x")
+    if dimension == 1 and cuts_y:
+        raise ValueError("cuts_y is meaningless in 1D")
     cy = _check_cuts(cuts_y, c, d, "cuts_y")
     x_edges = (a,) + cx + (b,)
     y_edges = (c,) + cy + (d,)
@@ -137,8 +129,8 @@ def build_grid_geometry(dimension, cuts_x=(), cuts_y=(), bounds=None) -> Geometr
         for col in range(ncol):
             lo.append([x_edges[col], y0])
             hi.append([x_edges[col + 1], y1])
-    lo = np.array(lo)
-    hi = np.array(hi)
+    lo = np.array(lo)[:, :dimension]
+    hi = np.array(hi)[:, :dimension]
 
     def sub(r, col):
         return r * ncol + col
@@ -177,7 +169,7 @@ def build_grid_geometry(dimension, cuts_x=(), cuts_y=(), bounds=None) -> Geometr
             # sectors counter-clockwise from +x: NE, NW, SW, SE
             sectors.append([sub(above, ix + 1), sub(above, ix), sub(below, ix), sub(below, ix + 1)])
     return Geometry(
-        2, bounds, cx, cy, lo, hi, tuple(interfaces), np.array(vertices).reshape(-1, 2),
+        dimension, bounds, cx, cy, lo, hi, tuple(interfaces), np.array(vertices).reshape(-1, 2),
         np.array(sectors, dtype=int).reshape(-1, 4),
     )
 

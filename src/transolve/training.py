@@ -31,14 +31,14 @@ stack, so no seed set of the whole batch is made.  Adam with a linearly
 interpolated learning rate closes the loop.  Validation runs the same
 path without the adjoints.
 
-The arrays whose shapes the configuration fixes, the network's output
-jets, the composed Laplacian that the cache weights in place and the three
-row adjoints, are written by `forward_jets`, the composition and
-`solve_parameter_batch` into arrays that `run_epoch` keeps from one epoch
-to the next in one holder (`_kept`), so that an epoch reuses memory the
-last one touched rather than making, freeing and faulting it in again.
-Validation and direct callers of `loss_and_param_gradient` get fresh
-arrays.
+Everything that outlives a call lives in one holder, `_kept`.  The arrays
+whose shapes the configuration fixes, the network's output jets, the
+composed Laplacian that the cache weights in place and the three row
+adjoints, are written by `forward_jets`, the composition and
+`solve_parameter_batch` into arrays that `run_epoch` keeps there from one
+epoch to the next, so that an epoch reuses memory the last one touched
+rather than making, freeing and faulting it in again.  Validation and
+direct callers of `loss_and_param_gradient` get fresh arrays.
 
 Queries are split into an offline and an online stage.  Offline,
 `QueryBasis.build` does everything about a midpoint grid that does not
@@ -55,9 +55,9 @@ stay on their support rows throughout: their sources on the annulus rows of
 the polar cache, and their values and gradients on its disk rows, so the
 singular work of a query grows with the junction annuli and disks, not with
 the grid.  `final_solve` solves against the one basis it holds between
-calls (`_held`), rebuilt when the weights, grid or problem change and
-dropped when an epoch starts; a build first empties the epoch holder, so
-the basis and an epoch's kept arrays are never alive together.
+calls, the holder's ``"basis"`` entry, rebuilt when the weights, grid or
+problem change and popped when an epoch starts; a build first empties the
+holder, so the basis and an epoch's kept arrays are never alive together.
 Checkpoints are ``.npz`` arrays with a JSON header and load without
 unpickling anything.
 """
@@ -168,6 +168,11 @@ class TrainConfig:
     val_every: int = 10
 
     def __post_init__(self):
+        for name in ("iterations", "n_params", "n_interior", "n_interface", "n_singular",
+                     "val_every"):
+            count = getattr(self, name)
+            if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, not {count!r}")
         if self.iterations < 1:
             raise ValueError("need at least one iteration")
         if not (np.isfinite(self.lr_start) and self.lr_start >= self.lr_end > 0):
@@ -431,8 +436,7 @@ def loss_and_param_gradient(
         names = ("bar_lap", "bar_minus", "bar_plus")
         adjoints = tuple(_keep(kept, name, a.shape, np.empty) for name, a in zip(names, rows))
     batch = solve_parameter_batch(
-        cache, data.parameters, singular_evals_per_p=sing_per_p, adjoint=need_gradient,
-        out=adjoints,
+        cache, data.parameters, singular_evals_per_p=sing_per_p, out=adjoints
     )
     loss = float(np.mean(batch.losses))
     if not need_gradient:
@@ -474,19 +478,18 @@ def run_epoch(
     The arrays whose shapes the configuration fixes (the network's output
     jets, the composed Laplacian that the cache weights in place, the
     three row adjoints) live from one epoch to the next in the module's
-    holder `_kept`, so that an epoch writes into memory the last one
+    one holder `_kept`, so that an epoch writes into memory the last one
     touched instead of making and freeing it.  Each tile's seeds are
     composed inside the backward pass, so no seed set of the batch is
-    made.  The holder is the counterpart of the basis `final_solve` holds
-    (`_held`): an epoch drops that basis, and `final_solve` empties the
+    made.  The same holder keeps the basis `final_solve` holds, as its
+    ``"basis"`` entry: an epoch pops it, and `final_solve` empties the
     holder before it builds one, so the two never coexist.  Validation
     makes fresh arrays.
     """
     epoch = state.iteration
     # the epoch replaces the weights the held basis was built from: drop it
     # now, so that it does not add to the epoch's peak
-    global _held
-    _held = None
+    _kept.pop("basis", None)
     try:
         data = prepare_epoch(state, config, geometry, rhs, cutoff_config)
         loss, grad = loss_and_param_gradient(state.params, data, kept=_kept)
@@ -584,8 +587,8 @@ class QueryBasis:
     midpoint quadrature, the weighted rows, the Gram blocks and the polar
     cache) and the composed basis values and gradients, each written tile
     by tile by `build` into an array made once.  The composed Laplacian
-    lives on only weighted, in ``cache.wlap``.  `solve` answers one
-    parameter per call.  `final_solve` holds one basis between calls,
+    lives on only weighted, in ``cache.wlap``.  `solve` checks and answers
+    one parameter per call.  `final_solve` holds one basis between calls,
     beside the inputs it was built from.
     """
 
@@ -675,12 +678,11 @@ class QueryBasis:
         }
 
 
-# The basis final_solve holds, or None: (the geometry, rhs and cutoff config
-# objects, (theta, grid count, network configuration), a copy of the
-# weights, the basis built from them)
-_held = None
-# The arrays run_epoch keeps between epochs, by name: (shape, arrays), see
-# `_keep`.  Emptied by final_solve before it builds a basis.
+# What outlives a call, by name.  The arrays run_epoch keeps between epochs:
+# (shape, arrays), see `_keep`.  "basis", the basis final_solve holds: (the
+# geometry, rhs and cutoff config objects, (theta, grid count, network
+# configuration), a copy of the weights, the basis built from them); an
+# epoch pops it, and final_solve empties the holder before a build.
 _kept: dict = {}
 
 
@@ -697,15 +699,19 @@ def final_solve(
     """Solve one parameter on a midpoint evaluation grid.
 
     The grid has ``n_per_axis`` points per axis and per 2D interface.  The
-    parameter is solved by `QueryBasis.solve` on the one basis held
-    between calls.  It is reused while the geometry, rhs and cutoff
-    config objects (by identity), theta, the grid count and the network
+    parameter is checked and solved by `QueryBasis.solve` on the one basis
+    held between calls, the ``"basis"`` entry of the module's holder
+    `_kept`.  It is reused while the geometry, rhs and cutoff config
+    objects (by identity), theta, the grid count and the network
     configuration (by value) and the weights (by content, so an in-place
     edit shows) are unchanged, and rebuilt otherwise; the first query of a
     network pays for the basis and the others for their own least-squares
-    solve only.  `run_epoch` drops it, as the epoch replaces the weights,
-    and a build first empties the arrays `run_epoch` keeps between epochs
-    (`_kept`), so that they do not add to the build's peak.
+    solve only.  `run_epoch` pops it, as the epoch replaces the weights,
+    and a build first empties the holder, the arrays `run_epoch` keeps
+    between epochs included, so that they do not add to the build's peak.
+    A malformed parameter raises ValueError (ParameterError for a value
+    that is not positive and finite) from `QueryBasis.solve`, after a
+    build if no basis fits the inputs.
     Returns (coefficients, fields) where fields carries the grid, solution
     values, gradients and fluxes, the squared residual and the relative
     least-squares residual sqrt(residual_sq / |l|^2) (0 when l = 0).  It
@@ -714,19 +720,19 @@ def final_solve(
     The trained basis is discretization invariant, so the grid may be much
     finer than the training points.
     """
-    global _held
-    parameter = validate_parameter(geometry, parameter)
     objects, values = (geometry, rhs, cutoff_config), (theta, n_per_axis, params.config)
-    held = _held
+    held = _kept.get("basis")
     if held is None or not (
         all(a is b for a, b in zip(held[0], objects))
         and held[1] == values
         and np.array_equal(held[2], params.to_flat())
     ):
-        held = _held = None  # before the build, so that two bases never coexist
-        _kept.clear()  # nor a basis and the epoch's arrays
+        # before the build, so that no basis coexists with another or with
+        # the epoch's arrays
+        held = None
+        _kept.clear()
         basis = QueryBasis.build(params, geometry, rhs, cutoff_config, theta, n_per_axis)
-        held = _held = (objects, values, params.to_flat(), basis)
+        held = _kept["basis"] = (objects, values, params.to_flat(), basis)
     return held[3].solve(parameter, n_singular)
 
 
@@ -767,8 +773,11 @@ def load_checkpoint(path):
 
     Nothing in the file is unpickled: a file that is not a version-2
     archive raises ValueError, and so does one whose Adam moments or best
-    weights are not vectors of the network's parameter count, or whose
-    iteration or Adam step is not a nonnegative integer.
+    weights are not vectors of the network's parameter count, whose
+    iteration or Adam step is not a nonnegative integer, whose ``best_val``
+    is neither null nor [a real loss, an integer iteration from 0 to the
+    state's], whose best weights are present when ``best_val`` is null or
+    missing when it is not, or whose configuration `TrainConfig` rejects.
     """
     try:
         with np.load(path, allow_pickle=False) as archive:
@@ -788,10 +797,16 @@ def load_checkpoint(path):
             raise ValueError("malformed checkpoint: an array is not a weight vector")
         if not all(type(header[k]) is int and header[k] >= 0 for k in ("iteration", "adam_t")):
             raise ValueError("malformed checkpoint: a counter is not a nonnegative integer")
-        best_val = None
-        if header["best_val"] is not None:
-            loss, iteration = header["best_val"]
-            best_val = (loss, arrays["best_params"], iteration)
+        # null, or [a real loss, an integer iteration no later than the state's]
+        best = header["best_val"]
+        if best is not None and not (
+            type(best) is list and len(best) == 2 and type(best[0]) in (int, float)
+            and type(best[1]) is int and 0 <= best[1] <= header["iteration"]
+        ):
+            raise ValueError("malformed checkpoint: best_val is not [loss, iteration]")
+        if (best is None) == ("best_params" in arrays):
+            raise ValueError("malformed checkpoint: best_params without best_val, or the reverse")
+        best_val = None if best is None else (best[0], arrays["best_params"], best[1])
         state = TrainState(
             params=params,
             adam=AdamState(arrays["adam_m"], arrays["adam_v"], header["adam_t"]),

@@ -66,6 +66,15 @@ def make_cache(geometry, net_cfg, seed=0, n_int=12, n_ifc=6, theta=1.0):
     return build_epoch_cache(geometry, *rows, rhs, theta=theta)
 
 
+def adjoint_arrays(cache, fill=0.0):
+    """(bar_lap, bar_minus, bar_plus) of the cache's row shapes, each filled
+    with ``fill``: handed to `solve_parameter_batch` as ``out``, they ask
+    for the row adjoints."""
+    return tuple(
+        np.full(a.shape, fill) for a in (cache.wlap, cache.wtrace_minus, cache.wtrace_plus)
+    )
+
+
 def test_cache_shapes_toy():
     g = build_grid_geometry(1, cuts_x=[0.5], bounds=[(0, 1)])
     cfg = NetConfig(1, (3,), 1, 1)
@@ -263,8 +272,9 @@ def test_batch_support_rows_match_the_scattered_dense_system():
     """Blocks of 0, 2 and 4 singular columns on the annulus rows: scattered
     to all J1 interior rows they give assemble_system's singular columns,
     and at the batch's coefficients that dense system has the batch's
-    losses, and its residuals give the batch's row adjoints, the same when
-    written into arrays the caller hands in."""
+    losses, and its residuals give the batch's row adjoints, written into
+    the arrays the caller hands in whatever they held; without them none
+    is formed."""
     g = build_grid_geometry(2, cuts_x=[-0.4, 0.3], cuts_y=[-0.3, 0.4], bounds=[(-1, 1), (-1, 1)])
     cfg = NetConfig(2, (8,), 4, 8)
     theta = 3.0
@@ -279,7 +289,8 @@ def test_batch_support_rows_match_the_scattered_dense_system():
     assert [s.shape[1] for s in sing] == [0, 2, 4]
     rows = cache.polar.annulus_rows
     assert 0 < rows.size < cache.quad.n_interior
-    batch = solve_parameter_batch(cache, params, singular_evals_per_p=sing, adjoint=True)
+    batch = solve_parameter_batch(cache, params, singular_evals_per_p=sing,
+                                  out=adjoint_arrays(cache))
     j1, n = cache.quad.n_interior, cache.n_basis
     expected = [np.zeros_like(cache.wlap), np.zeros_like(cache.wtrace_minus)]
     expected.append(np.zeros_like(cache.wtrace_plus))
@@ -311,13 +322,13 @@ def test_batch_support_rows_match_the_scattered_dense_system():
     assert (plain.bar_lap, plain.bar_minus, plain.bar_plus) == (None, None, None)
     np.testing.assert_array_equal(plain.losses, batch.losses)
     # adjoint arrays handed in are zeroed and written, whatever they held
-    out = tuple(np.full(a.shape, np.nan) for a in (cache.wlap, cache.wtrace_minus, cache.wtrace_plus))
-    into = solve_parameter_batch(cache, params, singular_evals_per_p=sing, adjoint=True, out=out)
+    out = adjoint_arrays(cache, np.nan)
+    into = solve_parameter_batch(cache, params, singular_evals_per_p=sing, out=out)
     for name, array in zip(("bar_lap", "bar_minus", "bar_plus"), out):
         assert getattr(into, name) is array
         np.testing.assert_array_equal(array, getattr(batch, name))
     with pytest.raises(ValueError, match="adjoint arrays of shapes"):
-        solve_parameter_batch(cache, params, sing, adjoint=True, out=(out[0], out[0], out[1]))
+        solve_parameter_batch(cache, params, sing, out=(out[0], out[0], out[1]))
 
 
 def test_blocked_batch_matches_each_parameter_solved_alone():
@@ -368,7 +379,7 @@ def test_batch_solve_holds_no_normal_matrix_stack():
     params = np.random.default_rng(9).uniform(0.5, 10.0, size=(n_p, 5))
     tracemalloc.start()
     try:
-        batch = solve_parameter_batch(cache, params, adjoint=True)
+        batch = solve_parameter_batch(cache, params, out=adjoint_arrays(cache))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

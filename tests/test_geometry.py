@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from transolve.geometry import (
+    Interface,
     angular_trace,
     build_grid_geometry,
     subdomain_index_many,
@@ -31,6 +32,40 @@ def test_1d_layout_counts():
     assert g.n_subdomains == 5
     assert len(g.interfaces) == 4
     assert g.n_singular == 0
+
+
+# bounds, cuts: the pi/5 layout, one cut, no cut
+LAYOUTS_1D = {
+    "pi/5": ((0.0, PI), (PI / 5, 2 * PI / 5, 3 * PI / 5, 4 * PI / 5)),
+    "one cut": ((-1.0, 2.0), (0.25,)),
+    "no cut": ((0.5, 1.5), ()),
+}
+
+
+@pytest.mark.parametrize("layout", sorted(LAYOUTS_1D))
+def test_1d_layout_fields(layout):
+    """Every field of a 1D layout against hand-written values: (I, 1)
+    corners, point interfaces of axis 0 with a degenerate span (length 1)
+    between cells i and i + 1, no singular vertices and no cuts_y."""
+    (a, b), cuts = LAYOUTS_1D[layout]
+    g = build_grid_geometry(1, cuts_x=list(cuts), bounds=[(a, b)])
+    edges = [a, *cuts, b]
+    assert g.dimension == 1
+    assert g.bounds == ((a, b),)
+    assert g.cuts_x == cuts and g.cuts_y == ()
+    for got, want in ((g.subdomain_lo, edges[:-1]), (g.subdomain_hi, edges[1:])):
+        assert got.dtype == float and got.shape == (len(cuts) + 1, 1)
+        np.testing.assert_array_equal(got[:, 0], want)
+    assert g.interfaces == tuple(
+        Interface(axis=0, position=c, span=(0.0, 0.0), minus=i, plus=i + 1)
+        for i, c in enumerate(cuts)
+    )
+    assert all(ifc.length == 1.0 for ifc in g.interfaces)
+    assert g.singular_vertices.dtype == float and g.singular_vertices.shape == (0, 2)
+    assert g.vertex_sectors.dtype == np.dtype(int) and g.vertex_sectors.shape == (0, 4)
+    assert g.n_subdomains == len(cuts) + 1 and g.n_singular == 0
+    with pytest.raises(ValueError, match="cuts_y is meaningless in 1D"):
+        build_grid_geometry(1, cuts_x=list(cuts), cuts_y=[0.0], bounds=[(a, b)])
 
 
 def test_2x2_layout_counts():

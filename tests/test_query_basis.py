@@ -18,7 +18,7 @@ from transolve.cutoffs import (
     interface_trace_factors,
 )
 from transolve.eigen import angular_eval
-from transolve.geometry import build_grid_geometry
+from transolve.geometry import ParameterError, build_grid_geometry
 from transolve.nets import TILE, NetConfig, forward_jets, init_params
 from transolve.reference import RhsSpec
 from transolve.sampling import sample_parameters
@@ -183,14 +183,14 @@ def test_a_changed_input_rebuilds_the_basis(change, builds):
 def test_a_bad_jump_weight_raises_and_leaves_no_basis_held(monkeypatch, theta):
     """A negative or non-finite theta raises ValueError in the build, not
     NaN fields, and the basis held before it is gone; theta = 0 solves."""
-    monkeypatch.setattr(training, "_held", None)
+    monkeypatch.setattr(training, "_kept", {})
     g, rhs, cut, params = problem()
     p = np.array([1.0, 10.0, 10.0, 1.0])
     final_solve(params, g, p, rhs, cut, 1.0, 16)
-    assert training._held is not None
+    assert "basis" in training._kept
     with pytest.raises(ValueError, match="theta"):
         final_solve(params, g, p, rhs, cut, theta, 16)
-    assert training._held is None
+    assert "basis" not in training._kept
     _, fields = final_solve(params, g, p, rhs, cut, 0.0, 16)
     assert np.all(np.isfinite(fields["values"]))
 
@@ -308,3 +308,36 @@ def test_build_holds_little_beyond_the_basis_it_keeps():
         tracemalloc.stop()
     kept = basis.values.nbytes + basis.gradients.nbytes + basis.cache.wlap.nbytes
     assert peak <= 2.5 * kept
+
+
+# each makes a malformed parameter for I subdomains
+MALFORMED_PARAMETERS = {
+    "length I - 1": lambda n: np.ones(n - 1),
+    "length I + 1": lambda n: np.ones(n + 1),
+    "shape (1, I)": lambda n: np.ones((1, n)),
+    "0-d": lambda n: np.array(1.0),
+    "NaN": lambda n: np.r_[np.ones(n - 1), np.nan],
+    "0": lambda n: np.r_[0.0, np.ones(n - 1)],
+    "-1": lambda n: np.r_[np.ones(n - 1), -1.0],
+}
+# the faults in a value rather than the shape: a ParameterError of row 0
+VALUE_FAULTS = {"NaN", "0", "-1"}
+
+
+@pytest.mark.parametrize("make", [problem, problem_1d], ids=["2x2", "1d"])
+def test_a_malformed_parameter_raises_in_both_entry_points(make, builds):
+    """A parameter of the wrong shape, or with a NaN, zero or negative
+    diffusivity, raises ValueError from `final_solve` and from
+    `QueryBasis.solve` alike, a bad value as ParameterError naming row 0.
+    `final_solve` raises on the basis it holds, without a rebuild."""
+    g, rhs, cut, params = make()
+    n = g.n_subdomains
+    final_solve(params, g, np.ones(n), rhs, cut, 1.0, 16)
+    basis = builds[0]()
+    for fault, bad in sorted(MALFORMED_PARAMETERS.items()):
+        for solve in (basis.solve, lambda p: final_solve(params, g, p, rhs, cut, 1.0, 16)):
+            with pytest.raises(ValueError) as info:
+                solve(bad(n))
+            if fault in VALUE_FAULTS:
+                assert isinstance(info.value, ParameterError) and info.value.index == 0, fault
+    assert len(builds) == 1

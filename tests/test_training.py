@@ -88,6 +88,9 @@ def test_loss_nonnegative_and_epoch_runs():
         dict(theta=np.nan), dict(theta=np.inf), dict(theta=-1.0),
         dict(n_params=0), dict(n_interior=0), dict(n_interface=0), dict(p_max=np.inf),
         dict(lr_start=np.inf),
+        dict(iterations=2.5), dict(n_params=2.5), dict(n_interior=3.5), dict(n_interface=1.5),
+        dict(n_singular=1.5), dict(val_every=2.5), dict(n_singular=True),
+        dict(iterations=np.float64(5.0)), dict(n_params="8"),
     ],
 )
 def test_config_rejects_bad_values_when_built(bad):
@@ -97,9 +100,19 @@ def test_config_rejects_bad_values_when_built(bad):
     infinite theta would show only as NaN losses, a zero count would fail
     only at the first epoch, p_max=inf would draw inf and NaN
     diffusivities, and lr_start=inf would make Adam's weights non-finite,
-    failing only at the next forward pass."""
+    failing only at the next forward pass.  A count that is not an integer
+    (a fraction, a bool, a float that holds one, a string) would raise a
+    bare TypeError in the first draw or range, or from select_singular's
+    slice, or at val_every=2.5 train on silently."""
     with pytest.raises(ValueError):
         small_config(**bad)
+
+
+def test_config_takes_numpy_integer_counts():
+    """Every count may be a NumPy integer as well as a Python one."""
+    counts = ("iterations", "n_params", "n_interior", "n_interface", "n_singular", "val_every")
+    config = small_config(**{name: np.int64(2) for name in counts})
+    assert all(getattr(config, name) == 2 for name in counts)
 
 
 @pytest.mark.parametrize(
@@ -328,6 +341,12 @@ def test_one_backward_pass_equals_the_interior_and_interface_passes(monkeypatch)
     np.testing.assert_allclose(one, apart, rtol=1e-13, atol=1e-13 * np.max(np.abs(apart)))
 
 
+def _row_adjoints(cache):
+    """Arrays of the cache's row shapes: as ``out`` of
+    `solve_parameter_batch`, they ask for the row adjoints."""
+    return tuple(np.empty(a.shape) for a in (cache.wlap, cache.wtrace_minus, cache.wtrace_plus))
+
+
 def _whole_batch_seeds(params, data):
     """The mean loss, the network's jets and the loss's seeds on them as
     one (J, N) set: the product's adjoint of the row adjoints over the
@@ -336,7 +355,7 @@ def _whole_batch_seeds(params, data):
     cache, jets, cols, stack, (ifc_stack, sign, normals) = _composed_cache(params, data)
     sing = [singular_evals_from_cache(cache.polar, pairs) if pairs else None
             for pairs in data.pairs_per_p]
-    batch = solve_parameter_batch(cache, data.parameters, sing, adjoint=True)
+    batch = solve_parameter_batch(cache, data.parameters, sing, out=_row_adjoints(cache))
     batch.bar_plus += sign * batch.bar_minus
     for w in (batch.bar_lap, batch.bar_plus):
         w *= 2.0 / len(data.parameters)
@@ -436,7 +455,7 @@ def test_the_folded_trace_adjoint_equals_the_two_sides_apart(layout):
     cache, jets, cols, stack, (plus, _, normals) = _composed_cache(params, data)
     sing = [singular_evals_from_cache(cache.polar, pairs) if pairs else None
             for pairs in data.pairs_per_p]
-    batch = solve_parameter_batch(cache, data.parameters, sing, adjoint=True)
+    batch = solve_parameter_batch(cache, data.parameters, sing, out=_row_adjoints(cache))
     scale = 2.0 / len(data.parameters)
     quad, n_int = data.quad, data.quad.n_interior
     minus = _minus_side_factors(quad.interface_points, _interface_axes(data.geometry, quad),
@@ -492,12 +511,11 @@ def test_tiles_of_the_composition_do_not_change_the_gradient(monkeypatch):
 
 def test_epochs_keep_their_arrays_and_a_query_build_empties_them(monkeypatch):
     """`run_epoch` keeps its fixed-shape arrays in `training._kept` from one
-    epoch to the next, validation epochs included, and drops the basis
-    `final_solve` holds; a basis build empties the holder.  Epochs on kept
-    arrays step the weights to the bit as epochs whose holder is emptied
-    before each one."""
+    epoch to the next, validation epochs included, and pops the basis
+    `final_solve` holds there; a basis build empties the holder.  Epochs on
+    kept arrays step the weights to the bit as epochs whose holder is
+    emptied before each one."""
     monkeypatch.setattr(training, "_kept", {})
-    monkeypatch.setattr(training, "_held", None)
     g = geom_1d()
     cfg = small_config(val_every=1)
     net = NetConfig(1, (6, 6), 3, 6)
@@ -508,13 +526,13 @@ def test_epochs_keep_their_arrays_and_a_query_build_empties_them(monkeypatch):
     for empty in (False, True):
         state = init_train_state(g, net, cfg)
         final_solve(state.params, g, np.ones(g.n_subdomains), rhs, cut, 1.0, 8)
-        assert training._held is not None and not training._kept
+        assert list(training._kept) == ["basis"]
         held = None
         for _ in range(3):
             if empty:
                 training._kept.clear()
             run_epoch(state, cfg, g, rhs, cut, val)
-            assert training._held is None
+            assert "basis" not in training._kept
             kept = {name: arrays for name, (_, arrays) in training._kept.items()}
             assert sorted(kept) == ["bar_lap", "bar_minus", "bar_plus", "jets", "lap"]
             if held is not None and not empty:
@@ -522,7 +540,7 @@ def test_epochs_keep_their_arrays_and_a_query_build_empties_them(monkeypatch):
             held = kept
         weights.append(state.params.to_flat())
         final_solve(state.params, g, np.ones(g.n_subdomains), rhs, cut, 1.0, 8)
-        assert training._held is not None and not training._kept
+        assert list(training._kept) == ["basis"]
     assert np.array_equal(*weights)
 
 
@@ -713,12 +731,17 @@ def test_checkpoint_load_rejects_pickle_without_unpickling(tmp_path):
 
 
 # each edit changes the arrays in place and returns the header to write
+def _header_slot(header, path):
+    """The part of ``header`` that holds the last key of ``path``, and that key."""
+    *outer, last = path
+    for key in outer:
+        header = header[key]
+    return header, last
+
+
 def _drop_header_field(*path):
     def edit(header, arrays):
-        *outer, last = path
-        inner = header
-        for key in outer:
-            inner = inner[key]
+        inner, last = _header_slot(header, path)
         del inner[last]
         return header
     return edit
@@ -738,9 +761,10 @@ def _replace_array(name, make):
     return edit
 
 
-def _set_counter(name, value):
+def _set_header(value, *path):
     def edit(header, arrays):
-        header[name] = value
+        inner, last = _header_slot(header, path)
+        inner[last] = value
         return header
     return edit
 
@@ -759,10 +783,23 @@ MALFORMED = {
     "adam_v of shape (1,)": _replace_array("adam_v", lambda a: a[:1]),
     "best_params one short": _replace_array("best_params", lambda a: a[:-1]),
     "adam_m a column": _replace_array("adam_m", lambda a: a[:, None]),
-    "iteration 1.5": _set_counter("iteration", 1.5),
-    "adam_t 0.5": _set_counter("adam_t", 0.5),
-    "iteration negative": _set_counter("iteration", -1),
-    "adam_t a boolean": _set_counter("adam_t", True),
+    "iteration 1.5": _set_header(1.5, "iteration"),
+    "adam_t 0.5": _set_header(0.5, "adam_t"),
+    "iteration negative": _set_header(-1, "iteration"),
+    "adam_t a boolean": _set_header(True, "adam_t"),
+    # all but the one-entry and bare-number best_val loaded: a string loss
+    # raised a bare TypeError at the first validation, best weights without
+    # a best_val were dropped, and a fractional iteration count failed only
+    # in the training loop's range
+    "best_val ['nan', -2.5]": _set_header(["nan", -2.5], "best_val"),
+    "best_val loss a boolean": _set_header([True, 1], "best_val"),
+    "best_val iteration 0.5": _set_header([1.0, 0.5], "best_val"),
+    "best_val iteration negative": _set_header([1.0, -1], "best_val"),
+    "best_val after the iteration": _set_header([1.0, 2], "best_val"),
+    "best_val one entry": _set_header([1.0], "best_val"),
+    "best_val a number": _set_header(1.0, "best_val"),
+    "best_params without best_val": _set_header(None, "best_val"),
+    "iterations 2.5": _set_header(2.5, "train_config", "iterations"),
 }
 
 
@@ -770,11 +807,15 @@ MALFORMED = {
 def test_checkpoint_load_rejects_a_malformed_archive(tmp_path, fault):
     """A version-2 archive with a field or array missing, an Adam or
     best-weight array that is not a vector of the weights, an iteration
-    or Adam step that is not a nonnegative integer, or a header that is not
-    a JSON object, raises ValueError and nothing else."""
+    or Adam step that is not a nonnegative integer, a best_val that is not
+    null or [a real loss, an integer iteration up to the state's], best
+    weights without a best_val, a configuration TrainConfig rejects, or a
+    header that is not a JSON object, raises ValueError and nothing else."""
     g = geom_1d()
     cfg = small_config(iterations=2, val_every=1)
     state = init_train_state(g, NetConfig(1, (5,), 2, 4), cfg)
+    # the best loss of iteration 1, recorded at iteration 1
+    state.iteration = 1
     state.best_val = (1.0, state.params.to_flat().copy(), 1)
     path = tmp_path / "ck.npz"
     save_checkpoint(path, state, cfg)
