@@ -6,26 +6,30 @@ side, then J2 jump rows carrying sqrt(Theta * weight) times the signed
 flux-jump bracket of the basis traces (singular columns are zero there).
 
 `build_epoch_cache` weights the parameter-free rows once, the Laplacians in
-place; the row weights are known to this module alone.  Every entry of the
-network columns is affine in the diffusivity vector p, so their block of
-B^T B is a quadratic polynomial in p whose coefficient matrices, the Gram
-blocks, the cache holds.  `solve_parameter_batch`, the one solve of
-training, validation and `final_solve`, walks the batch in blocks of BLOCK
-parameters.  Per block, one GEMM combines the Gram blocks, the singular
-columns border each normal matrix from the annulus rows alone
+place; the row weights are known to this module alone.  The jump rows keep
+one trace per column, the plus side's: the minus side's is that trace times
+a (J2, N) sign of +-1, so the cache holds one weighted trace and its sign,
+and each minus-side product is formed from the two where it is needed.
+Every entry of the network columns is affine in the diffusivity vector p,
+so their block of B^T B is a quadratic polynomial in p whose coefficient
+matrices, the Gram blocks, the cache holds.  `solve_parameter_batch`, the
+one solve of training, validation and `final_solve`, walks the batch in
+blocks of BLOCK parameters.  Per block, one GEMM combines the Gram blocks,
+the singular columns border each normal matrix from the annulus rows alone
 (`singular.PolarCache.annulus_rows`: a source is zero off its vertex's
 annulus), `_cholesky_solve` ridges each system and solves it with one
 LAPACK dposv call, raising if it is not positive definite, and the
 residuals give the losses.  A caller that hands in the (J1, N) and (J2, N)
-row adjoints the gradient reads (``out``, which it may keep between
-batches) asks for them: the residuals also give the row seeds, whose
-products with the coefficients are added into them.  No array spans the
-batch times the rows, nor holds the normal matrices of the whole batch.
+adjoints of the Laplacians and of the trace that the gradient reads
+(``out``, which it may keep between batches) asks for them: the residuals
+also give the row seeds, whose products with the coefficients are added
+into them, the minus side's through the sign.  No array spans the batch
+times the rows, nor holds the normal matrices of the whole batch.
 `assemble_system` and `solve_normal_equations` build and solve one
 parameter's explicit system, the reference the batched solve is checked
 against, through the same `_cholesky_solve`, which alone holds the ridge
-rule and the padding of unused singular slots.  `assemble_system` is the one place a singular
-block is scattered to all J1 interior rows.
+rule and the padding of unused singular slots.  `assemble_system` is the
+one place a singular block is scattered to all J1 interior rows.
 """
 
 from __future__ import annotations
@@ -102,8 +106,8 @@ class EpochCache:
     wlap: np.ndarray  # (J1, N) sqrt(w) * Laplacians of the composed basis
     wrhs_p: np.ndarray  # (J1,) sqrt(w) * strong-form source = p*factor + fixed
     wrhs_fixed: np.ndarray  # (J1,)
-    wtrace_minus: np.ndarray  # (J2, N) sqrt(Theta w) * one-sided normal traces
-    wtrace_plus: np.ndarray  # (J2, N)
+    wtrace: np.ndarray  # (J2, N) sqrt(Theta w) * plus-side normal traces
+    sign: np.ndarray  # (J2, N) +-1: the minus-side traces are sign * wtrace
     ifc_minus_sub: np.ndarray  # (J2,)
     ifc_plus_sub: np.ndarray  # (J2,)
     polar: PolarCache  # interior points around the singular vertices
@@ -144,24 +148,27 @@ def build_epoch_cache(
     cutoff_config: CutoffConfig,
     quad: QuadratureSet,
     lap: np.ndarray,
-    trace_minus: np.ndarray,
-    trace_plus: np.ndarray,
+    trace: np.ndarray,
+    sign: np.ndarray,
     rhs: RhsSpec,
     theta: float = 1.0,
 ) -> EpochCache:
     """Cache the weighted Laplacian, trace and rhs rows and the Gram blocks.
 
-    ``lap`` and the traces must be evaluated at exactly the quadrature's
-    interior/interface points (shapes (J1, N) and (J2, N)).  The cache owns
-    ``lap``: it is weighted in place and kept, so a caller that still needs
-    the raw Laplacians passes a copy.  The traces are weighted copies.
-    The jump weight ``theta`` must be finite and nonnegative (ValueError).
+    ``lap`` and the plus-side normal traces ``trace`` must be evaluated at
+    exactly the quadrature's interior/interface points (shapes (J1, N) and
+    (J2, N)); ``sign`` is (J2, N), -1 where a column's minus-side trace is
+    its plus-side trace negated and +1 where the two are equal.  The cache
+    owns ``lap``: it is weighted in place and kept, so a caller that still
+    needs the raw Laplacians passes a copy.  The trace is a weighted copy,
+    and ``sign`` is kept as given.  The jump weight ``theta`` must be
+    finite and nonnegative (ValueError).
     """
     if not (np.isfinite(theta) and theta >= 0):
         raise ValueError(f"theta must be finite and nonnegative, got {theta}")
     if lap.shape[0] != quad.n_interior:
         raise ValueError("Laplacian rows do not match the interior points")
-    if trace_minus.shape != (quad.n_interface, lap.shape[1]) or trace_plus.shape != trace_minus.shape:
+    if trace.shape != (quad.n_interface, lap.shape[1]) or sign.shape != trace.shape:
         raise ValueError("trace shapes do not match the interface points")
     pf, fixed = rhs.factors(quad.interior_points)
     sw = np.sqrt(quad.interior_weights)
@@ -170,18 +177,19 @@ def build_epoch_cache(
     plus_sub = np.array([geometry.interfaces[k].plus for k in quad.interface_ids], dtype=int)
     lap *= sw[:, None]  # in place: no second (J1, N) array
     wrhs_p, wrhs_fixed = sw * pf, sw * fixed
-    wtrace_minus, wtrace_plus = sj[:, None] * trace_minus, sj[:, None] * trace_plus
+    wtrace = sj[:, None] * trace
     polar = polar_cache(quad.interior_points, geometry, cutoff_config)
-    gram = _build_gram(geometry, quad, lap, wrhs_p, wrhs_fixed, wtrace_minus, wtrace_plus, theta)
+    gram = _build_gram(geometry, quad, lap, wrhs_p, wrhs_fixed, wtrace, sign, theta)
     return EpochCache(
-        geometry, quad, sw, sj, lap, wrhs_p, wrhs_fixed, wtrace_minus,
-        wtrace_plus, minus_sub, plus_sub, polar, gram,
+        geometry, quad, sw, sj, lap, wrhs_p, wrhs_fixed, wtrace, sign, minus_sub, plus_sub,
+        polar, gram,
     )
 
 
-def _build_gram(geometry, quad, c, f1, f0, tm, tp, theta) -> GramBlocks:
+def _build_gram(geometry, quad, c, f1, f0, t, sign, theta) -> GramBlocks:
     """The Gram blocks of the weighted rows: Laplacians c, rhs factors f1
-    and f0, and traces tm and tp, one cross block per interface."""
+    and f0, and plus-side traces t, whose minus side is sign * t, one cross
+    block per interface."""
     n_sub, n = geometry.n_subdomains, c.shape[1]
     sq = np.zeros((n_sub, n, n))
     b_sq = np.zeros((n_sub, n))
@@ -197,7 +205,8 @@ def _build_gram(geometry, quad, c, f1, f0, tm, tp, theta) -> GramBlocks:
     cross = np.empty((len(geometry.interfaces), n, n))
     for k, ifc in enumerate(geometry.interfaces):
         rows = quad.interface_ids == k
-        tpg, tmg = tp[rows], tm[rows]
+        tpg = t[rows]
+        tmg = sign[rows] * tpg
         sq[ifc.plus] += tpg.T @ tpg
         sq[ifc.minus] += tmg.T @ tmg
         cross[k] = -(tmg.T @ tpg + tpg.T @ tmg)
@@ -238,7 +247,7 @@ def assemble_system(cache: EpochCache, parameter, singular_evals, theta: float) 
     rhs_top = -(p_int * cache.wrhs_p + cache.wrhs_fixed)
     p_minus = parameter[cache.ifc_minus_sub]
     p_plus = parameter[cache.ifc_plus_sub]
-    jump = p_plus[:, None] * cache.wtrace_plus - p_minus[:, None] * cache.wtrace_minus
+    jump = (p_plus[:, None] - p_minus[:, None] * cache.sign) * cache.wtrace
     bottom = np.concatenate([jump, np.zeros((j2, n_sing))], axis=1)
     matrix = np.concatenate([top, bottom], axis=0)
     rhs = np.concatenate([rhs_top, np.zeros(j2)])
@@ -261,19 +270,11 @@ def solve_normal_equations(system: LsSystem):
 
 @dataclass
 class BatchSolveResult:
-    """Per-batch LS solutions and, if ``out`` asked for them, the row adjoints.
-
-    Each adjoint is the halved derivative of the summed losses in one set
-    of raw rows: d(sum_k loss_k) / d lap[j, n] = 2 bar_lap[j, n], and
-    likewise bar_minus (bar_plus) for the minus (plus) traces.
-    """
+    """Per-batch LS solutions; the row adjoints go to the caller's ``out``."""
 
     y_nn: np.ndarray  # (P, N) network-column coefficients
     y_sing: list  # per-parameter singular coefficient vectors
     losses: np.ndarray  # (P,) residual norms squared
-    bar_lap: np.ndarray | None = None  # (J1, N)
-    bar_minus: np.ndarray | None = None  # (J2, N)
-    bar_plus: np.ndarray | None = None  # (J2, N)
 
 
 class SolveError(RuntimeError):
@@ -338,11 +339,14 @@ def solve_parameter_batch(
     interior rows.  `_cholesky_solve` ridges each system from its unpadded
     size and solves the padded slots to zero.  The loss of parameter k is
     ||B y - l||^2 over its interior and jump rows.
-    Handing in ``out`` asks for the row adjoints: they are summed into its
-    (bar_lap, bar_minus, bar_plus) arrays of the (J1, N) and (J2, N) row
-    shapes, which are zeroed first; without ``out`` none is formed.  A
-    caller that solves batches of one shape again and again keeps its
-    adjoint arrays so.
+    Handing in ``out``, a (bar_lap, bar_trace) pair of arrays of the
+    (J1, N) and (J2, N) row shapes, asks for the row adjoints: each is
+    zeroed and then holds the halved derivative of the summed losses in
+    its raw rows, d(sum_k loss_k) / d lap[j, n] = 2 bar_lap[j, n] and
+    likewise bar_trace for the plus-side traces, into which the minus
+    side's rows, sign times the plus side's, add through the sign.
+    Without ``out`` none is formed.  A caller that solves batches of one
+    shape again and again keeps its adjoint arrays so.
     """
     gram = cache.gram
     parameters = validate_parameter_batch(cache.geometry, np.atleast_2d(parameters))
@@ -357,15 +361,14 @@ def solve_parameter_batch(
         raise ValueError("singular evaluations do not match the annulus rows")
     all_counts = [0 if s is None else s.shape[1] for s in sing]
     y_nn, losses, y_sing = np.empty((n_p, n)), np.empty(n_p), []
-    bar_lap = bar_minus = bar_plus = None
     if out is not None:
-        shapes = [a.shape for a in (c, cache.wtrace_minus, cache.wtrace_plus)]
+        shapes = [a.shape for a in (c, cache.wtrace)]
         if [a.shape for a in out] != shapes:
             raise ValueError(f"adjoint arrays of shapes {[a.shape for a in out]} "
                              f"do not match the rows' {shapes}")
         for a in out:
             a.fill(0.0)
-        bar_lap, bar_minus, bar_plus = out
+        bar_lap, bar_trace = out
     for s in range(0, n_p, BLOCK):
         p = parameters[s : s + BLOCK]
         # one GEMM: (P, K) monomial coefficients against the fused (K, N*N) blocks
@@ -402,9 +405,9 @@ def solve_parameter_batch(
         r_int += f0[:, None]
         if m:
             r_int[rows] += (us @ y[:, n:, None])[:, :, 0].T
-        r_jump = cache.wtrace_plus @ y_b.T
+        r_jump = cache.wtrace @ y_b.T
         r_jump *= p_plus
-        r_jump -= p_minus * (cache.wtrace_minus @ y_b.T)
+        r_jump -= p_minus * ((cache.sign * cache.wtrace) @ y_b.T)
         losses[s : s + BLOCK] = np.einsum("jk,jk->k", r_int, r_int)
         losses[s : s + BLOCK] += np.einsum("jk,jk->k", r_jump, r_jump)
         if out is not None:  # in place, the residuals become the seeds, times y into out
@@ -412,10 +415,10 @@ def solve_parameter_batch(
             r_int *= cache.sqrt_w[:, None]
             bar_lap += r_int @ y_b
             r_jump *= cache.sqrt_theta_w[:, None]
-            bar_plus += (p_plus * r_jump) @ y_b
+            bar_trace += (p_plus * r_jump) @ y_b
             r_jump *= p_minus
-            bar_minus -= r_jump @ y_b
-    return BatchSolveResult(y_nn, y_sing, losses, bar_lap, bar_minus, bar_plus)
+            bar_trace -= cache.sign * (r_jump @ y_b)
+    return BatchSolveResult(y_nn, y_sing, losses)
 
 
 def evaluate_solution(y_nn, basis_values, basis_grads):

@@ -14,12 +14,13 @@ of the product `Jets.__mul__` with the factors from
 `cutoffs.interface_trace_factors`, both gathered with one
 `cutoffs.factor_index` per composition.  The minus-side traces are the
 plus side's times a sign, -1 where the factor vanishes on the point's own
-line and +1 elsewhere, so one product and one trace serve both sides.
-`assembly.solve_parameter_batch` solves every parameter's least-squares
-system block by block and sums each block's row seeds times its
-coefficients into the row adjoints: (J1, N) for the Laplacians and (J2, N)
-per trace side, the minus side's folded into the plus side's through the
-same sign.  The mean squared residual is back-propagated with the solved
+line and +1 elsewhere, so one product and one trace serve both sides: the
+epoch cache keeps that trace and its sign, and no minus-side array is
+stored.  `assembly.solve_parameter_batch` solves every parameter's
+least-squares system block by block and sums each block's row seeds times
+its coefficients into the row adjoints: (J1, N) for the Laplacians and
+(J2, N) for the trace, which the minus side's seeds reach through the
+sign.  The mean squared residual is back-propagated with the solved
 coefficients held fixed (the derivative of a minimum is the partial
 derivative at the minimizer).  One
 `nets.backward_jets` pass goes over every point in the order
@@ -33,7 +34,7 @@ path without the adjoints.
 
 Everything that outlives a call lives in one holder, `_kept`.  The arrays
 whose shapes the configuration fixes, the network's output jets, the
-composed Laplacian that the cache weights in place and the three row
+composed Laplacian that the cache weights in place and the two row
 adjoints, are written by `forward_jets`, the composition and
 `solve_parameter_batch` into arrays that `run_epoch` keeps there from one
 epoch to the next, so that an epoch reuses memory the last one touched
@@ -168,11 +169,14 @@ class TrainConfig:
     val_every: int = 10
 
     def __post_init__(self):
-        for name in ("iterations", "n_params", "n_interior", "n_interface", "n_singular",
-                     "val_every"):
-            count = getattr(self, name)
-            if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, not {count!r}")
+        counts = ("iterations", "n_params", "n_interior", "n_interface", "n_singular", "val_every")
+        reals = ("lr_start", "lr_end", "theta", "p_min", "p_max")
+        for names, kinds, what in ((counts, (int, np.integer), "an integer"),
+                                   (reals, (int, float, np.integer, np.floating), "a number")):
+            for name in names:
+                value = getattr(self, name)
+                if isinstance(value, bool) or not isinstance(value, kinds):
+                    raise ValueError(f"{name} must be {what}, not {value!r}")
         if self.iterations < 1:
             raise ValueError("need at least one iteration")
         if not (np.isfinite(self.lr_start) and self.lr_start >= self.lr_end > 0):
@@ -291,30 +295,33 @@ def _tiles(n: int) -> list[slice]:
 
 
 def _interface_rows(
-    ifc: Jets, quad: QuadratureSet, geometry: Geometry, cutoff_config: CutoffConfig,
-    cols: np.ndarray,
+    ifc: Jets, lap: np.ndarray, quad: QuadratureSet, geometry: Geometry,
+    cutoff_config: CutoffConfig, cols: np.ndarray, rhs: RhsSpec, theta: float,
 ):
-    """The one-sided normal traces of the composed basis at the interface
-    points of ``quad``, from the network's jets ``ifc`` there and the
-    outputs' `factor_index` ``cols``.
+    """The cache of ``quad`` (`build_epoch_cache`), from the composed
+    basis's Laplacians ``lap`` at its interior points, which the cache
+    weights in place, and its normal traces at its interface points, made
+    here from the network's jets ``ifc`` there and the outputs'
+    `factor_index` ``cols``.
 
     The plus side's (J2, N) factors are gathered from its distinct stack
     (`cutoffs.interface_trace_factors`) and multiplied with the network
-    jets once (`Jets.__mul__`); the plus trace is the component of the
+    jets once (`Jets.__mul__`); the trace is the component of the
     product's gradient along its interface's axis, the unit normal.  The
-    minus trace is that trace times ``sign``, -1 on the outputs whose
-    factor holds the psi of the point's own axis and +1 elsewhere: such a
-    factor F is 0 on the line, so n . grad(F * raw) = raw (n . grad F),
-    and n . grad F flips sign across it.  Returns the plus side's distinct
-    factor stack, the (J2, N) ``sign``, the (J2, d) unit normals at the
-    interface points and the (minus, plus) traces, each (J2, N).
+    minus side's is that trace times the cache's ``sign``, -1 on the
+    outputs whose factor holds the psi of the point's own axis and +1
+    elsewhere: such a factor F is 0 on the line, so n . grad(F * raw) =
+    raw (n . grad F), and n . grad F flips sign across it.  Returns the
+    cache, the plus side's distinct factor stack and the (J2, d) unit
+    normals at the interface points.
     """
     ifc_axes = np.array([geometry.interfaces[k].axis for k in quad.interface_ids], dtype=int)
     normals = np.eye(geometry.dimension)[ifc_axes]
     stack, mask = interface_trace_factors(quad.interface_points, ifc_axes, geometry, cutoff_config)
     sign = np.where(mask[:, cols], -1.0, 1.0)
-    plus = (stack.columns(cols) * ifc).gradient[np.arange(len(ifc_axes)), :, ifc_axes]
-    return stack, sign, normals, (sign * plus, plus)
+    trace = (stack.columns(cols) * ifc).gradient[np.arange(len(ifc_axes)), :, ifc_axes]
+    cache = build_epoch_cache(geometry, cutoff_config, quad, lap, trace, sign, rhs, theta=theta)
+    return cache, stack, normals
 
 
 def _keep(kept: dict | None, name: str, shape: tuple, make):
@@ -338,13 +345,12 @@ def _composed_cache(params: MlpParams, data: EpochData, kept: dict | None = None
     the outputs one tile of `TILE` points at a time, each tile's Laplacians
     written into one (J1, N) array, which the cache weights in place.  The
     network's jets and that array are taken from the holder ``kept``
-    (`_keep`), or made new without one.  Returns the cache and what the
-    loss's adjoint reads: the network's jets at all the points, the
-    outputs' `factor_index`, the interior factor stack
-    (`cutoffs.composition_factors`), and the plus-side interface factor
-    stack with the (J2, N) minus-side sign and the (J2, d) unit normals at
-    the interface points (`_interface_rows`).  The gathered (J1, N) factors
-    are not kept.
+    (`_keep`), or made new without one.  Returns the cache
+    (`_interface_rows`) and what the loss's adjoint reads: the network's
+    jets at all the points, the outputs' `factor_index`, the interior
+    factor stack (`cutoffs.composition_factors`), the plus-side interface
+    factor stack and the (J2, d) unit normals at the interface points.
+    The gathered (J1, N) factors are not kept.
     """
     cfg = params.config
     quad = data.quad
@@ -359,13 +365,11 @@ def _composed_cache(params: MlpParams, data: EpochData, kept: dict | None = None
     lap = _keep(kept, "lap", (n_int, cfg.n_outputs), np.empty)
     for rows in _tiles(n_int):
         lap[rows] = stack.rows(rows).columns(cols).product_laplacian(jets.rows(rows))
-    *interface, traces = _interface_rows(
-        jets.rows(slice(n_int, None)), quad, data.geometry, data.cutoff_config, cols
+    cache, ifc_stack, normals = _interface_rows(
+        jets.rows(slice(n_int, None)), lap, quad, data.geometry, data.cutoff_config, cols,
+        data.rhs, data.theta,
     )
-    cache = build_epoch_cache(
-        data.geometry, data.cutoff_config, quad, lap, *traces, data.rhs, theta=data.theta
-    )
-    return cache, jets, cols, stack, interface
+    return cache, jets, cols, stack, ifc_stack, normals
 
 
 @dataclass(frozen=True)
@@ -376,8 +380,9 @@ class _ComposedSeeds:
     A tile's rows take the product's adjoint (`Jets.adjoint`) of their
     scaled row adjoints: the interior rows seed the Laplacian of fac * raw,
     the interface rows the normal component of the plus side's gradient,
-    whose adjoint holds the minus side's too, with the factors gathered for
-    the tile's rows alone.  So the seeds of the whole batch never exist at
+    the one trace, whose adjoint the solve has already given the minus
+    side's rows through their sign, with the factors gathered for the
+    tile's rows alone.  So the seeds of the whole batch never exist at
     once.
     """
 
@@ -386,7 +391,7 @@ class _ComposedSeeds:
     ifc_stack: Jets  # (J2, F) plus-side interface factor stack
     normals: np.ndarray  # (J2, d) unit normals at the interface points
     bar_lap: np.ndarray  # (J1, N) adjoint of the interior Laplacians
-    bar_trace: np.ndarray  # (J2, N) adjoint of the plus traces, minus side folded in
+    bar_trace: np.ndarray  # (J2, N) adjoint of the trace, both sides' rows
 
     @property
     def shape(self) -> tuple:
@@ -412,8 +417,8 @@ def loss_and_param_gradient(
     """Mean squared LS residual over the batch and its gradient in the weights.
 
     The gradient treats every parameter's solved coefficient vector as a
-    constant.  The blocked solve returns the row adjoints of the basis
-    Laplacians and one-sided traces, summed over the batch, and only those
+    constant.  The blocked solve writes the row adjoints of the basis
+    Laplacians and of its one trace, summed over the batch, and only those
     are back-propagated, in one backward pass over all the points that
     composes each tile's seeds from them (`_ComposedSeeds`); without
     ``need_gradient`` none is formed.  The arrays whose shapes the batch
@@ -423,7 +428,7 @@ def loss_and_param_gradient(
     """
     if data.parameters.shape[0] < 1:
         raise ValueError("empty parameter batch")
-    cache, jets, cols, stack, (ifc_stack, sign, normals) = _composed_cache(params, data, kept)
+    cache, jets, cols, stack, ifc_stack, normals = _composed_cache(params, data, kept)
     if not need_gradient:  # read by the adjoint alone: not held through the solve
         jets = stack = ifc_stack = None
     sing_per_p = [
@@ -432,9 +437,8 @@ def loss_and_param_gradient(
     ]
     adjoints = None
     if need_gradient:  # each of the shape of the rows it seeds
-        rows = (cache.wlap, cache.wtrace_minus, cache.wtrace_plus)
-        names = ("bar_lap", "bar_minus", "bar_plus")
-        adjoints = tuple(_keep(kept, name, a.shape, np.empty) for name, a in zip(names, rows))
+        rows = {"bar_lap": cache.wlap, "bar_trace": cache.wtrace}
+        adjoints = tuple(_keep(kept, name, a.shape, np.empty) for name, a in rows.items())
     batch = solve_parameter_batch(
         cache, data.parameters, singular_evals_per_p=sing_per_p, out=adjoints
     )
@@ -443,17 +447,14 @@ def loss_and_param_gradient(
         return loss, None
     del cache, sing_per_p, batch  # the backward pass reads none of them
 
-    # the minus traces are sign times the plus traces, so their adjoint
-    # joins the plus side's.  The row adjoints, scaled in place to the mean
-    # loss, seed the composed rows: the interior Laplacians and the normal
-    # component of the plus side's gradient.  The backward pass composes
-    # them tile by tile through the product's adjoint, in the order
-    # `forward_jets` saw the points
-    bar_lap, bar_minus, bar_plus = adjoints
-    bar_plus += sign * bar_minus
-    for w in (bar_lap, bar_plus):
+    # the row adjoints, scaled in place to the mean loss, seed the composed
+    # rows: the interior Laplacians and the normal component of the plus
+    # side's gradient.  The backward pass composes them tile by tile
+    # through the product's adjoint, in the order `forward_jets` saw the
+    # points
+    for w in adjoints:
         w *= 2.0 / data.parameters.shape[0]
-    seeds = _ComposedSeeds(cols, stack, ifc_stack, normals, bar_lap, bar_plus)
+    seeds = _ComposedSeeds(cols, stack, ifc_stack, normals, *adjoints)
     quad = data.quad
     points = np.concatenate([quad.interior_points, quad.interface_points])
     grad = backward_jets(params, points, jets, seeds)
@@ -476,8 +477,8 @@ def run_epoch(
     is at fault, its index.
 
     The arrays whose shapes the configuration fixes (the network's output
-    jets, the composed Laplacian that the cache weights in place, the
-    three row adjoints) live from one epoch to the next in the module's
+    jets, the composed Laplacian that the cache weights in place, the two
+    row adjoints) live from one epoch to the next in the module's
     one holder `_kept`, so that an epoch writes into memory the last one
     touched instead of making and freeing it.  Each tile's seeds are
     composed inside the backward pass, so no seed set of the batch is
@@ -610,7 +611,8 @@ class QueryBasis:
         of `TILE` points at a time and written into the kept arrays, so the
         (J, n1 + n2) network jets, factors and products of the whole grid
         never exist.  The composed Laplacian goes to `build_epoch_cache`,
-        which weights it in place and keeps it as ``cache.wlap``.
+        which weights it in place and keeps it as ``cache.wlap``, through
+        the `_interface_rows` that epochs use.
         """
         cfg = params.config
         quad = midpoint_grid(geometry, n_per_axis, n_per_axis)
@@ -626,11 +628,9 @@ class QueryBasis:
             gradients[t] = np.moveaxis(part.gradient, -1, 1)
             laplacian[t] = part.laplacian
         del stack  # not kept: freed before the cache is built
-        *_, traces = _interface_rows(
-            forward_jets(params, quad.interface_points), quad, geometry, cutoff_config, cols
-        )
-        cache = build_epoch_cache(
-            geometry, cutoff_config, quad, laplacian, *traces, rhs, theta=theta
+        cache, *_ = _interface_rows(
+            forward_jets(params, quad.interface_points), laplacian, quad, geometry,
+            cutoff_config, cols, rhs, theta,
         )
         basis = cls(cfg, cache, values, gradients)
         for holder in (basis, cache, quad, cache.gram, cache.polar, *cache.polar.vertices):
@@ -710,8 +710,9 @@ def final_solve(
     and a build first empties the holder, the arrays `run_epoch` keeps
     between epochs included, so that they do not add to the build's peak.
     A malformed parameter raises ValueError (ParameterError for a value
-    that is not positive and finite) from `QueryBasis.solve`, after a
-    build if no basis fits the inputs.
+    that is not positive and finite): checked here before a build, so
+    that it neither builds nor empties the holder, and by
+    `QueryBasis.solve` on a held basis.
     Returns (coefficients, fields) where fields carries the grid, solution
     values, gradients and fluxes, the squared residual and the relative
     least-squares residual sqrt(residual_sq / |l|^2) (0 when l = 0).  It
@@ -727,6 +728,7 @@ def final_solve(
         and held[1] == values
         and np.array_equal(held[2], params.to_flat())
     ):
+        validate_parameter(geometry, parameter)
         # before the build, so that no basis coexists with another or with
         # the epoch's arrays
         held = None

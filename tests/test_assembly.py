@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -16,6 +17,7 @@ from transolve.assembly import (
     solve_parameter_batch,
 )
 from transolve.cutoffs import (
+    CutoffConfig,
     composition_factors,
     default_cutoff_config,
     eta_jet,
@@ -30,19 +32,11 @@ from transolve.sampling import sample_collocation
 from transolve.singular import singular_evals_from_cache
 from transolve.training import vertex_eigenpairs
 
-PI = np.pi
-
-
-def geom_1d():
-    return build_grid_geometry(1, cuts_x=[PI / 5, 2 * PI / 5, 3 * PI / 5, 4 * PI / 5], bounds=[(0, PI)])
-
-
-def geom_2x2():
-    return build_grid_geometry(2, cuts_x=[0.0], cuts_y=[0.0], bounds=[(-1, 1), (-1, 1)])
-
+from conftest import geom_1d, geom_2x2, kinked_sin_rows
 
 def raw_rows(geometry, net_cfg, seed=0, n_int=12, n_ifc=6):
-    """Cutoff config, quadrature, and the unweighted Laplacians and traces."""
+    """Cutoff config, quadrature, and the unweighted Laplacians, plus-side
+    traces and the sign that gives the minus side's."""
     cfg = default_cutoff_config(geometry)
     quad = sample_collocation(geometry, n_int, n_ifc, np.random.default_rng(seed))
     params = init_params(net_cfg, seed + 1)
@@ -55,9 +49,8 @@ def raw_rows(geometry, net_cfg, seed=0, n_int=12, n_ifc=6):
     # the normal component of the plus side's gradient; the minus side
     # flips the sign of the outputs whose factor vanishes on the line
     rows = np.arange(quad.n_interface)
-    tr_plus = (ifc_stack.columns(cols) * ifc_jets).gradient[rows, :, ifc_axes]
-    tr_minus = np.where(mask[:, cols], -tr_plus, tr_plus)
-    return cfg, quad, lap, tr_minus, tr_plus
+    trace = (ifc_stack.columns(cols) * ifc_jets).gradient[rows, :, ifc_axes]
+    return cfg, quad, lap, trace, np.where(mask[:, cols], -1.0, 1.0)
 
 
 def make_cache(geometry, net_cfg, seed=0, n_int=12, n_ifc=6, theta=1.0):
@@ -67,12 +60,10 @@ def make_cache(geometry, net_cfg, seed=0, n_int=12, n_ifc=6, theta=1.0):
 
 
 def adjoint_arrays(cache, fill=0.0):
-    """(bar_lap, bar_minus, bar_plus) of the cache's row shapes, each filled
-    with ``fill``: handed to `solve_parameter_batch` as ``out``, they ask
-    for the row adjoints."""
-    return tuple(
-        np.full(a.shape, fill) for a in (cache.wlap, cache.wtrace_minus, cache.wtrace_plus)
-    )
+    """(bar_lap, bar_trace) of the cache's row shapes, each filled with
+    ``fill``: handed to `solve_parameter_batch` as ``out``, they ask for the
+    row adjoints."""
+    return tuple(np.full(a.shape, fill) for a in (cache.wlap, cache.wtrace))
 
 
 def test_cache_shapes_toy():
@@ -80,8 +71,8 @@ def test_cache_shapes_toy():
     cfg = NetConfig(1, (3,), 1, 1)
     cache = make_cache(g, cfg, n_int=3, n_ifc=1)
     assert cache.wlap.shape == (6, 2)  # 3 per subdomain
-    assert cache.wtrace_minus.shape == (1, 2)
-    assert cache.wtrace_plus.shape == (1, 2)
+    assert cache.wtrace.shape == (1, 2)
+    assert cache.sign.shape == (1, 2)
 
 
 def test_cache_deterministic():
@@ -90,19 +81,22 @@ def test_cache_deterministic():
     c1 = make_cache(g, cfg, seed=5)
     c2 = make_cache(g, cfg, seed=5)
     np.testing.assert_array_equal(c1.wlap, c2.wlap)
-    np.testing.assert_array_equal(c1.wtrace_plus, c2.wtrace_plus)
+    np.testing.assert_array_equal(c1.wtrace, c2.wtrace)
+    np.testing.assert_array_equal(c1.sign, c2.sign)
 
 
 def test_direct_assembly_equals_cache_based():
-    """The cache-based matrix equals a pointwise direct assembly bit-for-bit."""
+    """The cache-based matrix equals a pointwise direct assembly, whose
+    jump rows take each side's trace apart, to 4 ulp."""
     g = geom_1d()
     cfg = NetConfig(1, (5,), 2, 4)
     rows = raw_rows(g, cfg, seed=2)
-    cut, quad, lap, tr_minus, tr_plus = rows
+    cut, quad, lap, tr_plus, sign = rows
+    tr_minus = sign * tr_plus
     theta = 1.0
     # the cache weights its Laplacian in place: the oracle below reads the raw one
     cache = build_epoch_cache(
-        g, cut, quad, lap.copy(), tr_minus, tr_plus, RhsSpec.for_geometry("sin1d", g), theta=theta
+        g, cut, quad, lap.copy(), tr_plus, sign, RhsSpec.for_geometry("sin1d", g), theta=theta
     )
     rng = np.random.default_rng(3)
     p = rng.uniform(0.5, 5.0, size=5)
@@ -273,8 +267,9 @@ def test_batch_support_rows_match_the_scattered_dense_system():
     to all J1 interior rows they give assemble_system's singular columns,
     and at the batch's coefficients that dense system has the batch's
     losses, and its residuals give the batch's row adjoints, written into
-    the arrays the caller hands in whatever they held; without them none
-    is formed."""
+    the arrays the caller hands in whatever they held.  The trace's adjoint
+    is the two sides' adjoints, summed over the batch apart and then
+    folded through the sign.  The result carries no adjoint."""
     g = build_grid_geometry(2, cuts_x=[-0.4, 0.3], cuts_y=[-0.3, 0.4], bounds=[(-1, 1), (-1, 1)])
     cfg = NetConfig(2, (8,), 4, 8)
     theta = 3.0
@@ -289,11 +284,10 @@ def test_batch_support_rows_match_the_scattered_dense_system():
     assert [s.shape[1] for s in sing] == [0, 2, 4]
     rows = cache.polar.annulus_rows
     assert 0 < rows.size < cache.quad.n_interior
-    batch = solve_parameter_batch(cache, params, singular_evals_per_p=sing,
-                                  out=adjoint_arrays(cache))
+    out = adjoint_arrays(cache)
+    batch = solve_parameter_batch(cache, params, singular_evals_per_p=sing, out=out)
     j1, n = cache.quad.n_interior, cache.n_basis
-    expected = [np.zeros_like(cache.wlap), np.zeros_like(cache.wtrace_minus)]
-    expected.append(np.zeros_like(cache.wtrace_plus))
+    expected = [np.zeros_like(cache.wlap), np.zeros_like(cache.wtrace), np.zeros_like(cache.wtrace)]
     atol = 0.0
     for k, p in enumerate(params):
         dense = np.zeros((j1, sing[k].shape[1]))
@@ -305,7 +299,8 @@ def test_batch_support_rows_match_the_scattered_dense_system():
         )
         r = system.matrix @ np.concatenate([batch.y_nn[k], batch.y_sing[k]]) - system.rhs
         assert batch.losses[k] == pytest.approx(r @ r, rel=1e-12)
-        # the seeds of parameter k: the halved derivatives of its loss in the raw rows
+        # the seeds of parameter k: the halved derivatives of its loss in
+        # the raw rows, the Laplacians' and each trace side's
         r_jump = cache.sqrt_theta_w * r[j1:]
         seeds = (
             cache.sqrt_w * p_int * r[:j1],
@@ -316,19 +311,20 @@ def test_batch_support_rows_match_the_scattered_dense_system():
             total += np.outer(seed, batch.y_nn[k])
         # each seed to 1e-12 of its largest residual, carried through y_k
         atol += 1e-12 * np.abs(r).max() * np.abs(batch.y_nn[k]).max()
-    for name, total in zip(("bar_lap", "bar_minus", "bar_plus"), expected):
-        np.testing.assert_allclose(getattr(batch, name), total, rtol=0, atol=atol, err_msg=name)
+    bar_lap, bar_minus, bar_plus = expected
+    folded = bar_plus + cache.sign * bar_minus
+    for name, got, total in (("bar_lap", out[0], bar_lap), ("bar_trace", out[1], folded)):
+        np.testing.assert_allclose(got, total, rtol=0, atol=atol, err_msg=name)
+    assert [f.name for f in dataclasses.fields(batch)] == ["y_nn", "y_sing", "losses"]
     plain = solve_parameter_batch(cache, params, singular_evals_per_p=sing)
-    assert (plain.bar_lap, plain.bar_minus, plain.bar_plus) == (None, None, None)
     np.testing.assert_array_equal(plain.losses, batch.losses)
     # adjoint arrays handed in are zeroed and written, whatever they held
-    out = adjoint_arrays(cache, np.nan)
-    into = solve_parameter_batch(cache, params, singular_evals_per_p=sing, out=out)
-    for name, array in zip(("bar_lap", "bar_minus", "bar_plus"), out):
-        assert getattr(into, name) is array
-        np.testing.assert_array_equal(array, getattr(batch, name))
+    into = adjoint_arrays(cache, np.nan)
+    solve_parameter_batch(cache, params, singular_evals_per_p=sing, out=into)
+    for name, array, want in zip(("bar_lap", "bar_trace"), into, out):
+        np.testing.assert_array_equal(array, want, err_msg=name)
     with pytest.raises(ValueError, match="adjoint arrays of shapes"):
-        solve_parameter_batch(cache, params, sing, out=(out[0], out[0], out[1]))
+        solve_parameter_batch(cache, params, sing, out=(out[0], out[0]))
 
 
 def test_blocked_batch_matches_each_parameter_solved_alone():
@@ -377,13 +373,14 @@ def test_batch_solve_holds_no_normal_matrix_stack():
     cache = make_cache(g, NetConfig(1, (8,), 10, 40), seed=4, n_int=20)
     n_p, n = 8 * BLOCK, cache.n_basis
     params = np.random.default_rng(9).uniform(0.5, 10.0, size=(n_p, 5))
+    out = adjoint_arrays(cache)
     tracemalloc.start()
     try:
-        batch = solve_parameter_batch(cache, params, out=adjoint_arrays(cache))
+        solve_parameter_batch(cache, params, out=out)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert batch.bar_lap.shape == (cache.quad.n_interior, n)
+    assert all(np.any(a != 0) for a in out)
     assert peak < 0.5 * n_p * n * n * 8
 
 
@@ -412,7 +409,7 @@ def test_batch_zero_basis_solves_to_zero():
     quad = sample_collocation(g, 6, 1, np.random.default_rng(0))
     lap, trace = np.zeros((quad.n_interior, 3)), np.zeros((quad.n_interface, 3))
     rhs = RhsSpec.for_geometry("sin1d", g)
-    cache = build_epoch_cache(g, default_cutoff_config(g), quad, lap, trace, trace, rhs)
+    cache = build_epoch_cache(g, default_cutoff_config(g), quad, lap, trace, np.ones_like(trace), rhs)
     params = np.random.default_rng(1).uniform(0.5, 10.0, size=(2, 5))
     batch = solve_parameter_batch(cache, params)
     assert batch.y_nn.tolist() == [[0.0] * 3] * 2
@@ -516,33 +513,18 @@ def test_singular_columns_zero_on_jump_rows():
 
 
 def test_manufactured_exact_recovery_1d(monkeypatch):
-    """Inject per-subdomain sin(5x) indicators: LS recovers 1/p_i exactly."""
+    """Inject columns sin(5x) s_j(x) that kink at the cuts (`kinked_sin_rows`):
+    LS recovers sin(5x) / p_i on each subdomain i exactly."""
     monkeypatch.setattr(assembly, "RIDGE_REL", 0.0)
     g = geom_1d()
     rhs = RhsSpec.for_geometry("sin1d", g)
     quad = sample_collocation(g, 30, 1, np.random.default_rng(15))
-    j1 = quad.n_interior
-    n_sub = 5
-    lap = np.zeros((j1, n_sub))
-    for i in range(n_sub):
-        rows = quad.interior_subdomain == i
-        x = quad.interior_points[rows, 0]
-        lap[rows, i] = -25.0 * np.sin(5 * x)
-    # traces: d/dx of chi_i sin(5x) at the interfaces, one-sided
-    tr_minus = np.zeros((quad.n_interface, n_sub))
-    tr_plus = np.zeros((quad.n_interface, n_sub))
-    for k, gamma in enumerate(g.cuts_x):
-        tr_minus[k, k] = 5 * np.cos(5 * gamma)  # left column owns the minus side
-        tr_plus[k, k + 1] = 5 * np.cos(5 * gamma)
-    from transolve.cutoffs import CutoffConfig
-
-    cache = build_epoch_cache(
-        g, CutoffConfig(0.1, 0.2), quad, lap, tr_minus, tr_plus, rhs, theta=1.0
-    )
+    signs, lap, trace, sign = kinked_sin_rows(g, quad)
+    cache = build_epoch_cache(g, CutoffConfig(0.1, 0.2), quad, lap, trace, sign, rhs, theta=1.0)
     p = np.array([1.0, 4.0, 0.2, 30.0, 49.0])
     sysk = assemble_system(cache, p, None, 1.0)
     y, res = solve_normal_equations(sysk)
-    np.testing.assert_allclose(y, 1.0 / p, rtol=1e-10)
+    np.testing.assert_allclose(signs @ y, 1.0 / p, rtol=1e-10)
     scale = np.sum(sysk.rhs**2)
     assert res <= 1e-16 * scale
 

@@ -16,23 +16,10 @@ from transolve.cutoffs import (
 from transolve.geometry import build_grid_geometry
 from transolve.nets import Jets
 
+from conftest import geom_1d, geom_2x2, geom_3x3
+
 PI = np.pi
 CFG = CutoffConfig(0.2, 0.5)
-
-
-def geom_1d():
-    return build_grid_geometry(1, cuts_x=[PI / 5, 2 * PI / 5, 3 * PI / 5, 4 * PI / 5], bounds=[(0, PI)])
-
-
-def geom_2x2():
-    return build_grid_geometry(2, cuts_x=[0.0], cuts_y=[0.0], bounds=[(-1, 1), (-1, 1)])
-
-
-def geom_3x3():
-    """The non-uniform layout of the 2D benchmark, with 4 singular vertices."""
-    return build_grid_geometry(
-        2, cuts_x=[-0.5, 0.25], cuts_y=[-0.25, 0.5], bounds=[(-1, 1), (-1, 1)]
-    )
 
 
 def fd_gradient(f, x, h=1e-6):
@@ -241,7 +228,7 @@ def test_composition_factors_are_the_distinct_stack_and_its_index():
     """F = (1 + d) * N_s distinct factors and the index of every output's;
     gathering a subset of the points before the outputs gives the same
     factors as after."""
-    g = build_grid_geometry(2, cuts_x=[-0.5, 0.25], cuts_y=[-0.25, 0.5], bounds=[(-1, 1), (-1, 1)])
+    g = geom_3x3()
     pts = np.random.default_rng(4).uniform(-1, 1, size=(20, 2))
     stack = composition_factors(pts, g, default_cutoff_config(g))
     cols = factor_index(g, 16, 32)

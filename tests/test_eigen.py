@@ -14,7 +14,9 @@ from transolve.eigen import (
     semi_analytic_exponents,
     solve_eigenpairs,
 )
-from transolve.geometry import angular_trace, build_grid_geometry
+from transolve.geometry import angular_trace
+
+from conftest import geom_2x2
 
 CHECKERBOARD = np.array([1.0, 10.0, 1.0, 10.0])
 
@@ -229,7 +231,7 @@ def test_angular_eval_derivative_fd():
 
 
 def test_geometry_trace_feeds_eigensolver():
-    g = build_grid_geometry(2, cuts_x=[0.0], cuts_y=[0.0], bounds=[(-1, 1), (-1, 1)])
+    g = geom_2x2()
     trace = [s[2] for s in angular_trace(g, [1.0, 10.0, 10.0, 1.0], 0)]
     pairs = solve_eigenpairs(assemble_eigensystem(trace))
     assert len(pairs) == 16

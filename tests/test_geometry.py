@@ -11,15 +11,9 @@ from transolve.geometry import (
     validate_parameter,
 )
 
+from conftest import geom_1d, geom_2x2, geom_3x3
+
 PI = np.pi
-
-
-def geom_1d():
-    return build_grid_geometry(1, cuts_x=[PI / 5, 2 * PI / 5, 3 * PI / 5, 4 * PI / 5], bounds=[(0, PI)])
-
-
-def geom_2x2():
-    return build_grid_geometry(2, cuts_x=[0.0], cuts_y=[0.0], bounds=[(-1, 1), (-1, 1)])
 
 
 def geom_4x4():
@@ -241,18 +235,13 @@ def test_subdomain_index_many_matches_scalar():
         assert subdomain_index_many(g, x[None, :]) == [idx]
 
 
-def geom_bench_2d():
-    return build_grid_geometry(
-        2, cuts_x=[-0.5, 0.25], cuts_y=[-0.25, 0.5], bounds=[(-1, 1), (-1, 1)]
-    )
-
-
 def geom_2x3():
     """Two rows of three columns, no cut centered or evenly spaced."""
     return build_grid_geometry(2, cuts_x=[-0.7, 0.1], cuts_y=[0.35], bounds=[(-1, 1.5), (0, 2)])
 
 
-LOOKUP_LAYOUTS = [geom_bench_2d, geom_1d, geom_2x3]
+# keyed by the test ids, the names the layout builders had
+LOOKUP_LAYOUTS = {"geom_bench_2d": geom_3x3, "geom_1d": geom_1d, "geom_2x3": geom_2x3}
 
 
 def _box_lookup(g, pts):
@@ -264,7 +253,7 @@ def _box_lookup(g, pts):
     return np.argmax(inside, axis=1)
 
 
-@pytest.mark.parametrize("layout", LOOKUP_LAYOUTS)
+@pytest.mark.parametrize("layout", LOOKUP_LAYOUTS.values(), ids=LOOKUP_LAYOUTS.keys())
 def test_subdomain_index_many_matches_box_test(layout):
     g = layout()
     lo, hi = np.array(g.bounds).T
@@ -272,7 +261,7 @@ def test_subdomain_index_many_matches_box_test(layout):
     np.testing.assert_array_equal(subdomain_index_many(g, pts), _box_lookup(g, pts))
 
 
-@pytest.mark.parametrize("layout", LOOKUP_LAYOUTS)
+@pytest.mark.parametrize("layout", LOOKUP_LAYOUTS.values(), ids=LOOKUP_LAYOUTS.keys())
 def test_subdomain_index_many_rejects_cuts_bounds_outside_and_nan(layout):
     g = layout()
     cuts = (g.cuts_x, g.cuts_y)

@@ -19,10 +19,11 @@ import numpy as np
 import pytest
 
 from transolve.cutoffs import CutoffConfig, default_cutoff_config, eta_jet
-from transolve.geometry import build_grid_geometry
 from transolve.nets import NetConfig, init_params
 from transolve.reference import RhsSpec, relative_l2_errors
 from transolve.training import final_solve
+
+from conftest import geom_2x2
 
 R = 161.4476387975881
 LAM = 0.1
@@ -95,7 +96,7 @@ def exact(points, cut):
 def test_an_untrained_query_recovers_the_kellogg_solution(c):
     """The singular column alone spans u*: with an untrained network the
     query on a 64^2 grid recovers u and its flux, unmasked."""
-    g = build_grid_geometry(2, cuts_x=[0.0], cuts_y=[0.0], bounds=[(-1, 1), (-1, 1)])
+    g = geom_2x2()
     cut = default_cutoff_config(g)
     rhs = KelloggRhs("kellogg", g.singular_vertices.copy(), cut)
     params = init_params(NetConfig(2, (10, 10), 4, 8), 0)

@@ -17,7 +17,6 @@ import pytest
 from transolve import eigen, training
 from transolve.assembly import solve_parameter_batch
 from transolve.cutoffs import default_cutoff_config
-from transolve.geometry import build_grid_geometry
 from transolve.nets import NetConfig, init_params
 from transolve.reference import RhsSpec
 from transolve.sampling import sample_collocation, sample_parameters
@@ -28,6 +27,8 @@ from transolve.training import (
     loss_and_param_gradient,
     vertex_eigenpairs,
 )
+
+from conftest import geom_2x2, geom_3x3
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -83,7 +84,7 @@ def test_tracer_counts_each_forward_point_once(perfbench_module):
     calls; the backward pass recomputes its tiles' forward without that
     name, so one gradient evaluation counts J1 + J2 points, once."""
     spans = perfbench_module("spans")
-    g = build_grid_geometry(2, cuts_x=[0.0], cuts_y=[0.0], bounds=[(-1, 1), (-1, 1)])
+    g = geom_2x2()
     rhs = RhsSpec.for_geometry("corner2d", g)
     quad = sample_collocation(g, 12, 6, np.random.default_rng(0))
     parameters = sample_parameters(np.random.default_rng(1), 4, g.n_subdomains, 0.1, 10.0)
@@ -108,7 +109,7 @@ def test_tracer_sees_one_eigensolve_and_one_selection_per_vertex(perfbench_modul
     calls: a batch is one solve and one selection per parameter and
     vertex, each noting the largest residual of the pairs it kept."""
     spans = perfbench_module("spans")
-    g = build_grid_geometry(2, cuts_x=[-0.5, 0.25], cuts_y=[-0.25, 0.5], bounds=[(-1, 1), (-1, 1)])
+    g = geom_3x3()
     parameters = sample_parameters(np.random.default_rng(3), 8, g.n_subdomains, 0.1, 10.0)
     tracer = spans.Tracer()
     tracer.install()
@@ -124,7 +125,7 @@ def test_tracer_sees_one_eigensolve_and_one_selection_per_vertex(perfbench_modul
 
 def test_ls_check_accepts_the_batched_solve_in_2d(perfbench_module):
     checks = perfbench_module("checks")
-    g = build_grid_geometry(2, cuts_x=[0.0], cuts_y=[0.0], bounds=[(-1, 1), (-1, 1)])
+    g = geom_2x2()
     rhs = RhsSpec.for_geometry("corner2d", g)
     cut = default_cutoff_config(g)
     quad = sample_collocation(g, 12, 6, np.random.default_rng(0))

@@ -32,13 +32,15 @@ from transolve.training import (
     vertex_eigenpairs,
 )
 
+from conftest import geom_1d, geom_2x2, geom_3x3
+
 RTOL = 1e-12
 N_SINGULAR = 2
 GRID = 24
 
 
 def problem():
-    g = build_grid_geometry(2, cuts_x=[0.0], cuts_y=[0.0], bounds=[(-1, 1), (-1, 1)])
+    g = geom_2x2()
     rhs = RhsSpec.for_geometry("corner2d", g)
     return g, rhs, default_cutoff_config(g), init_params(NetConfig(2, (10, 10), 4, 8), 5)
 
@@ -263,14 +265,14 @@ def _untiled_basis(params, g, rhs, cut, theta, quad):
     axes = np.array([g.interfaces[k].axis for k in quad.interface_ids], dtype=int)
     ifc_stack, mask = interface_trace_factors(quad.interface_points, axes, g, cut)
     ifc = forward_jets(params, quad.interface_points)
-    plus = (ifc_stack.columns(cols) * ifc).gradient[np.arange(quad.n_interface), :, axes]
-    minus = np.where(mask[:, cols], -plus, plus)
-    cache = build_epoch_cache(g, cut, quad, composed.laplacian, minus, plus, rhs, theta=theta)
+    trace = (ifc_stack.columns(cols) * ifc).gradient[np.arange(quad.n_interface), :, axes]
+    sign = np.where(mask[:, cols], -1.0, 1.0)
+    cache = build_epoch_cache(g, cut, quad, composed.laplacian, trace, sign, rhs, theta=theta)
     return composed.value, np.moveaxis(composed.gradient, -1, 1), cache
 
 
 def problem_1d():
-    g = build_grid_geometry(1, cuts_x=[np.pi * k / 5 for k in range(1, 5)], bounds=[(0, np.pi)])
+    g = geom_1d()
     rhs = RhsSpec.for_geometry("sin1d", g)
     return g, rhs, default_cutoff_config(g), init_params(NetConfig(1, (10, 10), 4, 8), 5)
 
@@ -288,7 +290,7 @@ def test_tiled_build_is_bit_identical_to_one_composition(make, grid):
     values, gradients, cache = _untiled_basis(params, g, rhs, cut, 2.0, quad)
     np.testing.assert_array_equal(basis.values, values)
     np.testing.assert_array_equal(basis.gradients, gradients)
-    for name in ("wlap", "wtrace_minus", "wtrace_plus"):
+    for name in ("wlap", "wtrace", "sign"):
         np.testing.assert_array_equal(getattr(basis.cache, name), getattr(cache, name), name)
 
 
@@ -296,7 +298,7 @@ def test_build_holds_little_beyond_the_basis_it_keeps():
     """The tracemalloc peak of a 96^2 build at the benchmark's network stays
     within 2.5x the arrays it keeps.  Composing the whole grid at once, with
     grid-sized raw, factor and product jets, read 4.4x."""
-    g = build_grid_geometry(2, cuts_x=[-0.5, 0.25], cuts_y=[-0.25, 0.5], bounds=[(-1, 1), (-1, 1)])
+    g = geom_3x3()
     rhs = RhsSpec.for_geometry("corner2d", g)
     cut = default_cutoff_config(g)
     params = init_params(NetConfig(2, (30, 30, 30), 16, 32), 7)
@@ -341,3 +343,23 @@ def test_a_malformed_parameter_raises_in_both_entry_points(make, builds):
             if fault in VALUE_FAULTS:
                 assert isinstance(info.value, ParameterError) and info.value.index == 0, fault
     assert len(builds) == 1
+
+
+def test_a_malformed_parameter_raises_before_a_build(monkeypatch, builds):
+    """With no basis held, `final_solve` checks the parameter before it
+    builds one: each malformed parameter raises ValueError, no basis is
+    built, and the arrays the last epoch kept in the holder survive."""
+    monkeypatch.setattr(training, "_kept", {})
+    g, rhs, cut, _ = problem()
+    config = TrainConfig(iterations=2, lr_start=1e-3, lr_end=1e-3, theta=1.0, n_params=2,
+                         n_interior=8, n_interface=4, p_min=0.5, p_max=5.0)
+    state = init_train_state(g, NetConfig(2, (10, 10), 4, 8), config)
+    run_epoch(state, config, g, rhs, cut)
+    kept = dict(training._kept)
+    assert sorted(kept) == ["bar_lap", "bar_trace", "jets", "lap"]
+    for fault, bad in sorted(MALFORMED_PARAMETERS.items()):
+        with pytest.raises(ValueError):
+            final_solve(state.params, g, bad(g.n_subdomains), rhs, cut, 1.0, 16)
+        assert len(builds) == 0, fault
+        assert list(training._kept) == list(kept)
+        assert all(training._kept[name] is held for name, held in kept.items())

@@ -5,15 +5,9 @@ from transolve.geometry import build_grid_geometry
 from transolve.reference import RhsSpec, exact_1d, fem_solve_2d, relative_l2_errors
 from transolve.sampling import midpoint_grid
 
+from conftest import geom_1d, geom_2x2
+
 PI = np.pi
-
-
-def geom_1d():
-    return build_grid_geometry(1, cuts_x=[PI / 5, 2 * PI / 5, 3 * PI / 5, 4 * PI / 5], bounds=[(0, PI)])
-
-
-def geom_2x2():
-    return build_grid_geometry(2, cuts_x=[0.0], cuts_y=[0.0], bounds=[(-1, 1), (-1, 1)])
 
 
 def test_exact_1d_values():
@@ -72,7 +66,7 @@ def test_exact_1d_strong_residual():
 
 
 def test_fem_manufactured_solution():
-    g = build_grid_geometry(2, cuts_x=[0.0], cuts_y=[0.0], bounds=[(-1, 1), (-1, 1)])
+    g = geom_2x2()
 
     class Manufactured(RhsSpec):
         def __init__(self):
@@ -95,7 +89,7 @@ def test_fem_manufactured_solution():
 
 
 def test_fem_convergence_order():
-    g = build_grid_geometry(2, cuts_x=[0.0], cuts_y=[0.0], bounds=[(-1, 1), (-1, 1)])
+    g = geom_2x2()
 
     class Manufactured(RhsSpec):
         def __init__(self):

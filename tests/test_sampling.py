@@ -8,15 +8,9 @@ from transolve.geometry import build_grid_geometry, subdomain_index_many
 from transolve.sampling import QuadratureSet, midpoint_grid, sample_collocation, sample_parameters
 from transolve.training import Seeds, TrainConfig, make_validation_set
 
+from conftest import geom_1d, geom_2x2, geom_3x3
+
 PI = np.pi
-
-
-def geom_1d():
-    return build_grid_geometry(1, cuts_x=[PI / 5, 2 * PI / 5, 3 * PI / 5, 4 * PI / 5], bounds=[(0, PI)])
-
-
-def geom_2x2():
-    return build_grid_geometry(2, cuts_x=[0.0], cuts_y=[0.0], bounds=[(-1, 1), (-1, 1)])
 
 
 def volume(g):
@@ -310,9 +304,7 @@ def _loop_midpoints(g, n, n_ifc):
 DRAW_LAYOUTS = {
     "1d": geom_1d,
     "2x2": geom_2x2,
-    "benchmark-2d": lambda: build_grid_geometry(
-        2, cuts_x=[-0.5, 0.25], cuts_y=[-0.25, 0.5], bounds=[(-1, 1), (-1, 1)]
-    ),
+    "benchmark-2d": geom_3x3,
     "2x3": lambda: build_grid_geometry(
         2, cuts_x=[-0.7, 0.1], cuts_y=[0.35], bounds=[(-1, 1.5), (0, 2)]
     ),

@@ -10,8 +10,10 @@ from transolve.eigen import angular_eval, assemble_eigensystem, select_singular,
 from transolve.geometry import angular_trace, build_grid_geometry
 from transolve.singular import eval_s, polar_cache, singular_evals_from_cache
 
+from conftest import geom_2x2, geom_3x3
+
 CFG = CutoffConfig(0.225, 0.45)
-G = build_grid_geometry(2, cuts_x=[0.0], cuts_y=[0.0], bounds=[(-1, 1), (-1, 1)])
+G = geom_2x2()
 
 
 def make_basis(trace=(1.0, 10.0, 1.0, 10.0), n_cap=2):
@@ -199,7 +201,7 @@ def test_source_consistent_with_fd_laplacian_of_fe_mode():
 def test_singular_columns_stacking():
     """All columns at once equal the blocks of one vertex at a time, placed
     vertex-major in pair order, on a layout with four vertices."""
-    g = build_grid_geometry(2, cuts_x=[-0.5, 0.25], cuts_y=[-0.25, 0.5], bounds=[(-1, 1), (-1, 1)])
+    g = geom_3x3()
     cfg = CutoffConfig(0.1, 0.2)
     p = np.random.default_rng(6).uniform(0.1, 10.0, size=g.n_subdomains)
     pairs = []

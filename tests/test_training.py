@@ -41,11 +41,9 @@ from transolve.training import (
     vertex_eigenpairs,
 )
 
+from conftest import geom_1d, geom_2x2, geom_3x3, kinked_sin_rows
+
 PI = np.pi
-
-
-def geom_1d():
-    return build_grid_geometry(1, cuts_x=[PI / 5, 2 * PI / 5, 3 * PI / 5, 4 * PI / 5], bounds=[(0, PI)])
 
 
 def small_config(**kw):
@@ -91,6 +89,8 @@ def test_loss_nonnegative_and_epoch_runs():
         dict(iterations=2.5), dict(n_params=2.5), dict(n_interior=3.5), dict(n_interface=1.5),
         dict(n_singular=1.5), dict(val_every=2.5), dict(n_singular=True),
         dict(iterations=np.float64(5.0)), dict(n_params="8"),
+        dict(theta="1"), dict(lr_end="1e-4"), dict(p_min=None), dict(lr_start=True),
+        dict(p_max=True),
     ],
 )
 def test_config_rejects_bad_values_when_built(bad):
@@ -103,16 +103,24 @@ def test_config_rejects_bad_values_when_built(bad):
     failing only at the next forward pass.  A count that is not an integer
     (a fraction, a bool, a float that holds one, a string) would raise a
     bare TypeError in the first draw or range, or from select_singular's
-    slice, or at val_every=2.5 train on silently."""
+    slice, or at val_every=2.5 train on silently.  A rate, theta or
+    parameter bound that is not a number (a string, None) would raise a
+    bare TypeError in the checks below, and a bool would be taken as 0 or
+    1."""
     with pytest.raises(ValueError):
         small_config(**bad)
 
 
 def test_config_takes_numpy_integer_counts():
-    """Every count may be a NumPy integer as well as a Python one."""
+    """Every count may be a NumPy integer as well as a Python one, and every
+    rate, theta and parameter bound a Python or NumPy integer or float."""
     counts = ("iterations", "n_params", "n_interior", "n_interface", "n_singular", "val_every")
     config = small_config(**{name: np.int64(2) for name in counts})
     assert all(getattr(config, name) == 2 for name in counts)
+    reals = dict(lr_start=np.float32(0.5), lr_end=np.float64(0.25), theta=2, p_min=np.int32(1),
+                 p_max=np.float64(3.0))
+    config = small_config(**reals)
+    assert all(getattr(config, name) == value for name, value in reals.items())
 
 
 @pytest.mark.parametrize(
@@ -231,7 +239,7 @@ def test_danskin_gradient_fd_multi_subdomain():
 def test_danskin_gradient_fd_2d_with_singular_columns():
     """2D: non-unit interface weights, Theta != 1 and singular columns all
     enter the adjoint seeds."""
-    g = build_grid_geometry(2, cuts_x=[0.0], cuts_y=[0.0], bounds=[(-1, 1), (-1, 1)])
+    g = geom_2x2()
     net = NetConfig(2, (6,), 2, 4)
     rhs = RhsSpec.for_geometry("corner2d", g)
     quad = sample_collocation(g, 10, 6, np.random.default_rng(7))
@@ -256,7 +264,7 @@ def test_danskin_gradient_fd_2d_with_singular_columns():
 
 
 def _corner_epoch_data(n_interior=10, n_interface=6):
-    g = build_grid_geometry(2, cuts_x=[0.0], cuts_y=[0.0], bounds=[(-1, 1), (-1, 1)])
+    g = geom_2x2()
     rhs = RhsSpec.for_geometry("corner2d", g)
     quad = sample_collocation(g, n_interior, n_interface, np.random.default_rng(7))
     parameters = np.array([[1.0, 8.0, 8.0, 1.0], [2.0, 0.5, 1.0, 3.0]])
@@ -344,27 +352,26 @@ def test_one_backward_pass_equals_the_interior_and_interface_passes(monkeypatch)
 def _row_adjoints(cache):
     """Arrays of the cache's row shapes: as ``out`` of
     `solve_parameter_batch`, they ask for the row adjoints."""
-    return tuple(np.empty(a.shape) for a in (cache.wlap, cache.wtrace_minus, cache.wtrace_plus))
+    return tuple(np.empty(a.shape) for a in (cache.wlap, cache.wtrace))
 
 
 def _whole_batch_seeds(params, data):
     """The mean loss, the network's jets and the loss's seeds on them as
     one (J, N) set: the product's adjoint of the row adjoints over the
-    whole interior and the whole interface at once, the minus traces'
-    adjoint folded into the plus traces' through their sign."""
-    cache, jets, cols, stack, (ifc_stack, sign, normals) = _composed_cache(params, data)
+    whole interior and the whole interface at once."""
+    cache, jets, cols, stack, ifc_stack, normals = _composed_cache(params, data)
     sing = [singular_evals_from_cache(cache.polar, pairs) if pairs else None
             for pairs in data.pairs_per_p]
-    batch = solve_parameter_batch(cache, data.parameters, sing, out=_row_adjoints(cache))
-    batch.bar_plus += sign * batch.bar_minus
-    for w in (batch.bar_lap, batch.bar_plus):
+    bar_lap, bar_trace = out = _row_adjoints(cache)
+    batch = solve_parameter_batch(cache, data.parameters, sing, out=out)
+    for w in out:
         w *= 2.0 / len(data.parameters)
     shape, n_int = jets.value.shape, data.quad.n_interior
     seeds = Jets(np.zeros(shape), np.zeros(shape + (normals.shape[1],)), np.zeros(shape))
     interior = seeds.rows(slice(None, n_int))
-    stack.columns(cols).adjoint(Jets(None, None, batch.bar_lap), out=interior)
+    stack.columns(cols).adjoint(Jets(None, None, bar_lap), out=interior)
     ifc_stack.columns(cols).adjoint(
-        Jets(None, batch.bar_plus[:, :, None] * normals[:, None, :], None),
+        Jets(None, bar_trace[:, :, None] * normals[:, None, :], None),
         out=seeds.rows(slice(n_int, None)),
     )
     return float(np.mean(batch.losses)), jets, seeds
@@ -405,10 +412,8 @@ def _minus_side_factors(points, axes, geometry, cut):
 
 _TRACE_LAYOUTS = {
     "1d": (geom_1d, 0),
-    "2x2": (lambda: build_grid_geometry(2, cuts_x=[0.0], cuts_y=[0.0],
-                                        bounds=[(-1, 1), (-1, 1)]), 1),
-    "3x3": (lambda: build_grid_geometry(2, cuts_x=[-0.5, 0.25], cuts_y=[-0.25, 0.5],
-                                        bounds=[(-1, 1), (-1, 1)]), 4),
+    "2x2": (geom_2x2, 1),
+    "3x3": (geom_3x3, 4),
     "x-cuts only": (lambda: build_grid_geometry(2, cuts_x=[-0.3, 0.4], cuts_y=[],
                                                 bounds=[(-1, 1), (-1, 1)]), 0),
 }
@@ -416,25 +421,28 @@ _TRACE_LAYOUTS = {
 
 @pytest.mark.parametrize("layout", sorted(_TRACE_LAYOUTS))
 def test_minus_side_equals_an_explicit_minus_side_product(layout):
-    """The minus-side traces, the plus side's times ``sign``, equal bit for
-    bit the traces of an explicit minus-side product: factors whose own-axis
-    psi has gradient -e_a, times the network jets.  So do the factors: the
-    minus side's are the plus side's times -1 on the masked factors."""
+    """The cache's minus-side traces, its weighted trace times ``sign``,
+    equal bit for bit the weighted traces of an explicit minus-side
+    product: factors whose own-axis psi has gradient -e_a, times the
+    network jets.  So do the factors: the minus side's are the plus side's
+    times -1 on the masked factors."""
     make, n_s = _TRACE_LAYOUTS[layout]
     g = make()
     assert g.n_singular == n_s
     cut = default_cutoff_config(g)
+    rhs = RhsSpec.for_geometry("sin1d" if g.dimension == 1 else "corner2d", g)
     quad = sample_collocation(g, 3, 5, np.random.default_rng(11))
     net = NetConfig(g.dimension, (6,), 2 * max(n_s, 1), 4 * max(n_s, 1))
     cols = factor_index(g, net.n1, net.n2)
     ifc = forward_jets(init_params(net, 13), quad.interface_points)
-    plus, sign, _, (minus, plus_trace) = training._interface_rows(ifc, quad, g, cut, cols)
+    lap = np.zeros((quad.n_interior, net.n_outputs))
+    cache, plus, _ = training._interface_rows(ifc, lap, quad, g, cut, cols, rhs, 1.0)
+    sign, minus = cache.sign, cache.sign * cache.wtrace
     axes = _interface_axes(g, quad)
     explicit = _minus_side_factors(quad.interface_points, axes, g, cut)
     want = (explicit.columns(cols) * ifc).gradient[np.arange(len(axes)), :, axes]
-    assert np.any(sign < 0) and np.any(sign > 0) and not np.array_equal(minus, plus_trace)
-    assert np.array_equal(minus, sign * plus_trace)
-    assert np.array_equal(minus, want)
+    assert np.any(sign < 0) and np.any(sign > 0) and not np.array_equal(minus, cache.wtrace)
+    assert np.array_equal(minus, cache.sqrt_theta_w[:, None] * want)
     _, mask = cutoffs.interface_trace_factors(quad.interface_points, axes, g, cut)
     flip = np.where(mask, -1.0, 1.0)
     assert np.array_equal(flip * plus.value, explicit.value)
@@ -444,27 +452,37 @@ def test_minus_side_equals_an_explicit_minus_side_product(layout):
 
 @pytest.mark.parametrize("layout", ["1d", "2x2"])
 def test_the_folded_trace_adjoint_equals_the_two_sides_apart(layout):
-    """`loss_and_param_gradient` folds the minus traces' adjoint into the
-    plus traces' through their sign.  A reference that takes each side's
-    adjoint through its own factors, the minus side's built by hand, gives
-    the same loss and the gradient to rtol 1e-12 of its largest entry."""
+    """The solve folds the minus-side rows' adjoint into the trace's through
+    their sign.  A reference that takes each side's adjoint apart, from the
+    residuals of each parameter's explicit system (`assemble_system`),
+    through its own factors, the minus side's built by hand, gives the same
+    loss and the gradient to rtol 1e-12 of its largest entry."""
     data, net = _layout_epoch_data(layout)
     params = init_params(net, 59)
     loss, grad = loss_and_param_gradient(params, data)
 
-    cache, jets, cols, stack, (plus, _, normals) = _composed_cache(params, data)
+    cache, jets, cols, stack, plus, normals = _composed_cache(params, data)
     sing = [singular_evals_from_cache(cache.polar, pairs) if pairs else None
             for pairs in data.pairs_per_p]
-    batch = solve_parameter_batch(cache, data.parameters, sing, out=_row_adjoints(cache))
+    bar_lap, _ = out = _row_adjoints(cache)
+    batch = solve_parameter_batch(cache, data.parameters, sing, out=out)
     scale = 2.0 / len(data.parameters)
     quad, n_int = data.quad, data.quad.n_interior
+    # each side's halved derivative of the summed losses in its raw traces
+    bar_minus, bar_plus = np.zeros_like(cache.wtrace), np.zeros_like(cache.wtrace)
+    for k, p in enumerate(data.parameters):
+        system = assemble_system(cache, p, sing[k], data.theta)
+        y = np.concatenate([batch.y_nn[k], batch.y_sing[k]])
+        r_jump = cache.sqrt_theta_w * (system.matrix @ y - system.rhs)[n_int:]
+        bar_minus -= np.outer(p[cache.ifc_minus_sub] * r_jump, batch.y_nn[k])
+        bar_plus += np.outer(p[cache.ifc_plus_sub] * r_jump, batch.y_nn[k])
     minus = _minus_side_factors(quad.interface_points, _interface_axes(data.geometry, quad),
                                 data.geometry, data.cutoff_config)
     shape = jets.value.shape
     seeds = Jets(np.zeros(shape), np.zeros(shape + (normals.shape[1],)), np.zeros(shape))
-    stack.columns(cols).adjoint(Jets(None, None, scale * batch.bar_lap),
+    stack.columns(cols).adjoint(Jets(None, None, scale * bar_lap),
                                 out=seeds.rows(slice(None, n_int)))
-    for side, bar in ((minus, batch.bar_minus), (plus, batch.bar_plus)):
+    for side, bar in ((minus, bar_minus), (plus, bar_plus)):
         side.columns(cols).adjoint(Jets(None, scale * bar[:, :, None] * normals[:, None, :], None),
                                    out=seeds.rows(slice(n_int, None)))
     points = np.concatenate([quad.interior_points, quad.interface_points])
@@ -534,7 +552,7 @@ def test_epochs_keep_their_arrays_and_a_query_build_empties_them(monkeypatch):
             run_epoch(state, cfg, g, rhs, cut, val)
             assert "basis" not in training._kept
             kept = {name: arrays for name, (_, arrays) in training._kept.items()}
-            assert sorted(kept) == ["bar_lap", "bar_minus", "bar_plus", "jets", "lap"]
+            assert sorted(kept) == ["bar_lap", "bar_trace", "jets", "lap"]
             if held is not None and not empty:
                 assert all(kept[name] is arrays for name, arrays in held.items())
             held = kept
@@ -562,18 +580,16 @@ def _off_line_points(g, cut, quad, margin=0.05):
 
 @pytest.mark.parametrize("dim", [1, 2])
 def test_cache_traces_are_one_sided_differences_of_the_composed_basis(dim):
-    """The cache's minus and plus traces, unweighted, are the one-sided
-    normal derivatives of the composed basis fac * raw, here from
-    second-order differences of its values at 1, 2 and 3 steps h off the
-    line on each side, h = 1e-4 (the truncation error reads 4e-7
-    relative).  The points keep away from the other axis's lines and from
+    """The cache's minus and plus traces, sign * wtrace and wtrace,
+    unweighted, are the one-sided normal derivatives of the composed basis
+    fac * raw, here from second-order differences of its values at 1, 2
+    and 3 steps h off the line on each side, h = 1e-4 (the truncation
+    error reads 4e-7 relative).  The points keep away from the other axis's lines and from
     the vertex disks, where the basis kinks or steepens."""
     if dim == 1:
         g, net, rhs_name = geom_1d(), NetConfig(1, (6, 6), 3, 6), "sin1d"
     else:
-        bounds = [(-1, 1), (-1, 1)]
-        g = build_grid_geometry(2, cuts_x=[-0.5, 0.25], cuts_y=[-0.25, 0.5], bounds=bounds)
-        net, rhs_name = NetConfig(2, (8, 8), 4, 8), "corner2d"
+        g, net, rhs_name = geom_3x3(), NetConfig(2, (8, 8), 4, 8), "corner2d"
     cut = default_cutoff_config(g)
     params = init_params(net, 3)
     quad = sample_collocation(g, 6, 12, np.random.default_rng(5))
@@ -584,7 +600,7 @@ def test_cache_traces_are_one_sided_differences_of_the_composed_basis(dim):
     keep, axes = _off_line_points(g, cut, quad)
     assert keep.sum() >= 4
     weight = cache.sqrt_theta_w[keep, None]
-    minus, plus = cache.wtrace_minus[keep] / weight, cache.wtrace_plus[keep] / weight
+    minus, plus = (cache.sign * cache.wtrace)[keep] / weight, cache.wtrace[keep] / weight
     pts, normals = quad.interface_points[keep], np.eye(dim)[axes[keep]]
 
     def composed(x):
@@ -615,7 +631,7 @@ def test_gradient_keeps_no_whole_batch_tape():
     by tile, so asking for the gradient costs a bounded share of the
     loss-only peak: 1.32x on this batch.  A tape of every layer's jets at
     all points made it 3x, and a (J, N) seed set 1.55x."""
-    g = build_grid_geometry(2, cuts_x=[-0.5, 0.25], cuts_y=[-0.25, 0.5], bounds=[(-1, 1), (-1, 1)])
+    g = geom_3x3()
     rhs = RhsSpec.for_geometry("corner2d", g)
     quad = sample_collocation(g, 60, 20, np.random.default_rng(12))
     assert quad.n_interior + quad.n_interface >= 8 * nets.TILE
@@ -655,24 +671,14 @@ def test_lr_schedule_applied():
 
 
 def test_exact_solution_injection_drives_epoch_loss_to_zero(monkeypatch):
-    """Subdomain indicators of sin(5x) span the exact solution for every p."""
+    """Columns sin(5x) s_j(x) that kink at the cuts (`kinked_sin_rows`) span
+    the exact solution for every p."""
     monkeypatch.setattr(assembly, "RIDGE_REL", 0.0)
     g = geom_1d()
     rhs = RhsSpec.for_geometry("sin1d", g)
     quad = sample_collocation(g, 40, 1, np.random.default_rng(7))
-    n_sub = 5
-    lap = np.zeros((quad.n_interior, n_sub))
-    for i in range(n_sub):
-        rows = quad.interior_subdomain == i
-        lap[rows, i] = -25.0 * np.sin(5 * quad.interior_points[rows, 0])
-    tr_minus = np.zeros((quad.n_interface, n_sub))
-    tr_plus = np.zeros((quad.n_interface, n_sub))
-    for k, gamma in enumerate(g.cuts_x):
-        tr_minus[k, k] = 5 * np.cos(5 * gamma)
-        tr_plus[k, k + 1] = 5 * np.cos(5 * gamma)
-    cache = build_epoch_cache(
-        g, CutoffConfig(0.1, 0.2), quad, lap, tr_minus, tr_plus, rhs, theta=1.0
-    )
+    _, lap, trace, sign = kinked_sin_rows(g, quad)
+    cache = build_epoch_cache(g, CutoffConfig(0.1, 0.2), quad, lap, trace, sign, rhs, theta=1.0)
     rng = np.random.default_rng(8)
     params = rng.uniform(0.01, 50.0, size=(64, 5))
     batch = solve_parameter_batch(cache, params)
@@ -800,6 +806,8 @@ MALFORMED = {
     "best_val a number": _set_header(1.0, "best_val"),
     "best_params without best_val": _set_header(None, "best_val"),
     "iterations 2.5": _set_header(2.5, "train_config", "iterations"),
+    # loaded, and a learning rate of True trained as 1.0
+    "lr_start true": _set_header(True, "train_config", "lr_start"),
 }
 
 
@@ -861,7 +869,7 @@ def test_final_solve_2d_matches_explicit_reference():
     """final_solve with singular columns: coefficients and residual equal
     those of assemble_system on the same grid, solved by
     solve_normal_equations."""
-    g = build_grid_geometry(2, cuts_x=[0.0], cuts_y=[0.0], bounds=[(-1, 1), (-1, 1)])
+    g = geom_2x2()
     rhs = RhsSpec.for_geometry("corner2d", g)
     cut = default_cutoff_config(g)
     net = NetConfig(2, (10, 10), 4, 8)
@@ -901,7 +909,7 @@ def test_validation_tracks_training():
 
 
 def test_vertex_eigenpairs_batch_matches_per_vertex_solves():
-    g = build_grid_geometry(2, cuts_x=[-0.5, 0.25], cuts_y=[-0.25, 0.5], bounds=[(-1, 1), (-1, 1)])
+    g = geom_3x3()
     params = sample_parameters(np.random.default_rng(0), 5, g.n_subdomains, 0.1, 10.0)
     batch = vertex_eigenpairs(g, params, 2)
     assert len(batch) == 5 and all(len(per_p) == g.n_singular for per_p in batch)
@@ -915,7 +923,7 @@ def test_vertex_eigenpairs_batch_matches_per_vertex_solves():
 
 
 def test_vertex_eigenpairs_makes_pairs_only_for_the_selected_modes(monkeypatch):
-    g = build_grid_geometry(2, cuts_x=[-0.5, 0.25], cuts_y=[-0.25, 0.5], bounds=[(-1, 1), (-1, 1)])
+    g = geom_3x3()
     params = sample_parameters(np.random.default_rng(2), 8, g.n_subdomains, 0.1, 10.0)
     made, make = [], eigen.EigenPair
 
@@ -931,7 +939,7 @@ def test_vertex_eigenpairs_makes_pairs_only_for_the_selected_modes(monkeypatch):
 
 
 def test_vertex_eigenpairs_failure_names_the_parameter():
-    g = build_grid_geometry(2, cuts_x=[0.0], cuts_y=[0.0], bounds=[(-1, 1), (-1, 1)])
+    g = geom_2x2()
     params = np.ones((4, g.n_subdomains))
     params[2, 1] = -1.0
     with pytest.raises(ParameterError) as err:
@@ -942,7 +950,7 @@ def test_vertex_eigenpairs_failure_names_the_parameter():
 def test_run_epoch_names_the_epoch_and_the_bad_parameter_row(monkeypatch):
     """A bad row of the sampled batch fails in the eigen work, which names
     the row; `run_epoch` adds the epoch."""
-    g = build_grid_geometry(2, cuts_x=[0.0], cuts_y=[0.0], bounds=[(-1, 1), (-1, 1)])
+    g = geom_2x2()
     cfg = small_config(n_params=4, n_interface=2)
     state = init_train_state(g, NetConfig(2, (4,), 2, 4), cfg)
     rhs = RhsSpec.for_geometry("corner2d", g)
@@ -977,7 +985,7 @@ def test_2d_training_reduces_fem_error_on_checkerboard():
     error against the FEM reference, disks of radius delta1 around the
     vertex masked.  Measured ratios after/init over seeds 0-7: 0.85-0.92 (u),
     0.85-0.89 (flux); 0.869 and 0.862 at the seed used here."""
-    g = build_grid_geometry(2, cuts_x=[0.0], cuts_y=[0.0], bounds=[(-1, 1), (-1, 1)])
+    g = geom_2x2()
     rhs = RhsSpec.for_geometry("corner2d", g)
     cut = default_cutoff_config(g)
     net = NetConfig(2, (10, 10), 4, 8)
@@ -996,6 +1004,48 @@ def test_2d_training_reduces_fem_error_on_checkerboard():
     state, _ = train(g, net, cfg, rhs, cut, with_validation=False)
     after = errors(state.params)
     assert np.all(after <= 0.95 * before), (before, after)
+
+
+def _benchmark_2d_errors(seed: int) -> np.ndarray:
+    """The median (u, flux) error (%) of the 2D benchmark's training
+    workload (train2d-corner) at ``seed``, whose streams the benchmark
+    seeds from SeedSequence([seed, 2]) (2: the workload's place among the
+    sorted workload names) and whose weights from 7: the benchmark
+    3x3 layout, a (30, 30, 30) network with n1, n2 = 16, 32, 5 epochs of 8
+    parameters in [0.1, 10] with 60 interior points per axis and 20 per
+    interface, 2 singular modes, a rate of 2e-3 down to 1e-3 and Theta = 1.
+    Then `final_solve` on a 64^2 grid at its 4 held-out parameters, against
+    FEM 120^2 with the vertex disks (radius delta1) masked."""
+    g = geom_3x3()
+    rhs = RhsSpec.for_geometry("corner2d", g)
+    cut = default_cutoff_config(g)
+    streams = np.random.SeedSequence([seed, 2]).generate_state(3)
+    cfg = TrainConfig(
+        iterations=5, lr_start=2e-3, lr_end=1e-3, theta=1.0, n_params=8, n_interior=60,
+        n_interface=20, p_min=0.1, p_max=10.0, n_singular=2,
+        seeds=Seeds(*(int(s) for s in streams), 7),
+    )
+    state, _ = train(g, NetConfig(2, (30, 30, 30), 16, 32), cfg, rhs, cut, with_validation=False)
+    errors = []
+    for p in sample_parameters(np.random.default_rng(11), 4, g.n_subdomains, 0.1, 10.0):
+        fem = fem_solve_2d(g, p, rhs, 120)
+        _, fields = final_solve(state.params, g, p, rhs, cut, 1.0, 64, n_singular=2)
+        q = fields["quad"]
+        errors.append(relative_l2_errors(
+            fields["values"], fields["flux"], *fem.evaluate(q.interior_points), q, g,
+            mask_radius=cut.delta1,
+        ))
+    return np.median(errors, axis=0)
+
+
+def test_2d_training_error_at_the_benchmark_sizes():
+    """Accuracy gate at the 2D benchmark's sizes (`_benchmark_2d_errors`).
+    Over seeds 1-10 the median errors of the least-squares query read
+    39.7-44.8% (u) and 36.8-41.4% (flux), from 101.9% and 89.7% untrained
+    at seed 1; seed 1, used here, reads 42.35% and 39.05%, as the
+    benchmark does.  The bounds are the ten-seed maxima, rounded up."""
+    u_err, flux_err = _benchmark_2d_errors(1)
+    assert u_err <= 45.0 and flux_err <= 41.5, (u_err, flux_err)
 
 
 def test_1d_training_error_after_fixed_budget():
