@@ -9,7 +9,10 @@ flux-jump bracket of the basis traces (singular columns are zero there).
 place; the row weights are known to this module alone.  The jump rows keep
 one trace per column, the plus side's: the minus side's is that trace times
 a (J2, N) sign of +-1, so the cache holds one weighted trace and its sign,
-and each minus-side product is formed from the two where it is needed.
+and each minus-side product is formed from the two where it is needed.  A
+row of the sign depends only on its interface's axis, so the sign is a few
+runs of equal rows s, which the cache lists, and the solve forms the minus
+side's products as wtrace (s * y), with no (J2, N) product of the sign.
 Every entry of the network columns is affine in the diffusivity vector p,
 so their block of B^T B is a quadratic polynomial in p whose coefficient
 matrices, the Gram blocks, the cache holds.  `solve_parameter_batch`, the
@@ -108,6 +111,7 @@ class EpochCache:
     wrhs_fixed: np.ndarray  # (J1,)
     wtrace: np.ndarray  # (J2, N) sqrt(Theta w) * plus-side normal traces
     sign: np.ndarray  # (J2, N) +-1: the minus-side traces are sign * wtrace
+    sign_runs: tuple  # ((N,) row, rows slice) per run of equal rows of sign
     ifc_minus_sub: np.ndarray  # (J2,)
     ifc_plus_sub: np.ndarray  # (J2,)
     polar: PolarCache  # interior points around the singular vertices
@@ -181,9 +185,19 @@ def build_epoch_cache(
     polar = polar_cache(quad.interior_points, geometry, cutoff_config)
     gram = _build_gram(geometry, quad, lap, wrhs_p, wrhs_fixed, wtrace, sign, theta)
     return EpochCache(
-        geometry, quad, sw, sj, lap, wrhs_p, wrhs_fixed, wtrace, sign, minus_sub, plus_sub,
-        polar, gram,
+        geometry, quad, sw, sj, lap, wrhs_p, wrhs_fixed, wtrace, sign, _sign_runs(sign),
+        minus_sub, plus_sub, polar, gram,
     )
+
+
+def _sign_runs(sign: np.ndarray) -> tuple:
+    """The runs of consecutive equal rows of a (J2, N) ``sign``, as ((N,)
+    row, rows slice) pairs.  The rows of one interface are one run, and in
+    the epochs and the queries a row depends only on its interface's axis,
+    whose interfaces come one after another: one run in 1D, two in 2D."""
+    starts = np.flatnonzero(np.any(sign[1:] != sign[:-1], axis=1)) + 1
+    bounds = [0, *starts.tolist(), len(sign)] if len(sign) else []
+    return tuple((sign[a], slice(a, b)) for a, b in zip(bounds[:-1], bounds[1:]))
 
 
 def _build_gram(geometry, quad, c, f1, f0, t, sign, theta) -> GramBlocks:
@@ -344,7 +358,11 @@ def solve_parameter_batch(
     zeroed and then holds the halved derivative of the summed losses in
     its raw rows, d(sum_k loss_k) / d lap[j, n] = 2 bar_lap[j, n] and
     likewise bar_trace for the plus-side traces, into which the minus
-    side's rows, sign times the plus side's, add through the sign.
+    side's rows, sign times the plus side's, add through the sign.  The
+    minus side's products go through the sign row s of each run of
+    ``cache.sign_runs``: wtrace (s * y) for the residual, kept on the
+    run's rows, and r (s * y) for the seeds of those rows, so no (J2, N)
+    temporary of the sign times an array is made.
     Without ``out`` none is formed.  A caller that solves batches of one
     shape again and again keeps its adjoint arrays so.
     """
@@ -407,7 +425,15 @@ def solve_parameter_batch(
             r_int[rows] += (us @ y[:, n:, None])[:, :, 0].T
         r_jump = cache.wtrace @ y_b.T
         r_jump *= p_plus
-        r_jump -= p_minus * ((cache.sign * cache.wtrace) @ y_b.T)
+        # the minus side, (sign * wtrace) y, as wtrace (s * y) for the sign
+        # row s of each run, kept on its rows: no (J2, N) product of the
+        # sign is made.  The product spans every row, so that each row's
+        # sum runs as in one product over all of them
+        r_minus = np.empty_like(r_jump)
+        for s_row, run in cache.sign_runs:
+            r_minus[run] = (cache.wtrace @ (s_row[:, None] * y_b.T))[run]
+        r_minus *= p_minus
+        r_jump -= r_minus
         losses[s : s + BLOCK] = np.einsum("jk,jk->k", r_int, r_int)
         losses[s : s + BLOCK] += np.einsum("jk,jk->k", r_jump, r_jump)
         if out is not None:  # in place, the residuals become the seeds, times y into out
@@ -417,7 +443,8 @@ def solve_parameter_batch(
             r_jump *= cache.sqrt_theta_w[:, None]
             bar_trace += (p_plus * r_jump) @ y_b
             r_jump *= p_minus
-            bar_trace -= cache.sign * (r_jump @ y_b)
+            for s_row, run in cache.sign_runs:
+                bar_trace[run] -= r_jump[run] @ (s_row * y_b)
     return BatchSolveResult(y_nn, y_sing, losses)
 
 

@@ -34,13 +34,14 @@ evaluates points of one count again and again keeps its output arrays.
 `Jets` is the one (value, gradient, Laplacian) type of the package: the
 network returns its outputs as `Jets`, the cutoff fields are `Jets`, and
 `Jets.__mul__` is the one second-order product rule, which both builds the
-cutoff factors and applies them to the network outputs, interior and
-plus-side interface factors alike.  Its Laplacian is `product_laplacian`,
-which a caller that reads only the Laplacian calls alone; the plus-side
-interface traces are the normal component of its gradient, and the minus
-side's are those times a sign (see `cutoffs`).  `Jets.adjoint`
-is the product's transpose, which carries every loss row's seeds back to the
-network outputs, adding them into row blocks of a backward tile's seeds.
+cutoff factors and applies them to the network outputs.  Its Laplacian is
+`product_laplacian`, which a caller that reads only the Laplacian calls
+alone; the plus-side interface traces are the normal component of its
+gradient, which `training._interface_rows` forms alone, term for term in
+the same order, and the minus side's are those times a sign (see
+`cutoffs`).  `Jets.adjoint` is the product's transpose, which carries
+every loss row's seeds back to the network outputs, adding them into row
+blocks of a backward tile's seeds.
 """
 
 from __future__ import annotations
@@ -155,10 +156,10 @@ class Jets:
     def columns(self, index: np.ndarray) -> "Jets":
         """A copy of the fields at the integer positions ``index`` of the
         last leading axis, with a component-major gradient."""
-        components = np.moveaxis(self.gradient, -1, 0)
+        components = np.take(_components(self.gradient), index, axis=-1)
         return Jets(
             np.take(self.value, index, axis=-1),
-            np.moveaxis(np.take(components, index, axis=-1), 0, -1),
+            _gradient(components),
             np.take(self.laplacian, index, axis=-1),
         )
 
@@ -173,8 +174,7 @@ class Jets:
         """Uninitialised arrays for fields on a leading shape, in d
         dimensions, with a component-major gradient: what `forward_jets`
         writes into."""
-        components = np.empty((d,) + tuple(shape))
-        return Jets(np.empty(shape), np.moveaxis(components, 0, -1), np.empty(shape))
+        return Jets(np.empty(shape), _gradient(np.empty((d,) + tuple(shape))), np.empty(shape))
 
     def __mul__(self, other: "Jets") -> "Jets":
         """Pointwise product by the second-order product rule:
@@ -228,6 +228,19 @@ class Jets:
             for k in range(d):
                 out.gradient[..., k] += twice * self.gradient[..., k]
         return out
+
+
+def _components(gradient: np.ndarray) -> np.ndarray:
+    """The (d, ...) component planes of a (..., d) gradient, a view.  A
+    direct transpose: the jet passes take such views once per tile, where
+    `np.moveaxis`'s axis checks cost more than the transpose itself."""
+    return gradient.transpose(gradient.ndim - 1, *range(gradient.ndim - 1))
+
+
+def _gradient(components: np.ndarray) -> np.ndarray:
+    """The (..., d) gradient view of (d, ...) component planes, the inverse
+    of `_components`."""
+    return components.transpose(*range(1, components.ndim), 0)
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -318,7 +331,7 @@ def forward_jets(params: MlpParams, points: np.ndarray, out: Jets | None = None)
     if out is None:
         out = Jets.empty(shape, d)
     _check_jets("out", out, shape, d)
-    components = np.moveaxis(out.gradient, -1, 0)
+    components = _components(out.gradient)
     for s in range(0, n, TILE):
         for x, _ in _tile_layers(params.layers, points[s : s + TILE]):
             pass  # each layer's arrays are dropped as the next one is made
@@ -395,7 +408,7 @@ def backward_jets(params: MlpParams, points: np.ndarray, outputs: Jets, seeds) -
         raise ValueError(f"seeds of shape {tuple(seeds.shape)} do not match {shape}")
     layers = params.layers
     top = len(layers) - 1
-    components = np.moveaxis(outputs.gradient, -1, 0)
+    components = _components(outputs.gradient)
     grads = [(np.zeros_like(a), np.zeros_like(b)) for a, b in layers]
     tile_seeds = np.empty((2 + d, min(TILE, n), shape[1]))
     for s in range(0, n, TILE):
@@ -404,7 +417,7 @@ def backward_jets(params: MlpParams, points: np.ndarray, outputs: Jets, seeds) -
         saved = list(_tile_layers(layers[:top], pts))
         y = tile_seeds[:, : len(pts)]
         y.fill(0.0)
-        seeds.add(rows, Jets(y[0], np.moveaxis(y[1 : 1 + d], 0, -1), y[1 + d]))
+        seeds.add(rows, Jets(y[0], _gradient(y[1 : 1 + d]), y[1 + d]))
         for layer in range(top, -1, -1):
             a = layers[layer][0]
             a_bar, b_bar = grads[layer]

@@ -9,9 +9,10 @@ interior and interface points; the validation set is the same draw
 what the loss reads is composed with the cutoff factors: the interior
 Laplacians of the product ``fac * raw`` (`Jets.product_laplacian`), the
 factors gathered from the distinct stack of `cutoffs.composition_factors`,
-and the plus-side interface traces n . grad(F * raw), the normal component
-of the product `Jets.__mul__` with the factors from
-`cutoffs.interface_trace_factors`, both gathered with one
+and the plus-side interface traces n . grad(F * raw), formed from the
+normal components of the factors from `cutoffs.interface_trace_factors`
+and of the network jets alone, in `Jets.__mul__`'s order (see
+`_interface_rows`), both gathered with one
 `cutoffs.factor_index` per composition.  The minus-side traces are the
 plus side's times a sign, -1 where the factor vanishes on the point's own
 line and +1 elsewhere, so one product and one trace serve both sides: the
@@ -304,22 +305,27 @@ def _interface_rows(
     here from the network's jets ``ifc`` there and the outputs'
     `factor_index` ``cols``.
 
-    The plus side's (J2, N) factors are gathered from its distinct stack
-    (`cutoffs.interface_trace_factors`) and multiplied with the network
-    jets once (`Jets.__mul__`); the trace is the component of the
-    product's gradient along its interface's axis, the unit normal.  The
-    minus side's is that trace times the cache's ``sign``, -1 on the
-    outputs whose factor holds the psi of the point's own axis and +1
-    elsewhere: such a factor F is 0 on the line, so n . grad(F * raw) =
-    raw (n . grad F), and n . grad F flips sign across it.  Returns the
-    cache, the plus side's distinct factor stack and the (J2, d) unit
-    normals at the interface points.
+    The trace is the component of the gradient of the plus-side product
+    F * raw along the point's interface axis, the unit normal n, with F
+    gathered from the plus side's distinct stack
+    (`cutoffs.interface_trace_factors`).  It is formed from the normal
+    components alone, F (n . grad raw) + raw (n . grad F), in the order
+    `Jets.__mul__` forms its gradient, so it equals that product's normal
+    component bit for bit, and the product's value, Laplacian and other
+    gradient component are never made.  The minus side's is that trace
+    times the cache's ``sign``, -1 on the outputs whose factor holds the
+    psi of the point's own axis and +1 elsewhere: such a factor F is 0 on
+    the line, so n . grad(F * raw) = raw (n . grad F), and n . grad F flips
+    sign across it.  Returns the cache, the plus side's distinct factor
+    stack and the (J2, d) unit normals at the interface points.
     """
     ifc_axes = np.array([geometry.interfaces[k].axis for k in quad.interface_ids], dtype=int)
     normals = np.eye(geometry.dimension)[ifc_axes]
     stack, mask = interface_trace_factors(quad.interface_points, ifc_axes, geometry, cutoff_config)
     sign = np.where(mask[:, cols], -1.0, 1.0)
-    trace = (stack.columns(cols) * ifc).gradient[np.arange(len(ifc_axes)), :, ifc_axes]
+    rows = np.arange(len(ifc_axes))
+    trace = stack.value[:, cols] * ifc.gradient[rows, :, ifc_axes]
+    trace += ifc.value * stack.gradient[rows, :, ifc_axes][:, cols]
     cache = build_epoch_cache(geometry, cutoff_config, quad, lap, trace, sign, rhs, theta=theta)
     return cache, stack, normals
 
@@ -625,7 +631,7 @@ class QueryBasis:
         for t in _tiles(n):
             part = stack.rows(t).columns(cols) * forward_jets(params, points[t])
             values[t] = part.value
-            gradients[t] = np.moveaxis(part.gradient, -1, 1)
+            gradients[t] = part.gradient.transpose(0, 2, 1)
             laplacian[t] = part.laplacian
         del stack  # not kept: freed before the cache is built
         cache, *_ = _interface_rows(

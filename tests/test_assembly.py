@@ -563,3 +563,43 @@ def test_coefficient_vector_split():
     assert cv.b.tolist() == [3, 4, 5, 6, 7]
     assert cv.c.tolist() == [8, 9]
     np.testing.assert_array_equal(cv.stacked, y)
+
+
+def test_sign_runs_list_each_run_of_equal_rows():
+    """`_sign_runs` gives each run of consecutive equal sign rows once,
+    with its row and slice, in order; no interface row, no run."""
+    a, b = np.array([1.0, -1.0]), np.array([-1.0, -1.0])
+    sign = np.array([a, a, b, a, a, a])
+    runs = assembly._sign_runs(sign)
+    assert [(list(row), rows) for row, rows in runs] == [
+        (list(a), slice(0, 2)), (list(b), slice(2, 3)), (list(a), slice(3, 6))
+    ]
+    assert assembly._sign_runs(np.ones((0, 2))) == ()
+
+
+def test_minus_side_through_the_sign_runs_equals_the_dense_sign():
+    """On the 1D layout, whose kinked columns flip sign per interface, the
+    batched losses and trace adjoints equal those formed through the dense
+    (J2, N) sign, to rounding."""
+    rng = np.random.default_rng(5)
+    g = geom_1d()
+    quad = sample_collocation(g, 12, 3, rng)
+    _, lap, trace, sign = kinked_sin_rows(g, quad)
+    lap = lap + 0.1 * rng.standard_normal(lap.shape)
+    trace = trace + 0.1 * rng.standard_normal(trace.shape)
+    cache = build_epoch_cache(g, default_cutoff_config(g), quad, lap, trace, sign,
+                              RhsSpec.for_geometry("sin1d", g))
+    assert len(cache.sign_runs) > 1
+    parameters = rng.uniform(0.5, 5.0, size=(6, g.n_subdomains))
+    out = (np.empty_like(cache.wlap), np.empty_like(cache.wtrace))
+    batch = solve_parameter_batch(cache, parameters, out=out)
+    y = batch.y_nn
+    p_plus, p_minus = parameters.T[cache.ifc_plus_sub], parameters.T[cache.ifc_minus_sub]
+    r_jump = p_plus * (cache.wtrace @ y.T) - p_minus * ((cache.sign * cache.wtrace) @ y.T)
+    p_int = parameters.T[quad.interior_subdomain]
+    r_int = p_int * (cache.wlap @ y.T + cache.wrhs_p[:, None]) + cache.wrhs_fixed[:, None]
+    np.testing.assert_allclose(batch.losses, np.sum(r_int**2, 0) + np.sum(r_jump**2, 0),
+                               rtol=1e-12)
+    seeds = cache.sqrt_theta_w[:, None] * r_jump
+    bar_trace = (p_plus * seeds) @ y - cache.sign * ((p_minus * seeds) @ y)
+    np.testing.assert_allclose(out[1], bar_trace, rtol=1e-10, atol=1e-12 * np.abs(bar_trace).max())

@@ -4,7 +4,8 @@ import pytest
 from transolve.cutoffs import (
     CutoffConfig,
     _axis_lines,
-    _phi_list,
+    _phi_disks,
+    _psi_jets,
     boundary_cutoff_jet,
     composition_factors,
     default_cutoff_config,
@@ -180,9 +181,23 @@ def test_psi_jets_match_fd():
 # ------------------------- exclusion vectors ------------------------------
 
 
+def exclusion_factors(points, g, cfg):
+    """phi_v at every point, per singular vertex v: `_phi_disks`'s jets on
+    its disk and the constant 1 off it; one all-ones jet without a vertex."""
+    points = np.asarray(points, dtype=float)
+    n, d = points.shape
+    phis = []
+    for disk, phi in _phi_disks(points, g, cfg):
+        full = Jets.ones(n, d)
+        for name in ("value", "gradient", "laplacian"):
+            getattr(full, name)[disk] = getattr(phi, name)
+        phis.append(full)
+    return phis or [Jets.ones(n, d)]
+
+
 def exclusion_columns(points, g, cfg, n1, n2):
     """The exclusion factor of every w and every v column, as two jet lists."""
-    phis = _phi_list(np.asarray(points, dtype=float), g, cfg)
+    phis = exclusion_factors(points, g, cfg)
     idx = factor_index(g, n1, n2) % len(phis)
     return [phis[i] for i in idx[:n1]], [phis[i] for i in idx[n1:]]
 
@@ -238,6 +253,84 @@ def test_composition_factors_are_the_distinct_stack_and_its_index():
     gathered, whole = stack.rows(tile).columns(cols), stack.columns(cols).rows(tile)
     for name in ("value", "gradient", "laplacian"):
         np.testing.assert_array_equal(getattr(gathered, name), getattr(whole, name))
+
+
+def _dense_factors(points, g, cfg, psis):
+    """The reference stack: every B * phi_v and B * psi_a * phi_v formed at
+    every point, phi_v = 1 - eta(|x - x_v|) from `eta_jet` at all of them
+    (one all-ones factor without a vertex), in `factor_index` order."""
+    n, d = points.shape
+    bjet = boundary_cutoff_jet(points, g)
+    phis = []
+    for vx in g.singular_vertices:
+        dx = points - vx[None, :]
+        r = np.linalg.norm(dx, axis=1)
+        eta, deta, ddeta = eta_jet(r, cfg)
+        safe_r = np.where(r > 1e-300, r, 1.0)
+        grad = -deta[:, None] * (dx / safe_r[:, None])
+        lap = -ddeta - (d - 1) * deta / safe_r
+        flat = r <= cfg.delta1
+        grad[flat] = 0.0
+        lap[flat] = 0.0
+        phis.append(Jets(1.0 - eta, grad, lap))
+    phis = phis or [Jets.ones(n, d)]
+    jets = [bjet * phi for phi in phis] + [bjet * psi * phi for psi in psis for phi in phis]
+    return [np.stack([getattr(j, name) for j in jets], axis=1)
+            for name in ("value", "gradient", "laplacian")]
+
+
+def _at_radius(vertex, target, direction):
+    """The points a few ulps from vertex + target * direction whose
+    `np.linalg.norm` distance to ``vertex`` is exactly ``target``, a zero
+    component of ``direction`` held at the vertex's."""
+    base = vertex + target * direction
+    steps = np.arange(-40, 41)
+    offsets = [steps * np.spacing(b) if c else np.zeros(1) for b, c in zip(base, direction)]
+    grid = np.stack(np.meshgrid(*offsets, indexing="ij"), axis=-1).reshape(-1, len(base))
+    candidates = base + grid
+    return candidates[np.linalg.norm(candidates - vertex[None, :], axis=1) == target]
+
+
+@pytest.mark.parametrize("layout", ["1d", "2x2", "3x3"])
+def test_factors_equal_the_dense_stack_bit_for_bit(layout):
+    """`composition_factors` and `interface_trace_factors` form the products
+    with phi_v on vertex v's disk r < delta2 alone; they equal the stack
+    that forms every product at every point, `np.array_equal`.  The points
+    include, per vertex, radii exactly at delta2, one ulp either side of
+    it, at delta1 and inside delta1 off the lines, and on the lines through
+    the vertex wherever the grid of floats holds such a radius, delta2 and
+    its two neighbours at least once."""
+    g = {"1d": geom_1d, "2x2": geom_2x2, "3x3": geom_3x3}[layout]()
+    cfg = default_cutoff_config(g)
+    d = g.dimension
+    lo, hi = np.array(g.bounds).T
+    inner = [np.random.default_rng(6).uniform(lo, hi, size=(40, d))]
+    on_lines = [np.array(g.cuts_x)[:, None]] if d == 1 else []
+    on_axes = [0] * sum(len(p) for p in on_lines)
+    radii = [cfg.delta2, np.nextafter(cfg.delta2, 0), np.nextafter(cfg.delta2, 1),
+             cfg.delta1, 0.4 * cfg.delta1]
+    for vx in g.singular_vertices:
+        for r in radii:
+            for angle in (0.3, 2.2, 4.0):
+                hits = _at_radius(vx, r, np.array([np.cos(angle), np.sin(angle)]))
+                assert len(hits), (vx, r, angle)
+                inner.append(hits[:2])
+            for axis, direction in ((0, (0, 1)), (0, (0, -1)), (1, (1, 0)), (1, (-1, 0))):
+                hits = _at_radius(vx, r, np.array(direction, dtype=float))[:2]
+                on_lines.append(hits)
+                on_axes += [axis] * len(hits)
+    points, ifc_points, axes = np.concatenate(inner), np.concatenate(on_lines), np.array(on_axes)
+    if g.n_singular:
+        r = np.min([np.linalg.norm(ifc_points - vx, axis=1) for vx in g.singular_vertices], axis=0)
+        assert set(radii[:3]) <= set(r)
+
+    stack = composition_factors(points, g, cfg)
+    want = _dense_factors(points, g, cfg, _psi_jets(points, np.full(len(points), -1), g))
+    plus, _ = interface_trace_factors(ifc_points, axes, g, cfg)
+    want_plus = _dense_factors(ifc_points, g, cfg, _psi_jets(ifc_points, axes, g))
+    for got, ref in ((stack, want), (plus, want_plus)):
+        for name, array in zip(("value", "gradient", "laplacian"), ref):
+            assert np.array_equal(getattr(got, name), array), name
 
 
 def test_exclusion_divisibility_enforced():

@@ -103,6 +103,31 @@ def test_tracer_counts_each_forward_point_once(perfbench_module):
     assert any(span[2] == "backward_jets" for span in tracer.spans)
 
 
+def test_tracer_sees_one_span_of_each_cutoff_stage(perfbench_module):
+    """`cutoffs.busy_s` is charged to the traced `composition_factors` and
+    `interface_trace_factors` calls on the training namespace: one gradient
+    evaluation on the 3x3 layout makes exactly one of each.  A refactor
+    that calls either off that namespace reads 0 there, which CI's
+    benchmark-smoke stage check also rejects."""
+    spans = perfbench_module("spans")
+    g = geom_3x3()
+    rhs = RhsSpec.for_geometry("corner2d", g)
+    quad = sample_collocation(g, 12, 6, np.random.default_rng(0))
+    parameters = sample_parameters(np.random.default_rng(1), 4, g.n_subdomains, 0.1, 10.0)
+    data = EpochData(g, default_cutoff_config(g), rhs, quad, parameters,
+                     vertex_eigenpairs(g, parameters, 2), 1.0)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        _, grad = loss_and_param_gradient(init_params(NetConfig(2, (8,), 4, 8), 2), data)
+    finally:
+        tracer.uninstall()
+    assert grad is not None
+    names = [span[2] for span in tracer.spans]
+    assert names.count("composition_factors") == 1
+    assert names.count("interface_trace_factors") == 1
+
+
 def test_tracer_sees_one_eigensolve_and_one_selection_per_vertex(perfbench_module):
     """`eigen.solves` counts the traced `solve_eigenpairs` calls and
     `eigen.max_residual` reads the notes of the traced `select_singular`
