@@ -2,7 +2,12 @@
 
 The 1D benchmark has the closed-form solution sin(5x)/p_i; 2D references
 come from a bilinear FEM on a uniform grid whose lines conform to the
-material interfaces.  Relative L2 errors (in percent) are evaluated on a
+material interfaces.  On such a grid the interior stiffness is a 9-point
+stencil, assembled as its five distinct diagonals from slices of the
+element p, and the load as slice-adds on the nodal grid, so no
+element-by-element triplets are made.  SciPy's sparse modules are imported
+by the solve itself, not with this module, which the training modules
+import for `RhsSpec`.  Relative L2 errors (in percent) are evaluated on a
 shared quadrature, optionally masking disks around the singular vertices
 where the FEM reference is known to be unreliable.
 """
@@ -12,8 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.linalg import splu
 
 from .geometry import Geometry, subdomain_index_many
 from .sampling import QuadratureSet
@@ -127,15 +130,6 @@ class FemSolution:
         return u, flux
 
 
-# reference-square bilinear stiffness for -div(grad u), nodes (SW, SE, NE, NW)
-_K_REF = (1.0 / 6.0) * np.array(
-    [
-        [4, -1, -2, -1],
-        [-1, 4, -1, -2],
-        [-2, -1, 4, -1],
-        [-1, -2, -1, 4],
-    ]
-)
 _GAUSS2 = np.array([-1.0, 1.0]) / np.sqrt(3.0)
 
 
@@ -144,9 +138,20 @@ def fem_solve_2d(geometry: Geometry, parameter, rhs: RhsSpec, n_per_axis: int) -
 
     The uniform n x n grid must conform to the cuts; p is constant per
     element (taken at the element center), the load uses 2x2 Gauss points.
-    The SPD system is solved by one sparse LU factorization; a solution
-    whose residual exceeds 1e-10 of the load raises RuntimeError.
+    On such a grid the stiffness of the m = n - 1 interior nodes per axis,
+    numbered row-major, is a 9-point stencil: five distinct diagonals, at
+    offsets 0, 1, m, m + 1 and m - 1 with their mirror images, each made
+    from slices of the element p.  The load is four slice-adds per Gauss
+    point on the nodal grid.  So no element-by-element triplets or
+    restriction to the interior are made.  The SPD system is solved by one
+    sparse LU factorization; a solution whose residual exceeds 1e-10 of the
+    load raises RuntimeError.
     """
+    # imported here: the training modules import this one for RhsSpec, and
+    # would otherwise map the sparse modules in every run that solves no FEM
+    from scipy import sparse
+    from scipy.sparse.linalg import splu
+
     parameter = np.asarray(parameter, dtype=float)
     (a, b), (c, d) = geometry.bounds
     n = n_per_axis
@@ -165,66 +170,61 @@ def fem_solve_2d(geometry: Geometry, parameter, rhs: RhsSpec, n_per_axis: int) -
     centers_y = c + hy * (np.arange(n) + 0.5)
     gx, gy = np.meshgrid(centers_x, centers_y, indexing="ij")
     centers = np.stack([gx.ravel(), gy.ravel()], axis=1)
-    elem_sub = subdomain_index_many(geometry, centers).reshape(n, n)
-    elem_p = parameter[elem_sub]
+    elem_p = parameter[subdomain_index_many(geometry, centers)].reshape(n, n)
 
-    def node_id(ix, iy):
-        return ix * (n + 1) + iy
-
-    # stiffness triplets, element by element (vectorized over elements)
-    ex, ey = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-    ex = ex.ravel()
-    ey = ey.ravel()
-    conn = np.stack(
-        [
-            node_id(ex, ey),
-            node_id(ex + 1, ey),
-            node_id(ex + 1, ey + 1),
-            node_id(ex, ey + 1),
-        ],
-        axis=1,
+    # bands[0..4] hold the couplings of interior node (i, j), 1 <= i, j <= m,
+    # with itself and with (i, j + 1), (i + 1, j), (i + 1, j + 1) and
+    # (i + 1, j - 1): nodes k = (i - 1) m + (j - 1) and k + offset, 0 where
+    # the neighbour is a boundary node.  Element (i, j), with corners (i, j)
+    # to (i + 1, j + 1), couples a corner with itself by 4 p / 6, with an
+    # edge neighbour by -p / 6 and with the opposite corner by -2 p / 6, on
+    # a square of any size
+    sixth = elem_p * (1.0 / 6.0)
+    m = n - 1
+    bands = np.zeros((5, m, m))
+    bands[0] = 4.0 * (sixth[:-1, :-1] + sixth[:-1, 1:] + sixth[1:, :-1] + sixth[1:, 1:])
+    bands[1, :, :-1] = -(sixth[:-1, 1:-1] + sixth[1:, 1:-1])
+    bands[2, :-1, :] = -(sixth[1:-1, :-1] + sixth[1:-1, 1:])
+    bands[3, :-1, :-1] = -2.0 * sixth[1:-1, 1:-1]
+    bands[4, :-1, 1:] = -2.0 * sixth[1:-1, 1:-1]
+    size = m * m
+    diagonals = {}
+    for offset, band in zip((0, 1, m, m + 1, max(m - 1, 0)), bands.reshape(5, size)):
+        # below n = 4, two bands may share an offset, or fall off the matrix
+        if offset < size or not offset:
+            diagonals[offset] = diagonals.get(offset, 0.0) + band[: size - offset]
+    offsets = sorted({sign * k for k in diagonals for sign in (1, -1)})
+    k_ii = sparse.diags(
+        [diagonals[abs(k)] for k in offsets], offsets, shape=(size, size), format="csc"
     )
-    pe = elem_p.ravel()
-    ke = pe[:, None, None] * _K_REF[None, :, :]
-    rows = np.repeat(conn, 4, axis=1).ravel()
-    cols = np.tile(conn, (1, 4)).ravel()
-    ndof = (n + 1) * (n + 1)
-    k = sparse.coo_matrix((ke.ravel(), (rows, cols)), shape=(ndof, ndof)).tocsr()
 
-    # load vector: 2x2 Gauss per element
-    f = np.zeros(ndof)
+    # load: 2x2 Gauss per element, each point's share added to the element's
+    # corners as four slices of the nodal grid.  A node takes its shares in
+    # the order of its elements, (i - 1, j - 1), (i - 1, j), (i, j - 1) and
+    # (i, j), of which it is the NE, SE, NW and SW corner
+    f = np.zeros((n + 1, n + 1))
     jac = hx * hy / 4.0
+    pe = elem_p.ravel()
     for gxi in _GAUSS2:
         for gyi in _GAUSS2:
-            shapes = np.array(
-                [
-                    (1 - gxi) * (1 - gyi),
-                    (1 + gxi) * (1 - gyi),
-                    (1 + gxi) * (1 + gyi),
-                    (1 - gxi) * (1 + gyi),
-                ]
-            ) / 4.0
-            px = a + (ex + 0.5 * (1 + gxi)) * hx
-            py = c + (ey + 0.5 * (1 + gyi)) * hy
-            vals = rhs.evaluate(np.stack([px, py], axis=1), pe)
-            np.add.at(f, conn.ravel(), (jac * vals[:, None] * shapes[None, :]).ravel())
-
-    # homogeneous Dirichlet: keep interior nodes only
-    ix_all, iy_all = np.meshgrid(np.arange(n + 1), np.arange(n + 1), indexing="ij")
-    interior = ((ix_all > 0) & (ix_all < n) & (iy_all > 0) & (iy_all < n)).ravel()
-    idx = np.where(interior)[0]
-    k_ii = k[idx][:, idx].tocsr()
-    f_i = f[idx]
+            px = np.repeat(a + (np.arange(n) + 0.5 * (1 + gxi)) * hx, n)
+            py = np.tile(c + (np.arange(n) + 0.5 * (1 + gyi)) * hy, n)
+            vals = jac * rhs.evaluate(np.stack([px, py], axis=1), pe).reshape(n, n)
+            f[1:, 1:] += vals * ((1 + gxi) * (1 + gyi) / 4.0)
+            f[1:, :-1] += vals * ((1 + gxi) * (1 - gyi) / 4.0)
+            f[:-1, 1:] += vals * ((1 - gxi) * (1 + gyi) / 4.0)
+            f[:-1, :-1] += vals * ((1 - gxi) * (1 - gyi) / 4.0)
+    f_i = f[1:-1, 1:-1].ravel()
 
     # minimum-degree ordering of K + K^T suits the symmetric stiffness: 40%
     # less fill than the default column ordering at n = 120
-    u_i = splu(k_ii.tocsc(), permc_spec="MMD_AT_PLUS_A").solve(f_i)
+    u_i = splu(k_ii, permc_spec="MMD_AT_PLUS_A").solve(f_i)
     if np.linalg.norm(k_ii @ u_i - f_i) > 1e-10 * max(np.linalg.norm(f_i), 1e-300):
         raise RuntimeError("FEM linear solve failed its residual check")
 
-    u = np.zeros(ndof)
-    u[idx] = u_i
-    return FemSolution(geometry, n, u.reshape(n + 1, n + 1), elem_p)
+    u = np.zeros((n + 1, n + 1))
+    u[1:-1, 1:-1] = u_i.reshape(m, m)
+    return FemSolution(geometry, n, u, elem_p)
 
 
 def relative_l2_errors(

@@ -31,7 +31,11 @@ each tile's seeds, which takes the tile's rows of the scaled adjoints
 through `Jets.adjoint` (the product's transpose) into the tile's seed
 stack, so no seed set of the whole batch is made.  Adam with a linearly
 interpolated learning rate closes the loop.  Validation runs the same
-path without the adjoints.
+path without the adjoints or the whole-batch jets: it evaluates the
+network one tile of interior points at a time, composes that tile's
+Laplacians and drops its jets, then evaluates the interface points, so no
+(J1 + J2, N) jets exist; a point's jets do not depend on its tile, and
+the loss equals the gradient path's bit for bit.
 
 Everything that outlives a call lives in one holder, `_kept`.  The arrays
 whose shapes the configuration fixes, the network's output jets, the
@@ -342,16 +346,21 @@ def _keep(kept: dict | None, name: str, shape: tuple, make):
     return held[1]
 
 
-def _composed_cache(params: MlpParams, data: EpochData, kept: dict | None = None):
+def _composed_cache(
+    params: MlpParams, data: EpochData, kept: dict | None = None, keep_jets: bool = True,
+):
     """The epoch cache of ``data``, with the interior Laplacians of the
     composed basis formed alone (`Jets.product_laplacian`).
 
-    The network is evaluated once, at all J1 + J2 points, the interior
-    ones first.  The cutoff factors of the interior points are gathered to
-    the outputs one tile of `TILE` points at a time, each tile's Laplacians
-    written into one (J1, N) array, which the cache weights in place.  The
-    network's jets and that array are taken from the holder ``kept``
-    (`_keep`), or made new without one.  Returns the cache
+    With ``keep_jets`` the network is evaluated once, at all J1 + J2
+    points, the interior ones first, into jets the adjoint reads again;
+    without it, one tile of the interior points at a time and then at the
+    interface points, so that no (J1 + J2, N) jets exist and the returned
+    jets are None.  The cutoff factors of the interior points are gathered
+    to the outputs one tile of `TILE` points at a time, each tile's
+    Laplacians written into one (J1, N) array, which the cache weights in
+    place.  The kept jets and that array are taken from the holder
+    ``kept`` (`_keep`), or made new without one.  Returns the cache
     (`_interface_rows`) and what the loss's adjoint reads: the network's
     jets at all the points, the outputs' `factor_index`, the interior
     factor stack (`cutoffs.composition_factors`), the plus-side interface
@@ -362,18 +371,24 @@ def _composed_cache(params: MlpParams, data: EpochData, kept: dict | None = None
     quad = data.quad
     n_int = quad.n_interior
     cols = factor_index(data.geometry, cfg.n1, cfg.n2)
-    points = np.concatenate([quad.interior_points, quad.interface_points])
-    d = points.shape[1]
-    jets = forward_jets(params, points, out=_keep(
-        kept, "jets", (len(points), cfg.n_outputs), lambda shape: Jets.empty(shape, d)
-    ))
+    jets = None
+    if keep_jets:
+        points = np.concatenate([quad.interior_points, quad.interface_points])
+        d = points.shape[1]
+        jets = forward_jets(params, points, out=_keep(
+            kept, "jets", (len(points), cfg.n_outputs), lambda shape: Jets.empty(shape, d)
+        ))
     stack = composition_factors(quad.interior_points, data.geometry, data.cutoff_config)
     lap = _keep(kept, "lap", (n_int, cfg.n_outputs), np.empty)
     for rows in _tiles(n_int):
-        lap[rows] = stack.rows(rows).columns(cols).product_laplacian(jets.rows(rows))
+        raw = jets.rows(rows) if keep_jets else forward_jets(params, quad.interior_points[rows])
+        lap[rows] = stack.rows(rows).columns(cols).product_laplacian(raw)
+    if keep_jets:
+        ifc = jets.rows(slice(n_int, None))
+    else:
+        ifc = forward_jets(params, quad.interface_points)
     cache, ifc_stack, normals = _interface_rows(
-        jets.rows(slice(n_int, None)), lap, quad, data.geometry, data.cutoff_config, cols,
-        data.rhs, data.theta,
+        ifc, lap, quad, data.geometry, data.cutoff_config, cols, data.rhs, data.theta,
     )
     return cache, jets, cols, stack, ifc_stack, normals
 
@@ -426,17 +441,23 @@ def loss_and_param_gradient(
     constant.  The blocked solve writes the row adjoints of the basis
     Laplacians and of its one trace, summed over the batch, and only those
     are back-propagated, in one backward pass over all the points that
-    composes each tile's seeds from them (`_ComposedSeeds`); without
-    ``need_gradient`` none is formed.  The arrays whose shapes the batch
-    fixes (the network's jets, the composed Laplacian, the row adjoints)
-    come from the holder ``kept``, which `run_epoch` keeps between epochs;
-    without it (validation, direct callers) they are made new.
+    composes each tile's seeds from them (`_ComposedSeeds`).  Without
+    ``need_gradient`` (validation) none is formed, and neither are the
+    network's jets at all the points, which only the backward pass reads:
+    the Laplacians are composed from the jets of one tile at a time
+    (`_composed_cache`), to the same loss.  The arrays whose shapes the
+    batch fixes (the network's jets, the composed Laplacian, the row
+    adjoints) come from the holder ``kept``, which `run_epoch` keeps
+    between epochs; without it (validation, direct callers) they are made
+    new.
     """
     if data.parameters.shape[0] < 1:
         raise ValueError("empty parameter batch")
-    cache, jets, cols, stack, ifc_stack, normals = _composed_cache(params, data, kept)
+    cache, jets, cols, stack, ifc_stack, normals = _composed_cache(
+        params, data, kept, keep_jets=need_gradient
+    )
     if not need_gradient:  # read by the adjoint alone: not held through the solve
-        jets = stack = ifc_stack = None
+        stack = ifc_stack = None
     sing_per_p = [
         singular_evals_from_cache(cache.polar, pairs) if pairs else None
         for pairs in data.pairs_per_p

@@ -1,11 +1,19 @@
+import os
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
+from scipy import sparse
+from scipy.sparse.linalg import splu
 
-from transolve.geometry import build_grid_geometry
+import transolve
+from transolve.geometry import build_grid_geometry, subdomain_index_many
 from transolve.reference import RhsSpec, exact_1d, fem_solve_2d, relative_l2_errors
 from transolve.sampling import midpoint_grid
 
-from conftest import geom_1d, geom_2x2
+from conftest import geom_1d, geom_2x2, geom_3x3
 
 PI = np.pi
 
@@ -138,13 +146,91 @@ def test_fem_misaligned_cuts_rejected():
         fem_solve_2d(g, np.ones(4), rhs, 7)
 
 
+# reference-square bilinear stiffness for -div(grad u), nodes (SW, SE, NE, NW)
+_K_REF = (1.0 / 6.0) * np.array(
+    [
+        [4, -1, -2, -1],
+        [-1, 4, -1, -2],
+        [-2, -1, 4, -1],
+        [-1, -2, -1, 4],
+    ]
+)
+
+
+def _fem_oracle_system(geometry, parameter, rhs, n):
+    """The interior stiffness K (CSR) and load f of `fem_solve_2d`'s
+    discretisation, assembled element by element: COO triplets of every
+    element's p * K_ref, 2x2 Gauss loads scattered with `np.add.at`, both
+    restricted to the interior nodes, numbered row-major in (ix, iy)."""
+    (a, b), (c, _) = geometry.bounds
+    h = (b - a) / n
+    ex, ey = (e.ravel() for e in np.meshgrid(np.arange(n), np.arange(n), indexing="ij"))
+    centers = np.stack([a + h * (ex + 0.5), c + h * (ey + 0.5)], axis=1)
+    pe = np.asarray(parameter, dtype=float)[subdomain_index_many(geometry, centers)]
+    node = lambda ix, iy: ix * (n + 1) + iy  # noqa: E731
+    conn = np.stack([node(ex, ey), node(ex + 1, ey), node(ex + 1, ey + 1), node(ex, ey + 1)], 1)
+    ndof = (n + 1) ** 2
+    ke = pe[:, None, None] * _K_REF[None, :, :]
+    rows, cols = np.repeat(conn, 4, axis=1).ravel(), np.tile(conn, (1, 4)).ravel()
+    k = sparse.coo_matrix((ke.ravel(), (rows, cols)), shape=(ndof, ndof)).tocsr()
+    f = np.zeros(ndof)
+    for gxi in np.array([-1.0, 1.0]) / np.sqrt(3.0):
+        for gyi in np.array([-1.0, 1.0]) / np.sqrt(3.0):
+            shapes = np.array([(1 - gxi) * (1 - gyi), (1 + gxi) * (1 - gyi),
+                               (1 + gxi) * (1 + gyi), (1 - gxi) * (1 + gyi)]) / 4.0
+            pts = np.stack([a + (ex + 0.5 * (1 + gxi)) * h, c + (ey + 0.5 * (1 + gyi)) * h], 1)
+            vals = rhs.evaluate(pts, pe)
+            np.add.at(f, conn.ravel(), (h * h / 4.0 * vals[:, None] * shapes[None, :]).ravel())
+    ix, iy = (i.ravel() for i in np.meshgrid(np.arange(n + 1), np.arange(n + 1), indexing="ij"))
+    idx = np.where((ix > 0) & (ix < n) & (iy > 0) & (iy < n))[0]
+    return k[idx][:, idx].tocsr(), f[idx]
+
+
 def test_fem_galerkin_residual():
-    g = geom_2x2()
-    rhs = RhsSpec.for_geometry("corner2d", g)
-    sol = fem_solve_2d(g, np.array([2.0, 10.0, 7.0, 1.0]), rhs, 40)
-    # re-check the linear system residual by reassembling
-    sol2 = fem_solve_2d(g, np.array([2.0, 10.0, 7.0, 1.0]), rhs, 40)
-    np.testing.assert_array_equal(sol.values, sol2.values)
+    """The nodal values solve the Galerkin system assembled element by
+    element (`_fem_oracle_system`): equal to its sparse LU solution, with a
+    small residual in it, on the 2x2 and the benchmark's 3x3 layout, with a
+    distinct p on every subdomain; the boundary values are 0, and a second
+    solve gives the same values."""
+    for g, parameter, sizes in (
+        (geom_2x2(), [2.0, 10.0, 7.0, 1.0], (4, 10, 40)),
+        (geom_3x3(), [0.3, 8.0, 1.5, 4.0, 0.7, 9.5, 2.5, 0.1, 6.0], (8, 16, 40)),
+    ):
+        rhs = RhsSpec.for_geometry("corner2d", g)
+        for n in sizes:
+            sol = fem_solve_2d(g, np.array(parameter), rhs, n)
+            np.testing.assert_array_equal(fem_solve_2d(g, np.array(parameter), rhs, n).values,
+                                          sol.values)
+            k_ref, f_ref = _fem_oracle_system(g, parameter, rhs, n)
+            u_ref = splu(k_ref.tocsc()).solve(f_ref)
+            u = sol.values[1:-1, 1:-1].ravel()
+            assert np.max(np.abs(u - u_ref)) <= 1e-12 * np.max(np.abs(u_ref))
+            assert np.linalg.norm(k_ref @ u - f_ref) <= 1e-10 * np.linalg.norm(f_ref)
+            boundary = np.ones((n + 1, n + 1), dtype=bool)
+            boundary[1:-1, 1:-1] = False
+            assert not np.any(sol.values[boundary])
+
+
+def test_sparse_modules_load_with_the_first_fem_solve():
+    """`training` imports this module for RhsSpec, so importing scipy.sparse
+    with it would map about 3.5 MB of modules in every run, the 1D ones
+    that never solve a FEM included.  They load with the first solve."""
+    code = textwrap.dedent(
+        """
+        import sys
+        import numpy as np
+        import transolve.training
+        from transolve.geometry import build_grid_geometry
+        from transolve.reference import RhsSpec, fem_solve_2d
+        assert "scipy.sparse" not in sys.modules
+        g = build_grid_geometry(2, cuts_x=[0.0], cuts_y=[0.0], bounds=[(-1, 1), (-1, 1)])
+        sol = fem_solve_2d(g, np.ones(4), RhsSpec.for_geometry("corner2d", g), 4)
+        assert "scipy.sparse" in sys.modules and np.all(np.isfinite(sol.values))
+        """
+    )
+    src = os.path.dirname(os.path.dirname(transolve.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)
 
 
 def test_relative_errors_basic():
