@@ -62,9 +62,15 @@ __all__ = [
 ]
 
 RIDGE_REL = 1e-10
-# Parameters per block of `solve_parameter_batch`.  Blocks of 32 and 64 ran
-# alike in time on the 1D benchmark (P = 256, N = 50, J1 = 1000); 32 kept the
-# solve's tracemalloc peak at 2.5 MB, where the whole batch at once took 11.5 MB.
+# Parameters per block of `solve_parameter_batch`.  On train1d-sin (P = 256,
+# N = 50, J1 = 1000; 10 alternating pairs, BLAS on one thread) blocks of 64
+# read epoch_s -3.5% at +2.8% peak_rss_mb, and one block of all 256 -11% at
+# +11%.  Most of that gain is page faults: with one block an epoch faults in
+# no page, against about 700 with 32, the pages glibc trims off the heap top
+# after one epoch and the next faults in again.  32 stays: that churn is the
+# allocator's to mend, at no memory cost, where bigger blocks buy the time
+# with memory; 32 kept the solve's tracemalloc peak at 2.5 MB, where the
+# whole batch at once took 11.5 MB.
 BLOCK = 32
 
 

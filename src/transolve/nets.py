@@ -31,6 +31,17 @@ as its input, so no seed set of all the points is made.  `forward_jets`
 writes into the caller's arrays when given them, so a caller that
 evaluates points of one count again and again keeps its output arrays.
 
+What a product of the passes costs depends on its operands' layout,
+which picks the OpenBLAS kernel that runs it (Goto & van de Geijn,
+"Anatomy of high-performance matrix multiplication", 2008).  Each pass
+lays every layer's A^T out C-contiguous once (`_transposed`), so a tile's
+products X @ A^T are NN GEMMs, about twice as fast as the NT GEMMs of
+``x @ a.T`` (`_tile_layers`).  The reverse pass's seed product z_bar A is
+NN on the weights as they are stored, its weight gradient z_bar^T X is a
+TN GEMM, and the sums of the bias seeds and of the first layer's gradient
+rows over a tile's points are GEMVs, 1^T z_bar (`backward_jets`).  The
+docstrings of both give the measured times and the layouts that lost.
+
 `Jets` is the one (value, gradient, Laplacian) type of the package: the
 network returns its outputs as `Jets`, the cutoff fields are `Jets`, and
 `Jets.__mul__` is the one second-order product rule, which both builds the
@@ -64,7 +75,8 @@ __all__ = [
 
 # Points per tile of the jet passes, so that a tile's per-layer buffers stay
 # in cache: with the 2D benchmark's network 128 and 256 ran alike and 512
-# was slower.
+# was slower.  Against 256, train2d-corner's raw epoch time read +2.0% at 192
+# and +9.5% at 384 (medians of 10 alternating pairs, BLAS on one thread).
 TILE = 256
 
 
@@ -265,24 +277,42 @@ def _checked_points(params: MlpParams, points) -> np.ndarray:
     return points
 
 
+def _transposed(layers) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Each layer's (A^T, b), A^T a C-contiguous (m_in, m_out) copy: what
+    `_tile_layers` reads, made once per pass for all of its tiles."""
+    return [(np.ascontiguousarray(a.T), b) for a, b in layers]
+
+
 def _tile_layers(layers, points: np.ndarray):
-    """The forward pass of ``layers`` on one tile of T points.
+    """The forward pass of ``layers``, as `_transposed` lays them out, on
+    one tile of T points.
 
     Yields per layer its stacked (2 + d, T, m) output jets and t1 = 1 - t^2,
     what the reverse pass reads of it.  The first layer's input is the
     (T, d) points themselves: their gradient rows are the unit vectors and
     their Laplacian 0, so its pre-activation gradient zg is the constant
-    columns of A1, as (d, 1, m), and its zl is 0.  A caller that keeps no
+    rows of A1^T, as (d, 1, m), and its zl is 0.  A caller that keeps no
     output holds one layer at a time.
+
+    A hidden layer's product is X @ A^T, the (2 + d) T x m_in stacked jets
+    times the contiguous A^T: an NN dgemm.  The same product as ``x @ a.T``
+    on the (m_out, m_in) weights is an NT dgemm, which OpenBLAS (one
+    thread) runs in 43.6 us on the 2D tile, (1024 x 30) (30 x 30), against
+    22.8 us as NN, and in 32.8 against 17.2 us on the 1D tile of 768 rows;
+    the product runs twice per tile in the forward pass and twice more in
+    the backward pass's recompute.  Each layer's arrays are new per tile:
+    per-layer workspaces kept across the tiles and written through
+    ``matmul(..., out=...)`` ran alike on train2d-corner and made
+    train1d-sin's epochs 8.5% slower, with twice the page faults.
     """
     d = points.shape[1]
     x = points
-    for layer, (a, b) in enumerate(layers):
+    for layer, (at, b) in enumerate(layers):
         if layer == 0:
-            z0 = points @ a.T
-            zg, zl = a.T[:, None, :], None
+            z0 = points @ at
+            zg, zl = at[:, None, :], None
         else:
-            z = (x.reshape(-1, a.shape[1]) @ a.T).reshape(2 + d, -1, a.shape[0])
+            z = (x.reshape(-1, at.shape[0]) @ at).reshape(2 + d, -1, at.shape[1])
             z0, zg, zl = z[0], z[1 : 1 + d], z[1 + d]
         z0 += b
         out = np.empty((2 + d,) + z0.shape)
@@ -332,8 +362,9 @@ def forward_jets(params: MlpParams, points: np.ndarray, out: Jets | None = None)
         out = Jets.empty(shape, d)
     _check_jets("out", out, shape, d)
     components = _components(out.gradient)
+    layers = _transposed(params.layers)
     for s in range(0, n, TILE):
-        for x, _ in _tile_layers(params.layers, points[s : s + TILE]):
+        for x, _ in _tile_layers(layers, points[s : s + TILE]):
             pass  # each layer's arrays are dropped as the next one is made
         out.value[s : s + TILE] = x[0]
         components[:, s : s + TILE] = x[1 : 1 + d]
@@ -399,6 +430,23 @@ def backward_jets(params: MlpParams, points: np.ndarray, outputs: Jets, seeds) -
         z_l = y_l t1,
     which read a layer's output jets and t1 alone, saturated units
     (t1 = 0) included.
+
+    Per tile and layer, with Z_bar the (2 + d) T x m_out seeds and X the
+    layer's (2 + d) T x m_in input, the products are BLAS calls (OpenBLAS,
+    one thread, T = 256 and m = 30; 2D times, 1D in parentheses):
+    the recompute's X @ A^T, an NN dgemm as in the forward pass
+    (`_tile_layers`); the weight gradient Z_bar^T X, a TN dgemm, 32.4 us
+    (24.2 us); the input seeds Z_bar A, NN on the stored weights, 22.9 us
+    (17.3 us); the bias gradient 1^T z_v_bar, a dgemv, 1.6 us against
+    5.6 us for ``z_bar[0].sum(axis=0)``; and on the first layer the
+    gradient rows' sums 1^T z_g_bar, 2.8 us against 10.5 us for
+    ``.sum(axis=1)`` (1.8 against 5.8 us).  The sums move the gradient
+    by rounding alone.  Two other layouts were tried in train2d-corner
+    epochs (sets of 10 alternating pairs).  The weight gradient as
+    (X^T Z_bar)^T ran alike in isolation, 32.4 us, and two sets read a raw
+    epoch time -2.0% and +0.1%, within their spread, so the plain form
+    stays.  The seeds as (A^T Z_bar^T)^T take 29.2 us in isolation and
+    read +33%.
     """
     points = _checked_points(params, points)
     n, d = points.shape
@@ -408,13 +456,16 @@ def backward_jets(params: MlpParams, points: np.ndarray, outputs: Jets, seeds) -
         raise ValueError(f"seeds of shape {tuple(seeds.shape)} do not match {shape}")
     layers = params.layers
     top = len(layers) - 1
+    hidden = _transposed(layers[:top])
     components = _components(outputs.gradient)
     grads = [(np.zeros_like(a), np.zeros_like(b)) for a, b in layers]
     tile_seeds = np.empty((2 + d, min(TILE, n), shape[1]))
+    ones = np.ones(min(TILE, n))
     for s in range(0, n, TILE):
         rows = slice(s, min(s + TILE, n))
         pts = points[rows]
-        saved = list(_tile_layers(layers[:top], pts))
+        saved = list(_tile_layers(hidden, pts))
+        sums = ones[: len(pts)]
         y = tile_seeds[:, : len(pts)]
         y.fill(0.0)
         seeds.add(rows, Jets(y[0], _gradient(y[1 : 1 + d]), y[1 + d]))
@@ -431,11 +482,11 @@ def backward_jets(params: MlpParams, points: np.ndarray, outputs: Jets, seeds) -
                 z_bar = _tanh_adjoint(y, out[0], out[1 : 1 + d], out[1 + d], t1)
 
             # through the affine map z = x A^T (+ b on the value row)
-            b_bar += z_bar[0].sum(axis=0)
+            b_bar += sums @ z_bar[0]
             if layer == 0:
                 # the points' own jets: value rows x, gradient rows e_k, Laplacian 0
                 a_bar += z_bar[0].T @ pts
-                a_bar += z_bar[1 : 1 + d].sum(axis=1).T
+                a_bar += (sums @ z_bar[1 : 1 + d]).T
                 continue
             m_out, m_in = a.shape
             x = saved[layer - 1][0]

@@ -255,6 +255,20 @@ def test_composition_factors_are_the_distinct_stack_and_its_index():
         np.testing.assert_array_equal(getattr(gathered, name), getattr(whole, name))
 
 
+@pytest.mark.parametrize("layout, n1, n2", [(geom_1d, 10, 40), (geom_2x2, 4, 8), (geom_3x3, 16, 32)])
+def test_factor_index_is_uniform_runs_within_each_block(layout, n1, n2):
+    """`factor_index` is non-decreasing, and within the n1 block and within
+    the n2 block its runs of one factor are all of one length, through
+    consecutive factors."""
+    g = layout()
+    cols = factor_index(g, n1, n2)
+    assert np.all(np.diff(cols) >= 0)
+    for block in (cols[:n1], cols[n1:]):
+        factors, counts = np.unique(block, return_counts=True)
+        assert len(set(counts.tolist())) == 1
+        np.testing.assert_array_equal(factors, np.arange(factors[0], factors[-1] + 1))
+
+
 def _dense_factors(points, g, cfg, psis):
     """The reference stack: every B * phi_v and B * psi_a * phi_v formed at
     every point, phi_v = 1 - eta(|x - x_v|) from `eta_jet` at all of them

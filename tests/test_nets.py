@@ -392,26 +392,51 @@ def _record_backward(params, points, bar_value, bar_grad, bar_lap):
     return np.concatenate([np.concatenate([a_bar.ravel(), b_bar]) for a_bar, b_bar in grads])
 
 
-@pytest.mark.parametrize("saturated", [False, True])
-@pytest.mark.parametrize("dim", [1, 2])
-def test_backward_matches_the_record_reverse_pass(dim, saturated, monkeypatch):
-    """The reverse pass from the output jets and t1 alone equals the one
-    through the pre-activation records, over ragged tiles, and with units
-    held saturated by biases of +-20 (t1 below 1e-15 there)."""
-    monkeypatch.setattr(nets, "TILE", 16)
-    cfg = NetConfig(dim, (7, 6, 5), 3, 4)
+# the networks of the 1D and 2D benchmark workloads
+NET_1D = NetConfig(1, (30, 30, 30), 10, 40)
+NET_2D = NetConfig(2, (30, 30, 30), 16, 32)
+
+
+@pytest.mark.parametrize(
+    "cfg, tile, saturated",
+    [
+        pytest.param(NetConfig(dim, (7, 6, 5), 3, 4), 16, saturated, id=f"{dim}-{saturated}")
+        for dim in (1, 2)
+        for saturated in (False, True)
+    ]
+    + [
+        pytest.param(NET_1D, nets.TILE, False, id="net1d"),
+        pytest.param(NET_2D, nets.TILE, False, id="net2d"),
+    ],
+)
+def test_backward_matches_the_record_reverse_pass(cfg, tile, saturated, monkeypatch):
+    """The passes, NN products on A^T and GEMV sums, give the jets and the
+    gradient of the record formulation, NT products ``x @ a.T`` and
+    ``.sum`` over the points, with the reverse pass from the output jets
+    and t1 alone: over two full tiles and a ragged one, on small networks
+    and on the benchmark ones at the default tile, and on the small ones
+    with units held saturated by biases of +-20 (t1 below 1e-15 there)."""
+    monkeypatch.setattr(nets, "TILE", tile)
+    dim = cfg.input_dim
     p = init_params(cfg, 17 + dim)
     rng = np.random.default_rng(30 + dim)
     if saturated:
         for _, b in p.layers:
             b[::2] = 20.0 * rng.choice([-1.0, 1.0], size=b[::2].shape)
-    pts = rng.uniform(-1, 1, size=(45, dim))
-    seeds = _random_seeds(rng, 45, cfg)
+    n = 2 * tile + 13
+    pts = rng.uniform(-1, 1, size=(n, dim))
+    seeds = _random_seeds(rng, n, cfg)
+    records = list(_record_layers(p, pts))
     if saturated:
-        for record, _ in _record_layers(p, pts):
+        for record, _ in records:
             assert np.all(record[4][:, ::2] < 1e-15)
+    jets = forward_jets(p, pts)
+    want_jets = records[-1][1]
+    got_jets = (jets.value, np.moveaxis(jets.gradient, -1, 0), jets.laplacian)
+    for got, want in zip(got_jets, (want_jets[0], want_jets[1 : 1 + dim], want_jets[1 + dim])):
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13 * np.max(np.abs(want)))
     want = _record_backward(p, pts, *seeds)
-    got = backward_jets(p, pts, forward_jets(p, pts), _Served(*seeds))
+    got = backward_jets(p, pts, jets, _Served(*seeds))
     np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13 * np.max(np.abs(want)))
 
 
