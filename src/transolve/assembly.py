@@ -17,22 +17,27 @@ Every entry of the network columns is affine in the diffusivity vector p,
 so their block of B^T B is a quadratic polynomial in p whose coefficient
 matrices, the Gram blocks, the cache holds.  `solve_parameter_batch`, the
 one solve of training, validation and `final_solve`, walks the batch in
-blocks of BLOCK parameters.  Per block, one GEMM combines the Gram blocks,
-the singular columns border each normal matrix from the annulus rows alone
+blocks of BLOCK parameters.  The batch's singular columns come as one
+dense (P, R, M) block of sources on the annulus rows
 (`singular.PolarCache.annulus_rows`: a source is zero off its vertex's
-annulus), `_cholesky_solve` ridges each system and solves it with one
-LAPACK dposv call, raising if it is not positive definite, and the
-residuals give the losses.  A caller that hands in the (J1, N) and (J2, N)
-adjoints of the Laplacians and of the trace that the gradient reads
-(``out``, which it may keep between batches) asks for them: the residuals
-also give the row seeds, whose products with the coefficients are added
-into them, the minus side's through the sign.  No array spans the batch
-times the rows, nor holds the normal matrices of the whole batch.
-`assemble_system` and `solve_normal_equations` build and solve one
-parameter's explicit system, the reference the batched solve is checked
-against, through the same `_cholesky_solve`, which alone holds the ridge
-rule and the padding of unused singular slots.  `assemble_system` is the
-one place a singular block is scattered to all J1 interior rows.
+annulus), a parameter's unused slots zero.  Per block, one GEMM combines
+the Gram blocks, the block's rows of the singular block border each
+normal matrix from the annulus rows alone, `_cholesky_solve` ridges each
+system and solves it with one LAPACK dposv call, raising if it is not
+positive definite, and the residuals give the losses.  A caller that
+hands in the (J1, N) and (J2, N) adjoints of the Laplacians and of the
+trace that the gradient reads (``out``, which it may keep between
+batches) asks for them: the residuals also give the row seeds, whose
+products with the coefficients are added into them, the minus side's
+through the sign.  No array spans the batch times the interior or jump
+rows (the singular block spans the annulus rows alone), nor holds the
+normal matrices of the whole batch.  `assemble_system` and
+`solve_normal_equations` build and solve one parameter's explicit system,
+the reference the batched solve is checked against, through the same
+`_cholesky_solve`, which alone holds the ridge rule and the unit diagonal
+of a column that is zero on every row, such as an unused singular slot.
+`assemble_system` is the one place a singular block is scattered to all
+J1 interior rows.
 """
 
 from __future__ import annotations
@@ -240,10 +245,11 @@ def assemble_system(cache: EpochCache, parameter, singular_evals, theta: float) 
     """Explicit stacked matrix for one parameter (cache-based assembly).
 
     ``singular_evals`` is the (R, n_s) source block on the cache's annulus
-    rows, as `singular.singular_evals_from_cache` gives it, or None.  This
-    reference scatters it into a dense (J1, n_s) block, the only place one
-    is made.  The jump rows carry the cache's Theta, so ``theta`` must
-    equal it.
+    rows, the parameter's row of the batch block that
+    `singular.singular_evals_from_cache` gives, unused slots included, or
+    None.  This reference scatters it into a dense (J1, n_s) block, the
+    only place one is made.  The jump rows carry the cache's Theta, so
+    ``theta`` must equal it.
     """
     parameter = validate_parameter(cache.geometry, parameter)
     if theta != cache.gram.theta:
@@ -283,7 +289,7 @@ def solve_normal_equations(system: LsSystem):
     b, l = system.matrix, system.rhs
     if not (np.all(np.isfinite(b)) and np.all(np.isfinite(l))):
         raise ValueError("non-finite system")
-    y = _cholesky_solve((b.T @ b)[None], (b.T @ l)[None], np.array([b.shape[1]]), 0)[0]
+    y = _cholesky_solve((b.T @ b)[None], (b.T @ l)[None], 0)[0]
     residual = b @ y - l
     return y, float(residual @ residual)
 
@@ -293,7 +299,7 @@ class BatchSolveResult:
     """Per-batch LS solutions; the row adjoints go to the caller's ``out``."""
 
     y_nn: np.ndarray  # (P, N) network-column coefficients
-    y_sing: list  # per-parameter singular coefficient vectors
+    y_sing: np.ndarray  # (P, M) singular coefficients, zero in unused slots
     losses: np.ndarray  # (P,) residual norms squared
 
 
@@ -306,14 +312,16 @@ class SolveError(RuntimeError):
         super().__init__(message)
 
 
-def _cholesky_solve(a: np.ndarray, b: np.ndarray, sizes: np.ndarray, first: int) -> np.ndarray:
+def _cholesky_solve(a: np.ndarray, b: np.ndarray, first: int) -> np.ndarray:
     """Solve every ridged system of a stack of normal equations a[k] y = b[k].
 
-    System k is the leading ``sizes[k]`` block of a[k]; the slots past it
-    must be zero in a[k] and b[k].  The one ridge rule of both solves adds
-    RIDGE_REL times the mean diagonal of that block (RIDGE_REL where the
-    mean is 0) to the whole diagonal, and each padded slot gets a unit
-    diagonal, added after the trace is taken, so it solves to zero.  Each
+    The one ridge rule of both solves adds RIDGE_REL times the mean of the
+    nonzero diagonal entries of a[k] (RIDGE_REL where there is none) to
+    the whole diagonal.  An exactly-zero diagonal entry is a column that
+    is zero on every row, such as an unused singular slot: it also gets a
+    unit diagonal and, its row of b[k] being zero, solves to zero.  So a
+    system's ridge and solution depend on its own live columns alone, and
+    a parameter solves in a batch as it does alone.  Each
     system is one LAPACK dposv call on the lower triangle, which overwrites
     a[k] with its factor and b[k] with the solution; a Fortran-ordered a[k]
     (as `solve_parameter_batch` makes them) is factored where it lies, a
@@ -328,11 +336,11 @@ def _cholesky_solve(a: np.ndarray, b: np.ndarray, sizes: np.ndarray, first: int)
     ``first + k``.  Returns the solutions, ``b`` itself when it is a
     C-contiguous float array.
     """
-    n = a.shape[-1]
-    diag = np.arange(n)
-    mean_diag = np.trace(a, axis1=-2, axis2=-1) / sizes
+    diag = np.arange(a.shape[-1])
+    dead = a[:, diag, diag] == 0
+    mean_diag = np.trace(a, axis1=-2, axis2=-1) / np.maximum(np.sum(~dead, axis=1), 1)
     ridge = RIDGE_REL * np.where(mean_diag > 0, mean_diag, 1.0)
-    a[:, diag, diag] += (diag >= sizes[:, None]) + ridge[:, None]
+    a[:, diag, diag] += dead + ridge[:, None]
     y = np.ascontiguousarray(b, dtype=float)
     for k in range(len(a)):
         _, _, info = _dposv(a[k], y[k], lower=1, overwrite_a=1, overwrite_b=1)
@@ -345,20 +353,21 @@ def _cholesky_solve(a: np.ndarray, b: np.ndarray, sizes: np.ndarray, first: int)
 def solve_parameter_batch(
     cache: EpochCache,
     parameters: np.ndarray,
-    singular_evals_per_p: list | None = None,
+    singular_evals_per_p: np.ndarray | None = None,
     out: tuple | None = None,
 ) -> BatchSolveResult:
     """Least-squares solve of every parameter of a batch through the Gram blocks.
 
-    ``singular_evals_per_p`` holds one (R, n_s) source block per parameter
-    on the cache's annulus rows (None for none); the counts n_s may differ.
-    Each normal matrix is the Gram combination bordered by its parameter's
-    singular columns, padded with zeros to its block's largest count, each
-    allocated in Fortran order so that LAPACK reads it in place; the
-    border reads the annulus rows alone, so no singular array spans the J1
-    interior rows.  `_cholesky_solve` ridges each system from its unpadded
-    size and solves the padded slots to zero.  The loss of parameter k is
-    ||B y - l||^2 over its interior and jump rows.
+    ``singular_evals_per_p`` is the batch's (P, R, M) block of singular
+    sources on the cache's annulus rows
+    (`singular.singular_evals_from_cache`), or None for none.  Each normal
+    matrix is the Gram combination bordered by its parameter's row of the
+    block, allocated in Fortran order so that LAPACK reads it in place;
+    the border reads the annulus rows alone, so no singular array spans
+    the J1 interior rows.  A parameter's unused slots are zero columns,
+    which `_cholesky_solve` leaves out of the ridge and solves to zero.
+    The loss of parameter k is ||B y - l||^2 over its interior and jump
+    rows, and ``y_sing`` holds the (P, M) singular coefficients.
     Handing in ``out``, a (bar_lap, bar_trace) pair of arrays of the
     (J1, N) and (J2, N) row shapes, asks for the row adjoints: each is
     zeroed and then holds the halved derivative of the summed losses in
@@ -378,13 +387,12 @@ def solve_parameter_batch(
     n = cache.n_basis
     rows = cache.polar.annulus_rows
     c, f1, f0 = cache.wlap, cache.wrhs_p, cache.wrhs_fixed
-    sing = singular_evals_per_p or [None] * n_p
-    if len(sing) != n_p:
-        raise ValueError("one singular block per parameter is needed")
-    if any(s is not None and s.shape[0] != rows.size for s in sing):
-        raise ValueError("singular evaluations do not match the annulus rows")
-    all_counts = [0 if s is None else s.shape[1] for s in sing]
-    y_nn, losses, y_sing = np.empty((n_p, n)), np.empty(n_p), []
+    sing = np.zeros((n_p, rows.size, 0)) if singular_evals_per_p is None else singular_evals_per_p
+    if not isinstance(sing, np.ndarray) or sing.ndim != 3 or sing.shape[:2] != (n_p, rows.size):
+        raise ValueError(f"singular evaluations must be one (P, R, M) array on the {n_p} "
+                         f"parameters and the {rows.size} annulus rows")
+    m = sing.shape[2]
+    y_nn, y_sing, losses = np.empty((n_p, n)), np.empty((n_p, m)), np.empty(n_p)
     if out is not None:
         shapes = [a.shape for a in (c, cache.wtrace)]
         if [a.shape for a in out] != shapes:
@@ -399,16 +407,12 @@ def solve_parameter_batch(
         coef = gram.coefficients(p)
         a_nn = (coef @ gram.combined).reshape(-1, n, n).transpose(0, 2, 1)  # Fortran-ordered
         b_nn = coef[:, :n_sub] @ gram.b_sq + p @ gram.b_lin
-        counts = np.array(all_counts[s : s + BLOCK])
-        m = int(counts.max())
         if m == 0:
             a, rhs = a_nn, b_nn
         else:
-            padded = np.zeros((len(p), rows.size, m))
-            for k in np.flatnonzero(counts):
-                padded[k, :, : counts[k]] = sing[s + k]
             p_rows = p[:, cache.quad.interior_subdomain[rows]]  # (P, R)
-            us = (cache.sqrt_w[rows] * p_rows)[:, :, None] * padded  # (P, R, M) weighted, p-scaled
+            # (P, R, M) weighted, p-scaled
+            us = (cache.sqrt_w[rows] * p_rows)[:, :, None] * sing[s : s + BLOCK]
             border = np.matmul(c[rows].T, p_rows[:, :, None] * us)  # (P, N, M)
             a = np.empty((len(p), n + m, n + m)).transpose(0, 2, 1)
             a[:, :n, :n] = a_nn
@@ -417,9 +421,9 @@ def solve_parameter_batch(
             a[:, n:, n:] = us.transpose(0, 2, 1) @ us
             l_rows = p_rows * f1[rows] + f0[rows]  # (P, R)
             rhs = np.concatenate([b_nn, -(l_rows[:, None, :] @ us)[:, 0]], axis=1)
-        y = _cholesky_solve(a, rhs, n + counts, s)
+        y = _cholesky_solve(a, rhs, s)
         y_nn[s : s + BLOCK] = y_b = y[:, :n]
-        y_sing += [y[k, n : n + count] for k, count in enumerate(counts.tolist())]
+        y_sing[s : s + BLOCK] = y[:, n:]
         # the block's residuals, one column per parameter
         p_int = p.T[cache.quad.interior_subdomain]  # (J1, P)
         p_plus, p_minus = p.T[cache.ifc_plus_sub], p.T[cache.ifc_minus_sub]

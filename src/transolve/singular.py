@@ -99,57 +99,70 @@ def polar_cache(points, geometry: Geometry, config: CutoffConfig) -> PolarCache:
     return PolarCache(vertices, disk_rows, np.concatenate(annuli))
 
 
-def _vertex_modes(cache: PolarCache, pairs_per_vertex: list[list[EigenPair]]):
-    """Per vertex with selected pairs: its factors, its slices of the disk
-    rows, of the annulus rows and of the columns, the exponents (m,) and the
-    unit-L2 angular coefficient vectors (16, m)."""
-    disk = annulus = col = 0
-    for geo, pairs in zip(cache.vertices, pairs_per_vertex):
-        n_disk = geo.r.size
-        if pairs:
-            lam = np.array([pair.exponent for pair in pairs])
-            coef = np.stack([pair.mu_scale * pair.rho for pair in pairs], axis=1)
-            yield (
-                geo, slice(disk, disk + n_disk), slice(annulus, annulus + geo.n_annulus),
-                slice(col, col + len(pairs)), lam, coef,
-            )
-        disk += n_disk
+def _vertex_slots(cache: PolarCache, pairs_per_p: list):
+    """The column slots of a batch: their count M and, per vertex with
+    slots, its factors, its slices of the disk rows, of the annulus rows
+    and of the columns, the exponents (P, 1, m) and the unit-L2 angular
+    coefficient vectors (P, 16, m) of its m slots, m being the most pairs
+    any of the P parameters has there.  A parameter's pairs fill its first
+    slots at the vertex in pair order; the others have exponent 1 and zero
+    coefficients, so their columns are zero."""
+    slots, disk, annulus, col = [], 0, 0, 0
+    for v, geo in enumerate(cache.vertices):
+        per_p = [pairs[v] for pairs in pairs_per_p]
+        m = max(map(len, per_p))
+        if m:
+            lam = np.ones((len(per_p), 1, m))
+            coef = np.zeros((len(per_p), geo.ang_values.shape[1], m))
+            for k, sel in enumerate(per_p):
+                for j, pair in enumerate(sel):
+                    lam[k, 0, j] = pair.exponent
+                    coef[k, :, j] = pair.mu_scale * pair.rho
+            slots.append((
+                geo, slice(disk, disk + geo.r.size), slice(annulus, annulus + geo.n_annulus),
+                slice(col, col + m), lam, coef,
+            ))
+        disk += geo.r.size
         annulus += geo.n_annulus
-        col += len(pairs)
+        col += m
+    return col, slots
 
 
-def singular_evals_from_cache(cache: PolarCache, pairs_per_vertex: list[list[EigenPair]]):
-    """Residual sources S of all singular columns on the annulus rows.
+def singular_evals_from_cache(cache: PolarCache, pairs_per_p: list):
+    """Residual sources S of a batch's singular columns on the annulus rows.
 
-    Returns (R, n_cols) for the R points of ``cache.annulus_rows``, columns
-    vertex-major in pair order; S is zero at every other point.
+    ``pairs_per_p`` holds per parameter its selected pairs per vertex.
+    Returns one (P, R, M) block for the R points of ``cache.annulus_rows``,
+    its M columns vertex-major (`_vertex_slots`), zero in a parameter's
+    unused slots; S is zero at every other point.
     """
-    out = np.zeros((cache.annulus_rows.size, sum(len(pairs) for pairs in pairs_per_vertex)))
-    for geo, _, rows, cols, lam, coef in _vertex_modes(cache, pairs_per_vertex):
+    n_cols, slots = _vertex_slots(cache, pairs_per_p)
+    out = np.zeros((len(pairs_per_p), cache.annulus_rows.size, n_cols))
+    for geo, _, rows, cols, lam, coef in slots:
         a = slice(geo.n_annulus)
         r = geo.r[a, None]
-        eta_p = geo.eta_p[a, None]
         # 2 L r^(L-1) eta' + r^L (eta'' + eta'/r), with r^(L-1) taken out
-        radial = (2 * lam + 1) * eta_p + r * geo.eta_pp[a, None]
-        out[rows, cols] = (geo.ang_values[a] @ coef) * r ** (lam - 1) * radial
+        radial = (2 * lam + 1) * geo.eta_p[a, None] + r * geo.eta_pp[a, None]
+        out[:, rows, cols] = (geo.ang_values[a] @ coef) * r ** (lam - 1) * radial
     return out
 
 
 def eval_s(cache: PolarCache, pairs_per_vertex: list[list[EigenPair]]):
-    """Values (D, n_cols) and Cartesian gradients (D, 2, n_cols) of all
-    singular trial functions on the disk rows, columns as in
-    `singular_evals_from_cache`; the direction comes before the column, as
-    in `assembly.evaluate_solution`.
+    """Values (D, n_cols) and Cartesian gradients (D, 2, n_cols) of one
+    parameter's singular trial functions on the disk rows, columns as in
+    `singular_evals_from_cache` for a batch of that parameter alone, so
+    every slot is filled; the direction comes before the column, as in
+    `assembly.evaluate_solution`.
 
     The D points are those of ``cache.disk_rows``; every function is zero
     at every other point.  With exponent < 1 the gradient blows up at the
     vertex, so a point closer than 1e-12 to a vertex with selected pairs
     raises ValueError.
     """
-    n_cols = sum(len(pairs) for pairs in pairs_per_vertex)
+    n_cols, slots = _vertex_slots(cache, [pairs_per_vertex])
     values = np.zeros((cache.disk_rows.size, n_cols))
     grads = np.zeros((cache.disk_rows.size, 2, n_cols))
-    for geo, rows, _, cols, lam, coef in _vertex_modes(cache, pairs_per_vertex):
+    for geo, rows, _, cols, (lam,), (coef,) in slots:
         if np.any(geo.r < _GRAD_GUARD):
             raise ValueError("gradient requested inside the guard radius of the vertex")
         r = geo.r[:, None]

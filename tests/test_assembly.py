@@ -25,10 +25,10 @@ from transolve.cutoffs import (
     interface_trace_factors,
 )
 from transolve.eigen import angular_eval, assemble_eigensystem, select_singular, solve_eigenpairs
-from transolve.geometry import angular_trace, build_grid_geometry
+from transolve.geometry import angular_trace, build_grid_geometry, subdomain_index_many
 from transolve.nets import NetConfig, forward_jets, init_params
 from transolve.reference import RhsSpec
-from transolve.sampling import sample_collocation
+from transolve.sampling import QuadratureSet, sample_collocation
 from transolve.singular import singular_evals_from_cache
 from transolve.training import vertex_eigenpairs
 
@@ -64,6 +64,18 @@ def adjoint_arrays(cache, fill=0.0):
     ``fill``: handed to `solve_parameter_batch` as ``out``, they ask for the
     row adjoints."""
     return tuple(np.full(a.shape, fill) for a in (cache.wlap, cache.wtrace))
+
+
+def filled_slots(pairs_per_p):
+    """(P, M) mask of the singular slots that each parameter's pairs fill:
+    vertex-major, as many slots per vertex as the most pairs any parameter
+    has there, a parameter's pairs in the first of them."""
+    n_v = len(pairs_per_p[0])
+    most = [max(len(pairs[v]) for pairs in pairs_per_p) for v in range(n_v)]
+    return np.array([
+        np.concatenate([np.arange(m) < len(pairs[v]) for v, m in enumerate(most)])
+        for pairs in pairs_per_p
+    ]).reshape(len(pairs_per_p), sum(most))
 
 
 def test_cache_shapes_toy():
@@ -177,10 +189,11 @@ def test_solve_zero_matrix_ridge_fixpoint():
 
 
 def test_solve_raises_on_a_singular_system_without_retry(monkeypatch):
-    """Under ridge 0 a zero matrix is not positive definite: the one
-    Cholesky solve raises SolveError, and no larger ridge is tried."""
+    """Under ridge 0 a matrix of repeated columns, whose diagonal is not
+    zero, is not positive definite: the one Cholesky solve raises
+    SolveError, and no larger ridge is tried."""
     monkeypatch.setattr(assembly, "RIDGE_REL", 0.0)
-    b = np.zeros((4, 3))
+    b = np.ones((4, 3))
     with pytest.raises(SolveError, match="system 0 is not positive definite"):
         solve_normal_equations(LsSystem(b, np.ones(4)))
 
@@ -217,14 +230,15 @@ def test_batch_matches_explicit_solve_2d_with_singular():
     cache = make_cache(g, cfg, seed=11, n_int=14, n_ifc=5, theta=200.0)
     rng = np.random.default_rng(12)
     params = rng.uniform(1.0, 10.0, size=(4, 4))
-    sing_per_p = []
+    sel = []
     for p in params:
         pairs = solve_eigenpairs(assemble_eigensystem([s[2] for s in angular_trace(g, p, 0)]))
-        sel = [select_singular(pairs, 1)]
-        sing_per_p.append(singular_evals_from_cache(cache.polar, sel))
-    batch = solve_parameter_batch(cache, params, singular_evals_per_p=sing_per_p)
+        sel.append([select_singular(pairs, 1)])
+    sing = singular_evals_from_cache(cache.polar, sel)
+    batch = solve_parameter_batch(cache, params, singular_evals_per_p=sing)
+    assert batch.y_sing.shape == (4, 1)
     for k in range(4):
-        sysk = assemble_system(cache, params[k], sing_per_p[k], 200.0)
+        sysk = assemble_system(cache, params[k], sing[k], 200.0)
         y, res = solve_normal_equations(sysk)
         n = cache.n_basis
         np.testing.assert_allclose(batch.y_nn[k], y[:n], rtol=1e-5, atol=1e-8)
@@ -233,8 +247,9 @@ def test_batch_matches_explicit_solve_2d_with_singular():
 
 
 def test_batch_mixes_singular_column_counts():
-    """Parameters with 0, 1, 2 and 4 singular columns share one batch; each
-    matches the explicit solve of its own system."""
+    """Parameters with 0, 1, 2 and 4 filled singular slots share one batch;
+    each matches the explicit solve of its own system, built from its
+    filled columns alone, and its empty slots solve to exactly 0."""
     g = build_grid_geometry(2, cuts_x=[-0.4, 0.3], cuts_y=[-0.3, 0.4], bounds=[(-1, 1), (-1, 1)])
     cfg = NetConfig(2, (8,), 4, 8)
     theta = 3.0
@@ -244,26 +259,27 @@ def test_batch_mixes_singular_column_counts():
     params[2, 1] = 20.0  # an edge cell touches two
     params[3, 4] = 0.2  # the centre cell touches all four
     params[4] = [1.0, 10.0, 1.0, 10.0, 1.0, 10.0, 1.0, 10.0, 1.0]
-    sing = [
-        singular_evals_from_cache(cache.polar, pairs)
-        for pairs in vertex_eigenpairs(g, params, 2)
-    ]
-    counts = [s.shape[1] for s in sing]
-    assert counts[:4] == [0, 1, 2, 4], counts
+    pairs_per_p = vertex_eigenpairs(g, params, 2)
+    sing = singular_evals_from_cache(cache.polar, pairs_per_p)
+    filled = filled_slots(pairs_per_p)
+    assert filled.sum(axis=1)[:4].tolist() == [0, 1, 2, 4]
+    assert not np.any(sing.transpose(0, 2, 1)[~filled])  # empty slots are zero columns
     batch = solve_parameter_batch(cache, params, singular_evals_per_p=sing)
+    assert batch.y_sing.shape == sing.shape[::2]
     n = cache.n_basis
     for k in range(len(params)):
-        y, res = solve_normal_equations(assemble_system(cache, params[k], sing[k], theta))
-        # tight enough to fail a ridge taken from the padded size (off by 1e-9 here)
+        own = sing[k][:, filled[k]]
+        y, res = solve_normal_equations(assemble_system(cache, params[k], own, theta))
+        # tight enough to fail a ridge that counts the empty slots (off by 1e-9 here)
         tol = 1e-11 * np.abs(y).max()
-        assert batch.y_sing[k].shape == (counts[k],)
         np.testing.assert_allclose(batch.y_nn[k], y[:n], rtol=0, atol=tol)
-        np.testing.assert_allclose(batch.y_sing[k], y[n:], rtol=0, atol=tol)
+        np.testing.assert_allclose(batch.y_sing[k, filled[k]], y[n:], rtol=0, atol=tol)
+        assert batch.y_sing[k, ~filled[k]].tolist() == [0.0] * int(np.sum(~filled[k]))
         assert batch.losses[k] == pytest.approx(res, rel=1e-12)
 
 
 def test_batch_support_rows_match_the_scattered_dense_system():
-    """Blocks of 0, 2 and 4 singular columns on the annulus rows: scattered
+    """Rows of 0, 2 and 4 filled singular slots on the annulus rows: scattered
     to all J1 interior rows they give assemble_system's singular columns,
     and at the batch's coefficients that dense system has the batch's
     losses, and its residuals give the batch's row adjoints, written into
@@ -277,11 +293,9 @@ def test_batch_support_rows_match_the_scattered_dense_system():
     params = np.full((3, 9), 2.0)  # uniform: no exponent in (0, 1)
     params[1, 1] = 20.0  # an edge cell touches two vertices
     params[2, 4] = 0.2  # the centre cell touches all four
-    sing = [
-        singular_evals_from_cache(cache.polar, pairs)
-        for pairs in vertex_eigenpairs(g, params, 1)
-    ]
-    assert [s.shape[1] for s in sing] == [0, 2, 4]
+    pairs_per_p = vertex_eigenpairs(g, params, 1)
+    sing = singular_evals_from_cache(cache.polar, pairs_per_p)
+    assert filled_slots(pairs_per_p).sum(axis=1).tolist() == [0, 2, 4]
     rows = cache.polar.annulus_rows
     assert 0 < rows.size < cache.quad.n_interior
     out = adjoint_arrays(cache)
@@ -290,7 +304,7 @@ def test_batch_support_rows_match_the_scattered_dense_system():
     expected = [np.zeros_like(cache.wlap), np.zeros_like(cache.wtrace), np.zeros_like(cache.wtrace)]
     atol = 0.0
     for k, p in enumerate(params):
-        dense = np.zeros((j1, sing[k].shape[1]))
+        dense = np.zeros((j1, sing.shape[2]))
         dense[rows] = sing[k]
         system = assemble_system(cache, p, sing[k], theta)
         p_int = p[cache.quad.interior_subdomain]
@@ -329,9 +343,9 @@ def test_batch_support_rows_match_the_scattered_dense_system():
 
 def test_blocked_batch_matches_each_parameter_solved_alone():
     """A batch of 2 BLOCK + 3 parameters runs in three blocks whose largest
-    singular counts differ (4, 4 and 1), with mixed counts on both sides of
-    each block edge: every parameter's coefficients and loss match its
-    own batch of one."""
+    filled-slot counts differ (4, 4 and 1), with mixed counts on both sides
+    of each block edge: every parameter's coefficients and loss match its
+    own batch of one, which has only its own filled slots."""
     g = build_grid_geometry(2, cuts_x=[-0.4, 0.3], cuts_y=[-0.3, 0.4], bounds=[(-1, 1), (-1, 1)])
     cfg = NetConfig(2, (8,), 4, 8)
     theta = 3.0
@@ -347,21 +361,22 @@ def test_blocked_batch_matches_each_parameter_solved_alone():
     kinds[2 * BLOCK :] = [1, 0, 1]
     # a common factor per parameter leaves its exponents, and so its count, as they are
     params = templates[kinds] * rng.uniform(0.5, 2.0, size=(kinds.size, 1))
-    sing = [
-        singular_evals_from_cache(cache.polar, pairs)
-        for pairs in vertex_eigenpairs(g, params, 2)
-    ]
-    counts = np.array([s.shape[1] for s in sing])
+    pairs_per_p = vertex_eigenpairs(g, params, 2)
+    sing = singular_evals_from_cache(cache.polar, pairs_per_p)
+    filled = filled_slots(pairs_per_p)
+    counts = filled.sum(axis=1)
     assert counts[BLOCK - 1] != counts[BLOCK] and counts[2 * BLOCK - 1] != counts[2 * BLOCK]
     assert [counts[s : s + BLOCK].max() for s in range(0, kinds.size, BLOCK)] == [4, 4, 1]
     batch = solve_parameter_batch(cache, params, singular_evals_per_p=sing)
     for k in range(kinds.size):
-        alone = solve_parameter_batch(cache, params[k : k + 1], singular_evals_per_p=[sing[k]])
+        own = singular_evals_from_cache(cache.polar, pairs_per_p[k : k + 1])
+        assert own.shape[2] == counts[k]
+        alone = solve_parameter_batch(cache, params[k : k + 1], singular_evals_per_p=own)
         y = np.concatenate([alone.y_nn[0], alone.y_sing[0]])
         tol = 1e-11 * np.abs(y).max()
-        assert batch.y_sing[k].shape == (counts[k],)
         np.testing.assert_allclose(batch.y_nn[k], alone.y_nn[0], rtol=0, atol=tol)
-        np.testing.assert_allclose(batch.y_sing[k], alone.y_sing[0], rtol=0, atol=tol)
+        np.testing.assert_allclose(batch.y_sing[k, filled[k]], alone.y_sing[0], rtol=0, atol=tol)
+        assert not np.any(batch.y_sing[k, ~filled[k]])
         assert batch.losses[k] == pytest.approx(alone.losses[0], rel=1e-12)
 
 
@@ -386,25 +401,26 @@ def test_batch_solve_holds_no_normal_matrix_stack():
 
 def test_batch_dead_singular_column_is_per_system():
     """Under the default ridge a dead (all-zero) singular column solves to 0,
-    and the other parameters of the batch solve as they do alone."""
+    and every parameter of the batch solves as it does without it: the
+    dead column is left out of the mean that sets the ridge."""
     g = geom_1d()
     cache = make_cache(g, NetConfig(1, (6,), 3, 5), seed=4, n_int=20)
     params = np.random.default_rng(9).uniform(0.5, 10.0, size=(3, 5))
-    dead = np.zeros((cache.polar.annulus_rows.size, 1))
-    batch = solve_parameter_batch(cache, params, [None, dead, None])
+    dead = np.zeros((3, cache.polar.annulus_rows.size, 1))
+    batch = solve_parameter_batch(cache, params, dead)
     alone = solve_parameter_batch(cache, params)
-    # cond(A) is about 2e8 here: padding moves y by 1e-8, a ridge of 1e-10 by 4e-5
-    for k in (0, 2):
+    # cond(A) is about 2e8 here: a ridge of 1e-10 moves y by 4e-5
+    for k in range(3):
         tol = 1e-6 * np.abs(alone.y_nn[k]).max()
         np.testing.assert_allclose(batch.y_nn[k], alone.y_nn[k], rtol=0, atol=tol)
         assert batch.losses[k] == pytest.approx(alone.losses[k], rel=1e-12)
-    assert batch.y_sing[1].tolist() == [0.0]
-    assert batch.losses[1] == pytest.approx(alone.losses[1], rel=1e-6)
+    assert batch.y_sing.tolist() == [[0.0]] * 3
 
 
 def test_batch_zero_basis_solves_to_zero():
-    """A zero normal matrix has mean diagonal 0; its ridge is RIDGE_REL, so
-    the solve gives y = 0 and the loss of the zero candidate."""
+    """Every column of a zero normal matrix is dead: each gets a unit
+    diagonal, so the solve gives y = 0 and the loss of the zero
+    candidate."""
     g = geom_1d()
     quad = sample_collocation(g, 6, 1, np.random.default_rng(0))
     lap, trace = np.zeros((quad.n_interior, 3)), np.zeros((quad.n_interface, 3))
@@ -418,37 +434,65 @@ def test_batch_zero_basis_solves_to_zero():
         assert batch.losses[k] == pytest.approx(l @ l, rel=1e-14)
 
 
+def exact_cache():
+    """A cache on the 2x2 layout whose arithmetic is exact: one interior
+    point of unit weight in each cell, off the vertex's disk, where network
+    column i's Laplacian is 1 in cell i and 0 elsewhere, then one point on
+    the annulus, where every network column is 0; no interface point.  A
+    system's network block is diag(p_i^2), its border is zero, and its
+    singular block is the product of the annulus row's weighted sources."""
+    g = geom_2x2()
+    points = np.array([[-0.5, -0.5], [0.5, -0.5], [-0.5, 0.5], [0.5, 0.5], [0.25, 0.1]])
+    sub = subdomain_index_many(g, points)
+    quad = QuadratureSet(points, np.ones(5), sub, np.zeros((0, 2)), np.zeros(0),
+                         np.zeros(0, dtype=int))
+    lap = np.zeros((5, 4))
+    lap[np.arange(4), sub[:4]] = 1.0
+    trace = np.zeros((0, 4))
+    cache = build_epoch_cache(g, default_cutoff_config(g), quad, lap, trace, trace,
+                              RhsSpec.for_geometry("corner2d", g))
+    assert cache.polar.annulus_rows.tolist() == [4]
+    return cache
+
+
 def test_batch_singular_system_raises_named(monkeypatch):
-    """With ridge 0 a dead singular column makes its system singular: the
-    solve raises and names that system by its index in the whole batch,
-    in the first block or a later one, and no ridge is retried."""
+    """With ridge 0, two equal singular columns make their system singular:
+    the solve raises and names that system by its index in the whole
+    batch, in the first block or a later one, and no ridge is retried.
+    The other systems' slots are empty, which does not make them
+    singular.  With p = 2 the equal columns' block is 4 times ones, whose
+    second Cholesky pivot is 4 - 2^2 = 0 exactly, on any BLAS."""
     monkeypatch.setattr(assembly, "RIDGE_REL", 0.0)
-    g = geom_1d()
-    cache = make_cache(g, NetConfig(1, (6,), 3, 5), seed=4, n_int=20)
+    cache = exact_cache()
     for n_p, bad in ((3, 1), (2 * BLOCK + 3, BLOCK + 5)):
-        params = np.random.default_rng(9).uniform(0.5, 10.0, size=(n_p, 5))
-        sing = [None] * n_p
-        sing[bad] = np.zeros((cache.polar.annulus_rows.size, 1))
+        params = np.full((n_p, 4), 2.0)
+        sing = np.zeros((n_p, 1, 2))
+        sing[bad] = 1.0
         with pytest.raises(SolveError, match=f"system {bad} ") as err:
             solve_parameter_batch(cache, params, sing)
         assert err.value.index == bad
-        solve_parameter_batch(cache, params)  # the live systems alone solve
+        sing[bad, :, 1] = 0.0
+        solve_parameter_batch(cache, params, sing)  # a system of distinct columns solves
 
 
 def test_batch_rejects_singular_block_of_another_length():
-    """A singular block must have one row per annulus point; one of shape
-    (1, m) is not broadcast over the R rows, and one of J1 rows is not
-    read as dense."""
+    """The singular block must be one (P, R, M) array, one row per
+    parameter and R per annulus point: one of shape (P, 1, M) is not
+    broadcast over the R rows, one of J1 rows is not read as dense, and
+    neither a list of per-parameter blocks nor one block for the batch is
+    taken.  A parameter's (R, M) row must match the annulus rows in
+    `assemble_system` too."""
     g = geom_2x2()
     cache = make_cache(g, NetConfig(2, (6,), 1, 2), seed=3, n_int=6, n_ifc=3)
     params = np.random.default_rng(5).uniform(0.5, 10.0, size=(2, 4))
     assert cache.polar.annulus_rows.size > 1
-    s = np.random.default_rng(6).normal(size=(cache.polar.annulus_rows.size, 2))
-    solve_parameter_batch(cache, params, [s, None])
-    dense = np.zeros((cache.quad.n_interior, 2))
-    for bad in (s[:1], s[:-1], np.concatenate([s, s]), dense):
+    s = np.random.default_rng(6).normal(size=(2, cache.polar.annulus_rows.size, 2))
+    solve_parameter_batch(cache, params, s)
+    dense = np.zeros((2, cache.quad.n_interior, 2))
+    for bad in (s[:, :1], s[:, :-1], np.concatenate([s, s], axis=1), dense, s[:1], s[0], list(s)):
         with pytest.raises(ValueError, match="annulus rows"):
-            solve_parameter_batch(cache, params, [bad, None])
+            solve_parameter_batch(cache, params, bad)
+    for bad in (s[0, :1], s[0, :-1], dense[0]):
         with pytest.raises(ValueError, match="annulus rows"):
             assemble_system(cache, params[0], bad, 1.0)
 
@@ -480,7 +524,7 @@ def test_singular_evals_cache_matches_direct():
     p = np.array([1.0, 10.0, 10.0, 1.0])
     pairs = solve_eigenpairs(assemble_eigensystem([s[2] for s in angular_trace(g, p, 0)]))
     sel = [select_singular(pairs, 2)]
-    fast = singular_evals_from_cache(cache.polar, sel)
+    (fast,) = singular_evals_from_cache(cache.polar, [sel])
     cut = default_cutoff_config(g)
     direct = np.zeros((cache.quad.n_interior, len(sel[0])))
     for j, (x, y) in enumerate(cache.quad.interior_points - g.singular_vertices[0]):
@@ -505,7 +549,7 @@ def test_singular_columns_zero_on_jump_rows():
     cache = make_cache(g, cfg, seed=14, n_int=10, n_ifc=4, theta=5.0)
     p = np.array([1.0, 8.0, 8.0, 1.0])
     pairs = solve_eigenpairs(assemble_eigensystem([s[2] for s in angular_trace(g, p, 0)]))
-    sing = singular_evals_from_cache(cache.polar, [select_singular(pairs, 1)])
+    (sing,) = singular_evals_from_cache(cache.polar, [[select_singular(pairs, 1)]])
     sysk = assemble_system(cache, p, sing, 5.0)
     np.testing.assert_array_equal(
         sysk.matrix[cache.quad.n_interior :, cache.n_basis :], 0.0

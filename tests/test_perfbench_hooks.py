@@ -59,10 +59,11 @@ def test_the_benchmark_checks_use_the_programs_selection_band(perfbench_module):
     assert perfbench_module("checks").SELECT_BAND == eigen.SELECT_BAND
 
 
-def test_the_benchmark_script_imports_and_names_the_declared_workloads(monkeypatch):
-    """Loading perfbench/run.py runs its imports of the program, so a name
-    it uses that the program no longer has fails here.  Its modules leave
-    sys.modules and sys.path afterwards."""
+@pytest.fixture
+def benchmark_script(monkeypatch):
+    """perfbench/run.py, loaded as the benchmark runs it.  Loading it runs
+    its imports of the program; its modules leave sys.modules and sys.path
+    afterwards."""
     monkeypatch.syspath_prepend(str(PERFBENCH))  # run.py imports its siblings by name
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     before = set(sys.modules)
@@ -75,8 +76,42 @@ def test_the_benchmark_script_imports_and_names_the_declared_workloads(monkeypat
         for name in set(sys.modules) - before:
             if str(getattr(sys.modules[name], "__file__", None) or "").startswith(str(PERFBENCH)):
                 del sys.modules[name]
+    return run
+
+
+def test_the_benchmark_script_imports_and_names_the_declared_workloads(benchmark_script):
+    """A name run.py uses that the program no longer has fails its load."""
     declared = json.loads((PERFBENCH.parent / "BENCHMARK.json").read_text())["workloads"]
-    assert sorted(run.WORKLOADS) == sorted(w["name"] for w in declared)
+    assert sorted(benchmark_script.WORKLOADS) == sorted(w["name"] for w in declared)
+
+
+def test_the_benchmark_capture_sees_the_singular_block(benchmark_script, monkeypatch):
+    """run.py's `Capture` wraps `training.solve_parameter_batch` and binds
+    its singular block by the keyword ``singular_evals_per_p``.  One
+    gradient evaluation on the 3x3 layout with singular modes reaches it
+    there, and the benchmark's least-squares check of each parameter, on
+    its row of the block, passes."""
+    # held by monkeypatch, so that teardown restores what Capture replaces
+    for name in ("prepare_epoch", "solve_parameter_batch"):
+        monkeypatch.setattr(training, name, getattr(training, name))
+    capture = benchmark_script.Capture()
+    capture.install()
+    g = geom_3x3()
+    quad = sample_collocation(g, 12, 6, np.random.default_rng(0))
+    parameters = sample_parameters(np.random.default_rng(1), 4, g.n_subdomains, 0.1, 10.0)
+    pairs_per_p = vertex_eigenpairs(g, parameters, 2)
+    assert all(any(pairs) for pairs in pairs_per_p)
+    data = EpochData(g, default_cutoff_config(g), RhsSpec.for_geometry("corner2d", g), quad,
+                     parameters, pairs_per_p, 1.0)
+    _, grad = loss_and_param_gradient(init_params(NetConfig(2, (8,), 4, 8), 2), data)
+    assert grad is not None
+    (cache, captured, sing, batch), = capture.solves
+    assert captured is parameters
+    assert sing is not None
+    checks = benchmark_script.checks
+    for k in range(len(parameters)):
+        excess = checks.ls_excess(cache, parameters[k], sing[k], float(batch.losses[k]))
+        assert excess <= checks.LS_RTOL
 
 
 def test_tracer_counts_each_forward_point_once(perfbench_module):
@@ -108,14 +143,17 @@ def test_tracer_sees_one_span_of_each_cutoff_stage(perfbench_module):
     `interface_trace_factors` calls on the training namespace: one gradient
     evaluation on the 3x3 layout makes exactly one of each.  A refactor
     that calls either off that namespace reads 0 there, which CI's
-    benchmark-smoke stage check also rejects."""
+    benchmark-smoke stage check also rejects.  Its parameters have singular
+    modes, and `assembly.singular_s`'s one `singular_evals_from_cache`
+    call builds the sources of the whole batch."""
     spans = perfbench_module("spans")
     g = geom_3x3()
     rhs = RhsSpec.for_geometry("corner2d", g)
     quad = sample_collocation(g, 12, 6, np.random.default_rng(0))
     parameters = sample_parameters(np.random.default_rng(1), 4, g.n_subdomains, 0.1, 10.0)
-    data = EpochData(g, default_cutoff_config(g), rhs, quad, parameters,
-                     vertex_eigenpairs(g, parameters, 2), 1.0)
+    pairs_per_p = vertex_eigenpairs(g, parameters, 2)
+    assert sum(map(any, pairs_per_p)) > 1
+    data = EpochData(g, default_cutoff_config(g), rhs, quad, parameters, pairs_per_p, 1.0)
     tracer = spans.Tracer()
     tracer.install()
     try:
@@ -126,6 +164,7 @@ def test_tracer_sees_one_span_of_each_cutoff_stage(perfbench_module):
     names = [span[2] for span in tracer.spans]
     assert names.count("composition_factors") == 1
     assert names.count("interface_trace_factors") == 1
+    assert names.count("singular_evals_from_cache") == 1
 
 
 def test_tracer_sees_one_eigensolve_and_one_selection_per_vertex(perfbench_module):
@@ -158,8 +197,8 @@ def test_ls_check_accepts_the_batched_solve_in_2d(perfbench_module):
     pairs_per_p = vertex_eigenpairs(g, parameters, 2)
     data = EpochData(g, cut, rhs, quad, parameters, pairs_per_p, 5.0)
     cache, *_ = _composed_cache(init_params(NetConfig(2, (8,), 2, 4), 2), data)
-    sing = [singular_evals_from_cache(cache.polar, pairs) for pairs in pairs_per_p]
-    assert all(s.shape[1] > 0 for s in sing)
+    sing = singular_evals_from_cache(cache.polar, pairs_per_p)
+    assert all(any(pairs) for pairs in pairs_per_p)
     batch = solve_parameter_batch(cache, parameters, sing)
     for k in range(len(parameters)):
         excess = checks.ls_excess(cache, parameters[k], sing[k], float(batch.losses[k]))

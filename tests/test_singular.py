@@ -42,7 +42,8 @@ def gradients(pairs, pts, col=0):
 
 def sources(pairs, pts, col=0):
     polar = polar_cache(pts, G, CFG)
-    return on_points(polar.annulus_rows, singular_evals_from_cache(polar, pairs), len(pts))[:, col]
+    (src,) = singular_evals_from_cache(polar, [pairs])
+    return on_points(polar.annulus_rows, src, len(pts))[:, col]
 
 
 def fourier_basis():
@@ -71,13 +72,13 @@ def test_support_outside_delta2():
     val, grad = eval_s(polar_cache(pts, G, CFG), b)
     np.testing.assert_allclose(val, 0.0)
     np.testing.assert_allclose(grad, 0.0)
-    np.testing.assert_allclose(singular_evals_from_cache(polar_cache(pts, G, CFG), b), 0.0)
+    np.testing.assert_allclose(singular_evals_from_cache(polar_cache(pts, G, CFG), [b]), 0.0)
 
 
 def test_source_zero_inside_delta1():
     b = make_basis()
     pts = np.array([[0.05, 0.05], [0.0, 0.1], [-0.1, -0.05]])
-    np.testing.assert_allclose(singular_evals_from_cache(polar_cache(pts, G, CFG), b), 0.0)
+    np.testing.assert_allclose(singular_evals_from_cache(polar_cache(pts, G, CFG), [b]), 0.0)
 
 
 def test_homogeneity_near_vertex():
@@ -114,6 +115,31 @@ def test_gradient_guard_at_vertex():
     # the sources do not need the gradient: zero there, not an error
     pts = np.array([[0.0, 0.0], [1e-14, 0.0]])
     np.testing.assert_array_equal(sources(b, pts), 0.0)
+
+
+def test_gradient_guard_only_at_vertices_with_selected_pairs():
+    """On the four-vertex layout with pairs selected at one vertex alone, a
+    point on that vertex raises, and a point on any other vertex evaluates:
+    every function is 0 there, and so is its gradient."""
+    g = geom_3x3()
+    cfg = default_cutoff_config(g)
+    p = np.random.default_rng(6).uniform(0.1, 10.0, size=g.n_subdomains)
+    pairs = []
+    for vid in range(g.n_singular):
+        trace = np.array([s[2] for s in angular_trace(g, p, vid)])
+        pairs.append(select_singular(solve_eigenpairs(assemble_eigensystem(trace)), 2))
+    chosen = next(v for v, sel in enumerate(pairs) if sel)
+    only = [sel if v == chosen else [] for v, sel in enumerate(pairs)]
+    for vid, vertex in enumerate(g.singular_vertices):
+        polar = polar_cache(vertex[None, :], g, cfg)
+        if vid == chosen:
+            with pytest.raises(ValueError, match="guard radius"):
+                eval_s(polar, only)
+            continue
+        val, grad = eval_s(polar, only)
+        assert val.shape == (1, len(pairs[chosen]))
+        np.testing.assert_array_equal(val, 0.0)
+        np.testing.assert_array_equal(grad, 0.0)
 
 
 def test_gradient_matches_fd_on_annulus():
@@ -211,7 +237,7 @@ def test_singular_columns_stacking():
     assert sum(map(len, pairs)) > 1
     pts = np.random.default_rng(4).uniform(-1, 1, size=(400, 2))
     polar = polar_cache(pts, g, cfg)
-    src = singular_evals_from_cache(polar, pairs)
+    (src,) = singular_evals_from_cache(polar, [pairs])
     val, grad = eval_s(polar, pairs)
     n_cols = sum(map(len, pairs))
     assert src.shape == (polar.annulus_rows.size, n_cols)
@@ -221,11 +247,46 @@ def test_singular_columns_stacking():
     for vid, sel in enumerate(pairs):
         alone = [sel if k == vid else [] for k in range(g.n_singular)]
         cols = slice(start, start + len(sel))
-        np.testing.assert_array_equal(src[:, cols], singular_evals_from_cache(polar, alone))
+        np.testing.assert_array_equal(src[:, cols], singular_evals_from_cache(polar, [alone])[0])
         v, gr = eval_s(polar, alone)
         np.testing.assert_array_equal(val[:, cols], v)
         np.testing.assert_array_equal(grad[:, :, cols], gr)
         start += len(sel)
+
+
+def test_batch_block_places_each_parameters_columns_in_its_slots():
+    """A batch's block holds m_v slots at vertex v, the most pairs any
+    parameter has there.  A parameter's row holds its own columns, its
+    block alone, in its first slots at each vertex, and zeros in the
+    rest.  The pairs are drawn by hand from three junctions' modes, so
+    that a vertex holds up to two.  The columns agree to rounding: where a
+    vertex has more slots than the parameter has pairs, the angular
+    product runs as another BLAS call."""
+    g = geom_3x3()
+    traces = ((1.0, 10.0, 1.0, 10.0), (1.0, 100.0, 1.0, 100.0), (1.0, 1.0, 1.0, 100.0))
+    a, b, c = (make_basis(trace, 1)[0][0] for trace in traces)
+    pairs_per_p = [
+        [[a, b], [], [c], []],
+        [[a], [b, c], [], []],
+        [[], [], [], []],
+        [[c, a], [b], [a], [c]],
+    ]
+    counts = np.array([[len(sel) for sel in pairs] for pairs in pairs_per_p])
+    most = counts.max(axis=0)
+    assert most.tolist() == [2, 2, 1, 1]
+    pts = np.random.default_rng(4).uniform(-1, 1, size=(400, 2))
+    polar = polar_cache(pts, g, CutoffConfig(0.1, 0.2))
+    block = singular_evals_from_cache(polar, pairs_per_p)
+    assert block.shape == (len(pairs_per_p), polar.annulus_rows.size, most.sum())
+    for k, pairs in enumerate(pairs_per_p):
+        (own,) = singular_evals_from_cache(polar, [pairs])
+        assert own.shape[1] == counts[k].sum()
+        starts, own_starts = np.cumsum(most) - most, np.cumsum(counts[k]) - counts[k]
+        for start, own_start, m, n in zip(starts, own_starts, most, counts[k]):
+            np.testing.assert_allclose(block[k, :, start : start + n],
+                                       own[:, own_start : own_start + n], rtol=1e-13, atol=0)
+            np.testing.assert_array_equal(block[k, :, start + n : start + m], 0.0)
+        assert np.all(np.any(own != 0, axis=0))
 
 
 def test_empty_singular_block():
@@ -233,7 +294,7 @@ def test_empty_singular_block():
     b = [select_singular(pairs, 3)]
     assert b == [[]]
     polar = polar_cache(np.array([[0.1, 0.1]]), G, CFG)  # inside delta1: disk, not annulus
-    assert singular_evals_from_cache(polar, b).shape == (0, 0)
+    assert singular_evals_from_cache(polar, [b]).shape == (1, 0, 0)
     val, grad = eval_s(polar, b)
     assert val.shape == (1, 0) and grad.shape == (1, 2, 0)
 

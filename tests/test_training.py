@@ -141,18 +141,26 @@ def test_init_train_state_rejects_outputs_the_layout_cannot_compose(cuts, net):
 
 
 def test_run_epoch_wraps_singular_solve_in_epoch_error(monkeypatch):
-    """A solve that raises (a zero basis under ridge 0) surfaces as
-    EpochError with the epoch and the failing system named."""
+    """A solve that raises surfaces as EpochError with the epoch and the
+    failing system named.  The basis repeats its columns under ridge 0: a
+    network of zero weights and unit output biases gives every output the
+    raw value 1, so the outputs of one cutoff factor (8 of each in 1D)
+    compose to equal columns, whose diagonal is not zero.  Each repeat's
+    Cholesky pivot is a rounding error of either sign, and with 14 repeats
+    per system one comes out not positive; which system fails first is
+    left to the rounding."""
     g = geom_1d()
     cfg = small_config()
-    net = NetConfig(1, (4,), 2, 3)
+    net = NetConfig(1, (4,), 8, 8)
     state = init_train_state(g, net, cfg)
     state.params = MlpParams.from_flat(net, np.zeros(state.params.n_params))
+    state.params.layers[-1][1][:] = 1.0
     monkeypatch.setattr(assembly, "RIDGE_REL", 0.0)
     rhs = RhsSpec.for_geometry("sin1d", g)
-    with pytest.raises(EpochError, match="epoch 0, parameter 0: least-squares system 0 ") as err:
+    named = r"epoch 0, parameter (\d+): least-squares system \1 "
+    with pytest.raises(EpochError, match=named) as err:
         run_epoch(state, cfg, g, rhs, default_cutoff_config(g), None)
-    assert err.value.param_index == 0
+    assert 0 <= err.value.param_index < cfg.n_params
 
 
 def test_empty_parameter_batch_rejected():
@@ -360,8 +368,7 @@ def _whole_batch_seeds(params, data):
     one (J, N) set: the product's adjoint of the row adjoints over the
     whole interior and the whole interface at once."""
     cache, jets, cols, stack, ifc_stack, normals = _composed_cache(params, data)
-    sing = [singular_evals_from_cache(cache.polar, pairs) if pairs else None
-            for pairs in data.pairs_per_p]
+    sing = singular_evals_from_cache(cache.polar, data.pairs_per_p)
     bar_lap, bar_trace = out = _row_adjoints(cache)
     batch = solve_parameter_batch(cache, data.parameters, sing, out=out)
     for w in out:
@@ -462,8 +469,7 @@ def test_the_folded_trace_adjoint_equals_the_two_sides_apart(layout):
     loss, grad = loss_and_param_gradient(params, data)
 
     cache, jets, cols, stack, plus, normals = _composed_cache(params, data)
-    sing = [singular_evals_from_cache(cache.polar, pairs) if pairs else None
-            for pairs in data.pairs_per_p]
+    sing = singular_evals_from_cache(cache.polar, data.pairs_per_p)
     bar_lap, _ = out = _row_adjoints(cache)
     batch = solve_parameter_batch(cache, data.parameters, sing, out=out)
     scale = 2.0 / len(data.parameters)
@@ -648,16 +654,22 @@ def test_gradient_keeps_no_whole_batch_tape():
     assert loss_only + jets_nbytes <= with_gradient <= 1.4 * (loss_only + jets_nbytes)
 
 
-@pytest.mark.parametrize("layout, tag, net, n_interior", [
-    (geom_1d, "sin1d", NetConfig(1, (10, 10), 4, 6), 121),
-    (geom_2x2, "corner2d", NetConfig(2, (12, 12), 4, 8), 47),
-    (geom_3x3, "corner2d", NetConfig(2, (12, 12), 8, 8), 31),
-], ids=["1d", "2x2", "3x3"])
-def test_loss_only_pass_equals_the_gradient_paths_loss(layout, tag, net, n_interior):
+@pytest.mark.parametrize("layout, tag, net, n_interior, rtol", [
+    (geom_1d, "sin1d", NetConfig(1, (10, 10), 4, 6), 121, 0.0),
+    (geom_2x2, "corner2d", NetConfig(2, (12, 12), 4, 8), 47, 0.0),
+    (geom_3x3, "corner2d", NetConfig(2, (12, 12), 8, 8), 31, 0.0),
+    (geom_1d, "sin1d", NetConfig(1, (30, 30, 30), 10, 40), 200, 1e-7),
+], ids=["1d", "2x2", "3x3", "train1d-sin"])
+def test_loss_only_pass_equals_the_gradient_paths_loss(layout, tag, net, n_interior, rtol):
     """A loss-only pass evaluates the network per tile of interior points
     and then at the interface points, the gradient path at all points at
-    once; a point's jets do not depend on its tile, so the two losses are
-    equal bit for bit, with a ragged last interior tile."""
+    once, with a ragged last interior tile.  A point's jets depend on its
+    tile only through rounding, so the two losses agree to rounding, and
+    bit for bit where the tiles round alike, as on the first three cases
+    (rtol 0).  On the 1D benchmark's network and point counts (J1 = 1000,
+    J2 = 4) the interface points' jets alone differ from theirs inside the
+    last tile by one rounding, which the ill-conditioned solve amplifies
+    to 3e-10 to 6e-9 of the loss here."""
     g = layout()
     rhs = RhsSpec.for_geometry(tag, g)
     for seed in range(3):
@@ -670,7 +682,7 @@ def test_loss_only_pass_equals_the_gradient_paths_loss(layout, tag, net, n_inter
         params = init_params(net, seed)
         loss_only, grad = loss_and_param_gradient(params, data, need_gradient=False)
         assert grad is None
-        assert loss_only == loss_and_param_gradient(params, data)[0]
+        assert loss_only == pytest.approx(loss_and_param_gradient(params, data)[0], rel=rtol, abs=0)
 
 
 def test_determinism_bit_identical_losses():
@@ -911,7 +923,7 @@ def test_final_solve_2d_matches_explicit_reference():
     pairs = vertex_eigenpairs(g, p[None, :], 2)[0]
     data = EpochData(g, cut, rhs, quad, p[None, :], [pairs], theta)
     cache, *_ = _composed_cache(params, data)
-    sing = singular_evals_from_cache(cache.polar, pairs)
+    (sing,) = singular_evals_from_cache(cache.polar, [pairs])
     assert sing.shape[1] > 0
     system = assemble_system(cache, p, sing, theta)
     y, res = solve_normal_equations(system)
