@@ -6,13 +6,17 @@ side, then J2 jump rows carrying sqrt(Theta * weight) times the signed
 flux-jump bracket of the basis traces (singular columns are zero there).
 
 `build_epoch_cache` weights the parameter-free rows once, the Laplacians in
-place; the row weights are known to this module alone.  The jump rows keep
-one trace per column, the plus side's: the minus side's is that trace times
-a (J2, N) sign of +-1, so the cache holds one weighted trace and its sign,
-and each minus-side product is formed from the two where it is needed.  A
-row of the sign depends only on its interface's axis, so the sign is a few
-runs of equal rows s, which the cache lists, and the solve forms the minus
-side's products as wtrace (s * y), with no (J2, N) product of the sign.
+place; the row weights are known to this module alone.  It keeps the
+interior points' vertex-disk table (`singular.polar_cache`), which its
+caller builds once and also hands to the cutoff factors, for the rows of
+the singular columns; it needs nothing else of the cutoff.  The jump rows
+keep one trace per column, the plus side's: the minus side's is that trace
+times a (J2, N) sign of +-1, so the cache holds one weighted trace and its
+sign, and each minus-side product is formed from the two where it is
+needed.  A row of the sign depends only on its interface's axis, so the
+sign is a few runs of equal rows s, which the cache lists, and the solve
+forms the minus side's products as wtrace (s * y), with no (J2, N)
+product of the sign.
 Every entry of the network columns is affine in the diffusivity vector p,
 so their block of B^T B is a quadratic polynomial in p whose coefficient
 matrices, the Gram blocks, the cache holds.  `solve_parameter_batch`, the
@@ -47,11 +51,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dposv as _dposv
 
-from .cutoffs import CutoffConfig
 from .geometry import Geometry, validate_parameter, validate_parameter_batch
 from .reference import RhsSpec
 from .sampling import QuadratureSet
-from .singular import PolarCache, polar_cache
+from .singular import PolarCache
 
 __all__ = [
     "EpochCache",
@@ -160,7 +163,7 @@ class CoefficientVector:
 
 def build_epoch_cache(
     geometry: Geometry,
-    cutoff_config: CutoffConfig,
+    polar: PolarCache,
     quad: QuadratureSet,
     lap: np.ndarray,
     trace: np.ndarray,
@@ -176,13 +179,17 @@ def build_epoch_cache(
     its plus-side trace negated and +1 where the two are equal.  The cache
     owns ``lap``: it is weighted in place and kept, so a caller that still
     needs the raw Laplacians passes a copy.  The trace is a weighted copy,
-    and ``sign`` is kept as given.  The jump weight ``theta`` must be
-    finite and nonnegative (ValueError).
+    and ``sign`` is kept as given.  ``polar`` is the vertex-disk table of
+    the interior points (`singular.polar_cache`), kept as given for the
+    singular columns' rows; a table made for another number of points
+    raises ValueError.  The jump weight ``theta`` must be finite and
+    nonnegative (ValueError).
     """
     if not (np.isfinite(theta) and theta >= 0):
         raise ValueError(f"theta must be finite and nonnegative, got {theta}")
     if lap.shape[0] != quad.n_interior:
         raise ValueError("Laplacian rows do not match the interior points")
+    polar.check_points(quad.n_interior)
     if trace.shape != (quad.n_interface, lap.shape[1]) or sign.shape != trace.shape:
         raise ValueError("trace shapes do not match the interface points")
     pf, fixed = rhs.factors(quad.interior_points)
@@ -193,7 +200,6 @@ def build_epoch_cache(
     lap *= sw[:, None]  # in place: no second (J1, N) array
     wrhs_p, wrhs_fixed = sw * pf, sw * fixed
     wtrace = sj[:, None] * trace
-    polar = polar_cache(quad.interior_points, geometry, cutoff_config)
     gram = _build_gram(geometry, quad, lap, wrhs_p, wrhs_fixed, wtrace, sign, theta)
     return EpochCache(
         geometry, quad, sw, sj, lap, wrhs_p, wrhs_fixed, wtrace, sign, _sign_runs(sign),

@@ -8,8 +8,9 @@ Four families, all with analytic value, gradient and Laplacian:
   (sum d^-2)^(-1/2) over the interface lines of one axis, zero on each line
   with one-sided normal slopes of exactly +-1 in the limit.  The lines are
   the cuts themselves, ``geometry.cuts_x`` (and in 2D ``cuts_y``);
-* singularity-exclusion vectors Phi1/Phi2 built from 1 - eta(|x - x_n|),
-  block-constant so each output group is tied to one vertex;
+* singularity-exclusion vectors Phi1/Phi2 built from the factors
+  phi_v = 1 - eta(|x - x_v|), block-constant so each output group is tied
+  to one vertex;
 * the radial transition eta itself, a C^2 quintic smoothstep equal to 1
   inside delta1 and 0 outside delta2.  Its default radii come from the
   smallest cell width of the tensor grid.
@@ -41,19 +42,27 @@ their group.  phi_v is exactly 1, with zero gradient and Laplacian, off
 vertex v's disk r >= delta2, where B * phi_v is B and B * psi_a * phi_v is
 B * psi_a bit for bit, so only the rows on that disk (about 4% of the
 points per vertex on the 2D benchmark layout) take the products
-(`_distinct_factors`).  Without a singular vertex (1D) no phi product is
-formed.  The stacks equal, bit for bit, ones that form every product at
-every point.
+(`_distinct_factors`).  The disks are not found here: both factor
+builders take the points' vertex-disk table (`singular.polar_cache`), the
+one place that finds each vertex's disk rows and evaluates its radius and
+eta, and form phi_v on the table's rows from its eta jet, so the
+exclusion factors and the singular columns read the same radius and eta.
+Without a singular vertex (1D) no phi product is formed.  The stacks
+equal, bit for bit, ones that form every product at every point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .geometry import Geometry
 from .nets import Jets
+
+if TYPE_CHECKING:  # singular imports this module for the radii and eta
+    from .singular import PolarCache
 
 __all__ = [
     "CutoffConfig",
@@ -159,41 +168,6 @@ def jump_adf_jet(points: np.ndarray, lines: list[tuple[int, float]]) -> Jets:
     return Jets(value, grad, lap)
 
 
-def _phi_disks(points: np.ndarray, geometry: Geometry, config: CutoffConfig):
-    """Yields, per singular vertex v, the rows of the points on its disk
-    r = |x - x_v| < delta2 and the exclusion factor phi_v = 1 - eta(r)
-    there, as jets; nothing without a singular vertex (always in 1D).
-
-    Off the disk `eta_jet` returns exact zeros (its smoothstep reads 1 at
-    t = 1), so phi_v is exactly 1 with zero gradient and Laplacian there,
-    and no jets are made for those rows.  The rows are chosen from the
-    radius the factor is made from, so no row on which phi_v differs from
-    1 is left out.
-    """
-    d = points.shape[1]
-    for vx in geometry.singular_vertices:
-        dx = points - vx[None, :]
-        # the root of the sum of squares as np.linalg.norm forms it, bit for
-        # bit, one component plane at a time rather than by a reduction over
-        # the short last axis, which took six times as long
-        sq = dx[:, 0] * dx[:, 0]
-        for k in range(1, d):
-            sq += dx[:, k] * dx[:, k]
-        r = np.sqrt(sq)
-        disk = np.flatnonzero(r < config.delta2)
-        dx, r = dx[disk], r[disk]
-        eta, deta, ddeta = eta_jet(r, config)
-        safe_r = np.where(r > 1e-300, r, 1.0)
-        grad = -deta[:, None] * (dx / safe_r[:, None])
-        # radial Laplacian eta'' + (d - 1) eta' / r, with phi = 1 - eta
-        lap = -ddeta - (d - 1) * deta / safe_r
-        # inside r <= delta1 eta is identically 1, all derivatives vanish
-        flat = r <= config.delta1
-        grad[flat] = 0.0
-        lap[flat] = 0.0
-        yield disk, Jets(1.0 - eta, grad, lap)
-
-
 def factor_index(geometry: Geometry, n1: int, n2: int) -> np.ndarray:
     """Index of each of the n1 + n2 outputs' factor in the distinct stack.
 
@@ -218,7 +192,7 @@ def factor_index(geometry: Geometry, n1: int, n2: int) -> np.ndarray:
     return np.concatenate([w, max(n_s, 1) * (1 + axes) + v])
 
 
-def _distinct_factors(points, geometry, config, psis) -> Jets:
+def _distinct_factors(points, geometry, polar, psis) -> Jets:
     """Every distinct cutoff factor, stacked as (J, F) Jets: B * phi_v per
     vertex v, then B * psi_a * phi_v per interface axis a and vertex v, for
     the jump cutoffs ``psis`` (one per axis), in the order of
@@ -226,13 +200,18 @@ def _distinct_factors(points, geometry, config, psis) -> Jets:
 
     The bases B and B * psi_a are made once at all points and written into
     every column of their group of max(N_s, 1) factors.  Only the rows on
-    vertex v's disk (`_phi_disks`) are then overwritten with the products
-    B * phi_v and B * psi_a * phi_v.  Off the disk phi_v is exactly 1 with
+    vertex v's disk, the rows of its entry in the vertex-disk table
+    ``polar`` (`singular.polar_cache`), are then overwritten with the
+    products B * phi_v and B * psi_a * phi_v, phi_v = 1 - eta formed from
+    the table's radius r, unit direction u and eta jet: gradient -eta' u
+    and Laplacian -eta'' - eta'/r.  Off the disk phi_v is exactly 1 with
     zero derivatives, so there the product rule gives the base itself, bit
     for bit up to the sign of a zero: the stack equals the one that forms
     every product at every point.  Without a singular vertex (1D) each
-    group is its base alone.
+    group is its base alone.  A table made for another number of points
+    raises ValueError.
     """
+    polar.check_points(len(points))
     bjet = boundary_cutoff_jet(points, geometry)
     bases = [bjet] + [bjet * psi for psi in psis]
     n, d = points.shape
@@ -244,7 +223,11 @@ def _distinct_factors(points, geometry, config, psis) -> Jets:
         value[:, group] = base.value[:, None]
         components[:, :, group] = base.gradient.T[:, :, None]
         lap[:, group] = base.laplacian[:, None]
-    for v, (disk, phi) in enumerate(_phi_disks(points, geometry, config)):
+    for v, geo in enumerate(polar.vertices):
+        disk = geo.rows
+        # eta' = 0 wherever r <= delta1, so a point at the vertex divides 0 by 1
+        phi_lap = -geo.eta_pp - geo.eta_p / np.where(geo.r > 0, geo.r, 1.0)
+        phi = Jets(1.0 - geo.eta, -geo.eta_p[:, None] * geo.direction, phi_lap)
         for g, base in enumerate(bases):
             k = g * n_v + v
             jet = base.rows(disk) * phi
@@ -285,8 +268,11 @@ def _psi_jets(points: np.ndarray, axes: np.ndarray, geometry: Geometry):
         yield psi
 
 
-def composition_factors(points, geometry: Geometry, config: CutoffConfig) -> Jets:
-    """The distinct cutoff factors at interior points, as (J, F) jets.
+def composition_factors(points, geometry: Geometry, polar: PolarCache) -> Jets:
+    """The distinct cutoff factors at interior points, as (J, F) jets,
+    phi_v read from the points' vertex-disk table ``polar``
+    (`singular.polar_cache`), which must index exactly these points
+    (ValueError).
 
     The composed basis there is ``stack.columns(index) * raw`` for
     (J, n1 + n2) raw network jets and the `factor_index` of the outputs,
@@ -295,15 +281,18 @@ def composition_factors(points, geometry: Geometry, config: CutoffConfig) -> Jet
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     psis = _psi_jets(points, np.full(len(points), -1), geometry)
-    return _distinct_factors(points, geometry, config, psis)
+    return _distinct_factors(points, geometry, polar, psis)
 
 
 def interface_trace_factors(
-    points, interface_axes, geometry: Geometry, config: CutoffConfig
+    points, interface_axes, geometry: Geometry, polar: PolarCache
 ) -> tuple[Jets, np.ndarray]:
     """The plus-side distinct cutoff factors at points on interfaces with
     the given axes, as (J, F) jets in the order of `factor_index`, and the
     (J, F) mask of the factors that hold the psi of the point's own axis.
+    phi_v is read from the points' vertex-disk table ``polar``
+    (`singular.polar_cache`), which must index exactly these points
+    (ValueError).
 
     On its own line psi_a = |h| kinks: it has value 0, one-sided gradient
     +n on the plus side and -n on the minus side, with n the unit normal
@@ -317,7 +306,7 @@ def interface_trace_factors(
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     axes = np.asarray(interface_axes, dtype=int)
-    stack = _distinct_factors(points, geometry, config, _psi_jets(points, axes, geometry))
+    stack = _distinct_factors(points, geometry, polar, _psi_jets(points, axes, geometry))
     # factor k is B * psi_a * phi_v for a = k // max(N_s, 1) - 1 (a = -1: B * phi_v)
     axis_of = np.arange(stack.value.shape[1]) // max(geometry.n_singular, 1) - 1
     return stack, axis_of[None, :] == axes[:, None]

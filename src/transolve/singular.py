@@ -10,15 +10,20 @@ lives only on the transition annulus delta1 < r < delta2, so no Laplacian
 is ever evaluated near the vertex where r^(L-2) would blow up.  The s
 inside the printed source formula is the cutoff-free part r^L mu.
 
-`polar_cache` computes, once per point set, everything about those points
-that does not depend on the parameter: their polar coordinates about each
-vertex, the eta jet and the FE angular basis, and the support rows, the
-point indices of the disks and of the annuli.  Every singular block lives
-on its support rows only: `singular_evals_from_cache` gives the sources of
-all columns on the annulus rows (the least-squares rows) and `eval_s` the
-values and gradients of all columns on the disk rows (the solution
-fields), so their size follows the annuli and disks and not the point
-set.  Per parameter only the exponents and angular coefficients enter.
+`polar_cache` is the one vertex-disk table of a point set: once per point
+set it finds each vertex's disk, and holds there everything about those
+points that does not depend on the parameter, their radius and unit
+direction from the vertex, the eta jet and the FE angular basis, with the
+support rows, the point indices of the disks and of the annuli.  The same
+radius and eta serve both uses of the cutoff: the singular columns here,
+and the exclusion factors phi_v = 1 - eta of `cutoffs.composition_factors`
+and `cutoffs.interface_trace_factors`, which read the table's rows.  Every
+singular block lives on its support rows only: `singular_evals_from_cache`
+gives the sources of all columns on the annulus rows (the least-squares
+rows) and `eval_s` the values and gradients of all columns on the disk
+rows (the solution fields), so their size follows the annuli and disks and
+not the point set.  Per parameter only the exponents and angular
+coefficients enter.
 """
 
 from __future__ import annotations
@@ -41,10 +46,10 @@ class VertexGeo:
     """Parameter-independent factors at the points of one vertex's disk
     r < delta2, its annulus points (delta1 < r) first."""
 
+    rows: np.ndarray  # point indices of the disk, the annulus points first
     n_annulus: int  # the first n_annulus points lie on the annulus, where the source lives
     r: np.ndarray
-    cos_t: np.ndarray  # cos and sin of the polar angle
-    sin_t: np.ndarray
+    direction: np.ndarray  # (len, 2) unit vectors (x - x_v) / r, zero at the vertex itself
     eta: np.ndarray
     eta_p: np.ndarray
     eta_pp: np.ndarray
@@ -54,49 +59,60 @@ class VertexGeo:
 
 @dataclass
 class PolarCache:
-    """Per-vertex polar factors of one point set, vertex order of the geometry.
+    """The vertex-disk table of one point set: per-vertex polar factors,
+    vertex order of the geometry, and the number of points it indexes.
 
     The support rows are point indices, vertex-major in the same order as
-    ``vertices``: ``disk_rows`` lists every vertex's disk points, its
-    annulus points first, and ``annulus_rows`` the annulus points alone.
-    The disks are disjoint, so neither lists a point twice.
+    ``vertices``: ``disk_rows`` lists every vertex's disk points (its
+    ``rows``), its annulus points first, and ``annulus_rows`` the annulus
+    points alone.  The disks are disjoint, so neither lists a point twice.
+    A consumer of the table checks ``n_points`` against its own points.
     """
 
+    n_points: int
     vertices: list[VertexGeo]
     disk_rows: np.ndarray  # (D,) where the singular functions live
     annulus_rows: np.ndarray  # (R,) where their sources live, a subset of disk_rows
 
+    def check_points(self, n: int) -> None:
+        """Raise ValueError unless the table indexes ``n`` points."""
+        if n != self.n_points:
+            raise ValueError(f"the vertex-disk table indexes {self.n_points} points, not {n}")
+
 
 def polar_cache(points, geometry: Geometry, config: CutoffConfig) -> PolarCache:
-    """Factors of every point of ``points`` inside a singular vertex's disk.
+    """The vertex-disk table of ``points``: every point inside a singular
+    vertex's disk r = |x - x_v| < delta2, with its radius, unit direction,
+    eta jet and angular tables; no vertex in 1D.
 
-    A point inside two vertices' disks raises ValueError: the default radii
-    (`cutoffs.default_cutoff_config`) keep the disks apart.
+    r is the root of dx^2 + dy^2, bit for bit as `np.linalg.norm` forms
+    it, but from the two component planes rather than by a reduction over
+    the short last axis, which took six times as long.  The disk rows are
+    chosen from the radius eta is made from, so no row on which eta
+    differs from 0 is left out: off the disk `cutoffs.eta_jet` is exactly
+    0 with zero derivatives.  A point inside two vertices' disks raises
+    ValueError: the default radii (`cutoffs.default_cutoff_config`) keep
+    the disks apart.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     vertices = []
-    disks, annuli = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)]
     for v in geometry.singular_vertices:
-        dx = points[:, 0] - v[0]
-        dy = points[:, 1] - v[1]
-        r = np.hypot(dx, dy)
+        dx, dy = points[:, 0] - v[0], points[:, 1] - v[1]
+        r = np.sqrt(dx * dx + dy * dy)
         inside = r < config.delta2
         annulus = inside & (r > config.delta1)
-        ann = np.flatnonzero(annulus)
-        idx = np.concatenate([ann, np.flatnonzero(inside & ~annulus)])
-        ra = r[idx]
-        eta, ep, epp = eta_jet(ra, config)
-        theta = np.mod(np.arctan2(dy[idx], dx[idx]), 2 * np.pi)
-        vals, ders = basis_matrix(theta * XI_PER_THETA)
-        vertices.append(VertexGeo(
-            ann.size, ra, np.cos(theta), np.sin(theta), eta, ep, epp, vals, ders * XI_PER_THETA
-        ))
-        disks.append(idx)
-        annuli.append(ann)
-    disk_rows = np.concatenate(disks)
+        idx = np.concatenate([np.flatnonzero(annulus), np.flatnonzero(inside & ~annulus)])
+        ra, dx, dy = r[idx], dx[idx], dy[idx]
+        direction = np.stack([dx, dy], axis=1) / np.where(ra > 0, ra, 1.0)[:, None]
+        vals, ders = basis_matrix(np.mod(np.arctan2(dy, dx), 2 * np.pi) * XI_PER_THETA)
+        vertices.append(VertexGeo(idx, np.count_nonzero(annulus), ra, direction,
+                                  *eta_jet(ra, config), vals, ders * XI_PER_THETA))
+    empty = np.zeros(0, dtype=np.intp)
+    disk_rows = np.concatenate([empty] + [geo.rows for geo in vertices])
     if np.unique(disk_rows).size != disk_rows.size:
         raise ValueError("a point lies inside the cutoff disks of two singular vertices")
-    return PolarCache(vertices, disk_rows, np.concatenate(annuli))
+    annulus_rows = np.concatenate([empty] + [geo.rows[: geo.n_annulus] for geo in vertices])
+    return PolarCache(len(points), vertices, disk_rows, annulus_rows)
 
 
 def _vertex_slots(cache: PolarCache, pairs_per_p: list):
@@ -172,7 +188,7 @@ def eval_s(cache: PolarCache, pairs_per_vertex: list[list[EigenPair]]):
         # with s = r^L mu eta: r^(1-L) ds/dr and r^(1-L) (1/r) ds/dtheta
         ds_dr = lam * mu_eta + r * mu * geo.eta_p[:, None]
         ds_dt_over_r = (geo.ang_derivs @ coef) * geo.eta[:, None]
-        ct, st = geo.cos_t[:, None], geo.sin_t[:, None]
+        ct, st = geo.direction[:, :1], geo.direction[:, 1:]
         values[rows, cols] = r * rl1 * mu_eta
         grads[rows, 0, cols] = rl1 * (ds_dr * ct - ds_dt_over_r * st)
         grads[rows, 1, cols] = rl1 * (ds_dr * st + ds_dt_over_r * ct)

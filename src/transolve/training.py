@@ -13,7 +13,12 @@ and the plus-side interface traces n . grad(F * raw), formed from the
 normal components of the factors from `cutoffs.interface_trace_factors`
 and of the network jets alone, in `Jets.__mul__`'s order (see
 `_interface_rows`), both gathered with one
-`cutoffs.factor_index` per composition.  The minus-side traces are the
+`cutoffs.factor_index` per composition.  Each point set's vertex-disk
+table (`singular.polar_cache`), the disk rows, radius and eta about each
+junction, is built once: the interior points' by `_composed_cache` (and
+`QueryBasis.build`), which hands it to both the factor stack and the epoch
+cache, where the singular columns read it, and the interface points' by
+`_interface_rows`.  The minus-side traces are the
 plus side's times a sign, -1 where the factor vanishes on the point's own
 line and +1 elsewhere, so one product and one trace serve both sides: the
 epoch cache keeps that trace and its sign, and no minus-side array is
@@ -127,7 +132,7 @@ from .nets import (
 )
 from .reference import RhsSpec
 from .sampling import QuadratureSet, midpoint_grid, sample_collocation, sample_parameters
-from .singular import eval_s, singular_evals_from_cache
+from .singular import PolarCache, eval_s, polar_cache, singular_evals_from_cache
 
 __all__ = [
     "Seeds",
@@ -183,14 +188,24 @@ class TrainConfig:
     val_every: int = 10
 
     def __post_init__(self):
+        """Checks every field and stores counts and seeds as ``int`` and
+        reals as ``float``, so that a config given NumPy scalars saves to
+        JSON."""
         counts = ("iterations", "n_params", "n_interior", "n_interface", "n_singular", "val_every")
         reals = ("lr_start", "lr_end", "theta", "p_min", "p_max")
-        for names, kinds, what in ((counts, (int, np.integer), "an integer"),
-                                   (reals, (int, float, np.integer, np.floating), "a number")):
+        if not isinstance(self.seeds, Seeds):
+            raise ValueError(f"seeds must be a Seeds, not {self.seeds!r}")
+        seeds, integer, number = asdict(self.seeds), (int, np.integer), (float, np.floating)
+        # vars(self) holds this config's fields by name: each is written back cast
+        for values, names, kinds, cast in ((vars(self), counts, integer, int),
+                                           (vars(self), reals, integer + number, float),
+                                           (seeds, list(seeds), integer, int)):
             for name in names:
-                value = getattr(self, name)
-                if isinstance(value, bool) or not isinstance(value, kinds):
-                    raise ValueError(f"{name} must be {what}, not {value!r}")
+                if isinstance(values[name], bool) or not isinstance(values[name], kinds):
+                    what = "an integer" if cast is int else "a number"
+                    raise ValueError(f"{name} must be {what}, not {values[name]!r}")
+                values[name] = cast(values[name])
+        self.seeds = Seeds(**seeds)
         if self.iterations < 1:
             raise ValueError("need at least one iteration")
         if not (np.isfinite(self.lr_start) and self.lr_start >= self.lr_end > 0):
@@ -203,8 +218,8 @@ class TrainConfig:
             raise ValueError("the parameter range must satisfy 0 < p_min <= p_max < inf")
         if self.val_every < 1:
             raise ValueError("val_every must be at least 1")
-        if self.n_singular < 0:
-            raise ValueError("n_singular must be nonnegative")
+        if min(self.n_singular, *seeds.values()) < 0:
+            raise ValueError("n_singular and the seeds must be nonnegative")
 
 
 @dataclass
@@ -309,20 +324,23 @@ def _tiles(n: int) -> list[slice]:
 
 
 def _interface_rows(
-    ifc: Jets, lap: np.ndarray, quad: QuadratureSet, geometry: Geometry,
+    ifc: Jets, lap: np.ndarray, polar: PolarCache, quad: QuadratureSet, geometry: Geometry,
     cutoff_config: CutoffConfig, cols: np.ndarray, rhs: RhsSpec, theta: float,
 ):
     """The cache of ``quad`` (`build_epoch_cache`), from the composed
     basis's Laplacians ``lap`` at its interior points, which the cache
-    weights in place, and its normal traces at its interface points, made
-    here from the network's jets ``ifc`` there and the outputs'
-    `factor_index` ``cols``.
+    weights in place, and their vertex-disk table ``polar``, which it
+    keeps, and its normal traces at its interface points, made here from
+    the network's jets ``ifc`` there and the outputs' `factor_index`
+    ``cols``.
 
     The trace is the component of the gradient of the plus-side product
     F * raw along the point's interface axis, the unit normal n, with F
     gathered from the plus side's distinct stack
-    (`cutoffs.interface_trace_factors`).  It is formed from the normal
-    components alone, F (n . grad raw) + raw (n . grad F), in the order
+    (`cutoffs.interface_trace_factors`), whose phi_v come from the
+    interface points' own vertex-disk table, built here from
+    ``cutoff_config``.  It is formed from the normal components alone,
+    F (n . grad raw) + raw (n . grad F), in the order
     `Jets.__mul__` forms its gradient, so it equals that product's normal
     component bit for bit, and the product's value, Laplacian and other
     gradient component are never made.  The minus side's is that trace
@@ -334,12 +352,13 @@ def _interface_rows(
     """
     ifc_axes = np.array([geometry.interfaces[k].axis for k in quad.interface_ids], dtype=int)
     normals = np.eye(geometry.dimension)[ifc_axes]
-    stack, mask = interface_trace_factors(quad.interface_points, ifc_axes, geometry, cutoff_config)
+    ifc_polar = polar_cache(quad.interface_points, geometry, cutoff_config)
+    stack, mask = interface_trace_factors(quad.interface_points, ifc_axes, geometry, ifc_polar)
     sign = np.where(mask[:, cols], -1.0, 1.0)
     rows = np.arange(len(ifc_axes))
     trace = stack.value[:, cols] * ifc.gradient[rows, :, ifc_axes]
     trace += ifc.value * stack.gradient[rows, :, ifc_axes][:, cols]
-    cache = build_epoch_cache(geometry, cutoff_config, quad, lap, trace, sign, rhs, theta=theta)
+    cache = build_epoch_cache(geometry, polar, quad, lap, trace, sign, rhs, theta=theta)
     return cache, stack, normals
 
 
@@ -390,10 +409,13 @@ def _composed_cache(
     if keep_jets:
         points = np.concatenate([quad.interior_points, quad.interface_points])
         d = points.shape[1]
+        # keyed by the gradient's shape: a 1D and a 2D batch of equal (J, N)
+        # must not share jets
         jets = forward_jets(params, points, out=_keep(
-            kept, "jets", (len(points), cfg.n_outputs), lambda shape: Jets.empty(shape, d)
+            kept, "jets", (len(points), cfg.n_outputs, d), lambda shape: Jets.empty(shape[:2], d)
         ))
-    stack = composition_factors(quad.interior_points, data.geometry, data.cutoff_config)
+    polar = polar_cache(quad.interior_points, data.geometry, data.cutoff_config)
+    stack = composition_factors(quad.interior_points, data.geometry, polar)
     lap = _keep(kept, "lap", (n_int, cfg.n_outputs), np.empty)
     for rows in _tiles(n_int):
         raw = jets.rows(rows) if keep_jets else forward_jets(params, quad.interior_points[rows])
@@ -403,7 +425,7 @@ def _composed_cache(
     else:
         ifc = forward_jets(params, quad.interface_points)
     cache, ifc_stack, normals = _interface_rows(
-        ifc, lap, quad, data.geometry, data.cutoff_config, cols, data.rhs, data.theta,
+        ifc, lap, polar, quad, data.geometry, data.cutoff_config, cols, data.rhs, data.theta,
     )
     return cache, jets, cols, stack, ifc_stack, normals
 
@@ -656,7 +678,8 @@ class QueryBasis:
         quad = midpoint_grid(geometry, n_per_axis, n_per_axis)
         points = quad.interior_points
         cols = factor_index(geometry, cfg.n1, cfg.n2)
-        stack = composition_factors(points, geometry, cutoff_config)
+        polar = polar_cache(points, geometry, cutoff_config)
+        stack = composition_factors(points, geometry, polar)
         n, d = points.shape
         values, laplacian = np.empty((n, cfg.n_outputs)), np.empty((n, cfg.n_outputs))
         gradients = np.empty((n, d, cfg.n_outputs))
@@ -667,7 +690,7 @@ class QueryBasis:
             laplacian[t] = part.laplacian
         del stack  # not kept: freed before the cache is built
         cache, *_ = _interface_rows(
-            forward_jets(params, quad.interface_points), laplacian, quad, geometry,
+            forward_jets(params, quad.interface_points), laplacian, polar, quad, geometry,
             cutoff_config, cols, rhs, theta,
         )
         basis = cls(cfg, cache, values, gradients)

@@ -6,7 +6,9 @@ puts this directory on the import path.
 
 import numpy as np
 
+from transolve.cutoffs import default_cutoff_config
 from transolve.geometry import build_grid_geometry
+from transolve.singular import polar_cache
 
 PI = np.pi
 
@@ -24,6 +26,12 @@ def geom_2x2():
 def geom_3x3():
     """The non-uniform layout of the 2D benchmark, with 4 singular vertices."""
     return build_grid_geometry(2, cuts_x=[-0.5, 0.25], cuts_y=[-0.25, 0.5], bounds=[(-1, 1), (-1, 1)])
+
+
+def disk_table(points, geometry, config=None):
+    """The vertex-disk table of ``points`` (`singular.polar_cache`), at the
+    layout's default radii unless ``config`` is given."""
+    return polar_cache(points, geometry, config or default_cutoff_config(geometry))
 
 
 def kinked_sin_rows(geometry, quad):

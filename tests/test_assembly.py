@@ -17,7 +17,6 @@ from transolve.assembly import (
     solve_parameter_batch,
 )
 from transolve.cutoffs import (
-    CutoffConfig,
     composition_factors,
     default_cutoff_config,
     eta_jet,
@@ -32,25 +31,28 @@ from transolve.sampling import QuadratureSet, sample_collocation
 from transolve.singular import singular_evals_from_cache
 from transolve.training import vertex_eigenpairs
 
-from conftest import geom_1d, geom_2x2, kinked_sin_rows
+from conftest import disk_table, geom_1d, geom_2x2, kinked_sin_rows
 
 def raw_rows(geometry, net_cfg, seed=0, n_int=12, n_ifc=6):
-    """Cutoff config, quadrature, and the unweighted Laplacians, plus-side
-    traces and the sign that gives the minus side's."""
-    cfg = default_cutoff_config(geometry)
+    """The interior points' vertex-disk table, quadrature, and the
+    unweighted Laplacians, plus-side traces and the sign that gives the
+    minus side's."""
     quad = sample_collocation(geometry, n_int, n_ifc, np.random.default_rng(seed))
     params = init_params(net_cfg, seed + 1)
     cols = factor_index(geometry, net_cfg.n1, net_cfg.n2)
-    stack = composition_factors(quad.interior_points, geometry, cfg)
+    polar = disk_table(quad.interior_points, geometry)
+    stack = composition_factors(quad.interior_points, geometry, polar)
     lap = (stack.columns(cols) * forward_jets(params, quad.interior_points)).laplacian
     ifc_axes = np.array([geometry.interfaces[k].axis for k in quad.interface_ids])
-    ifc_stack, mask = interface_trace_factors(quad.interface_points, ifc_axes, geometry, cfg)
+    ifc_stack, mask = interface_trace_factors(
+        quad.interface_points, ifc_axes, geometry, disk_table(quad.interface_points, geometry)
+    )
     ifc_jets = forward_jets(params, quad.interface_points)
     # the normal component of the plus side's gradient; the minus side
     # flips the sign of the outputs whose factor vanishes on the line
     rows = np.arange(quad.n_interface)
     trace = (ifc_stack.columns(cols) * ifc_jets).gradient[rows, :, ifc_axes]
-    return cfg, quad, lap, trace, np.where(mask[:, cols], -1.0, 1.0)
+    return polar, quad, lap, trace, np.where(mask[:, cols], -1.0, 1.0)
 
 
 def make_cache(geometry, net_cfg, seed=0, n_int=12, n_ifc=6, theta=1.0):
@@ -103,12 +105,12 @@ def test_direct_assembly_equals_cache_based():
     g = geom_1d()
     cfg = NetConfig(1, (5,), 2, 4)
     rows = raw_rows(g, cfg, seed=2)
-    cut, quad, lap, tr_plus, sign = rows
+    polar, quad, lap, tr_plus, sign = rows
     tr_minus = sign * tr_plus
     theta = 1.0
     # the cache weights its Laplacian in place: the oracle below reads the raw one
     cache = build_epoch_cache(
-        g, cut, quad, lap.copy(), tr_plus, sign, RhsSpec.for_geometry("sin1d", g), theta=theta
+        g, polar, quad, lap.copy(), tr_plus, sign, RhsSpec.for_geometry("sin1d", g), theta=theta
     )
     rng = np.random.default_rng(3)
     p = rng.uniform(0.5, 5.0, size=5)
@@ -425,7 +427,8 @@ def test_batch_zero_basis_solves_to_zero():
     quad = sample_collocation(g, 6, 1, np.random.default_rng(0))
     lap, trace = np.zeros((quad.n_interior, 3)), np.zeros((quad.n_interface, 3))
     rhs = RhsSpec.for_geometry("sin1d", g)
-    cache = build_epoch_cache(g, default_cutoff_config(g), quad, lap, trace, np.ones_like(trace), rhs)
+    cache = build_epoch_cache(g, disk_table(quad.interior_points, g), quad, lap, trace,
+                              np.ones_like(trace), rhs)
     params = np.random.default_rng(1).uniform(0.5, 10.0, size=(2, 5))
     batch = solve_parameter_batch(cache, params)
     assert batch.y_nn.tolist() == [[0.0] * 3] * 2
@@ -449,7 +452,7 @@ def exact_cache():
     lap = np.zeros((5, 4))
     lap[np.arange(4), sub[:4]] = 1.0
     trace = np.zeros((0, 4))
-    cache = build_epoch_cache(g, default_cutoff_config(g), quad, lap, trace, trace,
+    cache = build_epoch_cache(g, disk_table(quad.interior_points, g), quad, lap, trace, trace,
                               RhsSpec.for_geometry("corner2d", g))
     assert cache.polar.annulus_rows.tolist() == [4]
     return cache
@@ -564,7 +567,8 @@ def test_manufactured_exact_recovery_1d(monkeypatch):
     rhs = RhsSpec.for_geometry("sin1d", g)
     quad = sample_collocation(g, 30, 1, np.random.default_rng(15))
     signs, lap, trace, sign = kinked_sin_rows(g, quad)
-    cache = build_epoch_cache(g, CutoffConfig(0.1, 0.2), quad, lap, trace, sign, rhs, theta=1.0)
+    cache = build_epoch_cache(g, disk_table(quad.interior_points, g), quad, lap, trace, sign, rhs,
+                              theta=1.0)
     p = np.array([1.0, 4.0, 0.2, 30.0, 49.0])
     sysk = assemble_system(cache, p, None, 1.0)
     y, res = solve_normal_equations(sysk)
@@ -631,7 +635,7 @@ def test_minus_side_through_the_sign_runs_equals_the_dense_sign():
     _, lap, trace, sign = kinked_sin_rows(g, quad)
     lap = lap + 0.1 * rng.standard_normal(lap.shape)
     trace = trace + 0.1 * rng.standard_normal(trace.shape)
-    cache = build_epoch_cache(g, default_cutoff_config(g), quad, lap, trace, sign,
+    cache = build_epoch_cache(g, disk_table(quad.interior_points, g), quad, lap, trace, sign,
                               RhsSpec.for_geometry("sin1d", g))
     assert len(cache.sign_runs) > 1
     parameters = rng.uniform(0.5, 5.0, size=(6, g.n_subdomains))

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+from transolve import cutoffs
+from transolve.assembly import build_epoch_cache
 from transolve.cutoffs import (
     CutoffConfig,
     _axis_lines,
-    _phi_disks,
     _psi_jets,
     boundary_cutoff_jet,
     composition_factors,
@@ -16,8 +17,10 @@ from transolve.cutoffs import (
 )
 from transolve.geometry import build_grid_geometry
 from transolve.nets import Jets
+from transolve.reference import RhsSpec
+from transolve.sampling import sample_collocation
 
-from conftest import geom_1d, geom_2x2, geom_3x3
+from conftest import disk_table, geom_1d, geom_2x2, geom_3x3
 
 PI = np.pi
 CFG = CutoffConfig(0.2, 0.5)
@@ -181,32 +184,42 @@ def test_psi_jets_match_fd():
 # ------------------------- exclusion vectors ------------------------------
 
 
-def exclusion_factors(points, g, cfg):
-    """phi_v at every point, per singular vertex v: `_phi_disks`'s jets on
-    its disk and the constant 1 off it; one all-ones jet without a vertex."""
-    points = np.asarray(points, dtype=float)
-    n, d = points.shape
-    phis = []
-    for disk, phi in _phi_disks(points, g, cfg):
-        full = Jets.ones(n, d)
-        for name in ("value", "gradient", "laplacian"):
-            getattr(full, name)[disk] = getattr(phi, name)
-        phis.append(full)
-    return phis or [Jets.ones(n, d)]
+@pytest.fixture
+def exclusion_factors(monkeypatch):
+    """phi_v at every point, per singular vertex v, as the factor builders
+    form it from the points' vertex-disk table; one all-ones jet without a
+    vertex.  With B = 1 the factors B * phi_v, the first group of
+    `cutoffs._distinct_factors`, are phi_v bit for bit: the product rule
+    only adds exact zeros.  Without jump cutoffs the points may lie on the
+    interface lines, the vertices included."""
+    monkeypatch.setattr(cutoffs, "boundary_cutoff_jet",
+                        lambda points, g: Jets.ones(len(points), points.shape[1]))
+
+    def phis(points, g, cfg):
+        points = np.asarray(points, dtype=float)
+        stack = cutoffs._distinct_factors(points, g, disk_table(points, g, cfg), [])
+        return [stack.rows((slice(None), v)) for v in range(max(g.n_singular, 1))]
+
+    return phis
 
 
-def exclusion_columns(points, g, cfg, n1, n2):
+@pytest.fixture
+def exclusion_columns(exclusion_factors):
     """The exclusion factor of every w and every v column, as two jet lists."""
-    phis = exclusion_factors(points, g, cfg)
-    idx = factor_index(g, n1, n2) % len(phis)
-    return [phis[i] for i in idx[:n1]], [phis[i] for i in idx[n1:]]
+
+    def columns(points, g, cfg, n1, n2):
+        phis = exclusion_factors(points, g, cfg)
+        idx = factor_index(g, n1, n2) % len(phis)
+        return [phis[i] for i in idx[:n1]], [phis[i] for i in idx[n1:]]
+
+    return columns
 
 
 def test_exclusion_all_ones_in_1d():
     """Phi1 and Phi2 are all ones in 1D: the w factors are B, the v factors B * psi."""
     g = geom_1d()
     pts = np.array([[0.5], [1.5]])
-    fac = composition_factors(pts, g, CFG).columns(factor_index(g, 10, 40))
+    fac = composition_factors(pts, g, disk_table(pts, g, CFG)).columns(factor_index(g, 10, 40))
     assert fac.value.shape == (2, 50)
     bjet = boundary_cutoff_jet(pts, g)
     bpsi = bjet * jump_adf_jet(pts, _axis_lines(g)[0])
@@ -217,7 +230,7 @@ def test_exclusion_all_ones_in_1d():
             np.testing.assert_allclose(fac.laplacian[:, n], jet.laplacian)
 
 
-def test_exclusion_zero_at_vertex_one_far():
+def test_exclusion_zero_at_vertex_one_far(exclusion_columns):
     g = geom_2x2()
     cfg = default_cutoff_config(g)
     pts = np.array([[0.0, 0.0], [0.9, 0.9]])
@@ -228,7 +241,7 @@ def test_exclusion_zero_at_vertex_one_far():
         assert jet.value[1] == pytest.approx(1.0)
 
 
-def test_exclusion_block_layout():
+def test_exclusion_block_layout(exclusion_columns):
     """Phi1 is phi_n in blocks of n1/N_s; Phi2 is two copies of the
     n2/2-long block vector, one per interface axis."""
     g = build_grid_geometry(2, cuts_x=[-0.3, 0.3], cuts_y=[0.0], bounds=[(-1, 1), (-1, 1)])
@@ -245,7 +258,7 @@ def test_composition_factors_are_the_distinct_stack_and_its_index():
     factors as after."""
     g = geom_3x3()
     pts = np.random.default_rng(4).uniform(-1, 1, size=(20, 2))
-    stack = composition_factors(pts, g, default_cutoff_config(g))
+    stack = composition_factors(pts, g, disk_table(pts, g))
     cols = factor_index(g, 16, 32)
     assert stack.value.shape == (20, 3 * 4)
     assert cols.shape == (48,) and set(cols) == set(range(12))
@@ -338,9 +351,9 @@ def test_factors_equal_the_dense_stack_bit_for_bit(layout):
         r = np.min([np.linalg.norm(ifc_points - vx, axis=1) for vx in g.singular_vertices], axis=0)
         assert set(radii[:3]) <= set(r)
 
-    stack = composition_factors(points, g, cfg)
+    stack = composition_factors(points, g, disk_table(points, g))
     want = _dense_factors(points, g, cfg, _psi_jets(points, np.full(len(points), -1), g))
-    plus, _ = interface_trace_factors(ifc_points, axes, g, cfg)
+    plus, _ = interface_trace_factors(ifc_points, axes, g, disk_table(ifc_points, g))
     want_plus = _dense_factors(ifc_points, g, cfg, _psi_jets(ifc_points, axes, g))
     for got, ref in ((stack, want), (plus, want_plus)):
         for name, array in zip(("value", "gradient", "laplacian"), ref):
@@ -367,7 +380,7 @@ def test_one_axis_cuts_odd_n2_column_plan(axis):
     g = build_grid_geometry(2, bounds=[(-1, 1), (-1, 1)], **cuts)
     pts = np.array([[0.5, 0.4], [-0.7, 0.1], [0.0, -0.8]])
     n1, n2 = 2, 5
-    fac = composition_factors(pts, g, CFG).columns(factor_index(g, n1, n2))
+    fac = composition_factors(pts, g, disk_table(pts, g, CFG)).columns(factor_index(g, n1, n2))
     bjet = boundary_cutoff_jet(pts, g)
     bpsi = bjet * jump_adf_jet(pts, _axis_lines(g)[axis])
     kinked = [n1 + c for c in range(n2) if (c >= n2 // 2) == axis]
@@ -379,19 +392,77 @@ def test_one_axis_cuts_odd_n2_column_plan(axis):
         np.testing.assert_array_equal(fac.laplacian[:, n], jet.laplacian)
 
 
-def test_exclusion_gradient_fd():
-    g = geom_2x2()
+def test_exclusion_gradient_fd(exclusion_factors):
+    """On the transition annulus of every vertex of the 2x2 and 3x3 layouts,
+    phi_v's gradient -eta' u and Laplacian -eta'' - eta'/r match central
+    differences of 1 - eta(|x - x_v|)."""
+    for g in (geom_2x2(), geom_3x3()):
+        cfg = default_cutoff_config(g)
+        for v, vx in enumerate(g.singular_vertices):
+
+            def f(y):
+                return 1.0 - eta_jet(np.linalg.norm(y - vx), cfg)[0]
+
+            for frac in (0.2, 0.5, 0.8):
+                r = cfg.delta1 + frac * (cfg.delta2 - cfg.delta1)
+                for ang in (0.3, 2.0, 4.4):
+                    x = vx + r * np.array([np.cos(ang), np.sin(ang)])
+                    jet = exclusion_factors(x[None, :], g, cfg)[v]
+                    np.testing.assert_allclose(jet.gradient[0], fd_gradient(f, x), rtol=1e-6)
+                    np.testing.assert_allclose(jet.laplacian[0], fd_laplacian(f, x), rtol=1e-4)
+
+
+@pytest.mark.parametrize("layout", [geom_2x2, geom_3x3], ids=["2x2", "3x3"])
+def test_phi_is_one_minus_eta_on_the_table_rows_and_one_off_them(layout, exclusion_factors):
+    """On vertex v's rows of the vertex-disk table phi_v equals 1 - eta of
+    the `np.linalg.norm` radius bit for bit; off them it is exactly 1 with
+    zero gradient and Laplacian.  The points include, per vertex, radii
+    exactly at delta1 and at delta2 and one ulp either side of each: the
+    rows are exactly the points with r < delta2."""
+    g = layout()
     cfg = default_cutoff_config(g)
-    r = 0.5 * (cfg.delta1 + cfg.delta2)
-    for ang in (0.3, 2.0, 4.4):
-        x = np.array([r * np.cos(ang), r * np.sin(ang)])
+    radii = [r for r0 in (cfg.delta1, cfg.delta2)
+             for r in (np.nextafter(r0, 0), r0, np.nextafter(r0, 1))]
+    points = [np.random.default_rng(9).uniform(-1, 1, size=(200, 2))]
+    for vx in g.singular_vertices:
+        for r in radii:
+            for angle in (0.3, 2.2, 4.0):
+                hits = _at_radius(vx, r, np.array([np.cos(angle), np.sin(angle)]))
+                assert len(hits), (vx, r, angle)
+                points.append(hits[:2])
+    points = np.concatenate(points)
+    table = disk_table(points, g)
+    phis = exclusion_factors(points, g, cfg)
+    assert len(table.vertices) == len(phis) == g.n_singular
+    for vx, geo, phi in zip(g.singular_vertices, table.vertices, phis):
+        r = np.linalg.norm(points - vx, axis=1)
+        on = geo.rows
+        np.testing.assert_array_equal(np.sort(on), np.flatnonzero(r < cfg.delta2))
+        assert set(radii[:4]) <= set(r[on]) and not set(radii[4:]) & set(r[on])
+        np.testing.assert_array_equal(phi.value[on], 1.0 - eta_jet(r[on], cfg)[0])
+        off = np.setdiff1d(np.arange(len(points)), on)
+        np.testing.assert_array_equal(phi.value[off], 1.0)
+        np.testing.assert_array_equal(phi.gradient[off], 0.0)
+        np.testing.assert_array_equal(phi.laplacian[off], 0.0)
 
-        def f(y):
-            return exclusion_columns(y[None, :], g, cfg, 1, 2)[0][0].value[0]
 
-        jet = exclusion_columns(x[None, :], g, cfg, 1, 2)[0][0]
-        np.testing.assert_allclose(jet.gradient[0], fd_gradient(f, x), rtol=1e-6)
-        np.testing.assert_allclose(jet.laplacian[0], fd_laplacian(f, x), rtol=1e-4)
+def test_a_table_of_another_point_count_raises():
+    """Both factor builders and `build_epoch_cache` reject a vertex-disk
+    table made for another number of points."""
+    g = geom_2x2()
+    quad = sample_collocation(g, 6, 4, np.random.default_rng(3))
+    pts, ifc = quad.interior_points, quad.interface_points
+    axes = np.array([g.interfaces[k].axis for k in quad.interface_ids])
+    lap, trace = np.zeros((quad.n_interior, 3)), np.zeros((quad.n_interface, 3))
+    calls = [
+        lambda: composition_factors(pts, g, disk_table(pts[:-1], g)),
+        lambda: interface_trace_factors(ifc, axes, g, disk_table(ifc[1:], g)),
+        lambda: build_epoch_cache(g, disk_table(pts[1:], g), quad, lap, trace,
+                                  np.ones_like(trace), RhsSpec.for_geometry("corner2d", g)),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="vertex-disk table indexes"):
+            call()
 
 
 # ------------------------- composition ------------------------------------
@@ -413,7 +484,8 @@ def _random_raw(rng, n_pts, n_out, d):
 
 
 def _composed(jets, points, g, cfg, n1, n2):
-    return composition_factors(points, g, cfg).columns(factor_index(g, n1, n2)) * jets(points)
+    stack = composition_factors(points, g, disk_table(points, g, cfg))
+    return stack.columns(factor_index(g, n1, n2)) * jets(points)
 
 
 def test_apply_cutoffs_zero_on_boundary():
@@ -459,7 +531,8 @@ def test_apply_cutoffs_dimension_mismatch():
 def _traces(points, axes, raw, g, cfg, n1, n2):
     """One-sided normal traces (minus, plus): the plus side's
     n . (F * raw).gradient, and its negative on the masked outputs."""
-    (stack, mask), cols = interface_trace_factors(points, axes, g, cfg), factor_index(g, n1, n2)
+    stack, mask = interface_trace_factors(points, axes, g, disk_table(points, g, cfg))
+    cols = factor_index(g, n1, n2)
     plus = (stack.columns(cols) * raw).gradient[np.arange(len(axes)), :, axes]
     return np.where(mask[:, cols], -plus, plus), plus
 

@@ -22,7 +22,7 @@ from transolve.geometry import ParameterError, build_grid_geometry
 from transolve.nets import TILE, NetConfig, forward_jets, init_params
 from transolve.reference import RhsSpec
 from transolve.sampling import sample_parameters
-from transolve.singular import eval_s
+from transolve.singular import eval_s, polar_cache
 from transolve.training import (
     QueryBasis,
     TrainConfig,
@@ -260,14 +260,16 @@ def _untiled_basis(params, g, rhs, cut, theta, quad):
     factors of every point, the network at every point and their product."""
     cfg = params.config
     cols = factor_index(g, cfg.n1, cfg.n2)
-    stack = composition_factors(quad.interior_points, g, cut)
+    polar = polar_cache(quad.interior_points, g, cut)
+    stack = composition_factors(quad.interior_points, g, polar)
     composed = stack.columns(cols) * forward_jets(params, quad.interior_points)
     axes = np.array([g.interfaces[k].axis for k in quad.interface_ids], dtype=int)
-    ifc_stack, mask = interface_trace_factors(quad.interface_points, axes, g, cut)
+    ifc_stack, mask = interface_trace_factors(quad.interface_points, axes, g,
+                                              polar_cache(quad.interface_points, g, cut))
     ifc = forward_jets(params, quad.interface_points)
     trace = (ifc_stack.columns(cols) * ifc).gradient[np.arange(quad.n_interface), :, axes]
     sign = np.where(mask[:, cols], -1.0, 1.0)
-    cache = build_epoch_cache(g, cut, quad, composed.laplacian, trace, sign, rhs, theta=theta)
+    cache = build_epoch_cache(g, polar, quad, composed.laplacian, trace, sign, rhs, theta=theta)
     return composed.value, np.moveaxis(composed.gradient, -1, 1), cache
 
 

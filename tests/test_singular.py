@@ -305,7 +305,9 @@ def test_support_rows_on_random_layouts(ncx, ncy, seed):
     """On non-uniform layouts with the default radii, each vertex's block of
     the disk rows is exactly its disk points, annulus points first, and its
     block of the annulus rows exactly its annulus points; so the annulus
-    rows lie inside the disk rows and no row belongs to two vertices."""
+    rows lie inside the disk rows and no row belongs to two vertices.  The
+    block is the vertex's own ``rows``, with the radius `np.linalg.norm`
+    gives bit for bit and the unit direction (x - x_v) / r."""
     rng = np.random.default_rng(seed)
     bounds = [(-1.0, 2.0), (-0.5, 0.5)]
     cx = np.sort(rng.uniform(*bounds[0], size=ncx))
@@ -332,7 +334,7 @@ def test_support_rows_on_random_layouts(ncx, ncy, seed):
     assert np.unique(polar.disk_rows).size == polar.disk_rows.size
     disk = annulus = 0
     for v, geo in zip(g.singular_vertices, polar.vertices):
-        r = np.hypot(*(pts - v).T)
+        r = np.linalg.norm(pts - v, axis=1)
         in_disk = np.flatnonzero(r < cfg.delta2)
         in_annulus = np.flatnonzero((cfg.delta1 < r) & (r < cfg.delta2))
         assert in_annulus.size > 0 and in_disk.size > in_annulus.size
@@ -342,7 +344,9 @@ def test_support_rows_on_random_layouts(ncx, ncy, seed):
         np.testing.assert_array_equal(
             polar.annulus_rows[annulus : annulus + geo.n_annulus], in_annulus
         )
+        np.testing.assert_array_equal(geo.rows, block)
         np.testing.assert_array_equal(geo.r, r[block])
+        np.testing.assert_array_equal(geo.direction, (pts[block] - v) / r[block, None])
         disk += geo.r.size
         annulus += geo.n_annulus
     assert (disk, annulus) == (polar.disk_rows.size, polar.annulus_rows.size)

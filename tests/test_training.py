@@ -41,7 +41,7 @@ from transolve.training import (
     vertex_eigenpairs,
 )
 
-from conftest import geom_1d, geom_2x2, geom_3x3, kinked_sin_rows
+from conftest import disk_table, geom_1d, geom_2x2, geom_3x3, kinked_sin_rows
 
 PI = np.pi
 
@@ -91,6 +91,9 @@ def test_loss_nonnegative_and_epoch_runs():
         dict(iterations=np.float64(5.0)), dict(n_params="8"),
         dict(theta="1"), dict(lr_end="1e-4"), dict(p_min=None), dict(lr_start=True),
         dict(p_max=True),
+        dict(seeds=(0, 1, 2, 3)), dict(seeds=Seeds(params=-1)), dict(seeds=Seeds(params=1.5)),
+        dict(seeds=Seeds(init="x")), dict(seeds=Seeds(interior=True)),
+        dict(seeds=Seeds(interface=np.float64(2.0))),
     ],
 )
 def test_config_rejects_bad_values_when_built(bad):
@@ -106,21 +109,34 @@ def test_config_rejects_bad_values_when_built(bad):
     slice, or at val_every=2.5 train on silently.  A rate, theta or
     parameter bound that is not a number (a string, None) would raise a
     bare TypeError in the checks below, and a bool would be taken as 0 or
-    1."""
+    1.  Seeds that are not a `Seeds` of nonnegative integers would raise
+    an AttributeError, TypeError or NumPy's ValueError only in
+    `init_train_state`."""
     with pytest.raises(ValueError):
         small_config(**bad)
 
 
-def test_config_takes_numpy_integer_counts():
-    """Every count may be a NumPy integer as well as a Python one, and every
-    rate, theta and parameter bound a Python or NumPy integer or float."""
+def test_config_takes_numpy_integer_counts(tmp_path):
+    """Every count and seed may be a NumPy integer as well as a Python one,
+    and every rate, theta and parameter bound a Python or NumPy integer or
+    float.  They are stored as ``int`` and ``float``, so the config saves
+    to a checkpoint and loads back equal."""
     counts = ("iterations", "n_params", "n_interior", "n_interface", "n_singular", "val_every")
-    config = small_config(**{name: np.int64(2) for name in counts})
-    assert all(getattr(config, name) == 2 for name in counts)
     reals = dict(lr_start=np.float32(0.5), lr_end=np.float64(0.25), theta=2, p_min=np.int32(1),
                  p_max=np.float64(3.0))
-    config = small_config(**reals)
-    assert all(getattr(config, name) == value for name, value in reals.items())
+    seeds = Seeds(np.int64(4), np.uint32(5), np.int8(6), 7)
+    config = small_config(**{name: np.int64(2) for name in counts}, **reals, seeds=seeds)
+    assert all(type(getattr(config, name)) is int and getattr(config, name) == 2
+               for name in counts)
+    assert all(type(getattr(config, name)) is float and getattr(config, name) == value
+               for name, value in reals.items())
+    assert config.seeds == Seeds(4, 5, 6, 7)
+    assert all(type(getattr(config.seeds, name)) is int for name in ("params", "interior",
+                                                                     "interface", "init"))
+    state = init_train_state(geom_1d(), NetConfig(1, (4,), 2, 3), config)
+    save_checkpoint(tmp_path / "numpy.npz", state, config)
+    _, loaded, _ = load_checkpoint(tmp_path / "numpy.npz")
+    assert loaded == config
 
 
 @pytest.mark.parametrize(
@@ -414,7 +430,7 @@ def _minus_side_factors(points, axes, geometry, cut):
         ]
         psis.append(Jets(*(np.concatenate([getattr(r, k) for r in rows])
                            for k in ("value", "gradient", "laplacian"))))
-    return cutoffs._distinct_factors(points, geometry, cut, psis)
+    return cutoffs._distinct_factors(points, geometry, disk_table(points, geometry, cut), psis)
 
 
 _TRACE_LAYOUTS = {
@@ -443,14 +459,16 @@ def test_minus_side_equals_an_explicit_minus_side_product(layout):
     cols = factor_index(g, net.n1, net.n2)
     ifc = forward_jets(init_params(net, 13), quad.interface_points)
     lap = np.zeros((quad.n_interior, net.n_outputs))
-    cache, plus, _ = training._interface_rows(ifc, lap, quad, g, cut, cols, rhs, 1.0)
+    polar = disk_table(quad.interior_points, g, cut)
+    cache, plus, _ = training._interface_rows(ifc, lap, polar, quad, g, cut, cols, rhs, 1.0)
     sign, minus = cache.sign, cache.sign * cache.wtrace
     axes = _interface_axes(g, quad)
     explicit = _minus_side_factors(quad.interface_points, axes, g, cut)
     want = (explicit.columns(cols) * ifc).gradient[np.arange(len(axes)), :, axes]
     assert np.any(sign < 0) and np.any(sign > 0) and not np.array_equal(minus, cache.wtrace)
     assert np.array_equal(minus, cache.sqrt_theta_w[:, None] * want)
-    _, mask = cutoffs.interface_trace_factors(quad.interface_points, axes, g, cut)
+    _, mask = cutoffs.interface_trace_factors(quad.interface_points, axes, g,
+                                              disk_table(quad.interface_points, g, cut))
     flip = np.where(mask, -1.0, 1.0)
     assert np.array_equal(flip * plus.value, explicit.value)
     assert np.array_equal(flip[:, :, None] * plus.gradient, explicit.gradient)
@@ -568,6 +586,26 @@ def test_epochs_keep_their_arrays_and_a_query_build_empties_them(monkeypatch):
     assert np.array_equal(*weights)
 
 
+def test_kept_jets_are_keyed_by_dimension(monkeypatch):
+    """The holder keys the epoch's jets by their gradient's shape, d
+    included: a 2D epoch after a 1D one in the same process, of equal
+    J1 + J2 = 1004 and N = 50, gets jets of its own dimension rather than
+    the 1D ones, which its forward pass cannot fill."""
+    monkeypatch.setattr(training, "_kept", {})
+    runs = [
+        (geom_1d(), small_config(n_interior=200), NetConfig(1, (8,), 10, 40), "sin1d"),
+        (geom_2x2(), small_config(n_interior=30, n_interface=26), NetConfig(2, (8,), 10, 40),
+         "corner2d"),
+    ]
+    shapes = []
+    for g, cfg, net, rhs in runs:
+        state = init_train_state(g, net, cfg)
+        loss, _ = run_epoch(state, cfg, g, RhsSpec.for_geometry(rhs, g), default_cutoff_config(g))
+        assert np.isfinite(loss)
+        shapes.append(training._kept["jets"][1].gradient.shape)
+    assert shapes == [(1004, 50, 1), (1004, 50, 2)]
+
+
 def _off_line_points(g, cut, quad, margin=0.05):
     """The interface points at least ``margin`` away from every line of
     the other axis and from every vertex disk, with their axes."""
@@ -610,7 +648,8 @@ def test_cache_traces_are_one_sided_differences_of_the_composed_basis(dim):
     pts, normals = quad.interface_points[keep], np.eye(dim)[axes[keep]]
 
     def composed(x):
-        factors = composition_factors(x, g, cut).columns(factor_index(g, net.n1, net.n2))
+        factors = composition_factors(x, g, disk_table(x, g, cut)).columns(
+            factor_index(g, net.n1, net.n2))
         return (factors * forward_jets(params, x)).value
 
     h = 1e-4
@@ -719,7 +758,8 @@ def test_exact_solution_injection_drives_epoch_loss_to_zero(monkeypatch):
     rhs = RhsSpec.for_geometry("sin1d", g)
     quad = sample_collocation(g, 40, 1, np.random.default_rng(7))
     _, lap, trace, sign = kinked_sin_rows(g, quad)
-    cache = build_epoch_cache(g, CutoffConfig(0.1, 0.2), quad, lap, trace, sign, rhs, theta=1.0)
+    cache = build_epoch_cache(g, disk_table(quad.interior_points, g), quad, lap, trace, sign, rhs,
+                              theta=1.0)
     rng = np.random.default_rng(8)
     params = rng.uniform(0.01, 50.0, size=(64, 5))
     batch = solve_parameter_batch(cache, params)
