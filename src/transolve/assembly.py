@@ -125,7 +125,7 @@ class EpochCache:
     wrhs_fixed: np.ndarray  # (J1,)
     wtrace: np.ndarray  # (J2, N) sqrt(Theta w) * plus-side normal traces
     sign: np.ndarray  # (J2, N) +-1: the minus-side traces are sign * wtrace
-    sign_runs: tuple  # ((N,) row, rows slice) per run of equal rows of sign
+    sign_runs: tuple  # (read-only (N,) row, rows slice) per run of equal rows of sign
     ifc_minus_sub: np.ndarray  # (J2,)
     ifc_plus_sub: np.ndarray  # (J2,)
     polar: PolarCache  # interior points around the singular vertices
@@ -211,10 +211,15 @@ def _sign_runs(sign: np.ndarray) -> tuple:
     """The runs of consecutive equal rows of a (J2, N) ``sign``, as ((N,)
     row, rows slice) pairs.  The rows of one interface are one run, and in
     the epochs and the queries a row depends only on its interface's axis,
-    whose interfaces come one after another: one run in 1D, two in 2D."""
+    whose interfaces come one after another: one run in 1D, two in 2D.
+    Each row is a read-only view of ``sign``: freezing ``sign`` later does
+    not reach a view made before, and nothing writes through a run."""
     starts = np.flatnonzero(np.any(sign[1:] != sign[:-1], axis=1)) + 1
     bounds = [0, *starts.tolist(), len(sign)] if len(sign) else []
-    return tuple((sign[a], slice(a, b)) for a, b in zip(bounds[:-1], bounds[1:]))
+    runs = tuple((sign[a], slice(a, b)) for a, b in zip(bounds[:-1], bounds[1:]))
+    for row, _ in runs:
+        row.flags.writeable = False
+    return runs
 
 
 def _build_gram(geometry, quad, c, f1, f0, t, sign, theta) -> GramBlocks:

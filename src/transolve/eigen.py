@@ -17,11 +17,12 @@ reduced through the Cholesky factor L of B to a standard symmetric one and
 solved by LAPACK for a whole stack of traces at once: L is inverted once per
 system (one batched call), and the reduction L^-1 G L^-T and the
 back-transform rho = L^-T y are matrix products.  Exponents are the square
-roots of the generalized eigenvalues.  The modes stay in arrays, one
-`EigenModes` per system, and `select_singular` keeps those with exponent in
-(0, 1) by one mask over the exponents, so an `EigenPair` is made only for a
-kept mode or when a caller indexes one.  The basis table at a batch of
-points is built with array operations, with no loop over the elements.
+roots of the generalized eigenvalues.  The modes of the whole stack stay
+in the arrays of one `EigenModes`, indexed by the stack's leading axes, and
+`select_singular` keeps those of one system with exponent in (0, 1) by one
+mask over its exponents, so an `EigenPair` is made only for a kept mode.
+The basis table at a batch of points is built with array operations, with
+no loop over the elements.
 
 A semi-analytic transfer-matrix oracle (piecewise trigonometric modes
 propagated sector to sector, periodicity enforced as a root problem) is
@@ -162,7 +163,6 @@ class EigenPair:
     """
 
     exponent: float
-    eigenvalue: float
     rho: np.ndarray
     mu_scale: float
     residual: float
@@ -170,52 +170,37 @@ class EigenPair:
 
 @dataclass(eq=False)
 class EigenModes:
-    """The modes of one system as arrays, one row per mode, exponents ascending.
+    """The modes of a stack of systems as arrays, exponents ascending.
 
-    ``len``, indexing and iteration give `EigenPair`s, made on demand, so
-    a caller that reads every mode sees a list of pairs; a slice gives the
-    modes of those rows.  `select_singular` reads the exponent array and
-    makes pairs only for the modes it keeps.
+    Each array has the stack's leading shape, then one axis of M modes;
+    ``rho`` has one more of 16 coefficients, so one system gives (16,)
+    arrays and a (16, 16) ``rho``.  Indexing applies to the leading axes of all four arrays:
+    ``modes[k, v]`` are the modes of one system of a (P, N_s) stack.
+    The fields are those of `EigenPair`, which `select_singular` makes
+    for the kept modes of one system.
     """
 
-    exponent: np.ndarray  # (M,)
-    eigenvalue: np.ndarray  # (M,)
-    rho: np.ndarray  # (M, 16), row k the coefficients of mode k
-    mu_scale: np.ndarray  # (M,)
-    residual: np.ndarray  # (M,)
+    exponent: np.ndarray  # (..., M)
+    rho: np.ndarray  # (..., M, 16), row m the coefficients of mode m
+    mu_scale: np.ndarray  # (..., M)
+    residual: np.ndarray  # (..., M)
 
-    def __len__(self) -> int:
-        return len(self.exponent)
-
-    def __getitem__(self, k):
-        if isinstance(k, slice):
-            return EigenModes(self.exponent[k], self.eigenvalue[k], self.rho[k],
-                              self.mu_scale[k], self.residual[k])
-        return EigenPair(
-            exponent=self.exponent.item(k),
-            eigenvalue=self.eigenvalue.item(k),
-            rho=self.rho[k],
-            mu_scale=self.mu_scale.item(k),
-            residual=self.residual.item(k),
-        )
-
-    def __iter__(self):
-        return (self[k] for k in range(len(self)))
+    def __getitem__(self, k) -> "EigenModes":
+        return EigenModes(self.exponent[k], self.rho[k], self.mu_scale[k], self.residual[k])
 
 
-def solve_eigenpairs(system: EigenSystem):
+def solve_eigenpairs(system: EigenSystem) -> EigenModes:
     """All modes of G rho = lambda B rho, sorted by exponent.
 
     Reduction (Golub & Van Loan, Matrix Computations, 8.7): B = L L^T, then
     the symmetric eigenproblem L^-1 G L^-T y = lambda y, and rho = L^-T y,
     with L^-1 formed once per system by a batched inverse so that the
     reduction and the back-substitution are matrix products.  Exponents are
-    sqrt(max(lambda, 0)).  One system gives one `EigenModes` of 16 rows; a
-    stack of shape (..., 16, 16) is solved in one batched call and gives
-    nested lists with the stack's leading shape, one `EigenModes` per
-    system, whose rows are views of the stack's arrays.
+    sqrt(max(lambda, 0)).  A stack of shape (..., 16, 16) is solved in one
+    batched call and gives one `EigenModes` whose arrays have the stack's
+    leading shape; one system gives (16,) arrays.
     """
-    lead = system.stiffness.shape[:-2]
+    shape = system.stiffness.shape[:-2] + (N_BASIS,)  # leading axes, then modes
     g = system.stiffness.reshape(-1, N_BASIS, N_BASIS)
     b = system.mass.reshape(-1, N_BASIS, N_BASIS)
     try:
@@ -235,35 +220,32 @@ def solve_eigenpairs(system: EigenSystem):
     rho_norm = np.linalg.norm(rho, axis=1)
     scale = np.maximum(np.linalg.norm(g_rho, axis=1), np.abs(lams) * bnorm * rho_norm)
     res /= np.maximum(scale, gnorm * 1e-14)
-    lams = np.maximum(lams, 0.0)  # eigh's order is kept, so exponents ascend
+    # eigh's order is kept, so exponents ascend
+    exponent = np.sqrt(np.maximum(lams, 0.0))
     # rho^T M rho per mode, with M @ rho one GEMM: the three-operand einsum
     # makes no BLAS call and took 17x as long on a (32, 16, 16) stack
     mu_scale = np.einsum("nik,nik->nk", rho, _MASS_CONSTANT_P @ rho) ** -0.5
     rho_rows = np.ascontiguousarray(_transpose(rho))
-
-    # no object per mode: the pairs a caller keeps are made when it asks
-    out = [EigenModes(*rows) for rows in zip(np.sqrt(lams), lams, rho_rows, mu_scale, res)]
-    if not lead:
-        return out[0]
-    for size in reversed(lead[1:]):  # regroup the flat stack by leading axes
-        out = [out[i:i + size] for i in range(0, len(out), size)]
-    return out
+    return EigenModes(exponent.reshape(shape), rho_rows.reshape(shape + (N_BASIS,)),
+                      mu_scale.reshape(shape), res.reshape(shape))
 
 
 def select_singular(modes: EigenModes, n_cap: int) -> list[EigenPair]:
     """At most n_cap smallest-exponent pairs with exponent strictly in (0, 1).
 
-    Guard bands of `SELECT_BAND` keep out the constant mode (exponent ~ 0
-    up to FE noise) and the regular modes whose exponent is 1 up to
-    discretization error.  One mask over the exponent array picks the
-    modes, in their ascending order; only the kept ones become
-    `EigenPair`s.  A negative cap raises ValueError.
+    ``modes`` are those of one system, (M,) exponents.  Guard bands of
+    `SELECT_BAND` keep out the constant mode (exponent ~ 0 up to FE noise)
+    and the regular modes whose exponent is 1 up to discretization error.
+    One mask over the exponent array picks the modes, in their ascending
+    order; only the kept ones become `EigenPair`s, their ``rho`` a row of
+    ``modes.rho``.  A negative cap raises ValueError.
     """
     if n_cap < 0:
         raise ValueError(f"the singular cap must be nonnegative, got {n_cap}")
     e = modes.exponent
     picked = ((e > SELECT_BAND) & (e < 1.0 - SELECT_BAND)).nonzero()[0][:n_cap]
-    return [modes[k] for k in picked.tolist()]
+    return [EigenPair(e.item(k), modes.rho[k], modes.mu_scale.item(k), modes.residual.item(k))
+            for k in picked.tolist()]
 
 
 def angular_eval(pair: EigenPair, theta):

@@ -59,7 +59,12 @@ class Interface:
 
 @dataclass(frozen=True)
 class Geometry:
-    """Immutable partitioned domain; safe for concurrent reads."""
+    """Immutable partitioned domain; safe for concurrent reads.
+
+    `build_grid_geometry` makes its arrays read-only, so an in-place edit
+    raises ValueError rather than changing a geometry that `final_solve`
+    recognizes by identity.
+    """
 
     dimension: int
     bounds: tuple[tuple[float, float], ...]
@@ -168,10 +173,11 @@ def build_grid_geometry(dimension, cuts_x=(), cuts_y=(), bounds=None) -> Geometr
             vertices.append((xv, cy[iy]))
             # sectors counter-clockwise from +x: NE, NW, SW, SE
             sectors.append([sub(above, ix + 1), sub(above, ix), sub(below, ix), sub(below, ix + 1)])
-    return Geometry(
-        dimension, bounds, cx, cy, lo, hi, tuple(interfaces), np.array(vertices).reshape(-1, 2),
-        np.array(sectors, dtype=int).reshape(-1, 4),
-    )
+    vertices = np.array(vertices).reshape(-1, 2)
+    sectors = np.array(sectors, dtype=int).reshape(-1, 4)
+    for array in (lo, hi, vertices, sectors):
+        array.flags.writeable = False
+    return Geometry(dimension, bounds, cx, cy, lo, hi, tuple(interfaces), vertices, sectors)
 
 
 def subdomain_index_many(geometry: Geometry, points: np.ndarray) -> np.ndarray:

@@ -38,10 +38,17 @@ class RhsSpec:
     ``sin1d``  -> 25 sin(5x); ``corner2d`` -> p * sum_i sqrt(r_i)
     (cos(theta_i/2) - 3 sin(theta_i/2)) over the singular vertices, the
     square-root corner profile that excites the vertex singularities.
+    ``vertices`` is kept as a read-only copy, so the caller's array stays
+    writeable and an in-place edit of the spec's raises ValueError.
     """
 
     tag: str
     vertices: np.ndarray = field(default_factory=lambda: np.empty((0, 2)))
+
+    def __post_init__(self):
+        vertices = np.array(self.vertices, dtype=float)
+        vertices.flags.writeable = False
+        object.__setattr__(self, "vertices", vertices)
 
     @staticmethod
     def for_geometry(tag: str, geometry: Geometry) -> "RhsSpec":
@@ -52,7 +59,7 @@ class RhsSpec:
         if tag == "corner2d":
             if geometry.dimension != 2:
                 raise ValueError("corner2d requires a 2D geometry")
-            return RhsSpec("corner2d", geometry.singular_vertices.copy())
+            return RhsSpec("corner2d", geometry.singular_vertices)
         raise ValueError(f"unknown rhs tag {tag!r}")
 
     def factors(self, points: np.ndarray):

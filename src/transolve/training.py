@@ -1,12 +1,12 @@
 """Training loop: sample, solve the per-parameter LS systems, step the net.
 
 Each epoch draws a parameter batch and fresh collocation points, solves the
-angular eigenproblems the batch needs (2D) in one batched call whose modes
-stay in arrays until `select_singular` keeps the singular ones as
-`EigenPair`s, and evaluates the network's jets (`nets.Jets`) once at all
-interior and interface points; the validation set is the same draw
-(`_draw`) from streams of its own.  Only
-what the loss reads is composed with the cutoff factors: the interior
+angular eigenproblems the batch needs (2D) in one batched call that gives
+one stacked `EigenModes`, from which `select_singular` keeps each system's
+singular modes as `EigenPair`s, and evaluates the network's jets
+(`nets.Jets`) once at all interior and interface points; the validation
+set is the same draw (`_draw`) from streams of its own.  Only what the
+loss reads is composed with the cutoff factors: the interior
 Laplacians of the product ``fac * raw`` (`Jets.product_laplacian`), the
 factors gathered from the distinct stack of `cutoffs.composition_factors`,
 and the plus-side interface traces n . grad(F * raw), formed from the
@@ -93,7 +93,6 @@ import numpy as np
 # angular_trace the per-vertex form of the trace gather; none is called
 # here, but perfbench/spans.py looks up every layer it times, these three
 # included, on this module.
-from . import assembly
 from .assembly import (  # noqa: F401
     CoefficientVector,
     EpochCache,
@@ -252,7 +251,7 @@ class EpochData:
     rhs: RhsSpec
     quad: QuadratureSet
     parameters: np.ndarray  # (P, I)
-    pairs_per_p: list  # per parameter: list per vertex of EigenPairs (2D)
+    pairs_per_p: list  # [k][vertex]: the selected EigenPairs (2D), see vertex_eigenpairs
     theta: float
 
 
@@ -277,19 +276,20 @@ def vertex_eigenpairs(geometry: Geometry, parameters, n_singular: int):
     The batch is validated once, and the angular traces of all P
     parameters at all N_s vertices are one gather through the geometry's
     vertex-to-sector table, a (P, N_s, 4) stack solved in one batched
-    eigensolve that keeps every system's modes in arrays.  One
-    `select_singular` per parameter and vertex masks the exponents and
-    makes `EigenPair`s for the kept modes only, at most ``n_singular``.
-    A parameter row at fault raises ParameterError naming it, a failed
-    eigensolve ValueError.
+    eigensolve into one `EigenModes` of (P, N_s, 16) arrays.  One
+    `select_singular` per parameter and vertex masks the exponents of
+    ``modes[k, v]`` and makes `EigenPair`s for the kept modes only, at most
+    ``n_singular``.  A parameter row at fault raises ParameterError naming
+    it, a failed eigensolve ValueError.
     """
     parameters = np.asarray(parameters, dtype=float)
     n_p = parameters.shape[0]
     if geometry.n_singular == 0:
         return [[] for _ in range(n_p)]
     parameters = validate_parameter_batch(geometry, parameters)
-    pairs = solve_eigenpairs(assemble_eigensystem(parameters[:, geometry.vertex_sectors]))
-    return [[select_singular(per_vertex, n_singular) for per_vertex in per_p] for per_p in pairs]
+    modes = solve_eigenpairs(assemble_eigensystem(parameters[:, geometry.vertex_sectors]))
+    return [[select_singular(modes[k, v], n_singular) for v in range(geometry.n_singular)]
+            for k in range(n_p)]
 
 
 def _draw(geometry, config: TrainConfig, rng_params, rng_interior, rng_interface, extra: int):
@@ -647,7 +647,10 @@ class QueryBasis:
     Holds only what `solve` reads, every array read-only: the cache (the
     midpoint quadrature, the weighted rows, the Gram blocks and the polar
     cache) and the composed basis values and gradients, each written tile
-    by tile by `build` into an array made once.  The composed Laplacian
+    by tile by `build` into an array made once.  `build` freezes the arrays
+    in the fields of these dataclasses; the sign rows of
+    ``cache.sign_runs`` come read-only from `_sign_runs`, and the
+    geometry's arrays from `build_grid_geometry`.  The composed Laplacian
     lives on only weighted, in ``cache.wlap``.  `solve` checks and answers
     one parameter per call.  `final_solve` holds one basis between calls,
     beside the inputs it was built from.
@@ -709,10 +712,7 @@ class QueryBasis:
         parameter = validate_parameter(cache.geometry, parameter)
         pairs = vertex_eigenpairs(cache.geometry, parameter[None, :], n_singular)[0]
         sing = singular_evals_from_cache(cache.polar, [pairs])
-        # called through its module: perfbench/run.py keeps every call made
-        # through this module's name, cache included, until the next epoch,
-        # which would keep every query's arrays and a replaced basis alive
-        batch = assembly.solve_parameter_batch(cache, parameter[None, :], sing)
+        batch = solve_parameter_batch(cache, parameter[None, :], sing)
         (u,), (grad_u,) = evaluate_solution(batch.y_nn, self.values, self.gradients)
         (y_sing,) = batch.y_sing
         if y_sing.size:  # the singular fields live on the disk rows only
@@ -742,8 +742,8 @@ class QueryBasis:
 # What outlives a call, by name.  The arrays run_epoch keeps between epochs:
 # (shape, arrays), see `_keep`.  "basis", the basis final_solve holds: (the
 # geometry, rhs and cutoff config objects, (theta, grid count, network
-# configuration), a copy of the weights, the basis built from them); an
-# epoch pops it, and final_solve empties the holder before a build.
+# configuration), a read-only copy of the weights, the basis built from
+# them); an epoch pops it, and final_solve empties the holder before a build.
 _kept: dict = {}
 
 
@@ -795,7 +795,9 @@ def final_solve(
         held = None
         _kept.clear()
         basis = QueryBasis.build(params, geometry, rhs, cutoff_config, theta, n_per_axis)
-        held = _kept["basis"] = (objects, values, params.to_flat(), basis)
+        weights = params.to_flat()
+        weights.flags.writeable = False
+        held = _kept["basis"] = (objects, values, weights, basis)
     return held[3].solve(parameter, n_singular)
 
 

@@ -16,7 +16,7 @@ from transolve.eigen import (
 )
 from transolve.geometry import angular_trace
 
-from conftest import geom_2x2
+from conftest import geom_2x2, geom_3x3
 
 CHECKERBOARD = np.array([1.0, 10.0, 1.0, 10.0])
 
@@ -159,29 +159,30 @@ def test_select_singular():
     # of four sectors has one mode in the band, so only made-up modes test
     # the order and a cap above 1)
     exps = np.array([0.0, 5e-7, 0.3, 0.5, 0.9, 1.0 - 5e-10, 1.0, 1.5])
-    fake = EigenModes(exps, exps**2, pairs.rho[:8], np.ones(8), np.zeros(8))
+    fake = EigenModes(exps, pairs.rho[:8], np.ones(8), np.zeros(8))
     assert select_singular(fake[5:], 3) == []
     assert [p.exponent for p in select_singular(fake, 2)] == [0.3, 0.5]
     assert [p.exponent for p in select_singular(fake, 8)] == [0.3, 0.5, 0.9]
 
 
 def test_selection_equals_the_band_filter_over_every_mode():
-    """The mask over the exponent array keeps the pairs, fields and order
+    """The mask over the exponent array keeps the modes, fields and order
     that filtering all 16 modes one by one through the band keeps."""
     traces = np.vstack([np.ones(4), np.random.default_rng(8).uniform(0.1, 10.0, size=(64, 4))])
     stacked = solve_eigenpairs(assemble_eigensystem(traces))
     n_selected = 0
-    for modes in stacked:
-        assert isinstance(modes, EigenModes) and len(modes) == 16
+    for k in range(len(traces)):
+        modes = stacked[k]
+        assert isinstance(modes, EigenModes) and modes.exponent.shape == (16,)
         for n_cap in range(4):
-            want = [p for p in modes if SELECT_BAND < p.exponent < 1.0 - SELECT_BAND][:n_cap]
+            want = [m for m in range(16) if SELECT_BAND < modes.exponent[m] < 1.0 - SELECT_BAND]
             got = select_singular(modes, n_cap)
-            assert len(got) == len(want)
+            assert len(got) == len(want[:n_cap])
             n_selected += len(got)
-            for a, b in zip(got, want):
-                assert (a.exponent, a.eigenvalue, a.mu_scale, a.residual) == (
-                    b.exponent, b.eigenvalue, b.mu_scale, b.residual)
-                assert np.array_equal(a.rho, b.rho)
+            for a, m in zip(got, want):
+                assert (a.exponent, a.mu_scale, a.residual) == (
+                    modes.exponent[m], modes.mu_scale[m], modes.residual[m])
+                assert np.array_equal(a.rho, modes.rho[m])
     assert select_singular(stacked[0], 3) == []  # the uniform trace has no singular mode
     assert n_selected > 0
 
@@ -233,8 +234,9 @@ def test_angular_eval_derivative_fd():
 def test_geometry_trace_feeds_eigensolver():
     g = geom_2x2()
     trace = [s[2] for s in angular_trace(g, [1.0, 10.0, 10.0, 1.0], 0)]
-    pairs = solve_eigenpairs(assemble_eigensystem(trace))
-    assert len(pairs) == 16
+    modes = solve_eigenpairs(assemble_eigensystem(trace))
+    assert modes.exponent.shape == modes.mu_scale.shape == modes.residual.shape == (16,)
+    assert modes.rho.shape == (16, 16)
 
 
 P_SECTOR = st.lists(st.floats(0.1, 10.0), min_size=4, max_size=4)
@@ -247,20 +249,21 @@ def test_batched_solve_properties(traces):
     mode, the oracle, and a stacked call agreeing with single calls."""
     traces = np.array(traces)
     stacked = solve_eigenpairs(assemble_eigensystem(traces))
-    assert len(stacked) == len(traces)
-    for trace, pairs in zip(traces, stacked):
+    assert stacked.exponent.shape == (len(traces), 16)
+    assert stacked.rho.shape == (len(traces), 16, 16)
+    for k, trace in enumerate(traces):
+        modes = stacked[k]
         system = assemble_eigensystem(trace)
-        rhos = np.array([p.rho for p in pairs])
-        np.testing.assert_allclose(rhos @ system.mass @ rhos.T, np.eye(16), atol=1e-12)
-        assert max(p.residual for p in pairs[1:]) <= 1e-10
-        assert pairs[0].exponent < 1e-6  # select_singular's band keeps it out
+        np.testing.assert_allclose(modes.rho @ system.mass @ modes.rho.T, np.eye(16), atol=1e-12)
+        assert modes.residual[1:].max() <= 1e-10
+        assert modes.exponent[0] < 1e-6  # select_singular's band keeps it out
 
+        # the squares, the eigenvalues: the square root amplifies the zero
+        # mode's rounding, which the stacked and single solves round apart
         single = solve_eigenpairs(system)
-        np.testing.assert_allclose(
-            [p.eigenvalue for p in pairs], [p.eigenvalue for p in single], rtol=1e-12, atol=1e-12
-        )
+        np.testing.assert_allclose(modes.exponent**2, single.exponent**2, rtol=1e-12, atol=1e-12)
 
-        selected = np.array([p.exponent for p in select_singular(pairs, 2)])
+        selected = np.array([p.exponent for p in select_singular(modes, 2)])
         roots = np.array(semi_analytic_exponents(trace, lam_max=1.0))
         inside = roots[(roots > 0) & (roots < 1)][:2]
         n = min(selected.size, inside.size)
@@ -273,10 +276,35 @@ def test_eigenvalues_match_scipy_generalized_eigh():
     traces = np.vstack([CHECKERBOARD, np.random.default_rng(4).uniform(0.1, 10.0, size=(31, 4))])
     system = assemble_eigensystem(traces)
     stacked = solve_eigenpairs(system)
-    for g, b, pairs in zip(system.stiffness, system.mass, stacked):
+    for g, b, exponent in zip(system.stiffness, system.mass, stacked.exponent):
         want = np.maximum(scipy.linalg.eigh(g, b, eigvals_only=True), 0.0)
-        got = np.array([p.eigenvalue for p in pairs])
-        np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10 * want.max())
+        np.testing.assert_allclose(exponent**2, want, rtol=1e-10, atol=1e-10 * want.max())
+
+
+def test_selection_from_a_vertex_stack_equals_the_single_solve():
+    """`select_singular` on ``modes[k, v]`` of a (P, N_s, 4) stack keeps the
+    pairs it keeps on that trace solved alone.  The two solves round apart,
+    and an eigenvector's sign is free, so rho is compared up to sign."""
+    g = geom_3x3()
+    params = np.random.default_rng(5).uniform(0.1, 10.0, size=(8, g.n_subdomains))
+    traces = params[:, g.vertex_sectors]
+    stacked = solve_eigenpairs(assemble_eigensystem(traces))
+    assert stacked.exponent.shape == (8, g.n_singular, 16)
+    n_selected = 0
+    for k, v in np.ndindex(traces.shape[:2]):
+        single = solve_eigenpairs(assemble_eigensystem(traces[k, v]))
+        for cap in (1, 2):
+            got, want = select_singular(stacked[k, v], cap), select_singular(single, cap)
+            assert len(got) == len(want)
+            n_selected += len(got)
+            for a, b in zip(got, want):
+                assert a.exponent == pytest.approx(b.exponent, abs=1e-12)
+                assert a.mu_scale == pytest.approx(b.mu_scale, rel=1e-10)
+                assert a.residual == pytest.approx(b.residual, abs=1e-12)
+                sign = np.sign(a.rho @ b.rho)
+                np.testing.assert_allclose(sign * a.rho, b.rho, rtol=0,
+                                           atol=1e-10 * np.abs(b.rho).max())
+    assert n_selected > 0
 
 
 def _basis_at(x):

@@ -187,6 +187,28 @@ def test_tracer_sees_one_eigensolve_and_one_selection_per_vertex(perfbench_modul
     assert all(span[5]["max_residual"] > 0 for span in selections)
 
 
+def test_tracer_sees_the_solve_of_a_query_on_a_held_basis(perfbench_module, monkeypatch):
+    """`assembly.solve_s` of a traced query reads the `solve_parameter_batch`
+    span: a query on the basis `final_solve` holds calls the solve by its
+    name on the training namespace, as an epoch does."""
+    spans = perfbench_module("spans")
+    monkeypatch.setattr(training, "_kept", {})
+    g = geom_2x2()
+    args = (g, np.array([1.0, 10.0, 10.0, 1.0]), RhsSpec.for_geometry("corner2d", g),
+            default_cutoff_config(g), 1.0, 16)
+    params = init_params(NetConfig(2, (8,), 4, 8), 2)
+    training.final_solve(params, *args)
+    basis = training._kept["basis"][3]
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        training.final_solve(params, *args)
+    finally:
+        tracer.uninstall()
+    assert training._kept["basis"][3] is basis
+    assert [span[2] for span in tracer.spans].count("solve_parameter_batch") == 1
+
+
 def test_ls_check_accepts_the_batched_solve_in_2d(perfbench_module):
     checks = perfbench_module("checks")
     g = geom_2x2()

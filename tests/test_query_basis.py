@@ -1,6 +1,7 @@
 """The offline/online split of queries: `QueryBasis` and the basis
 `final_solve` holds between calls."""
 
+import dataclasses
 import tracemalloc
 import weakref
 
@@ -239,6 +240,55 @@ def test_writing_into_returned_fields_cannot_change_a_later_query():
     for key, value in kept.items():
         np.testing.assert_array_equal(fields[key], value)
     np.testing.assert_array_equal(coeffs.stacked, kept_y)
+
+
+def _writeable_arrays(obj, path, seen):
+    """The paths of the writeable arrays reachable from ``obj`` through
+    dataclass fields, lists and tuples."""
+    if id(obj) in seen:
+        return []
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        return [path] if obj.flags.writeable else []
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        items = [(f.name, getattr(obj, f.name)) for f in dataclasses.fields(obj)]
+    elif isinstance(obj, (list, tuple)):
+        items = list(enumerate(obj))
+    else:
+        return []
+    return [p for key, value in items for p in _writeable_arrays(value, f"{path}.{key}", seen)]
+
+
+def test_no_array_reachable_from_the_held_basis_is_writeable(monkeypatch):
+    """The held basis, the inputs it is keyed on and the sign rows the
+    minus side reads are all read-only, so no write through them can change
+    a later query."""
+    monkeypatch.setattr(training, "_kept", {})
+    g, rhs, cut, params = problem()
+    final_solve(params, g, np.array([1.0, 10.0, 10.0, 1.0]), rhs, cut, 1.0, GRID,
+                n_singular=N_SINGULAR)
+    held = training._kept["basis"]
+    assert len(held[3].cache.sign_runs) == 2
+    assert _writeable_arrays(held, "held", set()) == []
+
+
+@pytest.mark.parametrize("owner, name", [
+    ("geometry", "subdomain_lo"), ("geometry", "subdomain_hi"),
+    ("geometry", "singular_vertices"), ("geometry", "vertex_sectors"), ("rhs", "vertices"),
+])
+def test_an_in_place_edit_of_a_basis_key_raises(owner, name):
+    """`final_solve` recognizes the geometry and rhs by identity, so their
+    arrays are read-only: an in-place edit raises rather than leaving the
+    held basis stale.  The array a spec's vertices were copied from stays
+    the caller's to write."""
+    g, rhs, _, _ = problem()
+    array = getattr({"geometry": g, "rhs": rhs}[owner], name)
+    with pytest.raises(ValueError, match="read-only"):
+        array += 1
+    mine = np.array([[0.1, 0.2]])
+    spec = RhsSpec("corner2d", mine)
+    mine += 1.0
+    np.testing.assert_array_equal(spec.vertices, [[0.1, 0.2]])
 
 
 def test_zero_right_hand_side_reads_zero_relative_residual():
