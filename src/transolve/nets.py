@@ -27,9 +27,10 @@ the tiles ("Training Deep Nets with Sublinear Memory Cost", Chen et al.
 2016).  Its memory is a tile's, not a tape of every layer at every point.
 The seeds come a tile at a time too: the caller adds each tile's rows of
 them into one tile-sized stack, which the pass zeroes per tile and reads
-as its input, so no seed set of all the points is made.  `forward_jets`
-writes into the caller's arrays when given them, so a caller that
-evaluates points of one count again and again keeps its output arrays.
+as its input and overwrites with each layer's seeds in turn, so no seed
+set of all the points is made.  `forward_jets` writes into the caller's
+arrays when given them, so a caller that evaluates points of one count
+again and again keeps its output arrays.
 
 What a product of the passes costs depends on its operands' layout,
 which picks the OpenBLAS kernel that runs it (Goto & van de Geijn,
@@ -41,6 +42,18 @@ NN on the weights as they are stored, its weight gradient z_bar^T X is a
 TN GEMM, and the sums of the bias seeds and of the first layer's gradient
 rows over a tile's points are GEMVs, 1^T z_bar (`backward_jets`).  The
 docstrings of both give the measured times and the layouts that lost.
+
+Since each tile recomputes its own forward, the tiles of a pass are
+independent, and a tile's products are BLAS calls, which release the GIL.
+So a pass of at least `SPLIT_TILES` tiles runs the first half of them in
+the calling thread and the second half at once in the module's one
+worker thread (`_over_tiles`); a shorter pass, or a process allowed one
+CPU, runs the tiles in turn in the calling thread.  In `backward_jets`
+the caller adds its tiles' weight-gradient terms into the sums as it
+goes, and the worker returns its own, which the caller adds after them
+in tile order: the sums of the serial loop, bit for bit.  The comment on
+`SPLIT_TILES` gives the measured threshold and why there are two threads
+at most.
 
 `Jets` is the one (value, gradient, Laplacian) type of the package: the
 network returns its outputs as `Jets`, the cutoff fields are `Jets`, and
@@ -57,7 +70,10 @@ blocks of a backward tile's seeds.
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -78,6 +94,27 @@ __all__ = [
 # was slower.  Against 256, train2d-corner's raw epoch time read +2.0% at 192
 # and +9.5% at 384 (medians of 10 alternating pairs, BLAS on one thread).
 TILE = 256
+
+# A pass of at least SPLIT_TILES tiles runs the first half of them in the
+# calling thread and the second half at once in one worker thread
+# (`_over_tiles`).  Much of a tile is short NumPy calls that hold the GIL,
+# so the two threads keep about 1.4 cores busy, not 2.  A forward and
+# backward pass of k tiles on the 2D benchmark network (BLAS on one
+# thread) ran 11-21% faster split at k = 2 and 4..10, but only 1% at
+# k = 3, whose halves are 2 tiles and 1; on the 1D one, 5% slower at
+# k = 2 and 3 and 3-13% faster from k = 4.  In whole epochs the split
+# gains less: split from 4 tiles, train1d-sin's 4-tile passes made its
+# raw epoch 2.5% faster for 18% more CPU time.  At 8 they stay serial,
+# and train2d-corner's 15-tile passes (-15% raw epoch time) split.
+# There is one worker whatever the CPU count, because each tile in flight
+# holds its own buffers: one tile's backward share is 1.97 MB on the batch
+# of `test_gradient_keeps_no_whole_batch_tape`, whose peak with two tiles
+# in flight reads 13.9-14.5 MB against its 15.68 MB bound, where a first
+# pool sized from the CPU affinity read 17.6-18.3 MB with four.  Two fit
+# because `_tanh_adjoint` writes its seeds over its input's and
+# `_tile_terms` drops a tile's arrays as it goes; a tile's share was
+# 3.15 MB before.
+SPLIT_TILES = 8
 
 
 @dataclass(frozen=True)
@@ -344,6 +381,48 @@ def _check_jets(name: str, jets: Jets, shape: tuple, d: int) -> None:
         )
 
 
+def _make_pool() -> None:
+    """The one worker thread of the split passes, as an executor that
+    starts it at its first task.  Made at import, and again in a forked
+    child: the parent's worker thread is not in the child, so a task sent
+    to the copy of its executor would wait forever."""
+    global _pool
+    _pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="transolve-tiles")
+
+
+_make_pool()
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_make_pool)
+
+
+def _worker() -> ThreadPoolExecutor | None:
+    """The worker, or None where the process may use one CPU only."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return _pool if (cpus or 1) > 1 else None
+
+
+def _over_tiles(n: int, here, there=None):
+    """Run a pass of n points over its tiles: ``here(starts)`` on the tile
+    starts in the calling thread, serially, or, for a pass of at least
+    SPLIT_TILES tiles with a worker, on the first half of them while the
+    worker runs ``there`` (``here`` if None) on the second half.  Returns
+    the worker's result, None without it.  Whichever half raises, the call
+    raises only once both have stopped, so no tile writes into the
+    caller's arrays after it returns."""
+    starts = range(0, n, TILE)
+    pool = _worker() if len(starts) >= SPLIT_TILES else None
+    if pool is None:
+        here(starts)
+        return None
+    half = (len(starts) + 1) // 2
+    future = pool.submit(there or here, starts[half:])
+    try:
+        here(starts[:half])
+    finally:
+        wait((future,))
+    return future.result()
+
+
 def forward_jets(params: MlpParams, points: np.ndarray, out: Jets | None = None) -> Jets:
     """Exact (value, gradient, Laplacian) of every output at every point.
 
@@ -353,7 +432,9 @@ def forward_jets(params: MlpParams, points: np.ndarray, out: Jets | None = None)
     t1 = 1 - t^2 and t2 = -2 t t1.  The jets are written into ``out``, of
     the (J, N) outputs' shape, which is returned; without it into new
     arrays (`Jets.empty`).  A caller that evaluates points of one count
-    again and again keeps its arrays so.
+    again and again keeps its arrays so.  A pass of `SPLIT_TILES` tiles or
+    more writes half of them from a worker thread, and returns once both
+    halves are written.
     """
     points = _checked_points(params, points)
     n, d = points.shape
@@ -361,25 +442,32 @@ def forward_jets(params: MlpParams, points: np.ndarray, out: Jets | None = None)
     if out is None:
         out = Jets.empty(shape, d)
     _check_jets("out", out, shape, d)
+    _over_tiles(n, partial(_forward_tiles, _transposed(params.layers), points, out))
+    return out
+
+
+def _forward_tiles(layers, points: np.ndarray, out: Jets, starts: range) -> None:
+    """`forward_jets` on the tiles that begin at ``starts``, into ``out``."""
+    d = points.shape[1]
     components = _components(out.gradient)
-    layers = _transposed(params.layers)
-    for s in range(0, n, TILE):
+    for s in starts:
         for x, _ in _tile_layers(layers, points[s : s + TILE]):
             pass  # each layer's arrays are dropped as the next one is made
         out.value[s : s + TILE] = x[0]
         components[:, s : s + TILE] = x[1 : 1 + d]
         out.laplacian[s : s + TILE] = x[1 + d]
-    return out
 
 
 def _tanh_adjoint(y: np.ndarray, t, g, lap, t1) -> np.ndarray:
     """The seeds on a tanh layer's stacked (2 + d, T, m) pre-activation
     jets, from the seeds ``y`` on its output jets: value ``t``, gradient
     rows ``g`` (d, T, m) and Laplacian ``lap``, with t1 = 1 - t^2.  See
-    `backward_jets` for the formulas."""
+    `backward_jets` for the formulas.  They are written over ``y``, which
+    is returned: each row is overwritten once nothing else reads it, so the
+    numbers are those of a new array, and a tile holds one seed stack per
+    layer, not two."""
     d = g.shape[0]
     yv, yg, yl = y[0], y[1 : 1 + d], y[1 + d]
-    z_bar = np.empty_like(y)
     # value row: yv t1 - 2 t (yg . g) - 2 yl (|g|^2 + t l)
     dot = yg[0] * g[0]
     sq = g[0] * g[0]
@@ -391,16 +479,16 @@ def _tanh_adjoint(y: np.ndarray, t, g, lap, t1) -> np.ndarray:
     sq *= yl
     dot += sq
     dot *= -2.0
-    zv_bar = np.multiply(yv, t1, out=z_bar[0])
-    zv_bar += dot
+    yv *= t1
+    yv += dot
     # gradient rows: yg t1 - 4 t yl g
     np.multiply(t, yl, out=dot)
     dot *= 4.0
-    zg_bar = np.multiply(yg, t1, out=z_bar[1 : 1 + d])
-    zg_bar -= dot * g
+    yg *= t1
+    yg -= dot * g
     # Laplacian row: yl t1
-    np.multiply(yl, t1, out=z_bar[1 + d])
-    return z_bar
+    yl *= t1
+    return y
 
 
 def backward_jets(params: MlpParams, points: np.ndarray, outputs: Jets, seeds) -> np.ndarray:
@@ -416,7 +504,8 @@ def backward_jets(params: MlpParams, points: np.ndarray, outputs: Jets, seeds) -
     spans the J points and none is copied into the tile.  Each tile's
     hidden layers are recomputed, the output layer's jets read from
     ``outputs``, the tile back-propagated at once, and the weight gradients
-    summed over the tiles.
+    summed over the tiles, in tile order also when the pass is split over
+    two threads (`SPLIT_TILES`).
 
     A layer's output is t = tanh z, g = t1 zg and l = t2 |zg|^2 + t1 zl,
     with t1 = 1 - t^2, t2 = -2 t t1 and t3 = t2' = -2 (t1^2 + t t2).  The
@@ -455,44 +544,69 @@ def backward_jets(params: MlpParams, points: np.ndarray, outputs: Jets, seeds) -
     if tuple(seeds.shape) != shape:
         raise ValueError(f"seeds of shape {tuple(seeds.shape)} do not match {shape}")
     layers = params.layers
-    top = len(layers) - 1
-    hidden = _transposed(layers[:top])
+    grads = [np.zeros_like(w) for layer in layers for w in layer]
+    tiles = partial(_tile_gradients, layers, _transposed(layers[:-1]), points, outputs, seeds)
+
+    def here(starts):
+        for i, term in tiles(starts):
+            grads[i] += term
+
+    # the worker's terms, added after the caller's in tile order: the sums
+    # of the serial loop, bit for bit
+    for i, term in _over_tiles(n, here, lambda starts: list(tiles(starts))) or ():
+        grads[i] += term
+    return np.concatenate([g.ravel() for g in grads])
+
+
+def _tile_gradients(layers, hidden, points: np.ndarray, outputs: Jets, seeds, starts: range):
+    """The reverse pass of `backward_jets` on the tiles that begin at
+    ``starts``, ``hidden`` the hidden layers as `_transposed` lays them
+    out.  Yields each weight-gradient term as (i, term), i its array's
+    place in the flat [A1, b1, A2, b2, ...] order, in the order they are
+    summed: tile by tile, the output layer first.  The tile seed stack and
+    the ones of the GEMV sums are made once per call."""
+    n, d = points.shape
     components = _components(outputs.gradient)
-    grads = [(np.zeros_like(a), np.zeros_like(b)) for a, b in layers]
-    tile_seeds = np.empty((2 + d, min(TILE, n), shape[1]))
+    tile_seeds = np.empty((2 + d, min(TILE, n), outputs.value.shape[1]))
     ones = np.ones(min(TILE, n))
-    for s in range(0, n, TILE):
+    for s in starts:
         rows = slice(s, min(s + TILE, n))
-        pts = points[rows]
-        saved = list(_tile_layers(hidden, pts))
-        sums = ones[: len(pts)]
-        y = tile_seeds[:, : len(pts)]
+        y = tile_seeds[:, : rows.stop - s]
         y.fill(0.0)
         seeds.add(rows, Jets(y[0], _gradient(y[1 : 1 + d]), y[1 + d]))
-        for layer in range(top, -1, -1):
-            a = layers[layer][0]
-            a_bar, b_bar = grads[layer]
-            if layer == top:
-                t = outputs.value[rows]
-                z_bar = _tanh_adjoint(
-                    y, t, components[:, rows], outputs.laplacian[rows], 1.0 - t * t
-                )
-            else:
-                out, t1 = saved[layer]
-                z_bar = _tanh_adjoint(y, out[0], out[1 : 1 + d], out[1 + d], t1)
+        top = (outputs.value[rows], components[:, rows], outputs.laplacian[rows])
+        yield from _tile_terms(layers, hidden, points[rows], y, top, ones)
 
-            # through the affine map z = x A^T (+ b on the value row)
-            b_bar += sums @ z_bar[0]
-            if layer == 0:
-                # the points' own jets: value rows x, gradient rows e_k, Laplacian 0
-                a_bar += z_bar[0].T @ pts
-                a_bar += (sums @ z_bar[1 : 1 + d]).T
-                continue
-            m_out, m_in = a.shape
-            x = saved[layer - 1][0]
-            a_bar += z_bar.reshape(-1, m_out).T @ x.reshape(-1, m_in)
-            y = (z_bar.reshape(-1, m_out) @ a).reshape(2 + d, -1, m_in)
-    return np.concatenate([np.concatenate([a_bar.ravel(), b_bar]) for a_bar, b_bar in grads])
+
+def _tile_terms(layers, hidden, pts: np.ndarray, y: np.ndarray, top: tuple, ones: np.ndarray):
+    """`_tile_gradients` on one tile of points ``pts``, from the seeds ``y``
+    on its output jets ``top``: value, (d, T, N) gradient rows and
+    Laplacian.  Each hidden layer's recomputed jets are dropped once the
+    pass is below them, and all of the tile's arrays when it ends."""
+    d = pts.shape[1]
+    saved = list(_tile_layers(hidden, pts))
+    sums = ones[: len(pts)]
+    for layer in range(len(layers) - 1, -1, -1):
+        if layer == len(layers) - 1:
+            t, g, lap = top
+            t1 = 1.0 - t * t
+        else:
+            out, t1 = saved.pop()
+            t, g, lap = out[0], out[1 : 1 + d], out[1 + d]
+        z_bar = _tanh_adjoint(y, t, g, lap, t1)
+
+        # through the affine map z = x A^T (+ b on the value row)
+        yield 2 * layer + 1, sums @ z_bar[0]
+        if layer == 0:
+            # the points' own jets: value rows x, gradient rows e_k, Laplacian 0
+            yield 0, z_bar[0].T @ pts
+            yield 0, (sums @ z_bar[1 : 1 + d]).T
+            return
+        a = layers[layer][0]
+        m_out, m_in = a.shape
+        x = saved[-1][0]
+        yield 2 * layer, z_bar.reshape(-1, m_out).T @ x.reshape(-1, m_in)
+        y = (z_bar.reshape(-1, m_out) @ a).reshape(2 + d, -1, m_in)
 
 
 @dataclass

@@ -1,11 +1,16 @@
-"""The layouts that several test modules share, one copy each.
+"""The layouts and the fixtures that several test modules share, one copy
+each.
 
-Test modules import them by name (``from conftest import geom_1d``): pytest
-puts this directory on the import path.
+Test modules import the layouts by name (``from conftest import geom_1d``):
+pytest puts this directory on the import path.
 """
 
-import numpy as np
+from concurrent.futures import ThreadPoolExecutor
 
+import numpy as np
+import pytest
+
+from transolve import nets
 from transolve.cutoffs import default_cutoff_config
 from transolve.geometry import build_grid_geometry
 from transolve.singular import polar_cache
@@ -53,3 +58,27 @@ def kinked_sin_rows(geometry, quad):
     minus, plus = (signs[[getattr(ifc, side) for ifc in ifcs]] for side in ("minus", "plus"))
     trace = 5 * np.cos(5 * quad.interface_points[:, :1]) * plus
     return signs, lap, trace, minus * plus
+
+
+class _CountingWorker(ThreadPoolExecutor):
+    """A worker for the split jet passes that notes the tile starts of
+    each half it is sent."""
+
+    def __init__(self):
+        super().__init__(max_workers=1, thread_name_prefix="test-tiles")
+        self.halves = []
+
+    def submit(self, fn, starts):
+        self.halves.append(starts)
+        return super().submit(fn, starts)
+
+
+@pytest.fixture
+def split_worker(monkeypatch):
+    """The worker the jet passes use, on any host, one CPU included: a
+    pass of `nets.SPLIT_TILES` tiles or more is split.  Its ``halves`` are
+    the tile starts of the halves sent to it."""
+    worker = _CountingWorker()
+    monkeypatch.setattr(nets, "_worker", lambda: worker)
+    yield worker
+    worker.shutdown(wait=True)

@@ -1,3 +1,9 @@
+import multiprocessing
+import os
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -438,6 +444,180 @@ def test_backward_matches_the_record_reverse_pass(cfg, tile, saturated, monkeypa
     want = _record_backward(p, pts, *seeds)
     got = backward_jets(p, pts, jets, _Served(*seeds))
     np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13 * np.max(np.abs(want)))
+
+
+def _both_passes(cfg, n, seed):
+    """The jets and the weight gradient of random seeds at n points."""
+    p = init_params(cfg, seed)
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(-1, 1, size=(n, cfg.input_dim))
+    jets = forward_jets(p, pts)
+    return jets, backward_jets(p, pts, jets, _Served(*_random_seeds(rng, n, cfg)))
+
+
+def _assert_same_passes(got, want):
+    (jets, grad), (want_jets, want_grad) = got, want
+    for k in ("value", "gradient", "laplacian"):
+        assert np.array_equal(getattr(jets, k), getattr(want_jets, k))
+    assert np.array_equal(grad, want_grad)
+
+
+def _tile_starts(n):
+    starts = range(0, n, nets.TILE)
+    return starts, (len(starts) + 1) // 2
+
+
+@pytest.mark.parametrize("cfg", [NET_1D, NET_2D], ids=["net1d", "net2d"])
+@pytest.mark.parametrize("tiles, ragged", [(nets.SPLIT_TILES - 1, 0), (nets.SPLIT_TILES, 0),
+                                           (nets.SPLIT_TILES, 37)], ids=["below", "at", "ragged"])
+def test_split_passes_equal_the_serial_loop(cfg, tiles, ragged, split_worker, monkeypatch):
+    """Split over the caller and the worker, the passes give the jets and
+    the gradient of the serial loop bit for bit: the worker's tiles'
+    gradient terms are added after the caller's, in tile order.  One tile
+    short of the threshold the pass stays serial; with a ragged last tile
+    the worker takes it."""
+    n = tiles * nets.TILE + ragged
+    split = _both_passes(cfg, n, 23)
+    monkeypatch.setattr(nets, "_worker", lambda: None)
+    _assert_same_passes(split, _both_passes(cfg, n, 23))
+    starts, half = _tile_starts(n)
+    want = [] if len(starts) < nets.SPLIT_TILES else [starts[half:]] * 2
+    assert split_worker.halves == want
+
+
+class _SeedError(Exception):
+    pass
+
+
+class _Failing(_Served):
+    """Seeds that raise on the tile that starts at row ``bad`` and note the
+    start of every tile they serve; each tile takes 2 ms, so that a pass
+    which returned before its other half stopped would be seen."""
+
+    def __init__(self, bad, *arrays):
+        super().__init__(*arrays)
+        self.bad = bad
+        self.served = []
+
+    def add(self, rows, out):
+        if rows.start == self.bad:
+            raise _SeedError(rows.start)
+        time.sleep(0.002)
+        super().add(rows, out)
+        self.served.append(rows.start)
+
+
+@pytest.mark.parametrize("side", ["worker", "caller"])
+def test_split_backward_raises_once_both_halves_stop(side, split_worker):
+    """A seed error on the first tile of either half is raised by the
+    call, once the other half has served all of its tiles and not before:
+    no tile writes into the caller's arrays after the call raises."""
+    cfg = NET_2D
+    n = nets.SPLIT_TILES * nets.TILE
+    p = init_params(cfg, 4)
+    rng = np.random.default_rng(4)
+    pts = rng.uniform(-1, 1, size=(n, 2))
+    starts, half = _tile_starts(n)
+    bad, other = (starts[half], starts[:half]) if side == "worker" else (0, starts[half:])
+    seeds = _Failing(bad, *_random_seeds(rng, n, cfg))
+    with pytest.raises(_SeedError):
+        backward_jets(p, pts, forward_jets(p, pts), seeds)
+    served = list(seeds.served)
+    time.sleep(0.05)
+    assert seeds.served == served == list(other)
+    assert len(split_worker.halves) == 2  # the forward pass's and the backward pass's
+
+
+def test_split_passes_from_concurrent_callers(split_worker, monkeypatch):
+    """Three threads on two or fewer cores run split passes at once through
+    the one worker, with the interpreter switching threads every 10 us:
+    each gets the serial loop's jets and gradient.  A seed stack or a sum
+    shared between calls or halves would lose updates here."""
+    monkeypatch.setattr(nets, "_worker", lambda: None)
+    want = _both_passes(NET_2D, nets.SPLIT_TILES * nets.TILE, 31)
+    monkeypatch.setattr(nets, "_worker", lambda: split_worker)
+    results = [None] * 3
+
+    def run(k):
+        results[k] = [_both_passes(NET_2D, nets.SPLIT_TILES * nets.TILE, 31) for _ in range(2)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=run, args=(k,)) for k in range(3)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for runs in results:
+        for got in runs:
+            _assert_same_passes(got, want)
+    assert len(split_worker.halves) == 3 * 2 * 2
+
+
+@pytest.fixture
+def fresh_pool(monkeypatch):
+    """The module's own worker made anew, with no thread started yet, as in
+    a new process; shut down after the test, and the old one put back."""
+    monkeypatch.setattr(nets, "_pool", nets._pool)
+    nets._make_pool()
+    yield
+    nets._pool.shutdown(wait=True)
+
+
+@pytest.mark.parametrize("cpus", [1, 8])
+def test_the_pool_has_one_worker_whatever_the_cpu_count(cpus, fresh_pool, monkeypatch):
+    """With 8 CPUs in the affinity, split passes start exactly one worker
+    thread; with 1 none is started and the passes stay serial."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    before = set(threading.enumerate())
+    for _ in range(2):
+        _both_passes(NET_2D, nets.SPLIT_TILES * nets.TILE, 5)
+    started = set(threading.enumerate()) - before
+    assert len(started) == (cpus > 1)
+    assert all(thread.name.startswith("transolve-tiles") for thread in started)
+
+
+def _child_jets(params, points, conn):
+    jets = forward_jets(params, points)
+    workers = [t for t in threading.enumerate() if t.name.startswith("transolve-tiles")]
+    conn.send((jets.value, jets.gradient, jets.laplacian, len(workers)))
+    conn.close()
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="no fork on this platform")
+@pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
+def test_a_forked_child_splits_passes_with_its_own_worker(fresh_pool, monkeypatch):
+    """A child forked after a split pass has no copy of the parent's worker
+    thread.  Its split pass starts a worker of its own, and returns the
+    parent's jets within the timeout; sent to the inherited executor, it
+    would wait forever."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    p = init_params(NET_2D, 6)
+    pts = np.random.default_rng(6).uniform(-1, 1, size=(nets.SPLIT_TILES * nets.TILE, 2))
+    want = forward_jets(p, pts)
+    assert any(t.name.startswith("transolve-tiles") for t in threading.enumerate())
+    context = multiprocessing.get_context("fork")
+    receiver, sender = context.Pipe(duplex=False)
+    child = context.Process(target=_child_jets, args=(p, pts, sender))
+    child.start()
+    sender.close()
+    try:
+        assert receiver.poll(10), "the forked child's split pass did not return in 10 s"
+        value, gradient, laplacian, workers = receiver.recv()
+    finally:
+        child.join(timeout=10)
+        if child.is_alive():
+            child.kill()
+            child.join()
+    assert child.exitcode == 0
+    assert workers == 1
+    for got, k in zip((value, gradient, laplacian), ("value", "gradient", "laplacian")):
+        assert np.array_equal(got, getattr(want, k))
 
 
 def test_adam_zero_gradient_no_move():

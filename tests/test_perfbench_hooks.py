@@ -9,6 +9,7 @@ benchmark run.  perfbench/ is only read.
 import importlib.util
 import json
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +24,8 @@ from transolve.sampling import sample_collocation, sample_parameters
 from transolve.singular import singular_evals_from_cache
 from transolve.training import (
     EpochData,
+    Seeds,
+    TrainConfig,
     _composed_cache,
     loss_and_param_gradient,
     vertex_eigenpairs,
@@ -165,6 +168,32 @@ def test_tracer_sees_one_span_of_each_cutoff_stage(perfbench_module):
     assert names.count("composition_factors") == 1
     assert names.count("interface_trace_factors") == 1
     assert names.count("singular_evals_from_cache") == 1
+
+
+def test_no_traced_name_is_called_off_the_main_thread(perfbench_module, split_worker, monkeypatch):
+    """The tracer's span stack is not thread-safe, and a split jet pass
+    runs the seeds' `add` (`training._ComposedSeeds`) in the nets worker
+    thread.  An epoch shaped like train2d-corner's (its layout and
+    network, 8 parameters, 60 interior and 20 interface points per
+    subdomain), with both passes split, calls every traced name on the
+    main thread."""
+    spans = perfbench_module("spans")
+    calls = []
+    for name in spans.LAYER_OF:
+        def wrapper(*args, _fn=getattr(training, name), _name=name, **kwargs):
+            calls.append((_name, threading.current_thread()))
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(training, name, wrapper)
+    g = geom_3x3()
+    config = TrainConfig(iterations=1, lr_start=2e-3, lr_end=1e-3, theta=1.0, n_params=8,
+                         n_interior=60, n_interface=20, p_min=0.1, p_max=10.0, n_singular=2,
+                         seeds=Seeds(1, 2, 3, 7), val_every=1)
+    state = training.init_train_state(g, NetConfig(2, (30, 30, 30), 16, 32), config)
+    training.run_epoch(state, config, g, RhsSpec.for_geometry("corner2d", g),
+                       default_cutoff_config(g), None)
+    assert len(split_worker.halves) == 2  # the forward pass's and the backward pass's
+    assert {"forward_jets", "backward_jets", "adam_step"} <= {name for name, _ in calls}
+    assert all(thread is threading.main_thread() for _, thread in calls)
 
 
 def test_tracer_sees_one_eigensolve_and_one_selection_per_vertex(perfbench_module):
