@@ -5,43 +5,54 @@ the composed basis | singular sources) against the loss-side right-hand
 side, then J2 jump rows carrying sqrt(Theta * weight) times the signed
 flux-jump bracket of the basis traces (singular columns are zero there).
 
-`build_epoch_cache` weights the parameter-free rows once, the Laplacians in
-place; the row weights are known to this module alone.  It keeps the
-interior points' vertex-disk table (`singular.polar_cache`), which its
-caller builds once and also hands to the cutoff factors, for the rows of
-the singular columns; it needs nothing else of the cutoff.  The jump rows
-keep one trace per column, the plus side's: the minus side's is that trace
-times a (J2, N) sign of +-1, so the cache holds one weighted trace and its
-sign, and each minus-side product is formed from the two where it is
-needed.  A row of the sign depends only on its interface's axis, so the
-sign is a few runs of equal rows s, which the cache lists, and the solve
-forms the minus side's products as wtrace (s * y), with no (J2, N)
-product of the sign.
+`build_epoch_cache` weights the parameter-free rows once, in place; the
+row weights are known to this module alone.  The interior rows are one
+(J1, N + 2) array, the Laplacians beside the source's two factors, into
+whose first N columns the caller composes the Laplacians, so no second
+(J1, N) array is made.  The sampled quadratures come grouped by subdomain
+(`sampling.QuadratureSet`), and the cache lists the runs of equal
+subdomain of its rows: on a run every row's diffusivity is one p_i.  It
+keeps the interior points' vertex-disk table (`singular.polar_cache`),
+which its caller builds once and also hands to the cutoff factors, for
+the rows of the singular columns, and the weighted Laplacians on their
+annulus rows, which the singular border reads; it needs nothing else of
+the cutoff.  The jump rows keep one trace per column, the plus side's:
+the minus side's is that trace times a (J2, N) sign of +-1, so the cache
+holds one weighted trace and its sign, and each minus-side product is
+formed from the two where it is needed.  A row of the sign depends only
+on its interface's axis, so the sign is a few runs of equal rows s, which
+the cache lists, and the solve forms the minus side's products as
+wtrace (s * y) on each run's rows, with no (J2, N) product of the sign.
 Every entry of the network columns is affine in the diffusivity vector p,
 so their block of B^T B is a quadratic polynomial in p whose coefficient
 matrices, the Gram blocks, the cache holds.  `solve_parameter_batch`, the
-one solve of training, validation and `final_solve`, walks the batch in
+one solve of training, validation and `final_solve`, solves the batch in
 blocks of BLOCK parameters.  The batch's singular columns come as one
 dense (P, R, M) block of sources on the annulus rows
 (`singular.PolarCache.annulus_rows`: a source is zero off its vertex's
 annulus), a parameter's unused slots zero.  Per block, one GEMM combines
 the Gram blocks, the block's rows of the singular block border each
-normal matrix from the annulus rows alone, `_cholesky_solve` ridges each
-system and solves it with one LAPACK dposv call, raising if it is not
-positive definite, and the residuals give the losses.  A caller that
-hands in the (J1, N) and (J2, N) adjoints of the Laplacians and of the
-trace that the gradient reads (``out``, which it may keep between
-batches) asks for them: the residuals also give the row seeds, whose
-products with the coefficients are added into them, the minus side's
-through the sign.  No array spans the batch times the interior or jump
-rows (the singular block spans the annulus rows alone), nor holds the
-normal matrices of the whole batch.  `assemble_system` and
-`solve_normal_equations` build and solve one parameter's explicit system,
-the reference the batched solve is checked against, through the same
-`_cholesky_solve`, which alone holds the ridge rule and the unit diagonal
-of a column that is zero on every row, such as an unused singular slot.
-`assemble_system` is the one place a singular block is scattered to all
-J1 interior rows.
+normal matrix from the annulus rows alone, and `_cholesky_solve` ridges
+each system and solves it with one LAPACK dposv call, raising if it is
+not positive definite.  The residuals of the whole batch then come a run
+of equal subdomain at a time, with that run's p_i folded into the small
+operand of one GEMM (Goto & van de Geijn, "Anatomy of high-performance
+matrix multiplication", 2008): rows[run] @ [p_i Y^T; p_i; 1] for the
+batch's (P, N) coefficients Y, plus the singular sources on the run's
+annulus rows.  Their column norms give the losses.  A caller that hands
+in the (J1, N) and (J2, N) adjoints of the Laplacians and of the trace
+that the gradient reads (``out``, which it may keep between batches) asks
+for them: a run's residuals times p_i Y, one more GEMM, give its rows of
+the Laplacians' adjoint, and the jump residuals the trace's, the minus
+side's through the sign.  No array spans the batch times the interior
+rows, no pass gathers p per interior row or runs elementwise over them
+for the batch, and none holds the normal matrices of the whole batch.
+`assemble_system` and `solve_normal_equations` build and solve one
+parameter's explicit system, the reference the batched solve is checked
+against, through the same `_cholesky_solve`, which alone holds the ridge
+rule and the unit diagonal of a column that is zero on every row, such as
+an unused singular slot.  `assemble_system` is the one place a singular
+block is scattered to all J1 interior rows.
 """
 
 from __future__ import annotations
@@ -70,15 +81,18 @@ __all__ = [
 ]
 
 RIDGE_REL = 1e-10
-# Parameters per block of `solve_parameter_batch`.  On train1d-sin (P = 256,
-# N = 50, J1 = 1000; 10 alternating pairs, BLAS on one thread) blocks of 64
-# read epoch_s -3.5% at +2.8% peak_rss_mb, and one block of all 256 -11% at
-# +11%.  Most of that gain is page faults: with one block an epoch faults in
-# no page, against about 700 with 32, the pages glibc trims off the heap top
-# after one epoch and the next faults in again.  32 stays: that churn is the
-# allocator's to mend, at no memory cost, where bigger blocks buy the time
-# with memory; 32 kept the solve's tracemalloc peak at 2.5 MB, where the
-# whole batch at once took 11.5 MB.
+# Parameters per block of `solve_parameter_batch`, which bounds its stack of
+# normal matrices; the residuals and adjoints come a run of the interior rows
+# at a time after all the blocks.  On train1d-sin (P = 256, N = 50,
+# J1 = 1000; 10 alternating pairs, BLAS on one thread) blocks of 64 read
+# epoch_s -3.5% at +2.8% peak_rss_mb, and one block of all 256 -11% at +11%,
+# when each block also formed its residuals.  Most of that gain is page
+# faults: with one block an epoch faults in no page, against about 700 with
+# 32, the pages glibc trims off the heap top after one epoch and the next
+# faults in again.  32 stays: that churn is the allocator's to mend, at no
+# memory cost, where bigger blocks buy the time with memory.  A solve of that
+# size peaks at 1.80 MB under tracemalloc, where the blocks' residuals took
+# 1.96 MB and the whole batch at once 11.5 MB.
 BLOCK = 32
 
 
@@ -114,15 +128,21 @@ class GramBlocks:
 @dataclass
 class EpochCache:
     """Everything parameter-independent about one epoch's quadrature points,
-    with every row already weighted."""
+    with every row already weighted.
+
+    The interior rows are one (J1, N + 2) array ``rows``, the weighted
+    Laplacians, rhs factor and fixed rhs side by side; ``wlap``,
+    ``wrhs_p`` and ``wrhs_fixed`` are views of it.  ``interior_runs``
+    lists its runs of equal subdomain (`_interior_runs`), which
+    `solve_parameter_batch` multiplies one at a time."""
 
     geometry: Geometry
     quad: QuadratureSet
     sqrt_w: np.ndarray  # (J1,) interior row weights sqrt(w)
     sqrt_theta_w: np.ndarray  # (J2,) jump row weights sqrt(Theta w)
-    wlap: np.ndarray  # (J1, N) sqrt(w) * Laplacians of the composed basis
-    wrhs_p: np.ndarray  # (J1,) sqrt(w) * strong-form source = p*factor + fixed
-    wrhs_fixed: np.ndarray  # (J1,)
+    rows: np.ndarray  # (J1, N+2) sqrt(w) * [Laplacians | strong-form source factor | fixed source]
+    interior_runs: tuple  # (subdomain, rows slice, annulus rows in it, their places) per run
+    annulus_lap: np.ndarray  # (R, N) wlap on polar.annulus_rows, read by the singular border
     wtrace: np.ndarray  # (J2, N) sqrt(Theta w) * plus-side normal traces
     sign: np.ndarray  # (J2, N) +-1: the minus-side traces are sign * wtrace
     sign_runs: tuple  # (read-only (N,) row, rows slice) per run of equal rows of sign
@@ -133,7 +153,23 @@ class EpochCache:
 
     @property
     def n_basis(self) -> int:
-        return self.wlap.shape[1]
+        return self.rows.shape[1] - 2
+
+    @property
+    def wlap(self) -> np.ndarray:
+        """(J1, N) sqrt(w) * Laplacians of the composed basis."""
+        return self.rows[:, :-2]
+
+    @property
+    def wrhs_p(self) -> np.ndarray:
+        """(J1,) sqrt(w) * the strong-form source's factor of p; the source
+        is p * factor + fixed."""
+        return self.rows[:, -2]
+
+    @property
+    def wrhs_fixed(self) -> np.ndarray:
+        """(J1,) sqrt(w) * the source's fixed part."""
+        return self.rows[:, -1]
 
 
 @dataclass
@@ -165,20 +201,22 @@ def build_epoch_cache(
     geometry: Geometry,
     polar: PolarCache,
     quad: QuadratureSet,
-    lap: np.ndarray,
+    rows: np.ndarray,
     trace: np.ndarray,
     sign: np.ndarray,
     rhs: RhsSpec,
     theta: float = 1.0,
 ) -> EpochCache:
-    """Cache the weighted Laplacian, trace and rhs rows and the Gram blocks.
+    """Cache the weighted interior rows, the trace and the Gram blocks.
 
-    ``lap`` and the plus-side normal traces ``trace`` must be evaluated at
-    exactly the quadrature's interior/interface points (shapes (J1, N) and
-    (J2, N)); ``sign`` is (J2, N), -1 where a column's minus-side trace is
-    its plus-side trace negated and +1 where the two are equal.  The cache
-    owns ``lap``: it is weighted in place and kept, so a caller that still
-    needs the raw Laplacians passes a copy.  The trace is a weighted copy,
+    ``rows`` is a (J1, N + 2) array whose first N columns hold the
+    Laplacians of the composed basis at the quadrature's interior points;
+    the cache writes the source's two factors into its last two columns,
+    weights it in place and keeps it as ``rows``, so a caller that still
+    needs the raw Laplacians passes a copy.  The plus-side normal traces
+    ``trace`` are (J2, N) at the interface points, and ``sign`` is
+    (J2, N), -1 where a column's minus-side trace is its plus-side trace
+    negated and +1 where the two are equal.  The trace is a weighted copy,
     and ``sign`` is kept as given.  ``polar`` is the vertex-disk table of
     the interior points (`singular.polar_cache`), kept as given for the
     singular columns' rows; a table made for another number of points
@@ -187,23 +225,46 @@ def build_epoch_cache(
     """
     if not (np.isfinite(theta) and theta >= 0):
         raise ValueError(f"theta must be finite and nonnegative, got {theta}")
-    if lap.shape[0] != quad.n_interior:
-        raise ValueError("Laplacian rows do not match the interior points")
+    if rows.ndim != 2 or rows.shape[0] != quad.n_interior or rows.shape[1] < 2:
+        raise ValueError("interior rows do not match the interior points")
     polar.check_points(quad.n_interior)
-    if trace.shape != (quad.n_interface, lap.shape[1]) or sign.shape != trace.shape:
+    n = rows.shape[1] - 2
+    if trace.shape != (quad.n_interface, n) or sign.shape != trace.shape:
         raise ValueError("trace shapes do not match the interface points")
-    pf, fixed = rhs.factors(quad.interior_points)
+    rows[:, n], rows[:, n + 1] = rhs.factors(quad.interior_points)
     sw = np.sqrt(quad.interior_weights)
     sj = np.sqrt(theta) * np.sqrt(quad.interface_weights)
     minus_sub = np.array([geometry.interfaces[k].minus for k in quad.interface_ids], dtype=int)
     plus_sub = np.array([geometry.interfaces[k].plus for k in quad.interface_ids], dtype=int)
-    lap *= sw[:, None]  # in place: no second (J1, N) array
-    wrhs_p, wrhs_fixed = sw * pf, sw * fixed
+    rows *= sw[:, None]  # in place: no second (J1, N) array
     wtrace = sj[:, None] * trace
-    gram = _build_gram(geometry, quad, lap, wrhs_p, wrhs_fixed, wtrace, sign, theta)
+    lap, f1, f0 = rows[:, :n], rows[:, n], rows[:, n + 1]
+    gram = _build_gram(geometry, quad, lap, f1, f0, wtrace, sign, theta)
     return EpochCache(
-        geometry, quad, sw, sj, lap, wrhs_p, wrhs_fixed, wtrace, sign, _sign_runs(sign),
-        minus_sub, plus_sub, polar, gram,
+        geometry, quad, sw, sj, rows, _interior_runs(quad.interior_subdomain, polar.annulus_rows),
+        lap[polar.annulus_rows], wtrace, sign, _sign_runs(sign), minus_sub, plus_sub, polar, gram,
+    )
+
+
+def _interior_runs(sub: np.ndarray, annulus_rows: np.ndarray) -> tuple:
+    """The runs of consecutive equal subdomain ids ``sub`` of the interior
+    rows, as (subdomain, rows slice, local, at) tuples: ``local`` are the
+    run's annulus rows, counted from its first row, and ``at`` their places
+    in ``annulus_rows``, both read-only.  The runs cover every row once.
+    A set that `sampling` builds has one run per subdomain; another order
+    gives more runs, down to one per row.  One search places every annulus
+    row in its run, and a stable sort groups them run by run."""
+    if not len(sub):
+        return ()
+    bounds = np.concatenate([[0], np.flatnonzero(sub[1:] != sub[:-1]) + 1, [len(sub)]])
+    run_of = np.searchsorted(bounds, annulus_rows, side="right") - 1
+    at = np.argsort(run_of, kind="stable")
+    local = annulus_rows[at] - bounds[run_of[at]]
+    edges = np.searchsorted(run_of[at], np.arange(len(bounds)))
+    at.flags.writeable = local.flags.writeable = False
+    return tuple(
+        (int(sub[a]), slice(a, b), local[e : f], at[e : f])
+        for a, b, e, f in zip(bounds[:-1].tolist(), bounds[1:].tolist(), edges[:-1], edges[1:])
     )
 
 
@@ -379,39 +440,48 @@ def solve_parameter_batch(
     which `_cholesky_solve` leaves out of the ridge and solves to zero.
     The loss of parameter k is ||B y - l||^2 over its interior and jump
     rows, and ``y_sing`` holds the (P, M) singular coefficients.
-    Handing in ``out``, a (bar_lap, bar_trace) pair of arrays of the
-    (J1, N) and (J2, N) row shapes, asks for the row adjoints: each is
-    zeroed and then holds the halved derivative of the summed losses in
-    its raw rows, d(sum_k loss_k) / d lap[j, n] = 2 bar_lap[j, n] and
-    likewise bar_trace for the plus-side traces, into which the minus
-    side's rows, sign times the plus side's, add through the sign.  The
-    minus side's products go through the sign row s of each run of
-    ``cache.sign_runs``: wtrace (s * y) for the residual, kept on the
-    run's rows, and r (s * y) for the seeds of those rows, so no (J2, N)
-    temporary of the sign times an array is made.
-    Without ``out`` none is formed.  A caller that solves batches of one
-    shape again and again keeps its adjoint arrays so.
+
+    Once every block is solved, the residuals of the whole batch are
+    formed a run of ``cache.interior_runs`` at a time.  On a run of
+    subdomain i, where every row's diffusivity is p_i, the residuals are
+    one GEMM, rows[run] @ [p_i Y^T; p_i; 1] with Y the (P, N) network
+    coefficients, plus the singular sources on the run's annulus rows, and
+    their halved derivative in the run's raw Laplacians is
+    sqrt(w) (r @ (p_i Y)), a second GEMM: no array spans the batch times
+    the interior rows, and no pass gathers p per row.  Handing in ``out``,
+    a (bar_lap, bar_trace) pair of arrays of the (J1, N) and (J2, N) row
+    shapes, asks for those row adjoints: each is overwritten with the
+    halved derivative of the summed losses in its raw rows,
+    d(sum_k loss_k) / d lap[j, n] = 2 bar_lap[j, n] and likewise bar_trace
+    for the plus-side traces, into which the minus side's rows, sign times
+    the plus side's, add through the sign.  The minus side's products go
+    through the sign row s of each run of ``cache.sign_runs`` on that
+    run's rows alone: wtrace[run] (s * Y^T) for the residual and
+    r[run] (s * Y) for the seeds, so no (J2, N) temporary of the sign
+    times an array is made.  Without ``out`` none is formed.  A caller
+    that solves batches of one shape again and again keeps its adjoint
+    arrays so.
     """
     gram = cache.gram
     parameters = validate_parameter_batch(cache.geometry, np.atleast_2d(parameters))
     n_p, n_sub = parameters.shape
     n = cache.n_basis
     rows = cache.polar.annulus_rows
-    c, f1, f0 = cache.wlap, cache.wrhs_p, cache.wrhs_fixed
+    f1, f0 = cache.wrhs_p, cache.wrhs_fixed
     sing = np.zeros((n_p, rows.size, 0)) if singular_evals_per_p is None else singular_evals_per_p
     if not isinstance(sing, np.ndarray) or sing.ndim != 3 or sing.shape[:2] != (n_p, rows.size):
         raise ValueError(f"singular evaluations must be one (P, R, M) array on the {n_p} "
                          f"parameters and the {rows.size} annulus rows")
     m = sing.shape[2]
-    y_nn, y_sing, losses = np.empty((n_p, n)), np.empty((n_p, m)), np.empty(n_p)
+    y_nn, y_sing = np.empty((n_p, n)), np.empty((n_p, m))
     if out is not None:
-        shapes = [a.shape for a in (c, cache.wtrace)]
+        shapes = [a.shape for a in (cache.wlap, cache.wtrace)]
         if [a.shape for a in out] != shapes:
             raise ValueError(f"adjoint arrays of shapes {[a.shape for a in out]} "
                              f"do not match the rows' {shapes}")
-        for a in out:
-            a.fill(0.0)
         bar_lap, bar_trace = out
+    # the singular columns' share of the residuals, (P, R) on the annulus rows
+    r_sing = np.empty((n_p, rows.size)) if m else None
     for s in range(0, n_p, BLOCK):
         p = parameters[s : s + BLOCK]
         # one GEMM: (P, K) monomial coefficients against the fused (K, N*N) blocks
@@ -424,7 +494,7 @@ def solve_parameter_batch(
             p_rows = p[:, cache.quad.interior_subdomain[rows]]  # (P, R)
             # (P, R, M) weighted, p-scaled
             us = (cache.sqrt_w[rows] * p_rows)[:, :, None] * sing[s : s + BLOCK]
-            border = np.matmul(c[rows].T, p_rows[:, :, None] * us)  # (P, N, M)
+            border = np.matmul(cache.annulus_lap.T, p_rows[:, :, None] * us)  # (P, N, M)
             a = np.empty((len(p), n + m, n + m)).transpose(0, 2, 1)
             a[:, :n, :n] = a_nn
             a[:, :n, n:] = border
@@ -433,40 +503,47 @@ def solve_parameter_batch(
             l_rows = p_rows * f1[rows] + f0[rows]  # (P, R)
             rhs = np.concatenate([b_nn, -(l_rows[:, None, :] @ us)[:, 0]], axis=1)
         y = _cholesky_solve(a, rhs, s)
-        y_nn[s : s + BLOCK] = y_b = y[:, :n]
+        y_nn[s : s + BLOCK] = y[:, :n]
         y_sing[s : s + BLOCK] = y[:, n:]
-        # the block's residuals, one column per parameter
-        p_int = p.T[cache.quad.interior_subdomain]  # (J1, P)
-        p_plus, p_minus = p.T[cache.ifc_plus_sub], p.T[cache.ifc_minus_sub]
-        r_int = c @ y_b.T
-        r_int += f1[:, None]
-        r_int *= p_int
-        r_int += f0[:, None]
         if m:
-            r_int[rows] += (us @ y[:, n:, None])[:, :, 0].T
-        r_jump = cache.wtrace @ y_b.T
-        r_jump *= p_plus
-        # the minus side, (sign * wtrace) y, as wtrace (s * y) for the sign
-        # row s of each run, kept on its rows: no (J2, N) product of the
-        # sign is made.  The product spans every row, so that each row's
-        # sum runs as in one product over all of them
-        r_minus = np.empty_like(r_jump)
+            r_sing[s : s + BLOCK] = (us @ y[:, n:, None])[:, :, 0]
+
+    # the interior residuals, a run of subdomain i at a time: rows[run] @
+    # [p_i Y^T; p_i; 1], the top two blocks one product p_i [Y^T; 1].  Each
+    # run's are formed transposed, (P, L), so that each parameter's squared
+    # norm is a contiguous dot product (np.vecdot): 7.2 us on a (256, 200)
+    # run against 12.7 us for the column sums of the (200, 256) one
+    yt = np.ones((n + 1, n_p))
+    yt[:n] = y_nn.T
+    factor = np.ones((n + 2, n_p))
+    # each run's squared residual norms, then the jump rows'
+    sums = np.empty((len(cache.interior_runs) + 1, n_p))
+    for k, (i, run, local, at) in enumerate(cache.interior_runs):
+        np.multiply(yt, parameters[:, i], out=factor[: n + 1])
+        r = factor.T @ cache.rows[run].T
+        if m and at.size:
+            r[:, local] += r_sing[:, at]
+        np.vecdot(r, r, out=sums[k])
+        if out is not None:
+            seeds = np.matmul(r.T, factor[:n].T, out=bar_lap[run])
+            seeds *= cache.sqrt_w[run, None]
+    # the jump residuals, the minus side per run of equal sign rows
+    wtrace = cache.wtrace
+    p_plus, p_minus = parameters.T[cache.ifc_plus_sub], parameters.T[cache.ifc_minus_sub]
+    r_jump = wtrace @ yt[:n]
+    r_jump *= p_plus
+    for s_row, run in cache.sign_runs:
+        r_minus = wtrace[run] @ (s_row[:, None] * yt[:n])
+        r_minus *= p_minus[run]
+        r_jump[run] -= r_minus
+    np.einsum("jk,jk->k", r_jump, r_jump, out=sums[-1])
+    if out is not None:  # in place, the residuals become the seeds, times Y into out
+        r_jump *= cache.sqrt_theta_w[:, None]
+        np.matmul(p_plus * r_jump, y_nn, out=bar_trace)
+        r_jump *= p_minus
         for s_row, run in cache.sign_runs:
-            r_minus[run] = (cache.wtrace @ (s_row[:, None] * y_b.T))[run]
-        r_minus *= p_minus
-        r_jump -= r_minus
-        losses[s : s + BLOCK] = np.einsum("jk,jk->k", r_int, r_int)
-        losses[s : s + BLOCK] += np.einsum("jk,jk->k", r_jump, r_jump)
-        if out is not None:  # in place, the residuals become the seeds, times y into out
-            r_int *= p_int
-            r_int *= cache.sqrt_w[:, None]
-            bar_lap += r_int @ y_b
-            r_jump *= cache.sqrt_theta_w[:, None]
-            bar_trace += (p_plus * r_jump) @ y_b
-            r_jump *= p_minus
-            for s_row, run in cache.sign_runs:
-                bar_trace[run] -= r_jump[run] @ (s_row * y_b)
-    return BatchSolveResult(y_nn, y_sing, losses)
+            bar_trace[run] -= r_jump[run] @ (s_row * y_nn)
+    return BatchSolveResult(y_nn, y_sing, sums.sum(axis=0))
 
 
 def evaluate_solution(y_nn, basis_values, basis_grads):

@@ -12,9 +12,12 @@ inside the printed source formula is the cutoff-free part r^L mu.
 
 `polar_cache` is the one vertex-disk table of a point set: once per point
 set it finds each vertex's disk, and holds there everything about those
-points that does not depend on the parameter, their radius and unit
-direction from the vertex, the eta jet and the FE angular basis, with the
-support rows, the point indices of the disks and of the annuli.  The same
+points that does not depend on the parameter, their offset, radius and
+unit direction from the vertex and the eta jet, with the support rows,
+the point indices of the disks and of the annuli.  The FE angular basis
+at those points (`VertexGeo.angular`) is formed at its first read, which
+only the singular columns make: the interface points' table, which only
+the cutoffs read, never forms it.  The same
 radius and eta serve both uses of the cutoff: the singular columns here,
 and the exclusion factors phi_v = 1 - eta of `cutoffs.composition_factors`
 and `cutoffs.interface_trace_factors`, which read the table's rows.  Every
@@ -29,11 +32,12 @@ coefficients enter.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .cutoffs import CutoffConfig, eta_jet
-from .eigen import XI_PER_THETA, EigenPair, basis_matrix
+from .eigen import N_BASIS, XI_PER_THETA, EigenPair, basis_matrix
 from .geometry import Geometry
 
 __all__ = ["VertexGeo", "PolarCache", "polar_cache", "singular_evals_from_cache", "eval_s"]
@@ -48,13 +52,26 @@ class VertexGeo:
 
     rows: np.ndarray  # point indices of the disk, the annulus points first
     n_annulus: int  # the first n_annulus points lie on the annulus, where the source lives
+    offset: np.ndarray  # (len, 2) x - x_v
     r: np.ndarray
     direction: np.ndarray  # (len, 2) unit vectors (x - x_v) / r, zero at the vertex itself
     eta: np.ndarray
     eta_p: np.ndarray
     eta_pp: np.ndarray
-    ang_values: np.ndarray  # (len, 16) FE angular basis at theta
-    ang_derivs: np.ndarray  # (len, 16) their theta-derivatives
+
+    @cached_property
+    def angular(self) -> tuple[np.ndarray, np.ndarray]:
+        """The (len, 16) FE angular basis at each point's angle theta about
+        the vertex and its theta-derivatives, read-only.  Formed at the
+        first read and kept: the singular columns read it, the cutoffs do
+        not.  On train2d-corner's interface points that leaves out 0.17 of
+        the table's 0.32 ms per epoch."""
+        dx, dy = np.ascontiguousarray(self.offset.T)  # contiguous, as arctan2 read them before
+        theta = np.mod(np.arctan2(dy, dx), 2 * np.pi)
+        values, derivs = basis_matrix(theta * XI_PER_THETA)
+        derivs *= XI_PER_THETA
+        values.flags.writeable = derivs.flags.writeable = False
+        return values, derivs
 
 
 @dataclass
@@ -102,11 +119,10 @@ def polar_cache(points, geometry: Geometry, config: CutoffConfig) -> PolarCache:
         inside = r < config.delta2
         annulus = inside & (r > config.delta1)
         idx = np.concatenate([np.flatnonzero(annulus), np.flatnonzero(inside & ~annulus)])
-        ra, dx, dy = r[idx], dx[idx], dy[idx]
-        direction = np.stack([dx, dy], axis=1) / np.where(ra > 0, ra, 1.0)[:, None]
-        vals, ders = basis_matrix(np.mod(np.arctan2(dy, dx), 2 * np.pi) * XI_PER_THETA)
-        vertices.append(VertexGeo(idx, np.count_nonzero(annulus), ra, direction,
-                                  *eta_jet(ra, config), vals, ders * XI_PER_THETA))
+        ra, offset = r[idx], np.stack([dx[idx], dy[idx]], axis=1)
+        direction = offset / np.where(ra > 0, ra, 1.0)[:, None]
+        vertices.append(VertexGeo(idx, np.count_nonzero(annulus), offset, ra, direction,
+                                  *eta_jet(ra, config)))
     empty = np.zeros(0, dtype=np.intp)
     disk_rows = np.concatenate([empty] + [geo.rows for geo in vertices])
     if np.unique(disk_rows).size != disk_rows.size:
@@ -129,7 +145,7 @@ def _vertex_slots(cache: PolarCache, pairs_per_p: list):
         m = max(map(len, per_p))
         if m:
             lam = np.ones((len(per_p), 1, m))
-            coef = np.zeros((len(per_p), geo.ang_values.shape[1], m))
+            coef = np.zeros((len(per_p), N_BASIS, m))
             for k, sel in enumerate(per_p):
                 for j, pair in enumerate(sel):
                     lam[k, 0, j] = pair.exponent
@@ -159,7 +175,7 @@ def singular_evals_from_cache(cache: PolarCache, pairs_per_p: list):
         r = geo.r[a, None]
         # 2 L r^(L-1) eta' + r^L (eta'' + eta'/r), with r^(L-1) taken out
         radial = (2 * lam + 1) * geo.eta_p[a, None] + r * geo.eta_pp[a, None]
-        out[:, rows, cols] = (geo.ang_values[a] @ coef) * r ** (lam - 1) * radial
+        out[:, rows, cols] = (geo.angular[0][a] @ coef) * r ** (lam - 1) * radial
     return out
 
 
@@ -183,11 +199,12 @@ def eval_s(cache: PolarCache, pairs_per_vertex: list[list[EigenPair]]):
             raise ValueError("gradient requested inside the guard radius of the vertex")
         r = geo.r[:, None]
         rl1 = r ** (lam - 1)
-        mu = geo.ang_values @ coef
+        ang, ang_derivs = geo.angular
+        mu = ang @ coef
         mu_eta = mu * geo.eta[:, None]
         # with s = r^L mu eta: r^(1-L) ds/dr and r^(1-L) (1/r) ds/dtheta
         ds_dr = lam * mu_eta + r * mu * geo.eta_p[:, None]
-        ds_dt_over_r = (geo.ang_derivs @ coef) * geo.eta[:, None]
+        ds_dt_over_r = (ang_derivs @ coef) * geo.eta[:, None]
         ct, st = geo.direction[:, :1], geo.direction[:, 1:]
         values[rows, cols] = r * rl1 * mu_eta
         grads[rows, 0, cols] = rl1 * (ds_dr * ct - ds_dt_over_r * st)

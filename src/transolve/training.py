@@ -26,13 +26,16 @@ stored.  The singular sources of the whole batch are one dense (P, R, M)
 block on the R annulus points, built in one `singular_evals_from_cache`
 call: its M columns are slots laid out vertex by vertex, zero where a
 parameter has fewer pairs at a vertex than the batch's most.
+The sampled interior points come grouped by subdomain, and the composed
+Laplacians are written into the first N columns of the cache's (J1, N + 2)
+interior rows, beside the source's two factors.
 `assembly.solve_parameter_batch` solves every parameter's least-squares
-system block by block and sums each block's row seeds times its
-coefficients into the row adjoints: (J1, N) for the Laplacians and
-(J2, N) for the trace, which the minus side's seeds reach through the
-sign.  The mean squared residual is back-propagated with the solved
-coefficients held fixed (the derivative of a minimum is the partial
-derivative at the minimizer).  One
+system block by block, then forms the residuals of the whole batch one
+run of equal subdomain at a time, and writes the row adjoints from them:
+(J1, N) for the Laplacians and (J2, N) for the trace, which the minus
+side's seeds reach through the sign.  The mean squared residual is
+back-propagated with the solved coefficients held fixed (the derivative
+of a minimum is the partial derivative at the minimizer).  One
 `nets.backward_jets` pass goes over every point in the order
 `forward_jets` saw them, tile by tile, reading the output jets the forward
 gave and recomputing only the hidden layers.  It asks `_ComposedSeeds` for
@@ -43,12 +46,13 @@ interpolated learning rate closes the loop.  Validation runs the same
 path without the adjoints or the whole-batch jets: it evaluates the
 network one tile of interior points at a time, composes that tile's
 Laplacians and drops its jets, then evaluates the interface points, so no
-(J1 + J2, N) jets exist.  A point's jets depend on its tile only through
-rounding (the interface points alone round apart from inside the last
-interior tile), so the loss agrees with the gradient path's to rounding,
-and bit for bit only where the tiles round alike: on the 1D benchmark's
-network the ill-conditioned solve amplifies that one rounding to about
-1e-9 of the loss.
+(J1 + J2, N) jets exist; the weights are checked and laid out once for
+the pass (`nets.PassWeights`), not once per tile.  A point's jets depend
+on its tile only through rounding (the interface points alone round apart
+from inside the last interior tile), so the loss agrees with the gradient
+path's to rounding, and bit for bit only where the tiles round alike: on
+the 1D benchmark's network the ill-conditioned solve amplifies that one
+rounding to about 1e-9 of the loss.
 
 Everything that outlives a call lives in one holder, `_kept`.  The arrays
 whose shapes the configuration fixes, the network's output jets, the
@@ -64,11 +68,13 @@ Queries are split into an offline and an online stage.  Offline,
 depend on the parameter, once per trained network: the quadrature, the
 weighted rows with their Gram blocks and polar cache, and the composed
 basis values and gradients.  The grid may be much finer than the training
-points, so the build composes one tile of `nets.TILE` points at a time
-into arrays made once, and hands its Laplacian to the cache, which weights
-it in place.  Online, `QueryBasis.solve` takes one parameter through one
-eigensolve, one `solve_parameter_batch` on its batch of one, whose
-singular slots its own pairs fill, and one GEMM per field, plus
+points, so the build composes one tile of `nets.TILE` points at a time,
+from weights checked once for the build, into arrays made once, and hands
+its Laplacian, the first N columns of the interior rows, to the cache,
+which weights it in place.  Online, `QueryBasis.solve` takes one
+parameter through one eigensolve, one `solve_parameter_batch` on its
+batch of one, whose singular slots its own pairs fill, and one GEMM per
+field, plus
 `singular.eval_s` when it has singular columns: the paper's
 low-dimensional least-squares problem per parameter.  The singular columns
 stay on their support rows throughout: their sources on the annulus rows of
@@ -123,6 +129,7 @@ from .nets import (
     Jets,
     MlpParams,
     NetConfig,
+    PassWeights,
     adam_step,
     backward_jets,
     forward_jets,
@@ -327,12 +334,12 @@ def _interface_rows(
     ifc: Jets, lap: np.ndarray, polar: PolarCache, quad: QuadratureSet, geometry: Geometry,
     cutoff_config: CutoffConfig, cols: np.ndarray, rhs: RhsSpec, theta: float,
 ):
-    """The cache of ``quad`` (`build_epoch_cache`), from the composed
-    basis's Laplacians ``lap`` at its interior points, which the cache
-    weights in place, and their vertex-disk table ``polar``, which it
-    keeps, and its normal traces at its interface points, made here from
-    the network's jets ``ifc`` there and the outputs' `factor_index`
-    ``cols``.
+    """The cache of ``quad`` (`build_epoch_cache`), from its (J1, N + 2)
+    interior rows ``lap``, the composed basis's Laplacians at its interior
+    points in the first N columns, which the cache fills and weights in
+    place, and their vertex-disk table ``polar``, which it keeps, and its
+    normal traces at its interface points, made here from the network's
+    jets ``ifc`` there and the outputs' `factor_index` ``cols``.
 
     The trace is the component of the gradient of the plus-side product
     F * raw along the point's interface axis, the unit normal n, with F
@@ -380,15 +387,17 @@ def _composed_cache(
     """The epoch cache of ``data``, with the interior Laplacians of the
     composed basis formed alone (`Jets.product_laplacian`).
 
-    With ``keep_jets`` the network is evaluated once, at all J1 + J2
-    points, the interior ones first, into jets the adjoint reads again;
-    without it, one tile of the interior points at a time and then at the
+    The weights are checked and laid out once (`nets.PassWeights`).  With
+    ``keep_jets`` the network is evaluated once, at all J1 + J2 points,
+    the interior ones first, into jets the adjoint reads again; without
+    it, one tile of the interior points at a time and then at the
     interface points, so that no (J1 + J2, N) jets exist and the returned
     jets are None.  The cutoff factors of the interior points are gathered
     to the outputs one tile of `TILE` points at a time, each tile's
-    Laplacians written into one (J1, N) array, which the cache weights in
-    place.  The kept jets and that array are taken from the holder
-    ``kept`` (`_keep`), or made new without one.  Returns the cache
+    Laplacians written into the first N columns of one (J1, N + 2) array,
+    the cache's interior rows, which it fills and weights in place.  The
+    kept jets and that array are taken from the holder ``kept``
+    (`_keep`), or made new without one.  Returns the cache
     (`_interface_rows`) and what the loss's adjoint reads: the network's
     jets at all the points, the outputs' `factor_index`, the interior
     factor stack (`cutoffs.composition_factors`), the plus-side interface
@@ -405,25 +414,27 @@ def _composed_cache(
     quad = data.quad
     n_int = quad.n_interior
     cols = factor_index(data.geometry, cfg.n1, cfg.n2)
+    weights = PassWeights.of(params)
     jets = None
     if keep_jets:
         points = np.concatenate([quad.interior_points, quad.interface_points])
         d = points.shape[1]
         # keyed by the gradient's shape: a 1D and a 2D batch of equal (J, N)
         # must not share jets
-        jets = forward_jets(params, points, out=_keep(
+        jets = forward_jets(weights, points, out=_keep(
             kept, "jets", (len(points), cfg.n_outputs, d), lambda shape: Jets.empty(shape[:2], d)
         ))
     polar = polar_cache(quad.interior_points, data.geometry, data.cutoff_config)
     stack = composition_factors(quad.interior_points, data.geometry, polar)
-    lap = _keep(kept, "lap", (n_int, cfg.n_outputs), np.empty)
+    n = cfg.n_outputs
+    lap = _keep(kept, "lap", (n_int, n + 2), np.empty)
     for rows in _tiles(n_int):
-        raw = jets.rows(rows) if keep_jets else forward_jets(params, quad.interior_points[rows])
-        lap[rows] = stack.rows(rows).columns(cols).product_laplacian(raw)
+        raw = jets.rows(rows) if keep_jets else forward_jets(weights, quad.interior_points[rows])
+        lap[rows, :n] = stack.rows(rows).columns(cols).product_laplacian(raw)
     if keep_jets:
         ifc = jets.rows(slice(n_int, None))
     else:
-        ifc = forward_jets(params, quad.interface_points)
+        ifc = forward_jets(weights, quad.interface_points)
     cache, ifc_stack, normals = _interface_rows(
         ifc, lap, polar, quad, data.geometry, data.cutoff_config, cols, data.rhs, data.theta,
     )
@@ -673,7 +684,9 @@ class QueryBasis:
         jets and their product with the gathered factors are made one tile
         of `TILE` points at a time and written into the kept arrays, so the
         (J, n1 + n2) network jets, factors and products of the whole grid
-        never exist.  The composed Laplacian goes to `build_epoch_cache`,
+        never exist; the weights are checked once for all the tiles
+        (`nets.PassWeights`).  The composed Laplacian, written into the
+        first N columns of the interior rows, goes to `build_epoch_cache`,
         which weights it in place and keeps it as ``cache.wlap``, through
         the `_interface_rows` that epochs use.
         """
@@ -681,19 +694,21 @@ class QueryBasis:
         quad = midpoint_grid(geometry, n_per_axis, n_per_axis)
         points = quad.interior_points
         cols = factor_index(geometry, cfg.n1, cfg.n2)
+        weights = PassWeights.of(params)  # checked and laid out once for all the tiles
         polar = polar_cache(points, geometry, cutoff_config)
         stack = composition_factors(points, geometry, polar)
         n, d = points.shape
-        values, laplacian = np.empty((n, cfg.n_outputs)), np.empty((n, cfg.n_outputs))
-        gradients = np.empty((n, d, cfg.n_outputs))
+        n_out = cfg.n_outputs
+        values, laplacian = np.empty((n, n_out)), np.empty((n, n_out + 2))
+        gradients = np.empty((n, d, n_out))
         for t in _tiles(n):
-            part = stack.rows(t).columns(cols) * forward_jets(params, points[t])
+            part = stack.rows(t).columns(cols) * forward_jets(weights, points[t])
             values[t] = part.value
             gradients[t] = part.gradient.transpose(0, 2, 1)
-            laplacian[t] = part.laplacian
+            laplacian[t, :n_out] = part.laplacian
         del stack  # not kept: freed before the cache is built
         cache, *_ = _interface_rows(
-            forward_jets(params, quad.interface_points), laplacian, polar, quad, geometry,
+            forward_jets(weights, quad.interface_points), laplacian, polar, quad, geometry,
             cutoff_config, cols, rhs, theta,
         )
         basis = cls(cfg, cache, values, gradients)
@@ -724,7 +739,9 @@ class QueryBasis:
                 grad_u[disk, axis] += step[:, axis]
         p_int = parameter[quad.interior_subdomain]
         # the interior right-hand side l; the jump rows' is zero
-        l_sq = np.sum((p_int * cache.wrhs_p + cache.wrhs_fixed) ** 2)
+        l_int = p_int * cache.wrhs_p
+        l_int += cache.wrhs_fixed
+        l_sq = l_int @ l_int
         residual_sq = float(batch.losses[0])
         # a zero right-hand side solves to y = 0 with residual 0
         rel_residual = float(np.sqrt(residual_sq / l_sq)) if l_sq > 0 else 0.0

@@ -39,6 +39,13 @@ def disk_table(points, geometry, config=None):
     return polar_cache(points, geometry, config or default_cutoff_config(geometry))
 
 
+def interior_rows(lap):
+    """The (J1, N + 2) interior rows `build_epoch_cache` takes: a copy of
+    the (J1, N) Laplacians ``lap`` in the first N columns, then two
+    columns that the cache fills with the source's factors."""
+    return np.concatenate([lap, np.zeros((len(lap), 2))], axis=1)
+
+
 def kinked_sin_rows(geometry, quad):
     """Laplacian and trace rows of I columns that span sin(5x) / p_i on
     subdomain i, for any p, on a 1D layout whose cuts are zeros of sin(5x)

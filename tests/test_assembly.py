@@ -31,7 +31,7 @@ from transolve.sampling import QuadratureSet, sample_collocation
 from transolve.singular import singular_evals_from_cache
 from transolve.training import vertex_eigenpairs
 
-from conftest import disk_table, geom_1d, geom_2x2, kinked_sin_rows
+from conftest import disk_table, geom_1d, geom_2x2, interior_rows, kinked_sin_rows
 
 def raw_rows(geometry, net_cfg, seed=0, n_int=12, n_ifc=6):
     """The interior points' vertex-disk table, quadrature, and the
@@ -57,8 +57,9 @@ def raw_rows(geometry, net_cfg, seed=0, n_int=12, n_ifc=6):
 
 def make_cache(geometry, net_cfg, seed=0, n_int=12, n_ifc=6, theta=1.0):
     rhs = RhsSpec.for_geometry("sin1d" if geometry.dimension == 1 else "corner2d", geometry)
-    rows = raw_rows(geometry, net_cfg, seed, n_int, n_ifc)
-    return build_epoch_cache(geometry, *rows, rhs, theta=theta)
+    polar, quad, lap, trace, sign = raw_rows(geometry, net_cfg, seed, n_int, n_ifc)
+    return build_epoch_cache(geometry, polar, quad, interior_rows(lap), trace, sign, rhs,
+                             theta=theta)
 
 
 def adjoint_arrays(cache, fill=0.0):
@@ -108,9 +109,10 @@ def test_direct_assembly_equals_cache_based():
     polar, quad, lap, tr_plus, sign = rows
     tr_minus = sign * tr_plus
     theta = 1.0
-    # the cache weights its Laplacian in place: the oracle below reads the raw one
+    # the cache weights a copy of the Laplacian in place: the oracle below reads the raw one
     cache = build_epoch_cache(
-        g, polar, quad, lap.copy(), tr_plus, sign, RhsSpec.for_geometry("sin1d", g), theta=theta
+        g, polar, quad, interior_rows(lap), tr_plus, sign, RhsSpec.for_geometry("sin1d", g),
+        theta=theta,
     )
     rng = np.random.default_rng(3)
     p = rng.uniform(0.5, 5.0, size=5)
@@ -427,8 +429,8 @@ def test_batch_zero_basis_solves_to_zero():
     quad = sample_collocation(g, 6, 1, np.random.default_rng(0))
     lap, trace = np.zeros((quad.n_interior, 3)), np.zeros((quad.n_interface, 3))
     rhs = RhsSpec.for_geometry("sin1d", g)
-    cache = build_epoch_cache(g, disk_table(quad.interior_points, g), quad, lap, trace,
-                              np.ones_like(trace), rhs)
+    cache = build_epoch_cache(g, disk_table(quad.interior_points, g), quad, interior_rows(lap),
+                              trace, np.ones_like(trace), rhs)
     params = np.random.default_rng(1).uniform(0.5, 10.0, size=(2, 5))
     batch = solve_parameter_batch(cache, params)
     assert batch.y_nn.tolist() == [[0.0] * 3] * 2
@@ -452,8 +454,8 @@ def exact_cache():
     lap = np.zeros((5, 4))
     lap[np.arange(4), sub[:4]] = 1.0
     trace = np.zeros((0, 4))
-    cache = build_epoch_cache(g, disk_table(quad.interior_points, g), quad, lap, trace, trace,
-                              RhsSpec.for_geometry("corner2d", g))
+    cache = build_epoch_cache(g, disk_table(quad.interior_points, g), quad, interior_rows(lap),
+                              trace, trace, RhsSpec.for_geometry("corner2d", g))
     assert cache.polar.annulus_rows.tolist() == [4]
     return cache
 
@@ -567,8 +569,8 @@ def test_manufactured_exact_recovery_1d(monkeypatch):
     rhs = RhsSpec.for_geometry("sin1d", g)
     quad = sample_collocation(g, 30, 1, np.random.default_rng(15))
     signs, lap, trace, sign = kinked_sin_rows(g, quad)
-    cache = build_epoch_cache(g, disk_table(quad.interior_points, g), quad, lap, trace, sign, rhs,
-                              theta=1.0)
+    cache = build_epoch_cache(g, disk_table(quad.interior_points, g), quad, interior_rows(lap),
+                              trace, sign, rhs, theta=1.0)
     p = np.array([1.0, 4.0, 0.2, 30.0, 49.0])
     sysk = assemble_system(cache, p, None, 1.0)
     y, res = solve_normal_equations(sysk)
@@ -635,8 +637,8 @@ def test_minus_side_through_the_sign_runs_equals_the_dense_sign():
     _, lap, trace, sign = kinked_sin_rows(g, quad)
     lap = lap + 0.1 * rng.standard_normal(lap.shape)
     trace = trace + 0.1 * rng.standard_normal(trace.shape)
-    cache = build_epoch_cache(g, disk_table(quad.interior_points, g), quad, lap, trace, sign,
-                              RhsSpec.for_geometry("sin1d", g))
+    cache = build_epoch_cache(g, disk_table(quad.interior_points, g), quad, interior_rows(lap),
+                              trace, sign, RhsSpec.for_geometry("sin1d", g))
     assert len(cache.sign_runs) > 1
     parameters = rng.uniform(0.5, 5.0, size=(6, g.n_subdomains))
     out = (np.empty_like(cache.wlap), np.empty_like(cache.wtrace))
@@ -651,3 +653,89 @@ def test_minus_side_through_the_sign_runs_equals_the_dense_sign():
     seeds = cache.sqrt_theta_w[:, None] * r_jump
     bar_trace = (p_plus * seeds) @ y - cache.sign * ((p_minus * seeds) @ y)
     np.testing.assert_allclose(out[1], bar_trace, rtol=1e-10, atol=1e-12 * np.abs(bar_trace).max())
+
+
+def _interleaved(quad):
+    """The interior rows of a grouped ``quad`` dealt out round-robin over
+    the subdomains, each subdomain's rows in their own order, so that a
+    stable sort by subdomain gives ``quad`` back; and that order."""
+    sub = quad.interior_subdomain
+    rank = np.empty(len(sub), dtype=int)
+    for i in np.unique(sub):
+        rank[sub == i] = np.arange(np.count_nonzero(sub == i))
+    order = np.lexsort((sub, rank))
+    mixed = dataclasses.replace(
+        quad, interior_points=quad.interior_points[order],
+        interior_weights=quad.interior_weights[order], interior_subdomain=sub[order],
+    )
+    return mixed, order
+
+
+@pytest.mark.parametrize("layout", ["1d", "2x2"])
+def test_interleaved_rows_solve_as_their_grouped_permutation(layout):
+    """A quadrature whose subdomains interleave row by row is one run per
+    row, and solves as its grouped permutation: the Gram blocks read each
+    subdomain's rows in the same order, so y is bit-identical, and the
+    losses and row adjoints agree to 1e-12.  With singular columns, whose
+    border reads the annulus rows in another order, its losses are those
+    of each parameter's explicit system."""
+    g = geom_1d() if layout == "1d" else geom_2x2()
+    cfg = NetConfig(g.dimension, (8,), 4, 8)
+    rhs = RhsSpec.for_geometry("sin1d" if layout == "1d" else "corner2d", g)
+    polar, quad, lap, trace, sign = raw_rows(g, cfg, seed=21, n_int=12, n_ifc=5)
+    mixed, order = _interleaved(quad)
+    assert np.any(np.diff(mixed.interior_subdomain) < 0)
+    grouped = build_epoch_cache(g, polar, quad, interior_rows(lap), trace, sign, rhs)
+    cache = build_epoch_cache(g, disk_table(mixed.interior_points, g), mixed,
+                              interior_rows(lap[order]), trace, sign, rhs)
+    assert len(grouped.interior_runs) == g.n_subdomains
+    assert len(cache.interior_runs) > 4 * g.n_subdomains
+    params = np.random.default_rng(22).uniform(0.2, 5.0, size=(BLOCK + 3, g.n_subdomains))
+    want, got = adjoint_arrays(grouped), adjoint_arrays(cache)
+    a = solve_parameter_batch(grouped, params, out=want)
+    b = solve_parameter_batch(cache, params, out=got)
+    assert a.y_nn.tobytes() == b.y_nn.tobytes()
+    np.testing.assert_allclose(b.losses, a.losses, rtol=1e-12)
+    for name, mine, ref in (("bar_lap", got[0], want[0][order]), ("bar_trace", got[1], want[1])):
+        np.testing.assert_allclose(mine, ref, rtol=0, atol=1e-12 * np.abs(ref).max(), err_msg=name)
+    if g.n_singular:
+        params[:, 0] = 20.0  # the corner cell's exponent falls in (0, 1)
+        pairs_per_p = vertex_eigenpairs(g, params, 2)
+        sing = singular_evals_from_cache(cache.polar, pairs_per_p)
+        assert sing.shape[2] > 0
+        assert sum(local.size for _, _, local, _ in cache.interior_runs) == sing.shape[1]
+        batch = solve_parameter_batch(cache, params, sing, out=got)
+        j1, bar_lap = mixed.n_interior, np.zeros_like(got[0])
+        for k, p in enumerate(params):
+            system = assemble_system(cache, p, sing[k], 1.0)
+            r = system.matrix @ np.concatenate([batch.y_nn[k], batch.y_sing[k]]) - system.rhs
+            assert batch.losses[k] == pytest.approx(r @ r, rel=1e-12)
+            seed = cache.sqrt_w * p[mixed.interior_subdomain] * r[:j1]
+            bar_lap += np.outer(seed, batch.y_nn[k])
+        np.testing.assert_allclose(got[0], bar_lap, rtol=0, atol=1e-12 * np.abs(bar_lap).max())
+
+
+def test_batch_solve_peak_memory_at_the_1d_benchmark_size():
+    """The tracemalloc peak of a solve of train1d-sin's size (P = 256, five
+    subdomains of 200 rows, N = 50) with the row adjoints stays at or below
+    the parent design's 1.96 MB: the residuals of one run of equal
+    subdomain live at a time, (200, 256), where one (J1, P) array alone is
+    2.05 MB."""
+    g = geom_1d()
+    rng = np.random.default_rng(23)
+    quad = sample_collocation(g, 200, 1, rng)
+    n = 50
+    lap, trace = rng.standard_normal((quad.n_interior, n)), rng.standard_normal((4, n))
+    cache = build_epoch_cache(g, disk_table(quad.interior_points, g), quad, interior_rows(lap),
+                              trace, np.ones_like(trace), RhsSpec.for_geometry("sin1d", g))
+    params = rng.uniform(0.1, 10.0, size=(256, 5))
+    out = adjoint_arrays(cache)
+    solve_parameter_batch(cache, params, out=out)  # NumPy's and LAPACK's one-time set-up
+    tracemalloc.start()
+    try:
+        solve_parameter_batch(cache, params, out=out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert quad.n_interior * len(params) * 8 > 2.0e6
+    assert peak <= 1.96e6

@@ -453,7 +453,7 @@ def test_a_table_of_another_point_count_raises():
     quad = sample_collocation(g, 6, 4, np.random.default_rng(3))
     pts, ifc = quad.interior_points, quad.interface_points
     axes = np.array([g.interfaces[k].axis for k in quad.interface_ids])
-    lap, trace = np.zeros((quad.n_interior, 3)), np.zeros((quad.n_interface, 3))
+    lap, trace = np.zeros((quad.n_interior, 5)), np.zeros((quad.n_interface, 3))
     calls = [
         lambda: composition_factors(pts, g, disk_table(pts[:-1], g)),
         lambda: interface_trace_factors(ifc, axes, g, disk_table(ifc[1:], g)),

@@ -13,6 +13,7 @@ from transolve.nets import (
     Jets,
     MlpParams,
     NetConfig,
+    PassWeights,
     adam_step,
     backward_jets,
     forward_jets,
@@ -188,6 +189,26 @@ def test_nonfinite_params_rejected():
     p.layers[0][0][0, 0] = np.nan
     with pytest.raises(ValueError):
         forward_jets(p, np.array([[0.5]]))
+    with pytest.raises(ValueError, match="non-finite"):
+        PassWeights.of(p)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_pass_weights_give_the_jets_of_the_weights(dim):
+    """Jets from the weights checked and laid out once (`PassWeights`)
+    equal, bit for bit, those `forward_jets` gives from the weights
+    themselves, tile by tile as for the whole point set."""
+    cfg = NetConfig(dim, (7, 6), 3, 4)
+    p = init_params(cfg, 8)
+    weights = PassWeights.of(p)
+    pts = np.random.default_rng(2).uniform(-1, 1, size=(nets.TILE + 40, dim))
+    whole = forward_jets(p, pts)
+    for rows in (slice(0, nets.TILE), slice(nets.TILE, None)):
+        tile = forward_jets(weights, pts[rows])
+        for k in ("value", "gradient", "laplacian"):
+            np.testing.assert_array_equal(getattr(tile, k), getattr(whole, k)[rows])
+    with pytest.raises(ValueError, match="points must have shape"):
+        forward_jets(weights, np.zeros((2, dim + 1)))
 
 
 @pytest.mark.parametrize("dim", [1, 2])

@@ -33,7 +33,7 @@ from transolve.training import (
     vertex_eigenpairs,
 )
 
-from conftest import geom_1d, geom_2x2, geom_3x3
+from conftest import geom_1d, geom_2x2, geom_3x3, interior_rows
 
 RTOL = 1e-12
 N_SINGULAR = 2
@@ -319,7 +319,8 @@ def _untiled_basis(params, g, rhs, cut, theta, quad):
     ifc = forward_jets(params, quad.interface_points)
     trace = (ifc_stack.columns(cols) * ifc).gradient[np.arange(quad.n_interface), :, axes]
     sign = np.where(mask[:, cols], -1.0, 1.0)
-    cache = build_epoch_cache(g, polar, quad, composed.laplacian, trace, sign, rhs, theta=theta)
+    cache = build_epoch_cache(g, polar, quad, interior_rows(composed.laplacian), trace, sign, rhs,
+                              theta=theta)
     return composed.value, np.moveaxis(composed.gradient, -1, 1), cache
 
 

@@ -274,6 +274,13 @@ def _loop_interfaces(g, n, place):
     return np.concatenate(points), np.concatenate(weights), ids
 
 
+def _grouped(g, pts, weights):
+    """Reference: the interior points and weights in a stable sort by
+    subdomain, the order both builders give."""
+    order = np.argsort(subdomain_index_many(g, pts), kind="stable")
+    return pts[order], weights[order]
+
+
 def _loop_collocation(g, n_int, n_ifc, rng, rng_ifc):
     corners, widths = _loop_cells(g, n_int)
     pts = corners + rng.uniform(0, 1, size=corners.shape) * widths
@@ -289,7 +296,7 @@ def _loop_collocation(g, n_int, n_ifc, rng, rng_ifc):
         edges = np.linspace(lo, hi, n + 1)
         return rng_ifc.uniform(edges[:-1], edges[1:])
 
-    return (pts, np.prod(widths, axis=1), *_loop_interfaces(g, n_ifc, stratified))
+    return (*_grouped(g, pts, np.prod(widths, axis=1)), *_loop_interfaces(g, n_ifc, stratified))
 
 
 def _loop_midpoints(g, n, n_ifc):
@@ -298,7 +305,8 @@ def _loop_midpoints(g, n, n_ifc):
     def centers(lo, hi, n):
         return lo + (hi - lo) / n * (np.arange(n) + 0.5)
 
-    return (corners + widths / 2, np.prod(widths, axis=1), *_loop_interfaces(g, n_ifc, centers))
+    return (*_grouped(g, corners + widths / 2, np.prod(widths, axis=1)),
+            *_loop_interfaces(g, n_ifc, centers))
 
 
 DRAW_LAYOUTS = {
@@ -344,3 +352,18 @@ def test_midpoint_bits_equal_the_per_segment_loop(layout):
     if g.dimension == 2:
         sums = np.bincount(q.interface_ids, weights=q.interface_weights)
         np.testing.assert_allclose(sums, [i.length for i in g.interfaces], rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("layout", DRAW_LAYOUTS)
+def test_both_builders_group_the_interior_rows_by_subdomain(layout):
+    """Each builder gives a non-decreasing ``interior_subdomain``, each
+    subdomain's rows one run, that names each point's own subdomain; the
+    1D cells come grouped, so their points keep the cell order."""
+    g = DRAW_LAYOUTS[layout]()
+    for q in (sample_collocation(g, 17, 9, np.random.default_rng(3)), midpoint_grid(g, 16, 6)):
+        sub = q.interior_subdomain
+        assert np.all(np.diff(sub) >= 0)
+        np.testing.assert_array_equal(sub, subdomain_index_many(g, q.interior_points))
+        assert np.unique(sub).size == g.n_subdomains
+        if g.dimension == 1:
+            assert np.all(np.diff(q.interior_points[:, 0]) > 0)

@@ -26,6 +26,7 @@ from transolve.singular import singular_evals_from_cache
 from transolve.training import (
     EpochData,
     EpochError,
+    QueryBasis,
     Seeds,
     _composed_cache,
     TrainConfig,
@@ -38,10 +39,11 @@ from transolve.training import (
     run_epoch,
     save_checkpoint,
     train,
+    validation_loss,
     vertex_eigenpairs,
 )
 
-from conftest import disk_table, geom_1d, geom_2x2, geom_3x3, kinked_sin_rows
+from conftest import disk_table, geom_1d, geom_2x2, geom_3x3, interior_rows, kinked_sin_rows
 
 PI = np.pi
 
@@ -458,7 +460,7 @@ def test_minus_side_equals_an_explicit_minus_side_product(layout):
     net = NetConfig(g.dimension, (6,), 2 * max(n_s, 1), 4 * max(n_s, 1))
     cols = factor_index(g, net.n1, net.n2)
     ifc = forward_jets(init_params(net, 13), quad.interface_points)
-    lap = np.zeros((quad.n_interior, net.n_outputs))
+    lap = np.zeros((quad.n_interior, net.n_outputs + 2))  # interior rows: build_epoch_cache
     polar = disk_table(quad.interior_points, g, cut)
     cache, plus, _ = training._interface_rows(ifc, lap, polar, quad, g, cut, cols, rhs, 1.0)
     sign, minus = cache.sign, cache.sign * cache.wtrace
@@ -760,8 +762,8 @@ def test_exact_solution_injection_drives_epoch_loss_to_zero(monkeypatch):
     rhs = RhsSpec.for_geometry("sin1d", g)
     quad = sample_collocation(g, 40, 1, np.random.default_rng(7))
     _, lap, trace, sign = kinked_sin_rows(g, quad)
-    cache = build_epoch_cache(g, disk_table(quad.interior_points, g), quad, lap, trace, sign, rhs,
-                              theta=1.0)
+    cache = build_epoch_cache(g, disk_table(quad.interior_points, g), quad, interior_rows(lap),
+                              trace, sign, rhs, theta=1.0)
     rng = np.random.default_rng(8)
     params = rng.uniform(0.01, 50.0, size=(64, 5))
     batch = solve_parameter_batch(cache, params)
@@ -1193,3 +1195,24 @@ def test_1d_training_error_at_the_benchmark_sizes():
     ten-seed maxima, rounded up to the next half percent."""
     u_err, flux_err = _benchmark_1d_errors(1)
     assert u_err <= 64.5 and flux_err <= 44.5, (u_err, flux_err)
+
+
+def test_tile_by_tile_passes_check_the_weights_once(monkeypatch):
+    """A loss-only pass and a query basis build evaluate the network one
+    tile at a time, but check its weights once per pass: the validation
+    set's interior tiles and its interface points, and the grid's tiles."""
+    checks = []
+    check = nets._check_weights
+    monkeypatch.setattr(nets, "_check_weights", lambda params: checks.append(1) or check(params))
+    g, rhs = geom_2x2(), RhsSpec.for_geometry("corner2d", geom_2x2())
+    cut = default_cutoff_config(g)
+    config = TrainConfig(iterations=1, lr_start=1e-3, lr_end=1e-3, theta=1.0, n_params=2,
+                         n_interior=40, n_interface=6, p_min=0.5, p_max=2.0)
+    params = init_params(NetConfig(2, (8,), 4, 8), 3)
+    validation = make_validation_set(g, config)
+    assert validation.quad.n_interior > 4 * nets.TILE
+    validation_loss(params, validation, g, rhs, cut)
+    assert len(checks) == 1
+    checks.clear()
+    QueryBasis.build(params, g, rhs, cut, 1.0, 40)
+    assert len(checks) == 1
