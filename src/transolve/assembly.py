@@ -9,23 +9,22 @@ flux-jump bracket of the basis traces (singular columns are zero there).
 row weights are known to this module alone.  The interior rows are one
 (J1, N + 2) array, the Laplacians beside the source's two factors, into
 whose first N columns the caller composes the Laplacians, so no second
-(J1, N) array is made.  The sampled quadratures come grouped by subdomain
-(`sampling.QuadratureSet`), and the cache lists the runs of equal
-subdomain of its rows: on a run every row's diffusivity is one p_i.  It
-keeps the interior points' vertex-disk table (`singular.polar_cache`),
-which its caller builds once and also hands to the cutoff factors, for
-the rows of the singular columns, and the weighted Laplacians on their
-annulus rows, which the singular border reads; it needs nothing else of
-the cutoff.  The jump rows keep one trace per column, the plus side's:
-the minus side's is that trace times a (J2, N) sign of +-1, so the cache
-holds one weighted trace and its sign, and each minus-side product is
-formed from the two where it is needed.  A row of the sign depends only
-on its interface's axis, so the sign is a few runs of equal rows s, which
-the cache lists, and the solve forms the minus side's products as
-wtrace (s * y) on each run's rows, with no (J2, N) product of the sign.
-Every entry of the network columns is affine in the diffusivity vector p,
-so their block of B^T B is a quadratic polynomial in p whose coefficient
-matrices, the Gram blocks, the cache holds.  `solve_parameter_batch`, the
+(J1, N) array is made.  The rows come grouped (`sampling.QuadratureSet`):
+one run of interior rows per subdomain, on which every row's diffusivity
+is one p_i, and one run of jump rows per interface, and the cache lists
+both as slices.  It keeps the interior points' vertex-disk table
+(`singular.polar_cache`), which its caller builds once and also hands to
+the cutoff factors, for the rows of the singular columns, and the
+weighted Laplacians on their annulus rows, which the singular border
+reads; it needs nothing else of the cutoff.  The jump rows keep one trace
+per column, the plus side's: the minus side's is that trace times a sign
+row s of +-1, which depends only on the interface's axis, so the cache
+holds one weighted trace and, in each interface's run, the (N,) sign row
+of its axis; the interfaces of an axis come one after another, and the
+solve forms the minus side's products over each axis's rows.  Every entry
+of the network columns is affine in the diffusivity vector p, so their
+block of B^T B is a quadratic polynomial in p whose coefficient matrices,
+the Gram blocks, the cache holds, each block from its runs' rows.  `solve_parameter_batch`, the
 one solve of training, validation and `final_solve`, solves the batch in
 blocks of BLOCK parameters.  The batch's singular columns come as one
 dense (P, R, M) block of sources on the annulus rows
@@ -39,14 +38,18 @@ of equal subdomain at a time, with that run's p_i folded into the small
 operand of one GEMM (Goto & van de Geijn, "Anatomy of high-performance
 matrix multiplication", 2008): rows[run] @ [p_i Y^T; p_i; 1] for the
 batch's (P, N) coefficients Y, plus the singular sources on the run's
-annulus rows.  Their column norms give the losses.  A caller that hands
-in the (J1, N) and (J2, N) adjoints of the Laplacians and of the trace
-that the gradient reads (``out``, which it may keep between batches) asks
-for them: a run's residuals times p_i Y, one more GEMM, give its rows of
-the Laplacians' adjoint, and the jump residuals the trace's, the minus
-side's through the sign.  No array spans the batch times the interior
-rows, no pass gathers p per interior row or runs elementwise over them
-for the batch, and none holds the normal matrices of the whole batch.
+annulus rows, which the solve lays out run by run once per batch, so that
+each run's are one slice.  The jump residuals follow: the plus side's
+products of every row in one GEMM and the minus side's one axis at a
+time, each scaled by its row's p.  Their column norms give the losses.  A
+caller that hands in the (J1, N) and (J2, N) adjoints of the Laplacians
+and of the trace that the gradient reads (``out``, which it may keep
+between batches) asks for them: a run's residuals times p_i Y, one more
+GEMM, give its rows of the Laplacians' adjoint, and the jump residuals
+the trace's, into which the minus side's seeds fold through the sign.
+No array spans the batch times the interior rows, no pass gathers p per
+interior row or runs elementwise over them for the batch, and none holds
+the normal matrices of the whole batch.
 `assemble_system` and `solve_normal_equations` build and solve one
 parameter's explicit system, the reference the batched solve is checked
 against, through the same `_cholesky_solve`, which alone holds the ridge
@@ -133,21 +136,26 @@ class EpochCache:
     The interior rows are one (J1, N + 2) array ``rows``, the weighted
     Laplacians, rhs factor and fixed rhs side by side; ``wlap``,
     ``wrhs_p`` and ``wrhs_fixed`` are views of it.  ``interior_runs``
-    lists its runs of equal subdomain (`_interior_runs`), which
-    `solve_parameter_batch` multiplies one at a time."""
+    holds one run per subdomain, which `solve_parameter_batch` multiplies
+    one at a time, and ``interface_runs`` one per interface: its minus
+    and plus subdomains, the read-only (N,) sign row of its axis, with
+    which its minus-side traces are s * wtrace[run], and its rows, which
+    the Gram blocks and `assemble_system` read.  The interfaces of one axis
+    come one after another and share that row, and ``axis_runs`` lists
+    the rows of each such run, over which the solve forms the minus side's
+    products.  No minus-side array is stored."""
 
     geometry: Geometry
     quad: QuadratureSet
     sqrt_w: np.ndarray  # (J1,) interior row weights sqrt(w)
     sqrt_theta_w: np.ndarray  # (J2,) jump row weights sqrt(Theta w)
     rows: np.ndarray  # (J1, N+2) sqrt(w) * [Laplacians | strong-form source factor | fixed source]
-    interior_runs: tuple  # (subdomain, rows slice, annulus rows in it, their places) per run
+    interior_runs: tuple  # (subdomain, rows slice, its annulus rows, their slice in run order)
+    annulus_order: np.ndarray  # (R,) places in polar.annulus_rows, run by run
     annulus_lap: np.ndarray  # (R, N) wlap on polar.annulus_rows, read by the singular border
     wtrace: np.ndarray  # (J2, N) sqrt(Theta w) * plus-side normal traces
-    sign: np.ndarray  # (J2, N) +-1: the minus-side traces are sign * wtrace
-    sign_runs: tuple  # (read-only (N,) row, rows slice) per run of equal rows of sign
-    ifc_minus_sub: np.ndarray  # (J2,)
-    ifc_plus_sub: np.ndarray  # (J2,)
+    interface_runs: tuple  # (minus subdomain, plus subdomain, (N,) sign row, rows slice)
+    axis_runs: tuple  # ((N,) sign row, rows slice) per run of consecutive interfaces of one axis
     polar: PolarCache  # interior points around the singular vertices
     gram: GramBlocks
 
@@ -214,14 +222,18 @@ def build_epoch_cache(
     the cache writes the source's two factors into its last two columns,
     weights it in place and keeps it as ``rows``, so a caller that still
     needs the raw Laplacians passes a copy.  The plus-side normal traces
-    ``trace`` are (J2, N) at the interface points, and ``sign`` is
-    (J2, N), -1 where a column's minus-side trace is its plus-side trace
-    negated and +1 where the two are equal.  The trace is a weighted copy,
-    and ``sign`` is kept as given.  ``polar`` is the vertex-disk table of
-    the interior points (`singular.polar_cache`), kept as given for the
-    singular columns' rows; a table made for another number of points
-    raises ValueError.  The jump weight ``theta`` must be finite and
-    nonnegative (ValueError).
+    ``trace`` are (J2, N) at the interface points, and ``sign`` is the
+    (d, N) table of the axes: its row a is -1 where a column's minus-side
+    trace on an interface of axis a is its plus-side trace negated and +1
+    where the two are equal.  The trace is a weighted copy, and the runs
+    read views of a read-only copy of ``sign``.  ``polar`` is the
+    vertex-disk table of the interior points (`singular.polar_cache`),
+    kept as given for the singular columns' rows; a table made for another
+    number of points raises ValueError.  The jump weight ``theta`` must be
+    finite and nonnegative, the quadrature's subdomain and interface ids
+    must index the geometry's, and the geometry's interfaces must come
+    axis by axis, as `geometry.build_grid_geometry` lists them
+    (ValueError).
     """
     if not (np.isfinite(theta) and theta >= 0):
         raise ValueError(f"theta must be finite and nonnegative, got {theta}")
@@ -229,87 +241,81 @@ def build_epoch_cache(
         raise ValueError("interior rows do not match the interior points")
     polar.check_points(quad.n_interior)
     n = rows.shape[1] - 2
-    if trace.shape != (quad.n_interface, n) or sign.shape != trace.shape:
-        raise ValueError("trace shapes do not match the interface points")
+    if trace.shape != (quad.n_interface, n) or sign.shape != (geometry.dimension, n):
+        raise ValueError("trace shapes do not match the interface points and the axes")
     rows[:, n], rows[:, n + 1] = rhs.factors(quad.interior_points)
     sw = np.sqrt(quad.interior_weights)
     sj = np.sqrt(theta) * np.sqrt(quad.interface_weights)
-    minus_sub = np.array([geometry.interfaces[k].minus for k in quad.interface_ids], dtype=int)
-    plus_sub = np.array([geometry.interfaces[k].plus for k in quad.interface_ids], dtype=int)
     rows *= sw[:, None]  # in place: no second (J1, N) array
     wtrace = sj[:, None] * trace
-    lap, f1, f0 = rows[:, :n], rows[:, n], rows[:, n + 1]
-    gram = _build_gram(geometry, quad, lap, f1, f0, wtrace, sign, theta)
+    interior_runs, order = _interior_runs(quad.interior_subdomain, geometry.n_subdomains,
+                                          polar.annulus_rows)
+    ifc_rows = _offsets(quad.interface_ids, len(geometry.interfaces), "interface")
+    sign = np.array(sign, dtype=float)  # read-only, and so are the runs' views of its rows
+    sign.flags.writeable = False
+    interface_runs = tuple((ifc.minus, ifc.plus, sign[ifc.axis], run)
+                           for ifc, run in zip(geometry.interfaces, ifc_rows))
+    axes = np.array([ifc.axis for ifc in geometry.interfaces], dtype=int)
+    axis_runs = tuple(zip(sign, _offsets(axes[quad.interface_ids], geometry.dimension, "axis")))
+    gram = _build_gram(geometry.n_subdomains, rows, interior_runs, wtrace, interface_runs, theta)
     return EpochCache(
-        geometry, quad, sw, sj, rows, _interior_runs(quad.interior_subdomain, polar.annulus_rows),
-        lap[polar.annulus_rows], wtrace, sign, _sign_runs(sign), minus_sub, plus_sub, polar, gram,
+        geometry, quad, sw, sj, rows, interior_runs, order, rows[polar.annulus_rows, :n], wtrace,
+        interface_runs, axis_runs, polar, gram,
     )
 
 
-def _interior_runs(sub: np.ndarray, annulus_rows: np.ndarray) -> tuple:
-    """The runs of consecutive equal subdomain ids ``sub`` of the interior
-    rows, as (subdomain, rows slice, local, at) tuples: ``local`` are the
-    run's annulus rows, counted from its first row, and ``at`` their places
-    in ``annulus_rows``, both read-only.  The runs cover every row once.
-    A set that `sampling` builds has one run per subdomain; another order
-    gives more runs, down to one per row.  One search places every annulus
-    row in its run, and a stable sort groups them run by run."""
-    if not len(sub):
-        return ()
-    bounds = np.concatenate([[0], np.flatnonzero(sub[1:] != sub[:-1]) + 1, [len(sub)]])
-    run_of = np.searchsorted(bounds, annulus_rows, side="right") - 1
-    at = np.argsort(run_of, kind="stable")
-    local = annulus_rows[at] - bounds[run_of[at]]
-    edges = np.searchsorted(run_of[at], np.arange(len(bounds)))
-    at.flags.writeable = local.flags.writeable = False
-    return tuple(
-        (int(sub[a]), slice(a, b), local[e : f], at[e : f])
-        for a, b, e, f in zip(bounds[:-1].tolist(), bounds[1:].tolist(), edges[:-1], edges[1:])
-    )
+def _offsets(ids: np.ndarray, count: int, what: str) -> list:
+    """The runs of ``ids``, one rows slice per id in range(count), empty
+    where no row has it.  Ids that decrease somewhere or fall outside that
+    range raise ValueError."""
+    if len(ids) and not (0 <= ids[0] and ids[-1] < count and np.all(ids[1:] >= ids[:-1])):
+        raise ValueError(f"{what} ids must be non-decreasing and in [0, {count})")
+    bounds = np.searchsorted(ids, np.arange(count + 1)).tolist()
+    return [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
 
 
-def _sign_runs(sign: np.ndarray) -> tuple:
-    """The runs of consecutive equal rows of a (J2, N) ``sign``, as ((N,)
-    row, rows slice) pairs.  The rows of one interface are one run, and in
-    the epochs and the queries a row depends only on its interface's axis,
-    whose interfaces come one after another: one run in 1D, two in 2D.
-    Each row is a read-only view of ``sign``: freezing ``sign`` later does
-    not reach a view made before, and nothing writes through a run."""
-    starts = np.flatnonzero(np.any(sign[1:] != sign[:-1], axis=1)) + 1
-    bounds = [0, *starts.tolist(), len(sign)] if len(sign) else []
-    runs = tuple((sign[a], slice(a, b)) for a, b in zip(bounds[:-1], bounds[1:]))
-    for row, _ in runs:
-        row.flags.writeable = False
-    return runs
+def _interior_runs(sub: np.ndarray, n_sub: int, annulus_rows: np.ndarray):
+    """One (subdomain, rows slice, local, at) run per subdomain of the
+    grouped interior rows, and the (R,) order that lays the annulus rows
+    out run by run.  ``local`` are the run's annulus rows, counted from its
+    first row and read-only, and ``at`` the slice of their places in
+    ``annulus_rows[order]``.  A stable sort by run keeps each run's
+    annulus rows in their order in ``annulus_rows``."""
+    runs = _offsets(sub, n_sub, "subdomain")
+    order = np.argsort(sub[annulus_rows], kind="stable")
+    placed = annulus_rows[order]
+    local = placed - np.searchsorted(sub, sub[placed])  # counted from the run's first row
+    at = _offsets(sub[placed], n_sub, "subdomain")
+    order.flags.writeable = local.flags.writeable = False
+    return tuple((i, run, local[a], a) for i, (run, a) in enumerate(zip(runs, at))), order
 
 
-def _build_gram(geometry, quad, c, f1, f0, t, sign, theta) -> GramBlocks:
-    """The Gram blocks of the weighted rows: Laplacians c, rhs factors f1
-    and f0, and plus-side traces t, whose minus side is sign * t, one cross
-    block per interface."""
-    n_sub, n = geometry.n_subdomains, c.shape[1]
-    sq = np.zeros((n_sub, n, n))
-    b_sq = np.zeros((n_sub, n))
-    b_lin = np.zeros((n_sub, n))
-    sub = quad.interior_subdomain
-    for i in range(n_sub):
-        rows = sub == i
-        ci = c[rows]
+def _build_gram(n_sub, rows, interior_runs, t, interface_runs, theta) -> GramBlocks:
+    """The Gram blocks of the weighted interior rows, Laplacians beside
+    the rhs factors, and of the plus-side traces t, whose minus side is
+    s * t, one cross block per interface, each from its runs' rows.  Each
+    run's interior columns are copied contiguous before the products: a
+    slice of the (J1, N + 2) rows is a BLAS operand of another leading
+    dimension, whose products may round apart, and y's bits follow the
+    Gram's."""
+    n = rows.shape[1] - 2
+    sq, b_sq, b_lin = np.zeros((n_sub, n, n)), np.zeros((n_sub, n)), np.zeros((n_sub, n))
+    for i, run, _, _ in interior_runs:
+        ci, f1, f0 = (np.ascontiguousarray(rows[run, k]) for k in (slice(n), n, n + 1))
         sq[i] = ci.T @ ci
-        b_sq[i] = -ci.T @ f1[rows]
-        b_lin[i] = -ci.T @ f0[rows]
+        b_sq[i] = -ci.T @ f1
+        b_lin[i] = -ci.T @ f0
 
-    cross = np.empty((len(geometry.interfaces), n, n))
-    for k, ifc in enumerate(geometry.interfaces):
-        rows = quad.interface_ids == k
-        tpg = t[rows]
-        tmg = sign[rows] * tpg
-        sq[ifc.plus] += tpg.T @ tpg
-        sq[ifc.minus] += tmg.T @ tmg
+    cross = np.empty((len(interface_runs), n, n))
+    for k, (minus, plus, s, run) in enumerate(interface_runs):
+        tpg = t[run]
+        tmg = s * tpg
+        sq[plus] += tpg.T @ tpg
+        sq[minus] += tmg.T @ tmg
         cross[k] = -(tmg.T @ tpg + tpg.T @ tmg)
     blocks = np.concatenate([sq, cross])
     combined = blocks.transpose(0, 2, 1).reshape(len(blocks), n * n)
-    cross_pairs = np.array([(g.minus, g.plus) for g in geometry.interfaces], dtype=int)
+    cross_pairs = np.array([run[:2] for run in interface_runs], dtype=int)
     return GramBlocks(theta, combined, cross_pairs.reshape(-1, 2), b_sq, b_lin)
 
 
@@ -343,9 +349,9 @@ def assemble_system(cache: EpochCache, parameter, singular_evals, theta: float) 
     # loss-side rhs: the residual p*Lap(u) - l must vanish at the solution
     # of -div(p grad u) = rhs, so l = -(p*factor + fixed) row-weighted
     rhs_top = -(p_int * cache.wrhs_p + cache.wrhs_fixed)
-    p_minus = parameter[cache.ifc_minus_sub]
-    p_plus = parameter[cache.ifc_plus_sub]
-    jump = (p_plus[:, None] - p_minus[:, None] * cache.sign) * cache.wtrace
+    jump = np.empty_like(cache.wtrace)
+    for minus, plus, s, run in cache.interface_runs:
+        jump[run] = (parameter[plus] - parameter[minus] * s) * cache.wtrace[run]
     bottom = np.concatenate([jump, np.zeros((j2, n_sing))], axis=1)
     matrix = np.concatenate([top, bottom], axis=0)
     rhs = np.concatenate([rhs_top, np.zeros(j2)])
@@ -445,22 +451,27 @@ def solve_parameter_batch(
     formed a run of ``cache.interior_runs`` at a time.  On a run of
     subdomain i, where every row's diffusivity is p_i, the residuals are
     one GEMM, rows[run] @ [p_i Y^T; p_i; 1] with Y the (P, N) network
-    coefficients, plus the singular sources on the run's annulus rows, and
+    coefficients, plus the singular sources on the run's annulus rows, a
+    slice of the batch's (P, R) sources laid out run by run once, and
     their halved derivative in the run's raw Laplacians is
     sqrt(w) (r @ (p_i Y)), a second GEMM: no array spans the batch times
-    the interior rows, and no pass gathers p per row.  Handing in ``out``,
-    a (bar_lap, bar_trace) pair of arrays of the (J1, N) and (J2, N) row
+    the interior rows, and no pass gathers p per row.  The jump residuals
+    are p_plus (wtrace Y^T) - p_minus (wtrace (s Y)^T), the minus side's
+    GEMM on the rows of each run of ``cache.axis_runs`` with its sign row
+    s, so no (J2, N) temporary of the sign times an array is made.  Each
+    GEMM spans an axis's rows rather than one interface's: a product of
+    one row, as every 1D interface has, takes BLAS's GEMV path and rounds
+    apart, and the two-sided reference that tier-1 holds the 1D gradient
+    to admits 1e-12 of its largest entry, less than that rounding (an
+    exactly rounded trace adjoint misses it too).  Handing in ``out``, a
+    (bar_lap, bar_trace) pair of arrays of the (J1, N) and (J2, N) row
     shapes, asks for those row adjoints: each is overwritten with the
     halved derivative of the summed losses in its raw rows,
     d(sum_k loss_k) / d lap[j, n] = 2 bar_lap[j, n] and likewise bar_trace
-    for the plus-side traces, into which the minus side's rows, sign times
-    the plus side's, add through the sign.  The minus side's products go
-    through the sign row s of each run of ``cache.sign_runs`` on that
-    run's rows alone: wtrace[run] (s * Y^T) for the residual and
-    r[run] (s * Y) for the seeds, so no (J2, N) temporary of the sign
-    times an array is made.  Without ``out`` none is formed.  A caller
-    that solves batches of one shape again and again keeps its adjoint
-    arrays so.
+    for the plus-side traces, into which the minus side's rows, s times
+    the plus side's, add through the sign, r (s Y) on each axis's rows.
+    Without ``out`` none is formed.  A caller that solves batches of one
+    shape again and again keeps its adjoint arrays so.
     """
     gram = cache.gram
     parameters = validate_parameter_batch(cache.geometry, np.atleast_2d(parameters))
@@ -505,8 +516,8 @@ def solve_parameter_batch(
         y = _cholesky_solve(a, rhs, s)
         y_nn[s : s + BLOCK] = y[:, :n]
         y_sing[s : s + BLOCK] = y[:, n:]
-        if m:
-            r_sing[s : s + BLOCK] = (us @ y[:, n:, None])[:, :, 0]
+        if m:  # laid out run by run: each run's are one slice
+            r_sing[s : s + BLOCK] = (us @ y[:, n:, None])[:, cache.annulus_order, 0]
 
     # the interior residuals, a run of subdomain i at a time: rows[run] @
     # [p_i Y^T; p_i; 1], the top two blocks one product p_i [Y^T; 1].  Each
@@ -521,18 +532,20 @@ def solve_parameter_batch(
     for k, (i, run, local, at) in enumerate(cache.interior_runs):
         np.multiply(yt, parameters[:, i], out=factor[: n + 1])
         r = factor.T @ cache.rows[run].T
-        if m and at.size:
+        if m and local.size:
             r[:, local] += r_sing[:, at]
         np.vecdot(r, r, out=sums[k])
         if out is not None:
             seeds = np.matmul(r.T, factor[:n].T, out=bar_lap[run])
             seeds *= cache.sqrt_w[run, None]
-    # the jump residuals, the minus side per run of equal sign rows
+    # the jump residuals, the minus side's product through the sign row of
+    # each axis on that axis's rows, each side's p gathered per row from its
+    # interface
+    p_minus, p_plus = parameters.T[gram.cross_pairs[cache.quad.interface_ids].T]
     wtrace = cache.wtrace
-    p_plus, p_minus = parameters.T[cache.ifc_plus_sub], parameters.T[cache.ifc_minus_sub]
     r_jump = wtrace @ yt[:n]
     r_jump *= p_plus
-    for s_row, run in cache.sign_runs:
+    for s_row, run in cache.axis_runs:
         r_minus = wtrace[run] @ (s_row[:, None] * yt[:n])
         r_minus *= p_minus[run]
         r_jump[run] -= r_minus
@@ -541,7 +554,7 @@ def solve_parameter_batch(
         r_jump *= cache.sqrt_theta_w[:, None]
         np.matmul(p_plus * r_jump, y_nn, out=bar_trace)
         r_jump *= p_minus
-        for s_row, run in cache.sign_runs:
+        for s_row, run in cache.axis_runs:
             bar_trace[run] -= r_jump[run] @ (s_row * y_nn)
     return BatchSolveResult(y_nn, y_sing, sums.sum(axis=0))
 

@@ -33,7 +33,8 @@ plus side's distinct factors, gathered with the same index;
 n . (F * raw).gradient is the plus-side normal trace.  The factors that
 hold the psi of the point's own axis vanish on its line, so their jets,
 and the traces through them, flip sign across it: the minus side is the
-plus side times -1 on those factors, which it returns as a mask.  Interior
+plus side times -1 on those factors, which it returns as a mask with one
+row per axis, since which factors flip depends on the axis alone.  Interior
 and interface points take psi from one builder, `_psi_jets`.
 
 Each factor is formed only on the rows where it differs from its base.
@@ -289,7 +290,8 @@ def interface_trace_factors(
 ) -> tuple[Jets, np.ndarray]:
     """The plus-side distinct cutoff factors at points on interfaces with
     the given axes, as (J, F) jets in the order of `factor_index`, and the
-    (J, F) mask of the factors that hold the psi of the point's own axis.
+    (d, F) mask whose row a marks the factors that hold psi_a, the ones a
+    point on a line of axis a reads with its own axis's psi.
     phi_v is read from the points' vertex-disk table ``polar``
     (`singular.polar_cache`), which must index exactly these points
     (ValueError).
@@ -302,11 +304,11 @@ def interface_trace_factors(
     ``n . (F * raw).gradient``.  A masked factor is 0 on the line, so
     there n . grad(F * raw) = raw (n . grad F), and its jets flip sign
     across the line: the minus-side factors and traces are the plus
-    side's times -1 on the masked columns, +1 elsewhere.
+    side's times -1 on the columns its axis's row masks, +1 elsewhere.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     axes = np.asarray(interface_axes, dtype=int)
     stack = _distinct_factors(points, geometry, polar, _psi_jets(points, axes, geometry))
     # factor k is B * psi_a * phi_v for a = k // max(N_s, 1) - 1 (a = -1: B * phi_v)
     axis_of = np.arange(stack.value.shape[1]) // max(geometry.n_singular, 1) - 1
-    return stack, axis_of[None, :] == axes[:, None]
+    return stack, axis_of[None, :] == np.arange(geometry.dimension)[:, None]

@@ -62,10 +62,10 @@ cutoff factors and applies them to the network outputs.  Its Laplacian is
 `product_laplacian`, which a caller that reads only the Laplacian calls
 alone; the plus-side interface traces are the normal component of its
 gradient, which `training._interface_rows` forms alone, term for term in
-the same order, and the minus side's are those times a sign (see
-`cutoffs`).  `Jets.adjoint` is the product's transpose, which carries
-every loss row's seeds back to the network outputs, adding them into row
-blocks of a backward tile's seeds.
+the same order, and the minus side's are those times the sign row of
+the interface's axis (see `cutoffs`).  `Jets.adjoint` is the product's
+transpose, which carries every loss row's seeds back to the network
+outputs, adding them into row blocks of a backward tile's seeds.
 """
 
 from __future__ import annotations

@@ -20,22 +20,24 @@ junction, is built once: the interior points' by `_composed_cache` (and
 cache, where the singular columns read it, and the interface points' by
 `_interface_rows`.  The minus-side traces are the
 plus side's times a sign, -1 where the factor vanishes on the point's own
-line and +1 elsewhere, so one product and one trace serve both sides: the
-epoch cache keeps that trace and its sign, and no minus-side array is
-stored.  The singular sources of the whole batch are one dense (P, R, M)
-block on the R annulus points, built in one `singular_evals_from_cache`
-call: its M columns are slots laid out vertex by vertex, zero where a
-parameter has fewer pairs at a vertex than the batch's most.
-The sampled interior points come grouped by subdomain, and the composed
-Laplacians are written into the first N columns of the cache's (J1, N + 2)
-interior rows, beside the source's two factors.
+line and +1 elsewhere, so one product and one trace serve both sides.
+The sign depends on the line's axis alone: the epoch cache keeps that
+trace and, with each interface's run of rows, the sign row of its axis,
+and no minus-side array is stored.  The singular sources of the whole
+batch are one dense (P, R, M) block on the R annulus points, built in one
+`singular_evals_from_cache` call: its M columns are slots laid out vertex
+by vertex, zero where a parameter has fewer pairs at a vertex than the
+batch's most.  The sampled points come grouped, by subdomain and by
+interface, and the composed Laplacians are written into the first N
+columns of the cache's (J1, N + 2) interior rows, beside the source's two
+factors.
 `assembly.solve_parameter_batch` solves every parameter's least-squares
 system block by block, then forms the residuals of the whole batch one
-run of equal subdomain at a time, and writes the row adjoints from them:
-(J1, N) for the Laplacians and (J2, N) for the trace, which the minus
-side's seeds reach through the sign.  The mean squared residual is
-back-propagated with the solved coefficients held fixed (the derivative
-of a minimum is the partial derivative at the minimizer).  One
+run of equal subdomain at a time, then the jump rows', and writes the row
+adjoints from them: (J1, N) for the Laplacians and (J2, N) for the trace,
+which the minus side's seeds reach through the sign.  The mean squared
+residual is back-propagated with the solved coefficients held fixed (the
+derivative of a minimum is the partial derivative at the minimizer).  One
 `nets.backward_jets` pass goes over every point in the order
 `forward_jets` saw them, tile by tile, reading the output jets the forward
 gave and recomputing only the hidden layers.  It asks `_ComposedSeeds` for
@@ -351,17 +353,18 @@ def _interface_rows(
     `Jets.__mul__` forms its gradient, so it equals that product's normal
     component bit for bit, and the product's value, Laplacian and other
     gradient component are never made.  The minus side's is that trace
-    times the cache's ``sign``, -1 on the outputs whose factor holds the
-    psi of the point's own axis and +1 elsewhere: such a factor F is 0 on
-    the line, so n . grad(F * raw) = raw (n . grad F), and n . grad F flips
-    sign across it.  Returns the cache, the plus side's distinct factor
-    stack and the (J2, d) unit normals at the interface points.
+    times the sign row of the point's axis, from the (d, N) table given
+    to the cache: -1 on the outputs whose factor holds the psi of that
+    axis and +1 elsewhere, since such a factor F is 0 on the line, so
+    n . grad(F * raw) = raw (n . grad F), and n . grad F flips sign across
+    it.  Returns the cache, the plus side's distinct factor stack and the
+    (J2, d) unit normals at the interface points.
     """
-    ifc_axes = np.array([geometry.interfaces[k].axis for k in quad.interface_ids], dtype=int)
+    ifc_axes = np.array([ifc.axis for ifc in geometry.interfaces], dtype=int)[quad.interface_ids]
     normals = np.eye(geometry.dimension)[ifc_axes]
     ifc_polar = polar_cache(quad.interface_points, geometry, cutoff_config)
     stack, mask = interface_trace_factors(quad.interface_points, ifc_axes, geometry, ifc_polar)
-    sign = np.where(mask[:, cols], -1.0, 1.0)
+    sign = np.where(mask[:, cols], -1.0, 1.0)  # (d, N), one row per axis
     rows = np.arange(len(ifc_axes))
     trace = stack.value[:, cols] * ifc.gradient[rows, :, ifc_axes]
     trace += ifc.value * stack.gradient[rows, :, ifc_axes][:, cols]
@@ -659,8 +662,9 @@ class QueryBasis:
     midpoint quadrature, the weighted rows, the Gram blocks and the polar
     cache) and the composed basis values and gradients, each written tile
     by tile by `build` into an array made once.  `build` freezes the arrays
-    in the fields of these dataclasses; the sign rows of
-    ``cache.sign_runs`` come read-only from `_sign_runs`, and the
+    in the fields of these dataclasses; the run tables come read-only from
+    `build_epoch_cache` (the annulus rows of ``cache.interior_runs`` and the
+    sign rows of ``cache.interface_runs`` and ``cache.axis_runs``), and the
     geometry's arrays from `build_grid_geometry`.  The composed Laplacian
     lives on only weighted, in ``cache.wlap``.  `solve` checks and answers
     one parameter per call.  `final_solve` holds one basis between calls,

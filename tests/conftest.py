@@ -46,25 +46,51 @@ def interior_rows(lap):
     return np.concatenate([lap, np.zeros((len(lap), 2))], axis=1)
 
 
-def kinked_sin_rows(geometry, quad):
-    """Laplacian and trace rows of I columns that span sin(5x) / p_i on
-    subdomain i, for any p, on a 1D layout whose cuts are zeros of sin(5x)
-    (`geom_1d`).
+def geom_1d_pair():
+    """[0, 2 pi/5] cut at pi/5: two subdomains, the cut a zero of sin(5x)."""
+    return build_grid_geometry(1, cuts_x=[PI / 5], bounds=[(0, 2 * PI / 5)])
 
-    Column j is sin(5x) s_j(x), where s_j is -1 on subdomain j and +1
-    elsewhere: continuous, with a kink at each cut of subdomain j, so its
-    minus-side trace is its plus-side trace times ``sign``.  Returns the
-    (I, I) matrix ``signs`` of the s_j, whose column j holds s_j on each
-    subdomain (the coefficients y of sin(5x) / p_i solve signs @ y = 1 / p),
-    the (J1, I) Laplacians, and the (J2, I) plus-side traces and signs.
+
+def kinked_sin_rows(geometry, quad):
+    """Laplacian and trace rows of two columns that span sin(5x) / p_i on
+    subdomain i, for any p, on the two-subdomain layout `geom_1d_pair`.
+
+    Column 0 is sin(5x), smooth across the cut; column 1 is sin(5x) s(x),
+    with s -1 on subdomain 0 and +1 on subdomain 1, which kinks there, so
+    its minus-side trace is its plus-side trace negated: the (1, 2) sign
+    table of the one axis is [1, -1].  No such columns span sin(5x) / p_i
+    on three or more subdomains: a column's minus-side trace is its
+    plus-side trace times one sign on every interface of an axis, and the
+    columns sin(5x) c(x), c constant on each subdomain, that keep it are
+    those with c constant or alternating.  Returns the (2, 2) matrix
+    ``signs``, whose column j holds column j's factor on each subdomain
+    (the coefficients y of sin(5x) / p_i solve signs @ y = 1 / p), the
+    (J1, 2) Laplacians, the (J2, 2) plus-side traces and the sign table.
     """
-    n = geometry.n_subdomains
-    signs = np.ones((n, n)) - 2 * np.eye(n)  # invertible: eigenvalues n - 2 and -2
+    assert geometry.n_subdomains == 2
+    signs = np.array([[1.0, -1.0], [1.0, 1.0]])
     lap = -25.0 * np.sin(5 * quad.interior_points[:, :1]) * signs[quad.interior_subdomain]
-    ifcs = [geometry.interfaces[k] for k in quad.interface_ids]
-    minus, plus = (signs[[getattr(ifc, side) for ifc in ifcs]] for side in ("minus", "plus"))
+    plus = signs[[geometry.interfaces[k].plus for k in quad.interface_ids]]
     trace = 5 * np.cos(5 * quad.interface_points[:, :1]) * plus
-    return signs, lap, trace, minus * plus
+    return signs, lap, trace, np.array([[1.0, -1.0]])
+
+
+def jump_rows(geometry, quad):
+    """The per-row form of the jump rows that the cache's interface runs
+    replace: each interface point's minus and plus subdomains and axis,
+    (J2,) each; ``sign[axes]`` is the (J2, N) sign of a (d, N) table."""
+    ifcs = [geometry.interfaces[k] for k in quad.interface_ids]
+    return tuple(np.array([getattr(ifc, name) for ifc in ifcs], dtype=int)
+                 for name in ("minus", "plus", "axis"))
+
+
+def dense_sign(cache):
+    """The cache's (J2, N) per-row sign: each interface run's sign row on
+    that run's rows."""
+    sign = np.empty_like(cache.wtrace)
+    for _, _, row, run in cache.interface_runs:
+        sign[run] = row
+    return sign
 
 
 class _CountingWorker(ThreadPoolExecutor):

@@ -31,12 +31,22 @@ from transolve.sampling import QuadratureSet, sample_collocation
 from transolve.singular import singular_evals_from_cache
 from transolve.training import vertex_eigenpairs
 
-from conftest import disk_table, geom_1d, geom_2x2, interior_rows, kinked_sin_rows
+from conftest import (
+    dense_sign,
+    disk_table,
+    geom_1d,
+    geom_1d_pair,
+    geom_2x2,
+    geom_3x3,
+    interior_rows,
+    jump_rows,
+    kinked_sin_rows,
+)
 
 def raw_rows(geometry, net_cfg, seed=0, n_int=12, n_ifc=6):
     """The interior points' vertex-disk table, quadrature, and the
-    unweighted Laplacians, plus-side traces and the sign that gives the
-    minus side's."""
+    unweighted Laplacians, plus-side traces and the (d, N) sign table of
+    the axes that gives the minus side's."""
     quad = sample_collocation(geometry, n_int, n_ifc, np.random.default_rng(seed))
     params = init_params(net_cfg, seed + 1)
     cols = factor_index(geometry, net_cfg.n1, net_cfg.n2)
@@ -49,7 +59,8 @@ def raw_rows(geometry, net_cfg, seed=0, n_int=12, n_ifc=6):
     )
     ifc_jets = forward_jets(params, quad.interface_points)
     # the normal component of the plus side's gradient; the minus side
-    # flips the sign of the outputs whose factor vanishes on the line
+    # flips the sign of the outputs whose factor vanishes on a line of the
+    # point's axis
     rows = np.arange(quad.n_interface)
     trace = (ifc_stack.columns(cols) * ifc_jets).gradient[rows, :, ifc_axes]
     return polar, quad, lap, trace, np.where(mask[:, cols], -1.0, 1.0)
@@ -87,7 +98,8 @@ def test_cache_shapes_toy():
     cache = make_cache(g, cfg, n_int=3, n_ifc=1)
     assert cache.wlap.shape == (6, 2)  # 3 per subdomain
     assert cache.wtrace.shape == (1, 2)
-    assert cache.sign.shape == (1, 2)
+    ((minus, plus, sign, rows),) = cache.interface_runs
+    assert (minus, plus, sign.shape, rows) == (0, 1, (2,), slice(0, 1))
 
 
 def test_cache_deterministic():
@@ -97,7 +109,7 @@ def test_cache_deterministic():
     c2 = make_cache(g, cfg, seed=5)
     np.testing.assert_array_equal(c1.wlap, c2.wlap)
     np.testing.assert_array_equal(c1.wtrace, c2.wtrace)
-    np.testing.assert_array_equal(c1.sign, c2.sign)
+    np.testing.assert_array_equal(dense_sign(c1), dense_sign(c2))
 
 
 def test_direct_assembly_equals_cache_based():
@@ -107,7 +119,7 @@ def test_direct_assembly_equals_cache_based():
     cfg = NetConfig(1, (5,), 2, 4)
     rows = raw_rows(g, cfg, seed=2)
     polar, quad, lap, tr_plus, sign = rows
-    tr_minus = sign * tr_plus
+    tr_minus = sign[jump_rows(g, quad)[2]] * tr_plus
     theta = 1.0
     # the cache weights a copy of the Laplacian in place: the oracle below reads the raw one
     cache = build_epoch_cache(
@@ -305,6 +317,7 @@ def test_batch_support_rows_match_the_scattered_dense_system():
     out = adjoint_arrays(cache)
     batch = solve_parameter_batch(cache, params, singular_evals_per_p=sing, out=out)
     j1, n = cache.quad.n_interior, cache.n_basis
+    minus, plus, _ = jump_rows(g, cache.quad)
     expected = [np.zeros_like(cache.wlap), np.zeros_like(cache.wtrace), np.zeros_like(cache.wtrace)]
     atol = 0.0
     for k, p in enumerate(params):
@@ -322,15 +335,15 @@ def test_batch_support_rows_match_the_scattered_dense_system():
         r_jump = cache.sqrt_theta_w * r[j1:]
         seeds = (
             cache.sqrt_w * p_int * r[:j1],
-            -p[cache.ifc_minus_sub] * r_jump,
-            p[cache.ifc_plus_sub] * r_jump,
+            -p[minus] * r_jump,
+            p[plus] * r_jump,
         )
         for total, seed in zip(expected, seeds):
             total += np.outer(seed, batch.y_nn[k])
         # each seed to 1e-12 of its largest residual, carried through y_k
         atol += 1e-12 * np.abs(r).max() * np.abs(batch.y_nn[k]).max()
     bar_lap, bar_minus, bar_plus = expected
-    folded = bar_plus + cache.sign * bar_minus
+    folded = bar_plus + dense_sign(cache) * bar_minus
     for name, got, total in (("bar_lap", out[0], bar_lap), ("bar_trace", out[1], folded)):
         np.testing.assert_allclose(got, total, rtol=0, atol=atol, err_msg=name)
     assert [f.name for f in dataclasses.fields(batch)] == ["y_nn", "y_sing", "losses"]
@@ -430,7 +443,7 @@ def test_batch_zero_basis_solves_to_zero():
     lap, trace = np.zeros((quad.n_interior, 3)), np.zeros((quad.n_interface, 3))
     rhs = RhsSpec.for_geometry("sin1d", g)
     cache = build_epoch_cache(g, disk_table(quad.interior_points, g), quad, interior_rows(lap),
-                              trace, np.ones_like(trace), rhs)
+                              trace, np.ones((1, 3)), rhs)
     params = np.random.default_rng(1).uniform(0.5, 10.0, size=(2, 5))
     batch = solve_parameter_batch(cache, params)
     assert batch.y_nn.tolist() == [[0.0] * 3] * 2
@@ -442,21 +455,23 @@ def test_batch_zero_basis_solves_to_zero():
 def exact_cache():
     """A cache on the 2x2 layout whose arithmetic is exact: one interior
     point of unit weight in each cell, off the vertex's disk, where network
-    column i's Laplacian is 1 in cell i and 0 elsewhere, then one point on
-    the annulus, where every network column is 0; no interface point.  A
-    system's network block is diag(p_i^2), its border is zero, and its
-    singular block is the product of the annulus row's weighted sources."""
+    column i's Laplacian is 1 in cell i and 0 elsewhere, and one point on
+    the annulus, row 2 in the grouped order, where every network column is
+    0; no interface point.  A system's network block is diag(p_i^2), its
+    border is zero, and its singular block is the product of the annulus
+    row's weighted sources."""
     g = geom_2x2()
-    points = np.array([[-0.5, -0.5], [0.5, -0.5], [-0.5, 0.5], [0.5, 0.5], [0.25, 0.1]])
+    points = np.array([[-0.5, 0.5], [0.5, 0.5], [0.25, 0.1], [-0.5, -0.5], [0.5, -0.5]])
     sub = subdomain_index_many(g, points)
     quad = QuadratureSet(points, np.ones(5), sub, np.zeros((0, 2)), np.zeros(0),
                          np.zeros(0, dtype=int))
     lap = np.zeros((5, 4))
-    lap[np.arange(4), sub[:4]] = 1.0
+    off = np.array([0, 1, 3, 4])  # off the disk
+    lap[off, sub[off]] = 1.0
     trace = np.zeros((0, 4))
     cache = build_epoch_cache(g, disk_table(quad.interior_points, g), quad, interior_rows(lap),
-                              trace, trace, RhsSpec.for_geometry("corner2d", g))
-    assert cache.polar.annulus_rows.tolist() == [4]
+                              trace, np.ones((2, 4)), RhsSpec.for_geometry("corner2d", g))
+    assert sub.tolist() == [0, 1, 1, 2, 3] and cache.polar.annulus_rows.tolist() == [2]
     return cache
 
 
@@ -562,16 +577,17 @@ def test_singular_columns_zero_on_jump_rows():
 
 
 def test_manufactured_exact_recovery_1d(monkeypatch):
-    """Inject columns sin(5x) s_j(x) that kink at the cuts (`kinked_sin_rows`):
-    LS recovers sin(5x) / p_i on each subdomain i exactly."""
+    """Inject columns sin(5x) and sin(5x) s(x), the second kinking at the cut
+    (`kinked_sin_rows`): LS recovers sin(5x) / p_i on each subdomain i
+    exactly."""
     monkeypatch.setattr(assembly, "RIDGE_REL", 0.0)
-    g = geom_1d()
+    g = geom_1d_pair()
     rhs = RhsSpec.for_geometry("sin1d", g)
     quad = sample_collocation(g, 30, 1, np.random.default_rng(15))
     signs, lap, trace, sign = kinked_sin_rows(g, quad)
     cache = build_epoch_cache(g, disk_table(quad.interior_points, g), quad, interior_rows(lap),
                               trace, sign, rhs, theta=1.0)
-    p = np.array([1.0, 4.0, 0.2, 30.0, 49.0])
+    p = np.array([0.2, 49.0])
     sysk = assemble_system(cache, p, None, 1.0)
     y, res = solve_normal_equations(sysk)
     np.testing.assert_allclose(signs @ y, 1.0 / p, rtol=1e-10)
@@ -615,104 +631,157 @@ def test_coefficient_vector_split():
     np.testing.assert_array_equal(cv.stacked, y)
 
 
-def test_sign_runs_list_each_run_of_equal_rows():
-    """`_sign_runs` gives each run of consecutive equal sign rows once,
-    with its row and slice, in order; no interface row, no run."""
-    a, b = np.array([1.0, -1.0]), np.array([-1.0, -1.0])
-    sign = np.array([a, a, b, a, a, a])
-    runs = assembly._sign_runs(sign)
-    assert [(list(row), rows) for row, rows in runs] == [
-        (list(a), slice(0, 2)), (list(b), slice(2, 3)), (list(a), slice(3, 6))
-    ]
-    assert assembly._sign_runs(np.ones((0, 2))) == ()
+def test_interface_runs_list_each_interface_with_its_axis_sign_row():
+    """The cache holds one run per interface, in the geometry's order: its
+    minus and plus subdomains, a read-only view of its axis's row of a copy
+    of the sign table, and the slice of its rows; and one run per axis, the
+    rows of its interfaces, with the same row.  A set without interface
+    points gives each interface an empty run."""
+    g = geom_3x3()
+    cfg = NetConfig(2, (8,), 4, 8)
+    polar, quad, lap, trace, sign = raw_rows(g, cfg, seed=4, n_int=10, n_ifc=3)
+    cache = build_epoch_cache(g, polar, quad, interior_rows(lap), trace, sign,
+                              RhsSpec.for_geometry("corner2d", g))
+    assert len(cache.interface_runs) == len(g.interfaces) == 12
+    for k, (ifc, (minus, plus, row, rows)) in enumerate(zip(g.interfaces, cache.interface_runs)):
+        assert (minus, plus) == (ifc.minus, ifc.plus)
+        assert rows == slice(*np.flatnonzero(quad.interface_ids == k)[[0, -1]] + [0, 1])
+        assert np.array_equal(row, sign[ifc.axis]) and not row.flags.writeable
+        assert row.base is cache.axis_runs[ifc.axis][0].base
+    assert sign.flags.writeable  # the caller's table stays as given
+    assert not np.array_equal(sign[0], sign[1])
+    for a, (row, rows) in enumerate(cache.axis_runs):
+        assert np.array_equal(row, sign[a]) and not row.flags.writeable
+        axes = np.array([g.interfaces[k].axis for k in quad.interface_ids])
+        assert rows == slice(*np.flatnonzero(axes == a)[[0, -1]] + [0, 1])
+    assert [run[3] for run in exact_cache().interface_runs] == [slice(0, 0)] * 4
+
+
+# layouts of the run tests: (geometry, network, seed, interior points per
+# axis); at seed 1 the 4 x 4 jittered grid puts no point in the 0.04-wide
+# middle column of the last one, so two of its subdomains are empty
+RUN_LAYOUTS = {
+    "1d": (geom_1d(), NetConfig(1, (8,), 4, 8), 3, 40),
+    "2x2": (geom_2x2(), NetConfig(2, (8,), 4, 8), 5, 12),
+    "3x3": (geom_3x3(), NetConfig(2, (8,), 4, 8), 9, 16),
+    "empty subdomain": (build_grid_geometry(2, cuts_x=[-0.02, 0.02], cuts_y=[0.0],
+                                            bounds=[(-1, 1), (-1, 1)]),
+                        NetConfig(2, (8,), 2, 4), 1, 4),
+}
+
+
+def run_cache(layout, theta=1.0):
+    """A cache of a `RUN_LAYOUTS` layout, and the sign table it was given."""
+    g, cfg, seed, n_int = RUN_LAYOUTS[layout]
+    polar, quad, lap, trace, sign = raw_rows(g, cfg, seed, n_int, 5)
+    rhs = RhsSpec.for_geometry("sin1d" if g.dimension == 1 else "corner2d", g)
+    if layout == "empty subdomain":
+        assert np.bincount(quad.interior_subdomain, minlength=g.n_subdomains).min() == 0
+    return build_epoch_cache(g, polar, quad, interior_rows(lap), trace, sign, rhs, theta), sign
+
+
+@pytest.mark.parametrize("layout", ["3x3", "empty subdomain"])
+def test_interior_runs_are_the_subdomain_offsets(layout):
+    """One interior run per subdomain, empty where no point falls, each
+    the slice of its subdomain's rows; its ``local`` annulus rows, counted
+    from the run's first row, are its slice ``at`` of the annulus rows laid
+    out run by run (``annulus_order``), each run's in their order there."""
+    cache, _ = run_cache(layout)
+    sub, annulus = cache.quad.interior_subdomain, cache.polar.annulus_rows
+    placed = annulus[cache.annulus_order]
+    assert [run[0] for run in cache.interior_runs] == list(range(cache.geometry.n_subdomains))
+    for i, rows, local, at in cache.interior_runs:
+        assert np.array_equal(np.arange(len(sub))[rows], np.flatnonzero(sub == i))
+        assert np.array_equal(rows.start + local, placed[at])
+        assert np.array_equal(placed[at], annulus[sub[annulus] == i])
+        assert not local.flags.writeable
+    assert sum(local.size for _, _, local, _ in cache.interior_runs) == annulus.size
+    if layout == "3x3":  # the disk table lists the annulus rows vertex by vertex
+        assert not np.array_equal(placed, annulus)
+
+
+def _mask_gram(geometry, quad, cache, sign):
+    """The Gram blocks by the formula the runs replace: each subdomain's
+    and each interface's rows gathered through a boolean mask, the minus
+    side through the dense per-row sign."""
+    n_sub, n = geometry.n_subdomains, cache.n_basis
+    c, f1, f0, t = cache.wlap, cache.wrhs_p, cache.wrhs_fixed, cache.wtrace
+    row_sign = sign[jump_rows(geometry, quad)[2]]
+    sq, b_sq, b_lin = np.zeros((n_sub, n, n)), np.zeros((n_sub, n)), np.zeros((n_sub, n))
+    for i in range(n_sub):
+        rows = quad.interior_subdomain == i
+        ci = c[rows]
+        sq[i] = ci.T @ ci
+        b_sq[i] = -ci.T @ f1[rows]
+        b_lin[i] = -ci.T @ f0[rows]
+    cross = np.empty((len(geometry.interfaces), n, n))
+    for k, ifc in enumerate(geometry.interfaces):
+        rows = quad.interface_ids == k
+        tpg = t[rows]
+        tmg = row_sign[rows] * tpg
+        sq[ifc.plus] += tpg.T @ tpg
+        sq[ifc.minus] += tmg.T @ tmg
+        cross[k] = -(tmg.T @ tpg + tpg.T @ tmg)
+    blocks = np.concatenate([sq, cross])
+    return blocks.transpose(0, 2, 1).reshape(len(blocks), n * n), b_sq, b_lin
+
+
+@pytest.mark.parametrize("layout", sorted(RUN_LAYOUTS))
+def test_gram_blocks_from_the_runs_equal_the_masked_rows(layout):
+    """The Gram blocks built from each run's slice equal bit for bit those
+    built from rows gathered through boolean masks: each run's columns are
+    copied contiguous before the products, as a mask's gather gives them."""
+    cache, sign = run_cache(layout, theta=2.0)
+    for name, want in zip(("combined", "b_sq", "b_lin"),
+                          _mask_gram(cache.geometry, cache.quad, cache, sign)):
+        assert np.array_equal(getattr(cache.gram, name), want), name
 
 
 def test_minus_side_through_the_sign_runs_equals_the_dense_sign():
-    """On the 1D layout, whose kinked columns flip sign per interface, the
-    batched losses and trace adjoints equal those formed through the dense
-    (J2, N) sign, to rounding."""
+    """On the 1D and the 3x3 layout, the latter with a sign row per axis,
+    the batched losses and trace adjoints, each interface's coefficients
+    folded into one GEMM, equal those formed through the dense per-row
+    (J2, N) sign built from the axis table, to rounding."""
     rng = np.random.default_rng(5)
-    g = geom_1d()
-    quad = sample_collocation(g, 12, 3, rng)
-    _, lap, trace, sign = kinked_sin_rows(g, quad)
-    lap = lap + 0.1 * rng.standard_normal(lap.shape)
-    trace = trace + 0.1 * rng.standard_normal(trace.shape)
-    cache = build_epoch_cache(g, disk_table(quad.interior_points, g), quad, interior_rows(lap),
-                              trace, sign, RhsSpec.for_geometry("sin1d", g))
-    assert len(cache.sign_runs) > 1
-    parameters = rng.uniform(0.5, 5.0, size=(6, g.n_subdomains))
-    out = (np.empty_like(cache.wlap), np.empty_like(cache.wtrace))
-    batch = solve_parameter_batch(cache, parameters, out=out)
-    y = batch.y_nn
-    p_plus, p_minus = parameters.T[cache.ifc_plus_sub], parameters.T[cache.ifc_minus_sub]
-    r_jump = p_plus * (cache.wtrace @ y.T) - p_minus * ((cache.sign * cache.wtrace) @ y.T)
-    p_int = parameters.T[quad.interior_subdomain]
-    r_int = p_int * (cache.wlap @ y.T + cache.wrhs_p[:, None]) + cache.wrhs_fixed[:, None]
-    np.testing.assert_allclose(batch.losses, np.sum(r_int**2, 0) + np.sum(r_jump**2, 0),
-                               rtol=1e-12)
-    seeds = cache.sqrt_theta_w[:, None] * r_jump
-    bar_trace = (p_plus * seeds) @ y - cache.sign * ((p_minus * seeds) @ y)
-    np.testing.assert_allclose(out[1], bar_trace, rtol=1e-10, atol=1e-12 * np.abs(bar_trace).max())
+    for g, cfg in ((geom_1d(), NetConfig(1, (8,), 4, 8)), (geom_3x3(), NetConfig(2, (8,), 4, 8))):
+        polar, quad, lap, trace, sign = raw_rows(g, cfg, seed=7, n_int=12, n_ifc=3)
+        rhs = RhsSpec.for_geometry("sin1d" if g.dimension == 1 else "corner2d", g)
+        cache = build_epoch_cache(g, polar, quad, interior_rows(lap), trace, sign, rhs)
+        assert np.any(sign < 0) and np.any(sign > 0)
+        parameters = rng.uniform(0.5, 5.0, size=(6, g.n_subdomains))
+        out = (np.empty_like(cache.wlap), np.empty_like(cache.wtrace))
+        batch = solve_parameter_batch(cache, parameters, out=out)
+        y = batch.y_nn
+        minus, plus, axes = jump_rows(g, quad)
+        row_sign = sign[axes]
+        p_plus, p_minus = parameters.T[plus], parameters.T[minus]
+        r_jump = p_plus * (cache.wtrace @ y.T) - p_minus * ((row_sign * cache.wtrace) @ y.T)
+        p_int = parameters.T[quad.interior_subdomain]
+        r_int = p_int * (cache.wlap @ y.T + cache.wrhs_p[:, None]) + cache.wrhs_fixed[:, None]
+        np.testing.assert_allclose(batch.losses, np.sum(r_int**2, 0) + np.sum(r_jump**2, 0),
+                                   rtol=1e-12)
+        seeds = cache.sqrt_theta_w[:, None] * r_jump
+        bar_trace = (p_plus * seeds) @ y - row_sign * ((p_minus * seeds) @ y)
+        np.testing.assert_allclose(out[1], bar_trace, rtol=1e-10,
+                                   atol=1e-12 * np.abs(bar_trace).max())
 
 
-def _interleaved(quad):
-    """The interior rows of a grouped ``quad`` dealt out round-robin over
-    the subdomains, each subdomain's rows in their own order, so that a
-    stable sort by subdomain gives ``quad`` back; and that order."""
-    sub = quad.interior_subdomain
-    rank = np.empty(len(sub), dtype=int)
-    for i in np.unique(sub):
-        rank[sub == i] = np.arange(np.count_nonzero(sub == i))
-    order = np.lexsort((sub, rank))
-    mixed = dataclasses.replace(
-        quad, interior_points=quad.interior_points[order],
-        interior_weights=quad.interior_weights[order], interior_subdomain=sub[order],
-    )
-    return mixed, order
-
-
-@pytest.mark.parametrize("layout", ["1d", "2x2"])
-def test_interleaved_rows_solve_as_their_grouped_permutation(layout):
-    """A quadrature whose subdomains interleave row by row is one run per
-    row, and solves as its grouped permutation: the Gram blocks read each
-    subdomain's rows in the same order, so y is bit-identical, and the
-    losses and row adjoints agree to 1e-12.  With singular columns, whose
-    border reads the annulus rows in another order, its losses are those
-    of each parameter's explicit system."""
-    g = geom_1d() if layout == "1d" else geom_2x2()
-    cfg = NetConfig(g.dimension, (8,), 4, 8)
-    rhs = RhsSpec.for_geometry("sin1d" if layout == "1d" else "corner2d", g)
-    polar, quad, lap, trace, sign = raw_rows(g, cfg, seed=21, n_int=12, n_ifc=5)
-    mixed, order = _interleaved(quad)
-    assert np.any(np.diff(mixed.interior_subdomain) < 0)
-    grouped = build_epoch_cache(g, polar, quad, interior_rows(lap), trace, sign, rhs)
-    cache = build_epoch_cache(g, disk_table(mixed.interior_points, g), mixed,
-                              interior_rows(lap[order]), trace, sign, rhs)
-    assert len(grouped.interior_runs) == g.n_subdomains
-    assert len(cache.interior_runs) > 4 * g.n_subdomains
-    params = np.random.default_rng(22).uniform(0.2, 5.0, size=(BLOCK + 3, g.n_subdomains))
-    want, got = adjoint_arrays(grouped), adjoint_arrays(cache)
-    a = solve_parameter_batch(grouped, params, out=want)
-    b = solve_parameter_batch(cache, params, out=got)
-    assert a.y_nn.tobytes() == b.y_nn.tobytes()
-    np.testing.assert_allclose(b.losses, a.losses, rtol=1e-12)
-    for name, mine, ref in (("bar_lap", got[0], want[0][order]), ("bar_trace", got[1], want[1])):
-        np.testing.assert_allclose(mine, ref, rtol=0, atol=1e-12 * np.abs(ref).max(), err_msg=name)
-    if g.n_singular:
-        params[:, 0] = 20.0  # the corner cell's exponent falls in (0, 1)
-        pairs_per_p = vertex_eigenpairs(g, params, 2)
-        sing = singular_evals_from_cache(cache.polar, pairs_per_p)
-        assert sing.shape[2] > 0
-        assert sum(local.size for _, _, local, _ in cache.interior_runs) == sing.shape[1]
-        batch = solve_parameter_batch(cache, params, sing, out=got)
-        j1, bar_lap = mixed.n_interior, np.zeros_like(got[0])
-        for k, p in enumerate(params):
-            system = assemble_system(cache, p, sing[k], 1.0)
-            r = system.matrix @ np.concatenate([batch.y_nn[k], batch.y_sing[k]]) - system.rhs
-            assert batch.losses[k] == pytest.approx(r @ r, rel=1e-12)
-            seed = cache.sqrt_w * p[mixed.interior_subdomain] * r[:j1]
-            bar_lap += np.outer(seed, batch.y_nn[k])
-        np.testing.assert_allclose(got[0], bar_lap, rtol=0, atol=1e-12 * np.abs(bar_lap).max())
+@pytest.mark.parametrize("field", ["interior_subdomain", "interface_ids"])
+def test_quadrature_set_rejects_ungrouped_rows(field):
+    """A `QuadratureSet` whose subdomain or interface ids decrease anywhere
+    raises ValueError naming the field, built directly or through
+    `dataclasses.replace`: the runs the cache reads are slices."""
+    quad = sample_collocation(geom_2x2(), 4, 3, np.random.default_rng(2))
+    ids = getattr(quad, field)
+    swapped = ids.copy()
+    swapped[[0, -1]] = ids[[-1, 0]]
+    assert np.any(np.diff(swapped) < 0)
+    with pytest.raises(ValueError, match=field):
+        dataclasses.replace(quad, **{field: swapped})
+    values = {f.name: getattr(quad, f.name) for f in dataclasses.fields(quad)}
+    with pytest.raises(ValueError, match=field):
+        QuadratureSet(**{**values, field: swapped})
+    assert dataclasses.replace(quad, **{field: np.sort(swapped)}).n_interior == quad.n_interior
 
 
 def test_batch_solve_peak_memory_at_the_1d_benchmark_size():
@@ -727,7 +796,7 @@ def test_batch_solve_peak_memory_at_the_1d_benchmark_size():
     n = 50
     lap, trace = rng.standard_normal((quad.n_interior, n)), rng.standard_normal((4, n))
     cache = build_epoch_cache(g, disk_table(quad.interior_points, g), quad, interior_rows(lap),
-                              trace, np.ones_like(trace), RhsSpec.for_geometry("sin1d", g))
+                              trace, np.ones((1, n)), RhsSpec.for_geometry("sin1d", g))
     params = rng.uniform(0.1, 10.0, size=(256, 5))
     out = adjoint_arrays(cache)
     solve_parameter_batch(cache, params, out=out)  # NumPy's and LAPACK's one-time set-up

@@ -530,11 +530,12 @@ def test_apply_cutoffs_dimension_mismatch():
 
 def _traces(points, axes, raw, g, cfg, n1, n2):
     """One-sided normal traces (minus, plus): the plus side's
-    n . (F * raw).gradient, and its negative on the masked outputs."""
+    n . (F * raw).gradient, and its negative on the outputs that the mask
+    row of the point's axis marks."""
     stack, mask = interface_trace_factors(points, axes, g, disk_table(points, g, cfg))
     cols = factor_index(g, n1, n2)
     plus = (stack.columns(cols) * raw).gradient[np.arange(len(axes)), :, axes]
-    return np.where(mask[:, cols], -plus, plus), plus
+    return np.where(mask[axes][:, cols], -plus, plus), plus
 
 
 def test_interface_trace_one_sided_limit_identity():

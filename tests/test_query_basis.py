@@ -33,7 +33,7 @@ from transolve.training import (
     vertex_eigenpairs,
 )
 
-from conftest import geom_1d, geom_2x2, geom_3x3, interior_rows
+from conftest import dense_sign, geom_1d, geom_2x2, geom_3x3, interior_rows
 
 RTOL = 1e-12
 N_SINGULAR = 2
@@ -260,15 +260,16 @@ def _writeable_arrays(obj, path, seen):
 
 
 def test_no_array_reachable_from_the_held_basis_is_writeable(monkeypatch):
-    """The held basis, the inputs it is keyed on and the sign rows the
-    minus side reads are all read-only, so no write through them can change
-    a later query."""
+    """The held basis, the inputs it is keyed on and the run tables, the
+    sign rows the minus side reads among them, are all read-only, so no
+    write through them can change a later query."""
     monkeypatch.setattr(training, "_kept", {})
     g, rhs, cut, params = problem()
     final_solve(params, g, np.array([1.0, 10.0, 10.0, 1.0]), rhs, cut, 1.0, GRID,
                 n_singular=N_SINGULAR)
     held = training._kept["basis"]
-    assert len(held[3].cache.sign_runs) == 2
+    cache = held[3].cache
+    assert len(cache.interface_runs) == 4 and len(cache.axis_runs) == 2
     assert _writeable_arrays(held, "held", set()) == []
 
 
@@ -318,7 +319,7 @@ def _untiled_basis(params, g, rhs, cut, theta, quad):
                                               polar_cache(quad.interface_points, g, cut))
     ifc = forward_jets(params, quad.interface_points)
     trace = (ifc_stack.columns(cols) * ifc).gradient[np.arange(quad.n_interface), :, axes]
-    sign = np.where(mask[:, cols], -1.0, 1.0)
+    sign = np.where(mask[:, cols], -1.0, 1.0)  # (d, N), one row per axis
     cache = build_epoch_cache(g, polar, quad, interior_rows(composed.laplacian), trace, sign, rhs,
                               theta=theta)
     return composed.value, np.moveaxis(composed.gradient, -1, 1), cache
@@ -343,8 +344,9 @@ def test_tiled_build_is_bit_identical_to_one_composition(make, grid):
     values, gradients, cache = _untiled_basis(params, g, rhs, cut, 2.0, quad)
     np.testing.assert_array_equal(basis.values, values)
     np.testing.assert_array_equal(basis.gradients, gradients)
-    for name in ("wlap", "wtrace", "sign"):
+    for name in ("wlap", "wtrace"):
         np.testing.assert_array_equal(getattr(basis.cache, name), getattr(cache, name), name)
+    np.testing.assert_array_equal(dense_sign(basis.cache), dense_sign(cache))
 
 
 def test_build_holds_little_beyond_the_basis_it_keeps():

@@ -43,7 +43,17 @@ from transolve.training import (
     vertex_eigenpairs,
 )
 
-from conftest import disk_table, geom_1d, geom_2x2, geom_3x3, interior_rows, kinked_sin_rows
+from conftest import (
+    dense_sign,
+    disk_table,
+    geom_1d,
+    geom_1d_pair,
+    geom_2x2,
+    geom_3x3,
+    interior_rows,
+    jump_rows,
+    kinked_sin_rows,
+)
 
 PI = np.pi
 
@@ -446,11 +456,11 @@ _TRACE_LAYOUTS = {
 
 @pytest.mark.parametrize("layout", sorted(_TRACE_LAYOUTS))
 def test_minus_side_equals_an_explicit_minus_side_product(layout):
-    """The cache's minus-side traces, its weighted trace times ``sign``,
-    equal bit for bit the weighted traces of an explicit minus-side
-    product: factors whose own-axis psi has gradient -e_a, times the
-    network jets.  So do the factors: the minus side's are the plus side's
-    times -1 on the masked factors."""
+    """The cache's minus-side traces, its weighted trace times the sign row
+    of each interface run, equal bit for bit the weighted traces of an
+    explicit minus-side product: factors whose own-axis psi has gradient
+    -e_a, times the network jets.  So do the factors: the minus side's are
+    the plus side's times -1 on the masked factors."""
     make, n_s = _TRACE_LAYOUTS[layout]
     g = make()
     assert g.n_singular == n_s
@@ -463,7 +473,8 @@ def test_minus_side_equals_an_explicit_minus_side_product(layout):
     lap = np.zeros((quad.n_interior, net.n_outputs + 2))  # interior rows: build_epoch_cache
     polar = disk_table(quad.interior_points, g, cut)
     cache, plus, _ = training._interface_rows(ifc, lap, polar, quad, g, cut, cols, rhs, 1.0)
-    sign, minus = cache.sign, cache.sign * cache.wtrace
+    sign = dense_sign(cache)
+    minus = sign * cache.wtrace
     axes = _interface_axes(g, quad)
     explicit = _minus_side_factors(quad.interface_points, axes, g, cut)
     want = (explicit.columns(cols) * ifc).gradient[np.arange(len(axes)), :, axes]
@@ -471,7 +482,7 @@ def test_minus_side_equals_an_explicit_minus_side_product(layout):
     assert np.array_equal(minus, cache.sqrt_theta_w[:, None] * want)
     _, mask = cutoffs.interface_trace_factors(quad.interface_points, axes, g,
                                               disk_table(quad.interface_points, g, cut))
-    flip = np.where(mask, -1.0, 1.0)
+    flip = np.where(mask[axes], -1.0, 1.0)
     assert np.array_equal(flip * plus.value, explicit.value)
     assert np.array_equal(flip[:, :, None] * plus.gradient, explicit.gradient)
     assert np.array_equal(flip * plus.laplacian, explicit.laplacian)
@@ -496,12 +507,13 @@ def test_the_folded_trace_adjoint_equals_the_two_sides_apart(layout):
     quad, n_int = data.quad, data.quad.n_interior
     # each side's halved derivative of the summed losses in its raw traces
     bar_minus, bar_plus = np.zeros_like(cache.wtrace), np.zeros_like(cache.wtrace)
+    minus_sub, plus_sub, _ = jump_rows(data.geometry, quad)
     for k, p in enumerate(data.parameters):
         system = assemble_system(cache, p, sing[k], data.theta)
         y = np.concatenate([batch.y_nn[k], batch.y_sing[k]])
         r_jump = cache.sqrt_theta_w * (system.matrix @ y - system.rhs)[n_int:]
-        bar_minus -= np.outer(p[cache.ifc_minus_sub] * r_jump, batch.y_nn[k])
-        bar_plus += np.outer(p[cache.ifc_plus_sub] * r_jump, batch.y_nn[k])
+        bar_minus -= np.outer(p[minus_sub] * r_jump, batch.y_nn[k])
+        bar_plus += np.outer(p[plus_sub] * r_jump, batch.y_nn[k])
     minus = _minus_side_factors(quad.interface_points, _interface_axes(data.geometry, quad),
                                 data.geometry, data.cutoff_config)
     shape = jets.value.shape
@@ -626,11 +638,12 @@ def _off_line_points(g, cut, quad, margin=0.05):
 
 @pytest.mark.parametrize("dim", [1, 2])
 def test_cache_traces_are_one_sided_differences_of_the_composed_basis(dim):
-    """The cache's minus and plus traces, sign * wtrace and wtrace,
-    unweighted, are the one-sided normal derivatives of the composed basis
-    fac * raw, here from second-order differences of its values at 1, 2
-    and 3 steps h off the line on each side, h = 1e-4 (the truncation
-    error reads 4e-7 relative).  The points keep away from the other axis's lines and from
+    """The cache's minus and plus traces, each interface run's sign row
+    times its rows of wtrace and wtrace itself, unweighted, are the
+    one-sided normal derivatives of the composed basis fac * raw, here
+    from second-order differences of its values at 1, 2 and 3 steps h off
+    the line on each side, h = 1e-4 (the truncation error reads 4e-7
+    relative).  The points keep away from the other axis's lines and from
     the vertex disks, where the basis kinks or steepens."""
     if dim == 1:
         g, net, rhs_name = geom_1d(), NetConfig(1, (6, 6), 3, 6), "sin1d"
@@ -646,7 +659,7 @@ def test_cache_traces_are_one_sided_differences_of_the_composed_basis(dim):
     keep, axes = _off_line_points(g, cut, quad)
     assert keep.sum() >= 4
     weight = cache.sqrt_theta_w[keep, None]
-    minus, plus = (cache.sign * cache.wtrace)[keep] / weight, cache.wtrace[keep] / weight
+    minus, plus = (dense_sign(cache) * cache.wtrace)[keep] / weight, cache.wtrace[keep] / weight
     pts, normals = quad.interface_points[keep], np.eye(dim)[axes[keep]]
 
     def composed(x):
@@ -755,17 +768,17 @@ def test_lr_schedule_applied():
 
 
 def test_exact_solution_injection_drives_epoch_loss_to_zero(monkeypatch):
-    """Columns sin(5x) s_j(x) that kink at the cuts (`kinked_sin_rows`) span
-    the exact solution for every p."""
+    """Columns sin(5x) and sin(5x) s(x), the second kinking at the cut
+    (`kinked_sin_rows`), span the exact solution for every p."""
     monkeypatch.setattr(assembly, "RIDGE_REL", 0.0)
-    g = geom_1d()
+    g = geom_1d_pair()
     rhs = RhsSpec.for_geometry("sin1d", g)
     quad = sample_collocation(g, 40, 1, np.random.default_rng(7))
     _, lap, trace, sign = kinked_sin_rows(g, quad)
     cache = build_epoch_cache(g, disk_table(quad.interior_points, g), quad, interior_rows(lap),
                               trace, sign, rhs, theta=1.0)
     rng = np.random.default_rng(8)
-    params = rng.uniform(0.01, 50.0, size=(64, 5))
+    params = rng.uniform(0.01, 50.0, size=(64, 2))
     batch = solve_parameter_batch(cache, params)
     # problem scale: the loss of the zero candidate, mean ||l||^2 over the batch
     f0 = cache.wrhs_fixed
