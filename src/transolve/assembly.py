@@ -36,20 +36,27 @@ each system and solves it with one LAPACK dposv call, raising if it is
 not positive definite.  The residuals of the whole batch then come a run
 of equal subdomain at a time, with that run's p_i folded into the small
 operand of one GEMM (Goto & van de Geijn, "Anatomy of high-performance
-matrix multiplication", 2008): rows[run] @ [p_i Y^T; p_i; 1] for the
-batch's (P, N) coefficients Y, plus the singular sources on the run's
-annulus rows, which the solve lays out run by run once per batch, so that
-each run's are one slice.  The jump residuals follow: the plus side's
-products of every row in one GEMM and the minus side's one axis at a
-time, each scaled by its row's p.  Their column norms give the losses.  A
-caller that hands in the (J1, N) and (J2, N) adjoints of the Laplacians
+matrix multiplication", 2008): rows[run] @ F_i, F_i = [p_i Y^T; p_i; 1]
+for the batch's (P, N) coefficients Y, plus the singular sources on the
+run's annulus rows, which the solve lays out run by run once per batch,
+so that each run's are one slice.  The jump residuals follow: the plus
+side's products of every row in one GEMM and the minus side's one axis at
+a time, each scaled by its row's p.  Their column norms give the losses.
+A caller that hands in the (J1, N) and (J2, N) adjoints of the Laplacians
 and of the trace that the gradient reads (``out``, which it may keep
-between batches) asks for them: a run's residuals times p_i Y, one more
-GEMM, give its rows of the Laplacians' adjoint, and the jump residuals
-the trace's, into which the minus side's seeds fold through the sign.
-No array spans the batch times the interior rows, no pass gathers p per
+between batches) asks for them.  A run's rows of the Laplacians' adjoint,
+sqrt(w) r^T (p_i Y), take the cheaper of two orders: once the batch
+outgrows the basis, from the small operand too, sqrt(w) rows[run] @
+(F_i F_i[:N]^T) with the (N + 2, N) Gram of the run's factor, plus the
+singular sources' share on its annulus rows, so that no GEMM runs over
+the batch and the run's rows at once; else, as for the 2D benchmark's
+batches of 8, from the residuals themselves.  The jump residuals give the
+trace's, into which the minus side's seeds fold through the sign.  No
+array spans the batch times the interior rows, no pass gathers p per
 interior row or runs elementwise over them for the batch, and none holds
-the normal matrices of the whole batch.
+the normal matrices of the whole batch: every block writes them into one
+workspace and every run its residuals into one buffer, each made once per
+solve.
 `assemble_system` and `solve_normal_equations` build and solve one
 parameter's explicit system, the reference the batched solve is checked
 against, through the same `_cholesky_solve`, which alone holds the ridge
@@ -84,18 +91,20 @@ __all__ = [
 ]
 
 RIDGE_REL = 1e-10
-# Parameters per block of `solve_parameter_batch`, which bounds its stack of
-# normal matrices; the residuals and adjoints come a run of the interior rows
-# at a time after all the blocks.  On train1d-sin (P = 256, N = 50,
-# J1 = 1000; 10 alternating pairs, BLAS on one thread) blocks of 64 read
-# epoch_s -3.5% at +2.8% peak_rss_mb, and one block of all 256 -11% at +11%,
-# when each block also formed its residuals.  Most of that gain is page
-# faults: with one block an epoch faults in no page, against about 700 with
-# 32, the pages glibc trims off the heap top after one epoch and the next
-# faults in again.  32 stays: that churn is the allocator's to mend, at no
-# memory cost, where bigger blocks buy the time with memory.  A solve of that
-# size peaks at 1.80 MB under tracemalloc, where the blocks' residuals took
-# 1.96 MB and the whole batch at once 11.5 MB.
+# Parameters per block of `solve_parameter_batch`, which sizes the one
+# workspace of normal matrices that every block of a solve writes into; the
+# residuals and adjoints come a run of the interior rows at a time after all
+# the blocks, each run's residuals into one buffer.  When each block made its
+# own normal matrices and residuals, blocks of 64 read train1d-sin epoch_s
+# -3.5% at +2.8% peak_rss_mb, and one block of all 256 -11% at +11% (P = 256,
+# N = 50, J1 = 1000; 10 alternating pairs, BLAS on one thread), mostly in page
+# faults: glibc trimmed the freed blocks off the heap top and the next block
+# or epoch faulted them in again.  The per-solve workspaces end that churn at
+# this size's memory: over 100 seed-1 epochs without validation, 279-281
+# minor page faults per epoch, 143-180 of them in the solve, fell to 0.  So
+# 32 stays.  A solve of that size peaks at 1.60 MB under tracemalloc, where
+# fresh blocks took 1.80 MB, the blocks' residuals 1.96 MB and the whole
+# batch at once 11.5 MB.
 BLOCK = 32
 
 
@@ -399,26 +408,34 @@ def _cholesky_solve(a: np.ndarray, b: np.ndarray, first: int) -> np.ndarray:
     is zero on every row, such as an unused singular slot: it also gets a
     unit diagonal and, its row of b[k] being zero, solves to zero.  So a
     system's ridge and solution depend on its own live columns alone, and
-    a parameter solves in a batch as it does alone.  Each
+    a parameter solves in a batch as it does alone.  The rule reads and
+    writes the diagonals through one writeable view of them.  Each
     system is one LAPACK dposv call on the lower triangle, which overwrites
     a[k] with its factor and b[k] with the solution; a Fortran-ordered a[k]
     (as `solve_parameter_batch` makes them) is factored where it lies, a
-    C-ordered one is copied first.  The loop stays because the batched
+    C-ordered one is copied first.  The loop stays because the
     alternatives measured slower (one core of a 2-core Xeon, BLAS on one
     thread): on a (256, 50, 50) stack NumPy's batched np.linalg.cholesky
     alone took 7.6-9.1 ms and np.linalg.solve 9.8-10.2 ms, against
     5.6-5.9 ms for this loop, and scipy.linalg.solve(assume_a='pos') took
     1.6-1.8 ms on (32, 50, 50) against 0.7 ms; NumPy's batched Cholesky
-    also does not say which system failed.  A system that is not positive
+    also does not say which system failed.  LAPACK's packed dppsv on the
+    lower triangles took 579 against 436 us per block of 32 (N = 50), the
+    Gram combination included, and one banded dpbsv over the
+    block-diagonal batch of 256 systems 4.7 against 3.3 ms.  Nor does the
+    network's worker thread pay here: split 16 and 16 over two threads,
+    the 256 systems in blocks of 32 took 4.0 against 2.7 ms, although
+    forty 400 x 400 systems split so took 41.0 against 56.8 ms; at N = 50
+    a call is too short.  A system that is not positive
     definite raises SolveError naming it by its index in the whole batch,
     ``first + k``.  Returns the solutions, ``b`` itself when it is a
     C-contiguous float array.
     """
-    diag = np.arange(a.shape[-1])
-    dead = a[:, diag, diag] == 0
-    mean_diag = np.trace(a, axis1=-2, axis2=-1) / np.maximum(np.sum(~dead, axis=1), 1)
+    diag = np.einsum("kii->ki", a)  # a writeable view of every diagonal
+    dead = diag == 0
+    mean_diag = diag.sum(axis=1) / np.maximum(np.sum(~dead, axis=1), 1)
     ridge = RIDGE_REL * np.where(mean_diag > 0, mean_diag, 1.0)
-    a[:, diag, diag] += dead + ridge[:, None]
+    diag += dead + ridge[:, None]
     y = np.ascontiguousarray(b, dtype=float)
     for k in range(len(a)):
         _, _, info = _dposv(a[k], y[k], lower=1, overwrite_a=1, overwrite_b=1)
@@ -440,29 +457,44 @@ def solve_parameter_batch(
     sources on the cache's annulus rows
     (`singular.singular_evals_from_cache`), or None for none.  Each normal
     matrix is the Gram combination bordered by its parameter's row of the
-    block, allocated in Fortran order so that LAPACK reads it in place;
-    the border reads the annulus rows alone, so no singular array spans
-    the J1 interior rows.  A parameter's unused slots are zero columns,
+    block, in Fortran order so that LAPACK reads it in place; every block
+    writes its Gram combinations, one GEMM, into one (BLOCK, N^2)
+    workspace and its bordered systems into another, both made once per
+    call.  A lone parameter's Gram products are formed beside a zero row:
+    BLAS runs a one-row product as a GEMV, which rounds apart from a
+    GEMM's rows, so without singular columns a parameter's y has the same
+    bits in any batch.  The border reads the annulus rows alone, so no
+    singular array spans the J1 interior rows.  A parameter's unused slots are zero columns,
     which `_cholesky_solve` leaves out of the ridge and solves to zero.
     The loss of parameter k is ||B y - l||^2 over its interior and jump
     rows, and ``y_sing`` holds the (P, M) singular coefficients.
 
     Once every block is solved, the residuals of the whole batch are
     formed a run of ``cache.interior_runs`` at a time.  On a run of
-    subdomain i, where every row's diffusivity is p_i, the residuals are
-    one GEMM, rows[run] @ [p_i Y^T; p_i; 1] with Y the (P, N) network
-    coefficients, plus the singular sources on the run's annulus rows, a
-    slice of the batch's (P, R) sources laid out run by run once, and
-    their halved derivative in the run's raw Laplacians is
-    sqrt(w) (r @ (p_i Y)), a second GEMM: no array spans the batch times
-    the interior rows, and no pass gathers p per row.  The jump residuals
-    are p_plus (wtrace Y^T) - p_minus (wtrace (s Y)^T), the minus side's
-    GEMM on the rows of each run of ``cache.axis_runs`` with its sign row
-    s, so no (J2, N) temporary of the sign times an array is made.  Each
-    GEMM spans an axis's rows rather than one interface's: a product of
-    one row, as every 1D interface has, takes BLAS's GEMV path and rounds
-    apart, and the two-sided reference that tier-1 holds the 1D gradient
-    to admits 1e-12 of its largest entry, less than that rounding (an
+    subdomain i, where every row's diffusivity is p_i, the residuals r are
+    one GEMM into the one residual buffer, rows[run] @ F_i with
+    F_i = [p_i Y^T; p_i; 1] and Y the (P, N) network coefficients, plus
+    the singular sources on the run's annulus rows, a slice r_sing[:, at]
+    of the batch's (P, R) sources laid out run by run once.  Their halved
+    derivative in the run's raw Laplacians, sqrt(w) r^T (p_i Y), takes the
+    order of fewer flops.  Where (N + 2) (P + L) < P L it is
+    sqrt(w) rows[run] @ (F_i F_i[:N]^T) plus r_sing[:, at]^T (p_i Y) on
+    the run's annulus rows: two GEMMs on the (N + 2, N) Gram of the factor
+    in place of one over the (P, L) residuals, 2 (N + 2) (P + L) N against
+    2 L P N flops, which on train1d-sin (P = 256, L = 200, N = 50) drops
+    13.7 of the solve's ~64 MFLOP.  Elsewhere, as on the 2D benchmark's
+    runs (P = 8, N = 48, hundreds of rows), where the Gram's order would
+    take about six times the flops, it is the one GEMM
+    sqrt(w) (r^T (p_i Y)).  The two agree to rounding, and the losses read
+    the residuals either way.  No array spans the batch times the interior
+    rows, and no pass gathers p per row.  The jump residuals are p_plus (wtrace Y^T) -
+    p_minus (wtrace (s Y)^T), the minus side's GEMM on the rows of each run
+    of ``cache.axis_runs`` with its sign row s, so no (J2, N) temporary of
+    the sign times an array is made.  Each GEMM spans an axis's rows
+    rather than one interface's: a product of one row, as every 1D
+    interface has, takes BLAS's GEMV path and rounds apart, and the
+    two-sided reference that tier-1 holds the 1D gradient to admits 1e-12
+    of its largest entry, less than that rounding (an
     exactly rounded trace adjoint misses it too).  Handing in ``out``, a
     (bar_lap, bar_trace) pair of arrays of the (J1, N) and (J2, N) row
     shapes, asks for those row adjoints: each is overwritten with the
@@ -493,12 +525,20 @@ def solve_parameter_batch(
         bar_lap, bar_trace = out
     # the singular columns' share of the residuals, (P, R) on the annulus rows
     r_sing = np.empty((n_p, rows.size)) if m else None
+    # the workspaces of every block's normal matrices
+    gram_ws = np.empty((max(min(n_p, BLOCK), 2), n * n))
+    full_ws = np.empty((min(n_p, BLOCK), n + m, n + m)) if m else None
     for s in range(0, n_p, BLOCK):
         p = parameters[s : s + BLOCK]
+        size = len(p)
+        # BLAS runs a product of one row as a GEMV, which rounds apart from a
+        # GEMM's rows: a lone parameter's are formed beside a zero row
+        padded = np.concatenate([p, np.zeros((max(2 - size, 0), n_sub))])
         # one GEMM: (P, K) monomial coefficients against the fused (K, N*N) blocks
-        coef = gram.coefficients(p)
-        a_nn = (coef @ gram.combined).reshape(-1, n, n).transpose(0, 2, 1)  # Fortran-ordered
-        b_nn = coef[:, :n_sub] @ gram.b_sq + p @ gram.b_lin
+        coef = gram.coefficients(padded)
+        a_nn = np.matmul(coef, gram.combined, out=gram_ws[: len(coef)])[:size]
+        a_nn = a_nn.reshape(size, n, n).transpose(0, 2, 1)  # Fortran-ordered
+        b_nn = (coef[:, :n_sub] @ gram.b_sq + padded @ gram.b_lin)[:size]
         if m == 0:
             a, rhs = a_nn, b_nn
         else:
@@ -506,7 +546,7 @@ def solve_parameter_batch(
             # (P, R, M) weighted, p-scaled
             us = (cache.sqrt_w[rows] * p_rows)[:, :, None] * sing[s : s + BLOCK]
             border = np.matmul(cache.annulus_lap.T, p_rows[:, :, None] * us)  # (P, N, M)
-            a = np.empty((len(p), n + m, n + m)).transpose(0, 2, 1)
+            a = full_ws[:size].transpose(0, 2, 1)
             a[:, :n, :n] = a_nn
             a[:, :n, n:] = border
             a[:, n:, :n] = border.transpose(0, 2, 1)
@@ -529,14 +569,23 @@ def solve_parameter_batch(
     factor = np.ones((n + 2, n_p))
     # each run's squared residual norms, then the jump rows'
     sums = np.empty((len(cache.interior_runs) + 1, n_p))
+    r_ws = np.empty(n_p * max(run.stop - run.start for _, run, _, _ in cache.interior_runs))
     for k, (i, run, local, at) in enumerate(cache.interior_runs):
         np.multiply(yt, parameters[:, i], out=factor[: n + 1])
-        r = factor.T @ cache.rows[run].T
+        r = np.matmul(factor.T, cache.rows[run].T, out=r_ws[: n_p * (run.stop - run.start)]
+                      .reshape(n_p, -1))
         if m and local.size:
             r[:, local] += r_sing[:, at]
         np.vecdot(r, r, out=sums[k])
         if out is not None:
-            seeds = np.matmul(r.T, factor[:n].T, out=bar_lap[run])
+            # r^T (p_i Y) in the cheaper order: through the (N + 2, N) Gram of
+            # the run's factor when the batch outgrows the basis, else from r
+            if (n + 2) * (n_p + r.shape[1]) < n_p * r.shape[1]:
+                seeds = np.matmul(cache.rows[run], factor @ factor[:n].T, out=bar_lap[run])
+                if m and local.size:
+                    seeds[local] += r_sing[:, at].T @ factor[:n].T
+            else:
+                seeds = np.matmul(r.T, factor[:n].T, out=bar_lap[run])
             seeds *= cache.sqrt_w[run, None]
     # the jump residuals, the minus side's product through the sign row of
     # each axis on that axis's rows, each side's p gathered per row from its

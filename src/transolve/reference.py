@@ -68,13 +68,18 @@ class RhsSpec:
         n = points.shape[0]
         if self.tag == "sin1d":
             return np.zeros(n), 25.0 * np.sin(5.0 * points[:, 0])
+        # theta in [0, 2 pi) from +x, so by the half-angle identities
+        # sqrt(r) cos(theta/2) = sgn(dy) sqrt((r + dx)/2) and
+        # sqrt(r) sin(theta/2) = sqrt((r - dx)/2), sgn(+-0) = +1; the one
+        # that cancels (r + |dx| does not) is |dy| / (2 * the other)
         total = np.zeros(n)
         for vx, vy in self.vertices:
             dx = points[:, 0] - vx
             dy = points[:, 1] - vy
-            r = np.hypot(dx, dy)
-            theta = np.mod(np.arctan2(dy, dx), 2 * np.pi)
-            total += np.sqrt(r) * (np.cos(theta / 2) - 3 * np.sin(theta / 2))
+            big = np.sqrt((np.sqrt(dx * dx + dy * dy) + np.abs(dx)) / 2)
+            small = np.abs(dy) / (2 * np.where(big > 0, big, 1.0))  # 0 at the vertex
+            half_cos, half_sin = np.where(dx >= 0, big, small), np.where(dx >= 0, small, big)
+            total += np.where(dy < 0, -half_cos, half_cos) - 3 * half_sin
         return total, np.zeros(n)
 
     def evaluate(self, points: np.ndarray, p_local: np.ndarray) -> np.ndarray:

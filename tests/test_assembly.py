@@ -358,6 +358,81 @@ def test_batch_support_rows_match_the_scattered_dense_system():
         solve_parameter_batch(cache, params, sing, out=(out[0], out[0]))
 
 
+def _adjoint_case(dimension, n_p):
+    """A cache, a batch of ``n_p`` parameters and its (P, R, M) singular
+    block: on the 1D layout, 20 rows per subdomain and no singular
+    columns; on the 3x3 one, 40 rows per subdomain and parameters with 0,
+    2 and 4 filled slots, whose sources lie on annulus rows of several
+    runs."""
+    rng = np.random.default_rng(9)
+    if dimension == 1:
+        cache = make_cache(geom_1d(), NetConfig(1, (6,), 3, 5), seed=4, n_int=20)
+        return cache, rng.uniform(0.5, 10.0, size=(n_p, 5)), None
+    g = build_grid_geometry(2, cuts_x=[-0.4, 0.3], cuts_y=[-0.3, 0.4], bounds=[(-1, 1), (-1, 1)])
+    cache = make_cache(g, NetConfig(2, (8,), 4, 8), seed=19, n_int=40, n_ifc=4, theta=3.0)
+    templates = np.full((3, 9), 2.0)  # uniform: no exponent in (0, 1)
+    templates[1, 1] = 20.0  # an edge cell touches two vertices
+    templates[2, 4] = 0.2  # the centre cell touches all four
+    # a common factor per parameter leaves its exponents as they are
+    params = templates[np.arange(n_p) % 3] * rng.uniform(0.5, 2.0, size=(n_p, 1))
+    return cache, params, singular_evals_from_cache(cache.polar, vertex_eigenpairs(g, params, 1))
+
+
+@pytest.mark.parametrize("dimension, n_p, through_gram", [
+    (1, 7, False), (1, 40, True), (2, 3, False), (2, 30, True),
+])
+def test_run_adjoints_equal_the_residuals_times_p_y(dimension, n_p, through_gram):
+    """Run by run, the Laplacians' adjoint equals sqrt(w) r^T (p_i Y) from
+    the run's residuals r = rows[run] F + S, F = [p_i Y^T; p_i; 1] and the
+    singular share S scattered to all J1 rows, in both orders the solve
+    takes: from r itself, and, once the batch outgrows the basis,
+    (N + 2) (P + L) < P L for a run of L rows, as sqrt(w) rows[run] @
+    (F F[:N]^T) plus the singular sources' share on the run's annulus
+    rows.  Entrywise to c eps sqrt(w) (|rows| |F| + |S|) |F[:N]|^T with
+    c = 2 (N + P + 4): each association is within gamma_(N + P + 4) of the
+    exact product to first order."""
+    cache, params, sing = _adjoint_case(dimension, n_p)
+    out = adjoint_arrays(cache, np.nan)
+    batch = solve_parameter_batch(cache, params, singular_evals_per_p=sing, out=out)
+    n, j1 = cache.n_basis, cache.quad.n_interior
+    dense = np.zeros((n_p, j1))
+    if sing is not None:
+        rows = cache.polar.annulus_rows
+        assert sing.shape[2] and np.unique(cache.quad.interior_subdomain[rows]).size > 1
+        p_rows = params[:, cache.quad.interior_subdomain[rows]]
+        us = (cache.sqrt_w[rows] * p_rows)[:, :, None] * sing
+        dense[:, rows] = (us @ batch.y_sing[:, :, None])[:, :, 0]
+    c = 2 * (n + n_p + 4)
+    for i, run, _, _ in cache.interior_runs:
+        length = run.stop - run.start
+        assert ((n + 2) * (n_p + length) < n_p * length) == through_gram
+        f = np.vstack([params[:, i] * batch.y_nn.T, params[:, i], np.ones(n_p)])
+        r = cache.rows[run] @ f + dense[:, run].T
+        want = cache.sqrt_w[run, None] * (r @ f[:n].T)
+        bound = np.abs(cache.rows[run]) @ np.abs(f) + np.abs(dense[:, run].T)
+        bound = c * np.finfo(float).eps * cache.sqrt_w[run, None] * (bound @ np.abs(f[:n]).T)
+        assert np.all(np.abs(out[0][run] - want) <= bound), f"subdomain {i}"
+
+
+@pytest.mark.parametrize("n_p", [BLOCK + 1, 2 * BLOCK + 3])
+def test_ragged_blocks_solve_each_parameter_as_alone_bit_for_bit(n_p):
+    """Batches whose last block is ragged (one parameter, then three) and
+    reuses the blocks' workspace: each parameter's coefficients are the
+    bits of its batch of one.  A lone parameter's Gram products are formed
+    beside a zero row, since BLAS runs a one-row product as a GEMV, which
+    rounds apart.  (With singular columns the border's right-hand side is
+    a product per parameter on an operand whose memory order follows the
+    batch size, and rounds apart too, so there
+    `test_blocked_batch_matches_each_parameter_solved_alone` holds the
+    blocks to 1e-11.)"""
+    cache = make_cache(geom_1d(), NetConfig(1, (6,), 3, 5), seed=4, n_int=20)
+    params = np.random.default_rng(21).uniform(0.5, 10.0, size=(n_p, 5))
+    batch = solve_parameter_batch(cache, params)
+    for k in range(n_p):
+        alone = solve_parameter_batch(cache, params[k : k + 1])
+        assert np.array_equal(batch.y_nn[k], alone.y_nn[0]), k
+
+
 def test_blocked_batch_matches_each_parameter_solved_alone():
     """A batch of 2 BLOCK + 3 parameters runs in three blocks whose largest
     filled-slot counts differ (4, 4 and 1), with mixed counts on both sides

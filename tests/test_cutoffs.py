@@ -268,6 +268,30 @@ def test_composition_factors_are_the_distinct_stack_and_its_index():
         np.testing.assert_array_equal(getattr(gathered, name), getattr(whole, name))
 
 
+@pytest.mark.parametrize("layout, n1, n2", [(geom_1d, 10, 40), (geom_3x3, 16, 32)])
+def test_columns_equal_the_take_gather(layout, n1, n2):
+    """`Jets.columns`, the product with the one-hot matrix of the index,
+    equals an ``np.take`` gather of every jet plane under ==, so +0 and -0
+    match, on a tile of the 1D benchmark's F = 2 stack and of the 2D
+    one's F = 12, points on the disks and the boundary included; its
+    gradient stays component-major."""
+    g = layout()
+    rng = np.random.default_rng(6)
+    lo, hi = g.bounds[0]
+    pts = rng.uniform(lo, hi, size=(300, g.dimension))
+    pts[:3] = [lo] * g.dimension  # on the boundary: B and its Laplacian's terms are 0
+    if g.n_singular:
+        pts[3:40] = g.singular_vertices[0] + rng.uniform(-0.1, 0.1, size=(37, 2))
+    stack = composition_factors(pts, g, disk_table(pts, g)).rows(slice(0, 256))
+    cols = factor_index(g, n1, n2)
+    assert stack.value.shape[1] == (2 if g.dimension == 1 else 12)
+    gathered = stack.columns(cols)
+    for name in ("value", "gradient", "laplacian"):
+        want = np.take(getattr(stack, name), cols, axis=1)
+        assert np.all(getattr(gathered, name) == want), name
+    assert gathered.gradient.transpose(2, 0, 1).flags.c_contiguous
+
+
 @pytest.mark.parametrize("layout, n1, n2", [(geom_1d, 10, 40), (geom_2x2, 4, 8), (geom_3x3, 16, 32)])
 def test_factor_index_is_uniform_runs_within_each_block(layout, n1, n2):
     """`factor_index` is non-decreasing, and within the n1 block and within

@@ -299,6 +299,43 @@ def test_rhs_corner2d_factors():
     assert pf[1] == pytest.approx(0.5 * (np.cos(PI / 4) - 3 * np.sin(PI / 4)))
 
 
+def _corner_from_the_angle(points, vertices):
+    """sum_v sqrt(r) (cos(theta/2) - 3 sin(theta/2)), theta = arctan2 taken
+    to [0, 2 pi): the corner source's factor through its angle."""
+    total = np.zeros(len(points))
+    for vx, vy in vertices:
+        dx, dy = points[:, 0] - vx, points[:, 1] - vy
+        theta = np.mod(np.arctan2(dy, dx), 2 * PI)
+        total += np.sqrt(np.hypot(dx, dy)) * (np.cos(theta / 2) - 3 * np.sin(theta / 2))
+    return total
+
+
+def test_rhs_corner2d_half_angle_factors_equal_the_angle_form():
+    """The trig-free factor equals the angle form to rounding: at random
+    points around three vertices, on both sides of the branch cut theta = 0
+    (dy = +-0 and +-1e-17 with dx < 0 and dx > 0, where the side of the
+    cut sets the sign of cos(theta/2)), and 0 at the vertex itself.  The
+    tolerance is 16 eps times the bound on the sum's terms, sqrt(r) (1 + 3)
+    per vertex with r at most 3 sqrt(2) here."""
+    rng = np.random.default_rng(8)
+    vertices = rng.uniform(-1, 1, size=(3, 2))
+    pts = rng.uniform(-2, 2, size=(2000, 2))
+    want = _corner_from_the_angle(pts, vertices)
+    eps = np.finfo(float).eps
+    tol = 16 * eps * 4 * np.sqrt(3 * np.sqrt(2)) * len(vertices)
+    np.testing.assert_allclose(RhsSpec("corner2d", vertices).factors(pts)[0], want, rtol=0,
+                               atol=tol)
+    origin = np.zeros((1, 2))
+    cut = np.array([[dx, dy] for dy in (0.0, -0.0, 1e-17, -1e-17)
+                    for dx in (-0.7, -1e-3, 1e-3, 0.7)])
+    pf = RhsSpec("corner2d", origin).factors(cut)[0]
+    np.testing.assert_allclose(pf, _corner_from_the_angle(cut, origin), rtol=0, atol=16 * eps * 4)
+    # at dx > 0 the factor is about +sqrt(r) on the cut (theta = 0, dy = +-0)
+    # and above it, and -sqrt(r) just below it, where theta/2 is nearly pi
+    assert np.all(pf[[2, 3, 6, 7, 10, 11]] > 0) and np.all(pf[[14, 15]] < 0)
+    assert RhsSpec("corner2d", origin).factors(origin)[0].tolist() == [0.0]
+
+
 def test_rhs_unknown_tag():
     with pytest.raises(ValueError):
         RhsSpec.for_geometry("bogus", geom_1d())
