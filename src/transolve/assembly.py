@@ -542,7 +542,7 @@ def solve_parameter_batch(
         if m == 0:
             a, rhs = a_nn, b_nn
         else:
-            p_rows = p[:, cache.quad.interior_subdomain[rows]]  # (P, R)
+            p_rows = np.take(p, cache.quad.interior_subdomain[rows], axis=1)  # (P, R), C-ordered
             # (P, R, M) weighted, p-scaled
             us = (cache.sqrt_w[rows] * p_rows)[:, :, None] * sing[s : s + BLOCK]
             border = np.matmul(cache.annulus_lap.T, p_rows[:, :, None] * us)  # (P, N, M)

@@ -19,8 +19,9 @@ system (one batched call), and the reduction L^-1 G L^-T and the
 back-transform rho = L^-T y are matrix products.  Exponents are the square
 roots of the generalized eigenvalues.  The modes of the whole stack stay
 in the arrays of one `EigenModes`, indexed by the stack's leading axes, and
-`select_singular` keeps those of one system with exponent in (0, 1) by one
-mask over its exponents, so an `EigenPair` is made only for a kept mode.
+`select_singular` keeps those of one system with exponent in (0, 1) as the
+run of its rows they form, a view of the stack's arrays: no mode is
+copied out of them.
 The basis table at a batch of points is built with array operations, with
 no loop over the elements.
 
@@ -37,7 +38,6 @@ import numpy as np
 
 __all__ = [
     "EigenSystem",
-    "EigenPair",
     "EigenModes",
     "basis_matrix",
     "assemble_eigensystem",
@@ -152,32 +152,21 @@ def assemble_eigensystem(p_sector) -> EigenSystem:
     return EigenSystem(g, b)
 
 
-@dataclass
-class EigenPair:
-    """One angular mode: exponent, B-orthonormal coefficients, unit-L2 scale.
-
-    ``rho`` diagonalizes the generalized problem with rho^T B^p rho = 1;
-    ``mu_scale`` rescales the reconstructed angular function to unit L2 norm
-    on (0, 2pi), which is the normalization used by the singular basis.
-    ``residual`` is the relative residual of the generalized eigenproblem.
-    """
-
-    exponent: float
-    rho: np.ndarray
-    mu_scale: float
-    residual: float
-
-
 @dataclass(eq=False)
 class EigenModes:
     """The modes of a stack of systems as arrays, exponents ascending.
 
     Each array has the stack's leading shape, then one axis of M modes;
     ``rho`` has one more of 16 coefficients, so one system gives (16,)
-    arrays and a (16, 16) ``rho``.  Indexing applies to the leading axes of all four arrays:
-    ``modes[k, v]`` are the modes of one system of a (P, N_s) stack.
-    The fields are those of `EigenPair`, which `select_singular` makes
-    for the kept modes of one system.
+    arrays and a (16, 16) ``rho``.  Per mode: the exponent; ``rho``, the
+    coefficients that diagonalize the generalized problem with
+    rho^T B^p rho = 1; ``mu_scale``, which rescales the reconstructed
+    angular function to unit L2 norm on (0, 2pi), the normalization of
+    the singular basis; and ``residual``, the relative residual of the
+    generalized eigenproblem.  Indexing and ``len`` apply to the first
+    axes of all four arrays: ``modes[k, v]`` are the modes of one system
+    of a (P, N_s) stack, and on one system's modes ``modes[m]`` is mode m,
+    ``modes[a:b]`` a run of them, and iteration goes mode by mode.
     """
 
     exponent: np.ndarray  # (..., M)
@@ -187,6 +176,9 @@ class EigenModes:
 
     def __getitem__(self, k) -> "EigenModes":
         return EigenModes(self.exponent[k], self.rho[k], self.mu_scale[k], self.residual[k])
+
+    def __len__(self) -> int:
+        return len(self.exponent)
 
 
 def solve_eigenpairs(system: EigenSystem) -> EigenModes:
@@ -230,31 +222,32 @@ def solve_eigenpairs(system: EigenSystem) -> EigenModes:
                       mu_scale.reshape(shape), res.reshape(shape))
 
 
-def select_singular(modes: EigenModes, n_cap: int) -> list[EigenPair]:
-    """At most n_cap smallest-exponent pairs with exponent strictly in (0, 1).
+def select_singular(modes: EigenModes, n_cap: int) -> EigenModes:
+    """At most n_cap smallest-exponent modes with exponent strictly in (0, 1).
 
     ``modes`` are those of one system, (M,) exponents.  Guard bands of
     `SELECT_BAND` keep out the constant mode (exponent ~ 0 up to FE noise)
     and the regular modes whose exponent is 1 up to discretization error.
-    One mask over the exponent array picks the modes, in their ascending
-    order; only the kept ones become `EigenPair`s, their ``rho`` a row of
-    ``modes.rho``.  A negative cap raises ValueError.
+    The exponents ascend, so the band's modes are one run of rows, and the
+    kept ones are returned as ``modes[a:b]``, (m,) and (m, 16) views of
+    ``modes``' arrays, m = ``len`` of the result, 0 where none is kept.  A
+    negative cap raises ValueError.
     """
     if n_cap < 0:
         raise ValueError(f"the singular cap must be nonnegative, got {n_cap}")
     e = modes.exponent
-    picked = ((e > SELECT_BAND) & (e < 1.0 - SELECT_BAND)).nonzero()[0][:n_cap]
-    return [EigenPair(e.item(k), modes.rho[k], modes.mu_scale.item(k), modes.residual.item(k))
-            for k in picked.tolist()]
+    first = np.count_nonzero(e <= SELECT_BAND)
+    return modes[first : min(np.count_nonzero(e < 1.0 - SELECT_BAND), first + n_cap)]
 
 
-def angular_eval(pair: EigenPair, theta):
-    """Unit-L2 angular function mu(theta) and its one-sided derivative."""
+def angular_eval(mode: EigenModes, theta):
+    """Unit-L2 angular function mu(theta) and its one-sided derivative, of
+    one mode: ``mode`` is a row of a system's `EigenModes`, ``modes[m]``."""
     theta = np.asarray(theta, dtype=float)
     xi = np.mod(theta, 2 * np.pi) * XI_PER_THETA
     vals, ders = basis_matrix(xi)
-    mu = pair.mu_scale * (vals @ pair.rho)
-    dmu = pair.mu_scale * (ders @ pair.rho) * XI_PER_THETA
+    mu = mode.mu_scale * (vals @ mode.rho)
+    dmu = mode.mu_scale * (ders @ mode.rho) * XI_PER_THETA
     return mu.reshape(theta.shape), dmu.reshape(theta.shape)
 
 

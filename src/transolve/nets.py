@@ -34,26 +34,27 @@ again and again keeps its output arrays.
 
 What a product of the passes costs depends on its operands' layout,
 which picks the OpenBLAS kernel that runs it (Goto & van de Geijn,
-"Anatomy of high-performance matrix multiplication", 2008).  Each pass
-lays every layer's A^T out C-contiguous once (`_transposed`), so a tile's
-products X @ A^T are NN GEMMs, about twice as fast as the NT GEMMs of
-``x @ a.T`` (`_tile_layers`).  The reverse pass's seed product z_bar A is
-NN on the weights as they are stored, its weight gradient z_bar^T X is a
-TN GEMM, and the sums of the bias seeds and of the first layer's gradient
-rows over a tile's points are GEMVs, 1^T z_bar (`backward_jets`).  The
-docstrings of both give the measured times and the layouts that lost.
+"Anatomy of high-performance matrix multiplication", 2008).  Both passes
+read the weights as a `PassWeights`, which lays every layer's A^T out
+C-contiguous once per gradient, for its forward and its backward pass,
+so a tile's products X @ A^T are NN GEMMs, about twice as fast as the NT
+GEMMs of ``x @ a.T`` (`_tile_layers`).  The reverse pass's seed product
+z_bar A is NN on the weights as they are stored, its weight gradient
+z_bar^T X is a TN GEMM, and the sums of the bias seeds and of the first
+layer's gradient rows over a tile's points are GEMVs, 1^T z_bar
+(`backward_jets`).  The docstrings of both give the measured times and
+the layouts that lost.
 
 Since each tile recomputes its own forward, the tiles of a pass are
 independent, and a tile's products are BLAS calls, which release the GIL.
 So a pass of at least `SPLIT_TILES` tiles runs the first half of them in
 the calling thread and the second half at once in the module's one
 worker thread (`_over_tiles`); a shorter pass, or a process allowed one
-CPU, runs the tiles in turn in the calling thread.  In `backward_jets`
-the caller adds its tiles' weight-gradient terms into the sums as it
-goes, and the worker returns its own, which the caller adds after them
-in tile order: the sums of the serial loop, bit for bit.  The comment on
-`SPLIT_TILES` gives the measured threshold and why there are two threads
-at most.
+CPU, runs the tiles in turn in the calling thread.  Each half returns
+its tiles' weight-gradient terms, and `backward_jets` adds the caller's
+and then the worker's into the sums in tile order: the sums of the
+serial loop, bit for bit.  The comment on `SPLIT_TILES` gives the
+measured threshold and why there are two threads at most.
 
 `Jets` is the one (value, gradient, Laplacian) type of the package: the
 network returns its outputs as `Jets`, the cutoff fields are `Jets`, and
@@ -313,13 +314,6 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _check_weights(params: MlpParams) -> None:
-    """ValueError unless every weight and bias is finite."""
-    for a, b in params.layers:
-        if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
-            raise ValueError("non-finite network parameters")
-
-
 def _checked_points(config: NetConfig, points) -> np.ndarray:
     """The points as a (J, d) float array for the network of ``config``."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
@@ -329,40 +323,38 @@ def _checked_points(config: NetConfig, points) -> np.ndarray:
     return points
 
 
-def _transposed(layers) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Each layer's (A^T, b), A^T a C-contiguous (m_in, m_out) copy: what
-    `_tile_layers` reads, made once per pass for all of its tiles."""
-    return [(np.ascontiguousarray(a.T), b) for a, b in layers]
-
-
 @dataclass(frozen=True)
 class PassWeights:
-    """A network's weights as a forward pass reads them: checked finite,
-    each layer's A^T laid out by `_transposed`.
+    """A network's weights as the jet passes read them: checked finite,
+    each layer as (A, A^T, b), A^T a C-contiguous (m_in, m_out) copy.
 
-    `forward_jets` makes one per call from the `MlpParams` it is given.  A
-    caller that evaluates one network one tile of points at a time makes it
-    once (`PassWeights.of`) and hands it to each tile's `forward_jets` in
-    place of the weights, so the check and the layout are paid once per
-    pass and not once per tile: the check alone took 15.7 us a call on the
-    2D benchmark network, and a loss-only pass on train2d-corner's
-    validation set makes 17 such calls.  The A^T are copies and the biases
-    the weights' own, so it serves while the weights do not change.
+    `forward_jets` and `backward_jets` take only these.  A caller makes
+    one per set of weights (`PassWeights.of`) and hands it to every pass
+    over them, so the check and the layout are paid once and not once per
+    pass or per tile: `training.loss_and_param_gradient` makes one per
+    gradient, read by its forward and its backward pass, and a caller that
+    evaluates one tile of points at a time hands the same one to each
+    tile's `forward_jets`.  The check alone took 15.7 us a call on the 2D
+    benchmark network, and a loss-only pass on train2d-corner's validation
+    set makes 17 forward calls.  The A^T are copies and A and b the
+    weights' own, so it serves while the weights do not change.
     """
 
     config: NetConfig
-    layers: list  # (A^T, b) per layer, A^T C-contiguous
+    layers: list  # (A, A^T, b) per layer
 
     @classmethod
     def of(cls, params: MlpParams) -> "PassWeights":
         """The weights of ``params``; ValueError if any is not finite."""
-        _check_weights(params)
-        return cls(params.config, _transposed(params.layers))
+        for a, b in params.layers:
+            if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+                raise ValueError("non-finite network parameters")
+        return cls(params.config, [(a, np.ascontiguousarray(a.T), b) for a, b in params.layers])
 
 
 def _tile_layers(layers, points: np.ndarray):
-    """The forward pass of ``layers``, as `_transposed` lays them out, on
-    one tile of T points.
+    """The forward pass of ``layers``, (A, A^T, b) each as `PassWeights`
+    lays them out, on one tile of T points.
 
     Yields per layer its stacked (2 + d, T, m) output jets and t1 = 1 - t^2,
     what the reverse pass reads of it.  The first layer's input is the
@@ -384,7 +376,7 @@ def _tile_layers(layers, points: np.ndarray):
     """
     d = points.shape[1]
     x = points
-    for layer, (at, b) in enumerate(layers):
+    for layer, (_, at, b) in enumerate(layers):
         if layer == 0:
             z0 = points @ at
             zg, zl = at[:, None, :], None
@@ -441,35 +433,31 @@ def _worker() -> ThreadPoolExecutor | None:
     return _pool if (cpus or 1) > 1 else None
 
 
-def _over_tiles(n: int, here, there=None):
-    """Run a pass of n points over its tiles: ``here(starts)`` on the tile
-    starts in the calling thread, serially, or, for a pass of at least
+def _over_tiles(n: int, work) -> list:
+    """Run a pass of n points over its tiles: ``work(starts)`` on all the
+    tile starts in the calling thread, or, for a pass of at least
     SPLIT_TILES tiles with a worker, on the first half of them while the
-    worker runs ``there`` (``here`` if None) on the second half.  Returns
-    the worker's result, None without it.  Whichever half raises, the call
-    raises only once both have stopped, so no tile writes into the
-    caller's arrays after it returns."""
+    worker runs it on the second half.  Returns each half's result in tile
+    order, the caller's first: one result serially, two split.  Whichever
+    half raises, the call raises only once both have stopped, so no tile
+    writes into the caller's arrays after it returns."""
     starts = range(0, n, TILE)
     pool = _worker() if len(starts) >= SPLIT_TILES else None
     if pool is None:
-        here(starts)
-        return None
+        return [work(starts)]
     half = (len(starts) + 1) // 2
-    future = pool.submit(there or here, starts[half:])
+    future = pool.submit(work, starts[half:])
     try:
-        here(starts[:half])
+        first = work(starts[:half])
     finally:
         wait((future,))
-    return future.result()
+    return [first, future.result()]
 
 
-def forward_jets(
-    params: MlpParams | PassWeights, points: np.ndarray, out: Jets | None = None
-) -> Jets:
+def forward_jets(weights: PassWeights, points: np.ndarray, out: Jets | None = None) -> Jets:
     """Exact (value, gradient, Laplacian) of every output at every point.
 
-    ``params`` are the weights, or the `PassWeights` a tile-by-tile caller
-    made of them once for its pass; non-finite weights raise ValueError.
+    ``weights`` are the checked and laid-out `PassWeights` of the network.
 
     Per layer and tile, the stacked jets X go through one product X @ A^T
     (the bias enters the value row only), then through tanh:
@@ -481,7 +469,6 @@ def forward_jets(
     more writes half of them from a worker thread, and returns once both
     halves are written.
     """
-    weights = params if isinstance(params, PassWeights) else PassWeights.of(params)
     points = _checked_points(weights.config, points)
     n, d = points.shape
     shape = (n, weights.config.n_outputs)
@@ -537,9 +524,11 @@ def _tanh_adjoint(y: np.ndarray, t, g, lap, t1) -> np.ndarray:
     return y
 
 
-def backward_jets(params: MlpParams, points: np.ndarray, outputs: Jets, seeds) -> np.ndarray:
+def backward_jets(weights: PassWeights, points: np.ndarray, outputs: Jets, seeds) -> np.ndarray:
     """Adjoint pass: gradient of sum(seeds . output jets) w.r.t. flat parameters.
 
+    ``weights`` are the `PassWeights` that the forward pass read, so the
+    pass neither checks them nor lays out an A^T of its own, and
     ``outputs`` are the jets `forward_jets` gave at the J points.  The
     seeds, the partial derivatives of a scalar objective with respect to
     them, are served a tile at a time: ``seeds.shape`` is the (J, N) they
@@ -551,7 +540,8 @@ def backward_jets(params: MlpParams, points: np.ndarray, outputs: Jets, seeds) -
     hidden layers are recomputed, the output layer's jets read from
     ``outputs``, the tile back-propagated at once, and the weight gradients
     summed over the tiles, in tile order also when the pass is split over
-    two threads (`SPLIT_TILES`).
+    two threads (`SPLIT_TILES`): each half returns its terms, and the
+    caller's are added before the worker's.
 
     A layer's output is t = tanh z, g = t1 zg and l = t2 |zg|^2 + t1 zl,
     with t1 = 1 - t^2, t2 = -2 t t1 and t3 = t2' = -2 (t1^2 + t t2).  The
@@ -583,55 +573,48 @@ def backward_jets(params: MlpParams, points: np.ndarray, outputs: Jets, seeds) -
     stays.  The seeds as (A^T Z_bar^T)^T take 29.2 us in isolation and
     read +33%.
     """
-    _check_weights(params)
-    points = _checked_points(params.config, points)
+    points = _checked_points(weights.config, points)
     n, d = points.shape
-    shape = (n, params.config.n_outputs)
+    shape = (n, weights.config.n_outputs)
     _check_jets("outputs", outputs, shape, d)
     if tuple(seeds.shape) != shape:
         raise ValueError(f"seeds of shape {tuple(seeds.shape)} do not match {shape}")
-    layers = params.layers
-    grads = [np.zeros_like(w) for layer in layers for w in layer]
-    tiles = partial(_tile_gradients, layers, _transposed(layers[:-1]), points, outputs, seeds)
-
-    def here(starts):
-        for i, term in tiles(starts):
+    layers = weights.layers
+    grads = [np.zeros_like(w) for a, _, b in layers for w in (a, b)]
+    for terms in _over_tiles(n, partial(_tile_gradients, layers, points, outputs, seeds)):
+        for i, term in terms:
             grads[i] += term
-
-    # the worker's terms, added after the caller's in tile order: the sums
-    # of the serial loop, bit for bit
-    for i, term in _over_tiles(n, here, lambda starts: list(tiles(starts))) or ():
-        grads[i] += term
     return np.concatenate([g.ravel() for g in grads])
 
 
-def _tile_gradients(layers, hidden, points: np.ndarray, outputs: Jets, seeds, starts: range):
+def _tile_gradients(layers, points: np.ndarray, outputs: Jets, seeds, starts: range) -> list:
     """The reverse pass of `backward_jets` on the tiles that begin at
-    ``starts``, ``hidden`` the hidden layers as `_transposed` lays them
-    out.  Yields each weight-gradient term as (i, term), i its array's
-    place in the flat [A1, b1, A2, b2, ...] order, in the order they are
-    summed: tile by tile, the output layer first.  The tile seed stack and
-    the ones of the GEMV sums are made once per call."""
+    ``starts``.  Returns each weight-gradient term as (i, term), i its
+    array's place in the flat [A1, b1, A2, b2, ...] order, in the order
+    they are summed: tile by tile, the output layer first.  The tile seed
+    stack and the ones of the GEMV sums are made once per call."""
     n, d = points.shape
     components = _components(outputs.gradient)
     tile_seeds = np.empty((2 + d, min(TILE, n), outputs.value.shape[1]))
     ones = np.ones(min(TILE, n))
+    terms = []
     for s in starts:
         rows = slice(s, min(s + TILE, n))
         y = tile_seeds[:, : rows.stop - s]
         y.fill(0.0)
         seeds.add(rows, Jets(y[0], _gradient(y[1 : 1 + d]), y[1 + d]))
         top = (outputs.value[rows], components[:, rows], outputs.laplacian[rows])
-        yield from _tile_terms(layers, hidden, points[rows], y, top, ones)
+        terms.extend(_tile_terms(layers, points[rows], y, top, ones))
+    return terms
 
 
-def _tile_terms(layers, hidden, pts: np.ndarray, y: np.ndarray, top: tuple, ones: np.ndarray):
+def _tile_terms(layers, pts: np.ndarray, y: np.ndarray, top: tuple, ones: np.ndarray):
     """`_tile_gradients` on one tile of points ``pts``, from the seeds ``y``
     on its output jets ``top``: value, (d, T, N) gradient rows and
     Laplacian.  Each hidden layer's recomputed jets are dropped once the
     pass is below them, and all of the tile's arrays when it ends."""
     d = pts.shape[1]
-    saved = list(_tile_layers(hidden, pts))
+    saved = list(_tile_layers(layers[:-1], pts))
     sums = ones[: len(pts)]
     for layer in range(len(layers) - 1, -1, -1):
         if layer == len(layers) - 1:

@@ -1,7 +1,7 @@
 """Singular trial functions r^L mu(theta) eta(r) and their residual sources.
 
 Each singular vertex contributes one trial function per selected angular
-eigenpair.  The function itself is supported on the disk r < delta2; the
+mode.  The function itself is supported on the disk r < delta2; the
 residual source produced by the radial cutoff,
 
     S = 2 L r^(L-1) mu eta' + r^L mu (eta'' + eta'/r),
@@ -37,7 +37,7 @@ from functools import cached_property
 import numpy as np
 
 from .cutoffs import CutoffConfig, eta_jet
-from .eigen import N_BASIS, XI_PER_THETA, EigenPair, basis_matrix
+from .eigen import N_BASIS, XI_PER_THETA, EigenModes, basis_matrix
 from .geometry import Geometry
 
 __all__ = ["VertexGeo", "PolarCache", "polar_cache", "singular_evals_from_cache", "eval_s"]
@@ -135,10 +135,12 @@ def _vertex_slots(cache: PolarCache, pairs_per_p: list):
     """The column slots of a batch: their count M and, per vertex with
     slots, its factors, its slices of the disk rows, of the annulus rows
     and of the columns, the exponents (P, 1, m) and the unit-L2 angular
-    coefficient vectors (P, 16, m) of its m slots, m being the most pairs
-    any of the P parameters has there.  A parameter's pairs fill its first
-    slots at the vertex in pair order; the others have exponent 1 and zero
-    coefficients, so their columns are zero."""
+    coefficient vectors (P, 16, m) of its m slots, m being the most modes
+    any of the P parameters has there.  A parameter's selection there (its
+    `eigen.select_singular` rows) fills its first slots in mode order, its
+    exponents and its coefficients rho scaled by mu_scale copied as one
+    array each; the others have exponent 1 and zero coefficients, so their
+    columns are zero."""
     slots, disk, annulus, col = [], 0, 0, 0
     for v, geo in enumerate(cache.vertices):
         per_p = [pairs[v] for pairs in pairs_per_p]
@@ -147,9 +149,8 @@ def _vertex_slots(cache: PolarCache, pairs_per_p: list):
             lam = np.ones((len(per_p), 1, m))
             coef = np.zeros((len(per_p), N_BASIS, m))
             for k, sel in enumerate(per_p):
-                for j, pair in enumerate(sel):
-                    lam[k, 0, j] = pair.exponent
-                    coef[k, :, j] = pair.mu_scale * pair.rho
+                lam[k, 0, : len(sel)] = sel.exponent
+                coef[k, :, : len(sel)] = (sel.mu_scale[:, None] * sel.rho).T
             slots.append((
                 geo, slice(disk, disk + geo.r.size), slice(annulus, annulus + geo.n_annulus),
                 slice(col, col + m), lam, coef,
@@ -163,7 +164,8 @@ def _vertex_slots(cache: PolarCache, pairs_per_p: list):
 def singular_evals_from_cache(cache: PolarCache, pairs_per_p: list):
     """Residual sources S of a batch's singular columns on the annulus rows.
 
-    ``pairs_per_p`` holds per parameter its selected pairs per vertex.
+    ``pairs_per_p`` holds per parameter its selection per vertex, the
+    rows of `eigen.EigenModes` that `eigen.select_singular` keeps.
     Returns one (P, R, M) block for the R points of ``cache.annulus_rows``,
     its M columns vertex-major (`_vertex_slots`), zero in a parameter's
     unused slots; S is zero at every other point.
@@ -179,17 +181,18 @@ def singular_evals_from_cache(cache: PolarCache, pairs_per_p: list):
     return out
 
 
-def eval_s(cache: PolarCache, pairs_per_vertex: list[list[EigenPair]]):
+def eval_s(cache: PolarCache, pairs_per_vertex: list[EigenModes]):
     """Values (D, n_cols) and Cartesian gradients (D, 2, n_cols) of one
     parameter's singular trial functions on the disk rows, columns as in
     `singular_evals_from_cache` for a batch of that parameter alone, so
     every slot is filled; the direction comes before the column, as in
     `assembly.evaluate_solution`.
 
-    The D points are those of ``cache.disk_rows``; every function is zero
-    at every other point.  With exponent < 1 the gradient blows up at the
-    vertex, so a point closer than 1e-12 to a vertex with selected pairs
-    raises ValueError.
+    ``pairs_per_vertex`` holds the parameter's selection per vertex, as
+    `singular_evals_from_cache` reads it.  The D points are those of
+    ``cache.disk_rows``; every function is zero at every other point.  With
+    exponent < 1 the gradient blows up at the vertex, so a point closer
+    than 1e-12 to a vertex with selected modes raises ValueError.
     """
     n_cols, slots = _vertex_slots(cache, [pairs_per_vertex])
     values = np.zeros((cache.disk_rows.size, n_cols))

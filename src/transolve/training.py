@@ -2,8 +2,8 @@
 
 Each epoch draws a parameter batch and fresh collocation points, solves the
 angular eigenproblems the batch needs (2D) in one batched call that gives
-one stacked `EigenModes`, from which `select_singular` keeps each system's
-singular modes as `EigenPair`s, and evaluates the network's jets
+one stacked `EigenModes`, of which `select_singular` keeps each system's
+singular modes as a view of their rows, and evaluates the network's jets
 (`nets.Jets`) once at all interior and interface points; the validation
 set is the same draw (`_draw`) from streams of its own.  Only what the
 loss reads is composed with the cutoff factors: the interior
@@ -26,7 +26,7 @@ trace and, with each interface's run of rows, the sign row of its axis,
 and no minus-side array is stored.  The singular sources of the whole
 batch are one dense (P, R, M) block on the R annulus points, built in one
 `singular_evals_from_cache` call: its M columns are slots laid out vertex
-by vertex, zero where a parameter has fewer pairs at a vertex than the
+by vertex, zero where a parameter has fewer modes at a vertex than the
 batch's most.  The sampled points come grouped, by subdomain and by
 interface, and the composed Laplacians are written into the first N
 columns of the cache's (J1, N + 2) interior rows, beside the source's two
@@ -40,7 +40,9 @@ residual is back-propagated with the solved coefficients held fixed (the
 derivative of a minimum is the partial derivative at the minimizer).  One
 `nets.backward_jets` pass goes over every point in the order
 `forward_jets` saw them, tile by tile, reading the output jets the forward
-gave and recomputing only the hidden layers.  It asks `_ComposedSeeds` for
+gave and recomputing only the hidden layers, from the one
+`nets.PassWeights` that the gradient's forward pass read: the weights are
+checked and laid out once per gradient.  It asks `_ComposedSeeds` for
 each tile's seeds, which takes the tile's rows of the scaled adjoints
 through `Jets.adjoint` (the product's transpose) into the tile's seed
 stack, so no seed set of the whole batch is made.  Adam with a linearly
@@ -49,18 +51,19 @@ path without the adjoints or the whole-batch jets: it evaluates the
 network one tile of interior points at a time, composes that tile's
 Laplacians and drops its jets, then evaluates the interface points, so no
 (J1 + J2, N) jets exist; the weights are checked and laid out once for
-the pass (`nets.PassWeights`), not once per tile.  A point's jets depend
+the pass, not once per tile.  A point's jets depend
 on its tile only through rounding (the interface points alone round apart
 from inside the last interior tile), so the loss agrees with the gradient
 path's to rounding, and bit for bit only where the tiles round alike: on
 the 1D benchmark's network the ill-conditioned solve amplifies that one
 rounding to about 1e-9 of the loss.
 
-Everything that outlives a call lives in one holder, `_kept`.  The arrays
-whose shapes the configuration fixes, the network's output jets, the
-composed Laplacian that the cache weights in place and the two row
-adjoints, are written by `forward_jets`, the composition and
-`solve_parameter_batch` into arrays that `run_epoch` keeps there from one
+Everything that outlives a call lives in one holder per thread, `_kept`,
+so that trainings in two threads share no arrays.  The arrays whose
+shapes the configuration fixes, the network's output jets, the composed
+Laplacian that the cache weights in place and the two row adjoints, are
+written by `forward_jets`, the composition and `solve_parameter_batch`
+into arrays that `run_epoch` keeps in the calling thread's holder from one
 epoch to the next, so that an epoch reuses memory the last one touched
 rather than making, freeing and faulting it in again.  Validation and
 direct callers of `loss_and_param_gradient` get fresh arrays.
@@ -75,7 +78,7 @@ from weights checked once for the build, into arrays made once, and hands
 its Laplacian, the first N columns of the interior rows, to the cache,
 which weights it in place.  Online, `QueryBasis.solve` takes one
 parameter through one eigensolve, one `solve_parameter_batch` on its
-batch of one, whose singular slots its own pairs fill, and one GEMM per
+batch of one, whose singular slots its own modes fill, and one GEMM per
 field, plus
 `singular.eval_s` when it has singular columns: the paper's
 low-dimensional least-squares problem per parameter.  The singular columns
@@ -83,9 +86,10 @@ stay on their support rows throughout: their sources on the annulus rows of
 the polar cache, and their values and gradients on its disk rows, so the
 singular work of a query grows with the junction annuli and disks, not with
 the grid.  `final_solve` solves against the one basis it holds between
-calls, the holder's ``"basis"`` entry, rebuilt when the weights, grid or
-problem change and popped when an epoch starts; a build first empties the
-holder, so the basis and an epoch's kept arrays are never alive together.
+calls, the calling thread's holder's ``"basis"`` entry, rebuilt when the
+weights, grid or problem change and popped when an epoch of that thread
+starts; a build first empties the holder, so the basis and an epoch's kept
+arrays are never alive together in one thread.
 Checkpoints are ``.npz`` arrays with a JSON header and load without
 unpickling anything.
 """
@@ -93,6 +97,7 @@ unpickling anything.
 from __future__ import annotations
 
 import json
+import threading
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -260,7 +265,7 @@ class EpochData:
     rhs: RhsSpec
     quad: QuadratureSet
     parameters: np.ndarray  # (P, I)
-    pairs_per_p: list  # [k][vertex]: the selected EigenPairs (2D), see vertex_eigenpairs
+    pairs_per_p: list  # [k][vertex]: the selected EigenModes rows (2D), see vertex_eigenpairs
     theta: float
 
 
@@ -280,16 +285,16 @@ def init_train_state(geometry: Geometry, net_config: NetConfig, config: TrainCon
 
 
 def vertex_eigenpairs(geometry: Geometry, parameters, n_singular: int):
-    """Selected singular eigenpairs per parameter and vertex, ``[k][vertex]``.
+    """Selected singular modes per parameter and vertex, ``[k][vertex]``.
 
     The batch is validated once, and the angular traces of all P
     parameters at all N_s vertices are one gather through the geometry's
     vertex-to-sector table, a (P, N_s, 4) stack solved in one batched
     eigensolve into one `EigenModes` of (P, N_s, 16) arrays.  One
-    `select_singular` per parameter and vertex masks the exponents of
-    ``modes[k, v]`` and makes `EigenPair`s for the kept modes only, at most
-    ``n_singular``.  A parameter row at fault raises ParameterError naming
-    it, a failed eigensolve ValueError.
+    `select_singular` per parameter and vertex keeps at most
+    ``n_singular`` modes of ``modes[k, v]``, a view of the stack's rows:
+    no mode is copied here.  A parameter row at fault raises
+    ParameterError naming it, a failed eigensolve ValueError.
     """
     parameters = np.asarray(parameters, dtype=float)
     n_p = parameters.shape[0]
@@ -385,12 +390,13 @@ def _keep(kept: dict | None, name: str, shape: tuple, make):
 
 
 def _composed_cache(
-    params: MlpParams, data: EpochData, kept: dict | None = None, keep_jets: bool = True,
+    weights: PassWeights, data: EpochData, kept: dict | None = None, keep_jets: bool = True,
 ):
     """The epoch cache of ``data``, with the interior Laplacians of the
     composed basis formed alone (`Jets.product_laplacian`).
 
-    The weights are checked and laid out once (`nets.PassWeights`).  With
+    ``weights`` are the network's, checked and laid out once
+    (`nets.PassWeights`) for every pass over them.  With
     ``keep_jets`` the network is evaluated once, at all J1 + J2 points,
     the interior ones first, into jets the adjoint reads again; without
     it, one tile of the interior points at a time and then at the
@@ -416,11 +422,10 @@ def _composed_cache(
     on train1d-sin, whose two blocks of one run each double the NumPy
     calls.
     """
-    cfg = params.config
+    cfg = weights.config
     quad = data.quad
     n_int = quad.n_interior
     cols = factor_index(data.geometry, cfg.n1, cfg.n2)
-    weights = PassWeights.of(params)
     jets = None
     if keep_jets:
         points = np.concatenate([quad.interior_points, quad.interface_points])
@@ -492,7 +497,9 @@ def loss_and_param_gradient(
     """Mean squared LS residual over the batch and its gradient in the weights.
 
     The gradient treats every parameter's solved coefficient vector as a
-    constant.  The blocked solve writes the row adjoints of the basis
+    constant.  The weights are checked and laid out once
+    (`nets.PassWeights.of`), for the forward and the backward pass.  The
+    blocked solve writes the row adjoints of the basis
     Laplacians and of its one trace, summed over the batch, and only those
     are back-propagated, in one backward pass over all the points that
     composes each tile's seeds from them (`_ComposedSeeds`).  Without
@@ -508,8 +515,9 @@ def loss_and_param_gradient(
     """
     if data.parameters.shape[0] < 1:
         raise ValueError("empty parameter batch")
+    weights = PassWeights.of(params)
     cache, jets, cols, stack, ifc_stack, normals = _composed_cache(
-        params, data, kept, keep_jets=need_gradient
+        weights, data, kept, keep_jets=need_gradient
     )
     if not need_gradient:  # read by the adjoint alone: not held through the solve
         stack = ifc_stack = None
@@ -534,7 +542,7 @@ def loss_and_param_gradient(
     seeds = _ComposedSeeds(cols, stack, ifc_stack, normals, *adjoints)
     quad = data.quad
     points = np.concatenate([quad.interior_points, quad.interface_points])
-    grad = backward_jets(params, points, jets, seeds)
+    grad = backward_jets(weights, points, jets, seeds)
     return loss, grad
 
 
@@ -555,22 +563,23 @@ def run_epoch(
 
     The arrays whose shapes the configuration fixes (the network's output
     jets, the composed Laplacian that the cache weights in place, the two
-    row adjoints) live from one epoch to the next in the module's
-    one holder `_kept`, so that an epoch writes into memory the last one
-    touched instead of making and freeing it.  Each tile's seeds are
-    composed inside the backward pass, so no seed set of the batch is
-    made.  The same holder keeps the basis `final_solve` holds, as its
-    ``"basis"`` entry: an epoch pops it, and `final_solve` empties the
-    holder before it builds one, so the two never coexist.  Validation
-    makes fresh arrays.
+    row adjoints) live from one epoch to the next in the calling thread's
+    holder `_kept`, so that an epoch writes into memory the last one
+    touched instead of making and freeing it, and a training in another
+    thread has arrays of its own.  Each tile's seeds are composed inside
+    the backward pass, so no seed set of the batch is made.  The same
+    holder keeps the basis `final_solve` holds, as its ``"basis"`` entry:
+    an epoch pops it, and `final_solve` empties the holder before it
+    builds one, so the two never coexist.  Validation makes fresh arrays.
     """
     epoch = state.iteration
+    kept = vars(_kept)  # this thread's
     # the epoch replaces the weights the held basis was built from: drop it
     # now, so that it does not add to the epoch's peak
-    _kept.pop("basis", None)
+    kept.pop("basis", None)
     try:
         data = prepare_epoch(state, config, geometry, rhs, cutoff_config)
-        loss, grad = loss_and_param_gradient(state.params, data, kept=_kept)
+        loss, grad = loss_and_param_gradient(state.params, data, kept=kept)
     except (ValueError, SolveError) as exc:
         raise EpochError(epoch, getattr(exc, "index", None), str(exc)) from exc
     lr = linear_lr(config.lr_start, config.lr_end, epoch, config.iterations)
@@ -763,12 +772,14 @@ class QueryBasis:
         }
 
 
-# What outlives a call, by name.  The arrays run_epoch keeps between epochs:
-# (shape, arrays), see `_keep`.  "basis", the basis final_solve holds: (the
+# What outlives a call, by name, in one holder per thread: ``vars(_kept)``
+# is the calling thread's dict, so two trainings or queries in two threads
+# share nothing.  The arrays run_epoch keeps between epochs: (shape,
+# arrays), see `_keep`.  "basis", the basis final_solve holds: (the
 # geometry, rhs and cutoff config objects, (theta, grid count, network
 # configuration), a read-only copy of the weights, the basis built from
 # them); an epoch pops it, and final_solve empties the holder before a build.
-_kept: dict = {}
+_kept = threading.local()
 
 
 def final_solve(
@@ -785,8 +796,8 @@ def final_solve(
 
     The grid has ``n_per_axis`` points per axis and per 2D interface.  The
     parameter is checked and solved by `QueryBasis.solve` on the one basis
-    held between calls, the ``"basis"`` entry of the module's holder
-    `_kept`.  It is reused while the geometry, rhs and cutoff config
+    held between calls, the ``"basis"`` entry of the calling thread's
+    holder `_kept`.  It is reused while the geometry, rhs and cutoff config
     objects (by identity), theta, the grid count and the network
     configuration (by value) and the weights (by content, so an in-place
     edit shows) are unchanged, and rebuilt otherwise; the first query of a
@@ -807,7 +818,8 @@ def final_solve(
     finer than the training points.
     """
     objects, values = (geometry, rhs, cutoff_config), (theta, n_per_axis, params.config)
-    held = _kept.get("basis")
+    kept = vars(_kept)  # this thread's
+    held = kept.get("basis")
     if held is None or not (
         all(a is b for a, b in zip(held[0], objects))
         and held[1] == values
@@ -817,11 +829,11 @@ def final_solve(
         # before the build, so that no basis coexists with another or with
         # the epoch's arrays
         held = None
-        _kept.clear()
+        kept.clear()
         basis = QueryBasis.build(params, geometry, rhs, cutoff_config, theta, n_per_axis)
         weights = params.to_flat()
         weights.flags.writeable = False
-        held = _kept["basis"] = (objects, values, weights, basis)
+        held = kept["basis"] = (objects, values, weights, basis)
     return held[3].solve(parameter, n_singular)
 
 

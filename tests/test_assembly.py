@@ -25,7 +25,7 @@ from transolve.cutoffs import (
 )
 from transolve.eigen import angular_eval, assemble_eigensystem, select_singular, solve_eigenpairs
 from transolve.geometry import angular_trace, build_grid_geometry, subdomain_index_many
-from transolve.nets import NetConfig, forward_jets, init_params
+from transolve.nets import NetConfig, PassWeights, forward_jets, init_params
 from transolve.reference import RhsSpec
 from transolve.sampling import QuadratureSet, sample_collocation
 from transolve.singular import singular_evals_from_cache
@@ -48,16 +48,16 @@ def raw_rows(geometry, net_cfg, seed=0, n_int=12, n_ifc=6):
     unweighted Laplacians, plus-side traces and the (d, N) sign table of
     the axes that gives the minus side's."""
     quad = sample_collocation(geometry, n_int, n_ifc, np.random.default_rng(seed))
-    params = init_params(net_cfg, seed + 1)
+    weights = PassWeights.of(init_params(net_cfg, seed + 1))
     cols = factor_index(geometry, net_cfg.n1, net_cfg.n2)
     polar = disk_table(quad.interior_points, geometry)
     stack = composition_factors(quad.interior_points, geometry, polar)
-    lap = (stack.columns(cols) * forward_jets(params, quad.interior_points)).laplacian
+    lap = (stack.columns(cols) * forward_jets(weights, quad.interior_points)).laplacian
     ifc_axes = np.array([geometry.interfaces[k].axis for k in quad.interface_ids])
     ifc_stack, mask = interface_trace_factors(
         quad.interface_points, ifc_axes, geometry, disk_table(quad.interface_points, geometry)
     )
-    ifc_jets = forward_jets(params, quad.interface_points)
+    ifc_jets = forward_jets(weights, quad.interface_points)
     # the normal component of the plus side's gradient; the minus side
     # flips the sign of the outputs whose factor vanishes on a line of the
     # point's axis
@@ -418,19 +418,27 @@ def test_run_adjoints_equal_the_residuals_times_p_y(dimension, n_p, through_gram
 def test_ragged_blocks_solve_each_parameter_as_alone_bit_for_bit(n_p):
     """Batches whose last block is ragged (one parameter, then three) and
     reuses the blocks' workspace: each parameter's coefficients are the
-    bits of its batch of one.  A lone parameter's Gram products are formed
-    beside a zero row, since BLAS runs a one-row product as a GEMV, which
-    rounds apart.  (With singular columns the border's right-hand side is
-    a product per parameter on an operand whose memory order follows the
-    batch size, and rounds apart too, so there
-    `test_blocked_batch_matches_each_parameter_solved_alone` holds the
-    blocks to 1e-11.)"""
-    cache = make_cache(geom_1d(), NetConfig(1, (6,), 3, 5), seed=4, n_int=20)
-    params = np.random.default_rng(21).uniform(0.5, 10.0, size=(n_p, 5))
-    batch = solve_parameter_batch(cache, params)
-    for k in range(n_p):
-        alone = solve_parameter_batch(cache, params[k : k + 1])
-        assert np.array_equal(batch.y_nn[k], alone.y_nn[0]), k
+    bits of its batch of one, in 1D and on the 3x3 layout with random
+    singular sources of one M, 2.  A lone parameter's Gram products are
+    formed beside a zero row, since BLAS runs a one-row product as a GEMV,
+    which rounds apart; and the parameters' rows that the border reads are
+    C-ordered whatever the batch size, since another memory order takes
+    another kernel, which rounds apart too."""
+    caches = [make_cache(geom_1d(), NetConfig(1, (6,), 3, 5), seed=4, n_int=20),
+              make_cache(geom_3x3(), NetConfig(2, (8,), 4, 8), seed=4, n_int=12, n_ifc=6)]
+    for cache in caches:
+        rng = np.random.default_rng(21)
+        params = rng.uniform(0.5, 10.0, size=(n_p, cache.geometry.n_subdomains))
+        sing = None
+        if cache.geometry.dimension == 2:
+            sing = rng.normal(size=(n_p, cache.polar.annulus_rows.size, 2))
+            assert sing.shape[1] > 0
+        batch = solve_parameter_batch(cache, params, singular_evals_per_p=sing)
+        for k in range(n_p):
+            own = None if sing is None else sing[k : k + 1]
+            alone = solve_parameter_batch(cache, params[k : k + 1], singular_evals_per_p=own)
+            assert np.array_equal(batch.y_nn[k], alone.y_nn[0]), k
+            assert np.array_equal(batch.y_sing[k], alone.y_sing[0]), k
 
 
 def test_blocked_batch_matches_each_parameter_solved_alone():

@@ -167,7 +167,7 @@ def test_single_layer_identity_jets():
     cfg = NetConfig(1, (), 1, 1)
     # one affine+tanh layer with A rows [1], [1], b = 0
     p = MlpParams(cfg, [(np.ones((2, 1)), np.zeros(2))])
-    jets = forward_jets(p, np.array([[0.0]]))
+    jets = forward_jets(PassWeights.of(p), np.array([[0.0]]))
     np.testing.assert_allclose(jets.value, 0.0)
     np.testing.assert_allclose(jets.gradient[:, :, 0], 1.0)
     np.testing.assert_allclose(jets.laplacian, 0.0, atol=1e-15)
@@ -177,32 +177,37 @@ def test_zero_weights_give_zero_jets():
     cfg = NetConfig(2, (4,), 2, 2)
     p = init_params(cfg, 0)
     p.layers = [(np.zeros_like(a), np.zeros_like(b)) for a, b in p.layers]
-    jets = forward_jets(p, np.random.default_rng(0).uniform(-1, 1, (5, 2)))
+    jets = forward_jets(PassWeights.of(p), np.random.default_rng(0).uniform(-1, 1, (5, 2)))
     np.testing.assert_allclose(jets.value, 0.0)
     np.testing.assert_allclose(jets.gradient, 0.0)
     np.testing.assert_allclose(jets.laplacian, 0.0)
 
 
 def test_nonfinite_params_rejected():
-    cfg = NetConfig(1, (3,), 1, 1)
-    p = init_params(cfg, 0)
-    p.layers[0][0][0, 0] = np.nan
-    with pytest.raises(ValueError):
-        forward_jets(p, np.array([[0.5]]))
-    with pytest.raises(ValueError, match="non-finite"):
-        PassWeights.of(p)
+    """The one finiteness check of the weights is the snapshot's: the
+    passes take only a `PassWeights`, which cannot be made of a non-finite
+    weight or bias."""
+    for layer, array, bad in [(0, 0, np.nan), (1, 0, np.inf), (1, 1, np.nan), (0, 1, -np.inf)]:
+        p = init_params(NetConfig(1, (3,), 1, 1), 0)
+        p.layers[layer][array].flat[0] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            PassWeights.of(p)
 
 
 @pytest.mark.parametrize("dim", [1, 2])
 def test_pass_weights_give_the_jets_of_the_weights(dim):
-    """Jets from the weights checked and laid out once (`PassWeights`)
-    equal, bit for bit, those `forward_jets` gives from the weights
-    themselves, tile by tile as for the whole point set."""
+    """The snapshot holds each layer's own A and b and a C-contiguous copy
+    of A^T, and one snapshot handed to each tile's `forward_jets` gives,
+    bit for bit, the jets of the whole point set."""
     cfg = NetConfig(dim, (7, 6), 3, 4)
     p = init_params(cfg, 8)
     weights = PassWeights.of(p)
+    assert weights.config == cfg and len(weights.layers) == len(p.layers)
+    for (a, at, b), (a_own, b_own) in zip(weights.layers, p.layers):
+        assert a is a_own and b is b_own
+        assert at.flags.c_contiguous and np.array_equal(at, a.T)
     pts = np.random.default_rng(2).uniform(-1, 1, size=(nets.TILE + 40, dim))
-    whole = forward_jets(p, pts)
+    whole = forward_jets(weights, pts)
     for rows in (slice(0, nets.TILE), slice(nets.TILE, None)):
         tile = forward_jets(weights, pts[rows])
         for k in ("value", "gradient", "laplacian"):
@@ -217,18 +222,18 @@ def test_jets_match_finite_differences(dim):
     p = init_params(cfg, 42)
     rng = np.random.default_rng(1)
     pts = rng.uniform(-1, 1, size=(20, dim))
-    jets = forward_jets(p, pts)
+    jets = forward_jets(PassWeights.of(p), pts)
     h = 1e-4
     for j in range(pts.shape[0]):
         x = pts[j]
         grad_fd = np.zeros((cfg.n_outputs, dim))
         lap_fd = np.zeros(cfg.n_outputs)
-        f0 = forward_jets(p, x[None, :]).value[0]
+        f0 = forward_jets(PassWeights.of(p), x[None, :]).value[0]
         for k in range(dim):
             e = np.zeros(dim)
             e[k] = h
-            fp = forward_jets(p, (x + e)[None, :]).value[0]
-            fm = forward_jets(p, (x - e)[None, :]).value[0]
+            fp = forward_jets(PassWeights.of(p), (x + e)[None, :]).value[0]
+            fm = forward_jets(PassWeights.of(p), (x - e)[None, :]).value[0]
             grad_fd[:, k] = (fp - fm) / (2 * h)
             lap_fd += (fp - 2 * f0 + fm) / h**2
         np.testing.assert_allclose(jets.gradient[j], grad_fd, rtol=1e-5, atol=1e-8)
@@ -249,14 +254,14 @@ def test_backward_matches_finite_difference(monkeypatch):
 
     def objective(flat):
         q = MlpParams.from_flat(cfg, flat)
-        jets = forward_jets(q, pts)
+        jets = forward_jets(PassWeights.of(q), pts)
         return (
             np.sum(cv * jets.value)
             + np.sum(cg * jets.gradient)
             + np.sum(cl * jets.laplacian)
         )
 
-    grad = backward_jets(p, pts, forward_jets(p, pts), _Served(cv, cg, cl))
+    grad = backward_jets(PassWeights.of(p), pts, forward_jets(PassWeights.of(p), pts), _Served(cv, cg, cl))
     flat = p.to_flat()
     h = 1e-6
     idx = rng.choice(flat.size, size=25, replace=False)
@@ -298,8 +303,8 @@ def test_tiling_does_not_change_the_jets_or_the_gradient(monkeypatch):
     results = []
     for tile in (7, 10**9):
         monkeypatch.setattr(nets, "TILE", tile)
-        jets = forward_jets(p, pts)
-        results.append((jets, backward_jets(p, pts, jets, _Served(*seeds))))
+        jets = forward_jets(PassWeights.of(p), pts)
+        results.append((jets, backward_jets(PassWeights.of(p), pts, jets, _Served(*seeds))))
     (jets7, grad7), (jets1, grad1) = results
     for k in ("value", "gradient", "laplacian"):
         a, b = getattr(jets7, k), getattr(jets1, k)
@@ -315,15 +320,15 @@ def test_forward_writes_into_out(monkeypatch):
     cfg = NetConfig(2, (5, 4), 2, 3)
     p = init_params(cfg, 12)
     pts = np.random.default_rng(6).uniform(-1, 1, size=(10, 2))
-    fresh = forward_jets(p, pts)
+    fresh = forward_jets(PassWeights.of(p), pts)
     out = Jets.empty((10, cfg.n_outputs), 2)
     for k in ("value", "gradient", "laplacian"):
         getattr(out, k)[...] = np.nan
-    assert forward_jets(p, pts, out=out) is out
+    assert forward_jets(PassWeights.of(p), pts, out=out) is out
     for k in ("value", "gradient", "laplacian"):
         np.testing.assert_array_equal(getattr(out, k), getattr(fresh, k))
     with pytest.raises(ValueError, match="out of shapes"):
-        forward_jets(p, pts[:9], out=out)
+        forward_jets(PassWeights.of(p), pts[:9], out=out)
 
 
 @pytest.mark.parametrize("bad", ["extra_row", "wrong_outputs"])
@@ -339,7 +344,7 @@ def test_backward_rejects_seeds_of_another_shape(bad):
     else:
         seeds = _random_seeds(rng, 5, NetConfig(2, (4,), 2, 4))
     with pytest.raises(ValueError, match="seeds of shape"):
-        backward_jets(p, pts, forward_jets(p, pts), _Served(*seeds))
+        backward_jets(PassWeights.of(p), pts, forward_jets(PassWeights.of(p), pts), _Served(*seeds))
 
 
 @pytest.mark.parametrize("bad", ["extra_row", "wrong_outputs", "flat_gradient"])
@@ -352,14 +357,14 @@ def test_backward_rejects_outputs_of_another_shape(bad):
     pts = rng.uniform(-1, 1, size=(5, 2))
     seeds = _random_seeds(rng, 5, cfg)
     if bad == "extra_row":
-        outputs = forward_jets(p, rng.uniform(-1, 1, size=(6, 2)))
+        outputs = forward_jets(PassWeights.of(p), rng.uniform(-1, 1, size=(6, 2)))
     elif bad == "wrong_outputs":
-        outputs = forward_jets(init_params(NetConfig(2, (4,), 2, 4), 0), pts)
+        outputs = forward_jets(PassWeights.of(init_params(NetConfig(2, (4,), 2, 4), 0)), pts)
     else:
-        jets = forward_jets(p, pts)
+        jets = forward_jets(PassWeights.of(p), pts)
         outputs = Jets(jets.value, jets.gradient[..., 0], jets.laplacian)
     with pytest.raises(ValueError, match="outputs of shapes"):
-        backward_jets(p, pts, outputs, _Served(*seeds))
+        backward_jets(PassWeights.of(p), pts, outputs, _Served(*seeds))
 
 
 def _record_layers(params, points):
@@ -457,13 +462,13 @@ def test_backward_matches_the_record_reverse_pass(cfg, tile, saturated, monkeypa
     if saturated:
         for record, _ in records:
             assert np.all(record[4][:, ::2] < 1e-15)
-    jets = forward_jets(p, pts)
+    jets = forward_jets(PassWeights.of(p), pts)
     want_jets = records[-1][1]
     got_jets = (jets.value, np.moveaxis(jets.gradient, -1, 0), jets.laplacian)
     for got, want in zip(got_jets, (want_jets[0], want_jets[1 : 1 + dim], want_jets[1 + dim])):
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13 * np.max(np.abs(want)))
     want = _record_backward(p, pts, *seeds)
-    got = backward_jets(p, pts, jets, _Served(*seeds))
+    got = backward_jets(PassWeights.of(p), pts, jets, _Served(*seeds))
     np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13 * np.max(np.abs(want)))
 
 
@@ -472,8 +477,8 @@ def _both_passes(cfg, n, seed):
     p = init_params(cfg, seed)
     rng = np.random.default_rng(seed)
     pts = rng.uniform(-1, 1, size=(n, cfg.input_dim))
-    jets = forward_jets(p, pts)
-    return jets, backward_jets(p, pts, jets, _Served(*_random_seeds(rng, n, cfg)))
+    jets = forward_jets(PassWeights.of(p), pts)
+    return jets, backward_jets(PassWeights.of(p), pts, jets, _Served(*_random_seeds(rng, n, cfg)))
 
 
 def _assert_same_passes(got, want):
@@ -542,7 +547,7 @@ def test_split_backward_raises_once_both_halves_stop(side, split_worker):
     bad, other = (starts[half], starts[:half]) if side == "worker" else (0, starts[half:])
     seeds = _Failing(bad, *_random_seeds(rng, n, cfg))
     with pytest.raises(_SeedError):
-        backward_jets(p, pts, forward_jets(p, pts), seeds)
+        backward_jets(PassWeights.of(p), pts, forward_jets(PassWeights.of(p), pts), seeds)
     served = list(seeds.served)
     time.sleep(0.05)
     assert seeds.served == served == list(other)
@@ -603,7 +608,7 @@ def test_the_pool_has_one_worker_whatever_the_cpu_count(cpus, fresh_pool, monkey
 
 
 def _child_jets(params, points, conn):
-    jets = forward_jets(params, points)
+    jets = forward_jets(PassWeights.of(params), points)
     workers = [t for t in threading.enumerate() if t.name.startswith("transolve-tiles")]
     conn.send((jets.value, jets.gradient, jets.laplacian, len(workers)))
     conn.close()
@@ -620,7 +625,7 @@ def test_a_forked_child_splits_passes_with_its_own_worker(fresh_pool, monkeypatc
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     p = init_params(NET_2D, 6)
     pts = np.random.default_rng(6).uniform(-1, 1, size=(nets.SPLIT_TILES * nets.TILE, 2))
-    want = forward_jets(p, pts)
+    want = forward_jets(PassWeights.of(p), pts)
     assert any(t.name.startswith("transolve-tiles") for t in threading.enumerate())
     context = multiprocessing.get_context("fork")
     receiver, sender = context.Pipe(duplex=False)

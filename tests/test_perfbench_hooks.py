@@ -18,7 +18,7 @@ import pytest
 from transolve import eigen, training
 from transolve.assembly import solve_parameter_batch
 from transolve.cutoffs import default_cutoff_config
-from transolve.nets import NetConfig, init_params
+from transolve.nets import NetConfig, PassWeights, init_params
 from transolve.reference import RhsSpec
 from transolve.sampling import sample_collocation, sample_parameters
 from transolve.singular import singular_evals_from_cache
@@ -216,25 +216,52 @@ def test_tracer_sees_one_eigensolve_and_one_selection_per_vertex(perfbench_modul
     assert all(span[5]["max_residual"] > 0 for span in selections)
 
 
+def test_a_selection_is_rows_of_the_stack_and_notes_a_float_residual(perfbench_module):
+    """`select_singular` hands on the kept rows of a stacked `EigenModes`
+    as views, its ``rho`` sharing memory with the stack's, and the note
+    the tracer takes of a selection (`spans._selected_residual`, which
+    `eigen.max_residual` reads) is a float that JSON writes: the largest
+    residual of the kept modes, 0.0 where none is kept (the uniform
+    trace's vertices)."""
+    spans = perfbench_module("spans")
+    g = geom_3x3()
+    parameters = np.vstack([np.ones(g.n_subdomains), sample_parameters(
+        np.random.default_rng(3), 7, g.n_subdomains, 0.1, 10.0)])
+    stacked = eigen.solve_eigenpairs(eigen.assemble_eigensystem(parameters[:, g.vertex_sectors]))
+    kept = 0
+    for k, v in np.ndindex(stacked.exponent.shape[:2]):
+        selection = eigen.select_singular(stacked[k, v], 2)
+        note = spans._selected_residual((stacked[k, v], 2), {}, selection)
+        value = note["max_residual"]
+        assert isinstance(value, float) and json.loads(json.dumps(note)) == {"max_residual": value}
+        if len(selection):
+            kept += 1
+            assert np.shares_memory(selection.rho, stacked.rho)
+            assert value == selection.residual.max()
+        else:
+            assert value == 0.0
+    assert 0 < kept < stacked.exponent.shape[0] * g.n_singular
+
+
 def test_tracer_sees_the_solve_of_a_query_on_a_held_basis(perfbench_module, monkeypatch):
     """`assembly.solve_s` of a traced query reads the `solve_parameter_batch`
     span: a query on the basis `final_solve` holds calls the solve by its
     name on the training namespace, as an epoch does."""
     spans = perfbench_module("spans")
-    monkeypatch.setattr(training, "_kept", {})
+    monkeypatch.setattr(training, "_kept", threading.local())
     g = geom_2x2()
     args = (g, np.array([1.0, 10.0, 10.0, 1.0]), RhsSpec.for_geometry("corner2d", g),
             default_cutoff_config(g), 1.0, 16)
     params = init_params(NetConfig(2, (8,), 4, 8), 2)
     training.final_solve(params, *args)
-    basis = training._kept["basis"][3]
+    basis = vars(training._kept)["basis"][3]
     tracer = spans.Tracer()
     tracer.install()
     try:
         training.final_solve(params, *args)
     finally:
         tracer.uninstall()
-    assert training._kept["basis"][3] is basis
+    assert vars(training._kept)["basis"][3] is basis
     assert [span[2] for span in tracer.spans].count("solve_parameter_batch") == 1
 
 
@@ -247,7 +274,7 @@ def test_ls_check_accepts_the_batched_solve_in_2d(perfbench_module):
     parameters = sample_parameters(np.random.default_rng(1), 4, g.n_subdomains, 0.1, 10.0)
     pairs_per_p = vertex_eigenpairs(g, parameters, 2)
     data = EpochData(g, cut, rhs, quad, parameters, pairs_per_p, 5.0)
-    cache, *_ = _composed_cache(init_params(NetConfig(2, (8,), 2, 4), 2), data)
+    cache, *_ = _composed_cache(PassWeights.of(init_params(NetConfig(2, (8,), 2, 4), 2)), data)
     sing = singular_evals_from_cache(cache.polar, pairs_per_p)
     assert all(any(pairs) for pairs in pairs_per_p)
     batch = solve_parameter_batch(cache, parameters, sing)

@@ -2,6 +2,7 @@
 `final_solve` holds between calls."""
 
 import dataclasses
+import threading
 import tracemalloc
 import weakref
 
@@ -20,7 +21,7 @@ from transolve.cutoffs import (
 )
 from transolve.eigen import angular_eval
 from transolve.geometry import ParameterError, build_grid_geometry
-from transolve.nets import TILE, NetConfig, forward_jets, init_params
+from transolve.nets import TILE, NetConfig, PassWeights, forward_jets, init_params
 from transolve.reference import RhsSpec
 from transolve.sampling import sample_parameters
 from transolve.singular import eval_s, polar_cache
@@ -186,14 +187,14 @@ def test_a_changed_input_rebuilds_the_basis(change, builds):
 def test_a_bad_jump_weight_raises_and_leaves_no_basis_held(monkeypatch, theta):
     """A negative or non-finite theta raises ValueError in the build, not
     NaN fields, and the basis held before it is gone; theta = 0 solves."""
-    monkeypatch.setattr(training, "_kept", {})
+    monkeypatch.setattr(training, "_kept", threading.local())
     g, rhs, cut, params = problem()
     p = np.array([1.0, 10.0, 10.0, 1.0])
     final_solve(params, g, p, rhs, cut, 1.0, 16)
-    assert "basis" in training._kept
+    assert "basis" in vars(training._kept)
     with pytest.raises(ValueError, match="theta"):
         final_solve(params, g, p, rhs, cut, theta, 16)
-    assert "basis" not in training._kept
+    assert "basis" not in vars(training._kept)
     _, fields = final_solve(params, g, p, rhs, cut, 0.0, 16)
     assert np.all(np.isfinite(fields["values"]))
 
@@ -263,11 +264,11 @@ def test_no_array_reachable_from_the_held_basis_is_writeable(monkeypatch):
     """The held basis, the inputs it is keyed on and the run tables, the
     sign rows the minus side reads among them, are all read-only, so no
     write through them can change a later query."""
-    monkeypatch.setattr(training, "_kept", {})
+    monkeypatch.setattr(training, "_kept", threading.local())
     g, rhs, cut, params = problem()
     final_solve(params, g, np.array([1.0, 10.0, 10.0, 1.0]), rhs, cut, 1.0, GRID,
                 n_singular=N_SINGULAR)
-    held = training._kept["basis"]
+    held = vars(training._kept)["basis"]
     cache = held[3].cache
     assert len(cache.interface_runs) == 4 and len(cache.axis_runs) == 2
     assert _writeable_arrays(held, "held", set()) == []
@@ -309,15 +310,15 @@ def test_zero_right_hand_side_reads_zero_relative_residual():
 def _untiled_basis(params, g, rhs, cut, theta, quad):
     """The basis arrays from one composition over all points at once: the
     factors of every point, the network at every point and their product."""
-    cfg = params.config
+    cfg, weights = params.config, PassWeights.of(params)
     cols = factor_index(g, cfg.n1, cfg.n2)
     polar = polar_cache(quad.interior_points, g, cut)
     stack = composition_factors(quad.interior_points, g, polar)
-    composed = stack.columns(cols) * forward_jets(params, quad.interior_points)
+    composed = stack.columns(cols) * forward_jets(weights, quad.interior_points)
     axes = np.array([g.interfaces[k].axis for k in quad.interface_ids], dtype=int)
     ifc_stack, mask = interface_trace_factors(quad.interface_points, axes, g,
                                               polar_cache(quad.interface_points, g, cut))
-    ifc = forward_jets(params, quad.interface_points)
+    ifc = forward_jets(weights, quad.interface_points)
     trace = (ifc_stack.columns(cols) * ifc).gradient[np.arange(quad.n_interface), :, axes]
     sign = np.where(mask[:, cols], -1.0, 1.0)  # (d, N), one row per axis
     cache = build_epoch_cache(g, polar, quad, interior_rows(composed.laplacian), trace, sign, rhs,
@@ -404,17 +405,17 @@ def test_a_malformed_parameter_raises_before_a_build(monkeypatch, builds):
     """With no basis held, `final_solve` checks the parameter before it
     builds one: each malformed parameter raises ValueError, no basis is
     built, and the arrays the last epoch kept in the holder survive."""
-    monkeypatch.setattr(training, "_kept", {})
+    monkeypatch.setattr(training, "_kept", threading.local())
     g, rhs, cut, _ = problem()
     config = TrainConfig(iterations=2, lr_start=1e-3, lr_end=1e-3, theta=1.0, n_params=2,
                          n_interior=8, n_interface=4, p_min=0.5, p_max=5.0)
     state = init_train_state(g, NetConfig(2, (10, 10), 4, 8), config)
     run_epoch(state, config, g, rhs, cut)
-    kept = dict(training._kept)
+    kept = dict(vars(training._kept))
     assert sorted(kept) == ["bar_lap", "bar_trace", "jets", "lap"]
     for fault, bad in sorted(MALFORMED_PARAMETERS.items()):
         with pytest.raises(ValueError):
             final_solve(state.params, g, bad(g.n_subdomains), rhs, cut, 1.0, 16)
         assert len(builds) == 0, fault
-        assert list(training._kept) == list(kept)
-        assert all(training._kept[name] is held for name, held in kept.items())
+        assert list(vars(training._kept)) == list(kept)
+        assert all(vars(training._kept)[name] is held for name, held in kept.items())

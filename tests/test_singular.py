@@ -6,7 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from transolve.cutoffs import CutoffConfig, default_cutoff_config, eta_jet
-from transolve.eigen import angular_eval, assemble_eigensystem, select_singular, solve_eigenpairs
+from transolve.eigen import (
+    EigenModes,
+    angular_eval,
+    assemble_eigensystem,
+    select_singular,
+    solve_eigenpairs,
+)
 from transolve.geometry import angular_trace, build_grid_geometry
 from transolve.singular import eval_s, polar_cache, singular_evals_from_cache
 
@@ -62,8 +68,8 @@ def fourier_basis():
         c = -c
     # a and b are orthonormal in L2(0, 2pi), so the combination stays unit
     rho = c[0] * a.mu_scale * a.rho + c[1] * b.mu_scale * b.rho
-    mode = dataclasses.replace(a, rho=rho, mu_scale=1.0)
-    return [[mode]]
+    # the one vertex's selection: that one mode, as one row of EigenModes
+    return [EigenModes(np.array([a.exponent]), rho[None], np.ones(1), np.array([a.residual]))]
 
 
 def test_support_outside_delta2():
@@ -129,7 +135,7 @@ def test_gradient_guard_only_at_vertices_with_selected_pairs():
         trace = np.array([s[2] for s in angular_trace(g, p, vid)])
         pairs.append(select_singular(solve_eigenpairs(assemble_eigensystem(trace)), 2))
     chosen = next(v for v, sel in enumerate(pairs) if sel)
-    only = [sel if v == chosen else [] for v, sel in enumerate(pairs)]
+    only = [sel if v == chosen else sel[:0] for v, sel in enumerate(pairs)]
     for vid, vertex in enumerate(g.singular_vertices):
         polar = polar_cache(vertex[None, :], g, cfg)
         if vid == chosen:
@@ -245,7 +251,7 @@ def test_singular_columns_stacking():
     assert grad.shape == (polar.disk_rows.size, 2, n_cols)
     start = 0
     for vid, sel in enumerate(pairs):
-        alone = [sel if k == vid else [] for k in range(g.n_singular)]
+        alone = [sel if k == vid else pairs[k][:0] for k in range(g.n_singular)]
         cols = slice(start, start + len(sel))
         np.testing.assert_array_equal(src[:, cols], singular_evals_from_cache(polar, [alone])[0])
         v, gr = eval_s(polar, alone)
@@ -255,21 +261,25 @@ def test_singular_columns_stacking():
 
 
 def test_batch_block_places_each_parameters_columns_in_its_slots():
-    """A batch's block holds m_v slots at vertex v, the most pairs any
+    """A batch's block holds m_v slots at vertex v, the most modes any
     parameter has there.  A parameter's row holds its own columns, its
     block alone, in its first slots at each vertex, and zeros in the
-    rest.  The pairs are drawn by hand from three junctions' modes, so
-    that a vertex holds up to two.  The columns agree to rounding: where a
-    vertex has more slots than the parameter has pairs, the angular
+    rest.  The selections are drawn by hand from three junctions' modes,
+    so that a vertex holds up to two.  The columns agree to rounding: where
+    a vertex has more slots than the parameter has modes, the angular
     product runs as another BLAS call."""
     g = geom_3x3()
     traces = ((1.0, 10.0, 1.0, 10.0), (1.0, 100.0, 1.0, 100.0), (1.0, 1.0, 1.0, 100.0))
-    a, b, c = (make_basis(trace, 1)[0][0] for trace in traces)
+    # the three modes as the rows of one EigenModes: a selection is rows of it
+    chosen = [make_basis(trace, 1)[0] for trace in traces]
+    modes = EigenModes(*(np.concatenate([getattr(sel, f.name) for sel in chosen])
+                         for f in dataclasses.fields(EigenModes)))
+    a, b, c = range(3)
     pairs_per_p = [
-        [[a, b], [], [c], []],
-        [[a], [b, c], [], []],
-        [[], [], [], []],
-        [[c, a], [b], [a], [c]],
+        [modes[[a, b]], modes[[]], modes[[c]], modes[[]]],
+        [modes[[a]], modes[[b, c]], modes[[]], modes[[]]],
+        [modes[[]], modes[[]], modes[[]], modes[[]]],
+        [modes[[c, a]], modes[[b]], modes[[a]], modes[[c]]],
     ]
     counts = np.array([[len(sel) for sel in pairs] for pairs in pairs_per_p])
     most = counts.max(axis=0)
@@ -292,7 +302,7 @@ def test_batch_block_places_each_parameters_columns_in_its_slots():
 def test_empty_singular_block():
     pairs = solve_eigenpairs(assemble_eigensystem(np.ones(4)))
     b = [select_singular(pairs, 3)]
-    assert b == [[]]
+    assert len(b[0]) == 0 and b[0].rho.shape == (0, 16)
     polar = polar_cache(np.array([[0.1, 0.1]]), G, CFG)  # inside delta1: disk, not annulus
     assert singular_evals_from_cache(polar, [b]).shape == (1, 0, 0)
     val, grad = eval_s(polar, b)

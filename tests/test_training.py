@@ -1,10 +1,12 @@
 import json
+import threading
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
 
-from transolve import assembly, cutoffs, eigen, nets, training
+from transolve import assembly, cutoffs, nets, training
 from transolve.assembly import (
     assemble_system,
     build_epoch_cache,
@@ -19,7 +21,7 @@ from transolve.cutoffs import (
 )
 from transolve.eigen import assemble_eigensystem, select_singular, solve_eigenpairs
 from transolve.geometry import ParameterError, angular_trace, build_grid_geometry
-from transolve.nets import Jets, MlpParams, NetConfig, forward_jets, init_params
+from transolve.nets import Jets, MlpParams, NetConfig, PassWeights, forward_jets, init_params
 from transolve.reference import RhsSpec, exact_1d, fem_solve_2d, relative_l2_errors
 from transolve.sampling import midpoint_grid, sample_collocation, sample_parameters
 from transolve.singular import singular_evals_from_cache
@@ -224,7 +226,7 @@ def test_danskin_gradient_matches_total_loss_fd():
     loss0, grad = loss_and_param_gradient(params, data)
 
     # condition guard: skip if the normal matrix is pathological
-    cache, *_ = _composed_cache(params, data)
+    cache, *_ = _composed_cache(PassWeights.of(params), data)
     system = assemble_system(cache, params_batch[0], None, 1.0)
     cond = np.linalg.cond(system.matrix.T @ system.matrix)
     if cond > 1e10:
@@ -395,7 +397,7 @@ def _whole_batch_seeds(params, data):
     """The mean loss, the network's jets and the loss's seeds on them as
     one (J, N) set: the product's adjoint of the row adjoints over the
     whole interior and the whole interface at once."""
-    cache, jets, cols, stack, ifc_stack, normals = _composed_cache(params, data)
+    cache, jets, cols, stack, ifc_stack, normals = _composed_cache(PassWeights.of(params), data)
     sing = singular_evals_from_cache(cache.polar, data.pairs_per_p)
     bar_lap, bar_trace = out = _row_adjoints(cache)
     batch = solve_parameter_batch(cache, data.parameters, sing, out=out)
@@ -469,7 +471,7 @@ def test_minus_side_equals_an_explicit_minus_side_product(layout):
     quad = sample_collocation(g, 3, 5, np.random.default_rng(11))
     net = NetConfig(g.dimension, (6,), 2 * max(n_s, 1), 4 * max(n_s, 1))
     cols = factor_index(g, net.n1, net.n2)
-    ifc = forward_jets(init_params(net, 13), quad.interface_points)
+    ifc = forward_jets(PassWeights.of(init_params(net, 13)), quad.interface_points)
     lap = np.zeros((quad.n_interior, net.n_outputs + 2))  # interior rows: build_epoch_cache
     polar = disk_table(quad.interior_points, g, cut)
     cache, plus, _ = training._interface_rows(ifc, lap, polar, quad, g, cut, cols, rhs, 1.0)
@@ -499,7 +501,7 @@ def test_the_folded_trace_adjoint_equals_the_two_sides_apart(layout):
     params = init_params(net, 59)
     loss, grad = loss_and_param_gradient(params, data)
 
-    cache, jets, cols, stack, plus, normals = _composed_cache(params, data)
+    cache, jets, cols, stack, plus, normals = _composed_cache(PassWeights.of(params), data)
     sing = singular_evals_from_cache(cache.polar, data.pairs_per_p)
     bar_lap, _ = out = _row_adjoints(cache)
     batch = solve_parameter_batch(cache, data.parameters, sing, out=out)
@@ -524,7 +526,7 @@ def test_the_folded_trace_adjoint_equals_the_two_sides_apart(layout):
         side.columns(cols).adjoint(Jets(None, scale * bar[:, :, None] * normals[:, None, :], None),
                                    out=seeds.rows(slice(n_int, None)))
     points = np.concatenate([quad.interior_points, quad.interface_points])
-    want = nets.backward_jets(params, points, jets, _Served(seeds))
+    want = nets.backward_jets(PassWeights.of(params), points, jets, _Served(seeds))
     assert loss == float(np.mean(batch.losses))
     # the 1D gradient spans four decades, and entries far below its largest
     # carry the rounding of the large ones: the bound is relative to it too
@@ -545,7 +547,7 @@ def test_tile_seeds_equal_the_whole_batch_seeds(layout, tile, monkeypatch):
     loss, grad = loss_and_param_gradient(params, data)
     want_loss, jets, seeds = _whole_batch_seeds(params, data)
     points = np.concatenate([data.quad.interior_points, data.quad.interface_points])
-    want = nets.backward_jets(params, points, jets, _Served(seeds))
+    want = nets.backward_jets(PassWeights.of(params), points, jets, _Served(seeds))
     assert loss == want_loss
     assert np.array_equal(grad, want)
 
@@ -571,7 +573,7 @@ def test_epochs_keep_their_arrays_and_a_query_build_empties_them(monkeypatch):
     `final_solve` holds there; a basis build empties the holder.  Epochs on
     kept arrays step the weights to the bit as epochs whose holder is
     emptied before each one."""
-    monkeypatch.setattr(training, "_kept", {})
+    monkeypatch.setattr(training, "_kept", threading.local())
     g = geom_1d()
     cfg = small_config(val_every=1)
     net = NetConfig(1, (6, 6), 3, 6)
@@ -582,21 +584,21 @@ def test_epochs_keep_their_arrays_and_a_query_build_empties_them(monkeypatch):
     for empty in (False, True):
         state = init_train_state(g, net, cfg)
         final_solve(state.params, g, np.ones(g.n_subdomains), rhs, cut, 1.0, 8)
-        assert list(training._kept) == ["basis"]
+        assert list(vars(training._kept)) == ["basis"]
         held = None
         for _ in range(3):
             if empty:
-                training._kept.clear()
+                vars(training._kept).clear()
             run_epoch(state, cfg, g, rhs, cut, val)
-            assert "basis" not in training._kept
-            kept = {name: arrays for name, (_, arrays) in training._kept.items()}
+            assert "basis" not in vars(training._kept)
+            kept = {name: arrays for name, (_, arrays) in vars(training._kept).items()}
             assert sorted(kept) == ["bar_lap", "bar_trace", "jets", "lap"]
             if held is not None and not empty:
                 assert all(kept[name] is arrays for name, arrays in held.items())
             held = kept
         weights.append(state.params.to_flat())
         final_solve(state.params, g, np.ones(g.n_subdomains), rhs, cut, 1.0, 8)
-        assert list(training._kept) == ["basis"]
+        assert list(vars(training._kept)) == ["basis"]
     assert np.array_equal(*weights)
 
 
@@ -605,7 +607,7 @@ def test_kept_jets_are_keyed_by_dimension(monkeypatch):
     included: a 2D epoch after a 1D one in the same process, of equal
     J1 + J2 = 1004 and N = 50, gets jets of its own dimension rather than
     the 1D ones, which its forward pass cannot fill."""
-    monkeypatch.setattr(training, "_kept", {})
+    monkeypatch.setattr(training, "_kept", threading.local())
     runs = [
         (geom_1d(), small_config(n_interior=200), NetConfig(1, (8,), 10, 40), "sin1d"),
         (geom_2x2(), small_config(n_interior=30, n_interface=26), NetConfig(2, (8,), 10, 40),
@@ -616,7 +618,7 @@ def test_kept_jets_are_keyed_by_dimension(monkeypatch):
         state = init_train_state(g, net, cfg)
         loss, _ = run_epoch(state, cfg, g, RhsSpec.for_geometry(rhs, g), default_cutoff_config(g))
         assert np.isfinite(loss)
-        shapes.append(training._kept["jets"][1].gradient.shape)
+        shapes.append(vars(training._kept)["jets"][1].gradient.shape)
     assert shapes == [(1004, 50, 1), (1004, 50, 2)]
 
 
@@ -655,7 +657,7 @@ def test_cache_traces_are_one_sided_differences_of_the_composed_basis(dim):
     data = EpochData(
         g, cut, RhsSpec.for_geometry(rhs_name, g), quad, np.ones((1, g.n_subdomains)), [[]], 1.0
     )
-    cache, *_ = _composed_cache(params, data)
+    cache, *_ = _composed_cache(PassWeights.of(params), data)
     keep, axes = _off_line_points(g, cut, quad)
     assert keep.sum() >= 4
     weight = cache.sqrt_theta_w[keep, None]
@@ -665,7 +667,7 @@ def test_cache_traces_are_one_sided_differences_of_the_composed_basis(dim):
     def composed(x):
         factors = composition_factors(x, g, disk_table(x, g, cut)).columns(
             factor_index(g, net.n1, net.n2))
-        return (factors * forward_jets(params, x)).value
+        return (factors * forward_jets(PassWeights.of(params), x)).value
 
     h = 1e-4
     f = {t: composed(pts + t * h * normals) for t in (-3, -2, -1, 1, 2, 3)}
@@ -979,7 +981,7 @@ def test_final_solve_2d_matches_explicit_reference():
     quad = midpoint_grid(g, 24, 24)
     pairs = vertex_eigenpairs(g, p[None, :], 2)[0]
     data = EpochData(g, cut, rhs, quad, p[None, :], [pairs], theta)
-    cache, *_ = _composed_cache(params, data)
+    cache, *_ = _composed_cache(PassWeights.of(params), data)
     (sing,) = singular_evals_from_cache(cache.polar, [pairs])
     assert sing.shape[1] > 0
     system = assemble_system(cache, p, sing, theta)
@@ -1021,19 +1023,25 @@ def test_vertex_eigenpairs_batch_matches_per_vertex_solves():
 
 
 def test_vertex_eigenpairs_makes_pairs_only_for_the_selected_modes(monkeypatch):
+    """No mode is copied out of the one batched eigensolve: each
+    parameter's selection at a vertex is a view of rows of the stacked
+    `EigenModes`, at most the cap long, and holds what `select_singular`
+    keeps of that system's modes."""
     g = geom_3x3()
     params = sample_parameters(np.random.default_rng(2), 8, g.n_subdomains, 0.1, 10.0)
-    made, make = [], eigen.EigenPair
-
-    def counted(*args, **kwargs):
-        made.append(make(*args, **kwargs))
-        return made[-1]
-
-    monkeypatch.setattr(eigen, "EigenPair", counted)
+    solved, solve = [], training.solve_eigenpairs
+    monkeypatch.setattr(training, "solve_eigenpairs",
+                        lambda system: solved.append(solve(system)) or solved[-1])
     batch = vertex_eigenpairs(g, params, 2)
+    (modes,) = solved
     per_vertex = [len(pairs) for per_p in batch for pairs in per_p]
-    assert len(per_vertex) == 8 * g.n_singular and max(per_vertex) <= 2
-    assert len(made) == sum(per_vertex) > 0
+    assert len(per_vertex) == 8 * g.n_singular and max(per_vertex) <= 2 and sum(per_vertex) > 0
+    for k, v in np.ndindex(8, g.n_singular):
+        want = select_singular(modes[k, v], 2)
+        for name in ("exponent", "rho", "mu_scale", "residual"):
+            got, stacked = getattr(batch[k][v], name), getattr(modes, name)[k, v]
+            assert np.array_equal(got, getattr(want, name))
+            assert got.size == 0 or np.shares_memory(got, stacked)
 
 
 def test_vertex_eigenpairs_failure_names_the_parameter():
@@ -1211,21 +1219,77 @@ def test_1d_training_error_at_the_benchmark_sizes():
 
 
 def test_tile_by_tile_passes_check_the_weights_once(monkeypatch):
-    """A loss-only pass and a query basis build evaluate the network one
-    tile at a time, but check its weights once per pass: the validation
-    set's interior tiles and its interface points, and the grid's tiles."""
-    checks = []
-    check = nets._check_weights
-    monkeypatch.setattr(nets, "_check_weights", lambda params: checks.append(1) or check(params))
+    """A gradient checks the weights once for its forward and its backward
+    pass, which read one `nets.PassWeights`; a loss-only pass and a query
+    basis build evaluate the network one tile at a time, but check its
+    weights once for all the tiles: the validation set's interior tiles
+    and its interface points, and the grid's tiles.  The check is counted
+    by the arrays `nets` hands to ``np.isfinite``, through a copy of
+    NumPy's namespace in place of the module's ``np``."""
+    checked = []
+
+    def isfinite(x, *args, **kwargs):
+        checked.append(x)
+        return np.isfinite(x, *args, **kwargs)
+
+    counting = types.ModuleType("numpy")
+    counting.__dict__.update(vars(np), isfinite=isfinite)
+    monkeypatch.setattr(nets, "np", counting)
     g, rhs = geom_2x2(), RhsSpec.for_geometry("corner2d", geom_2x2())
     cut = default_cutoff_config(g)
     config = TrainConfig(iterations=1, lr_start=1e-3, lr_end=1e-3, theta=1.0, n_params=2,
                          n_interior=40, n_interface=6, p_min=0.5, p_max=2.0)
     params = init_params(NetConfig(2, (8,), 4, 8), 3)
+    arrays = [w for layer in params.layers for w in layer]
     validation = make_validation_set(g, config)
     assert validation.quad.n_interior > 4 * nets.TILE
-    validation_loss(params, validation, g, rhs, cut)
-    assert len(checks) == 1
-    checks.clear()
-    QueryBasis.build(params, g, rhs, cut, 1.0, 40)
-    assert len(checks) == 1
+    data = EpochData(g, cut, rhs, validation.quad, validation.parameters,
+                     validation.pairs_per_p, validation.theta)
+    for run in (lambda: loss_and_param_gradient(params, data),
+                lambda: validation_loss(params, validation, g, rhs, cut),
+                lambda: QueryBasis.build(params, g, rhs, cut, 1.0, 40)):
+        checked.clear()
+        run()
+        assert len(checked) == len(arrays) and all(a is b for a, b in zip(checked, arrays))
+
+
+def test_trainings_in_two_threads_keep_their_own_arrays(monkeypatch):
+    """Two trainings of equal shapes, one per thread, step their weights
+    to the bit as each does alone.  A barrier inside the solve holds each
+    epoch until both threads have written their jets, Laplacian and row
+    adjoints, so with one holder for the process one thread's backward
+    pass would read the other's; each thread has a holder of its own."""
+    monkeypatch.setattr(training, "_kept", threading.local())
+    g = geom_1d()
+    net = NetConfig(1, (6,), 3, 6)
+    rhs = RhsSpec.for_geometry("sin1d", g)
+    cut = default_cutoff_config(g)
+    configs = [small_config(iterations=3, seeds=Seeds(10 + k, 11 + k, 12 + k, 13 + k))
+               for k in (0, 4)]
+
+    def weights(config):
+        state, _ = train(g, net, config, rhs, cut, with_validation=False)
+        return state.params.to_flat()
+
+    alone = [weights(config) for config in configs]
+    assert not np.array_equal(*alone)
+    barrier, solve = threading.Barrier(2, timeout=60), training.solve_parameter_batch
+
+    def waiting(*args, **kwargs):
+        barrier.wait()
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(training, "solve_parameter_batch", waiting)
+    together = [None, None]
+
+    def run(k):
+        together[k] = weights(configs[k])
+
+    threads = [threading.Thread(target=run, args=(k,)) for k in range(2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=120)
+    assert not any(thread.is_alive() for thread in threads)
+    for got, want in zip(together, alone):
+        assert got is not None and np.array_equal(got, want)
