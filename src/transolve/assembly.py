@@ -115,7 +115,10 @@ class GramBlocks:
     A(p) = coefficients(p) @ combined, the sum of p_i^2 times the squared
     block of subdomain i and p_minus(g) p_plus(g) times the cross block of
     interface g, with the theta jump weight already folded in; b(p)
-    decomposes into per-subdomain quadratic/linear vectors.  Each row of
+    decomposes into per-subdomain quadratic/linear vectors.  ``monomials``
+    holds each block's pair of subdomain ids, (i, i) for a squared block
+    and (minus, plus) for a cross block, so the coefficients are one
+    gather and one product, p_i p_i having the bits of p_i^2.  Each row of
     ``combined`` holds its N x N block transposed, so the rows of the
     product are normal matrices in Fortran order, the order LAPACK reads
     without a copy.  The blocks are symmetric only up to rounding; the
@@ -124,17 +127,13 @@ class GramBlocks:
 
     theta: float
     combined: np.ndarray  # (I+G, N*N) squared blocks, then cross blocks, each transposed
-    cross_pairs: np.ndarray  # (G, 2) minus/plus subdomain ids per interface
+    monomials: np.ndarray  # (2, I+G) the subdomain ids whose product scales each block
     b_sq: np.ndarray  # (I, N)
     b_lin: np.ndarray  # (I, N)
 
     def coefficients(self, parameters: np.ndarray) -> np.ndarray:
         """(P, I+G) monomials [p_i^2 | p_minus p_plus] matching ``combined``."""
-        psq = parameters**2
-        if not self.cross_pairs.size:
-            return psq
-        pcross = parameters[:, self.cross_pairs[:, 0]] * parameters[:, self.cross_pairs[:, 1]]
-        return np.concatenate([psq, pcross], axis=1)
+        return parameters[:, self.monomials[0]] * parameters[:, self.monomials[1]]
 
 
 @dataclass
@@ -152,7 +151,11 @@ class EpochCache:
     the Gram blocks and `assemble_system` read.  The interfaces of one axis
     come one after another and share that row, and ``axis_runs`` lists
     the rows of each such run, over which the solve forms the minus side's
-    products.  No minus-side array is stored."""
+    products.  No minus-side array is stored.  What the solve would gather
+    from these arrays on every call is gathered here once: on the annulus
+    rows (``polar.annulus_rows``), the subdomain ids, sqrt(w) and the two
+    weighted rhs factors, which the singular border reads, and per jump row
+    the (minus, plus) subdomain ids of its interface."""
 
     geometry: Geometry
     quad: QuadratureSet
@@ -167,6 +170,11 @@ class EpochCache:
     axis_runs: tuple  # ((N,) sign row, rows slice) per run of consecutive interfaces of one axis
     polar: PolarCache  # interior points around the singular vertices
     gram: GramBlocks
+    annulus_subdomain: np.ndarray  # (R,) interior_subdomain on polar.annulus_rows
+    annulus_sqrt_w: np.ndarray  # (R,) sqrt_w there
+    annulus_rhs_p: np.ndarray  # (R,) wrhs_p there
+    annulus_rhs_fixed: np.ndarray  # (R,) wrhs_fixed there
+    jump_pairs: np.ndarray  # (2, J2) minus and plus subdomain ids of each jump row
 
     @property
     def n_basis(self) -> int:
@@ -267,9 +275,12 @@ def build_epoch_cache(
     axes = np.array([ifc.axis for ifc in geometry.interfaces], dtype=int)
     axis_runs = tuple(zip(sign, _offsets(axes[quad.interface_ids], geometry.dimension, "axis")))
     gram = _build_gram(geometry.n_subdomains, rows, interior_runs, wtrace, interface_runs, theta)
+    annulus = polar.annulus_rows
+    jump_pairs = np.array([run[:2] for run in interface_runs], dtype=np.intp).reshape(-1, 2)
     return EpochCache(
-        geometry, quad, sw, sj, rows, interior_runs, order, rows[polar.annulus_rows, :n], wtrace,
-        interface_runs, axis_runs, polar, gram,
+        geometry, quad, sw, sj, rows, interior_runs, order, rows[annulus, :n], wtrace,
+        interface_runs, axis_runs, polar, gram, quad.interior_subdomain[annulus], sw[annulus],
+        rows[annulus, n], rows[annulus, n + 1], jump_pairs[quad.interface_ids].T,
     )
 
 
@@ -306,7 +317,12 @@ def _build_gram(n_sub, rows, interior_runs, t, interface_runs, theta) -> GramBlo
     run's interior columns are copied contiguous before the products: a
     slice of the (J1, N + 2) rows is a BLAS operand of another leading
     dimension, whose products may round apart, and y's bits follow the
-    Gram's."""
+    Gram's.  The blocks are concatenated, and transposed into ``combined``,
+    at the end.  Writing them in place into one (I+G, N, N) array, with no
+    copy, is bit-identical but read train1d-sin ``epoch_s`` +2 to +4 % (two
+    sets of 10 alternating pairs, 2-core Xeon, BLAS on one thread): the
+    backward pass's per-tile arrays reuse the heap these copies free, and
+    without them faulted in about 350 fresh pages per epoch."""
     n = rows.shape[1] - 2
     sq, b_sq, b_lin = np.zeros((n_sub, n, n)), np.zeros((n_sub, n)), np.zeros((n_sub, n))
     for i, run, _, _ in interior_runs:
@@ -324,8 +340,8 @@ def _build_gram(n_sub, rows, interior_runs, t, interface_runs, theta) -> GramBlo
         cross[k] = -(tmg.T @ tpg + tpg.T @ tmg)
     blocks = np.concatenate([sq, cross])
     combined = blocks.transpose(0, 2, 1).reshape(len(blocks), n * n)
-    cross_pairs = np.array([run[:2] for run in interface_runs], dtype=int)
-    return GramBlocks(theta, combined, cross_pairs.reshape(-1, 2), b_sq, b_lin)
+    pairs = [(i, i) for i in range(n_sub)] + [run[:2] for run in interface_runs]
+    return GramBlocks(theta, combined, np.array(pairs, dtype=np.intp).T, b_sq, b_lin)
 
 
 def assemble_system(cache: EpochCache, parameter, singular_evals, theta: float) -> LsSystem:
@@ -510,7 +526,6 @@ def solve_parameter_batch(
     n_p, n_sub = parameters.shape
     n = cache.n_basis
     rows = cache.polar.annulus_rows
-    f1, f0 = cache.wrhs_p, cache.wrhs_fixed
     sing = np.zeros((n_p, rows.size, 0)) if singular_evals_per_p is None else singular_evals_per_p
     if not isinstance(sing, np.ndarray) or sing.ndim != 3 or sing.shape[:2] != (n_p, rows.size):
         raise ValueError(f"singular evaluations must be one (P, R, M) array on the {n_p} "
@@ -542,16 +557,16 @@ def solve_parameter_batch(
         if m == 0:
             a, rhs = a_nn, b_nn
         else:
-            p_rows = np.take(p, cache.quad.interior_subdomain[rows], axis=1)  # (P, R), C-ordered
+            p_rows = np.take(p, cache.annulus_subdomain, axis=1)  # (P, R), C-ordered
             # (P, R, M) weighted, p-scaled
-            us = (cache.sqrt_w[rows] * p_rows)[:, :, None] * sing[s : s + BLOCK]
+            us = (cache.annulus_sqrt_w * p_rows)[:, :, None] * sing[s : s + BLOCK]
             border = np.matmul(cache.annulus_lap.T, p_rows[:, :, None] * us)  # (P, N, M)
             a = full_ws[:size].transpose(0, 2, 1)
             a[:, :n, :n] = a_nn
             a[:, :n, n:] = border
             a[:, n:, :n] = border.transpose(0, 2, 1)
             a[:, n:, n:] = us.transpose(0, 2, 1) @ us
-            l_rows = p_rows * f1[rows] + f0[rows]  # (P, R)
+            l_rows = p_rows * cache.annulus_rhs_p + cache.annulus_rhs_fixed  # (P, R)
             rhs = np.concatenate([b_nn, -(l_rows[:, None, :] @ us)[:, 0]], axis=1)
         y = _cholesky_solve(a, rhs, s)
         y_nn[s : s + BLOCK] = y[:, :n]
@@ -590,7 +605,7 @@ def solve_parameter_batch(
     # the jump residuals, the minus side's product through the sign row of
     # each axis on that axis's rows, each side's p gathered per row from its
     # interface
-    p_minus, p_plus = parameters.T[gram.cross_pairs[cache.quad.interface_ids].T]
+    p_minus, p_plus = parameters.T[cache.jump_pairs]
     wtrace = cache.wtrace
     r_jump = wtrace @ yt[:n]
     r_jump *= p_plus

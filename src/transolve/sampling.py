@@ -5,9 +5,11 @@ z ~ U[0, pi], which concentrates samples near both range endpoints (the
 arcsine distribution).  Interior points come from one cell grid, `_cells`:
 n cells per subdomain in 1D, the global n x n grid in 2D.  Training points
 are grid-jittered, one uniform draw per cell, which keeps the Monte Carlo
-weights of the plain uniform rule while reducing variance; the evaluation
-grid takes the cell centers.  Training draws on a cut line are moved off
-it, and a midpoint grid with a center on one is rejected.  Both builders
+weights of the plain uniform rule while reducing variance, and unbiased per
+subdomain; training draws on a cut line are moved off it.  The evaluation
+grid takes the cell centers, in 2D of the cells clipped at the cuts, so
+that each piece lies in one subdomain and the subdomains' weights sum to
+their areas.  Both functions
 then stable-sort the interior points by subdomain (`_by_subdomain`), so
 that the rows of one subdomain are one run, as `QuadratureSet` requires,
 which the least-squares solve reads a run at a time; the draws
@@ -37,6 +39,8 @@ __all__ = [
 ]
 
 _INTERFACE_CLEARANCE = 1e-12
+# a cut this close to a midpoint cell edge, relative to the axis's span, is that edge
+_EDGE_ROUNDING = 1e-14
 
 
 @dataclass(frozen=True)
@@ -191,22 +195,48 @@ def sample_collocation(
     return QuadratureSet(interior, w, sub, ipts, iw, iid)
 
 
+def _axis_pieces(lo: float, hi: float, n: int, cuts) -> tuple[np.ndarray, np.ndarray]:
+    """Centers and widths of the n equal cells of [lo, hi], each cell that a
+    cut crosses split there into two pieces.
+
+    A cut within rounding of a cell edge (`_EDGE_ROUNDING` of the span) is
+    that edge, so a grid whose lines hit the cuts makes no sliver.  A whole
+    cell keeps the corner + h / 2 and width h `_cells` gives it; a piece
+    bounded by a cut has its midpoint and length."""
+    h = (hi - lo) / n
+    corners = lo + h * np.arange(n)
+    edges = np.append(corners, hi)
+    splits = [c for c in cuts if np.abs(edges - c).min() > _EDGE_ROUNDING * (hi - lo)]
+    lefts = np.sort(np.concatenate([corners, splits]))
+    rights = np.append(lefts[1:], hi)
+    centers, widths = (lefts + rights) / 2, rights - lefts
+    whole = ~(np.isin(lefts, splits) | np.isin(rights, splits))
+    centers[whole], widths[whole] = lefts[whole] + h / 2, h
+    return centers, widths
+
+
 def midpoint_grid(geometry: Geometry, n_per_axis: int, n_per_interface: int) -> QuadratureSet:
     """Deterministic cell-center quadrature for evaluation and reporting.
 
-    The centers of the `_cells` grid, weight |cell| each.  Interface
-    midpoints carry their segment length over the per-interface count (1D:
-    unit weights at the cuts).
+    1D: the centers of the `_cells` grid, n cells per subdomain.  2D: the
+    tensor product of each axis's pieces (`_axis_pieces`), the global
+    n x n cells clipped at the cuts, so that every piece lies inside one
+    subdomain: its center is a point and its area that point's weight.
+    No center lies on a cut, and the weights of each subdomain sum to its
+    area.  A grid whose lines hit every cut keeps the cells of `_cells`,
+    bit for bit.  Interface midpoints carry their segment length over the
+    per-interface count (1D: unit weights at the cuts).
     """
     if n_per_axis < 1 or n_per_interface < 1:
         raise ValueError("counts must be >= 1")
-    corners, widths = _cells(geometry, n_per_axis)
-    interior = corners + widths / 2
-    if np.any(_min_interface_distance(geometry, interior) <= _INTERFACE_CLEARANCE):
-        raise ValueError(
-            "midpoint grid centers fall on an interface; choose a count that "
-            "keeps cell centers clear (e.g. an even count for centered cuts)"
-        )
+    if geometry.dimension == 1:
+        corners, widths = _cells(geometry, n_per_axis)
+        interior = corners + widths / 2
+    else:
+        (cx, wx), (cy, wy) = (_axis_pieces(lo, hi, n_per_axis, cuts) for (lo, hi), cuts
+                              in zip(geometry.bounds, (geometry.cuts_x, geometry.cuts_y)))
+        interior = np.stack([a.ravel() for a in np.meshgrid(cx, cy, indexing="ij")], axis=1)
+        widths = np.stack([a.ravel() for a in np.meshgrid(wx, wy, indexing="ij")], axis=1)
     interior, w, sub = _by_subdomain(geometry, interior, np.prod(widths, axis=1))
     return QuadratureSet(
         interior, w, sub, *_interface_samples(geometry, n_per_interface, _cell_centers)

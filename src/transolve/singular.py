@@ -14,19 +14,23 @@ inside the printed source formula is the cutoff-free part r^L mu.
 set it finds each vertex's disk, and holds there everything about those
 points that does not depend on the parameter, their offset, radius and
 unit direction from the vertex and the eta jet, with the support rows,
-the point indices of the disks and of the annuli.  The FE angular basis
-at those points (`VertexGeo.angular`) is formed at its first read, which
-only the singular columns make: the interface points' table, which only
-the cutoffs read, never forms it.  The same
-radius and eta serve both uses of the cutoff: the singular columns here,
-and the exclusion factors phi_v = 1 - eta of `cutoffs.composition_factors`
-and `cutoffs.interface_trace_factors`, which read the table's rows.  Every
-singular block lives on its support rows only: `singular_evals_from_cache`
-gives the sources of all columns on the annulus rows (the least-squares
-rows) and `eval_s` the values and gradients of all columns on the disk
-rows (the solution fields), so their size follows the annuli and disks and
-not the point set.  Per parameter only the exponents and angular
-coefficients enter.
+the point indices of the disks and of the annuli.  The same radius and
+eta serve both uses of the cutoff: the singular columns here, and the
+exclusion factors phi_v = 1 - eta of `cutoffs.composition_factors` and
+`cutoffs.interface_trace_factors`, which read each vertex's `VertexGeo`.
+The singular columns read the table's stacked disks instead
+(`PolarCache.stacked`): every vertex's factors and FE angular basis as one
+row of (N_s, S) arrays padded to the largest disk, formed at the first
+read, which only the singular columns make, so the interface points'
+table, which only the cutoffs read, never forms it.  Every singular block
+lives on its support rows only: `singular_evals_from_cache` gives the
+sources of all columns on the annulus rows (the least-squares rows) and
+`eval_s` the values and gradients of all columns on the disk rows (the
+solution fields), so their size follows the annuli and disks and not the
+point set.  Each evaluates every vertex in one pass over the stack, one
+matmul per angular table and the elementwise formulas over all vertices
+at once, and then copies each vertex's block into its rows and columns.
+Per parameter only the exponents and angular coefficients enter.
 """
 
 from __future__ import annotations
@@ -59,19 +63,29 @@ class VertexGeo:
     eta_p: np.ndarray
     eta_pp: np.ndarray
 
-    @cached_property
-    def angular(self) -> tuple[np.ndarray, np.ndarray]:
-        """The (len, 16) FE angular basis at each point's angle theta about
-        the vertex and its theta-derivatives, read-only.  Formed at the
-        first read and kept: the singular columns read it, the cutoffs do
-        not.  On train2d-corner's interface points that leaves out 0.17 of
-        the table's 0.32 ms per epoch."""
-        dx, dy = np.ascontiguousarray(self.offset.T)  # contiguous, as arctan2 read them before
-        theta = np.mod(np.arctan2(dy, dx), 2 * np.pi)
-        values, derivs = basis_matrix(theta * XI_PER_THETA)
-        derivs *= XI_PER_THETA
-        values.flags.writeable = derivs.flags.writeable = False
-        return values, derivs
+
+@dataclass
+class StackedDisks:
+    """Every vertex's disk as one row of (N_s, S) stacks, read-only.
+
+    Row v holds vertex v's annulus points in places [0, n_annulus) and its
+    inner disk points from place ``n_annulus`` on, each part padded to the
+    largest of the vertices', so that the sources read the annulus points
+    alone as ``[:, :n_annulus]``.  A pad place has radius 1 and zero eta
+    jets, direction and angular tables, so every function of a slot is
+    finite there and zero.
+    ``disk_at`` lists the places of the disk rows (`PolarCache.disk_rows`)
+    in the flattened (N_s * S) stack, in their order."""
+
+    n_annulus: int  # A: places [0, A) of each row hold its annulus points
+    r: np.ndarray  # (N_s, S), pad 1
+    eta: np.ndarray  # (N_s, S), pad 0, as are eta_p, eta_pp, direction and the tables
+    eta_p: np.ndarray
+    eta_pp: np.ndarray
+    direction: np.ndarray  # (N_s, S, 2)
+    values: np.ndarray  # (N_s, S, 16) FE angular basis at each point's angle about the vertex
+    derivs: np.ndarray  # (N_s, S, 16) its theta-derivatives
+    disk_at: np.ndarray  # (D,) places of the disk rows in the flattened stack
 
 
 @dataclass
@@ -96,11 +110,47 @@ class PolarCache:
         if n != self.n_points:
             raise ValueError(f"the vertex-disk table indexes {self.n_points} points, not {n}")
 
+    @cached_property
+    def stacked(self) -> StackedDisks:
+        """The disks stacked and padded (`StackedDisks`), formed at the
+        first read and kept: the singular columns read it, the cutoffs do
+        not, so the interface points' table never forms it.  Each array is
+        one gather from the vertices' arrays laid end to end with their pad
+        value after them.  The angular tables are `eigen.basis_matrix` at
+        all the disk points' angles in one call, each point's bits those of
+        a call on its vertex's points alone."""
+        n_a = np.array([geo.n_annulus for geo in self.vertices])
+        n_i = np.array([geo.r.size for geo in self.vertices]) - n_a
+        a = int(n_a.max())
+        place = np.arange(a + n_i.max())
+        live = np.where(place < a, place < n_a[:, None], place - a < n_i[:, None])
+        # the live places, in order, are the vertices' points end to end; a pad reads the last
+        at = np.where(live, np.cumsum(live).reshape(live.shape) - 1, np.count_nonzero(live))
+
+        def gather(name, pad):
+            parts = [getattr(geo, name) for geo in self.vertices]
+            return np.take(np.concatenate(parts + [np.full((1,) + parts[0].shape[1:], pad)]),
+                           at, axis=0)
+
+        offset = gather("offset", 0.0).reshape(-1, 2)
+        dx, dy = np.ascontiguousarray(offset.T)  # contiguous, as arctan2 read them before
+        values, derivs = basis_matrix(np.mod(np.arctan2(dy, dx), 2 * np.pi) * XI_PER_THETA)
+        derivs *= XI_PER_THETA
+        values[~live.ravel()] = derivs[~live.ravel()] = 0.0
+        disks = StackedDisks(a, *(gather(name, pad) for name, pad in (
+            ("r", 1.0), ("eta", 0.0), ("eta_p", 0.0), ("eta_pp", 0.0), ("direction", 0.0))),
+            values.reshape(at.shape + (N_BASIS,)), derivs.reshape(at.shape + (N_BASIS,)),
+            np.flatnonzero(live))
+        for value in vars(disks).values():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+        return disks
+
 
 def polar_cache(points, geometry: Geometry, config: CutoffConfig) -> PolarCache:
     """The vertex-disk table of ``points``: every point inside a singular
-    vertex's disk r = |x - x_v| < delta2, with its radius, unit direction,
-    eta jet and angular tables; no vertex in 1D.
+    vertex's disk r = |x - x_v| < delta2, with its offset, radius, unit
+    direction and eta jet; no vertex in 1D.
 
     r is the root of dx^2 + dy^2, bit for bit as `np.linalg.norm` forms
     it, but from the two component planes rather than by a reduction over
@@ -132,33 +182,36 @@ def polar_cache(points, geometry: Geometry, config: CutoffConfig) -> PolarCache:
 
 
 def _vertex_slots(cache: PolarCache, pairs_per_p: list):
-    """The column slots of a batch: their count M and, per vertex with
-    slots, its factors, its slices of the disk rows, of the annulus rows
-    and of the columns, the exponents (P, 1, m) and the unit-L2 angular
-    coefficient vectors (P, 16, m) of its m slots, m being the most modes
-    any of the P parameters has there.  A parameter's selection there (its
+    """The column slots of a batch: their count M, per vertex with slots
+    its index and its slices of the annulus rows, of the disk rows and of
+    the columns, and the (P, N_s, 1, m) exponents and (P, N_s, 16, m)
+    unit-L2 angular coefficient vectors of every vertex's slots.  Vertex v
+    has m_v slots, the most modes any of the P parameters has there, and m
+    is the largest m_v.  A parameter's selection there (its
     `eigen.select_singular` rows) fills its first slots in mode order, its
     exponents and its coefficients rho scaled by mu_scale copied as one
-    array each; the others have exponent 1 and zero coefficients, so their
-    columns are zero."""
+    array each; the other slots have exponent 1 and zero coefficients, so
+    their functions are zero.  Without slots (1D, or no selected mode) the
+    arrays are None."""
+    most = [max(map(len, per_p)) for per_p in zip(*pairs_per_p)]  # a list: a few entries
+    if not any(most):
+        return 0, [], None, None
+    lam = np.ones((len(pairs_per_p), len(cache.vertices), 1, max(most)))
+    coef = np.zeros((len(pairs_per_p), len(cache.vertices), N_BASIS, lam.shape[-1]))
+    for k, pairs in enumerate(pairs_per_p):
+        for v, sel in enumerate(pairs):
+            if n := len(sel):
+                lam[k, v, 0, :n] = sel.exponent
+                np.multiply(sel.rho.T, sel.mu_scale, out=coef[k, v, :, :n])
     slots, disk, annulus, col = [], 0, 0, 0
-    for v, geo in enumerate(cache.vertices):
-        per_p = [pairs[v] for pairs in pairs_per_p]
-        m = max(map(len, per_p))
+    for v, (geo, m) in enumerate(zip(cache.vertices, most)):
         if m:
-            lam = np.ones((len(per_p), 1, m))
-            coef = np.zeros((len(per_p), N_BASIS, m))
-            for k, sel in enumerate(per_p):
-                lam[k, 0, : len(sel)] = sel.exponent
-                coef[k, :, : len(sel)] = (sel.mu_scale[:, None] * sel.rho).T
-            slots.append((
-                geo, slice(disk, disk + geo.r.size), slice(annulus, annulus + geo.n_annulus),
-                slice(col, col + m), lam, coef,
-            ))
+            slots.append((v, slice(annulus, annulus + geo.n_annulus),
+                          slice(disk, disk + geo.r.size), slice(col, col + m)))
         disk += geo.r.size
         annulus += geo.n_annulus
         col += m
-    return col, slots
+    return col, slots, lam, coef
 
 
 def singular_evals_from_cache(cache: PolarCache, pairs_per_p: list):
@@ -168,16 +221,23 @@ def singular_evals_from_cache(cache: PolarCache, pairs_per_p: list):
     rows of `eigen.EigenModes` that `eigen.select_singular` keeps.
     Returns one (P, R, M) block for the R points of ``cache.annulus_rows``,
     its M columns vertex-major (`_vertex_slots`), zero in a parameter's
-    unused slots; S is zero at every other point.
+    unused slots; S is zero at every other point.  Every vertex is
+    evaluated at once on the annulus places of the stacked disks
+    (`PolarCache.stacked`), one matmul for the angular table, and each
+    vertex's block is copied into its rows and columns.
     """
-    n_cols, slots = _vertex_slots(cache, pairs_per_p)
+    n_cols, slots, lam, coef = _vertex_slots(cache, pairs_per_p)
     out = np.zeros((len(pairs_per_p), cache.annulus_rows.size, n_cols))
-    for geo, _, rows, cols, lam, coef in slots:
-        a = slice(geo.n_annulus)
-        r = geo.r[a, None]
-        # 2 L r^(L-1) eta' + r^L (eta'' + eta'/r), with r^(L-1) taken out
-        radial = (2 * lam + 1) * geo.eta_p[a, None] + r * geo.eta_pp[a, None]
-        out[:, rows, cols] = (geo.angular[0][a] @ coef) * r ** (lam - 1) * radial
+    if not slots:
+        return out
+    disks = cache.stacked
+    a = slice(disks.n_annulus)
+    r = disks.r[:, a, None]
+    # 2 L r^(L-1) eta' + r^L (eta'' + eta'/r), with r^(L-1) taken out
+    radial = (2 * lam + 1) * disks.eta_p[:, a, None] + r * disks.eta_pp[:, a, None]
+    source = (disks.values[:, a] @ coef) * r ** (lam - 1) * radial  # (P, N_s, A, m)
+    for v, rows, _, cols in slots:
+        out[:, rows, cols] = source[:, v, : rows.stop - rows.start, : cols.stop - cols.start]
     return out
 
 
@@ -190,26 +250,35 @@ def eval_s(cache: PolarCache, pairs_per_vertex: list[EigenModes]):
 
     ``pairs_per_vertex`` holds the parameter's selection per vertex, as
     `singular_evals_from_cache` reads it.  The D points are those of
-    ``cache.disk_rows``; every function is zero at every other point.  With
-    exponent < 1 the gradient blows up at the vertex, so a point closer
-    than 1e-12 to a vertex with selected modes raises ValueError.
+    ``cache.disk_rows``; every function is zero at every other point.  Every
+    vertex is evaluated at once on the stacked disks, one matmul per
+    angular table, into one (N_s, S, 3, m) array of values and gradients,
+    whose disk places are gathered into the disk rows' order and copied
+    into each vertex's columns.  With exponent < 1 the gradient blows up at
+    the vertex, so a point closer than 1e-12 to a vertex with selected
+    modes raises ValueError.
     """
-    n_cols, slots = _vertex_slots(cache, [pairs_per_vertex])
+    n_cols, slots, lam, coef = _vertex_slots(cache, [pairs_per_vertex])
     values = np.zeros((cache.disk_rows.size, n_cols))
     grads = np.zeros((cache.disk_rows.size, 2, n_cols))
-    for geo, rows, _, cols, (lam,), (coef,) in slots:
-        if np.any(geo.r < _GRAD_GUARD):
-            raise ValueError("gradient requested inside the guard radius of the vertex")
-        r = geo.r[:, None]
-        rl1 = r ** (lam - 1)
-        ang, ang_derivs = geo.angular
-        mu = ang @ coef
-        mu_eta = mu * geo.eta[:, None]
-        # with s = r^L mu eta: r^(1-L) ds/dr and r^(1-L) (1/r) ds/dtheta
-        ds_dr = lam * mu_eta + r * mu * geo.eta_p[:, None]
-        ds_dt_over_r = (ang_derivs @ coef) * geo.eta[:, None]
-        ct, st = geo.direction[:, :1], geo.direction[:, 1:]
-        values[rows, cols] = r * rl1 * mu_eta
-        grads[rows, 0, cols] = rl1 * (ds_dr * ct - ds_dt_over_r * st)
-        grads[rows, 1, cols] = rl1 * (ds_dr * st + ds_dt_over_r * ct)
+    if not slots:
+        return values, grads
+    lam, coef = lam[0], coef[0]
+    disks = cache.stacked
+    if np.any(disks.r[[v for v, *_ in slots]] < _GRAD_GUARD):
+        raise ValueError("gradient requested inside the guard radius of the vertex")
+    r, eta = disks.r[:, :, None], disks.eta[:, :, None]
+    rl1 = r ** (lam - 1)
+    mu = disks.values @ coef
+    mu_eta = mu * eta
+    # with s = r^L mu eta: r^(1-L) ds/dr and r^(1-L) (1/r) ds/dtheta
+    ds_dr = lam * mu_eta + r * mu * disks.eta_p[:, :, None]
+    ds_dt_over_r = (disks.derivs @ coef) * eta
+    ct, st = disks.direction[:, :, :1], disks.direction[:, :, 1:]
+    out = np.stack([r * rl1 * mu_eta, rl1 * (ds_dr * ct - ds_dt_over_r * st),
+                    rl1 * (ds_dr * st + ds_dt_over_r * ct)], axis=2)
+    placed = out.reshape(-1, 3, mu.shape[2])[disks.disk_at]  # (D, 3, m) in disk-row order
+    for _, _, rows, cols in slots:
+        values[rows, cols] = placed[rows, 0, : cols.stop - cols.start]
+        grads[rows, :, cols] = placed[rows, 1:, : cols.stop - cols.start]
     return values, grads

@@ -1,9 +1,10 @@
 """Training loop: sample, solve the per-parameter LS systems, step the net.
 
 Each epoch draws a parameter batch and fresh collocation points, solves the
-angular eigenproblems the batch needs (2D) in one batched call that gives
-one stacked `EigenModes`, of which `select_singular` keeps each system's
-singular modes as a view of their rows, and evaluates the network's jets
+angular eigenproblems the batch needs (2D) in one `eigen.solve_eigenpairs`
+call, one LAPACK call per system, that gives one stacked `EigenModes`, of
+which `select_singular` keeps each system's singular modes as a view of
+their rows, and evaluates the network's jets
 (`nets.Jets`) once at all interior and interface points; the validation
 set is the same draw (`_draw`) from streams of its own.  Only what the
 loss reads is composed with the cutoff factors: the interior
@@ -289,8 +290,8 @@ def vertex_eigenpairs(geometry: Geometry, parameters, n_singular: int):
 
     The batch is validated once, and the angular traces of all P
     parameters at all N_s vertices are one gather through the geometry's
-    vertex-to-sector table, a (P, N_s, 4) stack solved in one batched
-    eigensolve into one `EigenModes` of (P, N_s, 16) arrays.  One
+    vertex-to-sector table, a (P, N_s, 4) stack solved by one
+    `solve_eigenpairs` call into one `EigenModes` of (P, N_s, 16) arrays.  One
     `select_singular` per parameter and vertex keeps at most
     ``n_singular`` modes of ``modes[k, v]``, a view of the stack's rows:
     no mode is copied here.  A parameter row at fault raises

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from transolve.eigen import (
     SELECT_BAND,
     EigenModes,
+    EigenSystem,
     angular_eval,
     assemble_eigensystem,
     basis_matrix,
@@ -335,3 +336,16 @@ def test_basis_matrix_matches_per_point_reference():
     want = [_basis_at(x) for x in xi]
     np.testing.assert_allclose(vals, [v for v, _ in want], rtol=0, atol=1e-15)
     np.testing.assert_allclose(ders, [d for _, d in want], rtol=0, atol=1e-15)
+
+
+def test_a_stack_with_one_indefinite_mass_matrix_raises():
+    """One system of a stack whose mass matrix is not positive definite
+    fails its generalized solve, which names it; the stack raises
+    ValueError.  Its other systems solve as they do alone."""
+    system = assemble_eigensystem(np.random.default_rng(2).uniform(0.1, 10.0, size=(3, 4)))
+    mass = system.mass.copy()
+    mass[1, 0, 0] = -1.0  # a negative diagonal entry: not positive definite
+    with pytest.raises(ValueError, match="mass matrix 1 is not positive definite"):
+        solve_eigenpairs(EigenSystem(system.stiffness, mass))
+    alone = solve_eigenpairs(EigenSystem(system.stiffness[2], system.mass[2]))
+    np.testing.assert_array_equal(solve_eigenpairs(system)[2].exponent, alone.exponent)

@@ -419,3 +419,24 @@ def test_a_malformed_parameter_raises_before_a_build(monkeypatch, builds):
         assert len(builds) == 0, fault
         assert list(vars(training._kept)) == list(kept)
         assert all(vars(training._kept)[name] is held for name, held in kept.items())
+
+
+def test_a_query_on_a_grid_that_misses_the_cuts_returns_fields(monkeypatch):
+    """On the benchmark layout a 100^2 grid's global cells put centers on
+    the cuts, which raised; on the cells clipped at the cuts `final_solve`
+    returns finite fields on points that each lie in the subdomain of
+    their row, whose weights sum to each subdomain's area."""
+    monkeypatch.setattr(training, "_kept", threading.local())
+    g = geom_3x3()
+    rhs = RhsSpec.for_geometry("corner2d", g)
+    params = init_params(NetConfig(2, (10, 10), 4, 8), 5)
+    coeffs, fields = final_solve(params, g, np.array([1.0, 5.0, 2.0, 0.5, 1.0, 3.0, 8.0, 1.0, 2.0]),
+                                 rhs, default_cutoff_config(g), 1.0, 100, n_singular=1)
+    quad = fields["quad"]
+    assert quad.n_interior > 100 * 100
+    for key in ("values", "gradients", "flux"):
+        assert np.all(np.isfinite(fields[key])), key
+    assert np.all(np.isfinite(coeffs.stacked)) and np.isfinite(fields["rel_residual"])
+    areas = np.prod(g.subdomain_hi - g.subdomain_lo, axis=1)
+    sums = np.bincount(quad.interior_subdomain, weights=quad.interior_weights)
+    np.testing.assert_allclose(sums, areas, rtol=1e-12, atol=0)

@@ -7,14 +7,19 @@ from hypothesis import strategies as st
 
 from transolve.cutoffs import CutoffConfig, default_cutoff_config, eta_jet
 from transolve.eigen import (
+    N_BASIS,
+    XI_PER_THETA,
     EigenModes,
     angular_eval,
     assemble_eigensystem,
+    basis_matrix,
     select_singular,
     solve_eigenpairs,
 )
 from transolve.geometry import angular_trace, build_grid_geometry
+from transolve.sampling import midpoint_grid, sample_parameters
 from transolve.singular import eval_s, polar_cache, singular_evals_from_cache
+from transolve.training import vertex_eigenpairs
 
 from conftest import geom_2x2, geom_3x3
 
@@ -367,3 +372,155 @@ def test_overlapping_disks_raise():
     with pytest.raises(ValueError, match="two singular vertices"):
         polar_cache(np.array([[0.0, 0.01]]), g, CutoffConfig(0.05, 0.15))
     polar_cache(np.array([[0.0, 0.01]]), g, default_cutoff_config(g))
+
+
+# ---------------- the stacked pass against one vertex at a time ----------
+
+
+def _angular(geo):
+    """A vertex's (len, 16) angular table and its theta-derivatives."""
+    dx, dy = np.ascontiguousarray(geo.offset.T)
+    values, derivs = basis_matrix(np.mod(np.arctan2(dy, dx), 2 * np.pi) * XI_PER_THETA)
+    return values, derivs * XI_PER_THETA
+
+
+def _slots_per_vertex(polar, pairs_per_p, width=None):
+    """Per vertex with slots: its factors (r, eta, eta', eta'', direction,
+    angular tables), rows slices of the disk and annulus rows, its columns
+    and its (P, 1, m) exponents and (P, 16, m) coefficients.  m is the
+    vertex's own slot count, or ``width`` at every vertex with slots."""
+    slots, disk, annulus, col = [], 0, 0, 0
+    for v, geo in enumerate(polar.vertices):
+        per_p = [pairs[v] for pairs in pairs_per_p]
+        m = max(map(len, per_p))
+        if m:
+            k = width or m
+            lam, coef = np.ones((len(per_p), 1, k)), np.zeros((len(per_p), N_BASIS, k))
+            for j, sel in enumerate(per_p):
+                lam[j, 0, : len(sel)] = sel.exponent
+                coef[j, :, : len(sel)] = (sel.mu_scale[:, None] * sel.rho).T
+            slots.append((geo, _angular(geo), slice(disk, disk + geo.r.size),
+                          slice(annulus, annulus + geo.n_annulus), slice(col, col + m), lam, coef))
+        disk += geo.r.size
+        annulus += geo.n_annulus
+        col += m
+    return col, slots
+
+
+def sources_per_vertex(polar, pairs_per_p, width=None):
+    """The batch's (P, R, M) sources, one vertex at a time."""
+    n_cols, slots = _slots_per_vertex(polar, pairs_per_p, width)
+    out = np.zeros((len(pairs_per_p), polar.annulus_rows.size, n_cols))
+    for geo, (ang, _), _, rows, cols, lam, coef in slots:
+        a = slice(geo.n_annulus)
+        r = geo.r[a, None]
+        radial = (2 * lam + 1) * geo.eta_p[a, None] + r * geo.eta_pp[a, None]
+        source = (ang[a] @ coef) * r ** (lam - 1) * radial
+        out[:, rows, cols] = source[..., : cols.stop - cols.start]
+    return out
+
+
+def fields_per_vertex(polar, pairs, width=None):
+    """One parameter's (D, M) values and (D, 2, M) gradients, one vertex
+    at a time."""
+    n_cols, slots = _slots_per_vertex(polar, [pairs], width)
+    values = np.zeros((polar.disk_rows.size, n_cols))
+    grads = np.zeros((polar.disk_rows.size, 2, n_cols))
+    for geo, (ang, ang_derivs), rows, _, cols, (lam,), (coef,) in slots:
+        m = cols.stop - cols.start
+        r = geo.r[:, None]
+        rl1 = r ** (lam - 1)
+        mu = ang @ coef
+        mu_eta = mu * geo.eta[:, None]
+        ds_dr = lam * mu_eta + r * mu * geo.eta_p[:, None]
+        ds_dt_over_r = (ang_derivs @ coef) * geo.eta[:, None]
+        ct, st = geo.direction[:, :1], geo.direction[:, 1:]
+        values[rows, cols] = (r * rl1 * mu_eta)[:, :m]
+        grads[rows, 0, cols] = (rl1 * (ds_dr * ct - ds_dt_over_r * st))[:, :m]
+        grads[rows, 1, cols] = (rl1 * (ds_dr * st + ds_dt_over_r * ct))[:, :m]
+    return values, grads
+
+
+@pytest.mark.parametrize("grid", [64, 96])
+def test_stacked_pass_equals_one_vertex_at_a_time_on_the_query_grids(grid):
+    """On the benchmark layout's 64^2 and 96^2 query grids, the sources of
+    1- and 8-parameter batches and each parameter's values and gradients,
+    every vertex at once on the stacked disks, equal bit for bit those
+    formed one vertex at a time from its own factors and angular table."""
+    g = geom_3x3()
+    polar = polar_cache(midpoint_grid(g, grid, grid).interior_points, g,
+                        default_cutoff_config(g))
+    params = sample_parameters(np.random.default_rng(grid), 8, g.n_subdomains, 0.1, 10.0)
+    pairs_per_p = vertex_eigenpairs(g, params, 2)
+    assert all(len(sel) for pairs in pairs_per_p for sel in pairs)
+    for size in (1, 8):
+        batch = pairs_per_p[:size]
+        assert np.array_equal(singular_evals_from_cache(polar, batch),
+                              sources_per_vertex(polar, batch))
+    for pairs in pairs_per_p:
+        for got, want in zip(eval_s(polar, pairs), fields_per_vertex(polar, pairs)):
+            assert np.array_equal(got, want)
+
+
+def test_stacked_pass_with_mixed_slot_counts_equals_one_vertex_at_a_time():
+    """With the hand-drawn selections of
+    `test_batch_block_places_each_parameters_columns_in_its_slots`, two
+    slots at two vertices and one at the others, on the 64^2 query grid,
+    the stacked pass equals bit for bit the one-vertex loop run at the
+    width of the stack: every slot column and the unused slots' zeros, in
+    its vertex's rows and columns.  At a vertex's own width of one slot
+    the loop's angular product would run as a GEMV, which rounds apart
+    from the GEMM the stack runs; the batch test holds the two to 1e-13."""
+    g = geom_3x3()
+    traces = ((1.0, 10.0, 1.0, 10.0), (1.0, 100.0, 1.0, 100.0), (1.0, 1.0, 1.0, 100.0))
+    chosen = [make_basis(trace, 1)[0] for trace in traces]
+    modes = EigenModes(*(np.concatenate([getattr(sel, f.name) for sel in chosen])
+                         for f in dataclasses.fields(EigenModes)))
+    a, b, c = range(3)
+    pairs_per_p = [
+        [modes[[a, b]], modes[[]], modes[[c]], modes[[]]],
+        [modes[[a]], modes[[b, c]], modes[[]], modes[[]]],
+        [modes[[]], modes[[]], modes[[]], modes[[]]],
+        [modes[[c, a]], modes[[b]], modes[[a]], modes[[c]]],
+    ]
+    polar = polar_cache(midpoint_grid(g, 64, 64).interior_points, g, default_cutoff_config(g))
+    block = singular_evals_from_cache(polar, pairs_per_p)
+    assert block.shape[2] == 6
+    assert np.array_equal(block, sources_per_vertex(polar, pairs_per_p, width=2))
+    for pairs in pairs_per_p:
+        width = max(map(len, pairs)) or None
+        for got, want in zip(eval_s(polar, pairs), fields_per_vertex(polar, pairs, width)):
+            assert np.array_equal(got, want)
+
+
+def test_stacked_disks_hold_each_vertex_and_pad_the_rest():
+    """On disks of unequal sizes, the stacked table holds each vertex's
+    annulus points from place 0 and its inner points from place A, the
+    largest annulus, with the vertex's own radius, eta jet, direction and
+    angular tables bit for bit; every pad place has radius 1 and zeros
+    elsewhere; and ``disk_at`` gathers the flattened stack into the disk
+    rows' order."""
+    g = geom_3x3()
+    pts = np.random.default_rng(4).uniform(-1, 1, size=(400, 2))
+    polar = polar_cache(pts, g, CutoffConfig(0.1, 0.2))
+    assert len({(geo.n_annulus, geo.r.size) for geo in polar.vertices}) == g.n_singular
+    disks = polar.stacked
+    assert disks is polar.stacked  # formed once
+    a = disks.n_annulus
+    assert a == max(geo.n_annulus for geo in polar.vertices)
+    live = np.zeros(disks.r.shape, dtype=bool)
+    for v, geo in enumerate(polar.vertices):
+        places = np.r_[: geo.n_annulus, a : a + geo.r.size - geo.n_annulus]
+        live[v, places] = True
+        for name in ("r", "eta", "eta_p", "eta_pp", "direction"):
+            assert np.array_equal(getattr(disks, name)[v, places], getattr(geo, name)), name
+        for got, want in zip((disks.values[v, places], disks.derivs[v, places]), _angular(geo)):
+            assert np.array_equal(got, want)
+    assert np.all(disks.r[~live] == 1.0)
+    for name in ("eta", "eta_p", "eta_pp", "direction", "values", "derivs"):
+        assert np.all(getattr(disks, name)[~live] == 0.0), name
+    np.testing.assert_array_equal(disks.disk_at, np.flatnonzero(live))
+    flat_r = disks.r.reshape(-1)[disks.disk_at]
+    np.testing.assert_array_equal(flat_r, np.concatenate([geo.r for geo in polar.vertices]))
+    for name in ("r", "direction", "values"):
+        assert not getattr(disks, name).flags.writeable

@@ -1293,3 +1293,24 @@ def test_trainings_in_two_threads_keep_their_own_arrays(monkeypatch):
     assert not any(thread.is_alive() for thread in threads)
     for got, want in zip(together, alone):
         assert got is not None and np.array_equal(got, want)
+
+
+def test_an_epoch_stacks_the_interior_disks_and_never_the_interface_points(monkeypatch):
+    """An epoch makes two vertex-disk tables: the interior points' one,
+    whose singular columns form its stacked disks (`PolarCache.stacked`),
+    and the interface points' one, which only the cutoffs read and which
+    never forms them."""
+    g = geom_3x3()
+    cfg = small_config(n_params=4, n_interface=3, n_singular=2)
+    state = init_train_state(g, NetConfig(2, (4,), 4, 8), cfg)
+    build, made = training.polar_cache, []
+
+    def recording(points, geometry, config):
+        made.append(build(points, geometry, config))
+        return made[-1]
+
+    monkeypatch.setattr(training, "polar_cache", recording)
+    run_epoch(state, cfg, g, RhsSpec.for_geometry("corner2d", g), default_cutoff_config(g))
+    interior, interface = made
+    assert interior.n_points > interface.n_points
+    assert "stacked" in vars(interior) and "stacked" not in vars(interface)
