@@ -46,10 +46,13 @@ points per vertex on the 2D benchmark layout) take the products
 (`_distinct_factors`).  The disks are not found here: both factor
 builders take the points' vertex-disk table (`singular.polar_cache`), the
 one place that finds each vertex's disk rows and evaluates its radius and
-eta, and form phi_v on the table's rows from its eta jet, so the
-exclusion factors and the singular columns read the same radius and eta.
-Without a singular vertex (1D) no phi product is formed.  The stacks
-equal, bit for bit, ones that form every product at every point.
+eta, one flat table with a row per disk point and its vertex.  phi is
+formed once on all the table's rows from its eta jet, and each group
+takes one product on them, written to each row's point in its vertex's
+column, so the exclusion factors and the singular columns read the same
+radius and eta.  Without a singular vertex (1D) the table is empty and no
+phi product is formed.  The stacks equal, bit for bit, ones that form
+every product at every point.
 """
 
 from __future__ import annotations
@@ -200,17 +203,17 @@ def _distinct_factors(points, geometry, polar, psis) -> Jets:
     `factor_index`, with a component-major gradient.
 
     The bases B and B * psi_a are made once at all points and written into
-    every column of their group of max(N_s, 1) factors.  Only the rows on
-    vertex v's disk, the rows of its entry in the vertex-disk table
-    ``polar`` (`singular.polar_cache`), are then overwritten with the
-    products B * phi_v and B * psi_a * phi_v, phi_v = 1 - eta formed from
-    the table's radius r, unit direction u and eta jet: gradient -eta' u
-    and Laplacian -eta'' - eta'/r.  Off the disk phi_v is exactly 1 with
-    zero derivatives, so there the product rule gives the base itself, bit
-    for bit up to the sign of a zero: the stack equals the one that forms
-    every product at every point.  Without a singular vertex (1D) each
-    group is its base alone.  A table made for another number of points
-    raises ValueError.
+    every column of their group of max(N_s, 1) factors.  phi = 1 - eta is
+    formed once on all the rows of the vertex-disk table ``polar``
+    (`singular.polar_cache`), from its radius r, unit direction u and eta
+    jet: gradient -eta' u and Laplacian -eta'' - eta'/r.  Then one product
+    per group, the base's table rows times phi, overwrites each row's
+    point in the column of its vertex, g * max(N_s, 1) + v.  Off vertex
+    v's disk phi_v is exactly 1 with zero derivatives, so there the
+    product rule gives the base itself, bit for bit up to the sign of a
+    zero: the stack equals the one that forms every product at every
+    point.  Without a disk row (1D) each group is its base alone.  A table
+    made for another number of points raises ValueError.
     """
     polar.check_points(len(points))
     bjet = boundary_cutoff_jet(points, geometry)
@@ -219,18 +222,16 @@ def _distinct_factors(points, geometry, polar, psis) -> Jets:
     n_v = max(geometry.n_singular, 1)
     shape = (n, len(bases) * n_v)
     value, components, lap = np.empty(shape), np.empty((d,) + shape), np.empty(shape)
+    disk = polar.disk_rows
+    # eta' = 0 wherever r <= delta1, so a point at the vertex divides 0 by 1
+    phi_lap = -polar.eta_pp - polar.eta_p / np.where(polar.r > 0, polar.r, 1.0)
+    phi = Jets(1.0 - polar.eta, -polar.eta_p[:, None] * polar.direction, phi_lap)
     for g, base in enumerate(bases):
-        group = slice(g * n_v, (g + 1) * n_v)
+        group, k = slice(g * n_v, (g + 1) * n_v), g * n_v + polar.vertex
         value[:, group] = base.value[:, None]
         components[:, :, group] = base.gradient.T[:, :, None]
         lap[:, group] = base.laplacian[:, None]
-    for v, geo in enumerate(polar.vertices):
-        disk = geo.rows
-        # eta' = 0 wherever r <= delta1, so a point at the vertex divides 0 by 1
-        phi_lap = -geo.eta_pp - geo.eta_p / np.where(geo.r > 0, geo.r, 1.0)
-        phi = Jets(1.0 - geo.eta, -geo.eta_p[:, None] * geo.direction, phi_lap)
-        for g, base in enumerate(bases):
-            k = g * n_v + v
+        if disk.size:  # without a disk row (1D) no phi product is formed
             jet = base.rows(disk) * phi
             value[disk, k] = jet.value
             components[:, disk, k] = jet.gradient.T

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import Geometry, subdomain_index_many
-from .sampling import QuadratureSet
+from .sampling import QuadratureSet, check_counts
 
 __all__ = [
     "RhsSpec",
@@ -157,13 +157,15 @@ def fem_solve_2d(geometry: Geometry, parameter, rhs: RhsSpec, n_per_axis: int) -
     point on the nodal grid.  So no element-by-element triplets or
     restriction to the interior are made.  The SPD system is solved by one
     sparse LU factorization; a solution whose residual exceeds 1e-10 of the
-    load raises RuntimeError.
+    load raises RuntimeError.  A count that is not an integer >= 1 raises
+    ValueError (`sampling.check_counts`).
     """
     # imported here: the training modules import this one for RhsSpec, and
     # would otherwise map the sparse modules in every run that solves no FEM
     from scipy import sparse
     from scipy.sparse.linalg import splu
 
+    check_counts(n_per_axis=n_per_axis)
     parameter = np.asarray(parameter, dtype=float)
     (a, b), (c, d) = geometry.bounds
     n = n_per_axis

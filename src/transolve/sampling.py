@@ -36,6 +36,7 @@ __all__ = [
     "sample_parameters",
     "sample_collocation",
     "midpoint_grid",
+    "check_counts",
 ]
 
 _INTERFACE_CLEARANCE = 1e-12
@@ -75,6 +76,14 @@ class QuadratureSet:
     @property
     def n_interface(self) -> int:
         return self.interface_points.shape[0]
+
+
+def check_counts(**counts) -> None:
+    """Raise ValueError naming the first of the grid ``counts`` that is not
+    an integer >= 1: a bool is not one, a NumPy integer is."""
+    for name, value in counts.items():
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+            raise ValueError(f"{name} must be an integer >= 1, not {value!r}")
 
 
 def sample_parameters(rng, n: int, n_subdomains: int, p_min: float, p_max: float) -> np.ndarray:
@@ -178,10 +187,10 @@ def sample_collocation(
     """Fresh stochastic training points: jittered interior, stratified interfaces.
 
     A separate generator may drive the interface draws so the two streams
-    never share state.
+    never share state.  A count that is not an integer >= 1 raises
+    ValueError (`check_counts`).
     """
-    if n_interior_per_axis < 1 or n_per_interface < 1:
-        raise ValueError("counts must be >= 1")
+    check_counts(n_interior_per_axis=n_interior_per_axis, n_per_interface=n_per_interface)
     interior, w, sub = _by_subdomain(
         geometry, *_jittered_interior(geometry, n_interior_per_axis, rng)
     )
@@ -225,10 +234,10 @@ def midpoint_grid(geometry: Geometry, n_per_axis: int, n_per_interface: int) -> 
     No center lies on a cut, and the weights of each subdomain sum to its
     area.  A grid whose lines hit every cut keeps the cells of `_cells`,
     bit for bit.  Interface midpoints carry their segment length over the
-    per-interface count (1D: unit weights at the cuts).
+    per-interface count (1D: unit weights at the cuts).  A count that is
+    not an integer >= 1 raises ValueError (`check_counts`).
     """
-    if n_per_axis < 1 or n_per_interface < 1:
-        raise ValueError("counts must be >= 1")
+    check_counts(n_per_axis=n_per_axis, n_per_interface=n_per_interface)
     if geometry.dimension == 1:
         corners, widths = _cells(geometry, n_per_axis)
         interior = corners + widths / 2

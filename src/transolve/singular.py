@@ -12,25 +12,27 @@ inside the printed source formula is the cutoff-free part r^L mu.
 
 `polar_cache` is the one vertex-disk table of a point set: once per point
 set it finds each vertex's disk, and holds there everything about those
-points that does not depend on the parameter, their offset, radius and
-unit direction from the vertex and the eta jet, with the support rows,
-the point indices of the disks and of the annuli.  The same radius and
-eta serve both uses of the cutoff: the singular columns here, and the
-exclusion factors phi_v = 1 - eta of `cutoffs.composition_factors` and
-`cutoffs.interface_trace_factors`, which read each vertex's `VertexGeo`.
-The singular columns read the table's stacked disks instead
-(`PolarCache.stacked`): every vertex's factors and FE angular basis as one
-row of (N_s, S) arrays padded to the largest disk, formed at the first
-read, which only the singular columns make, so the interface points'
-table, which only the cutoffs read, never forms it.  Every singular block
-lives on its support rows only: `singular_evals_from_cache` gives the
-sources of all columns on the annulus rows (the least-squares rows) and
-`eval_s` the values and gradients of all columns on the disk rows (the
-solution fields), so their size follows the annuli and disks and not the
-point set.  Each evaluates every vertex in one pass over the stack, one
-matmul per angular table and the elementwise formulas over all vertices
-at once, and then copies each vertex's block into its rows and columns.
-Per parameter only the exponents and angular coefficients enter.
+points that does not depend on the parameter, as one flat table with a
+row per disk point: its point index, its vertex, its offset, radius and
+unit direction from the vertex and the eta jet, vertex by vertex, each
+vertex's annulus rows first, with each vertex's annulus count.  The same
+radius and eta serve both uses of the cutoff: the singular columns here,
+and the exclusion factors phi_v = 1 - eta of `cutoffs.composition_factors`
+and `cutoffs.interface_trace_factors`, which form phi on all the table's
+rows at once.  The singular columns read the table's stacked disks
+instead (`PolarCache.stacked`): every vertex's factors and FE angular
+basis as one row of (N_s, S) arrays padded to the largest disk, gathered
+from the flat rows at the first read, which only the singular columns
+make, so the interface points' table, which only the cutoffs read, never
+forms it.  Every singular block lives on its support rows only:
+`singular_evals_from_cache` gives the sources of all columns on the
+annulus rows (the least-squares rows) and `eval_s` the values and
+gradients of all columns on the disk rows (the solution fields), so their
+size follows the annuli and disks and not the point set.  Each evaluates
+every vertex in one pass over the stack, one matmul per angular table and
+the elementwise formulas over all vertices at once, and then copies each
+vertex's block into its rows and columns.  Per parameter only the
+exponents and angular coefficients enter.
 """
 
 from __future__ import annotations
@@ -44,24 +46,9 @@ from .cutoffs import CutoffConfig, eta_jet
 from .eigen import N_BASIS, XI_PER_THETA, EigenModes, basis_matrix
 from .geometry import Geometry
 
-__all__ = ["VertexGeo", "PolarCache", "polar_cache", "singular_evals_from_cache", "eval_s"]
+__all__ = ["PolarCache", "polar_cache", "singular_evals_from_cache", "eval_s"]
 
 _GRAD_GUARD = 1e-12
-
-
-@dataclass
-class VertexGeo:
-    """Parameter-independent factors at the points of one vertex's disk
-    r < delta2, its annulus points (delta1 < r) first."""
-
-    rows: np.ndarray  # point indices of the disk, the annulus points first
-    n_annulus: int  # the first n_annulus points lie on the annulus, where the source lives
-    offset: np.ndarray  # (len, 2) x - x_v
-    r: np.ndarray
-    direction: np.ndarray  # (len, 2) unit vectors (x - x_v) / r, zero at the vertex itself
-    eta: np.ndarray
-    eta_p: np.ndarray
-    eta_pp: np.ndarray
 
 
 @dataclass
@@ -90,55 +77,67 @@ class StackedDisks:
 
 @dataclass
 class PolarCache:
-    """The vertex-disk table of one point set: per-vertex polar factors,
-    vertex order of the geometry, and the number of points it indexes.
+    """The vertex-disk table of one point set: one row per point inside a
+    singular vertex's disk r < delta2, and the number of points it indexes.
 
-    The support rows are point indices, vertex-major in the same order as
-    ``vertices``: ``disk_rows`` lists every vertex's disk points (its
-    ``rows``), its annulus points first, and ``annulus_rows`` the annulus
-    points alone.  The disks are disjoint, so neither lists a point twice.
-    A consumer of the table checks ``n_points`` against its own points.
+    The rows run vertex by vertex in the vertex order of the geometry, each
+    vertex's annulus points (delta1 < r) first, then its inner points, each
+    part in point order.  ``disk_rows`` holds each row's point index and
+    ``annulus_rows`` the annulus rows' alone.  The disks are disjoint, so
+    neither lists a point twice.  A consumer of the table checks
+    ``n_points`` against its own points.
     """
 
     n_points: int
-    vertices: list[VertexGeo]
-    disk_rows: np.ndarray  # (D,) where the singular functions live
+    disk_rows: np.ndarray  # (D,) point index of each row: where the singular functions live
     annulus_rows: np.ndarray  # (R,) where their sources live, a subset of disk_rows
+    vertex: np.ndarray  # (D,) the vertex of each row
+    n_annulus: np.ndarray  # (N_s,) per vertex: how many of its rows lie on the annulus
+    offset: np.ndarray  # (D, d) x - x_v
+    r: np.ndarray  # (D,)
+    direction: np.ndarray  # (D, d) unit vectors (x - x_v) / r, zero at the vertex itself
+    eta: np.ndarray  # (D,) as are eta_p and eta_pp
+    eta_p: np.ndarray
+    eta_pp: np.ndarray
 
     def check_points(self, n: int) -> None:
         """Raise ValueError unless the table indexes ``n`` points."""
         if n != self.n_points:
             raise ValueError(f"the vertex-disk table indexes {self.n_points} points, not {n}")
 
+    @property
+    def n_disk(self) -> np.ndarray:
+        """(N_s,) the number of rows of each vertex."""
+        return np.bincount(self.vertex, minlength=self.n_annulus.size)
+
     @cached_property
     def stacked(self) -> StackedDisks:
         """The disks stacked and padded (`StackedDisks`), formed at the
         first read and kept: the singular columns read it, the cutoffs do
-        not, so the interface points' table never forms it.  Each array is
-        one gather from the vertices' arrays laid end to end with their pad
-        value after them.  The angular tables are `eigen.basis_matrix` at
-        all the disk points' angles in one call, each point's bits those of
-        a call on its vertex's points alone."""
-        n_a = np.array([geo.n_annulus for geo in self.vertices])
-        n_i = np.array([geo.r.size for geo in self.vertices]) - n_a
+        not, so the interface points' table never forms it.  The live
+        places of the stack, in order, are the table's rows, so each array
+        is one gather from the flat one with its pad value after it.  The
+        angular tables are `eigen.basis_matrix` at all the places' angles
+        in one call, zero at the pads, each point's bits those of a call on
+        its vertex's points alone."""
+        n_a = self.n_annulus
+        n_i = self.n_disk - n_a
         a = int(n_a.max())
         place = np.arange(a + n_i.max())
         live = np.where(place < a, place < n_a[:, None], place - a < n_i[:, None])
-        # the live places, in order, are the vertices' points end to end; a pad reads the last
+        # the live places take the rows in order; a pad reads the pad value after the last
         at = np.where(live, np.cumsum(live).reshape(live.shape) - 1, np.count_nonzero(live))
 
-        def gather(name, pad):
-            parts = [getattr(geo, name) for geo in self.vertices]
-            return np.take(np.concatenate(parts + [np.full((1,) + parts[0].shape[1:], pad)]),
-                           at, axis=0)
+        def gather(flat, pad):
+            return np.take(np.concatenate([flat, np.full((1,) + flat.shape[1:], pad)]), at, axis=0)
 
-        offset = gather("offset", 0.0).reshape(-1, 2)
-        dx, dy = np.ascontiguousarray(offset.T)  # contiguous, as arctan2 read them before
+        offset = gather(self.offset, 0.0).reshape(-1, 2)
+        dx, dy = np.ascontiguousarray(offset.T)  # contiguous component planes for arctan2
         values, derivs = basis_matrix(np.mod(np.arctan2(dy, dx), 2 * np.pi) * XI_PER_THETA)
         derivs *= XI_PER_THETA
         values[~live.ravel()] = derivs[~live.ravel()] = 0.0
-        disks = StackedDisks(a, *(gather(name, pad) for name, pad in (
-            ("r", 1.0), ("eta", 0.0), ("eta_p", 0.0), ("eta_pp", 0.0), ("direction", 0.0))),
+        disks = StackedDisks(a, gather(self.r, 1.0), *(gather(flat, 0.0) for flat in (
+            self.eta, self.eta_p, self.eta_pp, self.direction)),
             values.reshape(at.shape + (N_BASIS,)), derivs.reshape(at.shape + (N_BASIS,)),
             np.flatnonzero(live))
         for value in vars(disks).values():
@@ -150,35 +149,36 @@ class PolarCache:
 def polar_cache(points, geometry: Geometry, config: CutoffConfig) -> PolarCache:
     """The vertex-disk table of ``points``: every point inside a singular
     vertex's disk r = |x - x_v| < delta2, with its offset, radius, unit
-    direction and eta jet; no vertex in 1D.
+    direction and eta jet; no vertex in 1D, so an empty table there.
 
     r is the root of dx^2 + dy^2, bit for bit as `np.linalg.norm` forms
-    it, but from the two component planes rather than by a reduction over
-    the short last axis, which took six times as long.  The disk rows are
-    chosen from the radius eta is made from, so no row on which eta
-    differs from 0 is left out: off the disk `cutoffs.eta_jet` is exactly
-    0 with zero derivatives.  A point inside two vertices' disks raises
-    ValueError: the default radii (`cutoffs.default_cutoff_config`) keep
-    the disks apart.
+    it, but from the two component planes of the (N_s, J) offsets of every
+    vertex and point rather than by a reduction over the short last axis,
+    which took six times as long.  The disk rows are chosen from the
+    radius eta is made from, so no row on which eta differs from 0 is left
+    out: off the disk `cutoffs.eta_jet` is exactly 0 with zero
+    derivatives.  A point inside two vertices' disks raises ValueError:
+    the default radii (`cutoffs.default_cutoff_config`) keep the disks
+    apart.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    vertices = []
-    for v in geometry.singular_vertices:
-        dx, dy = points[:, 0] - v[0], points[:, 1] - v[1]
-        r = np.sqrt(dx * dx + dy * dy)
-        inside = r < config.delta2
-        annulus = inside & (r > config.delta1)
-        idx = np.concatenate([np.flatnonzero(annulus), np.flatnonzero(inside & ~annulus)])
-        ra, offset = r[idx], np.stack([dx[idx], dy[idx]], axis=1)
-        direction = offset / np.where(ra > 0, ra, 1.0)[:, None]
-        vertices.append(VertexGeo(idx, np.count_nonzero(annulus), offset, ra, direction,
-                                  *eta_jet(ra, config)))
-    empty = np.zeros(0, dtype=np.intp)
-    disk_rows = np.concatenate([empty] + [geo.rows for geo in vertices])
-    if np.unique(disk_rows).size != disk_rows.size:
+    if not geometry.n_singular:  # 1D: the empty table, without reading a y column
+        none, flat = np.zeros(0, dtype=np.intp), np.zeros((0, points.shape[1]))
+        return PolarCache(len(points), none, none, none, none, flat, flat[:, 0], flat,
+                          *[flat[:, 0]] * 3)
+    dx, dy = (points[:, k] - geometry.singular_vertices[:, k, None] for k in (0, 1))  # (N_s, J)
+    r = np.sqrt(dx * dx + dy * dy)
+    inside = r < config.delta2
+    annulus = inside & (r > config.delta1)
+    # (vertex, part, point) in order: vertex by vertex, its annulus rows first
+    vertex, part, rows = np.nonzero(np.stack([annulus, inside & ~annulus], axis=1))
+    if np.unique(rows).size != rows.size:
         raise ValueError("a point lies inside the cutoff disks of two singular vertices")
-    annulus_rows = np.concatenate([empty] + [geo.rows[: geo.n_annulus] for geo in vertices])
-    return PolarCache(len(points), vertices, disk_rows, annulus_rows)
+    r = r[vertex, rows]
+    offset = np.stack([dx[vertex, rows], dy[vertex, rows]], axis=1)
+    direction = offset / np.where(r > 0, r, 1.0)[:, None]
+    return PolarCache(len(points), rows, rows[part == 0], vertex, np.count_nonzero(annulus, axis=1),
+                      offset, r, direction, *eta_jet(r, config))
 
 
 def _vertex_slots(cache: PolarCache, pairs_per_p: list):
@@ -196,20 +196,20 @@ def _vertex_slots(cache: PolarCache, pairs_per_p: list):
     most = [max(map(len, per_p)) for per_p in zip(*pairs_per_p)]  # a list: a few entries
     if not any(most):
         return 0, [], None, None
-    lam = np.ones((len(pairs_per_p), len(cache.vertices), 1, max(most)))
-    coef = np.zeros((len(pairs_per_p), len(cache.vertices), N_BASIS, lam.shape[-1]))
+    lam = np.ones((len(pairs_per_p), len(most), 1, max(most)))
+    coef = np.zeros((len(pairs_per_p), len(most), N_BASIS, lam.shape[-1]))
     for k, pairs in enumerate(pairs_per_p):
         for v, sel in enumerate(pairs):
             if n := len(sel):
                 lam[k, v, 0, :n] = sel.exponent
                 np.multiply(sel.rho.T, sel.mu_scale, out=coef[k, v, :, :n])
     slots, disk, annulus, col = [], 0, 0, 0
-    for v, (geo, m) in enumerate(zip(cache.vertices, most)):
+    for v, (n_d, n_a, m) in enumerate(zip(cache.n_disk.tolist(), cache.n_annulus.tolist(), most)):
         if m:
-            slots.append((v, slice(annulus, annulus + geo.n_annulus),
-                          slice(disk, disk + geo.r.size), slice(col, col + m)))
-        disk += geo.r.size
-        annulus += geo.n_annulus
+            slots.append((v, slice(annulus, annulus + n_a), slice(disk, disk + n_d),
+                          slice(col, col + m)))
+        disk += n_d
+        annulus += n_a
         col += m
     return col, slots, lam, coef
 

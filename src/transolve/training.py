@@ -15,11 +15,12 @@ normal components of the factors from `cutoffs.interface_trace_factors`
 and of the network jets alone, in `Jets.__mul__`'s order (see
 `_interface_rows`), both gathered with one
 `cutoffs.factor_index` per composition.  Each point set's vertex-disk
-table (`singular.polar_cache`), the disk rows, radius and eta about each
-junction, is built once: the interior points' by `_composed_cache` (and
-`QueryBasis.build`), which hands it to both the factor stack and the epoch
-cache, where the singular columns read it, and the interface points' by
-`_interface_rows`.  The minus-side traces are the
+table (`singular.polar_cache`), one flat table of the disk rows about
+every junction with their vertex, radius and eta, is built once: the
+interior points' by `_composed_cache` (and `QueryBasis.build`), which
+hands it to both the factor stack and the epoch cache, where the singular
+columns read it, and the interface points' by `_interface_rows`.
+The minus-side traces are the
 plus side's times a sign, -1 where the factor vanishes on the point's own
 line and +1 elsewhere, so one product and one trace serve both sides.
 The sign depends on the line's axis alone: the epoch cache keeps that
@@ -712,12 +713,14 @@ class QueryBasis:
         points = quad.interior_points
         cols = factor_index(geometry, cfg.n1, cfg.n2)
         weights = PassWeights.of(params)  # checked and laid out once for all the tiles
-        polar = polar_cache(points, geometry, cutoff_config)
-        stack = composition_factors(points, geometry, polar)
         n, d = points.shape
         n_out = cfg.n_outputs
+        # the kept arrays first: they take the largest free heap blocks
+        # before the table's and the factors' transients split them
         values, laplacian = np.empty((n, n_out)), np.empty((n, n_out + 2))
         gradients = np.empty((n, d, n_out))
+        polar = polar_cache(points, geometry, cutoff_config)
+        stack = composition_factors(points, geometry, polar)
         for t in _tiles(n):
             part = stack.rows(t).columns(cols) * forward_jets(weights, points[t])
             values[t] = part.value
@@ -729,7 +732,7 @@ class QueryBasis:
             cutoff_config, cols, rhs, theta,
         )
         basis = cls(cfg, cache, values, gradients)
-        for holder in (basis, cache, quad, cache.gram, cache.polar, *cache.polar.vertices):
+        for holder in (basis, cache, quad, cache.gram, cache.polar):
             for f in fields(holder):
                 value = getattr(holder, f.name)
                 if isinstance(value, np.ndarray):

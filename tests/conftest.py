@@ -6,6 +6,7 @@ pytest puts this directory on the import path.
 """
 
 from concurrent.futures import ThreadPoolExecutor
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -37,6 +38,18 @@ def disk_table(points, geometry, config=None):
     """The vertex-disk table of ``points`` (`singular.polar_cache`), at the
     layout's default radii unless ``config`` is given."""
     return polar_cache(points, geometry, config or default_cutoff_config(geometry))
+
+
+def vertex_runs(table):
+    """Each vertex's run of the vertex-disk table (`singular.PolarCache`),
+    the rows whose vertex is v in table order, as a namespace of their
+    point indices ``rows``, ``offset``, ``r``, ``direction`` and eta jets,
+    with the vertex's annulus count ``n_annulus``."""
+    names = ("offset", "r", "direction", "eta", "eta_p", "eta_pp")
+    return [SimpleNamespace(rows=table.disk_rows[on], n_annulus=int(n_annulus),
+                            **{name: getattr(table, name)[on] for name in names})
+            for on, n_annulus in zip(table.vertex == np.arange(len(table.n_annulus))[:, None],
+                                     table.n_annulus)]
 
 
 def interior_rows(lap):

@@ -18,6 +18,18 @@ from conftest import geom_1d, geom_2x2, geom_3x3
 PI = np.pi
 
 
+@pytest.mark.parametrize("count", [0, -2, 2.5, True, np.float64(4.0), "4"], ids=repr)
+def test_fem_rejects_a_grid_count_that_is_not_an_integer_of_at_least_one(count):
+    """A grid count that is not an integer >= 1 raises a ValueError naming
+    it before any element is made; a NumPy integer counts."""
+    g = geom_2x2()
+    with pytest.raises(ValueError, match=r"n_per_axis must be an integer >= 1, not "):
+        fem_solve_2d(g, np.ones(4), RhsSpec.for_geometry("corner2d", g), count)
+    sol = fem_solve_2d(g, np.ones(4), RhsSpec.for_geometry("corner2d", g), np.int64(8))
+    want = fem_solve_2d(g, np.ones(4), RhsSpec.for_geometry("corner2d", g), 8)
+    np.testing.assert_array_equal(sol.values, want.values)
+
+
 def test_exact_1d_values():
     g = geom_1d()
     p = np.array([2.0, 1.0, 1.0, 1.0, 1.0])

@@ -278,6 +278,39 @@ def test_midpoint_rejects_zero_interface_count():
         midpoint_grid(geom_2x2(), 4, 0)
 
 
+# a count that is not an integer >= 1, and the ValueError it raises
+BAD_COUNTS = [0, -2, 2.5, True, np.float64(4.0), "4"]
+
+
+@pytest.mark.parametrize("count", BAD_COUNTS, ids=repr)
+def test_midpoint_grid_rejects_a_count_that_is_not_an_integer_of_at_least_one(count):
+    """Either count of `midpoint_grid` that is not an integer >= 1 raises a
+    ValueError naming it, before any point is placed; a NumPy integer
+    counts."""
+    g = geom_2x2()
+    with pytest.raises(ValueError, match=r"n_per_axis must be an integer >= 1, not "):
+        midpoint_grid(g, count, 2)
+    with pytest.raises(ValueError, match=r"n_per_interface must be an integer >= 1, not "):
+        midpoint_grid(g, 4, count)
+    q = midpoint_grid(g, np.int64(4), np.int32(2))
+    np.testing.assert_array_equal(q.interior_points, midpoint_grid(g, 4, 2).interior_points)
+
+
+@pytest.mark.parametrize("count", BAD_COUNTS, ids=repr)
+def test_sample_collocation_rejects_a_count_that_is_not_an_integer_of_at_least_one(count):
+    """Either count of `sample_collocation` that is not an integer >= 1
+    raises a ValueError naming it; a NumPy integer counts."""
+    g = geom_2x2()
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match=r"n_interior_per_axis must be an integer >= 1, not "):
+        sample_collocation(g, count, 2, rng)
+    with pytest.raises(ValueError, match=r"n_per_interface must be an integer >= 1, not "):
+        sample_collocation(g, 4, count, rng)
+    q = sample_collocation(g, np.int64(4), np.int32(2), np.random.default_rng(1))
+    np.testing.assert_array_equal(
+        q.interior_points, sample_collocation(g, 4, 2, np.random.default_rng(1)).interior_points)
+
+
 def test_midpoint_2d_without_cuts_has_empty_interface_arrays():
     q = midpoint_grid(build_grid_geometry(2, bounds=[(-1, 1), (-1, 1)]), 4, 2)
     assert q.interface_points.shape == (0, 2)

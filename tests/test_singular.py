@@ -1,11 +1,13 @@
 import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from transolve.cutoffs import CutoffConfig, default_cutoff_config, eta_jet
+from transolve import cutoffs
+from transolve.cutoffs import CutoffConfig, boundary_cutoff_jet, default_cutoff_config, eta_jet
 from transolve.eigen import (
     N_BASIS,
     XI_PER_THETA,
@@ -17,11 +19,12 @@ from transolve.eigen import (
     solve_eigenpairs,
 )
 from transolve.geometry import angular_trace, build_grid_geometry
+from transolve.nets import Jets
 from transolve.sampling import midpoint_grid, sample_parameters
 from transolve.singular import eval_s, polar_cache, singular_evals_from_cache
 from transolve.training import vertex_eigenpairs
 
-from conftest import geom_2x2, geom_3x3
+from conftest import geom_1d, geom_2x2, geom_3x3, vertex_runs
 
 CFG = CutoffConfig(0.225, 0.45)
 G = geom_2x2()
@@ -265,6 +268,15 @@ def test_singular_columns_stacking():
         start += len(sel)
 
 
+def _three_modes():
+    """The first modes of three junctions' traces, as the rows of one
+    EigenModes: a selection is rows of it."""
+    traces = ((1.0, 10.0, 1.0, 10.0), (1.0, 100.0, 1.0, 100.0), (1.0, 1.0, 1.0, 100.0))
+    chosen = [make_basis(trace, 1)[0] for trace in traces]
+    return EigenModes(*(np.concatenate([getattr(sel, f.name) for sel in chosen])
+                        for f in dataclasses.fields(EigenModes)))
+
+
 def test_batch_block_places_each_parameters_columns_in_its_slots():
     """A batch's block holds m_v slots at vertex v, the most modes any
     parameter has there.  A parameter's row holds its own columns, its
@@ -274,11 +286,7 @@ def test_batch_block_places_each_parameters_columns_in_its_slots():
     a vertex has more slots than the parameter has modes, the angular
     product runs as another BLAS call."""
     g = geom_3x3()
-    traces = ((1.0, 10.0, 1.0, 10.0), (1.0, 100.0, 1.0, 100.0), (1.0, 1.0, 1.0, 100.0))
-    # the three modes as the rows of one EigenModes: a selection is rows of it
-    chosen = [make_basis(trace, 1)[0] for trace in traces]
-    modes = EigenModes(*(np.concatenate([getattr(sel, f.name) for sel in chosen])
-                         for f in dataclasses.fields(EigenModes)))
+    modes = _three_modes()
     a, b, c = range(3)
     pairs_per_p = [
         [modes[[a, b]], modes[[]], modes[[c]], modes[[]]],
@@ -348,7 +356,7 @@ def test_support_rows_on_random_layouts(ncx, ncy, seed):
     assert np.isin(polar.annulus_rows, polar.disk_rows).all()
     assert np.unique(polar.disk_rows).size == polar.disk_rows.size
     disk = annulus = 0
-    for v, geo in zip(g.singular_vertices, polar.vertices):
+    for v, geo in zip(g.singular_vertices, vertex_runs(polar)):
         r = np.linalg.norm(pts - v, axis=1)
         in_disk = np.flatnonzero(r < cfg.delta2)
         in_annulus = np.flatnonzero((cfg.delta1 < r) & (r < cfg.delta2))
@@ -378,7 +386,8 @@ def test_overlapping_disks_raise():
 
 
 def _angular(geo):
-    """A vertex's (len, 16) angular table and its theta-derivatives."""
+    """A vertex's (len, 16) angular table and its theta-derivatives, from
+    its run of the table (`vertex_runs`)."""
     dx, dy = np.ascontiguousarray(geo.offset.T)
     values, derivs = basis_matrix(np.mod(np.arctan2(dy, dx), 2 * np.pi) * XI_PER_THETA)
     return values, derivs * XI_PER_THETA
@@ -390,7 +399,7 @@ def _slots_per_vertex(polar, pairs_per_p, width=None):
     and its (P, 1, m) exponents and (P, 16, m) coefficients.  m is the
     vertex's own slot count, or ``width`` at every vertex with slots."""
     slots, disk, annulus, col = [], 0, 0, 0
-    for v, geo in enumerate(polar.vertices):
+    for v, geo in enumerate(vertex_runs(polar)):
         per_p = [pairs[v] for pairs in pairs_per_p]
         m = max(map(len, per_p))
         if m:
@@ -472,10 +481,7 @@ def test_stacked_pass_with_mixed_slot_counts_equals_one_vertex_at_a_time():
     the loop's angular product would run as a GEMV, which rounds apart
     from the GEMM the stack runs; the batch test holds the two to 1e-13."""
     g = geom_3x3()
-    traces = ((1.0, 10.0, 1.0, 10.0), (1.0, 100.0, 1.0, 100.0), (1.0, 1.0, 1.0, 100.0))
-    chosen = [make_basis(trace, 1)[0] for trace in traces]
-    modes = EigenModes(*(np.concatenate([getattr(sel, f.name) for sel in chosen])
-                         for f in dataclasses.fields(EigenModes)))
+    modes = _three_modes()
     a, b, c = range(3)
     pairs_per_p = [
         [modes[[a, b]], modes[[]], modes[[c]], modes[[]]],
@@ -503,13 +509,23 @@ def test_stacked_disks_hold_each_vertex_and_pad_the_rest():
     g = geom_3x3()
     pts = np.random.default_rng(4).uniform(-1, 1, size=(400, 2))
     polar = polar_cache(pts, g, CutoffConfig(0.1, 0.2))
-    assert len({(geo.n_annulus, geo.r.size) for geo in polar.vertices}) == g.n_singular
+    assert len({(geo.n_annulus, geo.r.size) for geo in vertex_runs(polar)}) == g.n_singular
+    _check_stacked(polar)
+
+
+def _check_stacked(polar):
+    """The stacked table of ``polar`` holds each vertex's annulus points
+    from place 0 and its inner points from place A, the largest annulus,
+    with the vertex's own radius, eta jet, direction and angular tables bit
+    for bit; every pad place has radius 1 and zeros elsewhere; and
+    ``disk_at`` gathers the flattened stack into the disk rows' order."""
+    runs = vertex_runs(polar)
     disks = polar.stacked
     assert disks is polar.stacked  # formed once
     a = disks.n_annulus
-    assert a == max(geo.n_annulus for geo in polar.vertices)
+    assert a == max(geo.n_annulus for geo in runs)
     live = np.zeros(disks.r.shape, dtype=bool)
-    for v, geo in enumerate(polar.vertices):
+    for v, geo in enumerate(runs):
         places = np.r_[: geo.n_annulus, a : a + geo.r.size - geo.n_annulus]
         live[v, places] = True
         for name in ("r", "eta", "eta_p", "eta_pp", "direction"):
@@ -521,6 +537,150 @@ def test_stacked_disks_hold_each_vertex_and_pad_the_rest():
         assert np.all(getattr(disks, name)[~live] == 0.0), name
     np.testing.assert_array_equal(disks.disk_at, np.flatnonzero(live))
     flat_r = disks.r.reshape(-1)[disks.disk_at]
-    np.testing.assert_array_equal(flat_r, np.concatenate([geo.r for geo in polar.vertices]))
+    np.testing.assert_array_equal(flat_r, np.concatenate([geo.r for geo in runs]))
     for name in ("r", "direction", "values"):
         assert not getattr(disks, name).flags.writeable
+
+
+# ---------------- edge cases of the flat table against one vertex at a time ----------
+
+
+def _table_per_vertex(points, g, cfg):
+    """The vertex-disk table formed one vertex at a time, in `vertex_runs`'s
+    form: per vertex the points of its disk r < delta2, annulus points
+    first, with their offset, radius, unit direction and eta jet."""
+    runs = []
+    for v in g.singular_vertices:
+        dx, dy = points[:, 0] - v[0], points[:, 1] - v[1]
+        r = np.sqrt(dx * dx + dy * dy)
+        inside = r < cfg.delta2
+        annulus = inside & (r > cfg.delta1)
+        rows = np.concatenate([np.flatnonzero(annulus), np.flatnonzero(inside & ~annulus)])
+        offset = np.stack([dx[rows], dy[rows]], axis=1)
+        runs.append(SimpleNamespace(
+            rows=rows, n_annulus=np.count_nonzero(annulus), offset=offset, r=r[rows],
+            direction=offset / np.where(r[rows] > 0, r[rows], 1.0)[:, None],
+            **dict(zip(("eta", "eta_p", "eta_pp"), eta_jet(r[rows], cfg)))))
+    return runs
+
+
+def _factors_per_vertex(points, g, runs, psis):
+    """The distinct factor stack's value, gradient and Laplacian, each
+    B * phi_v and B * psi_a * phi_v formed one vertex at a time on its own
+    rows ``runs`` (`_table_per_vertex`); each group its base alone without
+    a vertex."""
+    bjet = boundary_cutoff_jet(points, g)
+    columns = []
+    for base in [bjet] + [bjet * psi for psi in psis]:
+        for run in runs or [None]:
+            column = [base.value.copy(), base.gradient.copy(), base.laplacian.copy()]
+            if run is not None:
+                phi = Jets(1.0 - run.eta, -run.eta_p[:, None] * run.direction,
+                           -run.eta_pp - run.eta_p / np.where(run.r > 0, run.r, 1.0))
+                jet = base.rows(run.rows) * phi
+                for part, new in zip(column, (jet.value, jet.gradient, jet.laplacian)):
+                    part[run.rows] = new
+            columns.append(column)
+    return [np.stack(parts, axis=1) for parts in zip(*columns)]
+
+
+def _edge_points(case, g, cfg):
+    """Interior points of the 3x3 layout, and points on its cut lines with
+    their axes, drawn uniformly and around every vertex, then thinned for
+    ``case``: no point in the last vertex's disk ("empty disk"), none on
+    vertex 1's annulus ("empty annulus") or none in any disk ("no disk
+    rows")."""
+    rng = np.random.default_rng(12)
+    d2 = cfg.delta2
+    near = g.singular_vertices[:, None, :] + rng.uniform(-1.2 * d2, 1.2 * d2, size=(4, 60, 2))
+    interior = np.concatenate([rng.uniform(-1, 1, size=(300, 2)), near.reshape(-1, 2)])
+    lines, axes = [], []
+    for axis, cuts in enumerate((g.cuts_x, g.cuts_y)):
+        for cut in cuts:
+            along = np.concatenate([rng.uniform(-1, 1, 60), near[..., 1 - axis].ravel()])
+            line = np.empty((along.size, 2))
+            line[:, axis], line[:, 1 - axis] = cut, along
+            lines.append(line)
+            axes.append(np.full(along.size, axis))
+    interface, axes = np.concatenate(lines), np.concatenate(axes)
+
+    def kept(points):
+        r = np.linalg.norm(points[:, None, :] - g.singular_vertices, axis=2)
+        if case == "empty disk":
+            return r[:, 3] >= cfg.delta2
+        if case == "empty annulus":
+            return (r[:, 1] <= cfg.delta1) | (r[:, 1] >= cfg.delta2)
+        return np.all(r >= cfg.delta2, axis=1)
+
+    on = kept(interface)
+    return interior[kept(interior)], interface[on], axes[on]
+
+
+@pytest.mark.parametrize("case", ["empty disk", "empty annulus", "no disk rows", "1d"])
+def test_flat_table_edge_cases_equal_one_vertex_at_a_time(case):
+    """With a vertex whose disk holds no point, a vertex whose points all
+    lie inside delta1, no disk row at all, and on the 1D layout (no
+    vertex), the flat table holds each vertex's run as the per-vertex
+    build forms it, and the factor builders and the stacked disks equal,
+    bit for bit, those formed one vertex at a time.  The sources and fields
+    agree to rounding: the one-vertex loop's angular products are GEMMs of
+    each disk's own row count, which on these small disks round apart in
+    the last bit from the stack's.  The 1D table is empty, and its
+    singular blocks have no columns without forming the stack."""
+    if case == "1d":
+        g = geom_1d()
+        cfg = default_cutoff_config(g)
+        rng = np.random.default_rng(12)
+        interior = rng.uniform(0.01, np.pi - 0.01, size=(50, 1))
+        interface, axes = np.asarray(g.cuts_x)[:, None], np.zeros(len(g.cuts_x), dtype=int)
+    else:
+        g = geom_3x3()
+        cfg = default_cutoff_config(g)
+        interior, interface, axes = _edge_points(case, g, cfg)
+    tables = [polar_cache(pts, g, cfg) for pts in (interior, interface)]
+    refs = [_table_per_vertex(pts, g, cfg) for pts in (interior, interface)]
+    for table, want in zip(tables, refs):
+        got = vertex_runs(table)
+        assert len(got) == len(want) == g.n_singular
+        for run, ref in zip(got, want):
+            assert run.n_annulus == ref.n_annulus
+            for name in ("rows", "offset", "r", "direction", "eta", "eta_p", "eta_pp"):
+                assert np.array_equal(getattr(run, name), getattr(ref, name)), name
+        np.testing.assert_array_equal(table.disk_rows,
+                                      np.concatenate([[]] + [ref.rows for ref in want]))
+        np.testing.assert_array_equal(table.annulus_rows, np.concatenate(
+            [[]] + [ref.rows[: ref.n_annulus] for ref in want]))
+    # the interior points make the case; every other vertex has annulus and inner points
+    sizes = [(ref.n_annulus, ref.rows.size) for ref in refs[0]]
+    odd = {"empty disk": 3, "empty annulus": 1}.get(case)
+    assert all(0 < a < n for v, (a, n) in enumerate(sizes) if v != odd and case != "no disk rows")
+    if case == "empty disk":
+        assert sizes[3] == (0, 0)
+    elif case == "empty annulus":
+        assert sizes[1][0] == 0 < sizes[1][1]
+    elif case == "no disk rows":
+        assert sizes == [(0, 0)] * 4
+    stacks = (cutoffs.composition_factors(interior, g, tables[0]),
+              cutoffs.interface_trace_factors(interface, axes, g, tables[1])[0])
+    for pts, rows, on, stack in zip((interior, interface), refs,
+                                    (np.full(len(interior), -1), axes), stacks):
+        want = _factors_per_vertex(pts, g, rows, cutoffs._psi_jets(pts, on, g))
+        for got, ref in zip((stack.value, stack.gradient, stack.laplacian), want):
+            assert np.array_equal(got, ref)
+    polar = tables[0]
+    if case == "1d":
+        assert singular_evals_from_cache(polar, [[]] * 3).shape == (3, 0, 0)
+        values, grads = eval_s(polar, [])
+        assert values.shape == (0, 0) and grads.shape == (0, 2, 0)
+        assert "stacked" not in vars(polar)
+        return
+    modes = _three_modes()
+    pairs_per_p = [[modes[[0, 1]], modes[[1, 2]], modes[[2, 0]], modes[[0, 2]]],
+                   [modes[[2, 1]], modes[[0, 2]], modes[[1]], modes[[]]]]
+    blocks = [(singular_evals_from_cache(polar, pairs_per_p),
+               sources_per_vertex(polar, pairs_per_p, width=2))]
+    blocks += [pair for pairs in pairs_per_p
+               for pair in zip(eval_s(polar, pairs), fields_per_vertex(polar, pairs, width=2))]
+    for got, want in blocks:
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13 * np.abs(want).max(initial=0))
+    _check_stacked(polar)
